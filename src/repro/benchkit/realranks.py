@@ -25,8 +25,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.benchkit.hotpath import write_json
 
 __all__ = [
@@ -73,21 +71,14 @@ def benchmark_comm_backend(
     (9 all-to-alls each in conservative form), which is what a user of
     ``dns --ranks P --comm procs`` experiences.
     """
-    from repro.dist import DistributedNavierStokesSolver
-    from repro.mpi.procs import make_comm
-    from repro.spectral import SolverConfig, SpectralGrid, random_isotropic_field
+    from repro.serve.runner import open_solver
+    from repro.serve.spec import JobSpec
 
-    grid = SpectralGrid(n)
-    rng = np.random.default_rng(seed)
-    comm = make_comm(comm_kind, ranks, fft_backend=fft_backend)
-    try:
-        solver = DistributedNavierStokesSolver(
-            grid,
-            comm,
-            random_isotropic_field(grid, rng, energy=1.0),
-            SolverConfig(nu=nu, scheme=scheme, fft_backend=fft_backend),
-        )
-        dt = 0.25 * grid.dx
+    spec = JobSpec(n=n, nu=nu, scheme=scheme, ic="random", ic_seed=seed,
+                   ranks=ranks, comm=comm_kind,
+                   fft_backend=fft_backend).validate()
+    with open_solver(spec) as opened:
+        solver, dt, comm = opened.solver, opened.dt, opened.comm
         result = None
         for _ in range(warmup):
             result = solver.step(dt)
@@ -95,11 +86,7 @@ def benchmark_comm_backend(
         for _ in range(steps):
             result = solver.step(dt)
         elapsed = time.perf_counter() - t0
-        solver.close()
-    finally:
-        closer = getattr(comm, "close", None)
-        if closer is not None:
-            closer()
+    # worker CPU totals land on the comm when open_solver closes it
     return RealRanksResult(
         n=n,
         ranks=ranks,

@@ -37,6 +37,7 @@ __all__ = ["build_parser", "main"]
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.serve.spec import DNS_DEFAULTS, RUN_FIELDS, add_spec_flags
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -93,75 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a chrome://tracing JSON file")
 
     p = sub.add_parser("dns", help="run the real solver at laptop scale")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--nu", type=float, default=0.02)
-    p.add_argument("--forced", action="store_true")
-    p.add_argument("--fft-backend", default="auto",
-                   choices=["auto", "numpy", "scipy", "fftw"],
-                   help="transform backend (auto: $REPRO_FFT_BACKEND or numpy)")
-    p.add_argument("--diagnostics-every", type=int, default=1,
-                   help="compute energy/dissipation every K steps (0: never)")
-    p.add_argument("--legacy", action="store_true",
-                   help="use the pre-workspace allocating step (baseline)")
+    add_spec_flags(p, DNS_DEFAULTS, RUN_FIELDS)
+    p.add_argument("--forced", action="store_true",
+                   help="serial only: band forcing (k_f=2.5, eps_inj=1)")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write a chrome://tracing JSON of the run's spans")
     p.add_argument("--metrics-out", metavar="PATH", default=None,
                    help="write per-step + end-of-run metrics as JSONL")
     p.add_argument("--report", action="store_true",
                    help="print an end-of-run per-phase wall-clock breakdown")
-    p.add_argument("--ranks", type=int, default=None,
-                   help="run the slab-distributed solver over this many "
-                        "virtual ranks instead of the serial one")
-    p.add_argument("--comm", default="virtual",
-                   choices=["virtual", "procs", "mpi"],
-                   help="with --ranks: communicator backend — in-process "
-                        "virtual ranks (bit-exact reference), one worker "
-                        "process per rank over shared memory, or mpi4py "
-                        "when importable")
-    p.add_argument("--npencils", type=int, default=None,
-                   help="with --ranks: pencils per slab for the out-of-core "
-                        "engine (default: whole-slab transforms)")
-    p.add_argument("--pipeline", default="sync", choices=["sync", "threads"],
-                   help="out-of-core execution backend: inline reference or "
-                        "worker-thread streams with Fig. 4 overlap")
-    p.add_argument("--inflight", type=int, default=3,
-                   help="bounded in-flight pencil window (threads pipeline)")
-    p.add_argument("--dt", type=float, default=None,
-                   help="fixed time step for --ranks runs (default 0.25*dx)")
-    p.add_argument("--fuzz", type=int, metavar="SEED", default=None,
-                   help="with --ranks/--npencils: run under the fuzzing "
-                        "backend with this seed (adversarial delays/faults; "
-                        "the result must be bit-identical regardless)")
-    p.add_argument("--fuzz-profile", default="chaos",
-                   help="fuzz profile name for --fuzz "
-                        "(calm|jittery|stormy|faulty|flaky-net|chaos)")
-    p.add_argument("--copy-strategy", default="auto",
-                   choices=["auto", "per_chunk", "memcpy2d", "zero_copy"],
-                   help="with --npencils: host<->device strided-copy "
-                        "strategy (Sec. 4.2 / Fig. 7); auto probes all "
-                        "three on the first pencil of each layout")
-    p.add_argument("--heights", default=None, metavar="H0,H1,...",
-                   help="with --ranks: explicit per-rank slab heights "
-                        "(uneven decomposition; must sum to N)")
-    p.add_argument("--skew", type=float, default=None, metavar="X",
-                   help="with --ranks: give rank 0 ~X times the fair slab "
-                        "share (deterministic uneven partition)")
-    p.add_argument("--dlb", default="off", choices=["off", "pinned", "lend"],
-                   help="with --npencils: per-rank compute lanes — off "
-                        "(single stream), pinned (one lane per rank), or "
-                        "lend (DLB lend/reclaim of unstarted pencils; "
-                        "bit-identical results either way)")
 
     p = sub.add_parser(
         "tune",
         help="probe the strided-copy engines on this run's pencil layouts",
     )
-    p.add_argument("--n", type=int, default=32, help="grid size (default 32)")
-    p.add_argument("--ranks", type=int, default=2)
-    p.add_argument("--npencils", type=int, default=4)
-    p.add_argument("--pipeline", default="sync", choices=["sync", "threads"])
-    p.add_argument("--inflight", type=int, default=3)
+    add_spec_flags(p, {"n": 32, "ranks": 2, "npencils": 4},
+                   ("n", "ranks", "npencils", "pipeline", "inflight"))
     p.add_argument("--no-model", dest="model", action="store_false",
                    help="skip the Fig. 7 analytic ranking of the same "
                         "layouts (the deterministic sim-backend choice)")
@@ -172,12 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="fuzz + schedule-exploration verification of the async pipeline",
     )
-    p.add_argument("--n", type=int, default=16, help="grid size (default 16)")
-    p.add_argument("--ranks", type=int, default=2)
-    p.add_argument("--npencils", type=int, default=4)
-    p.add_argument("--inflight", type=int, default=3)
-    p.add_argument("--steps", type=int, default=1,
-                   help="solver steps per fuzz case")
+    # The whole matrix shares one engine shape; every case must stay
+    # bit-identical whatever the copy strategy, heights or DLB lanes.
+    add_spec_flags(p, {"n": 16, "ranks": 2, "npencils": 4, "steps": 1},
+                   ("n", "steps", "ranks", "npencils", "inflight",
+                    "copy_strategy", "heights", "dlb"))
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="comma-separated fuzz seeds (default 101,202,303)")
     p.add_argument("--seed-base", type=int, default=None, metavar="B",
@@ -192,16 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-case deadlock watchdog in seconds")
     p.add_argument("--metrics-out", metavar="PATH", default=None,
                    help="write per-case fault/verify metrics as JSONL")
-    p.add_argument("--copy-strategy", default="memcpy2d",
-                   choices=["auto", "per_chunk", "memcpy2d", "zero_copy"],
-                   help="strided-copy engine used by every case (all "
-                        "strategies must be bit-identical)")
-    p.add_argument("--heights", default=None, metavar="H0,H1,...",
-                   help="uneven per-rank slab heights for the whole matrix "
-                        "(must sum to N)")
-    p.add_argument("--dlb", default="off", choices=["off", "pinned", "lend"],
-                   help="per-rank compute lanes for every fuzz case "
-                        "(results must stay bit-identical)")
     p.add_argument("--scheduler", action="store_true",
                    help="instead of the pipeline fuzz matrix: conformance-"
                         "fuzz the serve scheduler (determinism, capacity, "
@@ -224,41 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = serve_sub.add_parser("submit", help="queue a job from a spec")
     _serve_common(q)
     q.add_argument("--spec", metavar="FILE", default=None,
-                   help="JobSpec JSON file ('-' for stdin); inline flags "
-                        "below override nothing when given")
-    q.add_argument("--name", default=None, help="job name (required "
-                                                "without --spec)")
-    q.add_argument("--tenant", default="default")
-    q.add_argument("--priority", type=int, default=0,
-                   help="fair-share priority; weight doubles per step "
-                        "(default 0)")
-    q.add_argument("--n", type=int, default=24)
-    q.add_argument("--steps", type=int, default=2)
-    q.add_argument("--dt", type=float, default=None)
-    q.add_argument("--nu", type=float, default=0.02)
-    q.add_argument("--scheme", default="rk2", choices=["rk2", "rk4"])
-    q.add_argument("--ic", default="taylor-green",
-                   choices=["taylor-green", "random"])
-    q.add_argument("--ic-seed", type=int, default=0)
-    q.add_argument("--ranks", type=int, default=None,
-                   help="distributed run over this many virtual ranks")
-    q.add_argument("--comm", default="virtual",
-                   choices=["virtual", "procs", "mpi"])
-    q.add_argument("--npencils", type=int, default=None,
-                   help="out-of-core pencils per slab (enables the GPU "
-                        "pipeline model)")
-    q.add_argument("--pipeline", default="sync", choices=["sync", "threads"])
-    q.add_argument("--inflight", type=int, default=3)
-    q.add_argument("--copy-strategy", default="memcpy2d",
-                   choices=["auto", "per_chunk", "memcpy2d", "zero_copy"])
-    q.add_argument("--heights", default=None, metavar="H0,H1,...",
-                   help="uneven per-rank slab heights (must sum to N)")
-    q.add_argument("--skew", type=float, default=None,
-                   help="geometric slab-height skew factor")
-    q.add_argument("--dlb", default="off", choices=["off", "pinned", "lend"])
-    q.add_argument("--fuzz", type=int, default=None, metavar="SEED",
-                   dest="fuzz_seed", help="run under the fuzz backend")
-    q.add_argument("--fuzz-profile", default="calm")
+                   help="JobSpec JSON file ('-' for stdin); the inline "
+                        "flags below are ignored when given")
+    add_spec_flags(q, {"name": None})  # no default: required without --spec
     q.add_argument("--quote", action="store_true",
                    help="print the admission quote after submitting")
 
@@ -550,17 +455,6 @@ def _flight_recording(run, events_level: str = "info"):
             uninstall_flight()
 
 
-def _parse_heights(spec: str) -> tuple:
-    """``"10,6,8"`` -> ``(10, 6, 8)``; raises ValueError on non-integers."""
-    try:
-        return tuple(int(h) for h in spec.split(",") if h.strip() != "")
-    except ValueError:
-        raise ValueError(
-            f"--heights must be a comma-separated list of integers, "
-            f"got {spec!r}"
-        ) from None
-
-
 def _report_bad_heights(exc: Exception, n: int, ranks: int) -> int:
     """Reasoned quote for an infeasible slab partition (clean exit 2).
 
@@ -585,273 +479,143 @@ def _report_bad_heights(exc: Exception, n: int, ranks: int) -> int:
 
 
 def _cmd_dns(args) -> int:
-    from repro.spectral import SpectralGrid
+    """``repro dns``: one :class:`JobSpec` from the flags, run through
+    :func:`repro.serve.runner.open_solver`, printed.
 
-    config = {
-        "n": args.n, "steps": args.steps, "nu": args.nu,
-        "forced": args.forced, "fft_backend": args.fft_backend,
-        "ranks": args.ranks, "comm": args.comm, "npencils": args.npencils,
-        "pipeline": args.pipeline, "inflight": args.inflight,
-        "copy_strategy": args.copy_strategy,
-        "heights": args.heights, "skew": args.skew, "dlb": args.dlb,
-    }
-    seeds = [args.fuzz] if args.fuzz is not None else []
-    with _registered_run("dns", config, seeds=seeds) as run:
-        with _flight_recording(run) as (events, flight):
-            grid = SpectralGrid(args.n)
-            return _run_dns(args, grid, run, events, flight)
-
-
-def _run_dns(args, grid, run, events, flight) -> int:
-    import numpy as np
+    What is ``dns``-only stays here: ``--forced``, the CFL-0.5 adaptive
+    step of a serial run without ``--dt``, the report / trace / metrics
+    outputs, and the reasoned INFEASIBLE quote for a bad slab partition.
+    """
+    from contextlib import ExitStack
 
     from repro import __version__
     from repro.obs import Observability
-    from repro.spectral import (
-        BandForcing,
-        NavierStokesSolver,
-        SolverConfig,
-        flow_statistics,
-        random_isotropic_field,
-    )
+    from repro.serve.runner import open_solver
+    from repro.serve.spec import in_flags, spec_from_args
+    from repro.spectral import BandForcing, flow_statistics
 
-    # The flight recorder is always on (bounded ring, near-zero overhead);
-    # traces / metrics / reports stay opt-in outputs of the same bundle.
-    obs = Observability.create(events=events, flight=flight)
-
-    rng = np.random.default_rng(0)
-    if args.ranks is not None:
-        return _cmd_dns_distributed(args, grid, rng, obs, run=run)
-    forcing = BandForcing(k_force=2.5, eps_inj=1.0) if args.forced else None
-    solver = NavierStokesSolver(
-        grid,
-        random_isotropic_field(grid, rng, energy=1.0),
-        SolverConfig(
-            nu=args.nu,
-            use_workspace=not args.legacy,
-            fft_backend=args.fft_backend,
-            diagnostics_every=args.diagnostics_every,
-        ),
-        forcing=forcing,
-        obs=obs,
-    )
-    events.info("dns.start", n=args.n, steps=args.steps, nu=args.nu)
-    step_records: list[dict] = []
-    for step in range(1, args.steps + 1):
-        result = solver.step(solver.stable_dt(cfl=0.5))
-        events.debug("dns.step", step=step, t=result.time,
-                     energy=result.energy)
-        if obs.enabled:
-            step_records.append({
-                "kind": "step",
-                "step": step,
-                "time": result.time,
-                "dt": result.dt,
-                "energy": result.energy,
-                "dissipation": result.dissipation,
-                "wall_seconds": obs.metrics.histogram("solver.step.seconds").last,
-            })
-        if step % max(1, args.steps // 10) == 0:
-            print(f"step {step:4d} t={result.time:.4f} E={result.energy:.5f} "
-                  f"eps={result.dissipation:.5f}")
-    events.info("dns.finish", steps=args.steps)
-    print(flow_statistics(solver.u_hat, grid, args.nu))
-
-    run_meta = {
-        "repro_version": __version__,
-        "n": args.n,
-        "steps": args.steps,
-        "nu": args.nu,
-        "fft_backend": args.fft_backend,
-        "workspace": not args.legacy,
-    }
-    if args.report:
-        from repro.obs import render_breakdown, render_percentiles
-
-        print()
-        print(render_breakdown(obs.spans,
-                               title=f"dns n={args.n} phase breakdown"))
-        print()
-        print(render_percentiles(obs.metrics,
-                                 title=f"dns n={args.n} percentiles"))
-    if args.trace_out:
-        from repro.core.trace_export import write_chrome_trace
-
-        path = write_chrome_trace(
-            obs.spans.to_tracer(), args.trace_out, metadata=run_meta
-        )
-        run.add_artifact("chrome_trace", path)
-        print(f"chrome trace written to {path}")
-    if args.metrics_out:
-        from repro.obs import write_jsonl
-
-        records = [{"kind": "run", **run_meta}]
-        records.extend(step_records)
-        records.extend(obs.metrics.snapshot())
-        write_jsonl(records, args.metrics_out)
-        run.add_artifact("metrics", args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    return 0
-
-
-def _cmd_dns_distributed(args, grid, rng, obs, run=None) -> int:
-    """``dns --ranks P``: the slab-distributed solver, optionally on the
-    out-of-core pencil pipeline (``--npencils/--pipeline/--inflight``)."""
-    from repro import __version__
-    from repro.dist import DistributedNavierStokesSolver, VirtualComm
-    from repro.spectral import SolverConfig, flow_statistics, random_isotropic_field
-
-    if args.forced:
+    try:
+        spec = spec_from_args(args)
+    except ValueError as exc:  # --heights is not a list of integers
+        return _report_bad_heights(exc, args.n, args.ranks or 1)
+    ranks = spec.ranks
+    if args.forced and ranks is not None:
         print("error: --forced is not supported with --ranks", file=sys.stderr)
         return 2
-    if args.heights is not None and args.skew is not None:
-        print("error: pass either --heights or --skew, not both",
-              file=sys.stderr)
-        return 2
-    if args.dlb != "off" and args.npencils is None:
-        print("error: --dlb requires --npencils (out-of-core engine)",
-              file=sys.stderr)
-        return 2
-    heights = None
-    if args.heights is not None:
-        from repro.dist.decomp import normalize_heights
-
-        try:
-            heights = _parse_heights(args.heights)
-            normalize_heights(grid.n, args.ranks, heights)
-        except ValueError as exc:
-            return _report_bad_heights(exc, grid.n, args.ranks)
-    fuzz = monitor = plan = None
-    if args.fuzz is not None:
-        if args.npencils is None:
-            print("error: --fuzz requires --npencils (out-of-core engine)",
-                  file=sys.stderr)
-            return 2
-        from repro.verify import CommFaultPlan, InvariantMonitor, fuzz_profile
-
-        try:
-            fuzz = fuzz_profile(args.fuzz_profile, args.fuzz)
-        except KeyError:
-            print(f"error: unknown fuzz profile {args.fuzz_profile!r}",
-                  file=sys.stderr)
-            return 2
-        monitor = InvariantMonitor()
-        if fuzz.comm_drop_rate > 0.0 or fuzz.comm_late_rate > 0.0:
-            plan = CommFaultPlan(seed=fuzz.seed, drop_rate=fuzz.comm_drop_rate,
-                                 late_rate=fuzz.comm_late_rate)
-    from repro.mpi.procs import make_comm
-
     try:
-        comm = make_comm(args.comm, args.ranks,
-                         fft_backend=args.fft_backend)
-    except RuntimeError as exc:  # mpi requested but mpi4py missing
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if plan is not None:
-        comm.fault_injector = plan
-    try:
-        solver = DistributedNavierStokesSolver(
-            grid,
-            comm,
-            random_isotropic_field(grid, rng, energy=1.0),
-            SolverConfig(nu=args.nu, fft_backend=args.fft_backend),
-            obs=obs,
-            npencils=args.npencils,
-            pipeline=args.pipeline,
-            inflight=args.inflight,
-            fuzz=fuzz,
-            monitor=monitor,
-            copy_strategy=args.copy_strategy,
-            heights=heights,
-            skew=args.skew,
-            dlb=args.dlb,
-        )
+        spec.validate()
     except ValueError as exc:
-        closer = getattr(comm, "close", None)
-        if closer is not None:
-            closer()
-        return _report_bad_heights(exc, grid.n, args.ranks)
-    dt = args.dt if args.dt is not None else 0.25 * grid.dx
-    engine = (
-        f"out-of-core np={args.npencils} pipeline={args.pipeline} "
-        f"inflight={args.inflight} copy={args.copy_strategy}"
-        if args.npencils else "whole-slab"
-    )
-    if fuzz is not None:
-        engine += f" fuzz={fuzz.name}@{fuzz.seed}"
-    if solver.fft.decomp.heights is not None:
-        engine += f" heights={','.join(map(str, solver.fft.decomp.rank_heights))}"
-    if args.dlb != "off":
-        engine += f" dlb={args.dlb}"
-    print(f"distributed dns: P={args.ranks} ranks, comm={args.comm}, {engine}")
-    if args.comm == "procs":
-        print(f"worker pids: {comm.worker_pids} "
-              f"(cores available: {os.cpu_count()})")
-    events = obs.events
-    events.info("dns.start", n=args.n, ranks=args.ranks, comm=args.comm,
-                steps=args.steps)
-    try:
-        for step in range(1, args.steps + 1):
-            result = solver.step(dt)
+        print(f"error: {in_flags(str(exc))}", file=sys.stderr)
+        return 2
+
+    forcing = BandForcing(k_force=2.5, eps_inj=1.0) if args.forced else None
+    seeds = [spec.fuzz_seed] if spec.fuzz_seed is not None else []
+    step_records: list[dict] = []
+    with _registered_run("dns", {**spec.to_dict(), "forced": args.forced},
+                         seeds=seeds) as run, \
+            _flight_recording(run) as (events, flight), ExitStack() as stack:
+        # The flight recorder is always on (bounded ring, near-zero
+        # overhead); traces / metrics / reports stay opt-in outputs of the
+        # same bundle.
+        obs = Observability.create(events=events, flight=flight)
+        try:
+            opened = stack.enter_context(
+                open_solver(spec, obs=obs, forcing=forcing))
+        except RuntimeError as exc:  # mpi requested but mpi4py missing
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            if ranks is None:
+                raise
+            return _report_bad_heights(exc, spec.n, ranks)
+        solver, comm = opened.solver, opened.comm
+
+        if ranks is not None:
+            engine = (
+                f"out-of-core np={spec.npencils} pipeline={spec.pipeline} "
+                f"inflight={spec.inflight} copy={spec.copy_strategy}"
+                if spec.npencils else "whole-slab"
+            )
+            if spec.fuzz_seed is not None:
+                engine += f" fuzz={spec.fuzz_profile}@{spec.fuzz_seed}"
+            if solver.decomp.heights is not None:
+                engine += (" heights="
+                           + ",".join(map(str, solver.decomp.rank_heights)))
+            if spec.dlb != "off":
+                engine += f" dlb={spec.dlb}"
+            print(f"distributed dns: P={ranks} ranks, comm={spec.comm}, "
+                  f"{engine}")
+            if spec.comm == "procs":
+                print(f"worker pids: {comm.worker_pids} "
+                      f"(cores available: {os.cpu_count()})")
+
+        def on_step(step, result):
             events.debug("dns.step", step=step, t=result.time,
                          energy=result.energy)
-            if step % max(1, args.steps // 10) == 0:
+            if obs.enabled:
+                step_records.append({
+                    "kind": "step", "step": step, "time": result.time,
+                    "dt": result.dt, "energy": result.energy,
+                    "dissipation": result.dissipation,
+                    "wall_seconds":
+                        obs.metrics.histogram("solver.step.seconds").last,
+                })
+            if step % max(1, spec.steps // 10) == 0:
                 print(f"step {step:4d} t={result.time:.4f} "
                       f"E={result.energy:.5f} eps={result.dissipation:.5f}")
-        print(flow_statistics(solver.gather_state(), grid, args.nu))
-    finally:
-        solver.close()
-        closer = getattr(comm, "close", None)
-        if closer is not None:
-            closer()
-    events.info("dns.finish", steps=args.steps)
-    if getattr(comm, "worker_cpu_seconds", None):
-        total_cpu = sum(comm.worker_cpu_seconds)
-        print(f"worker cpu: {total_cpu:.2f}s across "
-              f"{len(comm.worker_cpu_seconds)} rank processes")
-    policy = getattr(solver.fft, "_dlb_policy", None)
-    if policy is not None:
-        print(f"dlb: {policy.pencils_lent} pencil(s) lent, "
-              f"{policy.pencils_reclaimed} reclaimed "
-              f"(lane weights {list(policy.costs)})")
-    if monitor is not None:
-        stats = getattr(solver.fft._backend, "stats", {})
-        comm_faults = plan.injected if plan is not None else 0
-        print(f"fuzz: {stats.get('injected', 0)} op fault(s) injected "
-              f"({stats.get('recovered', 0)} recovered), "
-              f"{comm_faults} comm fault(s), "
-              f"{monitor.checks} invariant check(s), "
-              f"{len(monitor.violations)} violation(s)")
-        monitor.assert_quiescent()
-    if args.report:
-        from repro.obs import render_breakdown, render_percentiles
 
-        print()
-        print(render_breakdown(obs.spans,
-                               title=f"dns n={args.n} P={args.ranks} breakdown"))
-        print()
-        print(render_percentiles(
-            obs.metrics, title=f"dns n={args.n} P={args.ranks} percentiles"
-        ))
-    if args.trace_out:
-        from repro.core.trace_export import write_chrome_trace
+        events.info("dns.start", n=spec.n, steps=spec.steps, nu=spec.nu,
+                    ranks=ranks, comm=spec.comm)
+        adaptive = ranks is None and spec.dt is None
+        opened.run(on_step, next_dt=(lambda: solver.stable_dt(cfl=0.5))
+                   if adaptive else None)
+        print(flow_statistics(
+            solver.u_hat if ranks is None else solver.gather_state(),
+            opened.grid, spec.nu))
+        stack.close()  # solver, then comm: worker CPU totals land on close
+        events.info("dns.finish", steps=spec.steps)
 
-        path = write_chrome_trace(
-            obs.spans.to_tracer(), args.trace_out,
-            metadata={"repro_version": __version__, "n": args.n,
-                      "ranks": args.ranks, "npencils": args.npencils,
-                      "pipeline": args.pipeline},
-        )
-        if run is not None:
+        if getattr(comm, "worker_cpu_seconds", None):
+            print(f"worker cpu: {sum(comm.worker_cpu_seconds):.2f}s across "
+                  f"{len(comm.worker_cpu_seconds)} rank processes")
+        policy = getattr(getattr(solver, "fft", None), "_dlb_policy", None)
+        if policy is not None:
+            print(f"dlb: {policy.pencils_lent} pencil(s) lent, "
+                  f"{policy.pencils_reclaimed} reclaimed "
+                  f"(lane weights {list(policy.costs)})")
+        if opened.monitor is not None:
+            stats = getattr(solver.fft._backend, "stats", {})
+            plan, monitor = opened.fault_plan, opened.monitor
+            print(f"fuzz: {stats.get('injected', 0)} op fault(s) injected "
+                  f"({stats.get('recovered', 0)} recovered), "
+                  f"{plan.injected if plan is not None else 0} comm fault(s), "
+                  f"{monitor.checks} invariant check(s), "
+                  f"{len(monitor.violations)} violation(s)")
+
+        label = f"dns n={spec.n}" + (f" P={ranks}" if ranks else "")
+        run_meta = {"repro_version": __version__, **spec.to_dict()}
+        if args.report:
+            from repro.obs import render_breakdown, render_percentiles
+
+            print()
+            print(render_breakdown(obs.spans, title=f"{label} phase breakdown"))
+            print()
+            print(render_percentiles(obs.metrics, title=f"{label} percentiles"))
+        if args.trace_out:
+            from repro.core.trace_export import write_chrome_trace
+
+            path = write_chrome_trace(
+                obs.spans.to_tracer(), args.trace_out, metadata=run_meta
+            )
             run.add_artifact("chrome_trace", path)
-        print(f"chrome trace written to {path}")
-    if args.metrics_out:
-        from repro.obs import write_jsonl
+            print(f"chrome trace written to {path}")
+        if args.metrics_out:
+            from repro.obs import write_jsonl
 
-        write_jsonl(obs.metrics.snapshot(), args.metrics_out)
-        if run is not None:
+            write_jsonl([{"kind": "run", **run_meta}, *step_records,
+                         *obs.metrics.snapshot()], args.metrics_out)
             run.add_artifact("metrics", args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
+            print(f"metrics written to {args.metrics_out}")
     return 0
 
 
@@ -973,9 +737,10 @@ def _cmd_verify(args) -> int:
     heights = None
     if args.heights is not None:
         from repro.dist.decomp import normalize_heights
+        from repro.serve.spec import parse_heights
 
         try:
-            heights = _parse_heights(args.heights)
+            heights = parse_heights(args.heights)
             normalize_heights(args.n, args.ranks, heights)
         except ValueError as exc:
             return _report_bad_heights(exc, args.n, args.ranks)
@@ -1053,6 +818,7 @@ def _cmd_serve(args) -> int:
     from pathlib import Path
 
     from repro.serve import JobService, JobSpec, ServeCapacity
+    from repro.serve.spec import spec_from_args
 
     def _service(**kwargs) -> JobService:
         return JobService(root=args.root, **kwargs)
@@ -1077,18 +843,11 @@ def _cmd_serve(args) -> int:
                     else Path(args.spec).read_text(encoding="utf-8"))
             spec = JobSpec.from_json(text)
         elif args.name:
-            heights = (_parse_heights(args.heights)
-                       if args.heights is not None else None)
-            spec = JobSpec(
-                name=args.name, tenant=args.tenant, priority=args.priority,
-                n=args.n, steps=args.steps, dt=args.dt, nu=args.nu,
-                scheme=args.scheme, ic=args.ic, ic_seed=args.ic_seed,
-                ranks=args.ranks, comm=args.comm, npencils=args.npencils,
-                pipeline=args.pipeline, inflight=args.inflight,
-                copy_strategy=args.copy_strategy, heights=heights,
-                skew=args.skew, dlb=args.dlb, fuzz_seed=args.fuzz_seed,
-                fuzz_profile=args.fuzz_profile,
-            )
+            try:
+                spec = spec_from_args(args)
+            except ValueError as exc:
+                print(f"error: invalid spec: {exc}", file=sys.stderr)
+                return 2
         else:
             print("error: submit needs --spec FILE or --name (plus flags)",
                   file=sys.stderr)

@@ -65,9 +65,34 @@ __all__ = [
     "DeviceMemoryExceeded",
     "OutOfCoreSlabFFT",
     "PencilRings",
+    "ring_bytes",
 ]
 
 _KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
+
+
+def ring_bytes(
+    n: int, hmax: int, npencils: int, window: int,
+    complex_itemsize: int = 16, real_itemsize: int = 8,
+) -> tuple[int, int, int, float]:
+    """Ring-slot sizes and default arena capacity of the out-of-core engine.
+
+    Returns ``(x-pencil, y-stage complex, y-stage real, arena)`` bytes for
+    an ``n``-cubed grid whose tallest rank slab is ``hmax`` planes, cut in
+    ``npencils`` pencils with ``window`` of them in flight.  The engine
+    sizes its rings with this and admission control quotes with it, so the
+    priced bytes are the enforced bytes.
+    """
+    nxh = n // 2 + 1
+    # Largest pencil of each stage family (array_split is uneven: the
+    # first slices carry the ceil).  Ring slots are sized for the
+    # tallest rank's slab so one ring serves every (pencil, rank) item.
+    cx = math.ceil(nxh / npencils)  # x-split width (y-FFT stages)
+    wy = math.ceil(hmax / npencils)  # y-split width (z/x-FFT stages)
+    xpencil = hmax * n * cx * complex_itemsize
+    ycpx = n * wy * nxh * complex_itemsize
+    yreal = n * wy * n * real_itemsize
+    return xpencil, ycpx, yreal, 1.05 * window * max(xpencil, ycpx + yreal)
 
 
 class DeviceMemoryExceeded(RuntimeError):
@@ -419,25 +444,13 @@ class OutOfCoreSlabFFT:
             copy_strategy, obs=self.obs, kind=self.pipeline
         )
 
-        n = grid.n
-        d = self.decomp
-        nxh = n // 2 + 1
-        ci = np.dtype(grid.cdtype).itemsize
-        ri = np.dtype(grid.dtype).itemsize
-        # Largest pencil of each stage family (array_split is uneven: the
-        # first slices carry the ceil).  Ring slots are sized for the
-        # tallest rank's slab so one ring serves every (pencil, rank) item.
-        hmax = d.max_height
-        cx = math.ceil(nxh / npencils)  # x-split width (y-FFT stages)
-        wy = math.ceil(hmax / npencils)  # y-split width (z/x-FFT stages)
-        self._bytes_xpencil = hmax * n * cx * ci
-        self._bytes_ycpx = n * wy * nxh * ci
-        self._bytes_yreal = n * wy * n * ri
-        per_item = max(self._bytes_xpencil, self._bytes_ycpx + self._bytes_yreal)
+        (self._bytes_xpencil, self._bytes_ycpx, self._bytes_yreal,
+         default_arena_bytes) = ring_bytes(
+            grid.n, self.decomp.max_height, npencils, self.inflight,
+            np.dtype(grid.cdtype).itemsize, np.dtype(grid.dtype).itemsize,
+        )
         self.arena = DeviceArena(
-            device_bytes
-            if device_bytes is not None
-            else 1.05 * self.inflight * per_item,
+            device_bytes if device_bytes is not None else default_arena_bytes,
             obs=self.obs,
             copy_engine=self._copy_engine,
             payload_policy=self.payload_policy,

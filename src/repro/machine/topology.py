@@ -1,4 +1,5 @@
-"""Fat-tree interconnect topology built with networkx.
+"""Fat-tree interconnect topology built with networkx (optional extra
+``topology``; imported when a tree is built, not with the package).
 
 Summit's interconnect is a three-level non-blocking fat tree of dual-rail EDR
 InfiniBand.  The all-to-all *timing* model in :mod:`repro.machine.network`
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["FatTree", "bisection_bandwidth"]
 
@@ -70,6 +72,8 @@ class FatTree:
         self.graph = self._build()
 
     def _build(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         n_leaf = math.ceil(self.nodes / self.leaf_radix_down)
         # Up-capacity per leaf switch (bytes/s), shrunk by oversubscription.
@@ -143,6 +147,8 @@ def bisection_bandwidth(
     second half with infinite-capacity edges, then a single max-flow yields
     the bisection.
     """
+    import networkx as nx
+
     nodes = list(compute_nodes)
     if len(nodes) < 2:
         return float("inf")

@@ -7,9 +7,9 @@ ROADMAP-item-4 cost plane.  This module maps a job-shaped configuration
 onto two currencies:
 
 * **device bytes** — the share of the shared :class:`DeviceArena` budget
-  the job will be capped to.  For out-of-core jobs this replicates the
-  engine's own ring-sizing arithmetic (``OutOfCoreSlabFFT``'s default
-  arena capacity) *exactly*, so the admitted sum is also the enforced
+  the job will be capped to.  For out-of-core jobs this is the engine's
+  own ring-sizing arithmetic (``OutOfCoreSlabFFT``'s default arena
+  capacity, one shared function), so the admitted sum is also the enforced
   sum: the runner passes the quoted bytes back as ``device_bytes=`` and
   the arena raises if the model lied.  Whole-slab and serial jobs are
   priced at their resident spectral state (three complex components).
@@ -28,7 +28,6 @@ control rejects with the quote, it never tracebacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 _COMPLEX_BYTES = 16  # complex128, the grids' cdtype
-_REAL_BYTES = 8      # float64
 
 
 def _job_heights(
@@ -81,12 +79,12 @@ def job_device_bytes(
 ) -> float:
     """Device-byte demand of one job on the shared arena.
 
-    For out-of-core jobs this is **exactly**
-    ``OutOfCoreSlabFFT``'s default arena capacity
-    (``1.05 * inflight * max(stage ring slot)``), recomputed from the
-    same geometry, so quoting and enforcement cannot drift.  Whole-slab
-    and serial jobs don't construct an arena; they are charged their
-    resident three-component spectral state as a host-memory stand-in.
+    For out-of-core jobs this is ``OutOfCoreSlabFFT``'s default arena
+    capacity (:func:`repro.dist.outofcore.ring_bytes`, the function the
+    engine itself sizes its rings with), so quoting and enforcement
+    cannot drift.  Whole-slab and serial jobs don't construct an arena;
+    they are charged their resident three-component spectral state as a
+    host-memory stand-in.
     """
     nxh = n // 2 + 1
     # Any distributed job must have a feasible decomposition, out-of-core
@@ -97,14 +95,10 @@ def job_device_bytes(
     )
     if npencils is None or ranks is None:
         return 3.0 * n * n * nxh * _COMPLEX_BYTES
-    hmax = max(job_heights)
-    cx = math.ceil(nxh / npencils)
-    wy = math.ceil(hmax / npencils)
-    bytes_xpencil = hmax * n * cx * _COMPLEX_BYTES
-    bytes_ystage = n * wy * nxh * _COMPLEX_BYTES + n * wy * n * _REAL_BYTES
-    per_item = max(bytes_xpencil, bytes_ystage)
+    from repro.dist.outofcore import ring_bytes
+
     window = 1 if pipeline == "sync" else int(inflight)
-    return 1.05 * window * per_item
+    return ring_bytes(n, max(job_heights), npencils, window)[-1]
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two segments; with Nagle on, a keep-alive
+    # client's delayed ACK stalls every response by ~40 ms.
+    disable_nagle_algorithm = True
 
     # The test suite exercises the API in-process; default request logging
     # would spam pytest output.

@@ -1,11 +1,13 @@
-"""Execute one service job and leave its artifacts behind.
+"""Turn a job spec into a run, and leave a service job's artifacts behind.
 
-:func:`run_job` is the *only* code path that turns a
-:class:`~repro.serve.spec.JobSpec` into a DNS run — the scheduler calls
-it through :func:`make_store_runner`, and the bit-exactness tests call it
-directly as the standalone oracle.  Because both routes are literally the
-same function with the same seeds, "service energies == standalone
-energies" is an identity, not a tolerance.
+:func:`open_solver` is the *only* place a
+:class:`~repro.serve.spec.JobSpec` becomes a solver, and
+:meth:`OpenSolver.run` the only step loop: ``repro dns``, the scheduler
+(through :func:`run_job` / :func:`make_store_runner`), the bit-exactness
+oracles (``run_job(spec, registry_root=None)``) and
+``benchkit.realranks`` all go through them.  Because every door is
+literally the same function with the same seeds, "service energies ==
+standalone energies == ``dns`` energies" is an identity, not a tolerance.
 
 Every job gets its own run-registry entry (under the store's
 ``runs/<job_id>/`` by default — reusing the PR 7 registry, so ``repro obs
@@ -26,6 +28,7 @@ run directory.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -33,7 +36,8 @@ from typing import Callable, Optional, Union
 from repro.serve.spec import JobSpec
 from repro.serve.store import JobRecord, JobStore
 
-__all__ = ["JobResult", "make_store_runner", "run_job"]
+__all__ = ["JobResult", "OpenSolver", "make_store_runner", "open_solver",
+           "run_job"]
 
 ENERGIES_NAME = "energies.json"
 
@@ -64,26 +68,121 @@ class JobResult:
                    dissipations=doc["dissipations"], steps=doc["steps"])
 
 
-def _initial_field(spec: JobSpec, grid):
+@dataclass
+class OpenSolver:
+    """What :func:`open_solver` yields: the live solver and what it rides on.
+
+    ``comm`` is ``None`` for a serial run; ``monitor`` and ``fault_plan``
+    are set only for a fuzzed job (``fault_plan`` only when the profile
+    injects comm faults).
+    """
+
+    spec: JobSpec
+    grid: object
+    solver: object
+    dt: float
+    comm: object = None
+    monitor: object = None
+    fault_plan: object = None
+
+    def run(
+        self,
+        on_step: Optional[Callable[[int, object], None]] = None,
+        next_dt: Optional[Callable[[], float]] = None,
+    ) -> JobResult:
+        """Advance ``spec.steps`` steps; the one step loop every door uses.
+
+        ``on_step(step, step_result)`` is called after each step;
+        ``next_dt`` replaces the fixed ``dt`` with a per-step choice.
+        A fuzzed run must end quiescent (no live lease or operation).
+        """
+        result = JobResult(steps=self.spec.steps)
+        for step in range(1, self.spec.steps + 1):
+            step_result = self.solver.step(
+                self.dt if next_dt is None else next_dt())
+            result.times.append(step_result.time)
+            result.energies.append(step_result.energy)
+            result.dissipations.append(step_result.dissipation)
+            if on_step is not None:
+                on_step(step, step_result)
+        if self.monitor is not None:
+            self.monitor.assert_quiescent()
+        return result
+
+
+@contextmanager
+def open_solver(spec: JobSpec, obs=None, device_bytes: Optional[float] = None,
+                forcing=None):
+    """Turn a validated spec into a live solver; the only place that does.
+
+    Owns everything between parameters and a steppable solver — grid,
+    initial condition, :class:`SolverConfig`, communicator, fuzz profile
+    with its :class:`InvariantMonitor` and :class:`CommFaultPlan`, uneven
+    heights / skew / DLB — and releases it in order (solver, then comm) on
+    exit.  ``device_bytes`` caps the out-of-core arena at an admission
+    quote; ``forcing`` is a serial-solver forcing object (not nameable in
+    a spec, so passed in).
+    """
     import numpy as np
 
-    from repro.spectral import random_isotropic_field, taylor_green_field
+    from repro.spectral import (
+        SolverConfig,
+        SpectralGrid,
+        random_isotropic_field,
+        taylor_green_field,
+    )
 
+    grid = SpectralGrid(spec.n)
     if spec.ic == "taylor-green":
-        return taylor_green_field(grid)
-    rng = np.random.default_rng(spec.ic_seed)
-    return random_isotropic_field(grid, rng, energy=1.0)
-
-
-def _solver_config(spec: JobSpec):
-    from repro.spectral import SolverConfig
-
-    return SolverConfig(
+        u0 = taylor_green_field(grid)
+    else:
+        u0 = random_isotropic_field(
+            grid, np.random.default_rng(spec.ic_seed), energy=1.0)
+    config = SolverConfig(
         nu=spec.nu,
         scheme=spec.scheme,
         fft_backend=spec.fft_backend,
         diagnostics_every=spec.diagnostics_every,
     )
+    opened = OpenSolver(spec, grid, None,
+                        spec.dt if spec.dt is not None else 0.25 * grid.dx)
+    if spec.ranks is None:
+        from repro.spectral import NavierStokesSolver
+
+        opened.solver = NavierStokesSolver(grid, u0, config, forcing=forcing,
+                                           obs=obs)
+        yield opened
+        return
+
+    from repro.dist import DistributedNavierStokesSolver
+    from repro.mpi.procs import make_comm
+
+    fuzz = None
+    if spec.fuzz_seed is not None:
+        from repro.verify import CommFaultPlan, InvariantMonitor, fuzz_profile
+
+        fuzz = fuzz_profile(spec.fuzz_profile, spec.fuzz_seed)
+        opened.monitor = InvariantMonitor()
+        if fuzz.comm_drop_rate > 0.0 or fuzz.comm_late_rate > 0.0:
+            opened.fault_plan = CommFaultPlan(
+                seed=fuzz.seed, drop_rate=fuzz.comm_drop_rate,
+                late_rate=fuzz.comm_late_rate)
+    with ExitStack() as stack:
+        comm = opened.comm = make_comm(spec.comm, spec.ranks,
+                                       fft_backend=spec.fft_backend)
+        stack.callback(getattr(comm, "close", lambda: None))
+        if opened.fault_plan is not None:
+            comm.fault_injector = opened.fault_plan
+        opened.solver = DistributedNavierStokesSolver(
+            grid, comm, u0, config=config, obs=obs,
+            npencils=spec.npencils, pipeline=spec.pipeline,
+            inflight=spec.inflight, copy_strategy=spec.copy_strategy,
+            heights=spec.heights, skew=spec.skew, dlb=spec.dlb,
+            fuzz=fuzz, monitor=opened.monitor,
+            device_bytes=device_bytes if spec.npencils is not None else None,
+        )
+        stack.callback(opened.solver.close)
+        yield opened
 
 
 def run_job(
@@ -103,7 +202,8 @@ def run_job(
     """
     spec.validate()
     if registry_root is None:
-        return _run_job_inner(spec, None, None, device_bytes)
+        with open_solver(spec, device_bytes=device_bytes) as opened:
+            return opened.run()
 
     from repro.obs import EventLog, FlightRecorder, Observability
     from repro.obs.runs import RunRegistry
@@ -120,7 +220,9 @@ def run_job(
     try:
         events.info("job.start", n=spec.n, steps=spec.steps,
                     scheme=spec.scheme, tenant=spec.tenant)
-        result = _run_job_inner(spec, obs, events, device_bytes)
+        with open_solver(spec, obs, device_bytes) as opened:
+            result = opened.run(lambda step, r: events.debug(
+                "job.step", step=step, t=r.time, energy=r.energy))
         events.info("job.finish", steps=result.steps,
                     final_energy=result.energies[-1] if result.energies
                     else None)
@@ -151,63 +253,6 @@ def run_job(
         run.add_artifact("metrics", metrics_path)
     run.finish(status="ok")
     events.close()
-    return result
-
-
-def _run_job_inner(spec, obs, events, device_bytes) -> JobResult:
-    from repro.obs import NULL_OBS
-    from repro.spectral import SpectralGrid
-
-    if obs is None:
-        obs = NULL_OBS
-    grid = SpectralGrid(spec.n)
-    u0 = _initial_field(spec, grid)
-    config = _solver_config(spec)
-    dt = spec.dt if spec.dt is not None else 0.25 * grid.dx
-    result = JobResult(steps=spec.steps)
-
-    if spec.ranks is None:
-        from repro.spectral import NavierStokesSolver
-
-        solver = NavierStokesSolver(grid, u0, config, obs=obs)
-        closer = None
-        comm = None
-    else:
-        from repro.dist import DistributedNavierStokesSolver
-        from repro.mpi.procs import make_comm
-
-        fuzz = monitor = None
-        if spec.fuzz_seed is not None:
-            from repro.verify import InvariantMonitor, fuzz_profile
-
-            fuzz = fuzz_profile(spec.fuzz_profile, spec.fuzz_seed)
-            monitor = InvariantMonitor()
-        comm = make_comm(spec.comm, spec.ranks, fft_backend=spec.fft_backend)
-        solver = DistributedNavierStokesSolver(
-            grid, comm, u0, config=config, obs=obs,
-            npencils=spec.npencils, pipeline=spec.pipeline,
-            inflight=spec.inflight, copy_strategy=spec.copy_strategy,
-            heights=spec.heights, skew=spec.skew, dlb=spec.dlb,
-            fuzz=fuzz, monitor=monitor,
-            device_bytes=device_bytes if spec.npencils is not None else None,
-        )
-        closer = solver.close
-    try:
-        for step in range(1, spec.steps + 1):
-            step_result = solver.step(dt)
-            result.times.append(step_result.time)
-            result.energies.append(step_result.energy)
-            result.dissipations.append(step_result.dissipation)
-            if events is not None:
-                events.debug("job.step", step=step, t=step_result.time,
-                             energy=step_result.energy)
-    finally:
-        if closer is not None:
-            closer()
-        if comm is not None:
-            comm_close = getattr(comm, "close", None)
-            if comm_close is not None:
-                comm_close()
     return result
 
 

@@ -1,12 +1,16 @@
 """Job specifications for the multi-tenant DNS service.
 
 A :class:`JobSpec` is the complete, serializable description of one DNS
-run — the same knobs ``repro dns`` exposes (grid, scheme, steps, comm
-backend, out-of-core engine, copy strategy, uneven heights / skew / DLB,
-fuzz profile) plus the *service* dimensions the scheduler consumes: which
-tenant submitted it and at what priority.  Specs round-trip through JSON
-byte-for-byte (``from_json(to_json(spec)) == spec``), which is what makes
-the job store durable and the HTTP API thin.
+run (grid, scheme, steps, comm backend, out-of-core engine, copy strategy,
+uneven heights / skew / DLB, fuzz profile) plus the *service* dimensions
+the scheduler consumes: which tenant submitted it and at what priority.
+It is the only job description in the repo: every field is declared once,
+with its type, vocabulary, range rule, flag spelling and help text, and
+``repro dns``, ``repro serve submit`` (:func:`add_spec_flags` /
+:func:`spec_from_args`), the HTTP body (:meth:`JobSpec.from_dict`) and
+:meth:`JobSpec.validate` all read that one table.  Specs round-trip
+through JSON byte-for-byte (``from_json(to_json(spec)) == spec``), which
+is what makes the job store durable and the HTTP API thin.
 
 Validation is deliberately the same set of rules the solver constructors
 enforce (partition divisibility, scheme / pipeline / dlb vocabularies), so
@@ -18,17 +22,33 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
-__all__ = ["JobSpec", "slugify"]
+__all__ = [
+    "DNS_DEFAULTS",
+    "JobSpec",
+    "RUN_FIELDS",
+    "add_spec_flags",
+    "in_flags",
+    "parse_heights",
+    "slugify",
+    "spec_from_args",
+]
 
-_SCHEMES = ("rk2", "rk4")
-_ICS = ("taylor-green", "random")
-_COMMS = ("virtual", "procs", "mpi")
-_PIPELINES = ("sync", "threads")
-_DLB = ("off", "pinned", "lend")
-_COPY = ("auto", "per_chunk", "memcpy2d", "zero_copy")
+#: What ``repro dns`` runs when a flag is not given, where that differs from
+#: the :class:`JobSpec` declaration the service doors use.
+DNS_DEFAULTS = {
+    "n": 32,
+    "steps": 20,
+    "ic": "random",
+    "fft_backend": "auto",
+    "copy_strategy": "auto",
+    "fuzz_profile": "chaos",
+}
+
+_TYPE_MUST = {int: "must be an int", float: "must be a number",
+              str: "must be a string"}
 
 
 def slugify(name: str) -> str:
@@ -37,9 +57,51 @@ def slugify(name: str) -> str:
     return slug[:40] or "job"
 
 
+def parse_heights(text: str) -> tuple:
+    """``"10,6,8"`` -> ``(10, 6, 8)``; raises ValueError on non-integers."""
+    try:
+        return tuple(int(h) for h in text.split(",") if h.strip() != "")
+    except ValueError:
+        raise ValueError(
+            f"--heights must be a comma-separated list of integers, "
+            f"got {text!r}"
+        ) from None
+
+
+def _fuzz_profiles() -> tuple:
+    # Imported on use: repro.verify imports repro.serve (scheduler fuzz).
+    from repro.verify.fuzz import PROFILES
+
+    return tuple(PROFILES)
+
+
+def _f(default, type_, help_, *, choices=None, ok=None, must=None,
+       flag=None, metavar=None, service=False):
+    """One row of the job-description table.
+
+    ``type``/``choices``/``ok``+``must`` drive :meth:`JobSpec.validate`;
+    ``type``/``choices``/``help``/``flag``/``metavar`` drive
+    :func:`add_spec_flags`.  ``choices`` may be a callable returning the
+    vocabulary (resolved on use).
+    """
+    meta = {"type": type_, "help": help_, "choices": choices, "ok": ok,
+            "must": must or _TYPE_MUST.get(type_), "flag": flag,
+            "metavar": metavar, "service": service}
+    return field(default=default, metadata=meta)
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One DNS job: physics + engine + service parameters.
+
+    The field declarations below are the repo's single job description:
+    each carries its type, vocabulary, range rule, flag spelling and help
+    text, from which :meth:`validate`, ``repro dns`` and ``repro serve
+    submit`` are all derived.
 
     Attributes
     ----------
@@ -58,36 +120,102 @@ class JobSpec:
         backend, optionally out-of-core (``npencils``) with the Fig. 4
         pipeline and a strided-copy strategy.
     heights, skew, dlb:
-        Uneven decomposition and DLB lanes (PR 9); mutually-exclusive
-        ``heights``/``skew`` exactly as ``dns --heights/--skew``.
+        Uneven decomposition and DLB lanes (PR 9); ``heights`` and
+        ``skew`` are mutually exclusive.
     fuzz_seed, fuzz_profile:
         Optional adversarial execution (PR 4) — results must stay
         bit-identical, so a service job may run fuzzed for free.
     """
 
-    name: str = "job"
-    tenant: str = "default"
-    priority: int = 0
-    n: int = 24
-    steps: int = 2
-    dt: Optional[float] = None
-    nu: float = 0.02
-    scheme: str = "rk2"
-    ic: str = "taylor-green"
-    ic_seed: int = 0
-    diagnostics_every: int = 1
-    fft_backend: str = "numpy"
-    ranks: Optional[int] = None
-    comm: str = "virtual"
-    npencils: Optional[int] = None
-    pipeline: str = "sync"
-    inflight: int = 3
-    copy_strategy: str = "memcpy2d"
-    heights: Optional[tuple[int, ...]] = None
-    skew: Optional[float] = None
-    dlb: str = "off"
-    fuzz_seed: Optional[int] = None
-    fuzz_profile: str = "calm"
+    name: str = _f(
+        "job", str, "job name", service=True,
+        ok=bool, must="must be a non-empty string")
+    tenant: str = _f(
+        "default", str, "submitting tenant", service=True,
+        ok=bool, must="must be a non-empty string")
+    priority: int = _f(
+        0, int, "fair-share priority; weight doubles per step", service=True,
+        ok=lambda v: -8 <= v <= 8, must="must be an int in [-8, 8]")
+    n: int = _f(
+        24, int, "grid size N (N^3 points)",
+        ok=lambda v: v >= 4 and v % 2 == 0, must="must be an even int >= 4")
+    steps: int = _f(
+        2, int, "time steps to run",
+        ok=_positive, must="must be a positive int")
+    dt: Optional[float] = _f(
+        None, float, "fixed time step (unset: 0.25*dx)",
+        ok=_positive, must="must be a positive number (or null)")
+    nu: float = _f(
+        0.02, float, "kinematic viscosity",
+        ok=_positive, must="must be a positive number")
+    scheme: str = _f(
+        "rk2", str, "Runge-Kutta scheme", choices=("rk2", "rk4"))
+    ic: str = _f(
+        "taylor-green", str, "initial condition",
+        choices=("taylor-green", "random"))
+    ic_seed: int = _f(
+        0, int, "seed of the random initial condition",
+        ok=lambda v: v >= 0, must="must be an int >= 0")
+    diagnostics_every: int = _f(
+        1, int, "compute energy/dissipation every K steps (0: never)",
+        ok=lambda v: v >= 0, must="must be an int >= 0")
+    fft_backend: str = _f(
+        "numpy", str,
+        "transform backend (auto: $REPRO_FFT_BACKEND or numpy)",
+        choices=("auto", "numpy", "scipy", "fftw"))
+    ranks: Optional[int] = _f(
+        None, int,
+        "run the slab-distributed solver over this many ranks instead of "
+        "the serial one",
+        ok=_positive, must="must be a positive int")
+    comm: str = _f(
+        "virtual", str,
+        "with --ranks: communicator backend — in-process virtual ranks "
+        "(bit-exact reference), one worker process per rank over shared "
+        "memory, or mpi4py when importable",
+        choices=("virtual", "procs", "mpi"))
+    npencils: Optional[int] = _f(
+        None, int,
+        "with --ranks: pencils per slab for the out-of-core engine "
+        "(unset: whole-slab transforms)",
+        ok=_positive, must="must be a positive int")
+    pipeline: str = _f(
+        "sync", str,
+        "out-of-core execution backend: inline reference or worker-thread "
+        "streams with Fig. 4 overlap",
+        choices=("sync", "threads"))
+    inflight: int = _f(
+        3, int, "bounded in-flight pencil window (threads pipeline)",
+        ok=_positive, must="must be an int >= 1")
+    copy_strategy: str = _f(
+        "memcpy2d", str,
+        "with --npencils: host<->device strided-copy strategy (Sec. 4.2 / "
+        "Fig. 7); auto probes all three on the first pencil of each layout",
+        choices=("auto", "per_chunk", "memcpy2d", "zero_copy"))
+    heights: Optional[tuple[int, ...]] = _f(
+        None, tuple,
+        "with --ranks: explicit per-rank slab heights (uneven "
+        "decomposition; must sum to N)",
+        metavar="H0,H1,...")
+    skew: Optional[float] = _f(
+        None, float,
+        "with --ranks: give rank 0 ~X times the fair slab share "
+        "(deterministic uneven partition)",
+        metavar="X")
+    dlb: str = _f(
+        "off", str,
+        "with --npencils: per-rank compute lanes — off (single stream), "
+        "pinned (one lane per rank), or lend (DLB lend/reclaim of "
+        "unstarted pencils; bit-identical results either way)",
+        choices=("off", "pinned", "lend"))
+    fuzz_seed: Optional[int] = _f(
+        None, int,
+        "with --ranks/--npencils: run under the fuzzing backend with this "
+        "seed (adversarial delays/faults; the result must be bit-identical "
+        "regardless)",
+        flag="--fuzz", metavar="SEED")
+    fuzz_profile: str = _f(
+        "calm", str, "fuzz profile name for --fuzz", choices=_fuzz_profiles)
 
     def __post_init__(self):
         if self.heights is not None:
@@ -108,43 +236,31 @@ class JobSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "JobSpec":
-        """Raise :class:`ValueError` with every problem found, or return self."""
+        """Raise :class:`ValueError` with every problem found, or return self.
+
+        Per-field type, vocabulary and range checks come from the field
+        table; only the rules relating two fields are written out here.
+        """
         problems: list[str] = []
-        if not self.name or not isinstance(self.name, str):
-            problems.append("name must be a non-empty string")
-        if not self.tenant or not isinstance(self.tenant, str):
-            problems.append("tenant must be a non-empty string")
-        if not isinstance(self.priority, int) or not -8 <= self.priority <= 8:
-            problems.append(f"priority={self.priority!r} must be an int in [-8, 8]")
-        if not isinstance(self.n, int) or self.n < 4 or self.n % 2 != 0:
-            problems.append(f"n={self.n!r} must be an even int >= 4")
-        if not isinstance(self.steps, int) or self.steps < 1:
-            problems.append(f"steps={self.steps!r} must be a positive int")
-        if self.dt is not None and not self.dt > 0:
-            problems.append(f"dt={self.dt!r} must be positive (or null)")
-        if not self.nu > 0:
-            problems.append(f"nu={self.nu!r} must be positive")
-        if self.scheme not in _SCHEMES:
-            problems.append(f"scheme={self.scheme!r} not in {_SCHEMES}")
-        if self.ic not in _ICS:
-            problems.append(f"ic={self.ic!r} not in {_ICS}")
-        if self.comm not in _COMMS:
-            problems.append(f"comm={self.comm!r} not in {_COMMS}")
-        if self.pipeline not in _PIPELINES:
-            problems.append(f"pipeline={self.pipeline!r} not in {_PIPELINES}")
-        if self.dlb not in _DLB:
-            problems.append(f"dlb={self.dlb!r} not in {_DLB}")
-        if self.copy_strategy not in _COPY:
-            problems.append(f"copy_strategy={self.copy_strategy!r} not in {_COPY}")
-        if self.inflight < 1:
-            problems.append(f"inflight={self.inflight} must be >= 1")
-        if self.ranks is not None and (not isinstance(self.ranks, int)
-                                       or self.ranks < 1):
-            problems.append(f"ranks={self.ranks!r} must be a positive int")
-        if self.npencils is not None:
+        bad: set[str] = set()
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None and f.default is None:
+                continue
+            choices = _choices(meta)
+            if choices is not None:
+                ok, must = value in choices, f"not in {choices}"
+            else:
+                ok = _is_a(value, meta["type"]) and (
+                    meta["ok"] is None or meta["ok"](value))
+                must = meta["must"]
+            if not ok:
+                problems.append(f"{f.name}={value!r} {must}")
+                bad.add(f.name)
+        if self.npencils is not None and not bad & {"npencils", "n"}:
             if self.ranks is None:
                 problems.append("npencils requires ranks (the distributed engine)")
-            elif self.npencils < 1 or self.n % self.npencils != 0:
+            elif self.n % self.npencils != 0:
                 problems.append(
                     f"npencils={self.npencils} must divide N={self.n}"
                 )
@@ -174,10 +290,7 @@ class JobSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown JobSpec field(s): {sorted(unknown)}")
-        kwargs = dict(doc)
-        if kwargs.get("heights") is not None:
-            kwargs["heights"] = tuple(int(h) for h in kwargs["heights"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -192,3 +305,66 @@ class JobSpec:
     def with_(self, **changes) -> "JobSpec":
         """A copy with fields replaced (frozen-dataclass helper)."""
         return replace(self, **changes)
+
+
+# -- the table's other readers ------------------------------------------------
+
+#: Every field but the ones only a queue has a use for (name, tenant,
+#: priority): what ``repro dns`` takes.
+RUN_FIELDS = tuple(f.name for f in fields(JobSpec)
+                   if not f.metadata["service"])
+
+
+def _choices(meta) -> Optional[tuple]:
+    choices = meta["choices"]
+    return choices() if callable(choices) else choices
+
+
+def _is_a(value, type_) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if type_ is float else type_)
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def add_spec_flags(parser, defaults: Optional[dict] = None,
+                   names: Optional[Sequence[str]] = None) -> None:
+    """Add the generated flag of each :class:`JobSpec` field in ``names``
+    (default: all of them) to ``parser``.
+
+    ``defaults`` are the command's overrides of the declared defaults.
+    """
+    defaults = defaults or {}
+    for f in fields(JobSpec):
+        if names is not None and f.name not in names:
+            continue
+        meta = f.metadata
+        default = defaults.get(f.name, f.default)
+        parser.add_argument(
+            _flag(f), dest=f.name, default=default,
+            # heights stay text until spec_from_args, so a door can answer
+            # a malformed list with its own reasoned message
+            type=str if meta["type"] is tuple else meta["type"],
+            choices=_choices(meta), metavar=meta["metavar"],
+            help=meta["help"] + ("" if default is None
+                                 else f" (default: {default})"),
+        )
+
+
+def spec_from_args(args) -> JobSpec:
+    """The :class:`JobSpec` a parsed :func:`add_spec_flags` namespace names."""
+    given = {f.name: getattr(args, f.name) for f in fields(JobSpec)
+             if hasattr(args, f.name)}
+    if given.get("heights") is not None:
+        given["heights"] = parse_heights(given["heights"])
+    return JobSpec(**given)
+
+
+def in_flags(message: str) -> str:
+    """A :meth:`JobSpec.validate` message with fields spelled as CLI flags."""
+    flags = {f.name: _flag(f) for f in fields(JobSpec)}
+    return re.sub(r"(?<!-)\b(%s)\b" % "|".join(flags),
+                  lambda m: flags[m.group(1)], message)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.machine.topology import FatTree
 
+pytest.importorskip("networkx")  # optional extra: pip install repro[topology]
+
 
 class TestConstruction:
     def test_small_tree_has_all_levels(self):

@@ -63,6 +63,19 @@ def test_invalid_spec_is_400(api):
     assert "n=7" in doc["error"]
 
 
+@pytest.mark.parametrize("bad", [
+    {"nu": "0.02"}, {"inflight": "3"}, {"steps": "2"}, {"dt": "0.1"},
+    {"fft_backend": "cufft"}, {"diagnostics_every": -1},
+    {"fuzz_profile": "tornado", "fuzz_seed": 1, "ranks": 2, "npencils": 2},
+])
+def test_mistyped_or_unknown_vocabulary_is_400_not_500_or_failed(api, bad):
+    call, service = api
+    status, doc = call("POST", "/v1/jobs", {"name": "bad", "n": 8, **bad})
+    assert status == 400
+    assert next(iter(bad)) in doc["error"]
+    assert service.list() == []
+
+
 def test_unknown_job_is_404(api):
     call, _ = api
     assert call("GET", "/v1/jobs/j9999-nope")[0] == 404

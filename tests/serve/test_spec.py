@@ -72,6 +72,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="fuzz_seed requires"):
             JobSpec(name="x", ranks=2, fuzz_seed=1).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("nu", "0.02"), ("dt", "0.1"), ("inflight", "3"), ("steps", "2"),
+        ("n", 16.0), ("n", True), ("ranks", "2"), ("nu", float("nan")),
+        ("fft_backend", "cufft"), ("fuzz_profile", "tornado"),
+        ("diagnostics_every", -1), ("ic_seed", -3), ("comm", None),
+    ])
+    def test_wrong_type_or_vocabulary_is_one_reasoned_message(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}="):
+            JobSpec(name="x", **{field: value}).validate()
+
+    def test_a_mistyped_field_does_not_hide_the_others(self):
+        with pytest.raises(ValueError) as exc:
+            JobSpec(name="x", n="16", ranks=2, npencils=4, nu=-1.0).validate()
+        assert "n='16'" in str(exc.value) and "nu=-1.0" in str(exc.value)
+
 
 class TestServiceCurrency:
     def test_weight_doubles_per_priority_step(self):
