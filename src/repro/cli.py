@@ -521,9 +521,6 @@ def _cmd_dns(args) -> int:
         try:
             opened = stack.enter_context(
                 open_solver(spec, obs=obs, forcing=forcing))
-        except RuntimeError as exc:  # mpi requested but mpi4py missing
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except ValueError as exc:
             if ranks is None:
                 raise

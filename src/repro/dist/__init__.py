@@ -15,6 +15,8 @@ Contents:
   scatter/gather between global arrays and rank-local pieces (paper Fig. 1);
 * :mod:`repro.dist.transpose` — the pack / all-to-all / unpack global
   transposes at the heart of every distributed FFT (paper Figs. 2-4);
+* :mod:`repro.dist.stages` — the four 1-D stage kernels of the slab
+  transform, declared once for every engine;
 * :mod:`repro.dist.slab_fft` — distributed 3-D FFT with the paper's slab
   decomposition (one all-to-all per transform);
 * :mod:`repro.dist.pencil_fft` — distributed 3-D FFT with the traditional

@@ -158,6 +158,7 @@ class DistributedNavierStokesSolver:
                 heights=heights,
                 dlb=dlb,
                 rank_weights=rank_weights,
+                fft_backend=self.config.fft_backend,
             )
         self.decomp: SlabDecomposition = self.fft.decomp
         self.views = [SlabGridView(grid, self.decomp, r) for r in range(comm.size)]

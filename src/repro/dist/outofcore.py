@@ -12,7 +12,7 @@ Since the async-runtime refactor the pencil loop is a
 
 =========  ==================================================================
 ``h2d``    copy the pencil's strided host view into a ring slot
-``compute``  the 1-D FFT stage(s), device-resident in and out
+``compute``  the 1-D FFT stage kernel, device-resident in and out
 ``d2h``    copy the transformed pencil back to host memory
 ``comm``   per-pencil chunked all-to-all (``VirtualComm.ialltoall``)
 =========  ==================================================================
@@ -44,8 +44,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.payload import ArrayDescriptor, PayloadPolicy, is_descriptor
-from repro.cuda.copyengine import Batched2DEngine, CopyEngine, make_engine
+from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
+from repro.dist.stages import STAGES
 from repro.dist.transpose import (
     _PACK_POOL,
     complete_chunk_exchange,
@@ -55,7 +56,7 @@ from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.workspace import BufferPool
+from repro.spectral.workspace import BufferPool, resolve_line_fft
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -84,9 +85,10 @@ def ring_bytes(
     priced bytes are the enforced bytes.
     """
     nxh = n // 2 + 1
-    # Largest pencil of each stage family (array_split is uneven: the
-    # first slices carry the ceil).  Ring slots are sized for the
-    # tallest rank's slab so one ring serves every (pencil, rank) item.
+    # Largest pencil of each stage family (the split is uneven and its
+    # last slice always carries the ceil: 49 -> 12, 12, 12, 13).  Ring
+    # slots are sized for the tallest rank's slab so one ring serves
+    # every (pencil, rank) item.
     cx = math.ceil(nxh / npencils)  # x-split width (y-FFT stages)
     wy = math.ceil(hmax / npencils)  # y-split width (z/x-FFT stages)
     xpencil = hmax * n * cx * complex_itemsize
@@ -105,9 +107,7 @@ class DeviceArena:
     Tracks live allocations and the high-water mark; ``allocate`` raises
     :class:`DeviceMemoryExceeded` when the budget would be exceeded —
     making "this slab does not fit, batch it" an *enforced* invariant
-    rather than a comment.  Accounting is thread-safe: ring claims happen
-    on the submitting thread while legacy upload/download helpers may run
-    on stream workers.
+    rather than a comment.  Accounting is thread-safe.
 
     Buffer storage is drawn from a
     :class:`~repro.spectral.workspace.BufferPool` (the same abstraction the
@@ -120,7 +120,6 @@ class DeviceArena:
         capacity_bytes: float,
         pool: BufferPool | None = None,
         obs: "Observability | None" = None,
-        copy_engine: "CopyEngine | None" = None,
         payload_policy: "PayloadPolicy | str" = PayloadPolicy.PAYLOAD,
     ):
         if capacity_bytes <= 0:
@@ -133,14 +132,6 @@ class DeviceArena:
         self._lock = threading.Lock()
         self.obs = obs if obs is not None else NULL_OBS
         self.pool = pool if pool is not None else BufferPool(obs=self.obs)
-        #: Strided-copy strategy for :meth:`upload` / :meth:`download_and_free`
-        #: (the monolithic helpers); defaults to the cudaMemcpy2DAsync
-        #: analogue, the pre-copy-engine behaviour.
-        self.copy_engine = (
-            copy_engine
-            if copy_engine is not None
-            else Batched2DEngine(obs=self.obs)
-        )
         #: Optional invariant monitor (repro.verify.invariants): notified on
         #: every allocate/free so fuzzed runs can assert no double-lease and
         #: that in_use returns to zero.
@@ -206,27 +197,6 @@ class DeviceArena:
         finally:
             self.free(buf)
 
-    def upload(self, host_view: np.ndarray) -> np.ndarray:
-        """H2D: copy a strided host view into a fresh device buffer."""
-        buf = self.allocate(host_view.shape, host_view.dtype)
-        try:
-            self.copy_engine.h2d(buf, host_view)
-        except BaseException:
-            self.free(buf)
-            raise
-        if self.obs.enabled:
-            self.obs.metrics.counter("arena.h2d_bytes").inc(buf.nbytes)
-        return buf
-
-    def download_and_free(self, buf: np.ndarray, host_view: np.ndarray) -> None:
-        """D2H: copy a device buffer back into (strided) host memory."""
-        try:
-            self.copy_engine.d2h(host_view, buf)
-        finally:
-            if self.obs.enabled:
-                self.obs.metrics.counter("arena.d2h_bytes").inc(buf.nbytes)
-            self.free(buf)
-
 
 class PencilRings:
     """Persistent per-stage device rings: ``window`` flat slots per role.
@@ -250,9 +220,9 @@ class PencilRings:
     ):
         self.window = int(window)
         self.monitor = monitor if monitor is not None else arena.monitor
-        #: Strided-copy strategy for :meth:`load` / :meth:`store`; defaults
-        #: to the arena's engine so rings and legacy helpers agree.
-        self.engine = engine if engine is not None else arena.copy_engine
+        #: Strided-copy strategy for :meth:`load` / :meth:`store`
+        #: (view-only rings need none).
+        self.engine = engine
         self._stack = ExitStack()
         self._slots: dict[str, list[np.ndarray]] = {}
         try:
@@ -354,6 +324,11 @@ class OutOfCoreSlabFFT:
         exponential backoff starting at ``retry_backoff`` seconds — so
         injected dropped/late chunks degrade gracefully instead of
         poisoning the pipeline.
+    fft_backend:
+        The 1-D line-transform provider of the stage kernels (``numpy`` /
+        ``scipy`` / ``fftw`` / ``auto``), resolved at construction like
+        :class:`~repro.dist.slab_fft.SlabDistributedFFT` does — an
+        unavailable backend is the same ``ValueError``.
     copy_strategy:
         How pencils move between strided host views and ring slots
         (paper Sec. 4.2, Fig. 7): ``"per_chunk"`` (one virtual
@@ -410,9 +385,11 @@ class OutOfCoreSlabFFT:
         heights: Sequence[int] | None = None,
         dlb: str = "off",
         rank_weights: Sequence[float] | None = None,
+        fft_backend: str = "numpy",
     ):
         self.grid = grid
         self.comm = comm
+        self._lf = resolve_line_fft(fft_backend)
         self.payload_policy = PayloadPolicy.coerce(payload_policy)
         self._payload = self.payload_policy.moves_bytes
         self.obs = obs if obs is not None else NULL_OBS
@@ -444,15 +421,17 @@ class OutOfCoreSlabFFT:
             copy_strategy, obs=self.obs, kind=self.pipeline
         )
 
-        (self._bytes_xpencil, self._bytes_ycpx, self._bytes_yreal,
-         default_arena_bytes) = ring_bytes(
+        xpencil, ycpx, yreal, default_arena_bytes = ring_bytes(
             grid.n, self.decomp.max_height, npencils, self.inflight,
             np.dtype(grid.cdtype).itemsize, np.dtype(grid.dtype).itemsize,
         )
+        #: Ring-slot bytes per (pencil split axis, role).
+        self._ring_bytes = {
+            ("x", "cpx"): xpencil, ("y", "cpx"): ycpx, ("y", "real"): yreal,
+        }
         self.arena = DeviceArena(
             device_bytes if device_bytes is not None else default_arena_bytes,
             obs=self.obs,
-            copy_engine=self._copy_engine,
             payload_policy=self.payload_policy,
         )
         if monitor is not None:
@@ -532,7 +511,9 @@ class OutOfCoreSlabFFT:
     # -- shared pieces -------------------------------------------------------
 
     def _splits(self, extent: int) -> list[slice]:
-        """np.array_split boundaries of ``extent`` into ``npencils`` slices."""
+        """``extent`` cut at the floored ``linspace(0, extent, npencils + 1)``
+        edges, empty slices dropped: widths are floor or ceil of
+        ``extent / npencils`` and the last slice is always a widest one."""
         edges = np.linspace(0, extent, self.npencils + 1).astype(int)
         return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -694,327 +675,162 @@ class OutOfCoreSlabFFT:
 
     # -- full transforms -----------------------------------------------------
 
+    def _phase(
+        self,
+        stage: str,
+        by: str,
+        src: Sequence[np.ndarray],
+        dst: Sequence[np.ndarray],
+        exchange: "Sequence[np.ndarray] | None" = None,
+    ) -> None:
+        """One Fig. 4 pass of ``STAGES[stage]`` over every (pencil, rank) item.
+
+        Item ``i = ip * P + r`` is pencil ``ip`` of rank ``r``: H2D of its
+        strided view of ``src[r]`` into a ring slot, the stage kernel
+        device-resident in and out, D2H into the same view of ``dst[r]``.
+        ``by`` names the split axis — never a transformed one, so every
+        pencil holds complete lines: ``"x"`` for the y stages on kz-slabs,
+        ``"y"`` for the z/x stages on y-slabs, where uneven slabs cut each
+        rank's own y extent into ``npencils`` (possibly empty) slices.
+        With ``exchange``, pencil ``ip``'s chunk of ``dst`` is transposed
+        into ``exchange`` on the comm stream once its last rank's D2H is
+        done, pipelined behind the following pencils.
+        """
+        st = STAGES[stage]
+        d, n, P = self.decomp, self.grid.n, self.comm.size
+        rank_cuts = None  # per-rank slices, when they differ between ranks
+        if by == "x":
+            axis, dist_axis, other_axis = _X_AXIS, _KZ_AXIS, _Y_AXIS
+            cuts = [self._splits(n // 2 + 1)] * P
+        else:
+            axis, dist_axis, other_axis = _Y_AXIS, _Y_AXIS, _KZ_AXIS
+            rank_cuts = self._rank_ysplits()
+            cuts = rank_cuts or [self._splits(d.my)] * P
+        heights, offsets = self._heights, self._offsets
+        real, cpx = self.grid.dtype, self.grid.cdtype
+        in_role, in_dtype = ("real", real) if st.real_in else ("cpx", cpx)
+        out_role, out_dtype = ("real", real) if st.real_out else ("cpx", cpx)
+
+        def pencil(i: int):
+            """(rank, host-array index, ring-slot shape) of item i."""
+            ip, r = divmod(i, P)
+            sl = cuts[r][ip]
+            shape = list(src[r].shape)
+            shape[axis] = sl.stop - sl.start
+            return r, (slice(None),) * axis + (sl,), tuple(shape)
+
+        rings = self._rings(
+            {role: self._ring_bytes[by, role] for role in (in_role, out_role)}
+        )
+        sp_h2d = self._stream_spans("h2d")
+        sp_d2h = self._stream_spans("d2h")
+        try:
+            def h2d(i: int) -> None:
+                r, idx, shape = pencil(i)
+                if 0 in shape:
+                    return
+                slot = rings.load(
+                    in_role, i, shape, in_dtype, src[r][idx], spans=sp_h2d
+                )
+                self._note_h2d(slot.nbytes)
+
+            def fft(i: int) -> None:
+                _, _, shape = pencil(i)
+                if 0 in shape:
+                    return
+                a = out = rings.view(in_role, i, shape, in_dtype)
+                if out_role != in_role:
+                    out = rings.view(
+                        out_role, i, st.out_shape(shape, n), out_dtype
+                    )
+                if self._payload:
+                    st.fn(a, n, self._lf, out=out)
+
+            def d2h(i: int) -> None:
+                r, idx, shape = pencil(i)
+                if 0 in shape:
+                    return
+                slot = rings.store(
+                    out_role, i, st.out_shape(shape, n), out_dtype,
+                    dst[r][idx], spans=sp_d2h,
+                )
+                self._note_d2h(slot.nbytes)
+
+            def comm_op(i: int) -> None:
+                ip = i // P
+                chunks = tuple(cuts[r][ip] for r in range(P))
+                self._exchange_pencil(
+                    dst, exchange, pack_axis=other_axis, unpack_axis=dist_axis,
+                    chunk=chunks[0], chunk_axis=axis,
+                    block_extent=d.max_height, pack_sizes=heights,
+                    src_chunks=chunks if rank_cuts else None,
+                    unpack_offsets=offsets,
+                )
+
+            def volume(i: int) -> int:
+                """Item i's element count, on the real side for the r2c /
+                c2r stages (the DLB lanes' cost unit)."""
+                ip, r = divmod(i, P)
+                sl = cuts[r][ip]
+                return (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start)
+
+            stages = [
+                PipelineStage("h2d", "h2d", "h2d", fn=h2d),
+                self._compute_stage(st.span, fft, volume),
+                PipelineStage("d2h", "d2h", "d2h", fn=d2h),
+            ]
+            if exchange is not None:
+                stages.append(
+                    PipelineStage(
+                        "a2a", "comm", "mpi", fn=comm_op,
+                        when=lambda i: i % P == P - 1,
+                    )
+                )
+            self._run(stages, len(cuts[0]) * P)
+        finally:
+            rings.close()
+        if exchange is not None and self._m_xcount is not None:
+            self._m_xcount.inc()
+
     def inverse(self, spectral_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
         """kz-slabs -> y-slabs of the real field, never exceeding the arena.
 
         Stage order and pencil split axes follow the paper: y-FFTs on
-        x-split pencils (with the per-pencil exchange pipelined behind
-        them), then z and the c2r x transform on y-split pencils.
+        x-split pencils (with the per-pencil s2p exchange pipelined behind
+        them), then z and the c2r x transform fused on y-split pencils
+        (one H2D/D2H round trip per pencil).
         """
-        d = self.decomp
-        n = self.grid.n
-        P = self.comm.size
+        d, n, P = self.decomp, self.grid.n, self.comm.size
         cdtype = self.grid.cdtype
         for r, loc in enumerate(spectral_locals):
             if loc.shape != d.local_spectral_shape(r):
                 raise ValueError(f"rank {r}: bad shape {loc.shape}")
         nxh = n // 2 + 1
-        heights = self._heights
-        offsets = self._offsets
-        xsplits = self._splits(nxh)
         work = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
         t_out = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
-
-        # Phase 1 (Fig. 4): per (x-pencil, rank) — H2D, y-iFFT, D2H — and
-        # per pencil, the s2p exchange of that x-chunk on the comm stream.
-        rings = self._rings({"cpx": self._bytes_xpencil})
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                return r, xsplits[ip]
-
-            def shape_of(r: int, xs: slice) -> tuple[int, int, int]:
-                return (d.height(r), n, xs.stop - xs.start)
-
-            def h2d(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.load(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    spectral_locals[r][:, :, xs], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.view("cpx", i, shape_of(r, xs), cdtype)
-                if self._payload:
-                    np.multiply(np.fft.ifft(slot, axis=_Y_AXIS), n, out=slot)
-
-            def d2h(i: int) -> None:
-                r, xs = pencil(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.store(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    work[r][:, :, xs], spans=sp_d2h,
-                )
-                self._note_d2h(slot.nbytes)
-
-            def comm_op(i: int) -> None:
-                xs = xsplits[i // P]
-                self._exchange_pencil(
-                    work, t_out, pack_axis=_Y_AXIS, unpack_axis=_KZ_AXIS,
-                    chunk=xs, chunk_axis=_X_AXIS, block_extent=d.max_height,
-                    pack_sizes=heights, unpack_offsets=offsets,
-                )
-
-            def volume(i: int) -> int:
-                r, xs = pencil(i)
-                return d.height(r) * n * (xs.stop - xs.start)
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-                    self._compute_stage("fft.y", fft, volume),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h),
-                    PipelineStage(
-                        "a2a", "comm", "mpi", fn=comm_op,
-                        when=lambda i: i % P == P - 1,
-                    ),
-                ],
-                len(xsplits) * P,
-            )
-        finally:
-            rings.close()
-        if self._m_xcount is not None:
-            self._m_xcount.inc()
-
-        # Phase 2: per (y-pencil, rank) — z-iFFT then the c2r x transform,
-        # fused on-device (one H2D/D2H round trip per pencil).  Uneven
-        # slabs cut each rank's own y extent into npencils (possibly
-        # empty) slices so the item structure is preserved.
-        rank_ysplits = self._rank_ysplits()
-        ysplits = self._splits(d.my) if rank_ysplits is None else None
+        self._phase("inv_y", "x", spectral_locals, work, exchange=t_out)
         out = [
             self._empty((n, d.height(r), n), self.grid.dtype) for r in range(P)
         ]
-        rings = self._rings(
-            {"cpx": self._bytes_ycpx, "real": self._bytes_yreal}
-        )
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil2(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                ys = ysplits[ip] if rank_ysplits is None else rank_ysplits[r][ip]
-                return r, ys
-
-            def h2d2(i: int) -> None:
-                r, ys = pencil2(i)
-                if ys.stop == ys.start:
-                    return
-                slot = rings.load(
-                    "cpx", i, (n, ys.stop - ys.start, nxh), cdtype,
-                    t_out[r][:, ys, :], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft2(i: int) -> None:
-                r, ys = pencil2(i)
-                w = ys.stop - ys.start
-                if w == 0:
-                    return
-                slot = rings.view("cpx", i, (n, w, nxh), cdtype)
-                if self._payload:
-                    np.multiply(np.fft.ifft(slot, axis=_KZ_AXIS), n, out=slot)
-                real = rings.view("real", i, (n, w, n), self.grid.dtype)
-                if self._payload:
-                    np.multiply(
-                        np.fft.irfft(slot, n=n, axis=_X_AXIS), n, out=real
-                    )
-
-            def d2h2(i: int) -> None:
-                r, ys = pencil2(i)
-                if ys.stop == ys.start:
-                    return
-                real = rings.store(
-                    "real", i, (n, ys.stop - ys.start, n), self.grid.dtype,
-                    out[r][:, ys, :], spans=sp_d2h,
-                )
-                self._note_d2h(real.nbytes)
-
-            def volume2(i: int) -> int:
-                r, ys = pencil2(i)
-                return n * (ys.stop - ys.start) * n
-
-            nitems2 = (
-                len(ysplits) * P if rank_ysplits is None else self.npencils * P
-            )
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d2),
-                    self._compute_stage("fft.zx", fft2, volume2),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h2),
-                ],
-                nitems2,
-            )
-        finally:
-            rings.close()
+        self._phase("inv_zx", "y", t_out, out)
         return out
 
     def forward(self, physical_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """y-slabs of the real field -> kz-slabs of coefficients."""
-        d = self.decomp
-        n = self.grid.n
-        P = self.comm.size
+        """y-slabs of the real field -> kz-slabs of coefficients: fused
+        r2c-x + c2c-z FFTs on y-split pencils with the per-pencil p2s
+        exchange (a y-sub-range of every peer's contribution) behind them,
+        then the final y-FFT + normalization on x-split pencils."""
+        d, n, P = self.decomp, self.grid.n, self.comm.size
         cdtype = self.grid.cdtype
         for r, loc in enumerate(physical_locals):
             if loc.shape != d.local_physical_shape(r):
                 raise ValueError(f"rank {r}: bad shape {loc.shape}")
         nxh = n // 2 + 1
-        heights = self._heights
-        offsets = self._offsets
-        rank_ysplits = self._rank_ysplits()
-        ysplits = self._splits(d.my) if rank_ysplits is None else None
-        npitems = len(ysplits) if rank_ysplits is None else self.npencils
         half = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
         t_out = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
-
-        # Phase 1 (Fig. 4): per (y-pencil, rank) — H2D, fused r2c-x + c2c-z
-        # FFTs, D2H — and per pencil, its p2s exchange (a y-sub-range of
-        # every peer's contribution) pipelined on the comm stream.
-        rings = self._rings(
-            {"real": self._bytes_yreal, "cpx": self._bytes_ycpx}
-        )
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            def pencil(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                ys = ysplits[ip] if rank_ysplits is None else rank_ysplits[r][ip]
-                return r, ys
-
-            def h2d(i: int) -> None:
-                r, ys = pencil(i)
-                if ys.stop == ys.start:
-                    return
-                slot = rings.load(
-                    "real", i, (n, ys.stop - ys.start, n), self.grid.dtype,
-                    physical_locals[r][:, ys, :], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft(i: int) -> None:
-                r, ys = pencil(i)
-                w = ys.stop - ys.start
-                if w == 0:
-                    return
-                real = rings.view("real", i, (n, w, n), self.grid.dtype)
-                cpx = rings.view("cpx", i, (n, w, nxh), cdtype)
-                if self._payload:
-                    cpx[:] = np.fft.rfft(real, axis=_X_AXIS)
-                    cpx[:] = np.fft.fft(cpx, axis=_KZ_AXIS)
-
-            def d2h(i: int) -> None:
-                r, ys = pencil(i)
-                if ys.stop == ys.start:
-                    return
-                cpx = rings.store(
-                    "cpx", i, (n, ys.stop - ys.start, nxh), cdtype,
-                    half[r][:, ys, :], spans=sp_d2h,
-                )
-                self._note_d2h(cpx.nbytes)
-
-            def comm_op(i: int) -> None:
-                ip = i // P
-                if rank_ysplits is None:
-                    src_chunks = None
-                    chunk = ysplits[ip]
-                else:
-                    src_chunks = tuple(rank_ysplits[r][ip] for r in range(P))
-                    chunk = src_chunks[0]
-                self._exchange_pencil(
-                    half, t_out, pack_axis=_KZ_AXIS, unpack_axis=_Y_AXIS,
-                    chunk=chunk, chunk_axis=_Y_AXIS, block_extent=d.max_height,
-                    pack_sizes=heights, src_chunks=src_chunks,
-                    unpack_offsets=offsets,
-                )
-
-            def volume(i: int) -> int:
-                r, ys = pencil(i)
-                return n * (ys.stop - ys.start) * n
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-                    self._compute_stage("fft.xz", fft, volume),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h),
-                    PipelineStage(
-                        "a2a", "comm", "mpi", fn=comm_op,
-                        when=lambda i: i % P == P - 1,
-                    ),
-                ],
-                npitems * P,
-            )
-        finally:
-            rings.close()
-        if self._m_xcount is not None:
-            self._m_xcount.inc()
-
-        # Phase 2: per (x-pencil, rank) — the final y-FFT + normalization.
-        xsplits = self._splits(nxh)
+        self._phase("fwd_xz", "y", physical_locals, half, exchange=t_out)
         out = [
             self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)
         ]
-        rings = self._rings({"cpx": self._bytes_xpencil})
-        sp_h2d = self._stream_spans("h2d")
-        sp_d2h = self._stream_spans("d2h")
-        try:
-            norm = float(n) ** 3
-
-            def pencil2(i: int) -> tuple[int, slice]:
-                ip, r = divmod(i, P)
-                return r, xsplits[ip]
-
-            def shape_of(r: int, xs: slice) -> tuple[int, int, int]:
-                return (d.height(r), n, xs.stop - xs.start)
-
-            def h2d2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.load(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    t_out[r][:, :, xs], spans=sp_h2d,
-                )
-                self._note_h2d(slot.nbytes)
-
-            def fft2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.view("cpx", i, shape_of(r, xs), cdtype)
-                if self._payload:
-                    np.divide(np.fft.fft(slot, axis=_Y_AXIS), norm, out=slot)
-
-            def d2h2(i: int) -> None:
-                r, xs = pencil2(i)
-                if d.height(r) == 0:
-                    return
-                slot = rings.store(
-                    "cpx", i, shape_of(r, xs), cdtype,
-                    out[r][:, :, xs], spans=sp_d2h,
-                )
-                self._note_d2h(slot.nbytes)
-
-            def volume2(i: int) -> int:
-                r, xs = pencil2(i)
-                return d.height(r) * n * (xs.stop - xs.start)
-
-            self._run(
-                [
-                    PipelineStage("h2d", "h2d", "h2d", fn=h2d2),
-                    self._compute_stage("fft.y", fft2, volume2),
-                    PipelineStage("d2h", "d2h", "d2h", fn=d2h2),
-                ],
-                len(xsplits) * P,
-            )
-        finally:
-            rings.close()
+        self._phase("fwd_y", "x", t_out, out)
         return out

@@ -15,7 +15,8 @@ a process-pool backend (:class:`repro.mpi.procs.ProcsComm`) the whole
 stage sequence is *fused* into the workers' pack/unpack dispatches via
 ``comm.rank_transpose`` — FFTs run in the process that owns the slab, and
 pyFFTW plans (when available) are built and cached worker-side.  Both paths
-execute the identical kernel sequence, so results are bit-equal.
+index the same :data:`repro.dist.stages.STAGES` kernels, so results are
+bit-equal.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.dist.decomp import SlabDecomposition
+from repro.dist.stages import STAGES
 from repro.dist.transpose import (
     slab_transpose_physical_to_spectral,
     slab_transpose_spectral_to_physical,
@@ -39,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SlabDistributedFFT"]
 
-_KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
+_KZ_AXIS, _Y_AXIS = 0, 1
 
 
 class SlabDistributedFFT:
@@ -81,7 +83,7 @@ class SlabDistributedFFT:
         self.decomp = SlabDecomposition(grid.n, comm.size, heights=hs)
         self.obs = obs if obs is not None else NULL_OBS
         self.fft_backend = fft_backend
-        resolve_line_fft(fft_backend)  # fail fast on unavailable backends
+        self._lf = resolve_line_fft(fft_backend)  # fails fast when unavailable
 
     @property
     def _fused(self) -> bool:
@@ -93,108 +95,62 @@ class SlabDistributedFFT:
         """Per-rank slab extents to thread through exchanges (None = even)."""
         return None if self.decomp.heights is None else self.decomp.rank_heights
 
-    # -- inverse: Fourier -> physical (y, transpose, z, x) --------------------
+    def _stage(self, name: str, locals_: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """One :data:`~repro.dist.stages.STAGES` kernel over every rank's block."""
+        stage = STAGES[name]
+        with self.obs.spans.span(stage.span, category="fft"):
+            return [stage.fn(loc, self.grid.n, self._lf) for loc in locals_]
+
+    def _transform(
+        self, locals_, shape_of, pre, post, transpose, pack_axis, unpack_axis,
+        out_dtype,
+    ) -> list[np.ndarray]:
+        """``pre`` stage, the one global transpose, ``post`` stage."""
+        for r, loc in enumerate(locals_):
+            shaped = shape_of(r)
+            if loc.shape != shaped:
+                raise ValueError(f"rank {r}: expected {shaped}, got {loc.shape}")
+        if self._fused:
+            kwargs = {} if self._heights is None else {"pack_sizes": self._heights}
+            out = self.comm.rank_transpose(
+                locals_,
+                pack_axis=pack_axis,
+                unpack_axis=unpack_axis,
+                pre=pre,
+                post=post,
+                n=self.grid.n,
+                out_dtype=out_dtype,
+                fft=self.fft_backend,
+                obs=self.obs,
+                **kwargs,
+            )
+        else:
+            work = transpose(
+                self.comm, self._stage(pre, locals_), obs=self.obs,
+                heights=self._heights,
+            )
+            out = [
+                o.astype(out_dtype, copy=False) for o in self._stage(post, work)
+            ]
+        if self.obs.enabled:
+            self.obs.metrics.counter("fft.calls").inc()
+        return out
 
     def inverse(self, spectral_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """kz-slabs of coefficients -> y-slabs of the real field."""
-        n = self.grid.n
-        d = self.decomp
-        for r, loc in enumerate(spectral_locals):
-            shaped = d.local_spectral_shape(r)
-            if loc.shape != shaped:
-                raise ValueError(f"rank {r}: expected {shaped}, got {loc.shape}")
-        if self._fused:
-            kwargs = {} if self._heights is None else {"pack_sizes": self._heights}
-            out = self.comm.rank_transpose(
-                spectral_locals,
-                pack_axis=_Y_AXIS,
-                unpack_axis=_KZ_AXIS,
-                pre="inv_y",
-                post="inv_zx",
-                n=n,
-                out_dtype=self.grid.dtype,
-                fft=self.fft_backend,
-                obs=self.obs,
-                **kwargs,
-            )
-            if self.obs.enabled:
-                self.obs.metrics.counter("fft.calls").inc()
-            return out
-        lf = resolve_line_fft(self.fft_backend)
-        spans = self.obs.spans
-        # 1-D inverse FFTs in y (local: kz-slabs hold complete y lines).
-        with spans.span("fft.y", category="fft"):
-            work = [lf.ifft(loc, axis=_Y_AXIS) * n for loc in spectral_locals]
-        # Global transpose to y-slabs (complete z lines).
-        work = slab_transpose_spectral_to_physical(
-            self.comm, work, obs=self.obs, heights=self._heights
+        """kz-slabs of coefficients -> y-slabs of the real field: 1-D
+        inverse FFTs in y (kz-slabs hold complete y lines), the global
+        transpose to y-slabs, then z and the complex-to-real x transform."""
+        return self._transform(
+            spectral_locals, self.decomp.local_spectral_shape,
+            "inv_y", "inv_zx", slab_transpose_spectral_to_physical,
+            _Y_AXIS, _KZ_AXIS, self.grid.dtype,
         )
-        # z, then the complex-to-real x transform.
-        with spans.span("fft.zx", category="fft"):
-            work = [lf.ifft(loc, axis=_KZ_AXIS) * n for loc in work]
-            out = [lf.irfft(loc, n=n, axis=_X_AXIS) * n for loc in work]
-        if self.obs.enabled:
-            self.obs.metrics.counter("fft.calls").inc()
-        return [o.astype(self.grid.dtype, copy=False) for o in out]
-
-    # -- forward: physical -> Fourier (x, z, transpose, y) ---------------------
 
     def forward(self, physical_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """y-slabs of the real field -> kz-slabs of coefficients."""
-        n = self.grid.n
-        d = self.decomp
-        for r, loc in enumerate(physical_locals):
-            shaped = d.local_physical_shape(r)
-            if loc.shape != shaped:
-                raise ValueError(f"rank {r}: expected {shaped}, got {loc.shape}")
-        if self._fused:
-            kwargs = {} if self._heights is None else {"pack_sizes": self._heights}
-            out = self.comm.rank_transpose(
-                physical_locals,
-                pack_axis=_KZ_AXIS,
-                unpack_axis=_Y_AXIS,
-                pre="fwd_xz",
-                post="fwd_y",
-                n=n,
-                out_dtype=self.grid.cdtype,
-                fft=self.fft_backend,
-                obs=self.obs,
-                **kwargs,
-            )
-            if self.obs.enabled:
-                self.obs.metrics.counter("fft.calls").inc()
-            return out
-        lf = resolve_line_fft(self.fft_backend)
-        spans = self.obs.spans
-        with spans.span("fft.xz", category="fft"):
-            work = [lf.rfft(loc, axis=_X_AXIS) for loc in physical_locals]
-            work = [lf.fft(loc, axis=_KZ_AXIS) for loc in work]
-        work = slab_transpose_physical_to_spectral(
-            self.comm, work, obs=self.obs, heights=self._heights
+        """y-slabs of the real field -> kz-slabs of coefficients (x, z,
+        transpose, y — the reverse order)."""
+        return self._transform(
+            physical_locals, self.decomp.local_physical_shape,
+            "fwd_xz", "fwd_y", slab_transpose_physical_to_spectral,
+            _KZ_AXIS, _Y_AXIS, self.grid.cdtype,
         )
-        with spans.span("fft.y", category="fft"):
-            out = [lf.fft(loc, axis=_Y_AXIS) / n**3 for loc in work]
-        if self.obs.enabled:
-            self.obs.metrics.counter("fft.calls").inc()
-        return [o.astype(self.grid.cdtype, copy=False) for o in out]
-
-    # -- batched (pencil-at-a-time) variants ----------------------------------
-
-    def inverse_y_stage_pencils(
-        self, spectral_local: np.ndarray, npencils: int
-    ) -> list[np.ndarray]:
-        """The per-pencil y-FFT stage of the batched algorithm (Fig. 4).
-
-        The out-of-core batching always splits the slab along an axis *not*
-        being transformed, so every pencil holds complete lines in the
-        transform direction.  For the y stage the split is along x (paper
-        Fig. 6: ``nxp = nx / np``, "strided FFTs are performed in the y
-        direction"); for the post-transpose z/x stages it is along y (paper
-        Fig. 3: pencils of ``N x nyp x mz``).  This helper performs the
-        x-split y-stage on one rank's slab and is checked against the
-        unbatched transform in the tests — the numerical result is identical
-        because the 1-D FFTs of disjoint pencils are independent.
-        """
-        blocks = np.array_split(spectral_local, npencils, axis=_X_AXIS)
-        n = self.grid.n
-        return [np.fft.ifft(b, axis=_Y_AXIS) * n for b in blocks]

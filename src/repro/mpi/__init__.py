@@ -17,13 +17,12 @@ is separate: :mod:`repro.dist.virtual_mpi` really moves NumPy data — and
 """
 
 from repro.mpi.costmodel import ExchangeShape, alltoall_p2p_bytes, slab_exchange_shape
-from repro.mpi.procs import COMM_KINDS, Mpi4pyComm, ProcsComm, make_comm
+from repro.mpi.procs import COMM_KINDS, ProcsComm, make_comm
 from repro.mpi.simmpi import SimComm, SimRequest
 
 __all__ = [
     "COMM_KINDS",
     "ExchangeShape",
-    "Mpi4pyComm",
     "ProcsComm",
     "SimComm",
     "SimRequest",

@@ -39,9 +39,6 @@ out-of-core engine) inherit the driver-side :class:`VirtualComm`
 implementations unchanged — they are pure data permutations whose cost is
 dwarfed by the FFT work, and keeping them identical is what makes the
 ``virtual`` vs ``procs`` bit-equality suite meaningful.
-
-An optional mpi4py transport (:class:`Mpi4pyComm`) dispatches the same
-fused stages onto an ``MPIPoolExecutor`` when mpi4py is importable.
 """
 
 from __future__ import annotations
@@ -56,6 +53,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.dist.stages import STAGES
 from repro.dist.virtual_mpi import CollectiveRecord, TransientCommFault, VirtualComm
 from repro.obs.flight import current_flight, dump_current_flight
 from repro.obs.heartbeat import HeartbeatBoard, HeartbeatWriter
@@ -63,8 +61,7 @@ from repro.obs.heartbeat import HeartbeatBoard, HeartbeatWriter
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
-__all__ = ["COMM_KINDS", "Mpi4pyComm", "ProcsComm", "WorkerStallError",
-           "make_comm"]
+__all__ = ["COMM_KINDS", "ProcsComm", "WorkerStallError", "make_comm"]
 
 
 class WorkerStallError(RuntimeError):
@@ -76,75 +73,6 @@ _ALIGN = 64
 
 def _aligned(nbytes: int) -> int:
     return (int(nbytes) + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-# -- fused stage kernels -------------------------------------------------------
-#
-# Shared by the driver (for dtype/shape metadata probes) and the workers
-# (for the actual compute).  Each takes (array, n, line_fft_provider) and
-# must match the inline path of repro.dist.slab_fft bit-for-bit: same
-# operations, same order, same normalization.
-
-_KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
-
-
-def _k_inv_y(a, n, lf):
-    """Inverse stage 1: 1-D inverse FFTs in y on the kz-slab."""
-    return lf.ifft(a, axis=_Y_AXIS) * n
-
-
-def _k_inv_zx(a, n, lf):
-    """Inverse stage 2: z then complex-to-real x on the y-slab."""
-    return lf.irfft(lf.ifft(a, axis=_KZ_AXIS) * n, n=n, axis=_X_AXIS) * n
-
-
-def _k_fwd_xz(a, n, lf):
-    """Forward stage 1: real-to-complex x then z on the y-slab."""
-    return lf.fft(lf.rfft(a, axis=_X_AXIS), axis=_KZ_AXIS)
-
-
-def _k_fwd_y(a, n, lf):
-    """Forward stage 2: y FFTs plus the 1/N^3 normalization."""
-    return lf.fft(a, axis=_Y_AXIS) / n**3
-
-
-_KERNELS = {
-    "inv_y": _k_inv_y,
-    "inv_zx": _k_inv_zx,
-    "fwd_xz": _k_fwd_xz,
-    "fwd_y": _k_fwd_y,
-}
-
-
-def _pre_meta(pre: Optional[str], shape, dtype, n, lf):
-    """(shape, dtype) of the pre-kernel output, probed on the provider."""
-    shape = tuple(shape)
-    dtype = np.dtype(dtype)
-    if pre is None:
-        return shape, dtype
-    if pre == "inv_y":
-        out = lf.ifft(np.zeros(2, dtype=dtype), axis=0)
-        return shape, out.dtype
-    if pre == "fwd_xz":
-        out = lf.fft(lf.rfft(np.zeros(2, dtype=dtype), axis=0), axis=0)
-        return (shape[0], shape[1], shape[2] // 2 + 1), out.dtype
-    raise ValueError(f"unknown pre kernel {pre!r}")
-
-
-def _post_meta(post: Optional[str], gathered_shape, gathered_dtype, n, out_dtype):
-    """(shape, dtype) the post-kernel result is cast to and stored as."""
-    gathered_shape = tuple(gathered_shape)
-    if post is None:
-        return gathered_shape, np.dtype(out_dtype or gathered_dtype)
-    if post == "inv_zx":
-        if out_dtype is None:
-            raise ValueError("inv_zx requires an explicit out_dtype")
-        return (gathered_shape[0], gathered_shape[1], n), np.dtype(out_dtype)
-    if post == "fwd_y":
-        if out_dtype is None:
-            raise ValueError("fwd_y requires an explicit out_dtype")
-        return gathered_shape, np.dtype(out_dtype)
-    raise ValueError(f"unknown post kernel {post!r}")
 
 
 # -- the worker process --------------------------------------------------------
@@ -227,7 +155,7 @@ def _worker_main(rank: int, size: int, conn, start_method: str,
                 src = _view(segs[rank], msg["in_shape"], msg["in_dtype"],
                             msg["in_off"])
                 pre = msg["pre"]
-                mid = _KERNELS[pre](src, n, lf) if pre else src
+                mid = STAGES[pre].fn(src, n, lf) if pre else src
                 t1 = time.perf_counter()
                 base = msg["ring_off"]
                 stride = msg["slot_stride"]
@@ -259,11 +187,12 @@ def _worker_main(rank: int, size: int, conn, start_method: str,
                 gathered = np.concatenate(views, axis=ua)
                 t1 = time.perf_counter()
                 post = msg["post"]
-                out = _KERNELS[post](gathered, n, lf) if post else gathered
-                out = out.astype(np.dtype(msg["out_dtype"]), copy=False)
                 dst = _view(segs[rank], msg["out_shape"], msg["out_dtype"],
                             msg["out_off"])
-                np.copyto(dst, out)
+                if post:
+                    STAGES[post].fn(gathered, n, lf, out=dst)
+                else:
+                    np.copyto(dst, gathered.astype(dst.dtype, copy=False))
                 t2 = time.perf_counter()
                 spans.append(("proc.unpack", "pack", t0, t1))
                 if post:
@@ -631,11 +560,11 @@ class ProcsComm(VirtualComm):
         if n is None:
             n = first.shape[pack_axis]
         fft_name = fft if fft is not None else self.fft_backend
-        from repro.spectral.workspace import resolve_line_fft
-
-        lf = resolve_line_fft(fft_name)
-        mid_shape, mid_dtype = _pre_meta(pre, first.shape, first.dtype, n, lf)
-        mid_dtype = np.dtype(mid_dtype)
+        # Block geometry between the stages follows from the stage table.
+        mid_shape, mid_dtype = tuple(first.shape), first.dtype
+        if pre is not None:
+            mid_shape = STAGES[pre].out_shape(mid_shape, n)
+            mid_dtype = STAGES[pre].out_dtype(mid_dtype)
         if ps is None:
             if mid_shape[pack_axis] % self.size != 0:
                 raise ValueError(
@@ -663,13 +592,16 @@ class ProcsComm(VirtualComm):
 
         out_shapes, out_dts, out_bytes = [], [], 0
         for s in range(self.size):
-            gathered_shape = list(mid_shape)
-            gathered_shape[pack_axis] = pack_exts[s]
-            gathered_shape[unpack_axis] = total_unpack
-            o_shape, o_dt = _post_meta(
-                post, gathered_shape, mid_dtype, n, out_dtype
-            )
-            out_shapes.append(o_shape)
+            o_shape = list(mid_shape)
+            o_shape[pack_axis] = pack_exts[s]
+            o_shape[unpack_axis] = total_unpack
+            o_dt = mid_dtype
+            if post is not None:
+                o_shape = STAGES[post].out_shape(o_shape, n)
+                o_dt = STAGES[post].out_dtype(o_dt)
+            if out_dtype is not None:
+                o_dt = np.dtype(out_dtype)
+            out_shapes.append(tuple(o_shape))
             out_dts.append(o_dt)
             out_bytes = max(out_bytes, int(np.prod(o_shape)) * o_dt.itemsize)
 
@@ -803,120 +735,13 @@ class ProcsComm(VirtualComm):
                         )
 
 
-# -- optional mpi4py transport -------------------------------------------------
-
-
-def _mpi_stage1(local, pre, n, pack_axis, parts, fft):  # pragma: no cover - mpi4py
-    from repro.spectral.workspace import resolve_line_fft
-
-    lf = resolve_line_fft(fft)
-    mid = _KERNELS[pre](local, n, lf) if pre else local
-    return [np.ascontiguousarray(b) for b in np.split(mid, parts, axis=pack_axis)]
-
-
-def _mpi_stage2(blocks, post, n, unpack_axis, out_dtype, fft):  # pragma: no cover
-    from repro.spectral.workspace import resolve_line_fft
-
-    lf = resolve_line_fft(fft)
-    gathered = np.concatenate(list(blocks), axis=unpack_axis)
-    out = _KERNELS[post](gathered, n, lf) if post else gathered
-    return out.astype(np.dtype(out_dtype), copy=False)
-
-
-class Mpi4pyComm(VirtualComm):
-    """mpi4py-backed transport for the fused rank work (optional).
-
-    Same surface and semantics as :class:`ProcsComm`, but the fused stages
-    run on an :class:`mpi4py.futures.MPIPoolExecutor`; blocks travel as MPI
-    messages (pickle transport) instead of shared-memory rings.  Only
-    constructible when mpi4py is importable — gate with :meth:`available`.
-    """
-
-    kind = "mpi"
-
-    def __init__(self, size: int, name: str = "world", fft_backend: str = "numpy"):
-        if not self.available():  # pragma: no cover - exercised via make_comm
-            raise RuntimeError(
-                "mpi4py is not importable in this environment; "
-                "use --comm procs (multiprocessing + shared memory) instead"
-            )
-        super().__init__(size, name=name)
-        from mpi4py.futures import MPIPoolExecutor  # pragma: no cover
-
-        self.fft_backend = fft_backend  # pragma: no cover
-        self._pool = MPIPoolExecutor(max_workers=size)  # pragma: no cover
-
-    @staticmethod
-    def available() -> bool:
-        try:
-            import mpi4py  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def rank_transpose(  # pragma: no cover - requires mpi4py
-        self, locals_, pack_axis, unpack_axis, pre=None, post=None, n=None,
-        out_dtype=None, fft=None, kind="alltoall", obs=None, pack_sizes=None,
-    ):
-        self._check_per_rank(locals_)
-        if n is None:
-            n = locals_[0].shape[pack_axis]
-        fft_name = fft if fft is not None else self.fft_backend
-        # np.split accepts either a section count (balanced) or explicit
-        # cut indices (uneven per-rank heights).
-        parts = (
-            self.size
-            if pack_sizes is None
-            else [int(c) for c in np.cumsum(list(pack_sizes)[:-1])]
-        )
-        packed = list(self._pool.map(
-            _mpi_stage1, locals_,
-            [pre] * self.size, [n] * self.size, [pack_axis] * self.size,
-            [parts] * self.size, [fft_name] * self.size,
-        ))
-        if self.fault_injector is not None:
-            for attempt in range(4):
-                try:
-                    self.fault_injector.check(kind, self)
-                    break
-                except TransientCommFault as fault:
-                    if attempt == 3:
-                        raise
-                    if fault.dropped:
-                        packed = list(self._pool.map(
-                            _mpi_stage1, locals_,
-                            [pre] * self.size, [n] * self.size,
-                            [pack_axis] * self.size, [parts] * self.size,
-                            [fft_name] * self.size,
-                        ))
-        sizes = [int(b.nbytes) for bufs in packed for b in bufs]
-        self.stats.records.append(
-            CollectiveRecord(
-                kind, total_bytes=sum(sizes), p2p_bytes=max(sizes),
-                ranks=self.size, p2p_min_bytes=min(sizes),
-                p2p_max_bytes=max(sizes), messages=len(sizes),
-            )
-        )
-        routed = [[packed[r][s] for r in range(self.size)]
-                  for s in range(self.size)]
-        out_dt = np.dtype(out_dtype) if out_dtype is not None else None
-        return list(self._pool.map(
-            _mpi_stage2, routed,
-            [post] * self.size, [n] * self.size, [unpack_axis] * self.size,
-            [(out_dt or routed[0][0].dtype).str] * self.size,
-            [fft_name] * self.size,
-        ))
-
-    def close(self) -> None:  # pragma: no cover - requires mpi4py
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown()
-            self._pool = None
-
-
 # -- factory -------------------------------------------------------------------
 
-COMM_KINDS = ("virtual", "procs", "mpi")
+COMM_KINDS = ("virtual", "procs")
+
+#: ``make_comm`` kwargs that only the process pool understands.
+_PROCS_ONLY = ("fft_backend", "arena_bytes", "start_method",
+               "heartbeat_interval", "stall_timeout")
 
 
 def make_comm(kind: str, size: int, name: str = "world", **kwargs) -> VirtualComm:
@@ -924,35 +749,19 @@ def make_comm(kind: str, size: int, name: str = "world", **kwargs) -> VirtualCom
 
     ``virtual``
         The in-process :class:`~repro.dist.virtual_mpi.VirtualComm`
-        (bit-exact reference; timeshares one interpreter).
+        (bit-exact reference; timeshares one interpreter).  The
+        process-pool kwargs are accepted and ignored, so one call site
+        serves both kinds.
     ``procs``
         :class:`ProcsComm` — one worker process per rank with shared-memory
         ring buffers (extra kwargs: ``fft_backend``, ``arena_bytes``,
-        ``start_method``).
-    ``mpi``
-        :class:`Mpi4pyComm` when mpi4py is importable, else a
-        :class:`RuntimeError` naming the fallback.
+        ``start_method``, ``heartbeat_interval``, ``stall_timeout``).
     """
     if kind == "virtual":
-        kwargs.pop("fft_backend", None)  # line providers resolve elsewhere
-        kwargs.pop("arena_bytes", None)
-        kwargs.pop("start_method", None)
-        kwargs.pop("heartbeat_interval", None)
-        kwargs.pop("stall_timeout", None)
-        if kwargs:
-            raise TypeError(f"unexpected kwargs for virtual comm: {kwargs}")
+        extra = {k: v for k, v in kwargs.items() if k not in _PROCS_ONLY}
+        if extra:
+            raise TypeError(f"unexpected kwargs for virtual comm: {extra}")
         return VirtualComm(size, name=name)
     if kind == "procs":
         return ProcsComm(size, name=name, **kwargs)
-    if kind == "mpi":
-        if not Mpi4pyComm.available():
-            raise RuntimeError(
-                "comm backend 'mpi' needs mpi4py, which is not importable "
-                "here; use 'procs' for real multicore parallelism without it"
-            )
-        kwargs.pop("arena_bytes", None)
-        kwargs.pop("start_method", None)
-        kwargs.pop("heartbeat_interval", None)
-        kwargs.pop("stall_timeout", None)
-        return Mpi4pyComm(size, name=name, **kwargs)
     raise ValueError(f"unknown comm kind {kind!r}; choose from {COMM_KINDS}")

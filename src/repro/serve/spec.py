@@ -171,9 +171,9 @@ class JobSpec:
     comm: str = _f(
         "virtual", str,
         "with --ranks: communicator backend — in-process virtual ranks "
-        "(bit-exact reference), one worker process per rank over shared "
-        "memory, or mpi4py when importable",
-        choices=("virtual", "procs", "mpi"))
+        "(bit-exact reference) or one worker process per rank over shared "
+        "memory",
+        choices=("virtual", "procs"))
     npencils: Optional[int] = _f(
         None, int,
         "with --ranks: pencils per slab for the out-of-core engine "

@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.dist.outofcore import DeviceArena, DeviceMemoryExceeded, OutOfCoreSlabFFT
+from repro.cuda.copyengine import Batched2DEngine
+from repro.dist.dist_solver import DistributedNavierStokesSolver
+from repro.dist.outofcore import (
+    DeviceArena,
+    DeviceMemoryExceeded,
+    OutOfCoreSlabFFT,
+    PencilRings,
+)
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
+from repro.spectral import random_isotropic_field
 from repro.spectral.grid import SpectralGrid
+from repro.spectral.solver import SolverConfig
 from repro.spectral.transforms import fft3d
+from repro.spectral.workspace import LineTransforms
 
 
 class TestDeviceArena:
@@ -29,10 +39,15 @@ class TestDeviceArena:
         arena = DeviceArena(10_000)
         host = np.arange(24, dtype=float).reshape(4, 6)
         view = host[:, 1:4]  # strided view
-        buf = arena.upload(view)
-        buf *= 2
-        arena.download_and_free(buf, host[:, 1:4])
+        rings = PencilRings(
+            arena, 1, {"real": view.nbytes}, engine=Batched2DEngine()
+        )
+        slot = rings.load("real", 0, view.shape, view.dtype, view)
+        slot *= 2
+        rings.store("real", 0, view.shape, view.dtype, host[:, 1:4])
+        rings.close()
         assert np.all(host[:, 1:4] == 2 * np.arange(24).reshape(4, 6)[:, 1:4])
+        assert np.all(host[:, 0] == np.arange(24).reshape(4, 6)[:, 0])
         assert arena.in_use == 0
 
     def test_foreign_free_rejected(self):
@@ -125,3 +140,57 @@ class TestOutOfCoreFFT:
         grid = SpectralGrid(16)
         with pytest.raises(ValueError):
             OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=5)
+
+
+def _counted(name):
+    def method(self, a, *args, **kwargs):
+        self.elements[name] += a.size
+        return getattr(LineTransforms, name)(self, a, *args, **kwargs)
+
+    return method
+
+
+class _CountingLines(LineTransforms):
+    """NumPy line transforms that tally the elements each method is fed."""
+
+    def __init__(self):
+        self.elements = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
+
+    fft, ifft = _counted("fft"), _counted("ifft")
+    rfft, irfft = _counted("rfft"), _counted("irfft")
+
+
+class TestFftBackendIsHonoured:
+    """``SolverConfig.fft_backend`` reaches the out-of-core engine too."""
+
+    def test_out_of_core_transforms_go_through_the_provider(self, rng):
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, rng, energy=1.0)
+        fed = {}
+        for engine, kwargs in (("slab", {}), ("ooc", {"npencils": 4})):
+            lines = _CountingLines()
+            with DistributedNavierStokesSolver(
+                grid, VirtualComm(2), u0,
+                SolverConfig(nu=0.02, fft_backend=lines), **kwargs,
+            ) as solver:
+                solver.step(1e-3)
+            fed[engine] = lines.elements
+        assert all(count > 0 for count in fed["slab"].values())
+        assert fed["ooc"] == fed["slab"]
+
+    @pytest.mark.parametrize("npencils", [None, 4])
+    def test_unavailable_backend_is_rejected_at_construction(
+        self, npencils, rng, monkeypatch
+    ):
+        from repro.spectral import workspace
+
+        monkeypatch.setattr(
+            workspace.FftwLineTransforms, "available", classmethod(lambda cls: False)
+        )
+        monkeypatch.delitem(workspace._line_cache, "fftw", raising=False)
+        grid = SpectralGrid(16)
+        with pytest.raises(ValueError, match="'fftw' is not available"):
+            DistributedNavierStokesSolver(
+                grid, VirtualComm(2), random_isotropic_field(grid, rng),
+                SolverConfig(fft_backend="fftw"), npencils=npencils,
+            )

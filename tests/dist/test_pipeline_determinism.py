@@ -94,6 +94,50 @@ class TestBitIdenticalSolverStep:
                 assert r2.time > r1.time
         assert np.array_equal(states["sync"], states["threads"])
 
+    @pytest.mark.parametrize(
+        "heights", [None, (5, 11, 8)], ids=["even", "uneven"]
+    )
+    @pytest.mark.parametrize("fft_backend", ["numpy", "scipy"])
+    def test_every_engine_agrees(self, fft_backend, heights):
+        """Whole-slab inline, whole-slab on worker processes and the
+        out-of-core engine (sync and threads) index one stage table, so
+        driver-side and worker-side kernels give the same bits."""
+        from repro.mpi.procs import make_comm
+
+        n, P = 24, 3
+        grid = SpectralGrid(n)
+        rng = np.random.default_rng(3)
+        shape = (3, *grid.spectral_shape)
+        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            grid.cdtype
+        )
+        cfg = SolverConfig(
+            nu=0.02, scheme="rk2", phase_shift=True, seed=11,
+            fft_backend=fft_backend,
+        )
+        engines = {
+            "slab-virtual": ("virtual", {}),
+            "slab-procs": ("procs", {}),
+            "ooc-sync": ("virtual", {"npencils": 4, "pipeline": "sync"}),
+            "ooc-threads": (
+                "virtual", {"npencils": 4, "pipeline": "threads", "inflight": 3}
+            ),
+        }
+        states = {}
+        for name, (kind, kwargs) in engines.items():
+            comm = make_comm(kind, P, fft_backend=fft_backend)
+            try:
+                with DistributedNavierStokesSolver(
+                    grid, comm, u0, cfg, heights=heights, **kwargs
+                ) as solver:
+                    for _ in range(3):
+                        solver.step(1e-3)
+                    states[name] = solver.gather_state()
+            finally:
+                getattr(comm, "close", lambda: None)()
+        for name, state in states.items():
+            assert np.array_equal(state, states["slab-virtual"]), name
+
 
 class TestArenaAccountingUnderFailure:
     def test_lease_returns_bytes_on_exception(self):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist.slab_fft import SlabDistributedFFT
+from repro.dist.stages import STAGES
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.transforms import fft3d, ifft3d
+from repro.spectral.workspace import resolve_line_fft
 
 
 def build(n, ranks):
@@ -81,6 +83,29 @@ class TestCommunicationPattern:
             fft.inverse([np.zeros((2, 2, 2), dtype=complex)] * 4)
 
 
+class TestStageTable:
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    def test_declared_output_matches_kernel(self, name, real, rng):
+        """The shape/dtype a stage declares (what ProcsComm sizes its
+        shared-memory blocks with) is what its kernel returns, and a
+        buffer of that geometry passed as ``out`` receives the same bits."""
+        n = 8
+        stage = STAGES[name]
+        lf = resolve_line_fft("numpy")
+        shape = (n, 3, n) if stage.real_in else (n, 3, n // 2 + 1)
+        a = rng.standard_normal(shape).astype(real)
+        if not stage.real_in:
+            a = a + 1j * rng.standard_normal(shape).astype(real)
+        got = stage.fn(a.copy(), n, lf)
+        assert got.shape == stage.out_shape(a.shape, n)
+        assert got.dtype == stage.out_dtype(a.dtype)
+        assert np.isrealobj(got) == stage.real_out
+        out = np.empty(got.shape, got.dtype)
+        assert stage.fn(a.copy(), n, lf, out=out) is out
+        assert np.array_equal(out, got)
+
+
 class TestPencilBatchedStage:
     def test_pencil_split_y_stage_matches_unbatched(self, rng):
         """Splitting along x and transforming each pencil separately is
@@ -88,7 +113,13 @@ class TestPencilBatchedStage:
         grid, comm, fft = build(16, 4)
         u_hat = fft3d(rng.standard_normal(grid.physical_shape), grid)
         local = fft.decomp.scatter_spectral(u_hat)[1]
-        whole = np.fft.ifft(local, axis=1) * 16
+        lf = resolve_line_fft("numpy")
+        inv_y = STAGES["inv_y"].fn
+        whole = inv_y(local, 16, lf)
+        assert np.array_equal(whole, np.fft.ifft(local, axis=1) * 16)
         for npencils in (1, 3):
-            pieces = fft.inverse_y_stage_pencils(local, npencils)
-            assert np.allclose(np.concatenate(pieces, axis=2), whole, atol=1e-13)
+            pieces = [
+                inv_y(block, 16, lf)
+                for block in np.array_split(local, npencils, axis=2)
+            ]
+            assert np.array_equal(np.concatenate(pieces, axis=2), whole)

@@ -15,7 +15,7 @@ from repro.dist.dist_solver import DistributedNavierStokesSolver
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.transpose import transpose_exchange
 from repro.dist.virtual_mpi import VirtualComm
-from repro.mpi.procs import COMM_KINDS, Mpi4pyComm, ProcsComm, make_comm
+from repro.mpi.procs import COMM_KINDS, ProcsComm, make_comm
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import SolverConfig
 from repro.verify.faults import CommFaultPlan
@@ -44,7 +44,7 @@ def _spectral_field(grid, P, seed=0):
 
 class TestFactory:
     def test_kinds(self):
-        assert set(COMM_KINDS) == {"virtual", "procs", "mpi"}
+        assert set(COMM_KINDS) == {"virtual", "procs"}
 
     def test_virtual(self):
         comm = make_comm("virtual", 3)
@@ -63,12 +63,9 @@ class TestFactory:
             make_comm("smoke-signals", 2)
 
     def test_mpi_gated(self):
-        if Mpi4pyComm.available():  # pragma: no cover - mpi4py present
-            comm = make_comm("mpi", 2)
-            comm.close()
-        else:
-            with pytest.raises(RuntimeError, match="mpi4py"):
-                make_comm("mpi", 2)
+        # The mpi4py transport is gone; its name is just another unknown kind.
+        with pytest.raises(ValueError, match="unknown comm kind 'mpi'"):
+            make_comm("mpi", 2)
 
 
 class TestCollectiveConformance:
@@ -334,11 +331,11 @@ class TestCli:
         assert "comm=procs" in out
         assert "worker pids" in out
 
-    def test_dns_comm_mpi_errors_without_mpi4py(self, capsys):
-        if Mpi4pyComm.available():  # pragma: no cover
-            pytest.skip("mpi4py installed; gating path not reachable")
+    def test_dns_comm_mpi_is_an_invalid_choice(self, capsys):
         from repro.cli import main
 
-        assert main(["dns", "--n", "16", "--steps", "1", "--ranks", "2",
-                     "--comm", "mpi"]) == 2
-        assert "mpi4py" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--n", "16", "--steps", "1", "--ranks", "2",
+                  "--comm", "mpi"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mpi'" in capsys.readouterr().err

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedNavierStokesSolver, VirtualComm
-from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT
+from repro.cuda.copyengine import Batched2DEngine
+from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT, PencilRings
 from repro.dist.transpose import slab_transpose_spectral_to_physical
 from repro.obs import NULL_OBS, Observability
 from repro.spectral import (
@@ -149,12 +150,17 @@ class TestOutOfCoreObservability:
     def test_arena_counters_and_high_water(self):
         obs = Observability.create()
         arena = DeviceArena(capacity_bytes=4096, obs=obs)
-        buf = arena.upload(np.ones(64))  # 512 B
-        arena.download_and_free(buf, np.empty(64))
+        rings = PencilRings(
+            arena, 1, {"real": 512}, engine=Batched2DEngine(obs=obs)
+        )
+        rings.load("real", 0, (64,), np.float64, np.ones(64))  # 512 B
+        back = np.empty(64)
+        rings.store("real", 0, (64,), np.float64, back)
+        rings.close()
+        assert np.all(back == 1.0)
+        assert arena.in_use == 0
         assert obs.metrics.counter("arena.acquires").value == 1
         assert obs.metrics.counter("arena.releases").value == 1
-        assert obs.metrics.counter("arena.h2d_bytes").value == 512
-        assert obs.metrics.counter("arena.d2h_bytes").value == 512
         assert obs.metrics.gauge("arena.high_water_bytes").value == 512
         cats = [a.category for a in obs.spans.activities]
         assert cats == ["h2d", "d2h"]
