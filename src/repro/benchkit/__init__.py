@@ -9,9 +9,8 @@ analyzing the full DNS:
 * a strided-copy study comparing per-chunk ``cudaMemcpyAsync``, zero-copy
   kernels and ``cudaMemcpy2DAsync`` (Figs. 7 and 8) —
   :mod:`repro.benchkit.stride_kernel`;
-* a hot-path harness timing the real solver with and without the
-  pre-allocated :class:`~repro.spectral.SpectralWorkspace` —
-  :mod:`repro.benchkit.hotpath`;
+* a hot-path harness timing the real solver's step and probing its
+  steady-state allocations — :mod:`repro.benchkit.hotpath`;
 * an overlap-efficiency study of the async pencil pipeline (threaded
   streams vs. the sync reference, Fig. 4) — :mod:`repro.benchkit.overlap`;
 * a measured-vs-model sweep of the *executable* copy engines over the

@@ -1,16 +1,17 @@
-"""Hot-path benchmark harness for the real solver.
+"""Hot-path measurement of the real solver, and the shared JSON writer.
 
-Measures what the workspace refactor is supposed to buy: steps/second and
-steady-state allocation behaviour of :class:`repro.spectral.NavierStokesSolver`
-with and without the :class:`repro.spectral.SpectralWorkspace`, across
-transform backends and grid sizes.  The heavy sweep lives in
-``benchmarks/test_solver_hotpath.py`` (``bench`` marker, excluded from
-tier-1); a tiny smoke test exercises this module inside tier-1.
+Steps/second and steady-state allocation behaviour of
+:class:`repro.spectral.NavierStokesSolver` across transform backends and
+grid sizes.  The standing speed question is answered by the repo benchmark's
+``serial_n96`` workload (``bench/``); this module stays for
+:func:`benchmark_solver` (an allocation probe with a steps/sec reading) and
+for :func:`write_json`, the provenance-stamping writer the other
+``benchkit`` modules share.
 
 The JSON emitted by :func:`write_json` has one record per (n, scheme,
-backend, workspace) combination::
+backend) combination::
 
-    {"n": 64, "scheme": "rk2", "backend": "numpy", "workspace": true,
+    {"n": 64, "scheme": "rk2", "backend": "numpy",
      "steps_per_sec": 12.9, "seconds_per_step": 0.077,
      "peak_alloc_bytes": 524288, "fullgrid_bytes": 2097152, ...}
 
@@ -48,7 +49,6 @@ class HotpathResult:
     n: int
     scheme: str
     backend: str
-    workspace: bool
     steps: int
     warmup: int
     steps_per_sec: float
@@ -66,7 +66,6 @@ def benchmark_solver(
     n: int,
     scheme: str = "rk2",
     backend: str = "numpy",
-    use_workspace: bool = True,
     steps: int = 5,
     warmup: int = 2,
     nu: float = 0.02,
@@ -79,8 +78,8 @@ def benchmark_solver(
     """Time ``steps`` solver steps after ``warmup`` and record allocations.
 
     Diagnostics are off by default so the measurement isolates the RHS +
-    time-advance pipeline (the part the workspace rewrites); pass
-    ``diagnostics_every=1`` to measure the user-facing default instead.
+    time-advance pipeline; pass ``diagnostics_every=1`` to measure the
+    user-facing default instead.
     """
     from repro.spectral import (
         NavierStokesSolver,
@@ -98,8 +97,7 @@ def benchmark_solver(
             nu=nu,
             scheme=scheme,
             phase_shift=phase_shift,
-            use_workspace=use_workspace,
-            fft_backend=backend if use_workspace else "numpy",
+            fft_backend=backend,
             diagnostics_every=diagnostics_every,
         ),
     )
@@ -121,8 +119,7 @@ def benchmark_solver(
     return HotpathResult(
         n=n,
         scheme=scheme,
-        backend=backend if use_workspace else "numpy",
-        workspace=use_workspace,
+        backend=backend,
         steps=steps,
         warmup=warmup,
         steps_per_sec=steps / elapsed,
@@ -140,42 +137,24 @@ def run_suite(
     warmup: int = 2,
     trace_alloc: bool = True,
 ) -> dict:
-    """Sweep legacy vs. workspace across grids/schemes/backends.
+    """Sweep grids/schemes/backends.
 
-    Returns a JSON-serializable payload with a ``results`` record list and a
-    ``speedups`` summary (workspace steps/sec over legacy, same n/scheme,
-    per backend).
+    Returns a JSON-serializable payload with a ``results`` record list.
     """
     from repro.spectral import available_backends
 
     if backends is None:
         backends = [b for b in available_backends() if b != "auto"]
 
-    results: list[HotpathResult] = []
-    for n in grid_sizes:
-        for scheme in schemes:
-            results.append(
-                benchmark_solver(
-                    n, scheme, use_workspace=False, steps=steps,
-                    warmup=warmup, trace_alloc=trace_alloc,
-                )
-            )
-            for backend in backends:
-                results.append(
-                    benchmark_solver(
-                        n, scheme, backend=backend, use_workspace=True,
-                        steps=steps, warmup=warmup, trace_alloc=trace_alloc,
-                    )
-                )
-
-    legacy = {
-        (r.n, r.scheme): r.steps_per_sec for r in results if not r.workspace
-    }
-    speedups = {
-        f"n{r.n}-{r.scheme}-{r.backend}": r.steps_per_sec / legacy[(r.n, r.scheme)]
-        for r in results
-        if r.workspace
-    }
+    results = [
+        benchmark_solver(
+            n, scheme, backend=backend, steps=steps, warmup=warmup,
+            trace_alloc=trace_alloc,
+        )
+        for n in grid_sizes
+        for scheme in schemes
+        for backend in backends
+    ]
     payload = {
         "suite": "solver_hotpath",
         "grid_sizes": list(grid_sizes),
@@ -184,7 +163,6 @@ def run_suite(
         "steps": steps,
         "warmup": warmup,
         "results": [asdict(r) for r in results],
-        "speedups": speedups,
     }
     payload["metrics"] = to_metrics_records(payload)
     return payload
@@ -195,7 +173,7 @@ def to_metrics_records(payload: dict) -> list[dict]:
 
     One ``solver.step.seconds`` / ``solver.steps_per_sec`` /
     ``solver.peak_alloc_bytes`` gauge per measured operating point, labelled
-    by (n, scheme, backend, workspace) — the same schema the ``repro dns``
+    by (n, scheme, backend) — the same schema the ``repro dns``
     metrics JSONL uses, so bench artifacts and run logs share tooling.
     """
     records = []
@@ -204,7 +182,6 @@ def to_metrics_records(payload: dict) -> list[dict]:
             "n": r["n"],
             "scheme": r["scheme"],
             "backend": r["backend"],
-            "workspace": r["workspace"],
         }
         records.append(
             metric_record("solver.step.seconds", "gauge",

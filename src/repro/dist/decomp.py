@@ -96,6 +96,10 @@ def skewed_heights(n: int, ranks: int, skew: float) -> tuple[int, ...]:
         return (n,)
     h0 = int(round(n * skew / (skew + ranks - 1)))
     h0 = max(0, min(n, h0))
+    # Rounding down can leave rank 0 below the largest of the rest (n=1 on
+    # two ranks gave (0, 1)); rank 0 is the weakly largest slab by contract.
+    while h0 * (ranks - 1) < n - h0:
+        h0 += 1
     bounds = np.linspace(0, n - h0, ranks).astype(int)
     rest = tuple(int(b - a) for a, b in zip(bounds[:-1], bounds[1:]))
     return (h0,) + rest

@@ -130,7 +130,7 @@ class DistributedScalarMixingSolver(DistributedNavierStokesSolver):
             return
         size = self.comm.size
         u_n = self.u_hat
-        e_u = [self._integrating_factor_local(v, dt) for v in self.views]
+        e_u = [self._factor(v, self.config.nu, dt) for v in self.views]
         r_u = self._nonlinear(u_n)
         u_star = [e_u[r] * (u_n[r] + dt * r_u[r]) for r in range(size)]
         for scalar in self._scalars:
@@ -151,7 +151,7 @@ class DistributedScalarMixingSolver(DistributedNavierStokesSolver):
             return
         size = self.comm.size
         u0 = self.u_hat
-        e_half_u = [self._integrating_factor_local(v, 0.5 * dt) for v in self.views]
+        e_half_u = [self._factor(v, self.config.nu, 0.5 * dt) for v in self.views]
         e_full_u = [e * e for e in e_half_u]
         k1u = self._nonlinear(u0)
         u2 = [e_half_u[r] * (u0[r] + (0.5 * dt) * k1u[r]) for r in range(size)]

@@ -8,6 +8,11 @@ nonlinear products on y-slabs, and transforms them back (x, z, transpose,
 y) — so each substage costs 3 inverse + 6 forward distributed 3-D FFTs and
 therefore 9 all-to-alls in conservative form.
 
+Everything between the transforms — shift, assembly, projection, the RK
+combination — is the serial solver's
+:class:`~repro.spectral.pointwise.PointwiseKernel`, one bound to each rank's
+kz-slab, writing into buffers the driver allocates once.
+
 Given identical seeds the distributed solver reproduces the single-process
 solver bit-for-bit up to floating-point reassociation (tests assert
 agreement to ~1e-12), which is the correctness pillar under the performance
@@ -16,6 +21,7 @@ model of :mod:`repro.core`.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -24,9 +30,11 @@ from repro.dist.decomp import SlabDecomposition, SlabGridView
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
+from repro.spectral.dealias import random_shift, sharp_truncation_mask
+from repro.spectral.diagnostics import mode_square
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.solver import SolverConfig, StepResult
+from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
+from repro.spectral.solver import IntegratingFactorRK, SolverConfig, StepResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -34,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DistributedNavierStokesSolver"]
 
 
-class DistributedNavierStokesSolver:
+class DistributedNavierStokesSolver(IntegratingFactorRK):
     """Slab-decomposed RK2/RK4 pseudo-spectral integrator.
 
     Parameters
@@ -173,21 +181,21 @@ class DistributedNavierStokesSolver:
             )
         mask = sharp_truncation_mask(grid, self.config.dealias)
         self._mask_locals = [v.slice_spectral(mask) for v in self.views]
+        self._kernels = [
+            PointwiseKernel(grid, mask, self.decomp.spectral_slice(r))
+            for r in range(comm.size)
+        ]
+        self._buffers: dict[str, list[np.ndarray]] = {}
 
         # State: per rank, (3, mz, N, nxh) complex.
         self.u_hat: list[np.ndarray] = []
-        for r in range(comm.size):
+        for r, kernel in enumerate(self._kernels):
             sl = self.decomp.spectral_slice(r)
             local = np.array(u_hat_global[:, sl], dtype=grid.cdtype, copy=True)
             local *= self._mask_locals[r]
-            self.u_hat.append(local)
-        self._project_state()
+            self.u_hat.append(kernel.project(local, out=local))
         self.time = 0.0
         self.step_count = 0
-        # Per-rank integrating factors, memoized by dt (the serial solver
-        # memoizes through its SpectralWorkspace; ranks cache locally here
-        # because each holds a different kz-slab of exp(-nu k^2 dt)).
-        self._factor_cache: dict[float, list[np.ndarray]] = {}
 
     def close(self) -> None:
         """Release engine resources (stops out-of-core stream workers)."""
@@ -201,103 +209,78 @@ class DistributedNavierStokesSolver:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- local spectral operations ------------------------------------------
+    # -- per-rank scratch ----------------------------------------------------
 
-    def _project_local(self, v: np.ndarray, view: SlabGridView) -> np.ndarray:
-        kx, ky, kz = view.kx, view.ky, view.kz
-        k_dot_v = kx * v[0] + ky * v[1] + kz * v[2]
-        k_dot_v /= view.k_squared_nonzero
-        out = np.empty_like(v)
-        out[0] = v[0] - kx * k_dot_v
-        out[1] = v[1] - ky * k_dot_v
-        out[2] = v[2] - kz * k_dot_v
-        if view.owns_mean_mode:
-            out[:, 0, 0, 0] = v[:, 0, 0, 0]
-        return out
-
-    def _project_state(self) -> None:
-        self.u_hat = [
-            self._project_local(u, v) for u, v in zip(self.u_hat, self.views)
-        ]
-
-    def _shift_factor_local(self, view: SlabGridView, shift: np.ndarray) -> np.ndarray:
-        phase = view.kx * shift[0] + view.ky * shift[1] + view.kz * shift[2]
-        return np.exp(1j * phase).astype(self.grid.cdtype)
+    def _stage(self, key: str) -> list[np.ndarray]:
+        """Named per-rank state-shaped slabs, created on first use and reused."""
+        bufs = self._buffers.get(key)
+        if bufs is None:
+            bufs = self._buffers[key] = [np.empty_like(u) for u in self.u_hat]
+        return bufs
 
     # -- the distributed nonlinear term -----------------------------------------
 
-    def _nonlinear(self, u_hat: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Projected, dealiased conservative convective term, per rank."""
+    def _nonlinear(
+        self,
+        u_hat: Sequence[np.ndarray],
+        out: Optional[Sequence[np.ndarray]] = None,
+    ) -> Sequence[np.ndarray]:
+        """Projected, dealiased conservative convective term, per rank
+        (into ``out``, or fresh arrays when ``out`` is None)."""
         cfg = self.config
         obs = self.obs
+        ranks = range(self.comm.size)
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        shift = None
+        if out is None:
+            out = [np.empty_like(u) for u in u_hat]
+        bases = None
         if cfg.phase_shift:
-            shift = self._rng.uniform(0.0, self.grid.dx, size=3)
-        shift_locals = (
-            [self._shift_factor_local(v, shift) for v in self.views]
-            if shift is not None
-            else None
-        )
+            shift = random_shift(self.grid, self._rng)
+            bases = [k.shift_bases(shift) for k in self._kernels]
+            u_hat = [
+                k.shifted(u, b, w) for k, u, b, w in
+                zip(self._kernels, u_hat, bases, self._stage("shifted"))
+            ]
 
         # Velocity components to physical space (3 inverse distributed FFTs).
-        u_phys: list[list[np.ndarray]] = []  # [component][rank]
-        for c in range(3):
-            comp = [u_hat[r][c] for r in range(self.comm.size)]
-            if shift_locals is not None:
-                comp = [comp[r] * shift_locals[r] for r in range(self.comm.size)]
-            u_phys.append(self.fft.inverse(comp))
+        u_phys = [  # [component][rank]
+            self.fft.inverse([u_hat[r][c] for r in ranks]) for c in range(3)
+        ]
 
         # Six products, transformed back (6 forward distributed FFTs).
-        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        prod_hat: dict[tuple[int, int], list[np.ndarray]] = {}
-        for i, j in pairs:
+        prod = self._buffers.get("prod")
+        if prod is None:
+            prod = self._buffers["prod"] = [np.empty_like(u) for u in u_phys[0]]
+        prod_hat = []
+        for i, j in PRODUCT_PAIRS:
             with obs.spans.span("nl.products", category="nonlinear"):
-                prod_phys = [
-                    u_phys[i][r] * u_phys[j][r] for r in range(self.comm.size)
-                ]
-            ph = self.fft.forward(prod_phys)
-            if shift_locals is not None:
-                ph = [ph[r] * np.conj(shift_locals[r]) for r in range(self.comm.size)]
-            prod_hat[(i, j)] = ph
-            prod_hat[(j, i)] = ph
+                for r in ranks:
+                    np.multiply(u_phys[i][r], u_phys[j][r], out=prod[r])
+            prod_hat.append(self.fft.forward(prod))
 
-        out: list[np.ndarray] = []
-        for r, view in enumerate(self.views):
-            rank_spans = self._rank_spans[r]
-            with rank_spans.span("nl.assemble", category="nonlinear"):
-                k = (view.kx, view.ky, view.kz)
-                nl = np.empty_like(u_hat[r])
-                for i in range(3):
-                    acc = k[0] * prod_hat[(i, 0)][r]
-                    acc += k[1] * prod_hat[(i, 1)][r]
-                    acc += k[2] * prod_hat[(i, 2)][r]
-                    nl[i] = -1j * acc
-                nl *= self._mask_locals[r]
-            with rank_spans.span("nl.project", category="projection"):
-                out.append(self._project_local(nl, view))
+        for r, kernel in enumerate(self._kernels):
+            with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
+                kernel.rhs(
+                    [p[r] for p in prod_hat],
+                    None if bases is None else bases[r],
+                    out[r],
+                )
         return out
 
     # -- time stepping ------------------------------------------------------------
 
-    def _integrating_factor_local(self, view: SlabGridView, dt: float) -> np.ndarray:
-        return np.exp(-self.config.nu * view.k_squared * dt).astype(self.grid.dtype)
-
-    def _integrating_factors(self, dt: float) -> list[np.ndarray]:
-        """Per-rank exp(-nu k^2 dt), memoized by dt (read-only)."""
-        factors = self._factor_cache.get(dt)
-        if factors is None:
-            if len(self._factor_cache) >= 32:
-                self._factor_cache.pop(next(iter(self._factor_cache)))
-            factors = [
-                self._integrating_factor_local(v, dt) for v in self.views
-            ]
-            self._factor_cache[dt] = factors
-        return factors
+    def _combine(self, out: Sequence[np.ndarray], groups) -> Sequence[np.ndarray]:
+        """``kernel.combine`` on every rank; each term names a per-rank list."""
+        nu = self.config.nu
+        for r, kernel in enumerate(self._kernels):
+            kernel.combine(out[r], nu, [
+                (tau, [(c, a[r]) for c, a in terms]) for tau, terms in groups
+            ])
+        return out
 
     def step(self, dt: float) -> StepResult:
-        """Advance one RK2 or RK4 step (same schemes as the serial solver)."""
+        """Advance one RK2 or RK4 step (the serial solver's schemes)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         obs = self.obs
@@ -312,9 +295,12 @@ class DistributedNavierStokesSolver:
                 evals = 4
             self.time += dt
             self.step_count += 1
-            with obs.spans.span("diagnostics.energy", category="diagnostics"):
-                energy = self.kinetic_energy()
-                dissipation = self.dissipation_rate()
+            every = self.config.diagnostics_every
+            if every > 0 and self.step_count % every == 0:
+                with obs.spans.span("diagnostics.energy", category="diagnostics"):
+                    energy, dissipation = self._energy_and_dissipation()
+            else:
+                energy = dissipation = math.nan
         if obs.enabled:
             obs.metrics.counter("solver.steps").inc()
             obs.metrics.histogram("solver.step.seconds").observe(
@@ -333,60 +319,25 @@ class DistributedNavierStokesSolver:
             nonlinear_evals=evals,
         )
 
-    def _step_rk2(self, dt: float) -> None:
-        spans = self.obs.spans
-        e_full = self._integrating_factors(dt)
-        with spans.span("rk2.stage1", category="stage"):
-            r1 = self._nonlinear(self.u_hat)
-            u_star = [
-                e_full[r] * (self.u_hat[r] + dt * r1[r])
-                for r in range(self.comm.size)
-            ]
-        with spans.span("rk2.stage2", category="stage"):
-            r2 = self._nonlinear(u_star)
-            self.u_hat = [
-                e_full[r] * (self.u_hat[r] + (0.5 * dt) * r1[r]) + (0.5 * dt) * r2[r]
-                for r in range(self.comm.size)
-            ]
-
-    def _step_rk4(self, dt: float) -> None:
-        size = self.comm.size
-        e_half = self._integrating_factors(0.5 * dt)
-        e_full = self._integrating_factors(dt)
-        u0 = self.u_hat
-        k1 = self._nonlinear(u0)
-        k2 = self._nonlinear(
-            [e_half[r] * (u0[r] + (0.5 * dt) * k1[r]) for r in range(size)]
-        )
-        k3 = self._nonlinear(
-            [e_half[r] * u0[r] + (0.5 * dt) * k2[r] for r in range(size)]
-        )
-        k4 = self._nonlinear(
-            [e_full[r] * u0[r] + dt * (e_half[r] * k3[r]) for r in range(size)]
-        )
-        self.u_hat = [
-            e_full[r] * u0[r]
-            + (dt / 6.0)
-            * (e_full[r] * k1[r] + 2.0 * e_half[r] * (k2[r] + k3[r]) + k4[r])
-            for r in range(size)
-        ]
-
     # -- global diagnostics (allreduce over ranks) -----------------------------
 
+    def _energy_and_dissipation(self) -> tuple[float, float]:
+        """Both diagnostics from one ``re^2 + im^2`` pass per rank."""
+        locals_ = []
+        for u, v in zip(self.u_hat, self.views):
+            weighted = v.hermitian_weights * mode_square(u)
+            locals_.append(np.array([
+                0.5 * np.sum(weighted),
+                self.config.nu * np.sum(v.k_squared * weighted),
+            ]))
+        energy, dissipation = self.comm.allreduce(locals_)[0]
+        return float(energy), float(dissipation)
+
     def kinetic_energy(self) -> float:
-        locals_ = [
-            float(0.5 * np.sum(v.hermitian_weights * np.abs(u) ** 2))
-            for u, v in zip(self.u_hat, self.views)
-        ]
-        return self.comm.allreduce(locals_)[0]
+        return self._energy_and_dissipation()[0]
 
     def dissipation_rate(self) -> float:
-        nu = self.config.nu
-        locals_ = [
-            float(nu * np.sum(v.hermitian_weights * v.k_squared * np.abs(u) ** 2))
-            for u, v in zip(self.u_hat, self.views)
-        ]
-        return self.comm.allreduce(locals_)[0]
+        return self._energy_and_dissipation()[1]
 
     def gather_state(self) -> np.ndarray:
         """Reassemble the global (3, N, N, N//2+1) spectral field."""

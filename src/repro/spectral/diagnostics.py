@@ -23,20 +23,39 @@ __all__ = [
     "flow_statistics",
     "kinetic_energy",
     "max_divergence",
+    "mode_square",
     "velocity_derivative_skewness",
 ]
 
 
-def kinetic_energy(u_hat: np.ndarray, grid: SpectralGrid) -> float:
-    """Total kinetic energy per unit volume: E = 1/2 <u.u>."""
-    w = grid.hermitian_weights
-    return float(0.5 * np.sum(w * np.abs(u_hat) ** 2))
+def mode_square(u_hat: np.ndarray) -> np.ndarray:
+    """``sum_i |u_hat_i|^2`` per mode of a vector field, as ``re^2 + im^2``
+    in one pass (``np.abs`` would take a square root only to square it)."""
+    parts = u_hat.view(u_hat.real.dtype).reshape(*u_hat.shape, 2)
+    return np.einsum("i...r,i...r->...", parts, parts)
 
 
-def dissipation_rate(u_hat: np.ndarray, grid: SpectralGrid, nu: float) -> float:
+def kinetic_energy(
+    u_hat: np.ndarray, grid: SpectralGrid, mode_sq: np.ndarray | None = None
+) -> float:
+    """Total kinetic energy per unit volume: E = 1/2 <u.u>.
+
+    ``mode_sq`` is ``mode_square(u_hat)`` when the caller already has it
+    (one pass then serves this and :func:`dissipation_rate`).
+    """
+    if mode_sq is None:
+        mode_sq = mode_square(u_hat)
+    return float(0.5 * np.sum(grid.hermitian_weights * mode_sq))
+
+
+def dissipation_rate(
+    u_hat: np.ndarray, grid: SpectralGrid, nu: float,
+    mode_sq: np.ndarray | None = None,
+) -> float:
     """Dissipation rate eps = 2 nu sum k^2 E(k) = nu <|grad u|^2>."""
-    w = grid.hermitian_weights
-    return float(nu * np.sum(w * grid.k_squared * np.abs(u_hat) ** 2))
+    if mode_sq is None:
+        mode_sq = mode_square(u_hat)
+    return float(nu * np.sum(grid.hermitian_weights * grid.k_squared * mode_sq))
 
 
 def enstrophy(u_hat: np.ndarray, grid: SpectralGrid) -> float:

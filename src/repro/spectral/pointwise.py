@@ -1,0 +1,254 @@
+"""The pointwise (non-FFT) half of an RK substage, bound to one kz-slab.
+
+Between the transforms a pseudo-spectral step only multiplies and adds:
+shift the coefficients onto the displaced grid, turn the product transforms
+into the projected, dealiased right-hand side, and combine stages with the
+viscous integrating factor.  :class:`PointwiseKernel` does those three things
+for a slab ``[z0:z1]`` of the spectral cube — the serial solver is the slab
+of height ``N``, a distributed rank binds its own ``kz`` range — so both
+solvers run the same arithmetic.
+
+Three ideas keep it close to memory speed (DESIGN.md, "The pointwise
+kernel"):
+
+* **One factor.**  Projection commutes with a per-mode scalar,
+  ``P(G a) = G P(a)``, so ``-i``, the dealias mask and the conjugate phase
+  shift fold into one complex factor ``G`` applied once per component after
+  the projection, instead of three passes before it.
+* **1-D bases.**  ``exp(i k.d)`` and ``exp(-nu k^2 t)`` are products of three
+  1-D arrays; a block of either is rebuilt from a cached plane and a ``kz``
+  column while it is needed, so no full-grid factor is ever stored or read.
+* **Float views and blocks.**  Wavenumbers, mask and decay are real, so every
+  multiply by them runs on the ``float`` view of the complex data (half the
+  flops of a complex multiply, and a same-dtype ufunc), a few ``z`` planes at
+  a time so that the temporaries of one sweep stay in L2.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
+
+from repro.spectral.grid import SpectralGrid
+
+__all__ = ["PRODUCT_PAIRS", "PointwiseKernel"]
+
+#: The six distinct products u_i u_j, in the order :meth:`PointwiseKernel.rhs`
+#: takes their transforms.
+PRODUCT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+#: Bytes of one block-sized temporary.  A sweep keeps six or seven alive, so
+#: this holds them in a 2 MiB L2; a whole 32^3 slab (272 KiB) is one block.
+_BLOCK_BYTES = 320 * 1024
+#: Block-sized scratch arrays: the sweep names seven; a combination uses
+#: three and one per decay group (at most three).
+_NSCRATCH = 7
+
+
+class PointwiseKernel:
+    """Shift, right-hand side and RK combination on the kz-slab ``zslice``.
+
+    ``mask`` is the full-grid dealias mask (0/1, real); the kernel keeps its
+    slab slice.  Arrays handed to the methods are spectral slabs
+    ``(..., mz, N, N//2+1)`` of ``grid.cdtype``, C-contiguous along x.
+    """
+
+    def __init__(self, grid: SpectralGrid, mask: np.ndarray,
+                 zslice: slice = slice(None)):
+        self.grid = grid
+        n, nxh = grid.n, grid.n // 2 + 1
+        real = grid.dtype
+        kx, ky, kz = (k.ravel() for k in grid.k_vectors)
+        kz = kz[zslice]
+        self._k1d = (kx, ky, kz)
+        self.mz = kz.shape[0]
+        # Real operands in float-view layout: x doubled (re, im interleaved),
+        # kx and ky spread over a whole plane so ufunc inner loops run over
+        # N*(N+2) contiguous elements instead of N+2.
+        plane = (n, 2 * nxh)
+        self._kx = np.ascontiguousarray(np.broadcast_to(np.repeat(kx, 2), plane))
+        self._ky = np.ascontiguousarray(np.broadcast_to(ky[:, None], plane))
+        self._kz = kz.reshape(-1, 1, 1)
+        self._k2_plane = self._kx**2 + self._ky**2
+        self._kz2 = self._kz**2
+        self._mask = np.repeat(mask[zslice], 2, axis=-1)
+        self._owns_mean_mode = self.mz > 0 and zslice.indices(n)[0] == 0
+        plane_bytes = n * nxh * grid.cdtype.itemsize
+        self.block = max(1, min(self.mz, _BLOCK_BYTES // plane_bytes))
+        self._scratch = np.empty((_NSCRATCH, self.block, *plane), dtype=real)
+        self._unit = np.ones((self.mz, 1, 1), dtype=grid.cdtype)
+
+    def _blocks(self) -> Iterator[slice]:
+        for z0 in range(0, self.mz, self.block):
+            yield slice(z0, min(z0 + self.block, self.mz))
+
+    @staticmethod
+    def _outer(column: np.ndarray, plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[z] = column[z] * plane``.  Two steps, because a ufunc call
+        with *two* broadcasting operands makes NumPy's iterator allocate a
+        fixed-size buffer for each (up to 128 KiB apiece)."""
+        out[...] = plane
+        out *= column
+        return out
+
+    def _slab(self, a: np.ndarray) -> np.ndarray:
+        """Float view of ``a`` with one leading component axis."""
+        f = a.view(self.grid.dtype)
+        # Not reshape(-1, ...): a zero-height slab has no size to infer from.
+        return f if f.ndim == 4 else f[None]
+
+    # -- phase shift ---------------------------------------------------------
+
+    def shift_bases(self, shift: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of ``exp(i k.d)`` on this slab: a kz column and one
+        (ky, kx) plane.  Pass the result to :meth:`shifted` and :meth:`rhs`."""
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (3,):
+            raise ValueError("shift must be a 3-vector (dx, dy, dz)")
+        kx, ky, kz = self._k1d
+        c = self.grid.cdtype
+        bx, by, bz = (np.exp(1j * k * d).astype(c) for k, d in zip((kx, ky, kz), shift))
+        return bz.reshape(-1, 1, 1), by[:, None] * bx[None, :]
+
+    def shifted(self, u: np.ndarray, bases, out: np.ndarray) -> np.ndarray:
+        """``out = u * exp(i k.d)``: the coefficients of ``u`` evaluated on
+        the grid displaced by ``d``."""
+        sz, syx = bases
+        s = self._scratch[0].view(self.grid.cdtype)
+        components = [(u, out)] if u.ndim == 3 else list(zip(u, out))
+        for sl in self._blocks():
+            sb = self._outer(sz[sl], syx, s[: sl.stop - sl.start])
+            for uc, oc in components:
+                np.multiply(uc[sl], sb, out=oc[sl])
+        return out
+
+    # -- right-hand side -----------------------------------------------------
+
+    def rhs(self, terms: Sequence[np.ndarray], bases, out: np.ndarray) -> np.ndarray:
+        """Projected, dealiased nonlinear term from its transforms.
+
+        ``terms`` holds either the six product transforms ``(u_i u_j)_hat``
+        in the order 00, 01, 02, 11, 12, 22 (conservative form,
+        ``a_i = sum_j k_j P_ij``) or the three components of ``(u x omega)_hat``
+        (rotational form, ``a = terms``).  ``out_i = G (a_i - k_i (k.a)/k^2)``
+        with ``G = c mask conj(shift)``, ``c = -i`` for the divergence of the
+        conservative form and 1 otherwise; ``bases`` is what the products
+        were shifted by (:meth:`shift_bases`) or None.
+        """
+        lead = -1j if len(terms) == 6 else 1.0
+        if bases is None:
+            n = self.grid.n
+            gz, gyx = self._unit, np.full((n, n // 2 + 1), lead, self.grid.cdtype)
+        else:
+            gz, gyx = np.conj(bases[0]), lead * np.conj(bases[1])
+        real = self.grid.dtype
+        return self._sweep([t.view(real) for t in terms], out, (gz, gyx))
+
+    def project(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``v - k (k.v)/k^2`` on the slab (``out`` may be ``v``)."""
+        if out is None:
+            out = np.empty_like(v)
+        return self._sweep(list(self._slab(v)), out, None)
+
+    def _sweep(self, terms, out, factor) -> np.ndarray:
+        kx, ky = self._kx, self._ky
+        a0, a1, a2, q, tmp, k2, gf = self._scratch[:7]
+        g = gf.view(self.grid.cdtype)
+        outf = self._slab(out)
+        for sl in self._blocks():
+            b = sl.stop - sl.start
+            k = (kx, ky, self._kz[sl])
+            t = tmp[:b]
+            if len(terms) == 6:
+                a = (a0[:b], a1[:b], a2[:b])
+                for ai, (p, r, s) in zip(a, ((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+                    np.multiply(terms[p][sl], k[0], out=ai)
+                    ai += np.multiply(terms[r][sl], k[1], out=t)
+                    ai += np.multiply(terms[s][sl], k[2], out=t)
+            else:
+                a = tuple(term[sl] for term in terms)
+            kda = np.multiply(a[0], k[0], out=q[:b])
+            kda += np.multiply(a[1], k[1], out=t)
+            kda += np.multiply(a[2], k[2], out=t)
+            k2b = k2[:b]
+            k2b[...] = self._k2_plane
+            k2b += self._kz2[sl]
+            if self._owns_mean_mode and sl.start == 0:
+                k2b[0, 0, :2] = 1.0  # k = 0: k.a is 0 there, keep it finite
+            kda /= k2b
+            if factor is not None:
+                gb = self._outer(factor[0][sl], factor[1], g[:b])
+                gf[:b] *= self._mask[sl]
+            for i in range(3):
+                np.multiply(kda, k[i], out=t)
+                if factor is None:
+                    np.subtract(a[i], t, out=outf[i, sl])
+                else:
+                    np.subtract(a[i], t, out=t)
+                    np.multiply(t.view(gb.dtype), gb, out=out[i, sl])
+        return out
+
+    def curl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = i k x v`` (vorticity of a velocity slab)."""
+        kx, ky = self._kx, self._ky
+        t0, t1 = self._scratch[:2]
+        vf = self._slab(v)
+        for sl in self._blocks():
+            b = sl.stop - sl.start
+            k = (kx, ky, self._kz[sl])
+            for i, (p, r) in enumerate(((1, 2), (2, 0), (0, 1))):
+                w = np.multiply(vf[r, sl], k[p], out=t0[:b])
+                w -= np.multiply(vf[p, sl], k[r], out=t1[:b])
+                np.multiply(w.view(out.dtype), 1j, out=out[i, sl])
+        return out
+
+    # -- integrating-factor RK combination -----------------------------------
+
+    def combine(self, out: np.ndarray, nu: float, groups) -> np.ndarray:
+        """``out = sum_g exp(-nu k^2 tau_g) * sum_t c_t a_t``.
+
+        ``groups`` is a sequence of ``(tau, [(c, a), ...])``; ``tau = 0``
+        means no decay.  Every stage of the integrating-factor RK2 and RK4
+        schemes is one such expression.  ``out`` may be any of the ``a``.
+        """
+        real = self.grid.dtype
+        kx, ky, kz = self._k1d
+        decays = []
+        for tau, _ in groups:
+            if tau == 0:
+                decays.append(None)
+                continue
+            ex, ey, ez = (np.exp(-nu * tau * k.astype(float) ** 2).astype(real)
+                          for k in (kx, ky, kz))
+            decays.append((ez.reshape(-1, 1, 1), ey[:, None] * np.repeat(ex, 2)[None, :]))
+        terms = [[(c, self._slab(a)) for c, a in ts] for _, ts in groups]
+        outf = self._slab(out)
+        acc, part, tmp = self._scratch[:3]
+        last = len(terms) - 1
+        for sl in self._blocks():
+            b = sl.stop - sl.start
+            eb = [None if d is None else self._outer(d[0][sl], d[1], e[:b])
+                  for d, e in zip(decays, self._scratch[3:])]
+            for c in range(outf.shape[0]):
+                for gi, (e, ts) in enumerate(zip(eb, terms)):
+                    dst = part[:b] if gi else acc[:b]
+                    coef, a = ts[0]
+                    np.multiply(a[c, sl], coef, out=dst)
+                    for coef, a in ts[1:]:
+                        # A unit coefficient adds straight from the source.
+                        dst += (a[c, sl] if coef == 1.0 else
+                                np.multiply(a[c, sl], coef, out=tmp[:b]))
+                    # Whichever operation comes last writes the block out.
+                    if last == 0:
+                        if e is None:
+                            np.copyto(outf[c, sl], dst)
+                        else:
+                            np.multiply(dst, e, out=outf[c, sl])
+                        continue
+                    if e is not None:
+                        dst *= e
+                    if gi:
+                        np.add(acc[:b], dst,
+                               out=outf[c, sl] if gi == last else acc[:b])
+        return out

@@ -29,7 +29,6 @@ import numpy as np
 from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
-from repro.spectral.transforms import fft3d, ifft3d
 from repro.spectral.workspace import SpectralWorkspace
 
 __all__ = ["PassiveScalar", "ScalarMixingSolver", "scalar_spectrum", "scalar_variance"]
@@ -151,35 +150,24 @@ class ScalarMixingSolver:
     ) -> np.ndarray:
         """-(div(u theta))_hat - G u_y, dealiased (diffusion is exact).
 
-        Transforms and products run in workspace scratch buffers when the
-        flow solver carries a workspace; the returned rhs array itself is
-        fresh (RK stages keep several alive at once).
+        Transforms and products run in the flow solver's workspace scratch
+        buffers; the returned rhs array itself is fresh (RK stages keep
+        several alive at once).
         """
-        grid = self.grid
-        kx, ky, kz = grid.k_vectors
+        kx, ky, kz = self.grid.k_vectors
         ws = self.workspace
-        if ws is not None:
-            kxc, kyc, kzc = ws.wavenumbers_c
-            u = ws.physical("sc_u", 3)
-            for i in range(3):
-                ws.ifft3d(u_hat[i], out=u[i])
-            theta = ws.ifft3d(theta_hat, out=ws.physical("sc_theta"))
-            prod = ws.physical("sc_prod")
-            ph = ws.spectral("sc_ph")
-            tmp = ws.spectral("sc_tmp")
-            rhs = np.empty_like(theta_hat)
-            np.multiply(u[0], theta, out=prod)
-            np.multiply(kxc, ws.fft3d(prod, out=ph), out=rhs)
-            for k, i in ((kyc, 1), (kzc, 2)):
-                np.multiply(u[i], theta, out=prod)
-                np.multiply(k, ws.fft3d(prod, out=ph), out=tmp)
-                rhs += tmp
-            rhs *= -1j
-        else:
-            u = np.stack([ifft3d(u_hat[i], grid) for i in range(3)])
-            theta = ifft3d(theta_hat, grid)
-            flux_hat = [fft3d(u[i] * theta, grid) for i in range(3)]
-            rhs = -1j * (kx * flux_hat[0] + ky * flux_hat[1] + kz * flux_hat[2])
+        u = ws.physical("sc_u", 3)
+        for i in range(3):
+            ws.ifft3d(u_hat[i], out=u[i])
+        theta = ws.ifft3d(theta_hat, out=ws.physical("sc_theta"))
+        prod = ws.physical("sc_prod")
+        ph = ws.spectral("sc_ph")
+        np.multiply(u[0], theta, out=prod)
+        rhs = kx * ws.fft3d(prod, out=ph)
+        for k, i in ((ky, 1), (kz, 2)):
+            np.multiply(u[i], theta, out=prod)
+            rhs += k * ws.fft3d(prod, out=ph)
+        rhs *= -1j
         rhs *= self._mask
         if scalar.mean_gradient != 0.0:
             rhs -= scalar.mean_gradient * u_hat[1]
@@ -187,9 +175,7 @@ class ScalarMixingSolver:
 
     def _factor(self, coefficient: float, dt: float) -> np.ndarray:
         """Integrating factor, memoized through the shared workspace."""
-        if self.workspace is not None:
-            return self.workspace.integrating_factor(coefficient, dt)
-        return np.exp(-coefficient * self.grid.k_squared * dt).astype(self.grid.dtype)
+        return self.workspace.integrating_factor(coefficient, dt)
 
     # -- time stepping ---------------------------------------------------------
 

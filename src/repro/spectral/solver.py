@@ -10,17 +10,13 @@ second- or fourth-order Runge-Kutta (RK2/RK4 — the paper reports RK2
 timings; RK4 "approximately doubles" the per-step cost, which the
 performance layer's ablation bench verifies).
 
-Two step implementations exist:
-
-* the **workspace** path (default): every stage writes into pre-allocated
-  :class:`~repro.spectral.workspace.SpectralWorkspace` buffers, integrating
-  factors are memoized by ``(nu, dt)``, and transforms go through the
-  configured backend — zero full-grid allocations at steady state;
-* the **legacy** path (``SolverConfig(use_workspace=False)``): the original
-  allocating expressions, kept as the reference implementation for the
-  regression tests and the hot-path benchmark baseline.
-
-Both produce identical trajectories to round-off.
+Every stage writes into pre-allocated
+:class:`~repro.spectral.workspace.SpectralWorkspace` buffers: transforms go
+through the configured backend, everything between them through one
+:class:`~repro.spectral.pointwise.PointwiseKernel` (shared with the
+distributed solver) — zero full-grid allocations at steady state.  The
+textbook forms in :mod:`repro.spectral.operators` are what the tests compare
+the trajectories against.
 """
 
 from __future__ import annotations
@@ -32,28 +28,22 @@ from typing import TYPE_CHECKING, Literal, Optional
 import numpy as np
 
 from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import (
-    DealiasRule,
-    phase_shift_factor,
-    random_shift,
-    sharp_truncation_mask,
+from repro.spectral.dealias import DealiasRule, random_shift, sharp_truncation_mask
+from repro.spectral.diagnostics import (
+    cfl_number,
+    dissipation_rate,
+    kinetic_energy,
+    mode_square,
 )
-from repro.spectral.diagnostics import cfl_number, dissipation_rate, kinetic_energy
 from repro.spectral.forcing import Forcing, NoForcing
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.operators import (
-    _imul_components,
-    _mul_components,
-    nonlinear_conservative,
-    nonlinear_rotational,
-    project,
-)
+from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
 from repro.spectral.workspace import SpectralWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
-__all__ = ["NavierStokesSolver", "SolverConfig", "StepResult"]
+__all__ = ["IntegratingFactorRK", "NavierStokesSolver", "SolverConfig", "StepResult"]
 
 
 @dataclass
@@ -78,15 +68,12 @@ class SolverConfig:
         ``u_i u_j``) or ``"rotational"`` (u x omega, three products).
     seed:
         Seed for the random shifts.
-    use_workspace:
-        Route the step through the pre-allocated workspace hot path
-        (default).  ``False`` selects the legacy allocating implementation.
     fft_backend:
         Transform backend name (``"auto"``, ``"numpy"``, ``"scipy"``,
         ``"fftw"``); ``"auto"`` consults ``REPRO_FFT_BACKEND``.
     diagnostics_every:
-        Compute the (two full-grid reductions) energy/dissipation
-        diagnostics every this many steps; other steps report NaN.  The
+        Compute the energy/dissipation diagnostics (one full-grid pass,
+        two reductions) every this many steps; other steps report NaN.  The
         default 1 preserves the historical per-step behavior; benchmark
         runs set it large (or 0 to disable entirely).
     """
@@ -97,7 +84,6 @@ class SolverConfig:
     phase_shift: bool = True
     convective_form: Literal["conservative", "rotational"] = "conservative"
     seed: int = 2019
-    use_workspace: bool = True
     fft_backend: str = "auto"
     diagnostics_every: int = 1
 
@@ -127,7 +113,71 @@ class StepResult:
     nonlinear_evals: int
 
 
-class NavierStokesSolver:
+class IntegratingFactorRK:
+    """The RK2/RK4 stage sequences, written once for both solvers.
+
+    A host supplies ``u_hat`` (the state, updated in place), ``obs``,
+    ``_nonlinear(u, out)`` (the right-hand side), ``_combine(out, groups)``
+    (:meth:`PointwiseKernel.combine` on its storage) and ``_stage(key)`` (a
+    reusable state-shaped buffer).  The serial solver hands arrays around,
+    the distributed one per-rank lists of them; the schemes never look inside.
+    """
+
+    def _step_rk2(self, dt: float) -> None:
+        """Heun's method on the integrating-factor-transformed variable.
+
+        With ``E = exp(-nu k^2 dt)``::
+
+            u*      = E (u^n + dt R(u^n))
+            u^{n+1} = E (u^n + dt/2 R(u^n)) + dt/2 R(u*)
+
+        Each step starts and ends in Fourier space, exactly as the paper
+        describes its RK substages.
+        """
+        spans = self.obs.spans
+        u = self.u_hat
+        h = 0.5 * dt
+        with spans.span("rk2.stage1", category="stage"):
+            r1 = self._nonlinear(u, out=self._stage("rk_r1"))
+            u_star = self._combine(
+                self._stage("rk_stage"), [(dt, [(dt, r1), (1.0, u)])]
+            )
+        with spans.span("rk2.stage2", category="stage"):
+            r2 = self._nonlinear(u_star, out=self._stage("rk_r2"))
+            self._combine(u, [(dt, [(h, r1), (1.0, u)]), (0.0, [(h, r2)])])
+
+    def _step_rk4(self, dt: float) -> None:
+        """Classic RK4 with the exact viscous integrating factor.
+
+        With ``Eh = exp(-nu k^2 dt/2)``, ``E = exp(-nu k^2 dt)``::
+
+            u2 = Eh (u0 + dt/2 k1)      u3 = Eh u0 + dt/2 k2
+            u4 = E u0 + dt Eh k3
+            u^{n+1} = E (u0 + dt/6 k1) + dt/3 Eh (k2 + k3) + dt/6 k4
+        """
+        spans = self.obs.spans
+        u0 = self.u_hat
+        u_s = self._stage("rk_stage")
+        h = 0.5 * dt
+        with spans.span("rk4.stage1", category="stage"):
+            k1 = self._nonlinear(u0, out=self._stage("rk_k1"))
+            self._combine(u_s, [(h, [(h, k1), (1.0, u0)])])
+        with spans.span("rk4.stage2", category="stage"):
+            k2 = self._nonlinear(u_s, out=self._stage("rk_k2"))
+            self._combine(u_s, [(h, [(1.0, u0)]), (0.0, [(h, k2)])])
+        with spans.span("rk4.stage3", category="stage"):
+            k3 = self._nonlinear(u_s, out=self._stage("rk_k3"))
+            self._combine(u_s, [(dt, [(1.0, u0)]), (h, [(dt, k3)])])
+        with spans.span("rk4.stage4", category="stage"):
+            k4 = self._nonlinear(u_s, out=self._stage("rk_k4"))
+            self._combine(u0, [
+                (dt, [(dt / 6.0, k1), (1.0, u0)]),
+                (h, [(dt / 3.0, k2), (dt / 3.0, k3)]),
+                (0.0, [(dt / 6.0, k4)]),
+            ])
+
+
+class NavierStokesSolver(IntegratingFactorRK):
     """Pseudo-spectral Navier-Stokes integrator on a periodic cube.
 
     Parameters
@@ -187,191 +237,91 @@ class NavierStokesSolver:
         self._rng = np.random.default_rng(self.config.seed)
         self._mask = sharp_truncation_mask(grid, self.config.dealias)
         self._nl_evals = 0
-        if self.config.use_workspace:
-            self.workspace = workspace or SpectralWorkspace(
-                grid, backend=self.config.fft_backend, obs=self.obs
-            )
-            if workspace is not None and obs is not None:
-                # A caller-shared workspace reports into this solver's obs.
-                self.workspace.obs = self.obs
-                self.workspace.pool.obs = self.obs
-        else:
-            self.workspace = workspace
+        self.workspace = workspace or SpectralWorkspace(
+            grid, backend=self.config.fft_backend, obs=self.obs
+        )
+        if workspace is not None and obs is not None:
+            # A caller-shared workspace reports into this solver's obs.
+            self.workspace.obs = self.obs
+            self.workspace.pool.obs = self.obs
+        self._pointwise = PointwiseKernel(grid, self._mask)
         # Dealias the initial condition so invariants hold from step 0.
         self.u_hat *= self._mask
-        project(self.u_hat, grid, out=self.u_hat)
+        self._pointwise.project(self.u_hat, out=self.u_hat)
 
     # -- right-hand side -----------------------------------------------------
+
+    def _to_physical(self, u_hat: np.ndarray, bases, out: np.ndarray) -> None:
+        """One component to physical space, on the shifted grid if any."""
+        ws = self.workspace
+        if bases is not None:
+            u_hat = self._pointwise.shifted(u_hat, bases, ws.ifft_work)
+        ws.ifft3d(u_hat, out=out)
 
     def _nonlinear(
         self, u_hat: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Projected, dealiased nonlinear term (+ forcing rhs).
-
-        With the workspace enabled the result is written into ``out`` (a
-        fresh array is allocated when ``out`` is None, e.g. for the scalar
-        solver's stage reconstruction); the legacy path always allocates.
-        """
+        """Projected, dealiased nonlinear term (+ forcing rhs), written
+        into ``out`` (a fresh array when ``out`` is None, e.g. for the
+        scalar solver's stage reconstruction)."""
         cfg = self.config
-        ws = self.workspace if cfg.use_workspace else None
+        ws = self.workspace
+        kernel = self._pointwise
         obs = self.obs
         spans = obs.spans
         self._nl_evals += 1
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        if ws is not None:
-            # The "nonlinear" span brackets transforms + products; the
-            # transforms record their own nested "fft" spans, so this
-            # category's *exclusive* time is pure product/assembly work.
-            with spans.span("rhs.nonlinear", category="nonlinear"):
-                shift = None
-                if cfg.phase_shift:
-                    shift = ws.phase_shift(random_shift(self.grid, self._rng))
-                if out is None:
-                    out = np.empty_like(u_hat)
-                if cfg.convective_form == "conservative":
-                    nl = nonlinear_conservative(
-                        u_hat, self.grid, mask=self._mask, shift=shift,
-                        workspace=ws, out=out,
-                    )
-                else:
-                    nl = nonlinear_rotational(
-                        u_hat, self.grid, mask=self._mask, shift=shift,
-                        workspace=ws, out=out,
-                    )
-            with spans.span("rhs.projection", category="projection"):
-                rhs = project(nl, self.grid, out=nl, workspace=ws)
-        else:
-            with spans.span("rhs.nonlinear", category="nonlinear"):
-                shift = None
-                if cfg.phase_shift:
-                    shift = phase_shift_factor(
-                        self.grid, random_shift(self.grid, self._rng)
-                    )
-                if cfg.convective_form == "conservative":
-                    nl = nonlinear_conservative(
-                        u_hat, self.grid, mask=self._mask, shift=shift
-                    )
-                else:
-                    nl = nonlinear_rotational(
-                        u_hat, self.grid, mask=self._mask, shift=shift
-                    )
-            with spans.span("rhs.projection", category="projection"):
-                rhs = project(nl, self.grid, out=nl)
+        if out is None:
+            out = np.empty_like(u_hat)
+        # The "nonlinear" span brackets transforms + products; the transforms
+        # record their own nested "fft" spans, so this category's *exclusive*
+        # time is pure shift/product work.
+        with spans.span("rhs.nonlinear", category="nonlinear"):
+            bases = None
+            if cfg.phase_shift:
+                bases = kernel.shift_bases(random_shift(self.grid, self._rng))
+            u = ws.physical("nl_u", 3)
+            prod = ws.physical("nl_prod")
+            if cfg.convective_form == "conservative":
+                for i in range(3):
+                    self._to_physical(u_hat[i], bases, u[i])
+                terms = ws.spectral("nl_terms", 6)
+                for term, (i, j) in zip(terms, PRODUCT_PAIRS):
+                    np.multiply(u[i], u[j], out=prod)
+                    ws.fft3d(prod, out=term)
+            else:
+                # u x omega on the shifted grid: the vorticity needs all three
+                # shifted components at once.
+                src = u_hat
+                if bases is not None:
+                    src = kernel.shifted(u_hat, bases, ws.spectral("nl_shifted", 3))
+                omega_hat = kernel.curl(src, ws.spectral("nl_omega", 3))
+                w = ws.physical("nl_w", 3)
+                for i in range(3):
+                    ws.ifft3d(src[i], out=u[i])
+                    ws.ifft3d(omega_hat[i], out=w[i])
+                terms = ws.spectral("nl_terms", 3)
+                tmp = ws.physical("nl_tmp")
+                for term, (a, b) in zip(terms, ((1, 2), (2, 0), (0, 1))):
+                    np.multiply(u[a], w[b], out=prod)
+                    prod -= np.multiply(u[b], w[a], out=tmp)
+                    ws.fft3d(prod, out=term)
+        with spans.span("rhs.projection", category="projection"):
+            kernel.rhs(terms, bases, out)
         with spans.span("rhs.forcing", category="forcing"):
             f = self.forcing.rhs(u_hat, self.grid)
             if f is not None:
-                rhs += f
-        return rhs
+                out += f
+        return out
 
-    def _integrating_factor(self, dt: float) -> np.ndarray:
-        """exp(-nu k^2 dt) over the spectral shape (memoized when the
-        workspace is enabled; treat the returned array as read-only)."""
-        with self.obs.spans.span("integrating_factor", category="integrating"):
-            if self.config.use_workspace and self.workspace is not None:
-                return self.workspace.integrating_factor(self.config.nu, dt)
-            return np.exp(-self.config.nu * self.grid.k_squared * dt).astype(
-                self.grid.dtype
-            )
+    def _combine(self, out: np.ndarray, groups) -> np.ndarray:
+        """One RK stage combination, see :meth:`PointwiseKernel.combine`."""
+        with self.obs.spans.span("rk.combine", category="integrating"):
+            return self._pointwise.combine(out, self.config.nu, groups)
 
-    # -- schemes -----------------------------------------------------------------
-
-    def _step_rk2(self, dt: float) -> None:
-        """Heun's method on the integrating-factor-transformed variable.
-
-        With ``E = exp(-nu k^2 dt)``::
-
-            u*      = E (u^n + dt R(u^n))
-            u^{n+1} = E u^n + dt/2 ( E R(u^n) + R(u*) )
-
-        Each step starts and ends in Fourier space, exactly as the paper
-        describes its RK substages.  Every stage updates workspace buffers
-        (or, the final one, ``self.u_hat``) in place.
-        """
-        ws = self.workspace
-        spans = self.obs.spans
-        e_full = self._integrating_factor(dt)
-        with spans.span("rk2.stage1", category="stage"):
-            r1 = self._nonlinear(self.u_hat, out=ws.spectral("rk_r1", 3))
-            u_star = ws.spectral("rk_stage", 3)
-            np.multiply(r1, dt, out=u_star)
-            u_star += self.u_hat
-            _imul_components(u_star, e_full)
-        with spans.span("rk2.stage2", category="stage"):
-            r2 = self._nonlinear(u_star, out=ws.spectral("rk_r2", 3))
-            u = self.u_hat
-            r1 *= 0.5 * dt
-            u += r1
-            _imul_components(u, e_full)
-            r2 *= 0.5 * dt
-            u += r2
-
-    def _step_rk4(self, dt: float) -> None:
-        """Classic RK4 with the exact viscous integrating factor, in place."""
-        ws = self.workspace
-        spans = self.obs.spans
-        e_half = self._integrating_factor(0.5 * dt)
-        e_full = self._integrating_factor(dt)
-        u0 = self.u_hat
-        u_s = ws.spectral("rk_stage", 3)
-        tmp = ws.spectral("rk_tmp", 3)
-
-        with spans.span("rk4.stage1", category="stage"):
-            k1 = self._nonlinear(u0, out=ws.spectral("rk_k1", 3))
-            np.multiply(k1, 0.5 * dt, out=u_s)
-            u_s += u0
-            _imul_components(u_s, e_half)
-        with spans.span("rk4.stage2", category="stage"):
-            k2 = self._nonlinear(u_s, out=ws.spectral("rk_k2", 3))
-            np.multiply(k2, 0.5 * dt, out=u_s)
-            _mul_components(u0, e_half, out=tmp)
-            u_s += tmp
-        with spans.span("rk4.stage3", category="stage"):
-            k3 = self._nonlinear(u_s, out=ws.spectral("rk_k3", 3))
-            _mul_components(k3, e_half, out=u_s)
-            u_s *= dt
-            _mul_components(u0, e_full, out=tmp)
-            u_s += tmp
-        with spans.span("rk4.stage4", category="stage"):
-            k4 = self._nonlinear(u_s, out=ws.spectral("rk_k4", 3))
-
-            # u <- e_full u0 + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4)
-            k2 += k3
-            _imul_components(k2, e_half)
-            k2 *= 2.0
-            _imul_components(k1, e_full)
-            k1 += k2
-            k1 += k4
-            k1 *= dt / 6.0
-            _imul_components(u0, e_full)
-            u0 += k1
-
-    # -- legacy (allocating) schemes ------------------------------------------
-
-    def _step_rk2_legacy(self, dt: float) -> None:
-        """The pre-workspace RK2: full-grid temporaries at every stage.
-
-        Kept verbatim as the reference implementation the regression tests
-        and the hot-path benchmark compare against.
-        """
-        e_full = self._integrating_factor(dt)
-        r1 = self._nonlinear(self.u_hat)
-        u_star = e_full * (self.u_hat + dt * r1)
-        r2 = self._nonlinear(u_star)
-        self.u_hat = e_full * (self.u_hat + (0.5 * dt) * r1) + (0.5 * dt) * r2
-
-    def _step_rk4_legacy(self, dt: float) -> None:
-        """The pre-workspace RK4 (reference implementation)."""
-        e_half = self._integrating_factor(0.5 * dt)
-        e_full = e_half * e_half
-        u0 = self.u_hat
-        k1 = self._nonlinear(u0)
-        k2 = self._nonlinear(e_half * (u0 + (0.5 * dt) * k1))
-        k3 = self._nonlinear(e_half * u0 + (0.5 * dt) * k2)
-        k4 = self._nonlinear(e_full * u0 + dt * (e_half * k3))
-        self.u_hat = e_full * u0 + (dt / 6.0) * (
-            e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
-        )
+    def _stage(self, key: str) -> np.ndarray:
+        return self.workspace.spectral(key, 3)
 
     # -- public API -----------------------------------------------------------
 
@@ -385,16 +335,10 @@ class NavierStokesSolver:
         with (spans.span("solver.step", category="step", n=self.grid.n,
                          scheme=self.config.scheme, dt=dt)
               if obs.enabled else NULL_SPAN) as step_span:
-            if self.config.use_workspace:
-                if self.config.scheme == "rk2":
-                    self._step_rk2(dt)
-                else:
-                    self._step_rk4(dt)
+            if self.config.scheme == "rk2":
+                self._step_rk2(dt)
             else:
-                if self.config.scheme == "rk2":
-                    self._step_rk2_legacy(dt)
-                else:
-                    self._step_rk4_legacy(dt)
+                self._step_rk4(dt)
             with spans.span("forcing.post_step", category="forcing"):
                 self.forcing.post_step(self.u_hat, self.grid, dt)
             self.time += dt
@@ -402,9 +346,10 @@ class NavierStokesSolver:
             every = self.config.diagnostics_every
             if every > 0 and self.step_count % every == 0:
                 with spans.span("diagnostics.energy", category="diagnostics"):
-                    energy = kinetic_energy(self.u_hat, self.grid)
+                    sq = mode_square(self.u_hat)
+                    energy = kinetic_energy(self.u_hat, self.grid, sq)
                     dissipation = dissipation_rate(
-                        self.u_hat, self.grid, self.config.nu
+                        self.u_hat, self.grid, self.config.nu, sq
                     )
             else:
                 energy = math.nan
@@ -436,9 +381,10 @@ class NavierStokesSolver:
         """
         if cfl <= 0:
             raise ValueError("cfl must be positive")
-        ws = self.workspace if self.config.use_workspace else None
         with self.obs.spans.span("diagnostics.cfl", category="diagnostics"):
-            trial = cfl_number(self.u_hat, self.grid, dt=1.0, workspace=ws)
+            trial = cfl_number(
+                self.u_hat, self.grid, dt=1.0, workspace=self.workspace
+            )
         if trial == 0:
             return np.inf
         return cfl / trial

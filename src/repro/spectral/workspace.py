@@ -4,11 +4,10 @@ The paper's GPU pipeline keeps 27 pencil buffers resident for the whole run
 (Sec. 3.5) so that no allocation ever sits between arithmetic stages.  This
 module is the CPU-side analogue for the *real* numerics: a
 :class:`SpectralWorkspace` owns every full-grid scratch array the solver hot
-path needs, memoizes the integrating factors ``exp(-nu k^2 dt)`` keyed by
-``(nu, dt)``, and builds phase-shift factors from three 1-D exponential
-bases instead of a full-grid complex ``exp`` — so a steady-state RK step
+path needs and runs the 3-D transforms in them, so a steady-state RK step
 performs **zero** full-grid allocations (asserted by the tier-1 tracemalloc
-regression test).
+regression test).  The arithmetic between transforms lives in
+:mod:`repro.spectral.pointwise`.
 
 Transforms go through a pluggable :class:`TransformBackend`:
 
@@ -132,12 +131,14 @@ class BufferPool:
 
 
 class TransformBackend:
-    """Unnormalized 3-D real transforms writing into caller-owned buffers.
+    """3-D real transforms writing into caller-owned buffers.
 
-    ``forward`` computes ``rfftn`` (no normalization) into ``out``;
-    ``inverse`` computes ``irfftn`` (numpy's ``1/N^3`` convention) into the
-    real ``out``, using ``work`` as complex scratch so the input is never
-    modified.  Normalization is applied by the workspace wrappers.
+    The repo's convention (``norm="forward"``): ``forward`` computes
+    ``rfftn / N^3`` into ``out``; ``inverse`` computes the unnormalized
+    inverse into the real ``out``, using ``work`` as complex scratch so the
+    input is never modified (``u_hat`` may *be* ``work``, which is then
+    transformed in place).  The scaling is folded into the transform where
+    the library offers it, so it costs no extra pass over the data.
     """
 
     name = "base"
@@ -164,24 +165,29 @@ class NumpyBackend(TransformBackend):
         # np.fft computes in double precision and requires out= buffers to
         # be complex128, so single-precision grids take the copying path.
         if _HAS_FFT_OUT and out.dtype == np.complex128:
-            np.fft.rfft(u, axis=_X_AXIS, out=out)
-            np.fft.fft(out, axis=_Z_AXIS, out=out)
-            np.fft.fft(out, axis=_Y_AXIS, out=out)
+            np.fft.rfft(u, axis=_X_AXIS, out=out, norm="forward")
+            np.fft.fft(out, axis=_Z_AXIS, out=out, norm="forward")
+            np.fft.fft(out, axis=_Y_AXIS, out=out, norm="forward")
         else:
-            out[...] = np.fft.rfftn(u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS))
+            out[...] = np.fft.rfftn(
+                u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), norm="forward"
+            )
         return out
 
     def inverse(
         self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
         if _HAS_FFT_OUT and work.dtype == np.complex128 and out.dtype == np.float64:
-            np.copyto(work, u_hat)
-            np.fft.ifft(work, axis=_Z_AXIS, out=work)
-            np.fft.ifft(work, axis=_Y_AXIS, out=work)
-            np.fft.irfft(work, n=out.shape[_X_AXIS], axis=_X_AXIS, out=out)
+            # The first axis reads the input and writes the scratch, so the
+            # input survives without a separate copy.
+            np.fft.ifft(u_hat, axis=_Z_AXIS, out=work, norm="forward")
+            np.fft.ifft(work, axis=_Y_AXIS, out=work, norm="forward")
+            np.fft.irfft(work, n=out.shape[_X_AXIS], axis=_X_AXIS, out=out,
+                         norm="forward")
         else:
             out[...] = np.fft.irfftn(
-                u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS)
+                u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS),
+                norm="forward",
             )
         return out
 
@@ -210,7 +216,8 @@ class ScipyBackend(TransformBackend):
         import scipy.fft
 
         out[...] = scipy.fft.rfftn(
-            u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), workers=self.workers
+            u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), workers=self.workers,
+            norm="forward",
         )
         return out
 
@@ -220,7 +227,8 @@ class ScipyBackend(TransformBackend):
         import scipy.fft
 
         out[...] = scipy.fft.irfftn(
-            u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), workers=self.workers
+            u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS),
+            workers=self.workers, norm="forward",
         )
         return out
 
@@ -268,13 +276,15 @@ class FftwBackend(TransformBackend):
 
     def forward(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[...] = self._plan("fwd", u, out)(u)
+        out /= u.size
         return out
 
     def inverse(
         self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
-        # pyFFTW normalizes its inverse like numpy (1/N^3).
+        # pyFFTW normalizes its inverse like numpy (1/N^3); undo it.
         out[...] = self._plan("inv", u_hat, out)(u_hat)
+        out *= out.size
         return out
 
 
@@ -450,8 +460,8 @@ class SpectralWorkspace:
 
     Buffers are created on first request and reused forever after (the
     warmup step), mirroring the paper's fixed 27-buffer GPU arena.  The
-    workspace also memoizes the viscous integrating factors keyed by
-    ``(coefficient, dt)`` and assembles phase-shift factors from 1-D bases.
+    workspace also memoizes full-grid viscous integrating factors keyed by
+    ``(coefficient, dt)`` for the passive-scalar integrator.
 
     A workspace may be shared between solvers on the same grid (e.g. the
     velocity and passive-scalar integrators) as long as they run
@@ -472,7 +482,6 @@ class SpectralWorkspace:
         self._buffers: dict[tuple[str, str, Optional[int]], np.ndarray] = {}
         self._factors: dict[tuple[float, float], np.ndarray] = {}
         self._max_factors = max_factors
-        self._constants: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- named scratch buffers ---------------------------------------------
 
@@ -505,43 +514,7 @@ class SpectralWorkspace:
     @property
     def nbytes(self) -> int:
         """Total bytes held by named buffers (the arena footprint)."""
-        return sum(b.nbytes for b in self._buffers.values()) + sum(
-            c.nbytes for _, c in self._constants.values()
-        )
-
-    # -- materialized complex constants --------------------------------------
-
-    def constant(self, key: str, values: np.ndarray) -> np.ndarray:
-        """``values`` broadcast to a full-grid complex array, cached by key.
-
-        NumPy's ufunc machinery falls back to a buffered (allocating)
-        iteration whenever operands mix dtypes or broadcast a zero-stride
-        axis; materializing wavenumbers, masks, etc. as full-grid complex
-        arrays once keeps every hot-path ufunc on the allocation-free
-        same-shape same-dtype fast path.  The cache re-fills the buffer if a
-        *different* array is later passed under the same key (identity
-        check), so sharing a workspace between solvers stays correct.
-        Treat the returned array as read-only.
-        """
-        entry = self._constants.get(key)
-        if entry is not None and entry[0] is values:
-            return entry[1]
-        buf = entry[1] if entry is not None else np.empty(
-            self.grid.spectral_shape, dtype=self.grid.cdtype
-        )
-        buf[...] = values
-        self._constants[key] = (values, buf)
-        return buf
-
-    @property
-    def wavenumbers_c(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full-grid complex (kx, ky, kz); read-only, cached."""
-        kx, ky, kz = self.grid.k_vectors
-        return (
-            self.constant("kx", kx),
-            self.constant("ky", ky),
-            self.constant("kz", kz),
-        )
+        return sum(b.nbytes for b in self._buffers.values())
 
     # -- memoized integrating factors ---------------------------------------
 
@@ -556,12 +529,8 @@ class SpectralWorkspace:
             if len(self._factors) >= self._max_factors:
                 # Drop the oldest entry (adaptive-dt runs churn the key set).
                 self._factors.pop(next(iter(self._factors)))
-            # Stored complex so that ``u_hat *= factor`` is a same-dtype
-            # ufunc (allocation-free); the values are purely real, and
-            # complex multiplication by a zero-imaginary factor is
-            # bit-identical to the real broadcast multiply.
             factor = np.exp(-key[0] * self.grid.k_squared * key[1]).astype(
-                self.grid.cdtype
+                self.grid.dtype
             )
             self._factors[key] = factor
         return factor
@@ -569,40 +538,6 @@ class SpectralWorkspace:
     @property
     def cached_factor_count(self) -> int:
         return len(self._factors)
-
-    # -- phase-shift factors -------------------------------------------------
-
-    def phase_shift(self, shift: np.ndarray, key: str = "phase") -> np.ndarray:
-        """``exp(i k . d)`` built from three 1-D exponential bases.
-
-        ``exp(i(kx dx + ky dy + kz dz))`` factorizes into a product of three
-        1-D arrays, so the full-grid factor costs one broadcast complex
-        multiply instead of a full-grid complex ``exp`` — the dominant cost
-        of the allocating implementation when phase shifting is on.
-        """
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (3,):
-            raise ValueError("shift must be a 3-vector (dx, dy, dz)")
-        grid = self.grid
-        kx, ky, kz = grid.k_vectors
-        bx = np.exp(1j * kx * shift[0]).astype(grid.cdtype)
-        by = np.exp(1j * ky * shift[1]).astype(grid.cdtype)
-        bz = np.exp(1j * kz * shift[2]).astype(grid.cdtype).ravel()
-        out = self.spectral(key)
-        # Broadcast-copy the O(N^2) y-x plane, then scale each z slab by a
-        # scalar: both stay on numpy's unbuffered fast path, unlike a single
-        # broadcast multiply with a zero-stride inner axis (which allocates
-        # a full-grid temporary internally even with ``out=``).
-        np.copyto(out, by * bx)
-        for iz in range(grid.n):
-            out[iz] *= bz[iz]
-        return out
-
-    def conjugate_phase_shift(self, shift_factor: np.ndarray, key: str = "phase_conj") -> np.ndarray:
-        """Conjugate of a phase-shift factor, in a workspace buffer."""
-        out = self.spectral(key)
-        np.conjugate(shift_factor, out=out)
-        return out
 
     # -- normalized transforms ----------------------------------------------
 
@@ -619,26 +554,30 @@ class SpectralWorkspace:
                              backend=self.backend.name, n=grid.n)
               if obs.enabled else NULL_SPAN):
             self.backend.forward(u, out)
-            out /= grid.n**3
         if obs.enabled:
             obs.metrics.counter("fft.calls").inc()
         return out
 
+    @property
+    def ifft_work(self) -> np.ndarray:
+        """The complex scratch of :meth:`ifft3d`.  A caller that has to build
+        the transform's input anyway (the phase-shifted coefficients) writes
+        it here and passes it in; it is then transformed in place."""
+        return self.spectral("ifft_work")
+
     def ifft3d(self, u_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Spectral -> physical; scales the *real* output in place (no
-        full-grid complex input copy)."""
+        """Spectral -> physical, the inverse of :meth:`fft3d`."""
         grid = self.grid
         if u_hat.shape != grid.spectral_shape:
             raise ValueError(f"expected {grid.spectral_shape}, got {u_hat.shape}")
         if out is None:
             out = self.physical("ifft_out")
-        work = self.spectral("ifft_work")
+        work = self.ifft_work
         obs = self.obs
         with (obs.spans.span("fft.inv", category="fft",
                              backend=self.backend.name, n=grid.n)
               if obs.enabled else NULL_SPAN):
             self.backend.inverse(u_hat, out, work)
-            out *= grid.n**3
         if obs.enabled:
             obs.metrics.counter("fft.calls").inc()
         return out

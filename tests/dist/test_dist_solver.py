@@ -1,5 +1,8 @@
 """Tests for the distributed Navier-Stokes solver vs the serial ground truth."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,76 @@ class TestDistributedDiagnostics:
                 view.kx * u[0] + view.ky * u[1] + view.kz * u[2]
             )
             assert np.abs(div).max() < 1e-10
+
+
+class TestDiagnosticsEvery:
+    def test_skipped_steps_report_nan_like_the_serial_solver(self, grid16, rng):
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        serial, dist = pair(grid16, u0, ranks=2, diagnostics_every=3)
+        for step in range(1, 7):
+            rs, rd = serial.step(0.005), dist.step(0.005)
+            if step % 3:
+                assert math.isnan(rd.energy) and math.isnan(rd.dissipation)
+                assert math.isnan(rs.energy)
+            else:
+                assert rd.energy == pytest.approx(rs.energy, rel=1e-12)
+                assert rd.dissipation == pytest.approx(rs.dissipation, rel=1e-12)
+
+    def test_zero_disables_and_skips_the_allreduce(self, grid16, rng):
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        _, dist = pair(grid16, u0, ranks=2, diagnostics_every=0)
+        before = dist.comm.stats.count("allreduce")
+        assert math.isnan(dist.step(0.005).energy)
+        assert dist.comm.stats.count("allreduce") == before
+        assert dist.kinetic_energy() > 0  # still there on demand
+
+
+class TestDriverAllocatesNoSlabs:
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    def test_steady_state_driver_allocates_no_slab(self, rng, scheme):
+        """Between transform calls (whose outputs are the engine's to
+        allocate) the driver writes into buffers it already owns.  48^3 so
+        that a slab (432 KiB) stands clear of the fixed-size buffers NumPy's
+        ufunc iterator allocates for a broadcasting operand (<= 128 KiB)."""
+        grid = SpectralGrid(48)
+        u0 = random_isotropic_field(grid, rng, energy=1.0)
+        _, dist = pair(grid, u0, ranks=2, scheme=scheme, phase_shift=True,
+                       diagnostics_every=0)
+        for _ in range(2):  # warm-up: buffers created
+            dist.step(1e-3)
+
+        growth = []  # tracemalloc growth of each stretch of driver code
+        mark = [0]
+
+        def close_stretch():
+            growth.append(tracemalloc.get_traced_memory()[1] - mark[0])
+
+        def outside_the_count(transform):
+            def call(locals_):
+                close_stretch()
+                out = transform(locals_)
+                tracemalloc.reset_peak()
+                mark[0] = tracemalloc.get_traced_memory()[0]
+                return out
+            return call
+
+        dist.fft.forward = outside_the_count(dist.fft.forward)
+        dist.fft.inverse = outside_the_count(dist.fft.inverse)
+        tracemalloc.start()
+        try:
+            mark[0] = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                dist.step(1e-3)
+            close_stretch()
+        finally:
+            tracemalloc.stop()
+
+        slab_bytes = grid.n**3 // 2 * np.dtype(grid.dtype).itemsize
+        assert len(growth) > 18
+        assert max(growth) < slab_bytes, (
+            f"driver allocated {max(growth)} B in one stretch >= one slab "
+            f"({slab_bytes} B)"
+        )
 
 
 class TestCommunicationCounts:

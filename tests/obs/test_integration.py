@@ -88,17 +88,16 @@ class TestCflWorkspacePath:
         grid = SpectralGrid(16)
         rng = np.random.default_rng(1)
         u_hat = random_isotropic_field(grid, rng, energy=1.0)
-        solver = make_solver()  # workspace on by default
+        solver = make_solver()
         legacy = cfl_number(u_hat, grid, dt=1.0)
         fast = cfl_number(u_hat, grid, dt=1.0, workspace=solver.workspace)
         assert fast == pytest.approx(legacy, rel=1e-12)
 
     def test_stable_dt_matches_between_paths(self):
-        s_ws = make_solver(use_workspace=True)
-        s_legacy = make_solver(use_workspace=False)
-        assert s_ws.stable_dt(cfl=0.5) == pytest.approx(
-            s_legacy.stable_dt(cfl=0.5), rel=1e-12
-        )
+        """The solver's workspace-backed CFL scan against the allocating one."""
+        solver = make_solver()
+        allocating = 0.5 / cfl_number(solver.u_hat, solver.grid, dt=1.0)
+        assert solver.stable_dt(cfl=0.5) == pytest.approx(allocating, rel=1e-12)
 
 
 class TestDistributedObservability:

@@ -2,9 +2,11 @@
 
 Three layers of guarantees:
 
-* **equivalence** — the in-place workspace pipeline must reproduce the
-  legacy allocating RK2/RK4 trajectories to round-off, with phase shifting
-  and forcing on;
+* **equivalence** — the in-place workspace + pointwise-kernel pipeline must
+  reproduce, to round-off, the trajectory of the textbook RK2/RK4 written
+  with the allocating reference operators (:class:`LegacySolver` below, the
+  integrator the solver used to carry as its ``use_workspace=False`` path),
+  with phase shifting and forcing on;
 * **allocation** — after warmup, a solver step must not allocate any
   full-grid (>= N^3-element) array (tracemalloc);
 * **unit behaviour** — buffer pool reuse, factor memoization, backend
@@ -16,10 +18,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.spectral.dealias import phase_shift_factor
-from repro.spectral.forcing import BandForcing
+from repro.spectral.dealias import (
+    phase_shift_factor,
+    random_shift,
+    sharp_truncation_mask,
+)
+from repro.spectral.forcing import BandForcing, NoForcing
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field, taylor_green_field
+from repro.spectral.operators import (
+    nonlinear_conservative,
+    nonlinear_rotational,
+    project,
+)
+from repro.spectral.pointwise import PointwiseKernel
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
 from repro.spectral.transforms import fft3d, ifft3d
 from repro.spectral.workspace import (
@@ -32,17 +44,54 @@ from repro.spectral.workspace import (
 )
 
 
+class LegacySolver:
+    """The allocating integrator: every term one NumPy expression over the
+    reference operators, drawing the same phase-shift stream as the solver."""
+
+    def __init__(self, grid, u0, config, forcing=None):
+        self.grid, self.config = grid, config
+        self.forcing = forcing if forcing is not None else NoForcing()
+        self.mask = sharp_truncation_mask(grid, config.dealias)
+        self.rng = np.random.default_rng(config.seed)
+        self.u_hat = project(np.array(u0, dtype=grid.cdtype) * self.mask, grid)
+
+    def rhs(self, u_hat):
+        cfg, grid = self.config, self.grid
+        shift = None
+        if cfg.phase_shift:
+            shift = phase_shift_factor(grid, random_shift(grid, self.rng))
+        form = (nonlinear_conservative if cfg.convective_form == "conservative"
+                else nonlinear_rotational)
+        rhs = project(form(u_hat, grid, mask=self.mask, shift=shift), grid)
+        f = self.forcing.rhs(u_hat, grid)
+        return rhs if f is None else rhs + f
+
+    def step(self, dt):
+        u0, nu, k2 = self.u_hat, self.config.nu, self.grid.k_squared
+        e_half = np.exp(-nu * k2 * 0.5 * dt)
+        e_full = np.exp(-nu * k2 * dt)
+        if self.config.scheme == "rk2":
+            r1 = self.rhs(u0)
+            r2 = self.rhs(e_full * (u0 + dt * r1))
+            self.u_hat = e_full * (u0 + (0.5 * dt) * r1) + (0.5 * dt) * r2
+        else:
+            k1 = self.rhs(u0)
+            k2_ = self.rhs(e_half * (u0 + (0.5 * dt) * k1))
+            k3 = self.rhs(e_half * u0 + (0.5 * dt) * k2_)
+            k4 = self.rhs(e_full * u0 + dt * (e_half * k3))
+            self.u_hat = e_full * u0 + (dt / 6.0) * (
+                e_full * k1 + 2.0 * e_half * (k2_ + k3) + k4
+            )
+        self.forcing.post_step(self.u_hat, self.grid, dt)
+
+
 def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, **cfg_kw):
-    """Advance identical initial conditions through the legacy and workspace
-    pipelines; returns (legacy solver, workspace solver)."""
+    """Advance identical initial conditions through the reference integrator
+    and the solver; returns (legacy, solver)."""
     solvers = []
-    for use_ws in (False, True):
+    for cls in (LegacySolver, NavierStokesSolver):
         forcing = forcing_factory() if forcing_factory else None
-        s = NavierStokesSolver(
-            grid, u0,
-            SolverConfig(nu=0.02, use_workspace=use_ws, **cfg_kw),
-            forcing=forcing,
-        )
+        s = cls(grid, u0, SolverConfig(nu=0.02, **cfg_kw), forcing=forcing)
         for _ in range(steps):
             s.step(dt)
         solvers.append(s)
@@ -50,7 +99,7 @@ def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, **cfg_kw):
 
 
 class TestWorkspaceEquivalence:
-    """Workspace vs. legacy trajectories to round-off."""
+    """Solver vs. the allocating reference integrator, to round-off."""
 
     @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
     def test_matches_legacy_no_phase_shift(self, grid24, rng, scheme):
@@ -107,7 +156,7 @@ class TestZeroAllocation:
             grid,
             random_isotropic_field(grid, rng, energy=1.0),
             SolverConfig(nu=0.02, scheme=scheme, phase_shift=True,
-                         use_workspace=True, diagnostics_every=0),
+                         diagnostics_every=0),
         )
         for _ in range(2):  # warmup: buffers created, factors cached
             solver.step(1e-3)
@@ -126,12 +175,12 @@ class TestZeroAllocation:
         )
 
     def test_legacy_step_does_allocate(self, rng):
-        """Sanity check that the measurement can see full-grid allocations."""
+        """Sanity check that the measurement can see full-grid allocations:
+        the allocating reference integrator makes plenty."""
         grid = SpectralGrid(32)
-        solver = NavierStokesSolver(
-            grid,
-            random_isotropic_field(grid, rng, energy=1.0),
-            SolverConfig(nu=0.02, use_workspace=False, diagnostics_every=0),
+        solver = LegacySolver(
+            grid, random_isotropic_field(grid, rng, energy=1.0),
+            SolverConfig(nu=0.02),
         )
         solver.step(1e-3)
         tracemalloc.start()
@@ -171,17 +220,24 @@ class TestWorkspaceUnits:
         assert ws.cached_factor_count <= 4
 
     def test_phase_shift_matches_full_grid_exp(self, grid16, rng):
+        """The shifted coefficients land in the inverse transform's own work
+        buffer, which is then transformed in place."""
         ws = SpectralWorkspace(grid16)
+        kernel = PointwiseKernel(grid16, np.ones(grid16.spectral_shape))
         shift = rng.uniform(0, 2 * np.pi / grid16.n, size=3)
-        expected = phase_shift_factor(grid16, shift)
-        got = ws.phase_shift(shift)
+        u_hat = random_isotropic_field(grid16, rng, energy=1.0)[0]
+        expected = u_hat * phase_shift_factor(grid16, shift)
+        got = kernel.shifted(u_hat, kernel.shift_bases(shift), ws.ifft_work)
+        assert got is ws.ifft_work
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        conj = ws.conjugate_phase_shift(got)
-        np.testing.assert_allclose(conj, np.conj(expected), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ws.ifft3d(got), ifft3d(expected, grid16), rtol=0, atol=1e-12
+        )
 
     def test_phase_shift_rejects_bad_shape(self, grid16):
+        kernel = PointwiseKernel(grid16, np.ones(grid16.spectral_shape))
         with pytest.raises(ValueError):
-            SpectralWorkspace(grid16).phase_shift(np.zeros(2))
+            kernel.shift_bases(np.zeros(2))
 
     def test_workspace_transforms_round_trip(self, grid16, rng):
         ws = SpectralWorkspace(grid16)

@@ -289,12 +289,21 @@ class TestReports:
 class TestObs:
     """The `repro obs` group: run registry queries and the perf gate."""
 
-    BASELINE = "BENCH_solver_hotpath.json"
-
-    def _repo_root(self):
-        import pathlib
-
-        return pathlib.Path(__file__).resolve().parent.parent
+    @staticmethod
+    def _baseline(tmp_path, slowdown=1.0, name="baseline.json"):
+        """A small bench payload in the shape ``repro obs diff`` gates."""
+        doc = {
+            "suite": "solver_hotpath",
+            "results": [
+                {"n": n, "scheme": "rk2", "backend": "numpy", "workspace": True,
+                 "seconds_per_step": seconds * slowdown,
+                 "peak_alloc_bytes": 1000}
+                for n, seconds in ((32, 0.011), (64, 0.105))
+            ],
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
 
     def test_dns_registers_a_run_manifest(self, capsys):
         import os
@@ -334,19 +343,15 @@ class TestObs:
         assert "dns.start" in out
         assert "dns.finish" in out
 
-    def test_obs_diff_baseline_against_itself_passes(self, capsys):
-        base = str(self._repo_root() / self.BASELINE)
+    def test_obs_diff_baseline_against_itself_passes(self, capsys, tmp_path):
+        base = self._baseline(tmp_path)
         assert main(["obs", "diff", base, base]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_obs_diff_synthetic_regression_fails(self, capsys, tmp_path):
-        base = self._repo_root() / self.BASELINE
-        doc = json.loads(base.read_text())
-        for rec in doc["results"]:
-            rec["seconds_per_step"] *= 1.20  # 20% slower than committed
-        cur = tmp_path / "current.json"
-        cur.write_text(json.dumps(doc))
-        assert main(["obs", "diff", str(base), str(cur)]) == 1
+        base = self._baseline(tmp_path)
+        cur = self._baseline(tmp_path, slowdown=1.20, name="current.json")
+        assert main(["obs", "diff", base, cur]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert "FAIL" in out
