@@ -11,8 +11,10 @@ Layers (see README.md / DESIGN.md):
   :mod:`repro.mpi` — the simulated Summit substrate (performance layer);
 * :mod:`repro.core` — the paper's contribution: memory planning and the
   batched asynchronous GPU schedule, executed and timed on the substrate;
-* :mod:`repro.benchkit` / :mod:`repro.experiments` — the paper's
-  measurement instruments and one driver per table/figure;
+* :mod:`repro.benchkit` / :mod:`repro.experiments` — the paper's two
+  standalone instruments (all-to-all kernel, strided-copy study) and one
+  driver per table/figure; whole-code speed is the repo benchmark
+  (``python3 -m bench.run``), outside the package;
 * :mod:`repro.io` — checkpoint/restart; :mod:`repro.cli` — ``python -m
   repro``.
 """

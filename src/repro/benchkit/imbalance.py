@@ -33,15 +33,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.benchkit.hotpath import write_json
-
 __all__ = [
     "ImbalanceModelPoint",
     "ImbalanceWallPoint",
     "model_priced_point",
     "benchmark_wall_point",
     "run_imbalance_suite",
-    "write_json",
 ]
 
 #: Skew factors swept by default (1.0 is the balanced control row).
@@ -297,12 +294,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.benchkit.imbalance [out.json]``"""
     import sys
 
+    from repro.obs.runs import write_bench_json
+
     out = "BENCH_imbalance.json"
     args = list(argv if argv is not None else sys.argv[1:])
     if args:
         out = args[0]
     payload = run_imbalance_suite()
-    path = write_json(payload, out)
+    path = write_bench_json(payload, out)
     print(f"imbalance sweep written to {path}")
     for row in payload["model"]:
         rec = row["recovered_fraction"]

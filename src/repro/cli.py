@@ -272,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_plan(args) -> int:
     import json
 
+    from repro.obs.runs import write_bench_json
     from repro.plan import CapacityPlanner, bench_payload, validate_matrix
 
     if args.validate:
@@ -292,9 +293,8 @@ def _cmd_plan(args) -> int:
                 tasks_per_node=args.tasks_per_node,
                 q=args.q if args.q == "slab" else int(args.q),
             )
-            doc = bench_payload(quotes, machine=args.machine)
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+            write_bench_json(bench_payload(quotes, machine=args.machine),
+                             args.out)
             for q in quotes:
                 print(f"  N={q.n:6d} @ {q.nodes:5d} nodes "
                       f"[{q.copy_strategy:>9}]: {q.seconds_per_step:8.2f} s/step")
@@ -690,15 +690,9 @@ def _run_tune(args, run) -> int:
             print(model.report())
             records = records + model.records()
         if args.json:
-            import json
-            from pathlib import Path
+            from repro.obs.runs import write_bench_json
 
-            from repro.obs.runs import run_provenance
-
-            Path(args.json).write_text(
-                json.dumps({"suite": "tune", "records": records,
-                            "provenance": run_provenance()}, indent=2)
-            )
+            write_bench_json({"suite": "tune", "results": records}, args.json)
             run.add_artifact("probe_records", args.json)
             print(f"probe records written to {args.json}")
     return 0

@@ -3,7 +3,8 @@
 Each driver regenerates its table or figure from the reproduction's models
 and returns both the reproduced rows and the paper's published values (from
 :mod:`repro.experiments.paperdata`) so relative errors can be reported.  The
-``benchmarks/`` suite calls these drivers; the modules can also be run as
+CLI (``repro table1`` ... ``repro fig10``), the capacity planner and
+``tests/experiments/`` call these drivers; the modules can also be run as
 scripts to print the comparison.
 """
 

@@ -5,7 +5,7 @@ one run*; metrics answer *what the run did* — FFT calls, bytes through the
 all-to-all, arena high-water marks, per-step wall seconds — in a form that
 can be diffed across runs and machines.
 
-Three export formats share one record schema (see :func:`metric_record`):
+Two export formats share one record schema (see :func:`metric_record`):
 
 * **JSONL** — one JSON object per line; the CLI writes one ``step`` record
   per solver step plus one ``metric`` record per registered metric at the
@@ -13,9 +13,6 @@ Three export formats share one record schema (see :func:`metric_record`):
 * **Prometheus text** — ``# TYPE`` headers plus ``name{label="v"} value``
   lines; histograms export count/sum and p50/p90/p95/p99 quantiles
   (:meth:`MetricsRegistry.to_prometheus_text`).
-* **BENCH JSON** — :mod:`repro.benchkit.hotpath` emits its sweep results as
-  the same record dicts, so benchmark artifacts and run logs are parsed by
-  the same tooling.
 
 A registry constructed with ``enabled=False`` hands out shared null
 instruments: ``counter()/gauge()/histogram()`` return singletons whose

@@ -4,7 +4,7 @@ Fig. 10-style analysis is only possible when every run leaves artifacts
 behind — and ROADMAP item 1's multi-tenant service needs per-job
 provenance (what code, what config, what machine) as its admission-time
 cost history.  This module gives every ``dns`` / ``verify`` / ``tune`` /
-bench invocation a durable identity:
+``plan --quote`` invocation a durable identity:
 
 * a **run id** (``dns-20260807-153002-1a2b``) correlating events, flight
   dumps, traces, and metrics;
@@ -21,6 +21,9 @@ The registry root defaults to ``.repro/runs`` under the working directory;
 ``$REPRO_RUNS_DIR`` overrides it (CI points this at an upload directory).
 ``repro obs report`` renders the registry; ``repro obs tail`` follows the
 latest run's event stream; ``repro obs diff`` compares two runs' metrics.
+
+:func:`write_bench_json` lives here beside :func:`run_provenance`, so the
+bench-shaped artifacts carry the same stamp a manifest does.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "git_sha",
     "run_provenance",
     "validate_manifest",
+    "write_bench_json",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -131,11 +135,9 @@ def git_sha(cwd: Optional[Union[str, Path]] = None) -> str:
 def run_provenance() -> dict:
     """The shared provenance stamp: who/what/where produced an artifact.
 
-    Used by both :class:`RunManifest` and every ``BENCH_*.json`` writer
-    (:func:`repro.benchkit.hotpath.write_json`), so benchmark artifacts and
-    run manifests answer "which commit, how many cores, when" the same way
-    — no more guessing whether ``BENCH_real_ranks.json`` numbers came from
-    a 1-core box.
+    Used by both :class:`RunManifest` and :func:`write_bench_json`, so bench
+    artifacts and run manifests answer "which commit, how many cores, when"
+    the same way.
     """
     from repro import __version__
 
@@ -148,6 +150,23 @@ def run_provenance() -> dict:
         "timestamp_unix": time.time(),
         "timestamp_iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+
+
+def write_bench_json(payload: dict, path: Union[str, Path]) -> str:
+    """Write a bench-shaped payload (a ``results`` record list) as JSON.
+
+    The one writer behind ``repro plan --sweep``, ``repro tune --json`` and
+    ``python -m repro.benchkit.imbalance``: stamps :func:`run_provenance`
+    unless the caller supplied a ``provenance`` key, sorts keys and ends
+    with a newline, so every artifact ``repro obs diff`` reads can answer
+    "which commit, on what machine?".  Returns ``path``.
+    """
+    if "provenance" not in payload:
+        payload = {**payload, "provenance": run_provenance()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return str(path)
 
 
 def default_runs_root() -> Path:

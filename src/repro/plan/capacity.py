@@ -397,14 +397,11 @@ class CapacityPlanner:
 def bench_payload(quotes: Sequence[CostQuote], machine: str = "") -> dict:
     """The ``BENCH_capacity.json`` document for a sweep.
 
-    Shape matches the other BENCH files (a ``results`` record list plus
-    :func:`~repro.obs.runs.run_provenance`), so ``repro obs diff`` gates it.
+    A ``results`` record list, the shape ``repro obs diff`` gates;
+    :func:`repro.obs.runs.write_bench_json` stamps provenance on the way out.
     """
-    from repro.obs.runs import run_provenance
-
     return {
         "suite": "capacity",
         "machine": machine or (quotes[0].machine if quotes else ""),
         "results": [q.to_record() for q in quotes],
-        "provenance": run_provenance(),
     }

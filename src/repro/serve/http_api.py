@@ -17,7 +17,8 @@ GET      ``/v1/healthz``                 liveness + queue depth
 =======  ==============================  =================================
 
 Errors come back as ``{"error": ...}`` with 400 (bad spec / illegal
-transition), 404 (unknown job), or 500; a rejected-at-admission job is
+transition / unusable ``Content-Length``), 404 (unknown job), 413 (body
+over :data:`MAX_BODY_BYTES`), or 500; a rejected-at-admission job is
 *not* an HTTP error — it is a job in state ``EVICTED`` with the planner's
 reasoned quote in its record.
 """
@@ -32,7 +33,10 @@ from typing import Optional
 from repro.serve.service import JobService
 from repro.serve.spec import JobSpec
 
-__all__ = ["ServeHandler", "make_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "ServeHandler", "make_server", "serve_forever"]
+
+#: Largest request body read; a JobSpec is a few hundred bytes of JSON.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -55,20 +59,50 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _send_json(self, doc, status: int = 200) -> None:
+    def _send_json(self, doc, status: int = 200, close: bool = False) -> None:
         body = json.dumps(doc, indent=2, sort_keys=True,
                           default=str).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # also tells the stdlib handler loop to drop the connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, read once and bounded, before any routing.
+
+        Exactly ``Content-Length`` bytes are consumed whichever route
+        answers: bytes left unread would be parsed as the next request on a
+        keep-alive connection.  A length that cannot be honoured is answered
+        here (400 / 413, closing the connection, since the body's extent is
+        unknown or unwanted) and ``None`` returned.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                {"error": f"Content-Length {header!r} is not a byte count"},
+                400, close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                {"error": f"request body of {length} bytes exceeds the "
+                          f"{MAX_BODY_BYTES}-byte limit"},
+                413, close=True)
+            return None
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _json_object(raw: bytes) -> dict:
+        if not raw:
             return {}
-        doc = json.loads(self.rfile.read(length).decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("request body must be a JSON object")
         return doc
@@ -103,17 +137,20 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json({"error": f"{type(exc).__name__}: {exc}"}, 500)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        raw = self._read_body()
+        if raw is None:
+            return
         route = self._route()
         try:
             if route == ("v1", "jobs"):
-                spec = JobSpec.from_dict(self._read_body())
+                spec = JobSpec.from_dict(self._json_object(raw))
                 record = self.service.submit(spec)
                 self._send_json(record.to_dict(), 201)
             elif (len(route) == 4 and route[:2] == ("v1", "jobs")
                     and route[3] == "cancel"):
                 self._send_json(self.service.cancel(route[2]).to_dict())
             elif route == ("v1", "scheduler", "run"):
-                body = self._read_body()
+                body = self._json_object(raw)
                 result = self.service.run_scheduler(
                     seed=body.get("seed"),
                     execute=bool(body.get("execute", True)),

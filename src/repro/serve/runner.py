@@ -3,11 +3,11 @@
 :func:`open_solver` is the *only* place a
 :class:`~repro.serve.spec.JobSpec` becomes a solver, and
 :meth:`OpenSolver.run` the only step loop: ``repro dns``, the scheduler
-(through :func:`run_job` / :func:`make_store_runner`), the bit-exactness
-oracles (``run_job(spec, registry_root=None)``) and
-``benchkit.realranks`` all go through them.  Because every door is
-literally the same function with the same seeds, "service energies ==
-standalone energies == ``dns`` energies" is an identity, not a tolerance.
+(through :func:`run_job` / :func:`make_store_runner`) and the
+bit-exactness oracles (``run_job(spec, registry_root=None)``) all go
+through them.  Because every door is literally the same function with the
+same seeds, "service energies == standalone energies == ``dns`` energies"
+is an identity, not a tolerance.
 
 Every job gets its own run-registry entry (under the store's
 ``runs/<job_id>/`` by default — reusing the PR 7 registry, so ``repro obs

@@ -14,8 +14,8 @@ from repro.benchkit.imbalance import (
     benchmark_wall_point,
     model_priced_point,
     run_imbalance_suite,
-    write_json,
 )
+from repro.obs.runs import write_bench_json
 
 
 def test_model_priced_recovery_at_two_x():
@@ -57,7 +57,7 @@ def test_run_imbalance_suite_smoke(tmp_path):
     assert len(payload["model"]) == 2
     assert len(payload["wall"]) == 4  # 2 skews x {off, lend}
     assert "cores_available" in payload
-    path = write_json(payload, str(tmp_path / "BENCH_imbalance.json"))
+    path = write_bench_json(payload, tmp_path / "BENCH_imbalance.json")
     doc = json.loads(open(path).read())
     assert doc["note"]
     assert doc["provenance"]

@@ -96,6 +96,17 @@ class TestAlgorithmVariants:
         direct = simulate_step(big.with_(gpu_direct=True), machine, trace=False).step_time
         assert 0 <= (base - direct) / base < 0.05
 
+    def test_zero_copy_unpack_not_slower_than_memcpy2d_chains(self, machine):
+        """Paper Sec. 4.2: the production unpack is the zero-copy kernel;
+        falling back to cudaMemcpy2DAsync chains must not be the faster
+        whole step."""
+        big = cfg(n=12288, nodes=1024, q_pencils_per_a2a=3)
+        zero_copy = simulate_step(big, machine, trace=False).step_time
+        chains = simulate_step(
+            big.with_(zero_copy_unpack=False), machine, trace=False
+        ).step_time
+        assert zero_copy <= chains * 1.02
+
 
 class TestPaperTrends:
     def test_b_beats_a_at_small_scale(self, machine):

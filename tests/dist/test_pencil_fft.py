@@ -60,6 +60,14 @@ class TestCommunicationPattern:
         kinds = [r.kind for r in comm.stats.records]
         assert all(k == "alltoall" for k in kinds)
         assert len(kinds) == fft.decomp.cols + fft.decomp.rows
+        # ... against one exchange, moving fewer bytes, for slabs at equal P.
+        from repro.dist.slab_fft import SlabDistributedFFT
+
+        slab_comm = VirtualComm(6)
+        slab = SlabDistributedFFT(grid, slab_comm)
+        slab.forward(slab.decomp.scatter_physical(u))
+        assert slab_comm.stats.count("alltoall") == 1
+        assert comm.stats.total_bytes > slab_comm.stats.total_bytes
 
     def test_spectral_local_shapes(self):
         grid, comm, fft = build(12, 2, 3)

@@ -69,11 +69,13 @@ class TestTable3:
                 assert abs(row.error) < 0.45, row.format()
 
     def test_speedup_orderings(self, t3):
-        """GPU beats CPU everywhere; at 3072 nodes C is the best config."""
+        """GPU beats CPU everywhere, 2 tasks/node beats 6 at matched overlap
+        (Sec. 5.1); at 3072 nodes C is the best config."""
         for case in t3.cases:
             cpu = case.times["cpu"]
             for col in ("gpu_a", "gpu_b", "gpu_c"):
                 assert case.times[col] < cpu
+            assert case.times["gpu_b"] < case.times["gpu_a"]
         last = t3.case(3072)
         assert last.times["gpu_c"] == min(
             last.times[c] for c in ("gpu_a", "gpu_b", "gpu_c")
@@ -86,10 +88,13 @@ class TestTable3:
             assert case.times["gpu_c"] < case.times["gpu_b"], nodes
 
     def test_speedups_in_paper_band(self, t3):
-        """Best-config speedup: >3.5x at small scale, >2x at full scale."""
-        for case in t3.cases:
+        """Best-config speedup: >3.5x at small scale, >2x at full scale,
+        each within 60% of the paper's own ratio."""
+        for case, ref in zip(t3.cases, paperdata.TABLE3):
             speedup = case.times["cpu"] / case.best_gpu
             assert speedup > 2.0
+            paper = ref.cpu_s / ref.best_gpu_s
+            assert abs(speedup - paper) / paper < 0.6
         assert t3.case(16).times["cpu"] / t3.case(16).best_gpu > 3.0
 
     def test_headline_18432_time(self, t3):
@@ -113,6 +118,15 @@ class TestTable4:
     def test_strong_scaling_high(self, t4):
         """Sec. 5.3: 95.7% from 1536 to 3072 nodes (model band: > 75%)."""
         assert t4.strong_scaling_pct > 75.0
+
+    def test_eq4_reproduces_the_papers_percentages(self):
+        """Eq. 4 applied to the paper's own Table 3 times gives Table 4."""
+        for n, nodes, seconds, pct in ((6144, 128, 8.07, 83.0),
+                                       (12288, 1024, 10.14, 66.1),
+                                       (18432, 3072, 14.24, 52.9)):
+            assert table4.weak_scaling_pct(
+                3072, 16, 6.70, n, nodes, seconds
+            ) == pytest.approx(pct, abs=0.5)
 
 
 class TestFig7:
@@ -165,6 +179,12 @@ class TestFig9:
             for series in ("gpu_a", "gpu_b", "gpu_c"):
                 assert f9.times[series][nodes] > floor
 
+    def test_6_tasks_per_node_is_the_slowest_dns_series(self, f9):
+        for nodes in f9.node_counts:
+            assert f9.times["gpu_a"][nodes] >= max(
+                f9.times["gpu_b"][nodes], f9.times["gpu_c"][nodes]
+            )
+
     def test_all_series_grow_with_scale(self, f9):
         for series in ("gpu_c", "mpi_only"):
             ts = [f9.times[series][m] for m in f9.node_counts]
@@ -200,3 +220,4 @@ class TestFig10:
         text = f10.render(width=60)
         assert "1_slab_per_a2a" in text
         assert "M" in text
+        assert text.count("|") >= 8  # every band opens and closes

@@ -66,6 +66,7 @@ class TestHeartbeats:
             comm.close()
         # close() still collects the authoritative end-of-life cpu totals.
         assert len(comm.worker_cpu_seconds) == 2
+        assert sum(comm.worker_cpu_seconds) > 0.0
 
     def test_transpose_exports_per_rank_gauges(self):
         grid = SpectralGrid(16)

@@ -20,10 +20,6 @@ Projection (count x per-primitive cost) rather than A/B step timing is
 deliberate: the primitives cost tens of nanoseconds, so an A/B comparison
 at laptop scale drowns in run-to-run noise, while the projection bounds
 the overhead with a measurement that is itself stable.
-
-Run explicitly (excluded from tier-1 by ``testpaths``; ``bench`` marker)::
-
-    PYTHONPATH=src python -m pytest benchmarks/test_obs_overhead.py -v
 """
 
 import time
@@ -93,13 +89,16 @@ def _instrumentation_counts():
     return spans, mutations
 
 
-@pytest.mark.bench
-def test_null_obs_projected_overhead_under_2_percent():
+@pytest.fixture(scope="module")
+def step_profile():
+    """(seconds per uninstrumented step, spans per step, metric ops per step)."""
     solver = _make_solver()  # obs=None -> shared NULL_OBS
     assert solver.obs is NULL_OBS
-    step_seconds = _seconds_per_step(solver)
+    return (_seconds_per_step(solver), *_instrumentation_counts())
 
-    spans, mutations = _instrumentation_counts()
+
+def test_null_obs_projected_overhead_under_2_percent(step_profile):
+    step_seconds, spans, mutations = step_profile
     assert spans > 0 and mutations > 0
 
     reps = 100_000
@@ -121,11 +120,8 @@ def test_null_obs_projected_overhead_under_2_percent():
     )
 
 
-@pytest.mark.bench
-def test_flight_ring_projected_overhead_under_2_percent():
-    solver = _make_solver()
-    step_seconds = _seconds_per_step(solver)
-    spans, _ = _instrumentation_counts()
+def test_flight_ring_projected_overhead_under_2_percent(step_profile):
+    step_seconds, spans, _ = step_profile
 
     # Per-span cost with a recorder attached: one dict + bounded append.
     flight = FlightRecorder(capacity=512)

@@ -12,6 +12,7 @@ from repro.obs.runs import (
     default_runs_root,
     git_sha,
     run_provenance,
+    write_bench_json,
 )
 
 
@@ -31,6 +32,27 @@ class TestProvenance:
         assert prov["cores_available"] == os.cpu_count()
         assert prov["python"]
         assert prov["timestamp_iso"].endswith("Z")
+
+    def test_write_bench_json_stamps_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_GIT_SHA", "feedc0de")
+        path = write_bench_json({"suite": "x", "results": []},
+                                tmp_path / "b.json")
+        text = open(path, encoding="utf-8").read()
+        prov = json.loads(text)["provenance"]
+        assert prov["git_sha"] == "feedc0de"
+        assert prov["cores_available"] == os.cpu_count()
+        assert prov["timestamp_iso"].endswith("Z")
+        # sorted keys, trailing newline: regenerated files diff line by line
+        assert text.index('"provenance"') < text.index('"results"')
+        assert text.endswith("}\n")
+
+    def test_write_bench_json_caller_provenance_wins(self, tmp_path):
+        path = write_bench_json(
+            {"suite": "x", "provenance": {"git_sha": "pinned"}},
+            tmp_path / "b.json",
+        )
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["provenance"] == {"git_sha": "pinned"}
 
     def test_runs_root_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "r"))

@@ -113,7 +113,6 @@ class TestSweep:
         rec = doc["results"][0]
         assert rec["machine"] == "summit"
         assert isinstance(rec["seconds_per_step"], float)
-        assert "git_sha" in doc["provenance"]
 
     def test_quotes_are_deterministic(self, summit_planner):
         a = summit_planner.quote(18432, 3072)

@@ -56,7 +56,7 @@ class TestPlanSweep:
         assert doc["suite"] == "capacity"
         assert len(doc["results"]) == 4
         assert {r["n"] for r in doc["results"]} == {3072, 18432}
-        assert "provenance" in doc
+        assert "git_sha" in doc["provenance"]
 
     def test_sweep_diffs_cleanly_against_itself(self, tmp_path, capsys):
         """The CI gate: a fresh sweep must not regress against a committed

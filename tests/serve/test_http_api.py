@@ -1,5 +1,6 @@
 """HTTP API tests over an in-process server (tier-1; tiny n=8 jobs)."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -7,15 +8,30 @@ import urllib.request
 import pytest
 
 from repro.serve import JobService, JobSpec, ServeCapacity
-from repro.serve.http_api import make_server, serve_forever
+from repro.serve.http_api import MAX_BODY_BYTES, make_server, serve_forever
 
 
 @pytest.fixture()
-def api(tmp_path):
+def server(tmp_path):
     service = JobService(root=tmp_path / "serve",
                          capacity=ServeCapacity(max_jobs=2))
     server = make_server(service)
     serve_forever(server, background=True)
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def conn(server):
+    """One raw keep-alive connection; the timeout bounds a hung handler."""
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+    yield conn
+    conn.close()
+
+
+@pytest.fixture()
+def api(server):
     host, port = server.server_address[:2]
 
     def call(method, path, body=None):
@@ -30,9 +46,7 @@ def api(tmp_path):
         except urllib.error.HTTPError as exc:
             return exc.code, json.loads(exc.read())
 
-    yield call, service
-    server.shutdown()
-    server.server_close()
+    return call, server.service
 
 
 def test_healthz(api):
@@ -100,3 +114,47 @@ def test_scheduler_run_executes_jobs(api):
     assert doc["trace_path"].endswith("placement-0000.json")
     states = {r.id: r.state for r in service.list()}
     assert set(states.values()) == {"DONE"}
+
+
+def test_unread_body_does_not_desynchronise_keepalive(conn, api):
+    """Routes that ignore their body must still consume it: left on the
+    socket it is parsed as the next request line (stdlib HTML 400)."""
+    call, _ = api
+    call("POST", "/v1/jobs", JobSpec(name="k", n=8, steps=1).to_dict())
+    body = json.dumps({"reason": "x" * 64})
+    for path, expected in (("/v1/jobs/j0000-k/cancel", 200),
+                           ("/v1/bogus", 404)):
+        conn.request("POST", path, body=body)
+        resp = conn.getresponse()
+        assert resp.status == expected
+        json.loads(resp.read())
+        sock = conn.sock
+        conn.request("GET", "/v1/healthz")
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["ok"] is True
+        assert conn.sock is sock  # answered on the same connection
+
+
+@pytest.mark.parametrize("length, status", [
+    ("-1", 400),            # rfile.read(-1) would block until the client left
+    ("twelve", 400),
+    (str(MAX_BODY_BYTES + 1), 413),
+    (str(100 * 2**30), 413),
+])
+def test_unusable_content_length_is_refused_without_reading(conn, length, status):
+    conn.putrequest("POST", "/v1/jobs")
+    conn.putheader("Content-Length", length)
+    conn.endheaders()
+    resp = conn.getresponse()  # socket.timeout here = the handler hung
+    assert resp.status == status
+    assert resp.getheader("Connection") == "close"
+    assert length in json.loads(resp.read())["error"]
+
+
+def test_body_at_the_limit_is_read(conn):
+    body = b"[" + b" " * (MAX_BODY_BYTES - 2) + b"]"
+    conn.request("POST", "/v1/jobs", body=body)
+    resp = conn.getresponse()
+    assert resp.status == 400
+    assert "JSON object" in json.loads(resp.read())["error"]

@@ -257,10 +257,15 @@ class TestTune:
                      "--npencils", "4", "--json", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["suite"] == "tune"
-        assert doc["records"]
-        strategies = {r["strategy"] for r in doc["records"]}
+        assert doc["results"]
+        strategies = {r["strategy"] for r in doc["results"]}
         assert {"per_chunk", "zero_copy", "memcpy2d"} <= strategies
-        assert any(r["winner"] for r in doc["records"])
+        assert any(r["winner"] for r in doc["results"])
+        assert doc["provenance"]["git_sha"]
+        # bench-shaped like every other artifact: obs diff reads it
+        capsys.readouterr()
+        assert main(["obs", "diff", str(path), str(path)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
 
     def test_dns_copy_strategy_flag(self, capsys):
         assert main(["dns", "--n", "16", "--steps", "1", "--ranks", "2",

@@ -1,10 +1,15 @@
-"""Bare ``pytest`` must reach every suite under ``tests/``.
+"""What the repo claims to check must actually be checked.
 
 pytest's default ``norecursedirs`` contains ``dist``; for ten PRs that kept
 ``tests/dist/`` (the slab FFT, the transposes, the out-of-core engine) out of
 tier-1 without anyone noticing.  ``pyproject.toml`` now sets the list, and
-this test fails if any ``tests/*/`` directory holding test files contributes
-nothing to a whole-suite run.
+the first test fails if any ``tests/*/`` directory holding test files
+contributes nothing to a whole-suite run.
+
+The second does the same for committed measurements: three of five root
+``BENCH_*.json`` files sat beside the gated two for ten PRs with no job
+comparing them to anything.  A baseline nothing regenerates and diffs is a
+number nobody can trust, so it may not be committed.
 """
 
 from pathlib import Path
@@ -28,3 +33,18 @@ def test_every_test_directory_is_collected(request):
     )
     assert "dist" in suites
     assert [name for name in suites if name not in collected] == []
+
+
+def test_every_committed_bench_file_is_regenerated_and_gated_by_ci():
+    repo = ROOT.parent
+    steps = (repo / ".github" / "workflows" / "ci.yml").read_text().split("- name:")
+    for name in sorted(p.name for p in repo.glob("BENCH_*.json")):
+        gates = [s for s in steps
+                 if f"git show HEAD:{name}" in s and "repro obs diff" in s]
+        writers = [s for s in steps
+                   if name in s and "run:" in s and s not in gates]
+        assert gates and writers, (
+            f"{name}: ci.yml must regenerate it in one step and `repro obs "
+            f"diff` it against `git show HEAD:{name}` in another, or the "
+            f"file goes"
+        )
