@@ -17,12 +17,12 @@ import numpy as np
 
 from repro.spectral import (
     BandForcing,
-    ScalarMixingSolver,
+    NavierStokesSolver,
     SolverConfig,
     SpectralGrid,
     random_isotropic_field,
 )
-from repro.spectral.scalar import scalar_dissipation, scalar_spectrum, scalar_variance
+from repro.spectral.scalar import scalar_dissipation, scalar_spectrum
 
 
 def main(n: int = 32, steps: int = 30) -> None:
@@ -31,10 +31,10 @@ def main(n: int = 32, steps: int = 30) -> None:
     rng = np.random.default_rng(11)
     schmidts = (0.25, 1.0, 4.0)
 
-    solver = ScalarMixingSolver(
+    solver = NavierStokesSolver(
         grid,
         random_isotropic_field(grid, rng, energy=1.0, k_peak=3.0),
-        SolverConfig(nu=nu, scheme="rk2", phase_shift=False),
+        SolverConfig(nu=nu, scheme="rk2"),
         forcing=BandForcing(k_force=2.5, eps_inj=0.8),
     )
     for sc in schmidts:
@@ -45,12 +45,12 @@ def main(n: int = 32, steps: int = 30) -> None:
         f"{'step':>5} {'t':>7} "
         + " ".join(f"{f'var(Sc={sc:g})':>12}" for sc in schmidts)
     )
-    dt = 0.5 * solver.flow.stable_dt(cfl=0.5)
+    dt = 0.5 * solver.stable_dt(cfl=0.5)
     for step in range(1, steps + 1):
         result = solver.step(dt)
         if step % 5 == 0:
             variances = [
-                scalar_variance(s.theta_hat, grid) for s in solver.scalars
+                solver.scalar_variance(i) for i in range(len(schmidts))
             ]
             print(
                 f"{step:5d} {result.time:7.3f} "
@@ -59,12 +59,12 @@ def main(n: int = 32, steps: int = 30) -> None:
 
     print("\nscalar statistics after the run:")
     print(f"{'Sc':>6} {'variance':>10} {'chi':>10} {'peak k':>7}")
-    for s in solver.scalars:
+    for i, s in enumerate(solver.scalars):
         d = s.diffusivity(nu)
         k, e_k = scalar_spectrum(s.theta_hat, grid)
         peak = int(k[np.argmax(e_k[1:]) + 1])
         print(
-            f"{s.schmidt:6.2f} {scalar_variance(s.theta_hat, grid):10.5f} "
+            f"{s.schmidt:6.2f} {solver.scalar_variance(i):10.5f} "
             f"{scalar_dissipation(s.theta_hat, grid, d):10.5f} {peak:7d}"
         )
     print(

@@ -5,8 +5,9 @@ SC '19).
 Layers (see README.md / DESIGN.md):
 
 * :mod:`repro.spectral` / :mod:`repro.dist` — the real numerics: the
-  pseudo-spectral Navier-Stokes solver, serial and distributed over virtual
-  MPI ranks (correctness layer);
+  pseudo-spectral Navier-Stokes solver (velocity and passive scalars, one
+  marched state), serial and distributed over virtual MPI ranks
+  (correctness layer);
 * :mod:`repro.sim` / :mod:`repro.machine` / :mod:`repro.cuda` /
   :mod:`repro.mpi` — the simulated Summit substrate (performance layer);
 * :mod:`repro.core` — the paper's contribution: memory planning and the

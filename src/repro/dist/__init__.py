@@ -22,7 +22,7 @@ Contents:
 * :mod:`repro.dist.pencil_fft` — distributed 3-D FFT with the traditional
   2-D pencil decomposition (two all-to-alls; the CPU baseline's scheme);
 * :mod:`repro.dist.dist_solver` — the full pseudo-spectral RK2/RK4 step
-  distributed over virtual ranks.
+  (velocity and passive scalars, one state) distributed over virtual ranks.
 """
 
 from repro.dist.virtual_mpi import VirtualComm
@@ -30,13 +30,11 @@ from repro.dist.decomp import PencilDecomposition, SlabDecomposition
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.pencil_fft import PencilDistributedFFT
 from repro.dist.dist_solver import DistributedNavierStokesSolver
-from repro.dist.dist_scalar import DistributedScalarMixingSolver
 from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT
 
 __all__ = [
     "DeviceArena",
     "DistributedNavierStokesSolver",
-    "DistributedScalarMixingSolver",
     "OutOfCoreSlabFFT",
     "PencilDecomposition",
     "PencilDistributedFFT",

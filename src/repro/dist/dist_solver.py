@@ -6,7 +6,10 @@ coefficients live in kz-slabs, each RK substage transforms the three
 velocity components to physical space (y, transpose, z, x), forms the six
 nonlinear products on y-slabs, and transforms them back (x, z, transpose,
 y) — so each substage costs 3 inverse + 6 forward distributed 3-D FFTs and
-therefore 9 all-to-alls in conservative form.
+therefore 9 all-to-alls in conservative form.  Each passive scalar
+(:meth:`DistributedNavierStokesSolver.add_scalar`) is one more component of
+the per-rank state and adds 1 inverse + 3 forward transforms per substage —
+8 all-to-alls per RK2 step — on whichever engine the solver runs.
 
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
@@ -34,6 +37,7 @@ from repro.spectral.dealias import random_shift, sharp_truncation_mask
 from repro.spectral.diagnostics import mode_square
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
+from repro.spectral.scalar import PassiveScalar
 from repro.spectral.solver import IntegratingFactorRK, SolverConfig, StepResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,6 +127,12 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         self.comm = comm
         self.config = config or SolverConfig()
         self.obs = obs if obs is not None else NULL_OBS
+        if self.config.convective_form != "conservative":
+            raise ValueError(
+                f"convective_form={self.config.convective_form!r} is "
+                "serial-only: the distributed solver forms the six "
+                "conservative products"
+            )
         if heights is not None and skew is not None:
             raise ValueError("pass either heights or skew, not both")
         if skew is not None:
@@ -187,15 +197,44 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         ]
         self._buffers: dict[str, list[np.ndarray]] = {}
 
-        # State: per rank, (3, mz, N, nxh) complex.
-        self.u_hat: list[np.ndarray] = []
+        # State: per rank, (3 + S, mz, N, nxh) complex.
+        self._state: list[np.ndarray] = []
         for r, kernel in enumerate(self._kernels):
             sl = self.decomp.spectral_slice(r)
             local = np.array(u_hat_global[:, sl], dtype=grid.cdtype, copy=True)
             local *= self._mask_locals[r]
-            self.u_hat.append(kernel.project(local, out=local))
+            self._state.append(kernel.project(local, out=local))
+        self.scalars: list[PassiveScalar] = []
         self.time = 0.0
         self.step_count = 0
+
+    @property
+    def u_hat(self) -> list[np.ndarray]:
+        """Per rank, the velocity slab ``(3, mz, N, nxh)``: views of the state."""
+        return [s[:3] for s in self._state]
+
+    def add_scalar(
+        self,
+        theta_hat_global: np.ndarray,
+        schmidt: float = 1.0,
+        mean_gradient: float = 0.0,
+    ) -> int:
+        """Append a dealiased copy of the global ``theta_hat`` to every rank's
+        state; returns its index in :attr:`scalars`."""
+        if theta_hat_global.shape != self.grid.spectral_shape:
+            raise ValueError(
+                f"scalar must have spectral shape {self.grid.spectral_shape}"
+            )
+        self.scalars.append(PassiveScalar(theta_hat_global, schmidt, mean_gradient))
+        for r, (view, mask) in enumerate(zip(self.views, self._mask_locals)):
+            theta = view.slice_spectral(theta_hat_global) * mask
+            self._state[r] = np.concatenate(
+                [self._state[r], theta.astype(self.grid.cdtype)[None]]
+            )
+        for s, scalar in enumerate(self.scalars, start=3):
+            scalar.theta_hat = [state[s] for state in self._state]
+        self._buffers.clear()  # stage buffers are state-shaped
+        return len(self.scalars) - 1
 
     def close(self) -> None:
         """Release engine resources (stops out-of-core stream workers)."""
@@ -215,37 +254,36 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         """Named per-rank state-shaped slabs, created on first use and reused."""
         bufs = self._buffers.get(key)
         if bufs is None:
-            bufs = self._buffers[key] = [np.empty_like(u) for u in self.u_hat]
+            bufs = self._buffers[key] = [np.empty_like(u) for u in self._state]
         return bufs
 
     # -- the distributed nonlinear term -----------------------------------------
 
     def _nonlinear(
-        self,
-        u_hat: Sequence[np.ndarray],
-        out: Optional[Sequence[np.ndarray]] = None,
+        self, state: Sequence[np.ndarray], out: Sequence[np.ndarray]
     ) -> Sequence[np.ndarray]:
-        """Projected, dealiased conservative convective term, per rank
-        (into ``out``, or fresh arrays when ``out`` is None)."""
+        """Right-hand side of the whole state, per rank, into ``out``: the
+        projected, dealiased conservative convective term in ``[:3]``, then
+        ``-div(u theta) - G u_y`` per scalar from the same physical-space
+        velocity (on the same shifted grid)."""
         cfg = self.config
         obs = self.obs
         ranks = range(self.comm.size)
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        if out is None:
-            out = [np.empty_like(u) for u in u_hat]
-        bases = None
+        bases = [None] * self.comm.size
+        coeffs = state  # what gets transformed: the state, shifted if asked
         if cfg.phase_shift:
             shift = random_shift(self.grid, self._rng)
             bases = [k.shift_bases(shift) for k in self._kernels]
-            u_hat = [
+            coeffs = [
                 k.shifted(u, b, w) for k, u, b, w in
-                zip(self._kernels, u_hat, bases, self._stage("shifted"))
+                zip(self._kernels, state, bases, self._stage("shifted"))
             ]
 
         # Velocity components to physical space (3 inverse distributed FFTs).
         u_phys = [  # [component][rank]
-            self.fft.inverse([u_hat[r][c] for r in ranks]) for c in range(3)
+            self.fft.inverse([coeffs[r][c] for r in ranks]) for c in range(3)
         ]
 
         # Six products, transformed back (6 forward distributed FFTs).
@@ -261,22 +299,36 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
         for r, kernel in enumerate(self._kernels):
             with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
-                kernel.rhs(
-                    [p[r] for p in prod_hat],
-                    None if bases is None else bases[r],
-                    out[r],
-                )
+                kernel.rhs([p[r] for p in prod_hat], bases[r], out[r][:3])
+
+        for s, scalar in enumerate(self.scalars, start=3):
+            theta = self.fft.inverse([coeffs[r][s] for r in ranks])
+            flux_hat = []
+            for c in range(3):
+                with obs.spans.span("nl.products", category="nonlinear"):
+                    for r in ranks:
+                        np.multiply(u_phys[c][r], theta[r], out=prod[r])
+                flux_hat.append(self.fft.forward(prod))
+            for r, kernel in enumerate(self._kernels):
+                with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
+                    kernel.scalar_rhs([f[r] for f in flux_hat], bases[r], out[r][s])
+                    if scalar.mean_gradient:
+                        # out -= G u_y, the unshifted u_y (tau = 0: no decay).
+                        kernel.combine(out[r][s], 0.0, [(0.0, [
+                            (-scalar.mean_gradient, state[r][1]), (1.0, out[r][s])])])
         return out
 
     # -- time stepping ------------------------------------------------------------
 
     def _combine(self, out: Sequence[np.ndarray], groups) -> Sequence[np.ndarray]:
         """``kernel.combine`` on every rank; each term names a per-rank list."""
-        nu = self.config.nu
+        components = self._components()
         for r, kernel in enumerate(self._kernels):
-            kernel.combine(out[r], nu, [
-                (tau, [(c, a[r]) for c, a in terms]) for tau, terms in groups
-            ])
+            for c, kappa in components:
+                kernel.combine(out[r][c], kappa, [
+                    (tau, [(coef, a[r][c]) for coef, a in terms])
+                    for tau, terms in groups
+                ])
         return out
 
     def step(self, dt: float) -> StepResult:
@@ -342,3 +394,15 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
     def gather_state(self) -> np.ndarray:
         """Reassemble the global (3, N, N, N//2+1) spectral field."""
         return np.concatenate(self.u_hat, axis=1)
+
+    def gather_scalar(self, index: int) -> np.ndarray:
+        """Reassemble scalar ``index``'s global (N, N, N//2+1) coefficients."""
+        return np.concatenate(self.scalars[index].theta_hat, axis=0)
+
+    def scalar_variance(self, index: int) -> float:
+        """<theta^2>/2 of scalar ``index`` (allreduce over ranks)."""
+        locals_ = [
+            float(0.5 * np.sum(v.hermitian_weights * np.abs(t) ** 2))
+            for v, t in zip(self.views, self.scalars[index].theta_hat)
+        ]
+        return self.comm.allreduce(locals_)[0]

@@ -4,8 +4,9 @@ Long-running DNS campaigns (the paper: "simulations ... typically
 integrated over many thousands of time steps" inside a wall-clock-limited
 batch allocation) live and die by restart files.  This module provides a
 compact ``.npz``-based checkpoint containing the spectral velocity (and any
-passive scalars), the solver clock, and enough metadata to validate that a
-restart matches the run that wrote it.
+passive scalars), the solver clock, the phase-shift RNG state, and enough
+metadata to validate that a restart matches the run that wrote it: a restored
+solver continues bit-for-bit where the saved one would have.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.spectral.dealias import DealiasRule
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.scalar import ScalarMixingSolver
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 1 lacked the RNG state, so could not resume exactly
 
 
 class CheckpointError(RuntimeError):
@@ -36,41 +37,29 @@ def _config_metadata(config: SolverConfig) -> dict:
     return meta
 
 
-def save_checkpoint(
-    path: Union[str, Path],
-    solver: Union[NavierStokesSolver, ScalarMixingSolver],
-) -> Path:
+def save_checkpoint(path: Union[str, Path], solver: NavierStokesSolver) -> Path:
     """Write the solver state to ``path`` (``.npz``); returns the path.
 
-    Works for both the plain and the scalar-mixing solver; scalars are
-    stored alongside the velocity with their Schmidt numbers and mean
-    gradients.
+    Scalars are stored alongside the velocity with their Schmidt numbers
+    and mean gradients.
     """
     path = Path(path)
-    if isinstance(solver, ScalarMixingSolver):
-        flow = solver.flow
-        scalars = solver.scalars
-    else:
-        flow = solver
-        scalars = []
-
-    arrays: dict[str, np.ndarray] = {"u_hat": flow.u_hat}
-    scalar_meta = []
-    for i, s in enumerate(scalars):
+    arrays: dict[str, np.ndarray] = {"u_hat": solver.u_hat}
+    for i, s in enumerate(solver.scalars):
         arrays[f"theta_hat_{i}"] = s.theta_hat
-        scalar_meta.append(
-            {"schmidt": s.schmidt, "mean_gradient": s.mean_gradient}
-        )
-
     header = {
         "format_version": _FORMAT_VERSION,
-        "n": flow.grid.n,
-        "length": flow.grid.length,
-        "dtype": flow.grid.dtype.name,
-        "time": flow.time,
-        "step_count": flow.step_count,
-        "config": _config_metadata(flow.config),
-        "scalars": scalar_meta,
+        "n": solver.grid.n,
+        "length": solver.grid.length,
+        "dtype": solver.grid.dtype.name,
+        "time": solver.time,
+        "step_count": solver.step_count,
+        "config": _config_metadata(solver.config),
+        "scalars": [
+            {"schmidt": s.schmidt, "mean_gradient": s.mean_gradient}
+            for s in solver.scalars
+        ],
+        "rng": solver._rng.bit_generator.state,
     }
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
@@ -89,20 +78,15 @@ def _read_header(data) -> dict:
 
 
 def load_checkpoint(
-    path: Union[str, Path],
-    grid: Optional[SpectralGrid] = None,
-    with_scalars: bool = False,
-) -> Union[NavierStokesSolver, ScalarMixingSolver]:
-    """Reconstruct a solver from a checkpoint.
+    path: Union[str, Path], grid: Optional[SpectralGrid] = None
+) -> NavierStokesSolver:
+    """Reconstruct a solver, with whatever scalars the checkpoint holds.
 
     Parameters
     ----------
     grid:
         Optional pre-built grid; must match the checkpoint's N / domain
         length / dtype (validated).  Built from the header if omitted.
-    with_scalars:
-        Return a :class:`ScalarMixingSolver` (required if the checkpoint
-        contains scalars; optional otherwise).
     """
     path = Path(path)
     with np.load(path) as data:
@@ -127,39 +111,17 @@ def load_checkpoint(
                 )
 
         cfg_meta = dict(header["config"])
-        from repro.spectral.dealias import DealiasRule
-
         cfg_meta["dealias"] = DealiasRule(cfg_meta["dealias"])
-        config = SolverConfig(**cfg_meta)
-
-        u_hat = data["u_hat"]
-        scalar_meta = header.get("scalars", [])
-        if scalar_meta and not with_scalars:
-            raise CheckpointError(
-                "checkpoint contains passive scalars; pass with_scalars=True"
-            )
-
-        if with_scalars:
-            solver = ScalarMixingSolver(grid, u_hat, config)
-            flow = solver.flow
-            for i, meta in enumerate(scalar_meta):
-                solver.add_scalar(
-                    data[f"theta_hat_{i}"],
-                    schmidt=meta["schmidt"],
-                    mean_gradient=meta["mean_gradient"],
-                )
-                # Bit-exact restart: bypass the constructor's re-masking.
-                solver.scalars[i].theta_hat = np.array(
-                    data[f"theta_hat_{i}"], copy=True
-                )
-        else:
-            solver = NavierStokesSolver(grid, u_hat, config)
-            flow = solver
-
-        # The constructor re-applies mask + projection, which perturbs the
-        # state at round-off; restarts must be bit-exact, so restore the
-        # stored coefficients verbatim (they were saved already projected).
-        flow.u_hat = np.array(u_hat, dtype=grid.cdtype, copy=True)
-        flow.time = header["time"]
-        flow.step_count = header["step_count"]
+        solver = NavierStokesSolver(grid, data["u_hat"], SolverConfig(**cfg_meta))
+        for i, meta in enumerate(header["scalars"]):
+            solver.add_scalar(data[f"theta_hat_{i}"], **meta)
+        # The constructor and add_scalar re-apply mask + projection, which
+        # perturbs the state at round-off; restarts must be bit-exact, so
+        # restore the stored coefficients verbatim (saved already projected).
+        solver.u_hat = data["u_hat"]
+        for i, scalar in enumerate(solver.scalars):
+            scalar.theta_hat[...] = data[f"theta_hat_{i}"]
+        solver.time = header["time"]
+        solver.step_count = header["step_count"]
+        solver._rng.bit_generator.state = header["rng"]
         return solver

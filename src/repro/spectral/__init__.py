@@ -40,7 +40,7 @@ from repro.spectral.forcing import (
 )
 from repro.spectral.initial import random_isotropic_field, taylor_green_field
 from repro.spectral.diagnostics import FlowStatistics, energy_spectrum, flow_statistics
-from repro.spectral.scalar import PassiveScalar, ScalarMixingSolver
+from repro.spectral.scalar import PassiveScalar
 from repro.spectral.transfer import spectral_flux, transfer_spectrum
 from repro.spectral.twopoint import (
     longitudinal_correlation,
@@ -61,7 +61,6 @@ __all__ = [
     "DealiasRule",
     "FlowStatistics",
     "PassiveScalar",
-    "ScalarMixingSolver",
     "StatisticsRecorder",
     "longitudinal_correlation",
     "second_order_structure",

@@ -2,8 +2,8 @@
 
 Between the transforms a pseudo-spectral step only multiplies and adds:
 shift the coefficients onto the displaced grid, turn the product transforms
-into the projected, dealiased right-hand side, and combine stages with the
-viscous integrating factor.  :class:`PointwiseKernel` does those three things
+into the projected, dealiased right-hand side (a scalar's flux transforms
+into its divergence), and combine stages with the integrating factor.  :class:`PointwiseKernel` does those three things
 for a slab ``[z0:z1]`` of the spectral cube — the serial solver is the slab
 of height ``N``, a distributed rank binds its own ``kz`` range — so both
 solvers run the same arithmetic.
@@ -136,14 +136,36 @@ class PointwiseKernel:
         conservative form and 1 otherwise; ``bases`` is what the products
         were shifted by (:meth:`shift_bases`) or None.
         """
+        real = self.grid.dtype
         lead = -1j if len(terms) == 6 else 1.0
+        return self._sweep([t.view(real) for t in terms], out,
+                           self._fold(lead, bases))
+
+    def _fold(self, lead: complex, bases) -> tuple[np.ndarray, np.ndarray]:
+        """``lead * conj(shift)`` as a kz column and a (ky, kx) plane."""
         if bases is None:
             n = self.grid.n
-            gz, gyx = self._unit, np.full((n, n // 2 + 1), lead, self.grid.cdtype)
-        else:
-            gz, gyx = np.conj(bases[0]), lead * np.conj(bases[1])
+            return self._unit, np.full((n, n // 2 + 1), lead, self.grid.cdtype)
+        return np.conj(bases[0]), lead * np.conj(bases[1])
+
+    def scalar_rhs(self, flux: Sequence[np.ndarray], bases, out: np.ndarray) -> np.ndarray:
+        """``out = G (k . flux)``: minus the divergence of a scalar's flux
+        transforms ``(u_i theta)_hat``, with the ``G = -i mask conj(shift)``
+        of :meth:`rhs`; ``out`` is one component ``(mz, N, N//2+1)``."""
+        gz, gyx = self._fold(-1j, bases)
         real = self.grid.dtype
-        return self._sweep([t.view(real) for t in terms], out, (gz, gyx))
+        f = [t.view(real) for t in flux]
+        acc, tmp, gf = self._scratch[:3]
+        g = gf.view(self.grid.cdtype)
+        for sl in self._blocks():
+            b = sl.stop - sl.start
+            kdf = np.multiply(f[0][sl], self._kx, out=acc[:b])
+            kdf += np.multiply(f[1][sl], self._ky, out=tmp[:b])
+            kdf += np.multiply(f[2][sl], self._kz[sl], out=tmp[:b])
+            gb = self._outer(gz[sl], gyx, g[:b])
+            gf[:b] *= self._mask[sl]
+            np.multiply(kdf.view(gb.dtype), gb, out=out[sl])
+        return out
 
     def project(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``v - k (k.v)/k^2`` on the slab (``out`` may be ``v``)."""

@@ -10,6 +10,12 @@ second- or fourth-order Runge-Kutta (RK2/RK4 — the paper reports RK2
 timings; RK4 "approximately doubles" the per-step cost, which the
 performance layer's ablation bench verifies).
 
+Passive scalars (:meth:`NavierStokesSolver.add_scalar`) are further
+components of the one marched state ``(3 + S, N, N, N//2+1)``: the same stage
+table advances them, each with its own diffusivity ``nu / Sc`` in the
+integrating factor, and their flux is formed from the physical-space velocity
+the momentum term has just computed.
+
 Every stage writes into pre-allocated
 :class:`~repro.spectral.workspace.SpectralWorkspace` buffers: transforms go
 through the configured backend, everything between them through one
@@ -38,6 +44,7 @@ from repro.spectral.diagnostics import (
 from repro.spectral.forcing import Forcing, NoForcing
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
+from repro.spectral.scalar import PassiveScalar, scalar_variance
 from repro.spectral.workspace import SpectralWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +72,8 @@ class SolverConfig:
         pair, turning residual aliases into zero-mean noise (Rogallo 1981).
     convective_form:
         ``"conservative"`` (six products, as the production DNS forms
-        ``u_i u_j``) or ``"rotational"`` (u x omega, three products).
+        ``u_i u_j``) or ``"rotational"`` (u x omega, three products; the
+        distributed solver refuses it).
     seed:
         Seed for the random shifts.
     fft_backend:
@@ -116,12 +124,21 @@ class StepResult:
 class IntegratingFactorRK:
     """The RK2/RK4 stage sequences, written once for both solvers.
 
-    A host supplies ``u_hat`` (the state, updated in place), ``obs``,
-    ``_nonlinear(u, out)`` (the right-hand side), ``_combine(out, groups)``
+    A host supplies ``_state`` (velocity in ``[:3]``, scalar ``s`` in
+    ``[3 + s]``, updated in place), ``scalars``, ``obs``, ``_nonlinear(state,
+    out)`` (the right-hand side), ``_combine(out, groups)``
     (:meth:`PointwiseKernel.combine` on its storage) and ``_stage(key)`` (a
     reusable state-shaped buffer).  The serial solver hands arrays around,
     the distributed one per-rank lists of them; the schemes never look inside.
     """
+
+    def _components(self) -> list[tuple[slice | int, float]]:
+        """``(index into the state's leading axis, diffusivity)`` of the
+        velocity and of each scalar: what one ``combine`` call advances."""
+        nu = self.config.nu
+        return [(slice(0, 3), nu)] + [
+            (3 + s, scalar.diffusivity(nu)) for s, scalar in enumerate(self.scalars)
+        ]
 
     def _step_rk2(self, dt: float) -> None:
         """Heun's method on the integrating-factor-transformed variable.
@@ -135,7 +152,7 @@ class IntegratingFactorRK:
         describes its RK substages.
         """
         spans = self.obs.spans
-        u = self.u_hat
+        u = self._state
         h = 0.5 * dt
         with spans.span("rk2.stage1", category="stage"):
             r1 = self._nonlinear(u, out=self._stage("rk_r1"))
@@ -156,7 +173,7 @@ class IntegratingFactorRK:
             u^{n+1} = E (u0 + dt/6 k1) + dt/3 Eh (k2 + k3) + dt/6 k4
         """
         spans = self.obs.spans
-        u0 = self.u_hat
+        u0 = self._state
         u_s = self._stage("rk_stage")
         h = 0.5 * dt
         with spans.span("rk4.stage1", category="stage"):
@@ -193,8 +210,8 @@ class NavierStokesSolver(IntegratingFactorRK):
         Energy injection scheme (default: none, i.e. decaying turbulence).
     workspace:
         A :class:`SpectralWorkspace` to draw scratch buffers from; created
-        on demand when omitted.  Pass an existing one to share buffers with
-        other solvers on the same grid (e.g. passive scalars).
+        on demand when omitted.  Solvers on the same grid that step in turn
+        may share one.
     obs:
         An :class:`~repro.obs.Observability` bundle.  When given, every
         step records per-RK-stage and per-phase wall-clock spans (fft,
@@ -211,6 +228,11 @@ class NavierStokesSolver(IntegratingFactorRK):
     ...                             SolverConfig(nu=0.05, scheme="rk2"))
     >>> result = solver.step(dt=0.01)
     >>> result.energy < 0.125  # viscous decay from E(0)=1/8
+    True
+    >>> solver.add_scalar(g.zeros_spectral(), schmidt=4.0, mean_gradient=1.0)
+    0
+    >>> _ = solver.step(dt=0.01)
+    >>> solver.scalar_variance(0) > 0  # produced by -u_y G
     True
     """
 
@@ -231,7 +253,8 @@ class NavierStokesSolver(IntegratingFactorRK):
             raise ValueError(
                 f"initial condition must have shape {(3, *grid.spectral_shape)}"
             )
-        self.u_hat = np.array(u_hat, dtype=grid.cdtype, copy=True)
+        self._state = np.array(u_hat, dtype=grid.cdtype, copy=True)
+        self.scalars: list[PassiveScalar] = []
         self.time = 0.0
         self.step_count = 0
         self._rng = np.random.default_rng(self.config.seed)
@@ -246,8 +269,47 @@ class NavierStokesSolver(IntegratingFactorRK):
             self.workspace.pool.obs = self.obs
         self._pointwise = PointwiseKernel(grid, self._mask)
         # Dealias the initial condition so invariants hold from step 0.
-        self.u_hat *= self._mask
-        self._pointwise.project(self.u_hat, out=self.u_hat)
+        self._state *= self._mask
+        self._pointwise.project(self._state, out=self._state)
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        """The velocity coefficients ``(3, N, N, N//2+1)``: a view of the
+        marched state, so in-place edits and assignment both reach it."""
+        return self._state[:3]
+
+    @u_hat.setter
+    def u_hat(self, value: np.ndarray) -> None:
+        self._state[:3] = value
+
+    # -- passive scalars -------------------------------------------------------
+
+    def add_scalar(
+        self,
+        theta_hat: np.ndarray,
+        schmidt: float = 1.0,
+        mean_gradient: float = 0.0,
+    ) -> int:
+        """Append a dealiased copy of ``theta_hat`` to the marched state;
+        returns its index in :attr:`scalars`."""
+        if theta_hat.shape != self.grid.spectral_shape:
+            raise ValueError(
+                f"scalar must have spectral shape {self.grid.spectral_shape}"
+            )
+        self.scalars.append(PassiveScalar(theta_hat, schmidt, mean_gradient))
+        theta = np.asarray(theta_hat * self._mask, dtype=self.grid.cdtype)
+        self._state = np.concatenate([self._state, theta[None]])
+        for s, scalar in enumerate(self.scalars, start=3):
+            scalar.theta_hat = self._state[s]
+        return len(self.scalars) - 1
+
+    def gather_scalar(self, index: int) -> np.ndarray:
+        """A copy of scalar ``index``'s coefficients."""
+        return self.scalars[index].theta_hat.copy()
+
+    def scalar_variance(self, index: int) -> float:
+        """<theta^2>/2 of scalar ``index``."""
+        return scalar_variance(self.scalars[index].theta_hat, self.grid)
 
     # -- right-hand side -----------------------------------------------------
 
@@ -258,12 +320,12 @@ class NavierStokesSolver(IntegratingFactorRK):
             u_hat = self._pointwise.shifted(u_hat, bases, ws.ifft_work)
         ws.ifft3d(u_hat, out=out)
 
-    def _nonlinear(
-        self, u_hat: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Projected, dealiased nonlinear term (+ forcing rhs), written
-        into ``out`` (a fresh array when ``out`` is None, e.g. for the
-        scalar solver's stage reconstruction)."""
+    def _nonlinear(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Right-hand side of the whole state, written into ``out``: the
+        projected, dealiased momentum term (+ forcing) in ``[:3]``, then
+        ``-div(u theta) - G u_y`` per scalar from the same physical-space
+        velocity (on the same shifted grid)."""
+        u_hat = state[:3]
         cfg = self.config
         ws = self.workspace
         kernel = self._pointwise
@@ -272,8 +334,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         self._nl_evals += 1
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        if out is None:
-            out = np.empty_like(u_hat)
         # The "nonlinear" span brackets transforms + products; the transforms
         # record their own nested "fft" spans, so this category's *exclusive*
         # time is pure shift/product work.
@@ -308,20 +368,38 @@ class NavierStokesSolver(IntegratingFactorRK):
                     prod -= np.multiply(u[b], w[a], out=tmp)
                     ws.fft3d(prod, out=term)
         with spans.span("rhs.projection", category="projection"):
-            kernel.rhs(terms, bases, out)
+            kernel.rhs(terms, bases, out[:3])
+        for s, scalar in enumerate(self.scalars, start=3):
+            with spans.span("rhs.scalar", category="nonlinear"):
+                theta = ws.physical("nl_theta")
+                self._to_physical(state[s], bases, theta)
+                flux = terms[:3]  # rhs has read the product transforms
+                for i in range(3):
+                    np.multiply(u[i], theta, out=prod)
+                    ws.fft3d(prod, out=flux[i])
+                kernel.scalar_rhs(flux, bases, out[s])
+                if scalar.mean_gradient:
+                    # out[s] -= G u_y, the unshifted u_y (tau = 0: no decay).
+                    kernel.combine(out[s], 0.0, [(0.0, [
+                        (-scalar.mean_gradient, u_hat[1]), (1.0, out[s])])])
         with spans.span("rhs.forcing", category="forcing"):
             f = self.forcing.rhs(u_hat, self.grid)
             if f is not None:
-                out += f
+                out[:3] += f
         return out
 
     def _combine(self, out: np.ndarray, groups) -> np.ndarray:
         """One RK stage combination, see :meth:`PointwiseKernel.combine`."""
         with self.obs.spans.span("rk.combine", category="integrating"):
-            return self._pointwise.combine(out, self.config.nu, groups)
+            for c, kappa in self._components():
+                self._pointwise.combine(out[c], kappa, [
+                    (tau, [(coef, a[c]) for coef, a in terms])
+                    for tau, terms in groups
+                ])
+        return out
 
     def _stage(self, key: str) -> np.ndarray:
-        return self.workspace.spectral(key, 3)
+        return self.workspace.spectral(key, len(self._state))
 
     # -- public API -----------------------------------------------------------
 

@@ -459,20 +459,16 @@ class SpectralWorkspace:
     """Owns every full-grid scratch array of the solver hot path.
 
     Buffers are created on first request and reused forever after (the
-    warmup step), mirroring the paper's fixed 27-buffer GPU arena.  The
-    workspace also memoizes full-grid viscous integrating factors keyed by
-    ``(coefficient, dt)`` for the passive-scalar integrator.
+    warmup step), mirroring the paper's fixed 27-buffer GPU arena.
 
-    A workspace may be shared between solvers on the same grid (e.g. the
-    velocity and passive-scalar integrators) as long as they run
-    sequentially — buffers are namespaced by string keys, not locked.
+    A workspace may be shared between solvers on the same grid as long as
+    they run sequentially — buffers are namespaced by string keys, not locked.
     """
 
     def __init__(
         self,
         grid: SpectralGrid,
         backend: str | TransformBackend | None = "auto",
-        max_factors: int = 32,
         obs: "Observability | None" = None,
     ):
         self.grid = grid
@@ -480,8 +476,6 @@ class SpectralWorkspace:
         self.obs = obs if obs is not None else NULL_OBS
         self.pool = BufferPool(obs=self.obs)
         self._buffers: dict[tuple[str, str, Optional[int]], np.ndarray] = {}
-        self._factors: dict[tuple[float, float], np.ndarray] = {}
-        self._max_factors = max_factors
 
     # -- named scratch buffers ---------------------------------------------
 
@@ -515,29 +509,6 @@ class SpectralWorkspace:
     def nbytes(self) -> int:
         """Total bytes held by named buffers (the arena footprint)."""
         return sum(b.nbytes for b in self._buffers.values())
-
-    # -- memoized integrating factors ---------------------------------------
-
-    def integrating_factor(self, coefficient: float, dt: float) -> np.ndarray:
-        """``exp(-coefficient k^2 dt)``, memoized by ``(coefficient, dt)``.
-
-        The returned array is shared and must be treated as read-only.
-        """
-        key = (float(coefficient), float(dt))
-        factor = self._factors.get(key)
-        if factor is None:
-            if len(self._factors) >= self._max_factors:
-                # Drop the oldest entry (adaptive-dt runs churn the key set).
-                self._factors.pop(next(iter(self._factors)))
-            factor = np.exp(-key[0] * self.grid.k_squared * key[1]).astype(
-                self.grid.dtype
-            )
-            self._factors[key] = factor
-        return factor
-
-    @property
-    def cached_factor_count(self) -> int:
-        return len(self._factors)
 
     # -- normalized transforms ----------------------------------------------
 

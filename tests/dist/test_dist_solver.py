@@ -201,6 +201,12 @@ class TestCommunicationCounts:
                 grid16, VirtualComm(2), np.zeros((3, 8, 8, 5), dtype=complex)
             )
 
+    def test_rotational_form_is_refused(self, grid16):
+        """It used to run the conservative form silently."""
+        with pytest.raises(ValueError, match="serial-only"):
+            pair(grid16, taylor_green_field(grid16), ranks=2,
+                 convective_form="rotational")
+
     def test_rejects_nonpositive_dt(self, grid16):
         _, dist = pair(grid16, taylor_green_field(grid16), ranks=2)
         with pytest.raises(ValueError):

@@ -101,7 +101,8 @@ class TestBitIdenticalSolverStep:
     def test_every_engine_agrees(self, fft_backend, heights):
         """Whole-slab inline, whole-slab on worker processes and the
         out-of-core engine (sync and threads) index one stage table, so
-        driver-side and worker-side kernels give the same bits."""
+        driver-side and worker-side kernels give the same bits — for the
+        velocity and for a passive scalar marched in the same state."""
         from repro.mpi.procs import make_comm
 
         n, P = 24, 3
@@ -111,6 +112,7 @@ class TestBitIdenticalSolverStep:
         u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
             grid.cdtype
         )
+        theta0 = u0[0] + 0.5 * u0[2]
         cfg = SolverConfig(
             nu=0.02, scheme="rk2", phase_shift=True, seed=11,
             fft_backend=fft_backend,
@@ -130,13 +132,15 @@ class TestBitIdenticalSolverStep:
                 with DistributedNavierStokesSolver(
                     grid, comm, u0, cfg, heights=heights, **kwargs
                 ) as solver:
+                    solver.add_scalar(theta0, schmidt=4.0, mean_gradient=1.0)
                     for _ in range(3):
                         solver.step(1e-3)
-                    states[name] = solver.gather_state()
+                    states[name] = (solver.gather_state(), solver.gather_scalar(0))
             finally:
                 getattr(comm, "close", lambda: None)()
-        for name, state in states.items():
-            assert np.array_equal(state, states["slab-virtual"]), name
+        for name, (u, theta) in states.items():
+            assert np.array_equal(u, states["slab-virtual"][0]), name
+            assert np.array_equal(theta, states["slab-virtual"][1]), name
 
 
 class TestArenaAccountingUnderFailure:

@@ -93,6 +93,31 @@ class TestRhsMatchesReference:
         # Masked-out modes are exact zeros, not small numbers.
         assert not got[:, mask[zs] == 0].any()
 
+    @pytest.mark.parametrize("zs", SLABS, ids=lambda s: f"z{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("shifted", [True, False], ids=["shift", "noshift"])
+    def test_scalar_flux_divergence(self, field, zs, shifted):
+        """``scalar_rhs`` against ``-i mask conj(s) k.(u theta)^``, the flux
+        formed on the shifted grid as the solvers hand it over."""
+        grid, u_hat, tol = field
+        zs = slice(*zs)
+        mask = sharp_truncation_mask(grid, DealiasRule.SQRT2_THIRDS)
+        shift = phase_shift_factor(grid, SHIFT) if shifted else 1.0
+        theta = ifft3d((u_hat[0] + 0.5 * u_hat[2]) * shift, grid)
+        f0, f1, f2 = (fft3d(ifft3d(u_hat[i] * shift, grid) * theta, grid)
+                      .astype(grid.cdtype) for i in range(3))
+        kx, ky, kz = grid.k_vectors
+        want = -1j * mask * (kx * f0 + ky * f1 + kz * f2) * np.conj(shift)
+
+        kernel = PointwiseKernel(grid, mask, zs)
+        bases = kernel.shift_bases(SHIFT) if shifted else None
+        got = kernel.scalar_rhs(
+            [np.ascontiguousarray(f[zs]) for f in (f0, f1, f2)], bases,
+            np.empty_like(f0[zs]))
+
+        assert got.dtype == grid.cdtype
+        assert np.abs(got - want[zs]).max() <= tol * np.abs(want).max()
+        assert not got[mask[zs] == 0].any()
+
     def test_projection_leaves_the_mean_mode_alone(self):
         """k = 0 carries no pressure: whatever mean the three-term
         (rotational) input has comes out unchanged, as ``project`` keeps it."""
@@ -129,6 +154,7 @@ class TestBlocking:
             return (
                 kernel.shifted(u, bases, np.empty_like(u)), r,
                 kernel.project(u),
+                kernel.scalar_rhs(terms[:3], bases, np.empty_like(u[0])),
                 kernel.combine(np.empty_like(u), 0.02, [
                     (1e-2, [(5e-3, r), (1.0, u)]), (0.0, [(5e-3, u)])]),
             )

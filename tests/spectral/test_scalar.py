@@ -7,7 +7,6 @@ from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field
 from repro.spectral.scalar import (
     PassiveScalar,
-    ScalarMixingSolver,
     scalar_dissipation,
     scalar_spectrum,
     scalar_variance,
@@ -20,7 +19,7 @@ def make_solver(grid, rng, **cfg):
     defaults = dict(nu=0.05, scheme="rk2", phase_shift=False)
     defaults.update(cfg)
     u0 = random_isotropic_field(grid, rng, energy=0.5)
-    return ScalarMixingSolver(grid, u0, SolverConfig(**defaults))
+    return NavierStokesSolver(grid, u0, SolverConfig(**defaults))
 
 
 class TestConstruction:
@@ -54,7 +53,7 @@ class TestPhysics:
         """With zero velocity the scalar obeys the heat equation exactly
         (integrating factor), at any dt."""
         grid = grid16
-        solver = ScalarMixingSolver(
+        solver = NavierStokesSolver(
             grid, grid.zeros_spectral(3), SolverConfig(nu=0.1, phase_shift=False)
         )
         theta0 = grid.zeros_spectral()
@@ -119,12 +118,32 @@ class TestPhysics:
         """The scalar is passive: the flow ignores it."""
         u0 = random_isotropic_field(grid16, rng, energy=0.5)
         cfg = SolverConfig(nu=0.05, phase_shift=False)
-        with_scalar = ScalarMixingSolver(grid16, u0, cfg)
+        with_scalar = NavierStokesSolver(grid16, u0, cfg)
         with_scalar.add_scalar(grid16.zeros_spectral(), mean_gradient=1.0)
         plain = NavierStokesSolver(grid16, u0, cfg)
         with_scalar.step(0.01)
         plain.step(0.01)
-        assert np.allclose(with_scalar.flow.u_hat, plain.u_hat, atol=1e-14)
+        assert np.allclose(with_scalar.u_hat, plain.u_hat, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme,evals", [("rk2", 2), ("rk4", 4)])
+    def test_passive_under_the_default_phase_shift(self, grid16, rng, scheme, evals):
+        """Attaching a scalar draws no extra phase shifts and runs no extra
+        right-hand sides: the velocity is the plain solver's, bit for bit."""
+        u0 = random_isotropic_field(grid16, rng, energy=0.5)
+        cfg = SolverConfig(nu=0.05, scheme=scheme)
+        assert cfg.phase_shift
+        plain = NavierStokesSolver(grid16, u0, cfg)
+        with_scalar = NavierStokesSolver(grid16, u0, cfg)
+        with_scalar.add_scalar(
+            random_isotropic_field(grid16, rng)[0], schmidt=4.0, mean_gradient=1.0
+        )
+        for _ in range(3):
+            plain.step(0.01)
+            result = with_scalar.step(0.01)
+            assert result.nonlinear_evals == evals
+        assert np.array_equal(with_scalar.u_hat, plain.u_hat)
+        assert with_scalar.nonlinear_evaluations == 3 * evals
+        assert with_scalar.scalar_variance(0) > 0
 
 
 class TestAccuracy:

@@ -9,8 +9,8 @@ Three layers of guarantees:
   with phase shifting and forcing on;
 * **allocation** — after warmup, a solver step must not allocate any
   full-grid (>= N^3-element) array (tracemalloc);
-* **unit behaviour** — buffer pool reuse, factor memoization, backend
-  resolution and cross-backend transform agreement.
+* **unit behaviour** — buffer pool reuse, backend resolution and
+  cross-backend transform agreement.
 """
 
 import tracemalloc
@@ -149,8 +149,12 @@ class TestWorkspaceEquivalence:
 class TestZeroAllocation:
     """The headline invariant: steady-state steps allocate no full grids."""
 
-    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
-    def test_steady_state_step_allocates_no_full_grid(self, rng, scheme):
+    @pytest.mark.parametrize("scheme,nscalars", [
+        pytest.param("rk2", 0, id="rk2"), pytest.param("rk4", 0, id="rk4"),
+        pytest.param("rk2", 1, id="rk2-scalar"),
+        pytest.param("rk4", 1, id="rk4-scalar"),
+    ])
+    def test_steady_state_step_allocates_no_full_grid(self, rng, scheme, nscalars):
         grid = SpectralGrid(32)
         solver = NavierStokesSolver(
             grid,
@@ -158,7 +162,10 @@ class TestZeroAllocation:
             SolverConfig(nu=0.02, scheme=scheme, phase_shift=True,
                          diagnostics_every=0),
         )
-        for _ in range(2):  # warmup: buffers created, factors cached
+        for _ in range(nscalars):
+            solver.add_scalar(random_isotropic_field(grid, rng)[0],
+                              schmidt=4.0, mean_gradient=1.0)
+        for _ in range(2):  # warmup: buffers created
             solver.step(1e-3)
 
         fullgrid_bytes = grid.n**3 * np.dtype(grid.dtype).itemsize
@@ -202,22 +209,6 @@ class TestWorkspaceUnits:
         assert ws.physical("u", ncomp=3) is v
         assert ws.buffer_count == 3
         assert ws.nbytes == a.nbytes + ws.spectral("y").nbytes + v.nbytes
-
-    def test_integrating_factor_memoized(self, grid16):
-        ws = SpectralWorkspace(grid16)
-        f1 = ws.integrating_factor(0.02, 1e-3)
-        assert ws.integrating_factor(0.02, 1e-3) is f1
-        assert ws.integrating_factor(0.02, 2e-3) is not f1
-        assert ws.cached_factor_count == 2
-        np.testing.assert_array_equal(
-            f1, np.exp(-0.02 * grid16.k_squared * 1e-3)
-        )
-
-    def test_factor_cache_bounded(self, grid16):
-        ws = SpectralWorkspace(grid16, max_factors=4)
-        for i in range(10):
-            ws.integrating_factor(0.02, 1e-3 * (i + 1))
-        assert ws.cached_factor_count <= 4
 
     def test_phase_shift_matches_full_grid_exp(self, grid16, rng):
         """The shifted coefficients land in the inverse transform's own work

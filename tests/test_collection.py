@@ -10,8 +10,12 @@ The second does the same for committed measurements: three of five root
 ``BENCH_*.json`` files sat beside the gated two for ten PRs with no job
 comparing them to anything.  A baseline nothing regenerates and diffs is a
 number nobody can trust, so it may not be committed.
+
+The third imports every ``examples/*.py``: no job ran them, so a public name
+an example uses could be renamed or removed without anything failing.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,14 @@ def test_every_committed_bench_file_is_regenerated_and_gated_by_ci():
             f"diff` it against `git show HEAD:{name}` in another, or the "
             f"file goes"
         )
+
+
+def test_every_example_imports_and_the_scalar_one_runs(capsys):
+    modules = {}
+    for path in sorted((ROOT.parent / "examples").glob("*.py")):
+        spec = importlib.util.spec_from_file_location(f"examples_{path.stem}", path)
+        modules[path.stem] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[path.stem])  # __main__-guarded: no run
+    assert len(modules) >= 6
+    modules["scalar_mixing"].main(16, 5)
+    assert "var(Sc=4)" in capsys.readouterr().out

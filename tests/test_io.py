@@ -1,5 +1,8 @@
 """Tests for checkpoint save/load."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from repro.io import CheckpointError, load_checkpoint, save_checkpoint
 from repro.spectral.dealias import DealiasRule
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field
-from repro.spectral.scalar import ScalarMixingSolver
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
 
 
@@ -30,6 +32,7 @@ class TestRoundTrip:
         assert np.array_equal(restored.u_hat, solver.u_hat)
         assert restored.time == solver.time
         assert restored.step_count == solver.step_count
+        assert restored.scalars == []
 
     def test_config_restored(self, solver, tmp_path):
         restored = load_checkpoint(save_checkpoint(tmp_path / "ck.npz", solver))
@@ -37,13 +40,29 @@ class TestRoundTrip:
         assert restored.config.scheme == "rk4"
         assert restored.config.dealias is DealiasRule.TWO_THIRDS
 
-    def test_restart_continues_identically(self, solver, tmp_path):
-        """A restarted run must follow the original trajectory exactly."""
-        path = save_checkpoint(tmp_path / "ck.npz", solver)
-        restored = load_checkpoint(path)
-        solver.run(3, 0.005)
-        restored.run(3, 0.005)
-        assert np.array_equal(restored.u_hat, solver.u_hat)
+    def test_restart_continues_identically(self, grid16, tmp_path):
+        """A restarted run must follow the original trajectory exactly — the
+        phase-shift stream and any scalar included.  One test, eight cases."""
+        cases = itertools.product(("rk2", "rk4"), (False, True), (0, 1))
+        for scheme, phase_shift, nscalars in cases:
+            rng = np.random.default_rng(0)
+            solver = NavierStokesSolver(
+                grid16,
+                random_isotropic_field(grid16, rng, energy=0.5),
+                SolverConfig(nu=0.03, scheme=scheme, phase_shift=phase_shift),
+            )
+            for _ in range(nscalars):
+                solver.add_scalar(random_isotropic_field(grid16, rng)[0],
+                                  schmidt=4.0, mean_gradient=1.5)
+            solver.run(3, 0.005)
+            restored = load_checkpoint(save_checkpoint(tmp_path / "ck.npz", solver))
+            solver.run(3, 0.005)
+            restored.run(3, 0.005)
+            case = (scheme, phase_shift, nscalars)
+            assert np.array_equal(restored.u_hat, solver.u_hat), case
+            for s in range(nscalars):
+                assert np.array_equal(
+                    restored.gather_scalar(s), solver.gather_scalar(s)), case
 
     def test_grid_passed_explicitly(self, solver, tmp_path, grid16):
         path = save_checkpoint(tmp_path / "ck.npz", solver)
@@ -53,7 +72,7 @@ class TestRoundTrip:
 
 class TestScalars:
     def test_scalar_round_trip(self, grid16, rng, tmp_path):
-        mix = ScalarMixingSolver(
+        mix = NavierStokesSolver(
             grid16,
             random_isotropic_field(grid16, rng, energy=0.5),
             SolverConfig(nu=0.05, phase_shift=False),
@@ -61,31 +80,13 @@ class TestScalars:
         mix.add_scalar(grid16.zeros_spectral(), schmidt=4.0, mean_gradient=1.5)
         mix.step(0.005)
         path = save_checkpoint(tmp_path / "mix.npz", mix)
-        restored = load_checkpoint(path, with_scalars=True)
-        assert isinstance(restored, ScalarMixingSolver)
+        restored = load_checkpoint(path)
         assert len(restored.scalars) == 1
         assert restored.scalars[0].schmidt == 4.0
         assert restored.scalars[0].mean_gradient == 1.5
         assert np.array_equal(
             restored.scalars[0].theta_hat, mix.scalars[0].theta_hat
         )
-
-    def test_scalar_checkpoint_requires_flag(self, grid16, rng, tmp_path):
-        mix = ScalarMixingSolver(
-            grid16,
-            random_isotropic_field(grid16, rng, energy=0.5),
-            SolverConfig(nu=0.05, phase_shift=False),
-        )
-        mix.add_scalar(grid16.zeros_spectral())
-        path = save_checkpoint(tmp_path / "mix.npz", mix)
-        with pytest.raises(CheckpointError, match="scalars"):
-            load_checkpoint(path)
-
-    def test_plain_checkpoint_loads_as_mixer_when_asked(self, solver, tmp_path):
-        path = save_checkpoint(tmp_path / "ck.npz", solver)
-        restored = load_checkpoint(path, with_scalars=True)
-        assert isinstance(restored, ScalarMixingSolver)
-        assert restored.scalars == []
 
 
 class TestValidation:
@@ -105,3 +106,15 @@ class TestValidation:
         np.savez(bogus, header=np.frombuffer(b"\xff\xfe{", dtype=np.uint8))
         with pytest.raises(CheckpointError):
             load_checkpoint(bogus)
+
+    def test_version_1_rejected(self, solver, tmp_path):
+        """A v1 file has no RNG state, so it cannot be resumed exactly."""
+        path = save_checkpoint(tmp_path / "ck.npz", solver)
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(arrays["header"].tobytes())
+        header["format_version"] = 1
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
