@@ -269,6 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _infeasible(exc: ValueError) -> int:
+    """An ``(N, nodes)`` the planner or ``RunConfig`` refuses: its reason on
+    stderr, exit 2 — what ``dns`` does for a spec that fails validation."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_plan(args) -> int:
     import json
 
@@ -339,7 +346,10 @@ def _cmd_plan(args) -> int:
         if nodes is None:
             print("problem does not fit on this machine")
             return 1
-        row = mem.plan(args.n, nodes)
+        try:
+            row = mem.plan(args.n, nodes)
+        except ValueError as exc:
+            return _infeasible(exc)
         print(f"plan for {nodes} nodes: mem/node {row.memory_per_node_gib:.1f} GiB, "
               f"np={row.npencils}, pencil {row.pencil_gib:.2f} GiB")
         return 0
@@ -351,7 +361,11 @@ def _cmd_autotune(args) -> int:
     from repro.core.autotuner import autotune
     from repro.machine.summit import summit
 
-    print(autotune(summit(), args.n, args.nodes).report())
+    try:
+        result = autotune(summit(), args.n, args.nodes)
+    except ValueError as exc:
+        return _infeasible(exc)
+    print(result.report())
     return 0
 
 
@@ -363,19 +377,22 @@ def _cmd_step(args) -> int:
     from repro.machine.summit import summit
 
     machine = summit()
-    np_ = MemoryPlanner(machine).plan(args.n, args.nodes).npencils
-    while args.n % np_ != 0:
-        np_ += 1
-    q = args.q if args.q is not None else np_
-    cfg = RunConfig(
-        n=args.n,
-        nodes=args.nodes,
-        tasks_per_node=args.tasks_per_node,
-        npencils=np_,
-        q_pencils_per_a2a=q,
-        algorithm=Algorithm(args.algorithm),
-        scheme=args.scheme,
-    )
+    try:
+        np_ = MemoryPlanner(machine).plan(args.n, args.nodes).npencils
+        while args.n % np_ != 0:
+            np_ += 1
+        q = args.q if args.q is not None else np_
+        cfg = RunConfig(
+            n=args.n,
+            nodes=args.nodes,
+            tasks_per_node=args.tasks_per_node,
+            npencils=np_,
+            q_pencils_per_a2a=q,
+            algorithm=Algorithm(args.algorithm),
+            scheme=args.scheme,
+        )
+    except ValueError as exc:
+        return _infeasible(exc)
     timing = simulate_step(cfg, machine)
     print(f"{cfg.label()}: {timing.step_time:.2f} s/step")
     for cat, t in sorted(timing.breakdown.items()):

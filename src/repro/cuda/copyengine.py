@@ -24,16 +24,17 @@ All three share the :class:`CopyEngine` interface — ``h2d(dst, src)`` /
 ``d2h(dst, src)`` with an optional per-stream span tracer and an optional
 exec :class:`~repro.exec.api.Stream` — emit ``arena.h2d`` / ``arena.d2h``
 spans plus per-strategy byte/chunk counters through :mod:`repro.obs`, and
-price themselves with the Fig. 7 cost models (used verbatim when submitted
-to the simulated-CUDA backend, whose ops are priced rather than executed).
+price themselves with the Fig. 7 cost models (each span's ``model_cost``,
+and what decides in the planner's model-priced mode, kind ``"sim"``).
 
 :class:`CopyAutotuner` closes the loop: it probes every engine on the
 actual (shape, strides, dtype) of the first pencil with a given layout —
 copying the live arrays, so probing is free of side effects — caches the
 winner keyed by ``(shape, strides, dtype, backend kind)``, and re-probes
-automatically when ``npencils`` or the grid change the layout.  On the
-simulated backend (kind ``"sim"``) the choice falls back to the analytic
-models, making it deterministic.  :class:`AutoEngine` wraps the tuner
+automatically when ``npencils`` or the grid change the layout.  In the
+planner's model-priced mode (kind ``"sim"``, what :class:`CapacityPlanner`
+builds its engines with) the choice falls back to the analytic models,
+making it deterministic.  :class:`AutoEngine` wraps the tuner
 behind the same ``CopyEngine`` interface (the ``--copy-strategy auto``
 path of the ``dns`` CLI and the ``repro tune`` subcommand).
 """
@@ -161,7 +162,7 @@ class CopyEngine:
     """One executable strategy for moving strided data host<->device.
 
     Subclasses implement :meth:`_execute` (the real copy) and
-    :meth:`price` (the Fig. 7 cost model used on the simulated backend).
+    :meth:`price` (the Fig. 7 cost model).
     ``h2d``/``d2h`` record an ``arena.h2d``/``arena.d2h`` span on the given
     tracer (pass the owning stream's child tracer when calling from a
     pipeline stage — span tracers are single-threaded) and maintain
@@ -214,14 +215,12 @@ class CopyEngine:
     def _copy(self, dst, src, direction: str, spans, stream: "Stream | None"):
         layout = ChunkLayout.of(dst, src)
         if stream is not None:
-            # Submitted as one stream operation: real backends execute the
-            # copy on the stream's worker; the simulated backend prices it
-            # with the strategy's Fig. 7 model instead.
+            # Submitted as one stream operation: the backend executes the
+            # copy on the stream's worker.
             return stream.submit(
                 f"arena.{direction}",
                 direction,
                 fn=lambda: self._run(dst, src, layout, direction, None),
-                cost=self.price(layout),
                 engine=self.name,
                 nbytes=layout.total_bytes,
             )
@@ -393,9 +392,9 @@ class CopyAutotuner:
     candidate engine performs the actual copy ``repeats`` times while being
     timed — all engines move identical bytes, so probing on the live
     arrays is bit-exact and side-effect-free (the destination ends up with
-    precisely the data the caller asked for).  On the simulated backend
-    (``kind="sim"``) wall time is meaningless, so the Fig. 7 cost models
-    decide instead.  Winners are cached keyed by
+    precisely the data the caller asked for).  With ``kind="sim"`` (the
+    planner's model-priced mode) there is no wall time to measure, so the
+    Fig. 7 cost models decide instead.  Winners are cached keyed by
     ``(shape, strides-signature, dtype, kind)`` — a new grid or pencil
     count produces new layouts and therefore fresh probes.
     """
@@ -465,9 +464,9 @@ class CopyAutotuner:
                 getattr(dst, "__array_descriptor__", False)
                 or getattr(src, "__array_descriptor__", False)
             ):
-                # No wall clock to measure (sim backend) or no bytes to
-                # probe (metadata-mode descriptors): the Fig. 7 models
-                # decide, deterministically.
+                # No wall clock to measure (model-priced mode) or no
+                # bytes to probe (metadata-mode descriptors): the Fig. 7
+                # models decide, deterministically.
                 winner = self._choose_model(key, layout)
             else:
                 winner = self._probe(key, dst, src, layout)
@@ -594,7 +593,12 @@ def make_engine(
     kind: str = "sync",
     tuner: Optional[CopyAutotuner] = None,
 ) -> CopyEngine:
-    """Build a copy engine by CLI name (``auto`` wires up the autotuner)."""
+    """Build a copy engine by CLI name (``auto`` wires up the autotuner).
+
+    ``kind`` is the autotuner's cache key and probe mode: an exec backend
+    kind (``"sync"`` / ``"threads"``) probes by wall time; ``"sim"`` is
+    :class:`repro.plan.CapacityPlanner`'s model-priced selection.
+    """
     if name == "auto":
         return AutoEngine(obs=obs, gpu=gpu, tuner=tuner, kind=kind)
     if name == "per_chunk":

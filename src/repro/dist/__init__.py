@@ -9,26 +9,22 @@ single-process ground truth of :mod:`repro.spectral`.
 Contents:
 
 * :mod:`repro.dist.virtual_mpi` — bulk-synchronous collectives over lists of
-  per-rank NumPy arrays (all-to-all, allreduce, ...), plus 2-D Cartesian
-  communicator splitting;
-* :mod:`repro.dist.decomp` — slab (1-D) and pencil (2-D) index maps,
-  scatter/gather between global arrays and rank-local pieces (paper Fig. 1);
+  per-rank NumPy arrays (all-to-all, allreduce, ...);
+* :mod:`repro.dist.decomp` — slab (1-D) index maps, scatter/gather between
+  global arrays and rank-local pieces (paper Fig. 1);
 * :mod:`repro.dist.transpose` — the pack / all-to-all / unpack global
   transposes at the heart of every distributed FFT (paper Figs. 2-4);
 * :mod:`repro.dist.stages` — the four 1-D stage kernels of the slab
   transform, declared once for every engine;
 * :mod:`repro.dist.slab_fft` — distributed 3-D FFT with the paper's slab
   decomposition (one all-to-all per transform);
-* :mod:`repro.dist.pencil_fft` — distributed 3-D FFT with the traditional
-  2-D pencil decomposition (two all-to-alls; the CPU baseline's scheme);
 * :mod:`repro.dist.dist_solver` — the full pseudo-spectral RK2/RK4 step
   (velocity and passive scalars, one state) distributed over virtual ranks.
 """
 
 from repro.dist.virtual_mpi import VirtualComm
-from repro.dist.decomp import PencilDecomposition, SlabDecomposition
+from repro.dist.decomp import SlabDecomposition
 from repro.dist.slab_fft import SlabDistributedFFT
-from repro.dist.pencil_fft import PencilDistributedFFT
 from repro.dist.dist_solver import DistributedNavierStokesSolver
 from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT
 
@@ -36,8 +32,6 @@ __all__ = [
     "DeviceArena",
     "DistributedNavierStokesSolver",
     "OutOfCoreSlabFFT",
-    "PencilDecomposition",
-    "PencilDistributedFFT",
     "SlabDecomposition",
     "SlabDistributedFFT",
     "VirtualComm",

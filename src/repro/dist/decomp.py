@@ -1,4 +1,4 @@
-"""Domain decompositions: slab (1-D) and pencil (2-D) index maps (paper Fig. 1).
+"""Slab (1-D) domain decomposition: index maps and scatter/gather (paper Fig. 1).
 
 Array layout is ``[z, y, x]`` with x contiguous, as everywhere in this
 reproduction.  Conventions follow the paper's Fig. 2:
@@ -19,10 +19,8 @@ reproduction.  Conventions follow the paper's Fig. 2:
 
   One all-to-all transposes between the two (z <-> y exchange).
 
-* **Pencil decomposition** over ``Pr x Pc`` ranks (the CPU baseline of the
-  paper's Table 3, and of Yeung et al. PNAS 2015): physical state is split
-  in both z (over Pc) and y (over Pr) with full x lines; two all-to-alls
-  (one per sub-communicator) are needed per 3-D transform.
+The 2-D pencil decomposition of the paper's CPU baseline (Yeung et al. PNAS
+2015) exists on the cost plane only (``StepSimulation._cpu_rank``).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from repro.spectral.grid import SpectralGrid
 
 __all__ = [
-    "PencilDecomposition",
     "SlabDecomposition",
     "SlabGridView",
     "normalize_heights",
@@ -298,72 +295,3 @@ class SlabGridView:
     def owns_mean_mode(self) -> bool:
         """True iff this rank's (non-empty) kz-slab contains the kz=0 plane."""
         return self._zslice.start == 0 and self._zslice.stop > 0
-
-
-@dataclass(frozen=True)
-class PencilDecomposition:
-    """2-D pencil decomposition over a ``rows x cols`` process grid.
-
-    Rank ``r`` sits at ``(row, col) = (r // cols, r % cols)``; its physical
-    sub-domain is the x-pencil with z indices in block ``col`` (of Pc) and
-    y indices in block ``row`` (of Pr).
-    """
-
-    n: int
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        _check_divides(self.n, self.rows, "rows")
-        _check_divides(self.n, self.cols, "cols")
-
-    @property
-    def ranks(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def my(self) -> int:
-        return self.n // self.rows
-
-    @property
-    def mz(self) -> int:
-        return self.n // self.cols
-
-    def coords(self, rank: int) -> tuple[int, int]:
-        if not 0 <= rank < self.ranks:
-            raise ValueError(f"rank {rank} out of range")
-        return rank // self.cols, rank % self.cols
-
-    def rank_at(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"coords ({row}, {col}) out of range")
-        return row * self.cols + col
-
-    def local_physical_shape(self) -> tuple[int, int, int]:
-        return (self.mz, self.my, self.n)
-
-    def scatter_physical(self, global_u: np.ndarray) -> list[np.ndarray]:
-        """Split a global (N, N, N) array into x-pencils, rank order."""
-        if global_u.shape != (self.n, self.n, self.n):
-            raise ValueError(f"bad global shape {global_u.shape}")
-        out = []
-        for r in range(self.ranks):
-            row, col = self.coords(r)
-            zs = slice(col * self.mz, (col + 1) * self.mz)
-            ys = slice(row * self.my, (row + 1) * self.my)
-            out.append(np.ascontiguousarray(global_u[zs, ys, :]))
-        return out
-
-    def gather_physical(self, locals_: list[np.ndarray]) -> np.ndarray:
-        """Inverse of :meth:`scatter_physical`."""
-        if len(locals_) != self.ranks:
-            raise ValueError(f"expected {self.ranks} pieces, got {len(locals_)}")
-        out = np.empty((self.n, self.n, self.n), dtype=locals_[0].dtype)
-        for r, piece in enumerate(locals_):
-            if piece.shape != self.local_physical_shape():
-                raise ValueError(f"rank {r}: bad shape {piece.shape}")
-            row, col = self.coords(r)
-            zs = slice(col * self.mz, (col + 1) * self.mz)
-            ys = slice(row * self.my, (row + 1) * self.my)
-            out[zs, ys, :] = piece
-        return out

@@ -299,21 +299,3 @@ class VirtualComm:
             )
         )
         return [_copy_result(value) for _ in range(self.size)]
-
-    # -- Cartesian splitting (for the 2-D pencil decomposition) -----------------
-
-    def cart_2d(self, rows: int, cols: int) -> tuple[list["VirtualComm"], list["VirtualComm"]]:
-        """Split into a rows x cols grid of row and column sub-communicators.
-
-        Rank ``r`` sits at (row, col) = (r // cols, r % cols).  Returns
-        (row_comms, col_comms): ``row_comms[i]`` spans the ``cols`` ranks of
-        row i (used for the x<->y transpose); ``col_comms[j]`` spans the
-        ``rows`` ranks of column j (the y<->z transpose).  The paper notes
-        the best 2-D performance has the row communicator sized to the ranks
-        per node so one of the two exchanges stays on-node.
-        """
-        if rows * cols != self.size:
-            raise ValueError(f"{rows}x{cols} != communicator size {self.size}")
-        row_comms = [VirtualComm(cols, name=f"{self.name}.row{i}") for i in range(rows)]
-        col_comms = [VirtualComm(rows, name=f"{self.name}.col{j}") for j in range(cols)]
-        return row_comms, col_comms

@@ -2,15 +2,13 @@
 
 The paper's defining optimization — pencils pipelined through the GPU on
 concurrent streams with events enforcing cross-stream order (Fig. 4) — as a
-reusable runtime with interchangeable executors:
+reusable runtime with two interchangeable executors:
 
 * :mod:`repro.exec.api` — the :class:`Stream` / :class:`Event` vocabulary;
 * :mod:`repro.exec.threads` — real NumPy work on worker threads (GIL
   released inside FFTs and copies, so stages genuinely overlap);
 * :mod:`repro.exec.sync` — the same operations inline: the bit-exact
   reference oracle;
-* :mod:`repro.exec.simcuda` — the simulated CUDA runtime adapted to the
-  same interface, so the performance model shares the scheduler;
 * :mod:`repro.exec.pipeline` — :class:`PencilPipeline`, the Fig. 4
   schedule (bounded in-flight window, per-stage streams, event edges).
 """
@@ -47,11 +45,7 @@ __all__ = [
 
 
 def make_backend(kind: str, obs=None, fuzz=None, monitor=None) -> ExecBackend:
-    """Build a real-execution backend by name (``"sync"`` or ``"threads"``).
-
-    The simulated backend is constructed explicitly from a
-    :class:`repro.cuda.CudaDevice` via
-    :class:`repro.exec.simcuda.SimCudaBackend` (it needs an engine).
+    """Build an execution backend by name (``"sync"`` or ``"threads"``).
 
     With ``fuzz`` (a :class:`repro.verify.fuzz.FuzzProfile`) the backend is
     wrapped in a :class:`~repro.verify.fuzz.FuzzBackend` that injects seeded

@@ -4,17 +4,18 @@ The paper schedules its out-of-core pencil batches on two CUDA streams with
 events enforcing cross-stream order (Fig. 4).  This module defines that
 vocabulary — :class:`Stream` (a FIFO of operations), :class:`Event`
 (record / wait) — *independently of what executes the operations*, so the
-same schedule can run on:
+same schedule runs on:
 
 * worker threads doing real NumPy work (:mod:`repro.exec.threads` —
   FFTs and ``np.copyto`` release the GIL, so different pencils' copy-in,
   compute, and copy-out genuinely overlap);
 * the calling thread, inline (:mod:`repro.exec.sync` — the bit-exact
-  reference oracle: identical operations, fully serialized);
-* the simulated CUDA runtime (:mod:`repro.exec.simcuda` — the performance
-  model's :class:`repro.cuda.CudaStream` behind the same interface, so the
-  model and the real executor share one scheduling abstraction and one
-  trace vocabulary).
+  reference oracle: identical operations, fully serialized).
+
+The performance model (:mod:`repro.core.executor`) writes the same schedule
+as simulation processes of its own; the two planes share the span
+categories (``h2d`` / ``fft`` / ``d2h`` / ``mpi``) and nothing else — see
+DESIGN.md section 10.
 
 Semantics (mirroring the CUDA model reproduced in :mod:`repro.cuda.runtime`):
 
@@ -72,7 +73,7 @@ class Stream:
 
     ``lane`` is the obs/trace lane name; every operation submitted here is
     recorded as a span on that lane, which is what makes exported timelines
-    show one row per stream for real and simulated runs alike.
+    show one row per stream.
     """
 
     __slots__ = ()
@@ -85,14 +86,12 @@ class Stream:
         name: str,
         category: str,
         fn: Optional[Callable[[], object]] = None,
-        cost: float = 0.0,
         **meta: object,
     ) -> Event:  # pragma: no cover - interface
         """Append an operation; returns its completion event.
 
-        Real backends execute ``fn`` (a zero-argument callable); the
-        simulated backend prices the operation at ``cost`` seconds of
-        virtual time instead.  ``meta`` rides into the recorded span.
+        The backend executes ``fn`` (a zero-argument callable; ``None`` is
+        a pure ordering marker).  ``meta`` rides into the recorded span.
         """
         raise NotImplementedError
 
@@ -110,7 +109,7 @@ class ExecBackend:
 
     __slots__ = ()
 
-    #: "threads" | "sync" | "sim" — lets schedulers special-case pricing.
+    #: "threads" | "sync" (a verify wrapper reports the backend it wraps).
     kind: str
 
     def stream(self, name: str) -> Stream:  # pragma: no cover - interface

@@ -16,7 +16,7 @@ priced costs — never wall-clock — the assignment is a pure function of
 (costs, item order), so:
 
 * the same inputs produce the same lane assignment on every backend
-  (``sync``, ``threads``, simulated), making ``pencils_lent`` /
+  (``sync``, ``threads``), making ``pencils_lent`` /
   ``pencils_reclaimed`` assertable in tests rather than flaky;
 * results stay bit-identical to the static schedule: lending moves *where*
   a pencil's compute runs, never *what* it computes — the per-item event
@@ -109,8 +109,3 @@ class DlbPolicy:
     def makespan(self) -> float:
         """Priced finish time of the most loaded lane (virtual seconds)."""
         return max(self.clock)
-
-    def reset_clocks(self) -> None:
-        """Zero the lane clocks (counters are cumulative and survive)."""
-        self.clock = [0.0] * self.lanes
-        self._lent_owners.clear()

@@ -37,15 +37,14 @@ class PipelineStage:
     ----------
     name, stream, category:
         Span name prefix, stream (lane) the stage runs on, and span
-        category (defaults to ``name``) — categories are shared between the
-        threaded executor and the simulated-CUDA backend so their exported
-        timelines are directly comparable.
+        category (defaults to ``name``) — the categories are the cost
+        plane's too, so exported timelines are directly comparable.
     fn:
-        ``fn(i)`` performs the real work for item ``i`` (thread / sync
-        backends).
+        ``fn(i)`` performs the work for item ``i``.
     cost:
-        ``cost(i)`` prices item ``i`` in seconds of virtual time (simulated
-        backend); ignored by real backends.
+        ``cost(i)`` is item ``i``'s weight on the
+        :class:`~repro.exec.dlb.DlbPolicy` lane clocks (1.0 when absent);
+        no backend reads it.
     when:
         Optional filter: the stage is submitted only for items where
         ``when(i)`` is true (e.g. one comm operation per pencil when items
@@ -115,17 +114,12 @@ class PencilPipeline:
                 for stage in self.stages:
                     if stage.when is not None and not stage.when(i):
                         continue
-                    cost = float(stage.cost(i)) if stage.cost is not None else 0.0
                     if stage.owner is not None:
-                        owner = int(stage.owner(i))
-                        lane = (
-                            self.dlb.assign(
-                                i, owner,
-                                cost if stage.cost is not None else 1.0,
-                            )
-                            if self.dlb is not None
-                            else owner
-                        )
+                        lane = int(stage.owner(i))
+                        if self.dlb is not None:
+                            weight = (float(stage.cost(i))
+                                      if stage.cost is not None else 1.0)
+                            lane = self.dlb.assign(i, lane, weight)
                         stream = backend.stream(f"{stage.stream}[{lane}]")
                     else:
                         stream = streams[stage.stream]
@@ -141,7 +135,6 @@ class PencilPipeline:
                         f"{stage.name}[{i}]",
                         stage.category or stage.name,
                         fn,
-                        cost=cost,
                         item=i,
                     )
                 final_events.append(prev_event)

@@ -54,7 +54,6 @@ class SyncStream(Stream):
         name: str,
         category: str,
         fn: Optional[Callable[[], object]] = None,
-        cost: float = 0.0,
         **meta: object,
     ) -> Event:
         if fn is not None:

@@ -95,7 +95,6 @@ class ThreadStream(Stream):
         name: str,
         category: str,
         fn: Optional[Callable[[], object]] = None,
-        cost: float = 0.0,
         **meta: object,
     ) -> ThreadEvent:
         event = ThreadEvent(name)

@@ -88,18 +88,6 @@ class Table3Row:
     gpu_c_s: float  # async GPU, 2 tasks/node, 1 slab/A2A
 
     @property
-    def speedup_a(self) -> float:
-        return self.cpu_s / self.gpu_a_s
-
-    @property
-    def speedup_b(self) -> float:
-        return self.cpu_s / self.gpu_b_s
-
-    @property
-    def speedup_c(self) -> float:
-        return self.cpu_s / self.gpu_c_s
-
-    @property
     def best_gpu_s(self) -> float:
         return min(self.gpu_a_s, self.gpu_b_s, self.gpu_c_s)
 

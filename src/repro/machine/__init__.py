@@ -8,9 +8,8 @@ observed communication efficiencies; this package captures both.
 
 :mod:`repro.machine.spec` defines the dataclasses, :mod:`repro.machine.summit`
 instantiates the published Summit numbers (and holds the calibration constants
-fitted once against the paper's Table 2), :mod:`repro.machine.network`
-implements the all-to-all effective-bandwidth model and
-:mod:`repro.machine.topology` builds a fat-tree graph for bisection analysis.
+fitted once against the paper's Table 2) and :mod:`repro.machine.network`
+implements the all-to-all effective-bandwidth model.
 """
 
 from repro.machine.spec import (

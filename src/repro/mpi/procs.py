@@ -4,7 +4,7 @@
 perfect for bit-level determinism tests but hides real parallelism and
 tolerates aliasing no real MPI would.  :class:`ProcsComm` keeps the exact
 same collective surface (``alltoall`` / ``ialltoall`` / ``allreduce`` /
-``allgather`` / ``bcast`` / ``cart_2d``, stats, fault-injector hook) while
+``allgather`` / ``bcast``, stats, fault-injector hook) while
 running each rank's transform work in a dedicated **worker process**, so
 ``DistributedNavierStokesSolver --ranks N`` genuinely uses N cores — the
 structural step the paper takes for granted (ranks are separate address

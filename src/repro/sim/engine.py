@@ -329,10 +329,6 @@ class Engine:
         finally:
             self._running = False
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
     # -- internal ----------------------------------------------------------
 
     def _schedule(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:

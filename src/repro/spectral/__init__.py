@@ -41,14 +41,6 @@ from repro.spectral.forcing import (
 from repro.spectral.initial import random_isotropic_field, taylor_green_field
 from repro.spectral.diagnostics import FlowStatistics, energy_spectrum, flow_statistics
 from repro.spectral.scalar import PassiveScalar
-from repro.spectral.transfer import spectral_flux, transfer_spectrum
-from repro.spectral.twopoint import (
-    longitudinal_correlation,
-    second_order_structure,
-    third_order_structure,
-    transverse_correlation,
-)
-from repro.spectral.timeseries import StatisticsRecorder, run_with_statistics
 from repro.spectral.workspace import (
     SpectralWorkspace,
     TransformBackend,
@@ -61,14 +53,6 @@ __all__ = [
     "DealiasRule",
     "FlowStatistics",
     "PassiveScalar",
-    "StatisticsRecorder",
-    "longitudinal_correlation",
-    "second_order_structure",
-    "spectral_flux",
-    "third_order_structure",
-    "transfer_spectrum",
-    "transverse_correlation",
-    "run_with_statistics",
     "NavierStokesSolver",
     "NegativeViscosityForcing",
     "NoForcing",
@@ -97,5 +81,4 @@ __all__ = [
     "sharp_truncation_mask",
     "taylor_green_field",
     "vorticity_hat",
-    "flow_statistics",
 ]

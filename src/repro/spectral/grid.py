@@ -63,10 +63,6 @@ class SpectralGrid:
         return (self.n, self.n, self.n // 2 + 1)
 
     @property
-    def cell_volume(self) -> float:
-        return (self.length / self.n) ** 3
-
-    @property
     def dx(self) -> float:
         return self.length / self.n
 
@@ -161,10 +157,6 @@ class SpectralGrid:
     def empty_physical(self, ncomp: int | None = None) -> np.ndarray:
         shape = self.physical_shape if ncomp is None else (ncomp, *self.physical_shape)
         return np.empty(shape, dtype=self.dtype)
-
-    def empty_spectral(self, ncomp: int | None = None) -> np.ndarray:
-        shape = self.spectral_shape if ncomp is None else (ncomp, *self.spectral_shape)
-        return np.empty(shape, dtype=self.cdtype)
 
     def zeros_spectral(self, ncomp: int | None = None) -> np.ndarray:
         shape = self.spectral_shape if ncomp is None else (ncomp, *self.spectral_shape)

@@ -103,7 +103,6 @@ class ReplayStream(Stream):
         name: str,
         category: str,
         fn: Optional[Callable[[], object]] = None,
-        cost: float = 0.0,
         **meta: object,
     ) -> Event:
         deps: list[_RecordedOp] = []

@@ -202,13 +202,12 @@ class FuzzEvent(Event):
 
 
 class _HeldOp:
-    __slots__ = ("name", "category", "fn", "cost", "meta", "proxy")
+    __slots__ = ("name", "category", "fn", "meta", "proxy")
 
-    def __init__(self, name, category, fn, cost, meta, proxy):
+    def __init__(self, name, category, fn, meta, proxy):
         self.name = name
         self.category = category
         self.fn = fn
-        self.cost = cost
         self.meta = meta
         self.proxy = proxy
 
@@ -326,15 +325,14 @@ class FuzzStream(Stream):
         name: str,
         category: str,
         fn: Optional[Callable[[], object]] = None,
-        cost: float = 0.0,
         **meta: object,
     ) -> Event:
         wrapped = self._wrap(name, category, fn, meta) if fn is not None else None
         if self._backend._reorder_active:
             proxy = FuzzEvent(name)
-            self._backend._hold(self, _HeldOp(name, category, wrapped, cost, meta, proxy))
+            self._backend._hold(self, _HeldOp(name, category, wrapped, meta, proxy))
             return proxy
-        return self._inner.submit(name, category, wrapped, cost=cost, **meta)
+        return self._inner.submit(name, category, wrapped, **meta)
 
     def wait_event(self, event: Event) -> None:
         if self._backend._reorder_active:
@@ -456,7 +454,7 @@ class FuzzBackend(ExecBackend):
 
     def _dispatch(self, stream: FuzzStream, op: _HeldOp) -> None:
         inner_event = stream._inner.submit(
-            op.name, op.category, op.fn, cost=op.cost, **op.meta
+            op.name, op.category, op.fn, **op.meta
         )
         op.proxy._bind(inner_event)
 

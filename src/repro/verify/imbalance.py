@@ -14,7 +14,7 @@ categories, consumed by
   :class:`repro.exec.DlbPolicy` lane cost weights, so the model-priced
   lend/reclaim assignment matches the injected wall-time skew;
 * :mod:`repro.benchkit.imbalance` — cost injection: the same factors
-  multiply priced stage costs on the simulated backend.
+  weight the :class:`repro.exec.DlbPolicy` lane clocks its model rows read.
 
 Like every verify plan, the injection changes *when* work runs, never
 *what* it computes — fuzzed runs must stay bit-identical to the unfuzzed

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.decomp import PencilDecomposition, SlabDecomposition, SlabGridView
+from repro.dist.decomp import SlabDecomposition, SlabGridView
 from repro.spectral.grid import SpectralGrid
 
 
@@ -101,43 +101,3 @@ class TestSlabGridView:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SlabGridView(SpectralGrid(16), SlabDecomposition(n=32, ranks=4), 0)
-
-
-class TestPencilDecomposition:
-    def test_shapes_and_coords(self):
-        d = PencilDecomposition(n=12, rows=2, cols=3)
-        assert d.ranks == 6
-        assert d.local_physical_shape() == (4, 6, 12)
-        assert d.coords(0) == (0, 0)
-        assert d.coords(5) == (1, 2)
-        assert d.rank_at(1, 2) == 5
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            PencilDecomposition(n=12, rows=5, cols=2)
-
-    def test_coords_bounds(self):
-        d = PencilDecomposition(n=12, rows=2, cols=3)
-        with pytest.raises(ValueError):
-            d.coords(6)
-        with pytest.raises(ValueError):
-            d.rank_at(2, 0)
-
-    def test_scatter_gather_roundtrip(self, rng):
-        d = PencilDecomposition(n=12, rows=2, cols=3)
-        u = rng.standard_normal((12, 12, 12))
-        assert np.array_equal(d.gather_physical(d.scatter_physical(u)), u)
-
-    def test_scatter_pieces_are_disjoint_and_complete(self, rng):
-        d = PencilDecomposition(n=8, rows=2, cols=2)
-        u = np.arange(8**3, dtype=float).reshape(8, 8, 8)
-        pieces = d.scatter_physical(u)
-        seen = np.concatenate([p.ravel() for p in pieces])
-        assert sorted(seen) == list(np.arange(8**3, dtype=float))
-
-    def test_gather_validates_shapes(self):
-        d = PencilDecomposition(n=8, rows=2, cols=2)
-        with pytest.raises(ValueError):
-            d.gather_physical([np.zeros((4, 4, 8))] * 3)
-        with pytest.raises(ValueError):
-            d.gather_physical([np.zeros((2, 2, 2))] * 4)

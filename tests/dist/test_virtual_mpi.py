@@ -178,15 +178,3 @@ class TestByteAccounting:
         assert rec.p2p_bytes == model
         assert rec.p2p_min_bytes == rec.p2p_max_bytes == model
         assert rec.total_bytes == P * P * model
-
-
-class TestCartesian:
-    def test_cart_2d_shapes(self):
-        comm = VirtualComm(6)
-        rows, cols = comm.cart_2d(2, 3)
-        assert len(rows) == 2 and all(c.size == 3 for c in rows)
-        assert len(cols) == 3 and all(c.size == 2 for c in cols)
-
-    def test_cart_2d_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            VirtualComm(6).cart_2d(2, 2)

@@ -53,6 +53,20 @@ class TestAutotune:
         assert "<-- best" in out
 
 
+class TestInfeasibleCostPlaneArguments:
+    @pytest.mark.parametrize("argv,reason", [
+        (["step", "100", "7"], "N=100 must be divisible by ranks=14"),
+        (["autotune", "3072", "5"], "does not fit in node memory"),
+        (["autotune", "100", "3"], "no valid configuration for N=100 on 3 nodes"),
+        (["plan", "3072", "--nodes", "5"], "does not fit in node memory"),
+    ])
+    def test_reasoned_error_not_traceback(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -13,14 +13,30 @@ number nobody can trust, so it may not be committed.
 
 The third imports every ``examples/*.py``: no job ran them, so a public name
 an example uses could be renamed or removed without anything failing.
+
+The fourth applies the same rule to modules: nine of them (1.1k lines) were
+imported by nothing but their own tests.  A module under ``src/repro/`` stays
+only if another source file, ``bench/``, an example, the CLI's experiment
+table or a CI step consumes it.  The fifth keeps the prose honest: every
+``repro.x.y`` name and ``pkg/file.py`` path the three documents mention exists.
 """
 
+import ast
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent
+REPO = ROOT.parent
+SRC = REPO / "src"
+
+#: Modules nothing consumes that stay anyway, each with the reason.
+ORPHANS_ALLOWED = {
+    "repro.experiments.calibration": "ROADMAP item 10 decides",
+}
 
 
 def test_every_test_directory_is_collected(request):
@@ -40,9 +56,8 @@ def test_every_test_directory_is_collected(request):
 
 
 def test_every_committed_bench_file_is_regenerated_and_gated_by_ci():
-    repo = ROOT.parent
-    steps = (repo / ".github" / "workflows" / "ci.yml").read_text().split("- name:")
-    for name in sorted(p.name for p in repo.glob("BENCH_*.json")):
+    steps = (REPO / ".github" / "workflows" / "ci.yml").read_text().split("- name:")
+    for name in sorted(p.name for p in REPO.glob("BENCH_*.json")):
         gates = [s for s in steps
                  if f"git show HEAD:{name}" in s and "repro obs diff" in s]
         writers = [s for s in steps
@@ -56,10 +71,95 @@ def test_every_committed_bench_file_is_regenerated_and_gated_by_ci():
 
 def test_every_example_imports_and_the_scalar_one_runs(capsys):
     modules = {}
-    for path in sorted((ROOT.parent / "examples").glob("*.py")):
+    for path in sorted((REPO / "examples").glob("*.py")):
         spec = importlib.util.spec_from_file_location(f"examples_{path.stem}", path)
         modules[path.stem] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(modules[path.stem])  # __main__-guarded: no run
     assert len(modules) >= 6
     modules["scalar_mixing"].main(16, 5)
     assert "var(Sc=4)" in capsys.readouterr().out
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(tree: ast.AST):
+    """``(module, name | None)`` for every import in a file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "the repo imports by absolute name"
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_every_module_is_consumed_by_something_other_than_its_tests():
+    files = {_module_name(p): p for p in SRC.rglob("*.py")}
+    trees = {m: ast.parse(p.read_text()) for m, p in files.items()}
+    packages = {m for m, p in files.items() if p.name == "__init__.py"}
+    modules = {m for m, p in files.items()
+               if p.name not in ("__init__.py", "__main__.py")}
+    reexports = {
+        pkg: {name: base for base, name in _imports(trees[pkg])
+              if name is not None}
+        for pkg in packages
+    }
+
+    def resolve(base, name):
+        """The module an ``import base`` / ``from base import name`` reads."""
+        if name is None or base not in packages:
+            return base
+        if f"{base}.{name}" in files:
+            return f"{base}.{name}"
+        origin = reexports[base].get(name, base)
+        return resolve(origin, name) if origin != base else base
+
+    readers = list(trees.items())
+    readers += [(None, ast.parse(p.read_text()))
+                for d in ("bench", "examples") for p in (REPO / d).rglob("*.py")]
+    consumed = set()
+    for own, tree in readers:
+        is_init = own in packages
+        used = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for base, name in _imports(tree):
+            if is_init and name is not None and name not in used:
+                continue  # a bare re-export consumes nothing
+            target = resolve(base, name)
+            if target != own:
+                consumed.add(target)
+    # `_cmd_report` imports repro.experiments.<command> by string.
+    consumed |= {f"repro.experiments.{n.value}"
+                 for n in ast.walk(trees["repro.cli"])
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    consumed |= set(re.findall(r"python -m (repro(?:\.\w+)+)", ci))
+
+    orphans = modules - consumed
+    unexpected = sorted(orphans - set(ORPHANS_ALLOWED))
+    assert not unexpected, (
+        f"{unexpected} are imported only by their own tests: wire each into "
+        f"a door, an experiment or another module, or delete it with its tests"
+    )
+    stale = sorted(set(ORPHANS_ALLOWED) - orphans)
+    assert not stale, f"{stale} are consumed now: drop them from the allowlist"
+
+
+def test_every_name_and_path_the_docs_mention_exists():
+    dangling = []
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = (REPO / doc).read_text()
+        for name in set(re.findall(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+", text)):
+            try:
+                pkgutil.resolve_name(name)
+            except (ImportError, AttributeError):
+                dangling.append(f"{doc}: {name}")
+        for path in set(re.findall(r"`((?:[\w.-]+/)+[\w.-]+\.py)\b", text)):
+            if not any((base / path).exists()
+                       for base in (REPO, SRC, SRC / "repro")):
+                dangling.append(f"{doc}: {path}")
+    assert not dangling, f"the docs name what does not exist: {sorted(dangling)}"

@@ -1,4 +1,4 @@
-"""PencilPipeline stress matrix: window bounds across all three backends.
+"""PencilPipeline stress matrix: window bounds across both backends.
 
 Tier-1 keeps a representative slice; the full inflight x npencils x backend
 product (and the poisoning sweep) runs under ``-m fuzz``.  Every run is
@@ -10,32 +10,10 @@ import threading
 
 import pytest
 
-from repro.cuda.runtime import CudaDevice
 from repro.exec import PencilPipeline, PipelineStage, SyncBackend, ThreadBackend
-from repro.exec.simcuda import SimCudaBackend
-from repro.machine.summit import summit_gpu
-from repro.sim.engine import Engine
-from repro.sim.resources import LinkSet
-from repro.sim.trace import Tracer
 from repro.verify import watchdog
 
 WATCHDOG_SECONDS = 30.0
-
-
-def _sim_backend():
-    eng = Engine()
-    links = LinkSet(eng)
-    dram = links.link("dram", 135e9)
-    dev = CudaDevice(eng, links, summit_gpu(), dram, name="gpu0", tracer=Tracer())
-    return SimCudaBackend(dev)
-
-
-def _backend(kind):
-    if kind == "sync":
-        return SyncBackend()
-    if kind == "threads":
-        return ThreadBackend()
-    return _sim_backend()
 
 
 def _run_matrix_case(kind, inflight, npencils):
@@ -48,27 +26,18 @@ def _run_matrix_case(kind, inflight, npencils):
                 log.append((stage_name, i))
         return fn
 
-    backend = _backend(kind)
-    if kind == "sim":
-        stages = [
-            PipelineStage("h2d", "h2d", "h2d", cost=lambda i: 1e-3),
-            PipelineStage("fft", "compute", "fft", cost=lambda i: 1e-3),
-            PipelineStage("d2h", "d2h", "d2h", cost=lambda i: 1e-3),
-        ]
-    else:
-        stages = [
-            PipelineStage("h2d", "h2d", "h2d", fn=make("h2d")),
-            PipelineStage("fft", "compute", "fft", fn=make("fft")),
-            PipelineStage("d2h", "d2h", "d2h", fn=make("d2h")),
-        ]
+    backend = SyncBackend() if kind == "sync" else ThreadBackend()
+    stages = [
+        PipelineStage("h2d", "h2d", "h2d", fn=make("h2d")),
+        PipelineStage("fft", "compute", "fft", fn=make("fft")),
+        PipelineStage("d2h", "d2h", "d2h", fn=make("d2h")),
+    ]
     with watchdog(
         WATCHDOG_SECONDS,
         label=f"stress {kind} inflight={inflight} npencils={npencils}",
     ):
         PencilPipeline(backend, stages, window=inflight).run(npencils)
-        shutdown = getattr(backend, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        backend.shutdown()
     return log
 
 
@@ -84,12 +53,10 @@ def _check_fifo(log, npencils):
 
 
 class TestRepresentativeSlice:
-    @pytest.mark.parametrize("kind", ["sync", "threads", "sim"])
+    @pytest.mark.parametrize("kind", ["sync", "threads"])
     @pytest.mark.parametrize("inflight,npencils", [(1, 4), (3, 8)])
     def test_window_and_fifo(self, kind, inflight, npencils):
-        log = _run_matrix_case(kind, inflight, npencils)
-        if kind != "sim":
-            _check_fifo(log, npencils)
+        _check_fifo(_run_matrix_case(kind, inflight, npencils), npencils)
 
     def test_poisoned_stream_never_deadlocks_others(self):
         backend = ThreadBackend()
@@ -121,13 +88,11 @@ class TestRepresentativeSlice:
 
 @pytest.mark.fuzz
 class TestFullMatrix:
-    @pytest.mark.parametrize("kind", ["sync", "threads", "sim"])
+    @pytest.mark.parametrize("kind", ["sync", "threads"])
     @pytest.mark.parametrize("inflight", [1, 2, 3, 4])
     @pytest.mark.parametrize("npencils", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_every_window_depth_and_item_count(self, kind, inflight, npencils):
-        log = _run_matrix_case(kind, inflight, npencils)
-        if kind != "sim":
-            _check_fifo(log, npencils)
+        _check_fifo(_run_matrix_case(kind, inflight, npencils), npencils)
 
     @pytest.mark.parametrize("poison_item", [0, 3, 7])
     @pytest.mark.parametrize("poison_stage", ["h2d", "fft", "d2h"])
