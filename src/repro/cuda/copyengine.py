@@ -21,11 +21,11 @@ measure which one wins on the layout at hand:
     regardless of scheduling.
 
 All three share the :class:`CopyEngine` interface — ``h2d(dst, src)`` /
-``d2h(dst, src)`` with an optional per-stream span tracer and an optional
-exec :class:`~repro.exec.api.Stream` — emit ``arena.h2d`` / ``arena.d2h``
-spans plus per-strategy byte/chunk counters through :mod:`repro.obs`, and
-price themselves with the Fig. 7 cost models (each span's ``model_cost``,
-and what decides in the planner's model-priced mode, kind ``"sim"``).
+``d2h(dst, src)`` with an optional per-stream span tracer — emit
+``arena.h2d`` / ``arena.d2h`` spans plus per-strategy byte/chunk counters
+through :mod:`repro.obs`, and price themselves with the Fig. 7 cost models
+(each recorded span's ``model_cost``, and what decides in the planner's
+model-priced mode, kind ``"sim"``).
 
 :class:`CopyAutotuner` closes the loop: it probes every engine on the
 actual (shape, strides, dtype) of the first pencil with a given layout —
@@ -41,10 +41,11 @@ path of the ``dns`` CLI and the ``repro tune`` subcommand).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,10 +57,7 @@ from repro.cuda.memcpy import (
     time_zero_copy_kernel,
 )
 from repro.machine.spec import GpuSpec
-from repro.obs import NULL_OBS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.exec.api import Stream
+from repro.obs import NULL_OBS, NULL_SPAN
 
 __all__ = [
     "AutoEngine",
@@ -130,7 +128,7 @@ class ChunkLayout:
                 )
         tail = min(_contiguous_tail(a) for a in arrays)
         lead = base.ndim - tail
-        chunk_elems = int(np.prod(base.shape[lead:], dtype=np.int64))
+        chunk_elems = math.prod(base.shape[lead:])
         return cls(
             shape=tuple(base.shape),
             lead_ndim=lead,
@@ -140,7 +138,7 @@ class ChunkLayout:
 
     @property
     def nchunks(self) -> int:
-        return int(np.prod(self.shape[: self.lead_ndim], dtype=np.int64))
+        return math.prod(self.shape[: self.lead_ndim])
 
     @property
     def chunk_bytes(self) -> int:
@@ -195,13 +193,13 @@ class CopyEngine:
 
     # -- public API ----------------------------------------------------------
 
-    def h2d(self, dst: np.ndarray, src: np.ndarray, spans=None, stream=None):
+    def h2d(self, dst: np.ndarray, src: np.ndarray, spans=None) -> None:
         """Copy a (possibly strided) host view into a device buffer."""
-        return self._copy(dst, src, "h2d", spans, stream)
+        self._copy(dst, src, "h2d", spans)
 
-    def d2h(self, dst: np.ndarray, src: np.ndarray, spans=None, stream=None):
+    def d2h(self, dst: np.ndarray, src: np.ndarray, spans=None) -> None:
         """Copy a device buffer back into (possibly strided) host memory."""
-        return self._copy(dst, src, "d2h", spans, stream)
+        self._copy(dst, src, "d2h", spans)
 
     def price(self, layout: ChunkLayout) -> float:
         """Virtual seconds for this copy (the Fig. 7 model)."""
@@ -212,30 +210,19 @@ class CopyEngine:
 
     # -- machinery -----------------------------------------------------------
 
-    def _copy(self, dst, src, direction: str, spans, stream: "Stream | None"):
+    def _copy(self, dst, src, direction: str, spans) -> None:
         layout = ChunkLayout.of(dst, src)
-        if stream is not None:
-            # Submitted as one stream operation: the backend executes the
-            # copy on the stream's worker.
-            return stream.submit(
-                f"arena.{direction}",
-                direction,
-                fn=lambda: self._run(dst, src, layout, direction, None),
-                engine=self.name,
-                nbytes=layout.total_bytes,
-            )
-        self._run(dst, src, layout, direction, spans)
-        return None
-
-    def _run(self, dst, src, layout: ChunkLayout, direction: str, spans):
         tracer = spans if spans is not None else self.obs.spans
-        with tracer.span(
+        # The Fig. 7 model runs only for a span somebody will read: the
+        # pencil path makes hundreds of copies a step.
+        span = NULL_SPAN if not tracer.enabled else tracer.span(
             f"arena.{direction}",
             category=direction,
             engine=self.name,
             nbytes=layout.total_bytes,
             model_cost=self.price(layout),
-        ):
+        )
+        with span:
             # Metadata-mode operands (shape/dtype descriptors, see
             # repro.core.payload) have no bytes to move; the span, the
             # priced cost and every counter below are still emitted, which
@@ -572,15 +559,11 @@ class AutoEngine(CopyEngine):
     def price(self, layout: ChunkLayout) -> float:
         return min(e.price(layout) for e in self.tuner.engines)
 
-    def h2d(self, dst, src, spans=None, stream=None):
-        return self.tuner.choose(dst, src, self.kind).h2d(
-            dst, src, spans=spans, stream=stream
-        )
+    def h2d(self, dst, src, spans=None) -> None:
+        self.tuner.choose(dst, src, self.kind).h2d(dst, src, spans=spans)
 
-    def d2h(self, dst, src, spans=None, stream=None):
-        return self.tuner.choose(dst, src, self.kind).d2h(
-            dst, src, spans=spans, stream=stream
-        )
+    def d2h(self, dst, src, spans=None) -> None:
+        self.tuner.choose(dst, src, self.kind).d2h(dst, src, spans=spans)
 
     def close(self) -> None:
         self.tuner.close()

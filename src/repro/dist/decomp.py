@@ -208,7 +208,7 @@ class SlabDecomposition:
 
     def gather_spectral(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Inverse of :meth:`scatter_spectral`."""
-        self._check_locals(locals_, self.local_spectral_shape)
+        self.check_locals(locals_, self.local_spectral_shape)
         return np.concatenate(locals_, axis=0)
 
     def scatter_physical(self, global_u: np.ndarray) -> list[np.ndarray]:
@@ -222,28 +222,23 @@ class SlabDecomposition:
 
     def gather_physical(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Inverse of :meth:`scatter_physical`."""
-        self._check_locals(locals_, self.local_physical_shape)
+        self.check_locals(locals_, self.local_physical_shape)
         return np.concatenate(locals_, axis=1)
 
-    def _check_locals(self, locals_, shape_of) -> None:
+    def check_locals(self, locals_, shape_of, dtype=None) -> None:
+        """One piece per rank, each ``shape_of(rank)`` — and ``dtype``, when
+        given (a transform's ``out=``) — else a ``ValueError`` naming the
+        rank."""
         if len(locals_) != self.ranks:
             raise ValueError(f"expected {self.ranks} local pieces, got {len(locals_)}")
         for r, piece in enumerate(locals_):
             want = shape_of(r)
             if piece.shape != want:
                 raise ValueError(f"rank {r}: expected {want}, got {piece.shape}")
-
-    # -- pencils within a slab (the out-of-core batching of paper Fig. 3) ----
-
-    def pencil_y_slices(self, npencils: int) -> list[slice]:
-        """Split the full y extent of a spectral slab into ``np`` pencils.
-
-        Each pencil has ``nyp = N/np`` y-lines (paper Fig. 3); this is the
-        unit of data batched on and off the GPU.
-        """
-        _check_divides(self.n, npencils, "npencils")
-        nyp = self.n // npencils
-        return [slice(i * nyp, (i + 1) * nyp) for i in range(npencils)]
+            if dtype is not None and piece.dtype != dtype:
+                raise ValueError(
+                    f"rank {r}: expected dtype {np.dtype(dtype)}, got {piece.dtype}"
+                )
 
 
 class SlabGridView:

@@ -257,6 +257,21 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             bufs = self._buffers[key] = [np.empty_like(u) for u in self._state]
         return bufs
 
+    def _field(self, key: str, physical: bool) -> list[np.ndarray]:
+        """Named per-rank slabs of one field — real y-slabs (``physical``) or
+        complex kz-slabs — that the transforms fill through ``out=``."""
+        bufs = self._buffers.get(key)
+        if bufs is None:
+            d = self.decomp
+            shape_of, dtype = (
+                (d.local_physical_shape, self.grid.dtype) if physical
+                else (d.local_spectral_shape, self.grid.cdtype)
+            )
+            bufs = self._buffers[key] = [
+                np.empty(shape_of(r), dtype) for r in range(self.comm.size)
+            ]
+        return bufs
+
     # -- the distributed nonlinear term -----------------------------------------
 
     def _nonlinear(
@@ -283,32 +298,43 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
         # Velocity components to physical space (3 inverse distributed FFTs).
         u_phys = [  # [component][rank]
-            self.fft.inverse([coeffs[r][c] for r in ranks]) for c in range(3)
+            self.fft.inverse(
+                [coeffs[r][c] for r in ranks], out=self._field(f"u{c}", True)
+            )
+            for c in range(3)
         ]
 
-        # Six products, transformed back (6 forward distributed FFTs).
-        prod = self._buffers.get("prod")
-        if prod is None:
-            prod = self._buffers["prod"] = [np.empty_like(u) for u in u_phys[0]]
+        # Six products, transformed back (6 forward distributed FFTs).  The
+        # shifted velocity coefficients are dead once transformed, so the
+        # first three product spectra take their slabs.
+        prod = self._field("prod", True)
         prod_hat = []
-        for i, j in PRODUCT_PAIRS:
+        for p, (i, j) in enumerate(PRODUCT_PAIRS):
             with obs.spans.span("nl.products", category="nonlinear"):
                 for r in ranks:
                     np.multiply(u_phys[i][r], u_phys[j][r], out=prod[r])
-            prod_hat.append(self.fft.forward(prod))
+            if cfg.phase_shift and p < 3:
+                into = [coeffs[r][p] for r in ranks]
+            else:
+                into = self._field(f"prod_hat{p}", False)
+            prod_hat.append(self.fft.forward(prod, out=into))
 
         for r, kernel in enumerate(self._kernels):
             with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
                 kernel.rhs([p[r] for p in prod_hat], bases[r], out[r][:3])
 
+        # kernel.rhs has consumed the products: the scalar fluxes reuse
+        # their slabs.
         for s, scalar in enumerate(self.scalars, start=3):
-            theta = self.fft.inverse([coeffs[r][s] for r in ranks])
+            theta = self.fft.inverse(
+                [coeffs[r][s] for r in ranks], out=self._field("theta", True)
+            )
             flux_hat = []
             for c in range(3):
                 with obs.spans.span("nl.products", category="nonlinear"):
                     for r in ranks:
                         np.multiply(u_phys[c][r], theta[r], out=prod[r])
-                flux_hat.append(self.fft.forward(prod))
+                flux_hat.append(self.fft.forward(prod, out=prod_hat[c]))
             for r, kernel in enumerate(self._kernels):
                 with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
                     kernel.scalar_rhs([f[r] for f in flux_hat], bases[r], out[r][s])

@@ -13,17 +13,30 @@ Since the async-runtime refactor the pencil loop is a
 =========  ==================================================================
 ``h2d``    copy the pencil's strided host view into a ring slot
 ``compute``  the 1-D FFT stage kernel, device-resident in and out
-``d2h``    copy the transformed pencil back to host memory
-``comm``   per-pencil chunked all-to-all (``VirtualComm.ialltoall``)
+``d2h``    copy the transformed pencil back to host memory — before an
+           exchange, one strided copy per peer straight into that peer's
+           send block: the D2H *is* the pack (paper Sec. 3.3, Figs. 7-8)
+``comm``   per-pencil chunked all-to-all (``VirtualComm.ialltoall``) whose
+           receive windows are strided views of the destination's
+           transposed slab, which the next phase's H2D reads in place
 =========  ==================================================================
 
-with events enforcing the Fig. 4 cross-stream edges (compute waits its
-pencil's H2D; D2H waits its compute; the exchange waits its D2H) and a
-bounded in-flight window gating H2D of pencil ``ip`` on full retirement of
+so a byte crosses host memory three times per transpose, as
+``core/costs.py`` prices it (``d2h_pack``, the all-to-all, ``unpack_h2d``).
+The host side is claimed once per engine like the paper's pinned buffers
+(Sec. 3.5): per rank one *send region* carved into ``(pencil, peer)``
+blocks in all-to-all order and one *transposed slab*, both slab-sized and
+shared by the inverse and forward transforms (transforms are sequential
+and each phase drains before the next starts); results land in arrays the
+caller hands in (``out=``).  Nothing on the pencil path allocates.
+
+Events enforce the Fig. 4 cross-stream edges (compute waits its pencil's
+H2D; D2H waits its compute; the exchange waits its D2H) and a bounded
+in-flight window gates H2D of pencil ``ip`` on full retirement of
 ``ip - window``.  Device storage is a ring of flat buffers pre-claimed from
 the arena **once per transform stage** and re-viewed per pencil — the
 paper's persistent-buffer discipline (27 buffers claimed at startup,
-Sec. 3.5) — so no allocate/free sits on the pencil path.
+Sec. 3.5).
 
 Backends are interchangeable: ``pipeline="sync"`` executes every operation
 inline in submission order (the bit-exact reference oracle),
@@ -47,11 +60,7 @@ from repro.core.payload import ArrayDescriptor, PayloadPolicy, is_descriptor
 from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.stages import STAGES
-from repro.dist.transpose import (
-    _PACK_POOL,
-    complete_chunk_exchange,
-    post_chunk_exchange,
-)
+from repro.dist.transpose import chunk_exchange_layout, complete_chunk_exchange
 from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
@@ -70,6 +79,12 @@ __all__ = [
 ]
 
 _KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
+#: Pencil split axis -> (pack, unpack, chunk) axes of the exchange behind
+#: it: the chunk is the pencil, so its axis is the split axis.
+_EXCHANGE_AXES = {
+    "x": (_Y_AXIS, _KZ_AXIS, _X_AXIS),
+    "y": (_KZ_AXIS, _Y_AXIS, _Y_AXIS),
+}
 
 
 def ring_bytes(
@@ -138,7 +153,7 @@ class DeviceArena:
         self.monitor = None
 
     def allocate(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         with self._lock:
             if self.in_use + nbytes > self.capacity:
                 raise DeviceMemoryExceeded(
@@ -246,7 +261,7 @@ class PencilRings:
         if self.monitor is not None:
             self.monitor.on_ring_view(role, slot, item)
         flat = self._slots[role][slot]
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         return flat[:nbytes].view(dtype).reshape(shape)
 
     def load(
@@ -434,6 +449,16 @@ class OutOfCoreSlabFFT:
             obs=self.obs,
             payload_policy=self.payload_policy,
         )
+        # The host side, claimed once (the paper's pinned buffers, Sec. 3.5):
+        # per rank a send region and a transposed slab, slab-sized and flat;
+        # _exchange_views carves and re-views them per exchanged stage.
+        def slabs():
+            nplane = grid.n * (grid.n // 2 + 1)
+            return [self._empty((h * nplane,), grid.cdtype)
+                    for h in self.decomp.rank_heights]
+
+        self._send, self._transposed = slabs(), slabs()
+        self._views: dict[str, tuple] = {}
         if monitor is not None:
             self.arena.monitor = monitor
             self.arena.pool.monitor = monitor
@@ -510,42 +535,70 @@ class OutOfCoreSlabFFT:
 
     # -- shared pieces -------------------------------------------------------
 
-    def _splits(self, extent: int) -> list[slice]:
+    def _splits(self, extent: int, keep_empty: bool = False) -> list[slice]:
         """``extent`` cut at the floored ``linspace(0, extent, npencils + 1)``
-        edges, empty slices dropped: widths are floor or ceil of
-        ``extent / npencils`` and the last slice is always a widest one."""
+        edges: widths are floor or ceil of ``extent / npencils`` and the
+        last slice is always a widest one.  Empty slices are dropped unless
+        ``keep_empty`` — uneven slabs (including height-0 ranks) keep them
+        so every rank has ``npencils`` entries and the ``i = ip * P + r``
+        item structure holds."""
         edges = np.linspace(0, extent, self.npencils + 1).astype(int)
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-    def _splits_keep(self, extent: int) -> list[slice]:
-        """Like :meth:`_splits`, but keeps empty slices so every rank has
-        exactly ``npencils`` entries — uneven slabs (including height-0
-        ranks) then preserve the ``i = ip * P + r`` item structure."""
-        edges = np.linspace(0, extent, self.npencils + 1).astype(int)
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-    def _rank_ysplits(self) -> "list[list[slice]] | None":
-        """Per-rank y-pencil slices for uneven slabs (None when balanced)."""
-        d = self.decomp
-        if d.heights is None:
-            return None
-        return [self._splits_keep(d.height(r)) for r in range(self.comm.size)]
-
-    @property
-    def _heights(self) -> "tuple[int, ...] | None":
-        d = self.decomp
-        return None if d.heights is None else d.rank_heights
-
-    @property
-    def _offsets(self) -> list[int]:
-        d = self.decomp
-        return [d.offset(r) for r in range(self.comm.size)]
+        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])
+                if keep_empty or b > a]
 
     def _empty(self, shape: tuple[int, ...], dtype):
-        """A host work array (payload) or its descriptor (metadata)."""
+        """A host array (payload) or its descriptor (metadata)."""
         if self._payload:
             return np.empty(shape, dtype=dtype)
         return ArrayDescriptor.empty(shape, dtype)
+
+    def _y_shape(self, r: int) -> tuple[int, int, int]:
+        return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
+
+    def _transposed_slabs(self, shape_of) -> list[np.ndarray]:
+        """Every rank's transposed slab, viewed as ``shape_of(rank)``."""
+        return [
+            flat.reshape(shape_of(r)) for r, flat in enumerate(self._transposed)
+        ]
+
+    def _exchange_views(self, by: str, cuts):
+        """Send blocks and receive windows of the ``by``-split exchange.
+
+        Returns ``(pack, send, windows)``, built on first use and kept:
+        ``pack[s]`` indexes peer ``s``'s planes of a ring slot;
+        ``send[ip][r][s]`` is the contiguous ``r -> s`` block of pencil
+        ``ip``, carved from rank ``r``'s send region in ``(ip, s)`` order;
+        ``windows[ip][s][r]`` is where it lands in rank ``s``'s transposed
+        slab.  Metadata mode carves descriptors the same way.
+        """
+        views = self._views.get(by)
+        if views is not None:
+            return views
+        P = self.comm.size
+        src_shape, dst_shape = self.decomp.local_spectral_shape, self._y_shape
+        if by == "y":
+            src_shape, dst_shape = dst_shape, src_shape
+        shapes = [src_shape(r) for r in range(P)]
+        slabs = self._transposed_slabs(dst_shape)
+        used = [0] * P
+        send, windows = [], []
+        for ip in range(len(cuts[0])):
+            pack, blocks, where = chunk_exchange_layout(
+                shapes, *_EXCHANGE_AXES[by],
+                [cuts[r][ip] for r in range(P)], self.decomp.rank_heights,
+            )
+            rows = []
+            for r, region in enumerate(self._send):
+                row = []
+                for shape in blocks[r]:
+                    size = math.prod(shape)
+                    row.append(region[used[r]:used[r] + size].reshape(shape))
+                    used[r] += size
+                rows.append(row)
+            send.append(rows)
+            windows.append([[slab[w] for w in where] for slab in slabs])
+        views = self._views[by] = (pack, send, windows)
+        return views
 
     def _run(self, stages: list[PipelineStage], nitems: int) -> None:
         PencilPipeline(
@@ -561,71 +614,32 @@ class OutOfCoreSlabFFT:
     def _stream_spans(self, name: str):
         """The stream's own span tracer, when the backend records one.
 
-        Span tracers are single-threaded; copy-engine spans emitted from a
-        stage fn must land on the tracer owned by the stream whose worker
-        runs the fn (same pattern as :meth:`_exchange_pencil`).
+        Span tracers are single-threaded; spans emitted from a stage fn
+        must land on the tracer owned by the stream whose worker runs it.
         """
         return getattr(self._backend.stream(name), "_spans", self.obs.spans)
 
-    def _rings(self, roles: dict[str, int]) -> PencilRings:
-        """A per-stage ring wired to this engine's copy strategy."""
-        return PencilRings(
-            self.arena, self.inflight, roles, engine=self._copy_engine
-        )
-
-    def _note_h2d(self, nbytes: int) -> None:
-        if self._m_h2d is not None:
-            self._m_h2d.inc(nbytes)
-
-    def _note_d2h(self, nbytes: int) -> None:
-        if self._m_d2h is not None:
-            self._m_d2h.inc(nbytes)
-
-    def _exchange_pencil(
-        self,
-        sources: Sequence[np.ndarray],
-        outs: Sequence[np.ndarray],
-        pack_axis: int,
-        unpack_axis: int,
-        chunk: slice,
-        chunk_axis: int,
-        block_extent: int,
-        pack_sizes: "Sequence[int] | None" = None,
-        src_chunks: "Sequence[slice] | None" = None,
-        unpack_offsets: "Sequence[int] | None" = None,
-    ) -> None:
+    def _exchange_pencil(self, send, windows) -> None:
         """Post + complete one pencil's all-to-all (runs on the comm stream).
-
-        The pack phase records its own nested span on the comm stream's
-        tracer (same thread as the enclosing ``a2a[i]`` span), matching the
-        ``pack``/``mpi`` category split of :func:`transpose_exchange`.
 
         Transient comm faults (:class:`TransientCommFault`, injected by the
         verification subsystem's fault-capable comm shim) are retried with
         exponential backoff up to ``comm_retries`` times: a *late* chunk
-        re-waits the same posted handle, a *dropped* chunk re-packs and
-        re-posts from the unchanged source arrays.  Faults are injected
-        before any byte moves, so every retry starts from clean state and
-        recovered exchanges are bit-identical to fault-free ones.
+        re-waits the same posted handle, a *dropped* chunk is re-posted.
+        A pencil's send blocks are its own and stay untouched until the
+        next transform, and faults are injected before any byte moves, so
+        a re-post sends the same bytes into clean windows and a recovered
+        exchange is bit-identical to a fault-free one.
         """
-        spans = getattr(self._backend.stream("comm"), "_spans", self.obs.spans)
+        spans = self._stream_spans("comm")
         attempt = 0
         delay = self.retry_backoff
-        handle = send = None
+        handle = None
         while True:
             try:
                 if handle is None:
-                    with spans.span("transpose.pack", category="pack"):
-                        handle, send = post_chunk_exchange(
-                            self.comm, sources, pack_axis, chunk, chunk_axis,
-                            pool=_PACK_POOL, pack_sizes=pack_sizes,
-                            src_chunks=src_chunks,
-                        )
-                nbytes = complete_chunk_exchange(
-                    handle, send, outs, unpack_axis, chunk, chunk_axis,
-                    block_extent, pool=_PACK_POOL,
-                    src_chunks=src_chunks, unpack_offsets=unpack_offsets,
-                )
+                    handle = self.comm.ialltoall(send, recv=windows)
+                nbytes = complete_chunk_exchange(handle)
                 break
             except TransientCommFault as fault:
                 if self._m_comm_faults is not None:
@@ -633,14 +647,8 @@ class OutOfCoreSlabFFT:
                 if attempt >= self.comm_retries:
                     raise
                 attempt += 1
-                if fault.dropped and send is not None:
-                    # The posted send evaporated: recycle its staging and
-                    # re-pack from the (unchanged) source arrays.
-                    for bufs in send:
-                        for buf in bufs:
-                            if not is_descriptor(buf):
-                                _PACK_POOL.give(buf)
-                    handle = send = None
+                if fault.dropped:
+                    handle = None  # the posted request evaporated
                 with spans.span(
                     "verify.retry", category="verify",
                     attempt=attempt, dropped=fault.dropped,
@@ -680,36 +688,39 @@ class OutOfCoreSlabFFT:
         stage: str,
         by: str,
         src: Sequence[np.ndarray],
-        dst: Sequence[np.ndarray],
-        exchange: "Sequence[np.ndarray] | None" = None,
+        dst: "Sequence[np.ndarray] | None" = None,
     ) -> None:
         """One Fig. 4 pass of ``STAGES[stage]`` over every (pencil, rank) item.
 
         Item ``i = ip * P + r`` is pencil ``ip`` of rank ``r``: H2D of its
         strided view of ``src[r]`` into a ring slot, the stage kernel
-        device-resident in and out, D2H into the same view of ``dst[r]``.
-        ``by`` names the split axis — never a transformed one, so every
-        pencil holds complete lines: ``"x"`` for the y stages on kz-slabs,
-        ``"y"`` for the z/x stages on y-slabs, where uneven slabs cut each
-        rank's own y extent into ``npencils`` (possibly empty) slices.
-        With ``exchange``, pencil ``ip``'s chunk of ``dst`` is transposed
-        into ``exchange`` on the comm stream once its last rank's D2H is
-        done, pipelined behind the following pencils.
+        device-resident in and out, D2H out of the slot.  ``by`` names the
+        split axis — never a transformed one, so every pencil holds
+        complete lines: ``"x"`` for the y stages on kz-slabs, ``"y"`` for
+        the z/x stages on y-slabs, where uneven slabs cut each rank's own y
+        extent into ``npencils`` (possibly empty) slices.
+
+        With ``dst`` the D2H writes the same view of ``dst[r]``.  Without,
+        the phase ends in the transpose: the D2H of an item is one copy per
+        peer into that peer's send block (zero-height peers have empty
+        blocks and get no copy), and once a pencil's last rank is out the
+        comm stream exchanges its blocks into the transposed slabs,
+        pipelined behind the following pencils.
         """
         st = STAGES[stage]
         d, n, P = self.decomp, self.grid.n, self.comm.size
-        rank_cuts = None  # per-rank slices, when they differ between ranks
+        axis = _EXCHANGE_AXES[by][2]
         if by == "x":
-            axis, dist_axis, other_axis = _X_AXIS, _KZ_AXIS, _Y_AXIS
             cuts = [self._splits(n // 2 + 1)] * P
+        elif d.heights is None:
+            cuts = [self._splits(d.my)] * P
         else:
-            axis, dist_axis, other_axis = _Y_AXIS, _Y_AXIS, _KZ_AXIS
-            rank_cuts = self._rank_ysplits()
-            cuts = rank_cuts or [self._splits(d.my)] * P
-        heights, offsets = self._heights, self._offsets
+            cuts = [self._splits(d.height(r), keep_empty=True) for r in range(P)]
         real, cpx = self.grid.dtype, self.grid.cdtype
         in_role, in_dtype = ("real", real) if st.real_in else ("cpx", cpx)
         out_role, out_dtype = ("real", real) if st.real_out else ("cpx", cpx)
+        if dst is None:
+            pack, send, windows = self._exchange_views(by, cuts)
 
         def pencil(i: int):
             """(rank, host-array index, ring-slot shape) of item i."""
@@ -719,8 +730,11 @@ class OutOfCoreSlabFFT:
             shape[axis] = sl.stop - sl.start
             return r, (slice(None),) * axis + (sl,), tuple(shape)
 
-        rings = self._rings(
-            {role: self._ring_bytes[by, role] for role in (in_role, out_role)}
+        engine = self._copy_engine
+        rings = PencilRings(
+            self.arena, self.inflight,
+            {role: self._ring_bytes[by, role] for role in (in_role, out_role)},
+            engine=engine,
         )
         sp_h2d = self._stream_spans("h2d")
         sp_d2h = self._stream_spans("d2h")
@@ -732,7 +746,8 @@ class OutOfCoreSlabFFT:
                 slot = rings.load(
                     in_role, i, shape, in_dtype, src[r][idx], spans=sp_h2d
                 )
-                self._note_h2d(slot.nbytes)
+                if self._m_h2d is not None:
+                    self._m_h2d.inc(slot.nbytes)
 
             def fft(i: int) -> None:
                 _, _, shape = pencil(i)
@@ -750,22 +765,22 @@ class OutOfCoreSlabFFT:
                 r, idx, shape = pencil(i)
                 if 0 in shape:
                     return
-                slot = rings.store(
-                    out_role, i, st.out_shape(shape, n), out_dtype,
-                    dst[r][idx], spans=sp_d2h,
-                )
-                self._note_d2h(slot.nbytes)
+                out_shape = st.out_shape(shape, n)
+                if dst is not None:
+                    slot = rings.store(
+                        out_role, i, out_shape, out_dtype, dst[r][idx],
+                        spans=sp_d2h,
+                    )
+                else:
+                    slot = rings.view(out_role, i, out_shape, out_dtype)
+                    for s, block in enumerate(send[i // P][r]):
+                        if block.size:
+                            engine.d2h(block, slot[pack[s]], spans=sp_d2h)
+                if self._m_d2h is not None:
+                    self._m_d2h.inc(slot.nbytes)
 
             def comm_op(i: int) -> None:
-                ip = i // P
-                chunks = tuple(cuts[r][ip] for r in range(P))
-                self._exchange_pencil(
-                    dst, exchange, pack_axis=other_axis, unpack_axis=dist_axis,
-                    chunk=chunks[0], chunk_axis=axis,
-                    block_extent=d.max_height, pack_sizes=heights,
-                    src_chunks=chunks if rank_cuts else None,
-                    unpack_offsets=offsets,
-                )
+                self._exchange_pencil(send[i // P], windows[i // P])
 
             def volume(i: int) -> int:
                 """Item i's element count, on the real side for the r2c /
@@ -779,7 +794,7 @@ class OutOfCoreSlabFFT:
                 self._compute_stage(st.span, fft, volume),
                 PipelineStage("d2h", "d2h", "d2h", fn=d2h),
             ]
-            if exchange is not None:
+            if dst is None:
                 stages.append(
                     PipelineStage(
                         "a2a", "comm", "mpi", fn=comm_op,
@@ -789,48 +804,57 @@ class OutOfCoreSlabFFT:
             self._run(stages, len(cuts[0]) * P)
         finally:
             rings.close()
-        if exchange is not None and self._m_xcount is not None:
+        if dst is None and self._m_xcount is not None:
             self._m_xcount.inc()
 
-    def inverse(self, spectral_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def _results(self, locals_, in_shape, out, out_shape, out_dtype):
+        """Check a transform's inputs and its ``out`` per rank; without
+        ``out``, allocate the result arrays (the caller keeps them)."""
+        self.decomp.check_locals(locals_, in_shape)
+        if out is None:
+            return [
+                self._empty(out_shape(r), out_dtype)
+                for r in range(self.comm.size)
+            ]
+        self.decomp.check_locals(out, out_shape, out_dtype)
+        return list(out)
+
+    def inverse(
+        self, spectral_locals: Sequence[np.ndarray], out=None
+    ) -> list[np.ndarray]:
         """kz-slabs -> y-slabs of the real field, never exceeding the arena.
 
         Stage order and pencil split axes follow the paper: y-FFTs on
         x-split pencils (with the per-pencil s2p exchange pipelined behind
         them), then z and the c2r x transform fused on y-split pencils
-        (one H2D/D2H round trip per pencil).
+        (one H2D/D2H round trip per pencil).  ``out`` hands over the
+        per-rank result arrays (NumPy's ``out=``); omitted, fresh ones are
+        allocated.
         """
-        d, n, P = self.decomp, self.grid.n, self.comm.size
-        cdtype = self.grid.cdtype
-        for r, loc in enumerate(spectral_locals):
-            if loc.shape != d.local_spectral_shape(r):
-                raise ValueError(f"rank {r}: bad shape {loc.shape}")
-        nxh = n // 2 + 1
-        work = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
-        t_out = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
-        self._phase("inv_y", "x", spectral_locals, work, exchange=t_out)
-        out = [
-            self._empty((n, d.height(r), n), self.grid.dtype) for r in range(P)
-        ]
-        self._phase("inv_zx", "y", t_out, out)
+        d = self.decomp
+        out = self._results(
+            spectral_locals, d.local_spectral_shape,
+            out, d.local_physical_shape, self.grid.dtype,
+        )
+        self._phase("inv_y", "x", spectral_locals)
+        self._phase("inv_zx", "y", self._transposed_slabs(self._y_shape), out)
         return out
 
-    def forward(self, physical_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def forward(
+        self, physical_locals: Sequence[np.ndarray], out=None
+    ) -> list[np.ndarray]:
         """y-slabs of the real field -> kz-slabs of coefficients: fused
         r2c-x + c2c-z FFTs on y-split pencils with the per-pencil p2s
         exchange (a y-sub-range of every peer's contribution) behind them,
-        then the final y-FFT + normalization on x-split pencils."""
-        d, n, P = self.decomp, self.grid.n, self.comm.size
-        cdtype = self.grid.cdtype
-        for r, loc in enumerate(physical_locals):
-            if loc.shape != d.local_physical_shape(r):
-                raise ValueError(f"rank {r}: bad shape {loc.shape}")
-        nxh = n // 2 + 1
-        half = [self._empty((n, d.height(r), nxh), cdtype) for r in range(P)]
-        t_out = [self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)]
-        self._phase("fwd_xz", "y", physical_locals, half, exchange=t_out)
-        out = [
-            self._empty(d.local_spectral_shape(r), cdtype) for r in range(P)
-        ]
-        self._phase("fwd_y", "x", t_out, out)
+        then the final y-FFT + normalization on x-split pencils.  ``out``
+        as for :meth:`inverse`."""
+        d = self.decomp
+        out = self._results(
+            physical_locals, d.local_physical_shape,
+            out, d.local_spectral_shape, self.grid.cdtype,
+        )
+        self._phase("fwd_xz", "y", physical_locals)
+        self._phase(
+            "fwd_y", "x", self._transposed_slabs(d.local_spectral_shape), out
+        )
         return out

@@ -95,21 +95,27 @@ class SlabDistributedFFT:
         """Per-rank slab extents to thread through exchanges (None = even)."""
         return None if self.decomp.heights is None else self.decomp.rank_heights
 
-    def _stage(self, name: str, locals_: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """One :data:`~repro.dist.stages.STAGES` kernel over every rank's block."""
+    def _stage(
+        self, name: str, locals_: Sequence[np.ndarray], out=None
+    ) -> list[np.ndarray]:
+        """One :data:`~repro.dist.stages.STAGES` kernel over every rank's
+        block, into ``out[r]`` when the caller owns the results."""
         stage = STAGES[name]
+        outs = out if out is not None else [None] * len(locals_)
         with self.obs.spans.span(stage.span, category="fft"):
-            return [stage.fn(loc, self.grid.n, self._lf) for loc in locals_]
+            return [
+                stage.fn(loc, self.grid.n, self._lf, out=o)
+                for loc, o in zip(locals_, outs)
+            ]
 
     def _transform(
         self, locals_, shape_of, pre, post, transpose, pack_axis, unpack_axis,
-        out_dtype,
+        out, out_shape_of, out_dtype,
     ) -> list[np.ndarray]:
         """``pre`` stage, the one global transpose, ``post`` stage."""
-        for r, loc in enumerate(locals_):
-            shaped = shape_of(r)
-            if loc.shape != shaped:
-                raise ValueError(f"rank {r}: expected {shaped}, got {loc.shape}")
+        self.decomp.check_locals(locals_, shape_of)
+        if out is not None:
+            self.decomp.check_locals(out, out_shape_of, out_dtype)
         if self._fused:
             kwargs = {} if self._heights is None else {"pack_sizes": self._heights}
             out = self.comm.rank_transpose(
@@ -122,6 +128,7 @@ class SlabDistributedFFT:
                 out_dtype=out_dtype,
                 fft=self.fft_backend,
                 obs=self.obs,
+                out=out,
                 **kwargs,
             )
         else:
@@ -130,27 +137,36 @@ class SlabDistributedFFT:
                 heights=self._heights,
             )
             out = [
-                o.astype(out_dtype, copy=False) for o in self._stage(post, work)
+                o.astype(out_dtype, copy=False)
+                for o in self._stage(post, work, out)
             ]
         if self.obs.enabled:
             self.obs.metrics.counter("fft.calls").inc()
         return out
 
-    def inverse(self, spectral_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def inverse(
+        self, spectral_locals: Sequence[np.ndarray], out=None
+    ) -> list[np.ndarray]:
         """kz-slabs of coefficients -> y-slabs of the real field: 1-D
         inverse FFTs in y (kz-slabs hold complete y lines), the global
-        transpose to y-slabs, then z and the complex-to-real x transform."""
+        transpose to y-slabs, then z and the complex-to-real x transform.
+        ``out`` hands over the per-rank result arrays (NumPy's ``out=``,
+        shape- and dtype-checked); omitted, fresh ones are returned."""
         return self._transform(
             spectral_locals, self.decomp.local_spectral_shape,
             "inv_y", "inv_zx", slab_transpose_spectral_to_physical,
-            _Y_AXIS, _KZ_AXIS, self.grid.dtype,
+            _Y_AXIS, _KZ_AXIS,
+            out, self.decomp.local_physical_shape, self.grid.dtype,
         )
 
-    def forward(self, physical_locals: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def forward(
+        self, physical_locals: Sequence[np.ndarray], out=None
+    ) -> list[np.ndarray]:
         """y-slabs of the real field -> kz-slabs of coefficients (x, z,
-        transpose, y — the reverse order)."""
+        transpose, y — the reverse order).  ``out`` as for :meth:`inverse`."""
         return self._transform(
             physical_locals, self.decomp.local_physical_shape,
             "fwd_xz", "fwd_y", slab_transpose_physical_to_spectral,
-            _KZ_AXIS, _Y_AXIS, self.grid.cdtype,
+            _KZ_AXIS, _Y_AXIS,
+            out, self.decomp.local_spectral_shape, self.grid.cdtype,
         )

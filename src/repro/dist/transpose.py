@@ -6,22 +6,20 @@ received blocks along another axis.  These three steps are exactly what the
 production code implements with strided GPU copies + ``MPI_(I)ALLTOALL`` —
 here they move real NumPy data so correctness can be asserted.
 
-Two execution shapes are provided:
+Two execution shapes share the arithmetic:
 
 * :func:`transpose_exchange` — one bulk-synchronous exchange of the whole
-  slab (the baseline of paper Fig. 4, top);
-* :func:`chunked_transpose_exchange` — the slab cut into chunks along an
-  axis untouched by (or aligned with) the exchange, each chunk posted as a
-  non-blocking :meth:`~repro.dist.virtual_mpi.VirtualComm.ialltoall` with a
-  bounded number of requests in flight, so packing chunk ``j+1`` overlaps
-  the outstanding exchange of chunk ``j`` — the paper's batched all-to-all
-  (Fig. 4, bottom).  The out-of-core pipeline posts these chunks from its
-  comm stream, one per pencil.
-
-Pack staging buffers are drawn from a shared
-:class:`~repro.spectral.workspace.BufferPool` and recycled after each
-exchange completes, instead of `np.ascontiguousarray` allocating a fresh
-array per peer-block per transpose.
+  slab (the baseline of paper Fig. 4, top): :func:`pack_blocks` stages the
+  per-peer blocks in pooled buffers, the collective copies them, and
+  :func:`unpack_blocks` concatenates what arrived.
+* the chunked exchange of the out-of-core pipeline (Fig. 4, bottom), where
+  there is no pack or unpack pass at all: :func:`chunk_exchange_layout`
+  says, for one chunk of the slab, which planes of a source go to which
+  peer, the shape of each send block, and the strided window of the
+  destination's transposed slab each block lands in.  The engine's D2H
+  copies write the send blocks, ``VirtualComm.ialltoall(send, recv=windows)``
+  moves them into place, and :func:`complete_chunk_exchange` waits the
+  request.
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = [
-    "chunked_transpose_exchange",
+    "chunk_exchange_layout",
     "complete_chunk_exchange",
     "pack_blocks",
-    "post_chunk_exchange",
     "slab_transpose_physical_to_spectral",
     "slab_transpose_spectral_to_physical",
     "transpose_exchange",
@@ -62,11 +59,13 @@ def pack_blocks(
 ) -> list[np.ndarray]:
     """Split ``local`` into ``parts`` contiguous blocks along ``axis``.
 
-    This is the "pack" of the paper's Sec. 3.3: the blocks are made
-    contiguous (the GPU does this with a strided D2H copy so packing and the
-    device-to-host move are a single operation).  With ``pool``, block
-    storage is recycled across exchanges — return the blocks via
-    ``pool.give`` once the collective that consumed them completed.
+    This is the whole-slab "pack" of the paper's Sec. 3.3: the blocks are
+    made contiguous in host staging.  (On the pencil path packing and the
+    device-to-host move are a single operation — the out-of-core engine's
+    D2H writes the send blocks directly and never calls this.)  With
+    ``pool``, block storage is recycled across exchanges — return the
+    blocks via ``pool.give`` once the collective that consumed them
+    completed.
 
     By default the blocks are equal (``extent % parts`` must be 0); with
     ``sizes`` each block ``p`` gets ``sizes[p]`` planes — the alltoallv-style
@@ -185,189 +184,71 @@ def transpose_exchange(
 # -- chunked non-blocking exchange (the paper's batched all-to-all) -----------
 
 
-def post_chunk_exchange(
-    comm: VirtualComm,
-    locals_: Sequence[np.ndarray],
-    pack_axis: int,
-    chunk: slice,
-    chunk_axis: int,
-    pool: Optional[BufferPool] = None,
-    pack_sizes: Optional[Sequence[int]] = None,
-    src_chunks: Optional[Sequence[slice]] = None,
-) -> tuple[PendingAlltoall, list[list[np.ndarray]]]:
-    """Pack one chunk on every rank and post its non-blocking all-to-all.
-
-    Returns the pending handle plus the pooled send blocks (which must be
-    handed to :func:`complete_chunk_exchange` so they are recycled only
-    after the exchange completed — the MPI aliasing rule).
-
-    ``pack_sizes`` gives uneven per-peer block extents along ``pack_axis``;
-    ``src_chunks`` gives each *source* rank its own chunk slice (needed when
-    the chunked axis is rank-local and the slabs are uneven, so rank ``r``
-    cuts its own extent rather than a globally shared one).
-    """
-    pool = pool if pool is not None else _PACK_POOL
-    send = []
-    for r, loc in enumerate(locals_):
-        sl = [slice(None)] * loc.ndim
-        sl[chunk_axis] = src_chunks[r] if src_chunks is not None else chunk
-        send.append(
-            pack_blocks(
-                loc[tuple(sl)], pack_axis, comm.size, pool=pool, sizes=pack_sizes
-            )
-        )
-    return comm.ialltoall(send), send
-
-
-def complete_chunk_exchange(
-    handle: PendingAlltoall,
-    send: list[list[np.ndarray]],
-    outs: Sequence[np.ndarray],
-    unpack_axis: int,
-    chunk: slice,
-    chunk_axis: int,
-    block_extent: int,
-    pool: Optional[BufferPool] = None,
-    src_chunks: Optional[Sequence[slice]] = None,
-    unpack_offsets: Optional[Sequence[int]] = None,
-) -> int:
-    """Wait one posted chunk exchange and scatter it into ``outs``.
-
-    When ``chunk_axis != unpack_axis`` the received blocks are concatenated
-    along ``unpack_axis`` at the chunk's position on ``chunk_axis`` (the
-    chunked axis rides through the transpose untouched).  When
-    ``chunk_axis == unpack_axis`` each peer ``r``'s block lands at offset
-    ``r * block_extent + chunk.start`` — the chunk is a sub-range of every
-    peer's contribution to the unpacked axis.  Returns the exchanged bytes.
-
-    For uneven slabs, ``unpack_offsets[r]`` replaces ``r * block_extent``
-    (the cumulative start of peer ``r``'s contribution) and ``src_chunks[r]``
-    replaces the shared ``chunk`` when the chunked axis is rank-local.
-    """
-    pool = pool if pool is not None else _PACK_POOL
-    recv = handle.wait()
-    for bufs in send:
-        for buf in bufs:
-            if not is_descriptor(buf):  # metadata blocks never staged
-                pool.give(buf)
-    nbytes = 0
-    for s, blocks in enumerate(recv):
-        for r, block in enumerate(blocks):
-            nbytes += block.nbytes
-            sl = [slice(None)] * outs[s].ndim
-            if chunk_axis == unpack_axis:
-                ck = src_chunks[r] if src_chunks is not None else chunk
-                base = (
-                    unpack_offsets[r]
-                    if unpack_offsets is not None
-                    else r * block_extent
-                )
-                sl[unpack_axis] = slice(base + ck.start, base + ck.stop)
-            else:
-                start = (
-                    unpack_offsets[r]
-                    if unpack_offsets is not None
-                    else r * block.shape[unpack_axis]
-                )
-                sl[unpack_axis] = slice(start, start + block.shape[unpack_axis])
-                sl[chunk_axis] = chunk
-            outs[s][tuple(sl)] = block
-    return nbytes
-
-
-def chunked_transpose_exchange(
-    comm: VirtualComm,
-    locals_: Sequence[np.ndarray],
+def chunk_exchange_layout(
+    shapes: Sequence[Sequence[int]],
     pack_axis: int,
     unpack_axis: int,
-    nchunks: int,
     chunk_axis: int,
-    obs: "Observability | None" = None,
-    pool: Optional[BufferPool] = None,
-    window: int = 2,
+    chunks: Sequence[slice],
     pack_sizes: Optional[Sequence[int]] = None,
-) -> list[np.ndarray]:
-    """The full transpose as ``nchunks`` pipelined non-blocking exchanges.
+) -> tuple[list[tuple], list[list[tuple[int, ...]]], list[tuple]]:
+    """Where one chunk of a chunked transpose leaves from and lands.
 
-    Bit-identical to :func:`transpose_exchange` (pure data movement, same
-    values), but posts at most ``window`` outstanding requests: packing
-    chunk ``j+1`` overlaps the in-flight exchange of chunk ``j``, the
-    paper's batched-all-to-all structure on real data.
+    ``shapes[r]`` is source rank ``r``'s local shape, ``chunks[r]`` its
+    slice of ``chunk_axis`` for this chunk (the same slice on every rank
+    unless the chunked axis is the unpack axis of uneven slabs, where each
+    rank cuts its own extent), ``pack_sizes[s]`` peer ``s``'s share of
+    ``pack_axis`` (default: the even split).  Returns ``(pack, blocks,
+    windows)``:
 
-    ``pack_sizes`` enables uneven slab partitions: peer ``r`` receives
-    ``pack_sizes[r]`` planes of every rank's ``pack_axis``, and each rank's
-    own ``unpack_axis`` contribution (its local extent) lands at its
-    cumulative offset.  When the chunked axis coincides with the unpack
-    axis, every source rank cuts its *own* extent into ``nchunks`` slices
-    (empty slices kept so the chunk count stays aligned across ranks).
+    * ``pack[s]`` indexes, within any source's chunk, the planes bound for
+      peer ``s``;
+    * ``blocks[r][s]`` is the shape of the ``r -> s`` send block (zero-size
+      for an empty chunk or a height-0 peer);
+    * ``windows[r]`` indexes, within any destination's transposed array,
+      where source ``r``'s block lands: at ``r``'s cumulative offset on
+      ``unpack_axis`` and the chunk's position on ``chunk_axis`` — or, when
+      the two coincide, at offset + chunk (a sub-range of ``r``'s
+      contribution).
     """
-    obs = obs if obs is not None else NULL_OBS
-    pool = pool if pool is not None else _PACK_POOL
-    first = locals_[0]
-    size = comm.size
+    size, ndim = len(shapes), len(shapes[0])
+    if pack_sizes is None:
+        pack_sizes = (shapes[0][pack_axis] // size,) * size
 
-    unpack_extents = [loc.shape[unpack_axis] for loc in locals_]
-    unpack_offsets: list[int] = []
-    off = 0
-    for e in unpack_extents:
-        unpack_offsets.append(off)
-        off += e
-    total_unpack = off
+    def index(axis: int, start: int, extent: int) -> list:
+        sl = [slice(None)] * ndim
+        sl[axis] = slice(start, start + extent)
+        return sl
 
-    outs = []
-    for s, loc in enumerate(locals_):
-        out_shape = list(loc.shape)
-        out_shape[pack_axis] = (
-            pack_sizes[s] if pack_sizes is not None else loc.shape[pack_axis] // size
-        )
-        out_shape[unpack_axis] = total_unpack
-        if is_descriptor(first):
-            outs.append(ArrayDescriptor.empty(tuple(out_shape), loc.dtype))
+    pack, off = [], 0
+    for extent in pack_sizes:
+        pack.append(tuple(index(pack_axis, off, extent)))
+        off += extent
+    blocks, windows, off = [], [], 0
+    for shape, chunk in zip(shapes, chunks):
+        block = list(shape)
+        block[chunk_axis] = chunk.stop - chunk.start
+        blocks.append([
+            tuple(block[:pack_axis] + [extent] + block[pack_axis + 1:])
+            for extent in pack_sizes
+        ])
+        if chunk_axis == unpack_axis:
+            window = index(unpack_axis, off + chunk.start, block[chunk_axis])
         else:
-            outs.append(np.empty(tuple(out_shape), dtype=loc.dtype))
-    block_extent = first.shape[unpack_axis]
+            window = index(unpack_axis, off, shape[unpack_axis])
+            window[chunk_axis] = chunk
+        windows.append(tuple(window))
+        off += shape[unpack_axis]
+    return pack, blocks, windows
 
-    per_rank_cut = chunk_axis == unpack_axis and len(set(unpack_extents)) > 1
-    if per_rank_cut:
-        per_rank = []
-        for e in unpack_extents:
-            edges = np.linspace(0, e, nchunks + 1).astype(int)
-            per_rank.append([slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
-        steps = [(srcs[0], tuple(srcs)) for srcs in zip(*per_rank)]
-    else:
-        edges = np.linspace(0, first.shape[chunk_axis], nchunks + 1).astype(int)
-        steps = [
-            (slice(a, b), None) for a, b in zip(edges[:-1], edges[1:]) if b > a
-        ]
 
-    pending: list[tuple[PendingAlltoall, list, slice, object]] = []
-    nbytes_total = 0
+def complete_chunk_exchange(handle: PendingAlltoall) -> int:
+    """Wait one posted chunk exchange; returns the exchanged bytes.
 
-    def _complete(entry) -> int:
-        handle, send, done_chunk, done_srcs = entry
-        with obs.spans.span("transpose.a2a", category="mpi"):
-            return complete_chunk_exchange(
-                handle, send, outs, unpack_axis, done_chunk,
-                chunk_axis, block_extent, pool=pool,
-                src_chunks=done_srcs, unpack_offsets=unpack_offsets,
-            )
-
-    for chunk, src_chunks in steps:
-        with obs.spans.span("transpose.pack", category="pack"):
-            handle, send = post_chunk_exchange(
-                comm, locals_, pack_axis, chunk, chunk_axis, pool=pool,
-                pack_sizes=pack_sizes, src_chunks=src_chunks,
-            )
-        pending.append((handle, send, chunk, src_chunks))
-        if len(pending) > window:
-            nbytes_total += _complete(pending.pop(0))
-    for entry in pending:
-        nbytes_total += _complete(entry)
-    if obs.enabled:
-        obs.metrics.counter("transpose.count").inc()
-        obs.metrics.counter("transpose.chunks").inc(len(steps))
-        obs.metrics.counter("transpose.bytes_moved").inc(nbytes_total)
-    return outs
+    The request was posted with receive windows, so when it completes the
+    chunk already sits in every destination's transposed slab.
+    """
+    return sum(b.nbytes for blocks in handle.wait() for b in blocks)
 
 
 # -- the two slab transposes of the DNS step ---------------------------------

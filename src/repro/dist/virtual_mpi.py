@@ -132,25 +132,35 @@ class PendingAlltoall:
     MPI requires), :meth:`wait` completes the exchange and returns the
     received blocks.  Completion is idempotent; bytes are accounted to the
     communicator's stats at completion time under kind ``"ialltoall"``.
+    With ``recv`` the blocks land in the caller's receive windows (see
+    :meth:`VirtualComm.ialltoall`) and :meth:`wait` returns those.
     """
 
-    __slots__ = ("_comm", "_send", "_recv")
+    __slots__ = ("_comm", "_send", "_recv", "_windows")
 
-    def __init__(self, comm: "VirtualComm", send: Sequence[Sequence[np.ndarray]]):
-        comm._check_alltoall(send)
+    def __init__(
+        self,
+        comm: "VirtualComm",
+        send: Sequence[Sequence[np.ndarray]],
+        recv: Sequence[Sequence[np.ndarray]] | None = None,
+    ):
+        comm._check_alltoall(send, recv)
         self._comm = comm
         self._send: Sequence[Sequence[np.ndarray]] | None = send
-        self._recv: list[list[np.ndarray]] | None = None
+        self._windows = recv
+        self._recv: Sequence[Sequence[np.ndarray]] | None = None
 
     @property
     def complete(self) -> bool:
         return self._recv is not None
 
-    def wait(self) -> list[list[np.ndarray]]:
+    def wait(self) -> Sequence[Sequence[np.ndarray]]:
         """Complete the exchange; ``recv[s][r] = send[r][s]`` (copies)."""
         if self._recv is None:
             assert self._send is not None
-            self._recv = self._comm._exchange(self._send, kind="ialltoall")
+            self._recv = self._comm._exchange(
+                self._send, kind="ialltoall", recv=self._windows
+            )
             self._send = None  # send buffers may be reused from here on
         return self._recv
 
@@ -175,27 +185,60 @@ class VirtualComm:
 
     # -- collectives -----------------------------------------------------------
 
-    def _check_alltoall(self, send: Sequence[Sequence[np.ndarray]]) -> None:
-        self._check_per_rank(send)
-        for r, bufs in enumerate(send):
-            if len(bufs) != self.size:
-                raise ValueError(
-                    f"{self.name}: rank {r} provided {len(bufs)} blocks, "
-                    f"expected {self.size}"
-                )
+    def _check_alltoall(
+        self,
+        send: Sequence[Sequence[np.ndarray]],
+        recv: Sequence[Sequence[np.ndarray]] | None = None,
+    ) -> None:
+        for per_rank in (send, recv) if recv is not None else (send,):
+            self._check_per_rank(per_rank)
+            for r, bufs in enumerate(per_rank):
+                if len(bufs) != self.size:
+                    raise ValueError(
+                        f"{self.name}: rank {r} provided {len(bufs)} blocks, "
+                        f"expected {self.size}"
+                    )
+        if recv is None:
+            return
+        sent = [b for bufs in send for b in bufs if isinstance(b, np.ndarray)]
+        for s, windows in enumerate(recv):
+            for r, window in enumerate(windows):
+                block = send[r][s]
+                if window.shape != block.shape or window.dtype != block.dtype:
+                    raise ValueError(
+                        f"{self.name}: rank {s}'s receive window for rank {r} "
+                        f"is {window.shape}/{window.dtype} but rank {r} sends "
+                        f"{block.shape}/{block.dtype}"
+                    )
+                if isinstance(window, np.ndarray) and any(
+                    np.shares_memory(window, b) for b in sent
+                ):
+                    raise ValueError(
+                        f"{self.name}: rank {s}'s receive window for rank {r} "
+                        "overlaps a send block (MPI forbids aliased buffers)"
+                    )
 
     def _exchange(
-        self, send: Sequence[Sequence[np.ndarray]], kind: str
-    ) -> list[list[np.ndarray]]:
+        self,
+        send: Sequence[Sequence[np.ndarray]],
+        kind: str,
+        recv: Sequence[Sequence[np.ndarray]] | None = None,
+    ) -> Sequence[Sequence[np.ndarray]]:
         # Fault injection happens *before* any byte moves, so a failed
         # attempt leaves no partial state and the same exchange can be
         # retried (late chunk) or re-posted (dropped chunk).
         if self.fault_injector is not None:
             self.fault_injector.check(kind, self)
-        recv = [
-            [_copy_result(send[r][s]) for r in range(self.size)]
-            for s in range(self.size)
-        ]
+        if recv is None:
+            recv = [
+                [_copy_result(send[r][s]) for r in range(self.size)]
+                for s in range(self.size)
+            ]
+        else:
+            for s, windows in enumerate(recv):
+                for r, window in enumerate(windows):
+                    if isinstance(window, np.ndarray):  # descriptors: no bytes
+                        np.copyto(window, send[r][s])
         # True per-peer sizes over every (src, dst) message — uneven slab
         # decompositions make these differ, so min/max (not send[0][0])
         # must be recorded for the cost-model cross-check to hold.
@@ -222,14 +265,25 @@ class VirtualComm:
         self._check_alltoall(send)
         return self._exchange(send, kind="alltoall")
 
-    def ialltoall(self, send: Sequence[Sequence[np.ndarray]]) -> PendingAlltoall:
+    def ialltoall(
+        self,
+        send: Sequence[Sequence[np.ndarray]],
+        recv: Sequence[Sequence[np.ndarray]] | None = None,
+    ) -> PendingAlltoall:
         """Post a non-blocking all-to-all; complete it with ``.wait()``.
 
         The send blocks must not be modified (or recycled into a buffer
         pool) until :meth:`PendingAlltoall.wait` returns — the same aliasing
         contract as a real ``MPI_IALLTOALL`` request.
+
+        ``recv`` hands over the receive side, in NumPy's ``out=`` sense:
+        ``recv[s][r]`` is the (possibly strided) window of rank ``s``'s own
+        memory where rank ``r``'s block lands, so nothing is allocated and
+        nothing needs unpacking afterwards.  A window whose shape or dtype
+        differs from its block, or that overlaps any send block, is a
+        ``ValueError`` at post time, before any byte moves.
         """
-        return PendingAlltoall(self, send)
+        return PendingAlltoall(self, send, recv)
 
     def allreduce(
         self, values: Sequence[T], op: Callable[[T, T], T] | None = None

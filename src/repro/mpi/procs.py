@@ -518,6 +518,7 @@ class ProcsComm(VirtualComm):
         kind: str = "alltoall",
         obs: "Observability | None" = None,
         pack_sizes: Optional[Sequence[int]] = None,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> list[np.ndarray]:
         """Pack -> shared-memory all-to-all -> unpack, executed on the pool.
 
@@ -533,6 +534,9 @@ class ProcsComm(VirtualComm):
         planes along ``unpack_axis``, the pack split along ``pack_axis``
         follows the same extents, and every ring slot is sized for the
         largest block.  ``None`` keeps the balanced even-split layout.
+
+        ``out`` hands over the per-rank result arrays: each worker's outbox
+        is copied into ``out[r]`` instead of into a freshly allocated array.
         """
         if not self._workers:
             raise RuntimeError(f"{self.name}: communicator is closed")
@@ -697,7 +701,11 @@ class ProcsComm(VirtualComm):
         for r in range(self.size):
             src = np.ndarray(out_shapes[r], dtype=out_dts[r],
                              buffer=self._segments[r].buf, offset=out_off)
-            outs.append(np.array(src, copy=True))
+            if out is None:
+                outs.append(np.array(src, copy=True))
+            else:
+                np.copyto(out[r], src)
+                outs.append(out[r])
         if trace:
             self._merge_worker_spans(obs, (replies, replies2))
         if obs is not None and obs.enabled and self.heartbeat_board is not None:

@@ -285,6 +285,9 @@ class TestAutoEngineAndFactory:
 
 
 class TestStreamSubmission:
+    """Copies run as stream operations the way pipeline stages issue them:
+    the op's fn calls the engine."""
+
     def test_sync_stream_executes_the_copy(self):
         from repro.exec import make_backend
 
@@ -292,7 +295,9 @@ class TestStreamSubmission:
         engine = Batched2DEngine()
         src = _strided((4, 8))
         dst = np.empty((4, 8))
-        engine.h2d(dst, src, stream=backend.stream("h2d"))
+        backend.stream("h2d").submit(
+            "arena.h2d", "h2d", lambda: engine.h2d(dst, src)
+        )
         backend.shutdown()
         np.testing.assert_array_equal(dst, src)
 
@@ -303,7 +308,9 @@ class TestStreamSubmission:
         engine = PerChunkEngine()
         src = _strided((4, 8))
         dst = np.empty((4, 8))
-        ev = engine.h2d(dst, src, stream=backend.stream("h2d"))
+        ev = backend.stream("h2d").submit(
+            "arena.h2d", "h2d", lambda: engine.h2d(dst, src)
+        )
         ev.wait()
         backend.shutdown()
         np.testing.assert_array_equal(dst, src)

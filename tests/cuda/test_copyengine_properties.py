@@ -155,7 +155,8 @@ class TestRoundTripProperties:
 
 
 class TestStreamBackendProperties:
-    """Round trips survive submission to the exec backends' streams."""
+    """Round trips survive running as operations on the exec backends'
+    streams (the op's fn calls the engine, as pipeline stages do)."""
 
     @pytest.mark.parametrize("kind", ["sync", "threads"])
     @pytest.mark.parametrize("name", sorted(ENGINES))
@@ -171,12 +172,12 @@ class TestStreamBackendProperties:
             device = np.empty((9, 8))
             out_backing = np.zeros((9, 12))
             out = out_backing[:, 2:10]
-            ev1 = engine.h2d(device, src, stream=backend.stream("h2d"))
-            if ev1 is not None:
-                ev1.wait()
-            ev2 = engine.d2h(out, device, stream=backend.stream("d2h"))
-            if ev2 is not None:
-                ev2.wait()
+            backend.stream("h2d").submit(
+                "arena.h2d", "h2d", lambda: engine.h2d(device, src)
+            ).wait()
+            backend.stream("d2h").submit(
+                "arena.d2h", "d2h", lambda: engine.d2h(out, device)
+            ).wait()
         finally:
             backend.shutdown()
             engine.close()
@@ -201,12 +202,12 @@ class TestStreamBackendProperties:
                 src = rng.standard_normal((11, 13))[:, 2:11]
                 device = np.empty((11, 9))
                 out = np.empty((11, 9))
-                ev1 = engine.h2d(device, src, stream=backend.stream("h2d"))
-                if ev1 is not None:
-                    ev1.wait()
-                ev2 = engine.d2h(out, device, stream=backend.stream("d2h"))
-                if ev2 is not None:
-                    ev2.wait()
+                backend.stream("h2d").submit(
+                    "arena.h2d", "h2d", lambda: engine.h2d(device, src)
+                ).wait()
+                backend.stream("d2h").submit(
+                    "arena.d2h", "d2h", lambda: engine.d2h(out, device)
+                ).wait()
             finally:
                 backend.shutdown()
                 engine.close()

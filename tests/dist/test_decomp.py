@@ -52,14 +52,6 @@ class TestSlabDecomposition:
         with pytest.raises(ValueError):
             d.gather_physical([np.zeros((16, 4, 16))] * 3)
 
-    def test_pencil_slices_partition_y(self):
-        d = SlabDecomposition(n=16, ranks=4)
-        slices = d.pencil_y_slices(4)
-        assert len(slices) == 4
-        assert all(s.stop - s.start == 4 for s in slices)
-        with pytest.raises(ValueError):
-            d.pencil_y_slices(5)
-
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.sampled_from([8, 12, 16, 24]),

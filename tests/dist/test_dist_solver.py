@@ -116,8 +116,9 @@ class TestDiagnosticsEvery:
 class TestDriverAllocatesNoSlabs:
     @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
     def test_steady_state_driver_allocates_no_slab(self, rng, scheme):
-        """Between transform calls (whose outputs are the engine's to
-        allocate) the driver writes into buffers it already owns.  48^3 so
+        """Between transform calls (the whole-slab engine's stage and
+        transpose temporaries are its own) the driver writes into buffers
+        it already owns.  48^3 so
         that a slab (432 KiB) stands clear of the fixed-size buffers NumPy's
         ufunc iterator allocates for a broadcasting operand (<= 128 KiB)."""
         grid = SpectralGrid(48)
@@ -134,9 +135,9 @@ class TestDriverAllocatesNoSlabs:
             growth.append(tracemalloc.get_traced_memory()[1] - mark[0])
 
         def outside_the_count(transform):
-            def call(locals_):
+            def call(locals_, out):
                 close_stretch()
-                out = transform(locals_)
+                out = transform(locals_, out=out)
                 tracemalloc.reset_peak()
                 mark[0] = tracemalloc.get_traced_memory()[0]
                 return out
@@ -158,6 +159,43 @@ class TestDriverAllocatesNoSlabs:
         assert max(growth) < slab_bytes, (
             f"driver allocated {max(growth)} B in one stretch >= one slab "
             f"({slab_bytes} B)"
+        )
+
+
+class TestOutOfCoreStepAllocatesNoSlab:
+    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
+    @pytest.mark.parametrize("scalars", [0, 1])
+    def test_whole_step_transforms_included(self, rng, pipeline, scalars):
+        """After warm-up a whole out-of-core RK2 step — transforms included —
+        claims no slab: results land in the solver's arrays, the exchange in
+        the engine's send region and transposed slab.  What is left is the
+        line-FFT provider's return value, one pencil at a time (``lf.ifft``
+        has no ``out=``), plus interpreter small change; 64^3 so that two
+        pencils (576 KiB) stand clear of both and well under one slab
+        (1056 KiB; the engine used to claim six per transform)."""
+        from repro.dist.outofcore import ring_bytes
+
+        grid = SpectralGrid(64)
+        u0 = random_isotropic_field(grid, rng, energy=1.0)
+        config = SolverConfig(nu=0.02, scheme="rk2", seed=11, diagnostics_every=0)
+        with DistributedNavierStokesSolver(
+            grid, VirtualComm(2), u0, config, npencils=4, pipeline=pipeline,
+        ) as dist:
+            for _ in range(scalars):
+                dist.add_scalar(u0[0], schmidt=1.0, mean_gradient=0.5)
+            for _ in range(2):  # warm-up: every buffer claimed
+                dist.step(1e-3)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                dist.step(1e-3)
+                growth = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        pencil = max(ring_bytes(grid.n, grid.n // 2, 4, dist.fft.inflight)[:3])
+        assert growth < 2 * pencil, (
+            f"a steady out-of-core step allocated {growth} B at its peak, "
+            f">= two pencils ({2 * pencil} B)"
         )
 
 

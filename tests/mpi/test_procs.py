@@ -169,6 +169,33 @@ class TestFusedSlabFFT:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("heights", [None, (17, 7)])
+    def test_out_is_filled_bit_identically(self, heights):
+        """``out=`` reaches ``rank_transpose``, which copies each outbox
+        into the caller's array instead of a fresh one."""
+        grid, P = SpectralGrid(24), 2
+        comm = ProcsComm(P)
+        try:
+            fft = SlabDistributedFFT(grid, comm, heights=heights)
+            d = fft.decomp
+            rng = np.random.default_rng(3)
+            spec = [
+                rng.standard_normal(d.local_spectral_shape(r))
+                + 1j * rng.standard_normal(d.local_spectral_shape(r))
+                for r in range(P)
+            ]
+            phys = fft.inverse(spec)
+            into = [np.full(d.local_physical_shape(r), np.nan) for r in range(P)]
+            assert all(g is o for g, o in zip(fft.inverse(spec, out=into), into))
+            assert all(np.array_equal(o, e) for o, e in zip(into, phys))
+            back = fft.forward(phys)
+            into = [np.full(d.local_spectral_shape(r), np.nan, dtype=complex)
+                    for r in range(P)]
+            fft.forward(phys, out=into)
+            assert all(np.array_equal(o, e) for o, e in zip(into, back))
+        finally:
+            comm.close()
+
     def test_worker_spans_land_in_rank_lanes(self):
         from repro.obs import Observability
 

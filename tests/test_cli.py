@@ -275,6 +275,10 @@ class TestTune:
         strategies = {r["strategy"] for r in doc["results"]}
         assert {"per_chunk", "zero_copy", "memcpy2d"} <= strategies
         assert any(r["winner"] for r in doc["results"])
+        # The per-peer send blocks the D2H packs into are probed layouts:
+        # (h_r, h_s, x-pencil) before the s2p exchange, (h_s, y-pencil, nxh)
+        # before the p2s one.
+        assert {(8, 8, 2), (8, 2, 9)} <= {tuple(r["shape"]) for r in doc["results"]}
         assert doc["provenance"]["git_sha"]
         # bench-shaped like every other artifact: obs diff reads it
         capsys.readouterr()

@@ -19,6 +19,10 @@ imported by nothing but their own tests.  A module under ``src/repro/`` stays
 only if another source file, ``bench/``, an example, the CLI's experiment
 table or a CI step consumes it.  The fifth keeps the prose honest: every
 ``repro.x.y`` name and ``pkg/file.py`` path the three documents mention exists.
+
+The sixth keeps the benchmark runnable: ``bench/trace.py`` rebinds entry
+points of ``src/`` by name, this suite cannot edit ``bench/``, and a renamed
+attribute would crash every traced run — so it must fail here first.
 """
 
 import ast
@@ -163,3 +167,22 @@ def test_every_name_and_path_the_docs_mention_exists():
                        for base in (REPO, SRC, SRC / "repro")):
                 dangling.append(f"{doc}: {path}")
     assert not dangling, f"the docs name what does not exist: {sorted(dangling)}"
+
+
+def test_every_entry_point_the_benchmark_rebinds_exists():
+    """Each ``(module, class, attribute)`` row of ``bench/trace.py::LAYERS``
+    resolves against ``src/`` the way ``Tracer.install`` resolves it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", REPO / "bench" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    rows = [row for layer in trace.LAYERS.values() for row in layer]
+    assert len(rows) > 30
+    missing = []
+    for module, cls, attr, *_ in rows:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
+    assert missing == []
