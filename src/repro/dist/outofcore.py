@@ -65,7 +65,7 @@ from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.workspace import BufferPool, resolve_line_fft
+from repro.spectral.workspace import BufferPool, resolve_fft
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -340,8 +340,8 @@ class OutOfCoreSlabFFT:
         injected dropped/late chunks degrade gracefully instead of
         poisoning the pipeline.
     fft_backend:
-        The 1-D line-transform provider of the stage kernels (``numpy`` /
-        ``scipy`` / ``fftw`` / ``auto``), resolved at construction like
+        The transform provider of the stage kernels (``numpy`` /
+        ``scipy`` / ``auto``), resolved at construction like
         :class:`~repro.dist.slab_fft.SlabDistributedFFT` does — an
         unavailable backend is the same ``ValueError``.
     copy_strategy:
@@ -404,7 +404,7 @@ class OutOfCoreSlabFFT:
     ):
         self.grid = grid
         self.comm = comm
-        self._lf = resolve_line_fft(fft_backend)
+        self._lf = resolve_fft(fft_backend)
         self.payload_policy = PayloadPolicy.coerce(payload_policy)
         self._payload = self.payload_policy.moves_bytes
         self.obs = obs if obs is not None else NULL_OBS

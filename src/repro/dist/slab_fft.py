@@ -10,11 +10,11 @@ One all-to-all per 3-D transform — the defining property of the slab
 decomposition that lets the paper send fewer, larger messages.
 
 The 1-D line transforms go through the pluggable providers of
-:func:`repro.spectral.workspace.resolve_line_fft`; when the communicator is
+:func:`repro.spectral.workspace.resolve_fft`; when the communicator is
 a process-pool backend (:class:`repro.mpi.procs.ProcsComm`) the whole
 stage sequence is *fused* into the workers' pack/unpack dispatches via
-``comm.rank_transpose`` — FFTs run in the process that owns the slab, and
-pyFFTW plans (when available) are built and cached worker-side.  Both paths
+``comm.rank_transpose`` — FFTs run in the process that owns the slab, on a
+provider resolved there.  Both paths
 index the same :data:`repro.dist.stages.STAGES` kernels, so results are
 bit-equal.
 """
@@ -34,7 +34,7 @@ from repro.dist.transpose import (
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.workspace import resolve_line_fft
+from repro.spectral.workspace import resolve_fft
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -51,7 +51,7 @@ class SlabDistributedFFT:
     1/N^3; a forward/inverse round trip is the identity.
 
     ``fft_backend`` selects the 1-D line-transform provider (``numpy`` /
-    ``scipy`` / ``fftw`` / ``auto``) used on both the inline and the fused
+    ``scipy`` / ``auto``) used on both the inline and the fused
     process-pool path.
 
     Examples
@@ -83,7 +83,7 @@ class SlabDistributedFFT:
         self.decomp = SlabDecomposition(grid.n, comm.size, heights=hs)
         self.obs = obs if obs is not None else NULL_OBS
         self.fft_backend = fft_backend
-        self._lf = resolve_line_fft(fft_backend)  # fails fast when unavailable
+        self._lf = resolve_fft(fft_backend)  # fails fast when unavailable
 
     @property
     def _fused(self) -> bool:

@@ -11,11 +11,13 @@ engines stay bit-equal by construction.
 
 A kernel is ``fn(a, n, lf, out=None)``: ``a`` a ``[kz, y, x]`` block holding
 complete lines along the transformed axes, ``n`` the grid size, ``lf`` a
-:func:`~repro.spectral.workspace.resolve_line_fft` provider.  With ``out``
-the result lands there (``out`` may be ``a`` when the stage keeps shape and
-dtype) and intermediates are written into a buffer the kernel was handed,
-so a kernel never holds two block-sized temporaries at once — the
-out-of-core engine's ring slots are the only pencil storage it has.
+:func:`~repro.spectral.workspace.resolve_fft` provider.  With ``out`` the
+result lands there (``out`` may be ``a`` when the stage keeps shape and
+dtype), and no kernel allocates a block-sized temporary: the normalization
+rides inside the transforms — every forward axis carries its own ``1/N``
+and every inverse axis is unscaled (``norm="forward"`` on both sides) — so
+no scaling pass sits between them.  The out-of-core engine's ring slots
+are the only pencil storage it has.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ _KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
 
 def _inv_y(a, n, lf, out=None):
     """Inverse stage 1: 1-D inverse FFTs in y on the kz-slab."""
-    return np.multiply(lf.ifft(a, axis=_Y_AXIS), n, out=out)
+    return lf.ifft(a, _Y_AXIS, out=out, norm="forward")
 
 
 def _inv_zx(a, n, lf, out=None):
@@ -42,22 +44,19 @@ def _inv_zx(a, n, lf, out=None):
     a buffer they own (a ring slot, the worker's gathered concatenation,
     the post-transpose work list).
     """
-    np.multiply(lf.ifft(a, axis=_KZ_AXIS), n, out=a)
-    return np.multiply(lf.irfft(a, n=n, axis=_X_AXIS), n, out=out)
+    lf.ifft(a, _KZ_AXIS, out=a, norm="forward")
+    return lf.irfft(a, n, _X_AXIS, out=out, norm="forward")
 
 
 def _fwd_xz(a, n, lf, out=None):
     """Forward stage 1: real-to-complex x, then z, on the y-slab."""
-    if out is None:
-        return lf.fft(lf.rfft(a, axis=_X_AXIS), axis=_KZ_AXIS)
-    out[...] = lf.rfft(a, axis=_X_AXIS)
-    out[...] = lf.fft(out, axis=_KZ_AXIS)
-    return out
+    out = lf.rfft(a, _X_AXIS, out=out, norm="forward")
+    return lf.fft(out, _KZ_AXIS, out=out, norm="forward")
 
 
 def _fwd_y(a, n, lf, out=None):
-    """Forward stage 2: y FFTs plus the 1/N^3 normalization."""
-    return np.divide(lf.fft(a, axis=_Y_AXIS), n**3, out=out)
+    """Forward stage 2: y FFTs, the last of the three 1/N factors."""
+    return lf.fft(a, _Y_AXIS, out=out, norm="forward")
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ Architecture (bulk-synchronous, driver-coordinated):
 * the paper's fused stages ride along: the pre-exchange 1-D FFTs (y for
   the inverse, x+z for the forward) run in the same worker dispatch that
   packs the ring, and the post-exchange FFTs in the dispatch that unpacks
-  it, via the pluggable line-transform providers of
-  :func:`repro.spectral.workspace.resolve_line_fft` — so pyFFTW plans (when
-  present) are built and cached *inside the workers*;
+  it, via the transform provider of
+  :func:`repro.spectral.workspace.resolve_fft`, resolved and cached
+  *inside each worker*;
 * the fault-injector hook stays on the driver: it is consulted between the
   pack and unpack phases (exactly where :meth:`VirtualComm.alltoall`
   consults it), and a ``dropped`` fault re-dispatches the pack stage from
@@ -107,7 +107,7 @@ def _worker_main(rank: int, size: int, conn, start_method: str,
     marks progress (throughput) — the driver's stall detector and live
     per-rank gauges read that slot; see :mod:`repro.obs.heartbeat`.
     """
-    from repro.spectral.workspace import resolve_line_fft
+    from repro.spectral.workspace import resolve_fft
 
     heartbeat: Optional[HeartbeatWriter] = None
     if hb_name is not None:
@@ -147,7 +147,7 @@ def _worker_main(rank: int, size: int, conn, start_method: str,
                 conn.send({"ok": True})
                 continue
 
-            lf = resolve_line_fft(msg["fft"])
+            lf = resolve_fft(msg["fft"])
             n = msg["n"]
             spans = []
             if op == "stage1":
@@ -252,8 +252,8 @@ class ProcsComm(VirtualComm):
         Communicator name (diagnostics only).
     fft_backend:
         Default line-transform provider workers use for fused stages
-        (``numpy`` / ``scipy`` / ``fftw`` / ``auto``); per-call overrides
-        ride on the stage messages.  Plans live in the workers.
+        (``numpy`` / ``scipy`` / ``auto``); per-call overrides
+        ride on the stage messages.  Providers live in the workers.
     arena_bytes:
         Initial per-worker shared-memory segment size; grown on demand
         (powers of two) when an exchange needs more.

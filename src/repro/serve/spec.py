@@ -162,7 +162,7 @@ class JobSpec:
     fft_backend: str = _f(
         "numpy", str,
         "transform backend (auto: $REPRO_FFT_BACKEND or numpy)",
-        choices=("auto", "numpy", "scipy", "fftw"))
+        choices=("auto", "numpy", "scipy"))
     ranks: Optional[int] = _f(
         None, int,
         "run the slab-distributed solver over this many ranks instead of "

@@ -20,7 +20,7 @@ performance layer (:mod:`repro.core`) are checked.
 """
 
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.transforms import fft3d, ifft3d, fft3d_staged, ifft3d_staged
+from repro.spectral.transforms import fft3d, ifft3d
 from repro.spectral.operators import (
     curl_hat,
     divergence_hat,
@@ -43,9 +43,8 @@ from repro.spectral.diagnostics import FlowStatistics, energy_spectrum, flow_sta
 from repro.spectral.scalar import PassiveScalar
 from repro.spectral.workspace import (
     SpectralWorkspace,
-    TransformBackend,
     available_backends,
-    resolve_backend,
+    resolve_fft,
 )
 
 __all__ = [
@@ -61,18 +60,15 @@ __all__ = [
     "SpectralGrid",
     "SpectralWorkspace",
     "StepResult",
-    "TransformBackend",
     "available_backends",
-    "resolve_backend",
+    "resolve_fft",
     "curl_hat",
     "divergence_hat",
     "energy_spectrum",
     "fft3d",
-    "fft3d_staged",
     "flow_statistics",
     "gradient_hat",
     "ifft3d",
-    "ifft3d_staged",
     "nonlinear_conservative",
     "nonlinear_rotational",
     "phase_shift_factor",

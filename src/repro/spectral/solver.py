@@ -77,8 +77,8 @@ class SolverConfig:
     seed:
         Seed for the random shifts.
     fft_backend:
-        Transform backend name (``"auto"``, ``"numpy"``, ``"scipy"``,
-        ``"fftw"``); ``"auto"`` consults ``REPRO_FFT_BACKEND``.
+        Transform provider name (``"auto"``, ``"numpy"``, ``"scipy"``);
+        ``"auto"`` consults ``REPRO_FFT_BACKEND``.
     diagnostics_every:
         Compute the energy/dissipation diagnostics (one full-grid pass,
         two reductions) every this many steps; other steps report NaN.  The

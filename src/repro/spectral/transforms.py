@@ -1,18 +1,15 @@
-"""Forward/inverse 3-D transforms, monolithic and staged.
+"""Reference forward/inverse 3-D transforms.
 
 Normalization convention: the *forward* transform carries the ``1/N^3``
 factor, so spectral values are true Fourier-series coefficients —
 ``u(x) = sum_k u_hat(k) exp(i k.x)`` as written in the paper's Sec. 2.
 
-Two implementations are provided:
-
-* :func:`fft3d` / :func:`ifft3d` — one-shot ``numpy.fft.rfftn`` calls, used
-  by the solver for speed;
-* :func:`fft3d_staged` / :func:`ifft3d_staged` — axis-at-a-time transforms
-  in the exact order of the production code (inverse: y, z, x; forward:
-  x, z, y — paper Sec. 3.3), used by the distributed layer where an
-  all-to-all transpose sits between the stages.  Tests assert the two agree
-  to round-off.
+:func:`fft3d` / :func:`ifft3d` are one-shot, allocating ``numpy.fft.rfftn``
+calls for the off-hot-path callers (initial conditions, diagnostics) and
+the reference the solvers' transforms are tested against.  The hot
+paths transform through the providers of :mod:`repro.spectral.workspace`
+(the serial workspace) and the stage kernels of :mod:`repro.dist.stages`
+(every distributed engine).
 """
 
 from __future__ import annotations
@@ -21,16 +18,7 @@ import numpy as np
 
 from repro.spectral.grid import SpectralGrid
 
-__all__ = [
-    "fft3d",
-    "fft3d_staged",
-    "ifft3d",
-    "ifft3d_staged",
-    "fft_axis_c2c",
-    "ifft_axis_c2c",
-    "rfft_x",
-    "irfft_x",
-]
+__all__ = ["fft3d", "ifft3d"]
 
 _Z_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
 
@@ -59,59 +47,3 @@ def ifft3d(u_hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     )
     out *= grid.n**3
     return out.astype(grid.dtype, copy=False)
-
-
-# -- staged (axis-at-a-time) transforms, as the distributed code takes them --
-
-
-def fft_axis_c2c(data: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized complex-to-complex forward FFT along ``axis``."""
-    return np.fft.fft(data, axis=axis)
-
-
-def ifft_axis_c2c(data: np.ndarray, axis: int) -> np.ndarray:
-    """Normalized (by 1/N_axis... inverse of fft_axis_c2c) c2c inverse FFT."""
-    return np.fft.ifft(data, axis=axis)
-
-
-def rfft_x(data: np.ndarray, axis: int = _X_AXIS) -> np.ndarray:
-    """Real-to-half-complex forward FFT along the contiguous x axis."""
-    return np.fft.rfft(data, axis=axis)
-
-
-def irfft_x(data: np.ndarray, n: int, axis: int = _X_AXIS) -> np.ndarray:
-    """Half-complex-to-real inverse FFT along x."""
-    return np.fft.irfft(data, n=n, axis=axis)
-
-
-def ifft3d_staged(u_hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Spectral -> physical, one axis at a time in the paper's order y, z, x.
-
-    This is the sequence of Fig. 2/Fig. 4 (the all-to-all transposes sit
-    between stages in the distributed version; here the data is local so the
-    stages chain directly).  Inverse transforms are unnormalized (multiplied
-    back by N per axis) because :func:`fft3d` already normalized forward.
-    """
-    if u_hat.shape != grid.spectral_shape:
-        raise ValueError(f"expected {grid.spectral_shape}, got {u_hat.shape}")
-    n = grid.n
-    # y first (paper: FFTs in y while data is in x-y slabs)...
-    work = ifft_axis_c2c(u_hat, _Y_AXIS) * n
-    # ...transpose to x-z slabs, z next...
-    work = ifft_axis_c2c(work, _Z_AXIS) * n
-    # ...x last: complex-to-real on the unit-stride axis.  Each inverse stage
-    # was made unnormalized (the *n factors), exactly cancelling the forward
-    # 1/N^3 convention.
-    out = irfft_x(work, n, _X_AXIS) * n
-    return out.astype(grid.dtype, copy=False)
-
-
-def fft3d_staged(u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Physical -> spectral, axis order x, z, y (reverse of the inverse)."""
-    if u.shape != grid.physical_shape:
-        raise ValueError(f"expected {grid.physical_shape}, got {u.shape}")
-    n = grid.n
-    work = rfft_x(u, _X_AXIS)
-    work = fft_axis_c2c(work, _Z_AXIS)
-    work = fft_axis_c2c(work, _Y_AXIS)
-    return (work / n**3).astype(grid.cdtype, copy=False)

@@ -1,25 +1,25 @@
-"""Pre-allocated spectral workspace and pluggable transform backends.
+"""Pre-allocated spectral workspace and the transform providers.
 
 The paper's GPU pipeline keeps 27 pencil buffers resident for the whole run
 (Sec. 3.5) so that no allocation ever sits between arithmetic stages.  This
 module is the CPU-side analogue for the *real* numerics: a
 :class:`SpectralWorkspace` owns every full-grid scratch array the solver hot
 path needs and runs the 3-D transforms in them, so a steady-state RK step
-performs **zero** full-grid allocations (asserted by the tier-1 tracemalloc
-regression test).  The arithmetic between transforms lives in
-:mod:`repro.spectral.pointwise`.
+performs **zero** full-grid allocations in either precision (asserted by the
+tier-1 tracemalloc regression test).  The arithmetic between transforms
+lives in :mod:`repro.spectral.pointwise`.
 
-Transforms go through a pluggable :class:`TransformBackend`:
+Every transform in the repo — the serial workspace's 3-D pair and the
+distributed stage kernels' 1-D lines — goes through one provider per FFT
+library, resolved by name with :func:`resolve_fft`:
 
 ``numpy``
-    Axis-at-a-time ``np.fft`` calls writing into workspace buffers via the
-    ``out=`` parameter (NumPy >= 2.0); falls back to copying one-shot
-    ``rfftn``/``irfftn`` results on older NumPy.
+    :class:`NumpyFFT`: ``np.fft`` writing into the caller's ``out=``
+    buffer, the 3-D pair one axis at a time.
 ``scipy``
-    ``scipy.fft`` with ``workers=N`` threading (``REPRO_FFT_WORKERS``,
-    default: all cores).
-``fftw``
-    pyFFTW with cached plans, when the package is importable.
+    :class:`ScipyFFT`: ``scipy.fft``, whose results are copied into
+    ``out``; the 3-D pair is ``rfftn``/``irfftn`` with ``workers=N``
+    threading (``REPRO_FFT_WORKERS``, default: all cores).
 
 Select with ``SpectralWorkspace(grid, backend="scipy")``, the
 ``SolverConfig.fft_backend`` field, the ``--fft-backend`` CLI flag, or the
@@ -42,28 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = [
+    "FFT_PROVIDERS",
     "BufferPool",
-    "FftwBackend",
-    "FftwLineTransforms",
-    "LineTransforms",
-    "NumpyBackend",
-    "ScipyBackend",
-    "ScipyLineTransforms",
+    "NumpyFFT",
+    "ScipyFFT",
     "SpectralWorkspace",
-    "TransformBackend",
     "available_backends",
-    "resolve_backend",
-    "resolve_line_fft",
+    "resolve_fft",
 ]
 
 _Z_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
-
-# NumPy gained ``out=`` on the pocketfft wrappers in 2.0; probe once.
-try:  # pragma: no cover - exercised implicitly by every transform call
-    np.fft.fft(np.zeros(2, dtype=complex), out=np.zeros(2, dtype=complex))
-    _HAS_FFT_OUT = True
-except TypeError:  # pragma: no cover - only on numpy < 2.0
-    _HAS_FFT_OUT = False
 
 
 class BufferPool:
@@ -127,73 +115,88 @@ class BufferPool:
             self.obs.metrics.counter("pool.releases").inc()
 
 
-# -- transform backends -------------------------------------------------------
+# -- transform providers ------------------------------------------------------
 
 
-class TransformBackend:
-    """3-D real transforms writing into caller-owned buffers.
+_SINGLE = (np.dtype(np.float32), np.dtype(np.complex64))
 
-    The repo's convention (``norm="forward"``): ``forward`` computes
-    ``rfftn / N^3`` into ``out``; ``inverse`` computes the unnormalized
-    inverse into the real ``out``, using ``work`` as complex scratch so the
-    input is never modified (``u_hat`` may *be* ``work``, which is then
-    transformed in place).  The scaling is folded into the transform where
-    the library offers it, so it costs no extra pass over the data.
+
+def _np_line(fn, a, length, out, norm, inverse, **kw):
+    """One ``np.fft`` line call, kept in single precision when ``a`` is.
+
+    On an unscaled call NumPy hands pocketfft an integer scale factor,
+    which selects the double-precision loop and allocates a converted copy
+    of a single-precision operand.  For those the call scaled by
+    ``1/length`` runs instead, and the scale is undone in place.
+    """
+    unscaled = norm == "forward" if inverse else norm in (None, "backward")
+    if not (unscaled and a.dtype in _SINGLE):
+        return fn(a, out=out, norm=norm, **kw)
+    out = fn(a, out=out, norm="backward" if inverse else "forward", **kw)
+    out *= length
+    return out
+
+
+class NumpyFFT:
+    """``np.fft`` behind the provider contract every transform goes through.
+
+    The line calls ``fft`` / ``ifft`` / ``rfft`` / ``irfft`` take ``out=``
+    and ``norm=`` with ``np.fft``'s meaning, in either precision: the result
+    is written into ``out`` (which may be ``a`` for the complex-to-complex
+    pair) and returned.  The distributed stage kernels
+    (:mod:`repro.dist.stages`) call them on slabs and pencils; the serial
+    workspace calls the 3-D pair, which is built from the same line calls.
+
+    The repo's convention is ``norm="forward"`` on every axis: ``forward3d``
+    computes ``rfftn / N^3`` into ``out``; ``inverse3d`` computes the
+    unnormalized inverse into the real ``out``, using ``work`` as complex
+    scratch so the input is never modified (``u_hat`` may *be* ``work``,
+    which is then transformed in place).  The scaling is folded into the
+    transform, so it costs no extra pass over the data.
     """
 
-    name = "base"
+    name = "numpy"
 
     @classmethod
     def available(cls) -> bool:
         return True
 
-    def forward(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def fft(self, a, axis, out=None, norm=None):
+        return _np_line(np.fft.fft, a, a.shape[axis], out, norm, False, axis=axis)
 
-    def inverse(
+    def ifft(self, a, axis, out=None, norm=None):
+        return _np_line(np.fft.ifft, a, a.shape[axis], out, norm, True, axis=axis)
+
+    def rfft(self, a, axis, out=None, norm=None):
+        return _np_line(np.fft.rfft, a, a.shape[axis], out, norm, False, axis=axis)
+
+    def irfft(self, a, n, axis, out=None, norm=None):
+        return _np_line(np.fft.irfft, a, n, out, norm, True, n=n, axis=axis)
+
+    def forward3d(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.rfft(u, _X_AXIS, out=out, norm="forward")
+        self.fft(out, _Z_AXIS, out=out, norm="forward")
+        return self.fft(out, _Y_AXIS, out=out, norm="forward")
+
+    def inverse3d(
         self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
-        raise NotImplementedError
+        # The first axis reads the input and writes the scratch, so the
+        # input survives without a separate copy.
+        self.ifft(u_hat, _Z_AXIS, out=work, norm="forward")
+        self.ifft(work, _Y_AXIS, out=work, norm="forward")
+        return self.irfft(work, out.shape[_X_AXIS], _X_AXIS, out=out,
+                          norm="forward")
 
 
-class NumpyBackend(TransformBackend):
-    """Axis-at-a-time ``np.fft`` with in-place ``out=`` buffers."""
+class ScipyFFT(NumpyFFT):
+    """``scipy.fft``: single-worker line calls (line batches are the
+    parallelism unit of the distributed path), ``workers=N`` 3-D calls
+    (``REPRO_FFT_WORKERS``, default: all cores).
 
-    name = "numpy"
-
-    def forward(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # np.fft computes in double precision and requires out= buffers to
-        # be complex128, so single-precision grids take the copying path.
-        if _HAS_FFT_OUT and out.dtype == np.complex128:
-            np.fft.rfft(u, axis=_X_AXIS, out=out, norm="forward")
-            np.fft.fft(out, axis=_Z_AXIS, out=out, norm="forward")
-            np.fft.fft(out, axis=_Y_AXIS, out=out, norm="forward")
-        else:
-            out[...] = np.fft.rfftn(
-                u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), norm="forward"
-            )
-        return out
-
-    def inverse(
-        self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
-    ) -> np.ndarray:
-        if _HAS_FFT_OUT and work.dtype == np.complex128 and out.dtype == np.float64:
-            # The first axis reads the input and writes the scratch, so the
-            # input survives without a separate copy.
-            np.fft.ifft(u_hat, axis=_Z_AXIS, out=work, norm="forward")
-            np.fft.ifft(work, axis=_Y_AXIS, out=work, norm="forward")
-            np.fft.irfft(work, n=out.shape[_X_AXIS], axis=_X_AXIS, out=out,
-                         norm="forward")
-        else:
-            out[...] = np.fft.irfftn(
-                u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS),
-                norm="forward",
-            )
-        return out
-
-
-class ScipyBackend(TransformBackend):
-    """``scipy.fft`` with ``workers=N`` threading (no ``out=`` support)."""
+    ``scipy.fft`` has no ``out=``, so every call here allocates its result
+    and copies it into ``out`` when one is given.
+    """
 
     name = "scipy"
 
@@ -212,243 +215,88 @@ class ScipyBackend(TransformBackend):
             return False
         return True
 
-    def forward(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _into(result, out):
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    def fft(self, a, axis, out=None, norm=None):
         import scipy.fft
 
-        out[...] = scipy.fft.rfftn(
+        return self._into(scipy.fft.fft(a, axis=axis, norm=norm, workers=1), out)
+
+    def ifft(self, a, axis, out=None, norm=None):
+        import scipy.fft
+
+        return self._into(scipy.fft.ifft(a, axis=axis, norm=norm, workers=1), out)
+
+    def rfft(self, a, axis, out=None, norm=None):
+        import scipy.fft
+
+        return self._into(scipy.fft.rfft(a, axis=axis, norm=norm, workers=1), out)
+
+    def irfft(self, a, n, axis, out=None, norm=None):
+        import scipy.fft
+
+        return self._into(
+            scipy.fft.irfft(a, n=n, axis=axis, norm=norm, workers=1), out
+        )
+
+    def forward3d(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        import scipy.fft
+
+        return self._into(scipy.fft.rfftn(
             u, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS), workers=self.workers,
             norm="forward",
-        )
-        return out
+        ), out)
 
-    def inverse(
+    def inverse3d(
         self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
         import scipy.fft
 
-        out[...] = scipy.fft.irfftn(
+        return self._into(scipy.fft.irfftn(
             u_hat, s=out.shape, axes=(_Z_AXIS, _Y_AXIS, _X_AXIS),
             workers=self.workers, norm="forward",
-        )
-        return out
+        ), out)
 
 
-class FftwBackend(TransformBackend):
-    """pyFFTW with plans cached per array shape (built once, reused forever)."""
-
-    name = "fftw"
-
-    def __init__(self, threads: Optional[int] = None):
-        import pyfftw  # noqa: F401 - raises if unavailable
-
-        self._pyfftw = pyfftw
-        self.threads = threads or (os.cpu_count() or 1)
-        self._plans: dict[tuple, object] = {}
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import pyfftw  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def _plan(self, kind: str, src: np.ndarray, dst: np.ndarray):
-        key = (kind, src.shape, src.dtype.str, dst.shape, dst.dtype.str)
-        plan = self._plans.get(key)
-        if plan is None:
-            builder = (
-                self._pyfftw.builders.rfftn if kind == "fwd"
-                else self._pyfftw.builders.irfftn
-            )
-            kw = {"s": dst.shape} if kind == "inv" else {}
-            plan = builder(
-                src,
-                axes=(_Z_AXIS, _Y_AXIS, _X_AXIS),
-                threads=self.threads,
-                auto_align_input=False,
-                auto_contiguous=False,
-                avoid_copy=True,
-                **kw,
-            )
-            self._plans[key] = plan
-        return plan
-
-    def forward(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[...] = self._plan("fwd", u, out)(u)
-        out /= u.size
-        return out
-
-    def inverse(
-        self, u_hat: np.ndarray, out: np.ndarray, work: np.ndarray
-    ) -> np.ndarray:
-        # pyFFTW normalizes its inverse like numpy (1/N^3); undo it.
-        out[...] = self._plan("inv", u_hat, out)(u_hat)
-        out *= out.size
-        return out
-
-
-_BACKENDS: dict[str, type[TransformBackend]] = {
-    "numpy": NumpyBackend,
-    "scipy": ScipyBackend,
-    "fftw": FftwBackend,
+#: The provider registry; ``fft_backend``'s vocabulary is these plus "auto".
+FFT_PROVIDERS: dict[str, type[NumpyFFT]] = {
+    "numpy": NumpyFFT,
+    "scipy": ScipyFFT,
 }
+_cache: dict[str, NumpyFFT] = {}
 
 
 def available_backends() -> list[str]:
-    """Backend names importable in this environment, preference-ordered."""
-    return [name for name, cls in _BACKENDS.items() if cls.available()]
+    """Provider names importable in this environment, preference-ordered."""
+    return [name for name, cls in FFT_PROVIDERS.items() if cls.available()]
 
 
-def resolve_backend(name: str | TransformBackend | None = "auto") -> TransformBackend:
-    """Instantiate a backend by name.
+def resolve_fft(name: str | NumpyFFT | None = "auto") -> NumpyFFT:
+    """The provider named ``name``, one instance per name per process.
 
     ``"auto"`` (or None) consults ``REPRO_FFT_BACKEND`` and defaults to
-    ``numpy``; an already-constructed backend passes through unchanged.
+    ``numpy``; an already-constructed provider passes through unchanged.
     """
-    if isinstance(name, TransformBackend):
+    if isinstance(name, NumpyFFT):
         return name
-    if name is None:
-        name = "auto"
-    if name == "auto":
+    if name is None or name == "auto":
         name = os.environ.get("REPRO_FFT_BACKEND", "numpy").lower()
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown FFT backend {name!r}; choose from {sorted(_BACKENDS)}"
-        )
-    if not cls.available():
-        raise ValueError(f"FFT backend {name!r} is not available in this environment")
-    return cls()
-
-
-# -- 1-D line transforms (the distributed slab path) ---------------------------
-
-
-class LineTransforms:
-    """Axis-at-a-time 1-D transforms behind the same backend names.
-
-    The distributed slab FFT (:mod:`repro.dist.slab_fft`) transforms one
-    axis at a time between global transposes, so it needs 1-D ``fft`` /
-    ``ifft`` / ``rfft`` / ``irfft`` rather than the 3-D ``rfftn`` of
-    :class:`TransformBackend`.  Providers share the backend registry and
-    availability gates, so ``--fft-backend`` selects both at once; the
-    process-pool comm backend (:mod:`repro.mpi.procs`) resolves a provider
-    *inside each worker*, which is where pyFFTW plans end up living.
-    """
-
-    name = "numpy"
-
-    @classmethod
-    def available(cls) -> bool:
-        return True
-
-    def fft(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.fft(a, axis=axis)
-
-    def ifft(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.ifft(a, axis=axis)
-
-    def rfft(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.rfft(a, axis=axis)
-
-    def irfft(self, a: np.ndarray, n: int, axis: int) -> np.ndarray:
-        return np.fft.irfft(a, n=n, axis=axis)
-
-
-class ScipyLineTransforms(LineTransforms):
-    """``scipy.fft`` 1-D transforms (single worker: line batches are the
-    parallelism unit in the distributed path, not intra-call threads)."""
-
-    name = "scipy"
-
-    available = ScipyBackend.available
-
-    def fft(self, a, axis):
-        import scipy.fft
-
-        return scipy.fft.fft(a, axis=axis, workers=1)
-
-    def ifft(self, a, axis):
-        import scipy.fft
-
-        return scipy.fft.ifft(a, axis=axis, workers=1)
-
-    def rfft(self, a, axis):
-        import scipy.fft
-
-        return scipy.fft.rfft(a, axis=axis, workers=1)
-
-    def irfft(self, a, n, axis):
-        import scipy.fft
-
-        return scipy.fft.irfft(a, n=n, axis=axis, workers=1)
-
-
-class FftwLineTransforms(LineTransforms):
-    """pyFFTW's numpy-compatible interface with its plan cache enabled.
-
-    Constructed lazily inside whichever process calls it, so under the
-    process-pool comm backend every rank worker owns its own plan cache.
-    """
-
-    name = "fftw"
-
-    available = FftwBackend.available
-
-    def __init__(self):
-        import pyfftw.interfaces
-
-        pyfftw.interfaces.cache.enable()
-        self._fft = pyfftw.interfaces.numpy_fft
-
-    def fft(self, a, axis):
-        return self._fft.fft(a, axis=axis)
-
-    def ifft(self, a, axis):
-        return self._fft.ifft(a, axis=axis)
-
-    def rfft(self, a, axis):
-        return self._fft.rfft(a, axis=axis)
-
-    def irfft(self, a, n, axis):
-        return self._fft.irfft(a, n=n, axis=axis)
-
-
-_LINE_BACKENDS: dict[str, type[LineTransforms]] = {
-    "numpy": LineTransforms,
-    "scipy": ScipyLineTransforms,
-    "fftw": FftwLineTransforms,
-}
-_line_cache: dict[str, LineTransforms] = {}
-
-
-def resolve_line_fft(name: str | LineTransforms | None = "auto") -> LineTransforms:
-    """Instantiate (and cache) a 1-D line-transform provider by name.
-
-    Same resolution rules as :func:`resolve_backend`: ``"auto"`` consults
-    ``REPRO_FFT_BACKEND`` and defaults to ``numpy``.  Instances are cached
-    per name per process, so plan caches (pyFFTW) persist for the process
-    lifetime.
-    """
-    if isinstance(name, LineTransforms):
-        return name
-    if name is None:
-        name = "auto"
-    if name == "auto":
-        name = os.environ.get("REPRO_FFT_BACKEND", "numpy").lower()
-    provider = _line_cache.get(name)
+    provider = _cache.get(name)
     if provider is not None:
         return provider
-    cls = _LINE_BACKENDS.get(name)
+    cls = FFT_PROVIDERS.get(name)
     if cls is None:
         raise ValueError(
-            f"unknown FFT backend {name!r}; choose from {sorted(_LINE_BACKENDS)}"
+            f"unknown FFT backend {name!r}; choose from {sorted(FFT_PROVIDERS)}"
         )
     if not cls.available():
         raise ValueError(f"FFT backend {name!r} is not available in this environment")
-    provider = cls()
-    _line_cache[name] = provider
+    provider = _cache[name] = cls()
     return provider
 
 
@@ -468,11 +316,11 @@ class SpectralWorkspace:
     def __init__(
         self,
         grid: SpectralGrid,
-        backend: str | TransformBackend | None = "auto",
+        backend: str | NumpyFFT | None = "auto",
         obs: "Observability | None" = None,
     ):
         self.grid = grid
-        self.backend = resolve_backend(backend)
+        self.backend = resolve_fft(backend)
         self.obs = obs if obs is not None else NULL_OBS
         self.pool = BufferPool(obs=self.obs)
         self._buffers: dict[tuple[str, str, Optional[int]], np.ndarray] = {}
@@ -524,7 +372,7 @@ class SpectralWorkspace:
         with (obs.spans.span("fft.fwd", category="fft",
                              backend=self.backend.name, n=grid.n)
               if obs.enabled else NULL_SPAN):
-            self.backend.forward(u, out)
+            self.backend.forward3d(u, out)
         if obs.enabled:
             obs.metrics.counter("fft.calls").inc()
         return out
@@ -548,7 +396,7 @@ class SpectralWorkspace:
         with (obs.spans.span("fft.inv", category="fft",
                              backend=self.backend.name, n=grid.n)
               if obs.enabled else NULL_SPAN):
-            self.backend.inverse(u_hat, out, work)
+            self.backend.inverse3d(u_hat, out, work)
         if obs.enabled:
             obs.metrics.counter("fft.calls").inc()
         return out

@@ -168,11 +168,10 @@ class TestOutOfCoreStepAllocatesNoSlab:
     def test_whole_step_transforms_included(self, rng, pipeline, scalars):
         """After warm-up a whole out-of-core RK2 step — transforms included —
         claims no slab: results land in the solver's arrays, the exchange in
-        the engine's send region and transposed slab.  What is left is the
-        line-FFT provider's return value, one pencil at a time (``lf.ifft``
-        has no ``out=``), plus interpreter small change; 64^3 so that two
-        pencils (576 KiB) stand clear of both and well under one slab
-        (1056 KiB; the engine used to claim six per transform)."""
+        the engine's send region and transposed slab, every stage kernel's
+        into its ring slot.  What is left is interpreter small change; 64^3
+        so that one pencil (288 KiB) stands clear of it and well under one
+        slab (1056 KiB; the engine used to claim six per transform)."""
         from repro.dist.outofcore import ring_bytes
 
         grid = SpectralGrid(64)
@@ -193,9 +192,9 @@ class TestOutOfCoreStepAllocatesNoSlab:
             finally:
                 tracemalloc.stop()
         pencil = max(ring_bytes(grid.n, grid.n // 2, 4, dist.fft.inflight)[:3])
-        assert growth < 2 * pencil, (
+        assert growth < pencil, (
             f"a steady out-of-core step allocated {growth} B at its peak, "
-            f">= two pencils ({2 * pencil} B)"
+            f">= one pencil ({pencil} B)"
         )
 
 

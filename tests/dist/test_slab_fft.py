@@ -10,7 +10,7 @@ from repro.dist.stages import STAGES
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.transforms import fft3d, ifft3d
-from repro.spectral.workspace import resolve_line_fft
+from repro.spectral.workspace import resolve_fft
 
 
 def build(n, ranks):
@@ -92,7 +92,7 @@ class TestStageTable:
         buffer of that geometry passed as ``out`` receives the same bits."""
         n = 8
         stage = STAGES[name]
-        lf = resolve_line_fft("numpy")
+        lf = resolve_fft("numpy")
         shape = (n, 3, n) if stage.real_in else (n, 3, n // 2 + 1)
         a = rng.standard_normal(shape).astype(real)
         if not stage.real_in:
@@ -113,10 +113,10 @@ class TestPencilBatchedStage:
         grid, comm, fft = build(16, 4)
         u_hat = fft3d(rng.standard_normal(grid.physical_shape), grid)
         local = fft.decomp.scatter_spectral(u_hat)[1]
-        lf = resolve_line_fft("numpy")
+        lf = resolve_fft("numpy")
         inv_y = STAGES["inv_y"].fn
         whole = inv_y(local, 16, lf)
-        assert np.array_equal(whole, np.fft.ifft(local, axis=1) * 16)
+        assert np.array_equal(whole, np.fft.ifft(local, axis=1, norm="forward"))
         for npencils in (1, 3):
             pieces = [
                 inv_y(block, 16, lf)

@@ -75,7 +75,8 @@ class TestValidation:
     @pytest.mark.parametrize("field, value", [
         ("nu", "0.02"), ("dt", "0.1"), ("inflight", "3"), ("steps", "2"),
         ("n", 16.0), ("n", True), ("ranks", "2"), ("nu", float("nan")),
-        ("fft_backend", "cufft"), ("fuzz_profile", "tornado"),
+        ("fft_backend", "cufft"), ("fft_backend", "fftw"),
+        ("fuzz_profile", "tornado"),
         ("diagnostics_every", -1), ("ic_seed", -3), ("comm", None),
     ])
     def test_wrong_type_or_vocabulary_is_one_reasoned_message(self, field, value):

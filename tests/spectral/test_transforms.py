@@ -1,4 +1,4 @@
-"""Tests for forward/inverse transforms, monolithic and staged."""
+"""Tests for the reference transforms and the staged kernels against them."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.dist.stages import STAGES
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.transforms import fft3d, fft3d_staged, ifft3d, ifft3d_staged
+from repro.spectral.transforms import fft3d, ifft3d
+from repro.spectral.workspace import resolve_fft
 
 
 class TestRoundTrip:
@@ -53,31 +55,43 @@ class TestRoundTrip:
 
 
 class TestStagedTransforms:
-    """The axis-at-a-time path must agree exactly with rfftn."""
+    """The distributed stage kernels, composed on a single rank (where a
+    kz-slab *is* a y-slab and the transpose is the identity), must agree
+    with rfftn — which pins the normalization spread across the stages."""
+
+    @staticmethod
+    def _run(first, second, a, n):
+        lf = resolve_fft("numpy")
+        return STAGES[second].fn(STAGES[first].fn(a, n, lf), n, lf)
 
     def test_staged_forward_matches_monolithic(self, grid24, rng):
         u = rng.standard_normal(grid24.physical_shape)
         assert np.allclose(
-            fft3d_staged(u, grid24), fft3d(u, grid24), atol=1e-14
+            self._run("fwd_xz", "fwd_y", u, 24), fft3d(u, grid24), atol=1e-14
         )
 
     def test_staged_inverse_matches_monolithic(self, grid24, rng):
         u_hat = fft3d(rng.standard_normal(grid24.physical_shape), grid24)
         assert np.allclose(
-            ifft3d_staged(u_hat, grid24), ifft3d(u_hat, grid24), atol=1e-13
+            self._run("inv_y", "inv_zx", u_hat, 24), ifft3d(u_hat, grid24),
+            atol=1e-13,
         )
 
     def test_staged_roundtrip(self, grid16, rng):
         u = rng.standard_normal(grid16.physical_shape)
-        assert np.allclose(
-            ifft3d_staged(fft3d_staged(u, grid16), grid16), u, atol=1e-13
-        )
+        u_hat = self._run("fwd_xz", "fwd_y", u, 16)
+        assert np.allclose(self._run("inv_y", "inv_zx", u_hat, 16), u,
+                           atol=1e-13)
 
     def test_staged_shape_validation(self, grid16):
+        """A stage refuses an ``out`` it cannot write its result into."""
+        lf = resolve_fft("numpy")
         with pytest.raises(ValueError):
-            fft3d_staged(np.zeros((4, 4, 4)), grid16)
+            STAGES["fwd_xz"].fn(np.zeros((4, 4, 4)), 4, lf,
+                                out=np.empty((4, 4, 4), complex))
         with pytest.raises(ValueError):
-            ifft3d_staged(np.zeros((4, 4, 3), dtype=complex), grid16)
+            STAGES["inv_zx"].fn(np.zeros((4, 4, 3), complex), 4, lf,
+                                out=np.empty((4, 4, 3)))
 
 
 @settings(max_examples=25, deadline=None)

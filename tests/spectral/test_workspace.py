@@ -9,8 +9,9 @@ Three layers of guarantees:
   with phase shifting and forcing on;
 * **allocation** — after warmup, a solver step must not allocate any
   full-grid (>= N^3-element) array (tracemalloc);
-* **unit behaviour** — buffer pool reuse, backend resolution and
-  cross-backend transform agreement.
+* **unit behaviour** — buffer pool reuse, provider resolution, the
+  provider contract (``out=`` / ``norm=`` as ``np.fft`` means them) and
+  cross-provider transform agreement.
 """
 
 import tracemalloc
@@ -36,11 +37,11 @@ from repro.spectral.solver import NavierStokesSolver, SolverConfig
 from repro.spectral.transforms import fft3d, ifft3d
 from repro.spectral.workspace import (
     BufferPool,
-    NumpyBackend,
-    ScipyBackend,
+    NumpyFFT,
+    ScipyFFT,
     SpectralWorkspace,
     available_backends,
-    resolve_backend,
+    resolve_fft,
 )
 
 
@@ -149,13 +150,16 @@ class TestWorkspaceEquivalence:
 class TestZeroAllocation:
     """The headline invariant: steady-state steps allocate no full grids."""
 
-    @pytest.mark.parametrize("scheme,nscalars", [
-        pytest.param("rk2", 0, id="rk2"), pytest.param("rk4", 0, id="rk4"),
-        pytest.param("rk2", 1, id="rk2-scalar"),
-        pytest.param("rk4", 1, id="rk4-scalar"),
+    @pytest.mark.parametrize("scheme,nscalars,dtype", [
+        pytest.param(scheme, nscalars, dtype, id=scheme + tag + suffix)
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for scheme in ("rk2", "rk4")
+        for nscalars, tag in ((0, ""), (1, "-scalar"))
     ])
-    def test_steady_state_step_allocates_no_full_grid(self, rng, scheme, nscalars):
-        grid = SpectralGrid(32)
+    def test_steady_state_step_allocates_no_full_grid(
+        self, rng, scheme, nscalars, dtype
+    ):
+        grid = SpectralGrid(32, dtype=dtype)
         solver = NavierStokesSolver(
             grid,
             random_isotropic_field(grid, rng, energy=1.0),
@@ -332,29 +336,31 @@ class TestBackends:
         assert "scipy" in names
 
     def test_resolve_by_name_and_passthrough(self):
-        assert isinstance(resolve_backend("numpy"), NumpyBackend)
-        assert isinstance(resolve_backend("scipy"), ScipyBackend)
-        backend = NumpyBackend()
-        assert resolve_backend(backend) is backend
+        assert type(resolve_fft("numpy")) is NumpyFFT
+        assert type(resolve_fft("scipy")) is ScipyFFT
+        assert resolve_fft("numpy") is resolve_fft("numpy")  # cached
+        provider = NumpyFFT()
+        assert resolve_fft(provider) is provider
 
     def test_resolve_auto_consults_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
-        assert isinstance(resolve_backend("auto"), NumpyBackend)
-        assert isinstance(resolve_backend(None), NumpyBackend)
+        assert type(resolve_fft("auto")) is NumpyFFT
+        assert type(resolve_fft(None)) is NumpyFFT
         monkeypatch.setenv("REPRO_FFT_BACKEND", "scipy")
-        assert isinstance(resolve_backend("auto"), ScipyBackend)
+        assert type(resolve_fft("auto")) is ScipyFFT
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown FFT backend"):
-            resolve_backend("cufft")
+            resolve_fft("cufft")
 
     def test_resolve_rejects_unavailable(self, monkeypatch):
         from repro.spectral import workspace as ws_mod
 
-        monkeypatch.setattr(ws_mod.FftwBackend, "available",
+        monkeypatch.setattr(ws_mod.ScipyFFT, "available",
                             classmethod(lambda cls: False))
-        with pytest.raises(ValueError, match="not available"):
-            resolve_backend("fftw")
+        monkeypatch.delitem(ws_mod._cache, "scipy", raising=False)
+        with pytest.raises(ValueError, match="'scipy' is not available"):
+            resolve_fft("scipy")
 
     def test_scipy_backend_matches_numpy(self, grid16, rng):
         u = rng.standard_normal(grid16.physical_shape)
@@ -370,7 +376,7 @@ class TestBackends:
 
     def test_scipy_workers_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FFT_WORKERS", "3")
-        assert ScipyBackend().workers == 3
+        assert ScipyFFT().workers == 3
 
     def test_solver_accepts_scipy_backend(self, grid16):
         s = NavierStokesSolver(
@@ -385,13 +391,59 @@ class TestBackends:
         ref.step(0.01)
         np.testing.assert_allclose(s.u_hat, ref.u_hat, atol=1e-13)
 
-    def test_float32_grid_uses_copying_fallback(self, rng):
-        """np.fft's out= path is float64-only; float32 must still work."""
+    @pytest.mark.parametrize("name", ["numpy", "scipy"])
+    def test_float32_grid_transforms_into_its_buffers(self, name, rng):
+        """Single precision writes into the workspace's complex64/float32
+        buffers and matches the float64 reference at its own precision."""
         grid = SpectralGrid(16, dtype=np.float32)
-        ws = SpectralWorkspace(grid, backend="numpy")
+        ws = SpectralWorkspace(grid, backend=name)
         u = rng.standard_normal(grid.physical_shape).astype(np.float32)
         u_hat = ws.fft3d(u)
-        assert u_hat.dtype == grid.cdtype
+        assert u_hat is ws.spectral("fft_out") and u_hat.dtype == grid.cdtype
+        np.testing.assert_allclose(u_hat, fft3d(u, SpectralGrid(16)),
+                                   atol=1e-6)
         back = ws.ifft3d(u_hat)
-        assert back.dtype == grid.dtype
+        assert back is ws.physical("ifft_out") and back.dtype == grid.dtype
         np.testing.assert_allclose(back, u, atol=1e-5)
+
+
+#: kind -> (input shape, positional arguments after the array).
+_LINE_CALLS = {
+    "fft": ((6, 5, 8), (1,)), "ifft": ((6, 5, 8), (1,)),
+    "rfft": ((6, 5, 8), (2,)), "irfft": ((6, 5, 5), (8, 2)),
+}
+
+
+class TestProviderContract:
+    """Every provider's line calls mean what ``np.fft``'s mean, in either
+    precision, and land in ``out`` when one is given."""
+
+    @pytest.mark.parametrize("norm", [None, "forward"])
+    @pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("kind,where", [
+        (kind, where) for kind in _LINE_CALLS
+        for where in ("fresh", "out", "in-place")
+        # only the complex-to-complex pair keeps shape and dtype
+        if where != "in-place" or kind in ("fft", "ifft")
+    ])
+    @pytest.mark.parametrize("name", ["numpy", "scipy"])
+    def test_line_call_matches_np_fft(self, name, kind, where, cdtype, norm, rng):
+        real = np.finfo(cdtype).dtype
+        shape, args = _LINE_CALLS[kind]
+        a = rng.standard_normal(shape).astype(real)
+        if kind != "rfft":
+            a = (a + 1j * rng.standard_normal(shape)).astype(cdtype)
+        ref = getattr(np.fft, kind)
+        expected = (ref(a, n=args[0], axis=args[1], norm=norm) if kind == "irfft"
+                    else ref(a, axis=args[0], norm=norm))
+        assert expected.dtype == (real if kind == "irfft" else cdtype)
+        out = {"fresh": None, "in-place": a,
+               "out": np.empty(expected.shape, expected.dtype)}[where]
+        got = getattr(resolve_fft(name), kind)(a, *args, out=out, norm=norm)
+        if out is not None:
+            assert got is out
+        assert got.dtype == expected.dtype
+        np.testing.assert_allclose(
+            got, expected, rtol=0,
+            atol=64 * np.finfo(real).eps * np.abs(expected).max(),
+        )

@@ -23,6 +23,10 @@ table or a CI step consumes it.  The fifth keeps the prose honest: every
 The sixth keeps the benchmark runnable: ``bench/trace.py`` rebinds entry
 points of ``src/`` by name, this suite cannot edit ``bench/``, and a renamed
 attribute would crash every traced run — so it must fail here first.
+
+The seventh ties the ``fft_backend`` vocabulary of the job description to
+the transform providers that exist: a name the spec accepts but no
+provider serves would parse and then fail only at run time.
 """
 
 import ast
@@ -186,3 +190,15 @@ def test_every_entry_point_the_benchmark_rebinds_exists():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
     assert missing == []
+
+
+def test_fft_backend_vocabulary_is_the_provider_registry():
+    from dataclasses import fields
+
+    from repro.serve.spec import JobSpec
+    from repro.spectral.workspace import FFT_PROVIDERS, resolve_fft
+
+    meta = next(f.metadata for f in fields(JobSpec) if f.name == "fft_backend")
+    assert set(meta["choices"]) == {"auto", *FFT_PROVIDERS}
+    for name in FFT_PROVIDERS:
+        assert resolve_fft(name).name == name
