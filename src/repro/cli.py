@@ -645,7 +645,8 @@ def _run_tune(args, run) -> int:
     """``repro tune``: probe every copy engine on the run's pencil layouts.
 
     Builds the out-of-core FFT with ``copy_strategy="auto"``, round-trips a
-    random field (inverse then forward), and prints the autotuner's probe
+    random field (inverse then forward), runs one velocity substage on three
+    such fields (the layouts a DNS step copies), and prints the autotuner's probe
     table: measured bandwidth per (layout, strategy) with the winner marked.
     With ``--model`` the Fig. 7 analytic ranking of the same layouts is
     appended (this is the choice the simulated-CUDA backend would make).
@@ -656,6 +657,7 @@ def _run_tune(args, run) -> int:
     from repro.dist.outofcore import OutOfCoreSlabFFT
     from repro.dist.virtual_mpi import VirtualComm
     from repro.spectral.grid import SpectralGrid
+    from repro.spectral.pointwise import PRODUCT_PAIRS
 
     grid = SpectralGrid(args.n)
     P = args.ranks
@@ -675,6 +677,7 @@ def _run_tune(args, run) -> int:
             for _ in range(P)
         ]
         fft.forward(fft.inverse(spec))
+        fft.product_spectra([np.stack([s] * 3) for s in spec], PRODUCT_PAIRS)
         tuner = fft.copy_tuner
         print()
         print(tuner.report())

@@ -98,6 +98,14 @@ def _contiguous_tail(a: np.ndarray) -> int:
     return tail
 
 
+def _drop_unit_lead(dst, src):
+    """Leading extent-1 axes carry no chunks: copy the arrays under them,
+    so a one-field pencil has the layout of the field's own pencil."""
+    while dst.ndim > 1 and dst.shape[0] == 1 and src.shape[:1] == (1,):
+        dst, src = dst[0], src[0]
+    return dst, src
+
+
 @dataclass(frozen=True)
 class ChunkLayout:
     """The chunk decomposition shared by both sides of a strided copy.
@@ -195,11 +203,11 @@ class CopyEngine:
 
     def h2d(self, dst: np.ndarray, src: np.ndarray, spans=None) -> None:
         """Copy a (possibly strided) host view into a device buffer."""
-        self._copy(dst, src, "h2d", spans)
+        self._copy(*_drop_unit_lead(dst, src), "h2d", spans)
 
     def d2h(self, dst: np.ndarray, src: np.ndarray, spans=None) -> None:
         """Copy a device buffer back into (possibly strided) host memory."""
-        self._copy(dst, src, "d2h", spans)
+        self._copy(*_drop_unit_lead(dst, src), "d2h", spans)
 
     def price(self, layout: ChunkLayout) -> float:
         """Virtual seconds for this copy (the Fig. 7 model)."""
@@ -560,9 +568,11 @@ class AutoEngine(CopyEngine):
         return min(e.price(layout) for e in self.tuner.engines)
 
     def h2d(self, dst, src, spans=None) -> None:
+        dst, src = _drop_unit_lead(dst, src)
         self.tuner.choose(dst, src, self.kind).h2d(dst, src, spans=spans)
 
     def d2h(self, dst, src, spans=None) -> None:
+        dst, src = _drop_unit_lead(dst, src)
         self.tuner.choose(dst, src, self.kind).d2h(dst, src, spans=spans)
 
     def close(self) -> None:

@@ -5,11 +5,13 @@ state slab-decomposed exactly as the paper's production code: spectral
 coefficients live in kz-slabs, each RK substage transforms the three
 velocity components to physical space (y, transpose, z, x), forms the six
 nonlinear products on y-slabs, and transforms them back (x, z, transpose,
-y) — so each substage costs 3 inverse + 6 forward distributed 3-D FFTs and
-therefore 9 all-to-alls in conservative form.  Each passive scalar
-(:meth:`DistributedNavierStokesSolver.add_scalar`) is one more component of
-the per-rank state and adds 1 inverse + 3 forward transforms per substage —
-8 all-to-alls per RK2 step — on whichever engine the solver runs.
+y) — 3 inverse + 6 forward distributed 3-D FFTs in conservative form.  Each
+passive scalar (:meth:`DistributedNavierStokesSolver.add_scalar`) is one
+more component of the per-rank state and adds 1 inverse + 3 forward
+transforms per substage.  The solver asks its engine for all of them in one
+``product_spectra`` call: the whole-slab engine runs one all-to-all per
+transform (9 per substage), the out-of-core engine batches every field into
+the paper's three pencil pipelines and two all-to-alls per substage.
 
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
@@ -257,21 +259,6 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             bufs = self._buffers[key] = [np.empty_like(u) for u in self._state]
         return bufs
 
-    def _field(self, key: str, physical: bool) -> list[np.ndarray]:
-        """Named per-rank slabs of one field — real y-slabs (``physical``) or
-        complex kz-slabs — that the transforms fill through ``out=``."""
-        bufs = self._buffers.get(key)
-        if bufs is None:
-            d = self.decomp
-            shape_of, dtype = (
-                (d.local_physical_shape, self.grid.dtype) if physical
-                else (d.local_spectral_shape, self.grid.cdtype)
-            )
-            bufs = self._buffers[key] = [
-                np.empty(shape_of(r), dtype) for r in range(self.comm.size)
-            ]
-        return bufs
-
     # -- the distributed nonlinear term -----------------------------------------
 
     def _nonlinear(
@@ -280,68 +267,47 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         """Right-hand side of the whole state, per rank, into ``out``: the
         projected, dealiased conservative convective term in ``[:3]``, then
         ``-div(u theta) - G u_y`` per scalar from the same physical-space
-        velocity (on the same shifted grid)."""
+        velocity (on the same shifted grid).
+
+        One engine call turns the state into every product spectrum it
+        needs: the six ``u_i u_j``, then ``u_c theta`` for each scalar.
+        """
         cfg = self.config
         obs = self.obs
-        ranks = range(self.comm.size)
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
+        nfields = state[0].shape[0]
+        pairs = PRODUCT_PAIRS + tuple(
+            (c, s) for s in range(3, nfields) for c in range(3))
+        # The product spectra, claimed once; the shifted coefficients are
+        # dead once transformed, so they share the slabs.
+        spectra = self._buffers.get("spectra")
+        if spectra is None:
+            spectra = self._buffers["spectra"] = [
+                np.empty((len(pairs), *u.shape[1:]), u.dtype) for u in state
+            ]
         bases = [None] * self.comm.size
         coeffs = state  # what gets transformed: the state, shifted if asked
         if cfg.phase_shift:
             shift = random_shift(self.grid, self._rng)
             bases = [k.shift_bases(shift) for k in self._kernels]
             coeffs = [
-                k.shifted(u, b, w) for k, u, b, w in
-                zip(self._kernels, state, bases, self._stage("shifted"))
+                k.shifted(u, b, w[:nfields]) for k, u, b, w in
+                zip(self._kernels, state, bases, spectra)
             ]
-
-        # Velocity components to physical space (3 inverse distributed FFTs).
-        u_phys = [  # [component][rank]
-            self.fft.inverse(
-                [coeffs[r][c] for r in ranks], out=self._field(f"u{c}", True)
-            )
-            for c in range(3)
-        ]
-
-        # Six products, transformed back (6 forward distributed FFTs).  The
-        # shifted velocity coefficients are dead once transformed, so the
-        # first three product spectra take their slabs.
-        prod = self._field("prod", True)
-        prod_hat = []
-        for p, (i, j) in enumerate(PRODUCT_PAIRS):
-            with obs.spans.span("nl.products", category="nonlinear"):
-                for r in ranks:
-                    np.multiply(u_phys[i][r], u_phys[j][r], out=prod[r])
-            if cfg.phase_shift and p < 3:
-                into = [coeffs[r][p] for r in ranks]
-            else:
-                into = self._field(f"prod_hat{p}", False)
-            prod_hat.append(self.fft.forward(prod, out=into))
+        self.fft.product_spectra(coeffs, pairs, out=spectra)
 
         for r, kernel in enumerate(self._kernels):
             with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
-                kernel.rhs([p[r] for p in prod_hat], bases[r], out[r][:3])
-
-        # kernel.rhs has consumed the products: the scalar fluxes reuse
-        # their slabs.
-        for s, scalar in enumerate(self.scalars, start=3):
-            theta = self.fft.inverse(
-                [coeffs[r][s] for r in ranks], out=self._field("theta", True)
-            )
-            flux_hat = []
-            for c in range(3):
-                with obs.spans.span("nl.products", category="nonlinear"):
-                    for r in ranks:
-                        np.multiply(u_phys[c][r], theta[r], out=prod[r])
-                flux_hat.append(self.fft.forward(prod, out=prod_hat[c]))
-            for r, kernel in enumerate(self._kernels):
-                with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
-                    kernel.scalar_rhs([f[r] for f in flux_hat], bases[r], out[r][s])
+                kernel.rhs(spectra[r][:6], bases[r], out[r][:3])
+                for s, scalar in enumerate(self.scalars, start=3):
+                    flux = spectra[r][3 * s - 3:3 * s]
+                    kernel.scalar_rhs(flux, bases[r], out[r][s])
                     if scalar.mean_gradient:
                         # out -= G u_y, the unshifted u_y (tau = 0: no decay).
                         kernel.combine(out[r][s], 0.0, [(0.0, [
-                            (-scalar.mean_gradient, state[r][1]), (1.0, out[r][s])])])
+                            (-scalar.mean_gradient, state[r][1]),
+                            (1.0, out[r][s])])])
         return out
 
     # -- time stepping ------------------------------------------------------------

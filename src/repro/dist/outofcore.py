@@ -7,35 +7,42 @@ Fig. 3 / Fig. 4 prescribe — split along x for the y-stage, along y for the
 z/x stages — and the arena enforces that no more than the planner's buffer
 allowance is ever resident.
 
-Since the async-runtime refactor the pencil loop is a
+Each phase — one pass over the pencils — is a
 :class:`repro.exec.PencilPipeline` over four streams:
 
 =========  ==================================================================
 ``h2d``    copy the pencil's strided host view into a ring slot
-``compute``  the 1-D FFT stage kernel, device-resident in and out
+``compute``  the stage kernel, device-resident in and out
 ``d2h``    copy the transformed pencil back to host memory — before an
            exchange, one strided copy per peer straight into that peer's
            send block: the D2H *is* the pack (paper Sec. 3.3, Figs. 7-8)
 ``comm``   per-pencil chunked all-to-all (``VirtualComm.ialltoall``) whose
            receive windows are strided views of the destination's
-           transposed slab, which the next phase's H2D reads in place
+           array, which the next phase's H2D reads in place
 =========  ==================================================================
 
 so a byte crosses host memory three times per transpose, as
 ``core/costs.py`` prices it (``d2h_pack``, the all-to-all, ``unpack_h2d``).
-The host side is claimed once per engine like the paper's pinned buffers
-(Sec. 3.5): per rank one *send region* carved into ``(pencil, peer)``
-blocks in all-to-all order and one *transposed slab*, both slab-sized and
-shared by the inverse and forward transforms (transforms are sequential
-and each phase drains before the next starts); results land in arrays the
-caller hands in (``out=``).  Nothing on the pencil path allocates.
+Every array is ``[field, kz, y, x]``, and a phase carries all its fields
+through the same copies, kernel calls and exchanges.
+:meth:`OutOfCoreSlabFFT.product_spectra` is the paper's RK substage on
+them: velocity spectra in, product spectra out, in three phases and two
+exchanges, the physical fields never leaving the ring;
+:meth:`~OutOfCoreSlabFFT.inverse` / :meth:`~OutOfCoreSlabFFT.forward` are
+single-field transforms of two phases each.
+
+The host side is claimed on first use and kept, like the paper's pinned
+buffers (Sec. 3.5): per rank a *send region*, a ring of pencils' blocks in
+all-to-all order, and the inverse's *transposed slab*; everything else
+lands in arrays the caller hands in (``out=``).  Nothing on the pencil path
+allocates.
 
 Events enforce the Fig. 4 cross-stream edges (compute waits its pencil's
 H2D; D2H waits its compute; the exchange waits its D2H) and a bounded
 in-flight window gates H2D of pencil ``ip`` on full retirement of
 ``ip - window``.  Device storage is a ring of flat buffers pre-claimed from
-the arena **once per transform stage** and re-viewed per pencil — the
-paper's persistent-buffer discipline (27 buffers claimed at startup,
+the arena **once per call** and re-viewed per pencil by each of its phases
+— the paper's persistent-buffer discipline (27 buffers claimed at startup,
 Sec. 3.5).
 
 Backends are interchangeable: ``pipeline="sync"`` executes every operation
@@ -48,6 +55,7 @@ The two produce bit-identical results (asserted by the determinism suite).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -59,12 +67,13 @@ import numpy as np
 from repro.core.payload import ArrayDescriptor, PayloadPolicy, is_descriptor
 from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
-from repro.dist.stages import STAGES
+from repro.dist.stages import STAGES, Stage, products
 from repro.dist.transpose import chunk_exchange_layout, complete_chunk_exchange
 from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
+from repro.spectral.pointwise import PRODUCT_PAIRS
 from repro.spectral.workspace import BufferPool, resolve_fft
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,13 +100,15 @@ def ring_bytes(
     n: int, hmax: int, npencils: int, window: int,
     complex_itemsize: int = 16, real_itemsize: int = 8,
 ) -> tuple[int, int, int, float]:
-    """Ring-slot sizes and default arena capacity of the out-of-core engine.
+    """Ring-slot sizes and the arena of the out-of-core engine's DNS call.
 
     Returns ``(x-pencil, y-stage complex, y-stage real, arena)`` bytes for
     an ``n``-cubed grid whose tallest rank slab is ``hmax`` planes, cut in
-    ``npencils`` pencils with ``window`` of them in flight.  The engine
-    sizes its rings with this and admission control quotes with it, so the
-    priced bytes are the enforced bytes.
+    ``npencils`` pencils with ``window`` of them in flight.  ``arena`` holds
+    the rings of the velocity substage (:meth:`OutOfCoreSlabFFT.product_spectra`
+    of three fields into six products), the largest call a DNS step makes.
+    The engine sizes every call's rings with :func:`_roles` and admission
+    control quotes with this, so the priced bytes are the enforced bytes.
     """
     nxh = n // 2 + 1
     # Largest pencil of each stage family (the split is uneven and its
@@ -109,7 +120,25 @@ def ring_bytes(
     xpencil = hmax * n * cx * complex_itemsize
     ycpx = n * wy * nxh * complex_itemsize
     yreal = n * wy * n * real_itemsize
-    return xpencil, ycpx, yreal, 1.05 * window * max(xpencil, ycpx + yreal)
+    roles = _roles((xpencil, ycpx, yreal), 3, len(PRODUCT_PAIRS))
+    return xpencil, ycpx, yreal, _ARENA_MARGIN * window * sum(roles.values())
+
+
+#: Headroom of a sized arena over the ring slots it must hold.
+_ARENA_MARGIN = 1.05
+
+
+def _roles(pencils: tuple[int, int, int], fields: int, products: int) -> dict:
+    """Bytes of one item's ring slots per role, for a call that brings
+    ``fields`` complex fields in and hands ``products`` out: one complex
+    pencil per field of either side (results overwrite their inputs), and
+    on the y stages one real pencil per field in flight — with a product
+    being formed, one more.  A single transform is ``(1, 0)``."""
+    xpencil, ycpx, yreal = pencils
+    return {
+        "cpx": max(fields, products) * max(xpencil, ycpx),
+        "real": (fields + (products > 0)) * yreal,
+    }
 
 
 class DeviceMemoryExceeded(RuntimeError):
@@ -301,6 +330,12 @@ class PencilRings:
         """Return every slot's bytes to the arena."""
         self._stack.close()
 
+    def __enter__(self) -> "PencilRings":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 class OutOfCoreSlabFFT:
     """Slab-decomposed 3-D transforms with pencil-batched device residency.
@@ -311,8 +346,10 @@ class OutOfCoreSlabFFT:
         Pencils per slab (``np`` from the memory planner); each stage holds
         at most ``inflight`` pencils' ring slots in the arena.
     device_bytes:
-        Arena capacity; defaults to just over one stage ring (``inflight``
-        in-flight pencils), making any batching error fail loudly.
+        Arena capacity; defaults to just over one ring (``inflight``
+        in-flight items) of the largest call served so far — what
+        :func:`ring_bytes` quotes once a substage has run — making any
+        batching error fail loudly.
     pipeline:
         ``"sync"`` — every stream operation executes inline in submission
         order (the bit-exact reference); ``"threads"`` — one worker thread
@@ -436,29 +473,27 @@ class OutOfCoreSlabFFT:
             copy_strategy, obs=self.obs, kind=self.pipeline
         )
 
-        xpencil, ycpx, yreal, default_arena_bytes = ring_bytes(
+        #: Largest (x-pencil, y-stage complex, y-stage real) bytes.
+        self._pencil_bytes = ring_bytes(
             grid.n, self.decomp.max_height, npencils, self.inflight,
             np.dtype(grid.cdtype).itemsize, np.dtype(grid.dtype).itemsize,
-        )
-        #: Ring-slot bytes per (pencil split axis, role).
-        self._ring_bytes = {
-            ("x", "cpx"): xpencil, ("y", "cpx"): ycpx, ("y", "real"): yreal,
-        }
+        )[:3]
+        #: Without a budget the arena is sized to one ring of the largest
+        #: call served so far (a single transform until a substage runs).
+        self._sized_arena = device_bytes is None
         self.arena = DeviceArena(
-            device_bytes if device_bytes is not None else default_arena_bytes,
+            device_bytes if device_bytes is not None else self._arena_bytes(
+                _roles(self._pencil_bytes, 1, 0)),
             obs=self.obs,
             payload_policy=self.payload_policy,
         )
-        # The host side, claimed once (the paper's pinned buffers, Sec. 3.5):
-        # per rank a send region and a transposed slab, slab-sized and flat;
-        # _exchange_views carves and re-views them per exchanged stage.
-        def slabs():
-            nplane = grid.n * (grid.n // 2 + 1)
-            return [self._empty((h * nplane,), grid.cdtype)
-                    for h in self.decomp.rank_heights]
-
-        self._send, self._transposed = slabs(), slabs()
-        self._views: dict[str, tuple] = {}
+        # The host side, claimed on first use and kept (the paper's pinned
+        # buffers, Sec. 3.5): per rank a send region that _exchange_views
+        # carves into per-pencil blocks, and a transposed slab per field
+        # count (the inverse's y-slabs).  Both grow when a call needs more.
+        self._send: list[np.ndarray] = []
+        self._transposed: list[np.ndarray] = []
+        self._views: dict[tuple, tuple] = {}
         if monitor is not None:
             self.arena.monitor = monitor
             self.arena.pool.monitor = monitor
@@ -555,23 +590,56 @@ class OutOfCoreSlabFFT:
     def _y_shape(self, r: int) -> tuple[int, int, int]:
         return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
 
-    def _transposed_slabs(self, shape_of) -> list[np.ndarray]:
-        """Every rank's transposed slab, viewed as ``shape_of(rank)``."""
-        return [
-            flat.reshape(shape_of(r)) for r, flat in enumerate(self._transposed)
-        ]
+    def _arena_bytes(self, roles: dict) -> float:
+        return _ARENA_MARGIN * self.inflight * sum(roles.values())
 
-    def _exchange_views(self, by: str, cuts):
-        """Send blocks and receive windows of the ``by``-split exchange.
+    def _rings(self, fields: int, products: int = 0) -> PencilRings:
+        """One call's ring slots, shared by its phases (each drains before
+        the next starts); a sized arena grows to hold them."""
+        roles = _roles(self._pencil_bytes, fields, products)
+        if self._sized_arena:
+            self.arena.capacity = max(
+                self.arena.capacity, self._arena_bytes(roles))
+        return PencilRings(
+            self.arena, self.inflight, roles, engine=self._copy_engine)
 
-        Returns ``(pack, send, windows)``, built on first use and kept:
+    def _claim(self, held: list, sizes: Sequence[int]) -> bool:
+        """Make ``held`` flat complex arrays of at least ``sizes``, growing
+        (never shrinking) each rank's when one is short; returns whether it
+        did, since views of the old arrays are then stale."""
+        if held and all(h.shape[0] >= s for h, s in zip(held, sizes)):
+            return False
+        if held:
+            sizes = [max(h.shape[0], s) for h, s in zip(held, sizes)]
+        held[:] = [self._empty((s,), self.grid.cdtype) for s in sizes]
+        return True
+
+    def _transposed_slabs(self, fields: int) -> list[np.ndarray]:
+        """Every rank's transposed slab: ``fields`` y-slabs ``[field, kz, y, x]``."""
+        shapes = [(fields, *self._y_shape(r)) for r in range(self.comm.size)]
+        sizes = [math.prod(shape) for shape in shapes]
+        self._claim(self._transposed, sizes)
+        return [flat[:size].reshape(shape) for flat, size, shape
+                in zip(self._transposed, sizes, shapes)]
+
+    def _exchange_views(self, by: str, cuts, fields: int):
+        """Send blocks of the ``by``-split exchange of ``fields`` fields.
+
+        Returns ``(pack, send, where)``, built on first use and kept:
         ``pack[s]`` indexes peer ``s``'s planes of a ring slot;
         ``send[ip][r][s]`` is the contiguous ``r -> s`` block of pencil
-        ``ip``, carved from rank ``r``'s send region in ``(ip, s)`` order;
-        ``windows[ip][s][r]`` is where it lands in rank ``s``'s transposed
-        slab.  Metadata mode carves descriptors the same way.
+        ``ip``, carved from rank ``r``'s send region; ``where[ip][r]``
+        indexes where that block lands in a destination's ``[field, kz, y,
+        x]`` slab.  Metadata mode carves descriptors the same way.
+
+        The send region is a ring of ``k`` pencils: pencil ``ip`` writes
+        the blocks pencil ``ip - k`` sent.  The first copy of item ``i``
+        waits item ``i - window``'s retirement and runs on a FIFO stream
+        after every earlier item's, so all items up to ``i - window`` are
+        retired by then — the exchange of ``ip - k`` included once
+        ``k P >= window + P - 1``.
         """
-        views = self._views.get(by)
+        views = self._views.get((by, fields))
         if views is not None:
             return views
         P = self.comm.size
@@ -579,25 +647,36 @@ class OutOfCoreSlabFFT:
         if by == "y":
             src_shape, dst_shape = dst_shape, src_shape
         shapes = [src_shape(r) for r in range(P)]
-        slabs = self._transposed_slabs(dst_shape)
-        used = [0] * P
-        send, windows = [], []
-        for ip in range(len(cuts[0])):
-            pack, blocks, where = chunk_exchange_layout(
-                shapes, *_EXCHANGE_AXES[by],
-                [cuts[r][ip] for r in range(P)], self.decomp.rank_heights,
+        layouts = [
+            chunk_exchange_layout(
+                shapes, *_EXCHANGE_AXES[by], [cut[ip] for cut in cuts],
+                self.decomp.rank_heights,
             )
+            for ip in range(len(cuts[0]))
+        ]
+        k = min(len(layouts), -(-(self.inflight + P - 1) // P))
+        slot = [
+            max(fields * sum(map(math.prod, blocks[r]))
+                for _, blocks, _ in layouts)
+            for r in range(P)
+        ]
+        if self._claim(self._send, [k * s for s in slot]):
+            self._views.clear()  # views of the old regions
+        every = (slice(None),)
+        send = []
+        for ip, (_, blocks, _) in enumerate(layouts):
             rows = []
             for r, region in enumerate(self._send):
-                row = []
+                used, row = (ip % k) * slot[r], []
                 for shape in blocks[r]:
-                    size = math.prod(shape)
-                    row.append(region[used[r]:used[r] + size].reshape(shape))
-                    used[r] += size
+                    size = fields * math.prod(shape)
+                    row.append(region[used:used + size].reshape((fields, *shape)))
+                    used += size
                 rows.append(row)
             send.append(rows)
-            windows.append([[slab[w] for w in where] for slab in slabs])
-        views = self._views[by] = (pack, send, windows)
+        pack = [every + index for index in layouts[0][0]]
+        where = [[every + w for w in windows] for _, _, windows in layouts]
+        views = self._views[by, fields] = (pack, send, where)
         return views
 
     def _run(self, stages: list[PipelineStage], nitems: int) -> None:
@@ -685,125 +764,124 @@ class OutOfCoreSlabFFT:
 
     def _phase(
         self,
-        stage: str,
         by: str,
         src: Sequence[np.ndarray],
+        fields: tuple[int, int],
+        stage: Stage,
+        rings: PencilRings,
         dst: "Sequence[np.ndarray] | None" = None,
+        land: "Sequence[np.ndarray] | None" = None,
+        work: int = 0,
     ) -> None:
-        """One Fig. 4 pass of ``STAGES[stage]`` over every (pencil, rank) item.
+        """One Fig. 4 pass of ``stage`` over every (pencil, rank) item.
 
-        Item ``i = ip * P + r`` is pencil ``ip`` of rank ``r``: H2D of its
-        strided view of ``src[r]`` into a ring slot, the stage kernel
-        device-resident in and out, D2H out of the slot.  ``by`` names the
-        split axis — never a transformed one, so every pencil holds
-        complete lines: ``"x"`` for the y stages on kz-slabs, ``"y"`` for
-        the z/x stages on y-slabs, where uneven slabs cut each rank's own y
-        extent into ``npencils`` (possibly empty) slices.
+        ``src[r]`` is rank ``r``'s ``[field, kz, y, x]`` array and
+        ``fields`` the field counts ``(in, out)``.  Item ``i = ip * P + r``
+        is pencil ``ip`` of rank ``r``: H2D of its strided view of
+        ``src[r]`` into a ring slot, the kernel device-resident in and out
+        (the result overwrites the input when both are complex; ``work``
+        real pencils are handed over as ``work=``), D2H out of the slot.
+        ``by`` names the split axis — never a transformed one, so every
+        pencil holds complete lines: ``"x"`` for the y stages on kz-slabs,
+        ``"y"`` for the z/x stages on y-slabs, where uneven slabs cut each
+        rank's own y extent into ``npencils`` (possibly empty) slices.
 
         With ``dst`` the D2H writes the same view of ``dst[r]``.  Without,
-        the phase ends in the transpose: the D2H of an item is one copy per
-        peer into that peer's send block (zero-height peers have empty
-        blocks and get no copy), and once a pencil's last rank is out the
-        comm stream exchanges its blocks into the transposed slabs,
+        the phase ends in the transpose into ``land``: the D2H of an item
+        is one copy per peer into that peer's send block (zero-height peers
+        have empty blocks and get no copy), and once a pencil's last rank
+        is out the comm stream exchanges its blocks into ``land``,
         pipelined behind the following pencils.
         """
-        st = STAGES[stage]
         d, n, P = self.decomp, self.grid.n, self.comm.size
-        axis = _EXCHANGE_AXES[by][2]
+        axis = 1 + _EXCHANGE_AXES[by][2]  # past the field axis
         if by == "x":
             cuts = [self._splits(n // 2 + 1)] * P
         elif d.heights is None:
             cuts = [self._splits(d.my)] * P
         else:
             cuts = [self._splits(d.height(r), keep_empty=True) for r in range(P)]
+        fin, fout = fields
         real, cpx = self.grid.dtype, self.grid.cdtype
-        in_role, in_dtype = ("real", real) if st.real_in else ("cpx", cpx)
-        out_role, out_dtype = ("real", real) if st.real_out else ("cpx", cpx)
+        in_role, in_dtype = ("real", real) if stage.real_in else ("cpx", cpx)
+        out_role, out_dtype = ("real", real) if stage.real_out else ("cpx", cpx)
         if dst is None:
-            pack, send, windows = self._exchange_views(by, cuts)
+            pack, send, where = self._exchange_views(by, cuts, fout)
+            windows = [[[slab[w] for w in row] for slab in land] for row in where]
 
         def pencil(i: int):
-            """(rank, host-array index, ring-slot shape) of item i."""
+            """(rank, host-array index, one field's slot shape) of item i."""
             ip, r = divmod(i, P)
             sl = cuts[r][ip]
-            shape = list(src[r].shape)
-            shape[axis] = sl.stop - sl.start
+            shape = list(src[r].shape[1:])
+            shape[axis - 1] = sl.stop - sl.start
             return r, (slice(None),) * axis + (sl,), tuple(shape)
 
+        def result(i: int, shape) -> np.ndarray:
+            return rings.view(
+                out_role, i, (fout, *stage.out_shape(shape, n)), out_dtype)
+
         engine = self._copy_engine
-        rings = PencilRings(
-            self.arena, self.inflight,
-            {role: self._ring_bytes[by, role] for role in (in_role, out_role)},
-            engine=engine,
-        )
         sp_h2d = self._stream_spans("h2d")
         sp_d2h = self._stream_spans("d2h")
-        try:
-            def h2d(i: int) -> None:
-                r, idx, shape = pencil(i)
-                if 0 in shape:
-                    return
-                slot = rings.load(
-                    in_role, i, shape, in_dtype, src[r][idx], spans=sp_h2d
+
+        def h2d(i: int) -> None:
+            r, idx, shape = pencil(i)
+            if 0 in shape:
+                return
+            slot = rings.load(
+                in_role, i, (fin, *shape), in_dtype, src[r][idx], spans=sp_h2d
+            )
+            if self._m_h2d is not None:
+                self._m_h2d.inc(slot.nbytes)
+
+        def fft(i: int) -> None:
+            _, _, shape = pencil(i)
+            if 0 in shape or not self._payload:
+                return
+            a = rings.view(in_role, i, (fin, *shape), in_dtype)
+            kw = {}
+            if work:
+                kw["work"] = rings.view("real", i, (work, *shape[:-1], n), real)
+            stage.fn(a, n, self._lf, out=result(i, shape), **kw)
+
+        def d2h(i: int) -> None:
+            r, idx, shape = pencil(i)
+            if 0 in shape:
+                return
+            slot = result(i, shape)
+            if dst is not None:
+                engine.d2h(dst[r][idx], slot, spans=sp_d2h)
+            else:
+                for s, block in enumerate(send[i // P][r]):
+                    if block.size:
+                        engine.d2h(block, slot[pack[s]], spans=sp_d2h)
+            if self._m_d2h is not None:
+                self._m_d2h.inc(slot.nbytes)
+
+        def comm_op(i: int) -> None:
+            self._exchange_pencil(send[i // P], windows[i // P])
+
+        def volume(i: int) -> int:
+            """Item i's element count, on the real side for the r2c / c2r
+            stages (the DLB lanes' cost unit)."""
+            ip, r = divmod(i, P)
+            sl = cuts[r][ip]
+            return fin * (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start)
+
+        stages = [
+            PipelineStage("h2d", "h2d", "h2d", fn=h2d),
+            self._compute_stage(stage.span, fft, volume),
+            PipelineStage("d2h", "d2h", "d2h", fn=d2h),
+        ]
+        if dst is None:
+            stages.append(
+                PipelineStage(
+                    "a2a", "comm", "mpi", fn=comm_op,
+                    when=lambda i: i % P == P - 1,
                 )
-                if self._m_h2d is not None:
-                    self._m_h2d.inc(slot.nbytes)
-
-            def fft(i: int) -> None:
-                _, _, shape = pencil(i)
-                if 0 in shape:
-                    return
-                a = out = rings.view(in_role, i, shape, in_dtype)
-                if out_role != in_role:
-                    out = rings.view(
-                        out_role, i, st.out_shape(shape, n), out_dtype
-                    )
-                if self._payload:
-                    st.fn(a, n, self._lf, out=out)
-
-            def d2h(i: int) -> None:
-                r, idx, shape = pencil(i)
-                if 0 in shape:
-                    return
-                out_shape = st.out_shape(shape, n)
-                if dst is not None:
-                    slot = rings.store(
-                        out_role, i, out_shape, out_dtype, dst[r][idx],
-                        spans=sp_d2h,
-                    )
-                else:
-                    slot = rings.view(out_role, i, out_shape, out_dtype)
-                    for s, block in enumerate(send[i // P][r]):
-                        if block.size:
-                            engine.d2h(block, slot[pack[s]], spans=sp_d2h)
-                if self._m_d2h is not None:
-                    self._m_d2h.inc(slot.nbytes)
-
-            def comm_op(i: int) -> None:
-                self._exchange_pencil(send[i // P], windows[i // P])
-
-            def volume(i: int) -> int:
-                """Item i's element count, on the real side for the r2c /
-                c2r stages (the DLB lanes' cost unit)."""
-                ip, r = divmod(i, P)
-                sl = cuts[r][ip]
-                return (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start)
-
-            stages = [
-                PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-                self._compute_stage(st.span, fft, volume),
-                PipelineStage("d2h", "d2h", "d2h", fn=d2h),
-            ]
-            if dst is None:
-                stages.append(
-                    PipelineStage(
-                        "a2a", "comm", "mpi", fn=comm_op,
-                        when=lambda i: i % P == P - 1,
-                    )
-                )
-            self._run(stages, len(cuts[0]) * P)
-        finally:
-            rings.close()
+            )
+        self._run(stages, len(cuts[0]) * P)
         if dst is None and self._m_xcount is not None:
             self._m_xcount.inc()
 
@@ -836,8 +914,12 @@ class OutOfCoreSlabFFT:
             spectral_locals, d.local_spectral_shape,
             out, d.local_physical_shape, self.grid.dtype,
         )
-        self._phase("inv_y", "x", spectral_locals)
-        self._phase("inv_zx", "y", self._transposed_slabs(self._y_shape), out)
+        with self._rings(1) as rings:
+            land = self._transposed_slabs(1)
+            self._phase("x", _one_field(spectral_locals), (1, 1),
+                        STAGES["inv_y"], rings, land=land)
+            self._phase("y", land, (1, 1), STAGES["inv_zx"], rings,
+                        dst=_one_field(out))
         return out
 
     def forward(
@@ -845,16 +927,64 @@ class OutOfCoreSlabFFT:
     ) -> list[np.ndarray]:
         """y-slabs of the real field -> kz-slabs of coefficients: fused
         r2c-x + c2c-z FFTs on y-split pencils with the per-pencil p2s
-        exchange (a y-sub-range of every peer's contribution) behind them,
-        then the final y-FFT + normalization on x-split pencils.  ``out``
-        as for :meth:`inverse`."""
+        exchange (a y-sub-range of every peer's contribution) landing in
+        ``out``, then the final y-FFT + normalization in place on x-split
+        pencils.  ``out`` as for :meth:`inverse`."""
         d = self.decomp
         out = self._results(
             physical_locals, d.local_physical_shape,
             out, d.local_spectral_shape, self.grid.cdtype,
         )
-        self._phase("fwd_xz", "y", physical_locals)
-        self._phase(
-            "fwd_y", "x", self._transposed_slabs(d.local_spectral_shape), out
-        )
+        spectra = _one_field(out)
+        with self._rings(1) as rings:
+            self._phase("y", _one_field(physical_locals), (1, 1),
+                        STAGES["fwd_xz"], rings, land=spectra)
+            self._phase("x", spectra, (1, 1), STAGES["fwd_y"], rings,
+                        dst=spectra)
         return out
+
+    def product_spectra(
+        self,
+        coeffs: Sequence[np.ndarray],
+        pairs: Sequence[tuple[int, int]],
+        out=None,
+    ) -> list[np.ndarray]:
+        """The paper's RK substage: field spectra in, product spectra out.
+
+        ``coeffs[r]`` holds rank ``r``'s ``F`` fields ``[field, kz, y, x]``;
+        ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
+        = (i, j)``.  Three drained pipelines and two exchanges, whatever
+        ``F`` and ``len(pairs)``:
+
+        1. y-FFTs of every field on x-split pencils, exchanged into
+           y-slabs;
+        2. on y-split pencils, :func:`repro.dist.stages.products`: z and
+           c2r-x of every field, the products formed device-resident, r2c-x
+           and z of each, exchanged straight into ``out``;
+        3. y-FFTs of every product in place on ``out``'s x-split pencils.
+
+        ``out`` may share memory with ``coeffs`` (phase 1 has read them
+        before phase 2 writes); omitted, it is allocated.  Bit-equal to
+        one inverse per field, the products and one forward per pair.
+        """
+        d, nfields, nout = self.decomp, coeffs[0].shape[0], len(pairs)
+        out = self._results(
+            coeffs, lambda r: (nfields, *d.local_spectral_shape(r)),
+            out, lambda r: (nout, *d.local_spectral_shape(r)), self.grid.cdtype,
+        )
+        middle = Stage(functools.partial(products, pairs=pairs), "fft.products")
+        with self._rings(nfields, nout) as rings:
+            land = self._transposed_slabs(nfields)
+            self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],
+                        rings, land=land)
+            self._phase("y", land, (nfields, nout), middle, rings, land=out,
+                        work=nfields + 1)
+            self._phase("x", out, (nout, nout), STAGES["fwd_y"], rings,
+                        dst=out)
+        return out
+
+
+def _one_field(locals_: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-rank arrays viewed with a leading field axis of one."""
+    return [a.reshape((1, *a.shape)) if is_descriptor(a) else a[None]
+            for a in locals_]

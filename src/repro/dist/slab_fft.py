@@ -84,6 +84,9 @@ class SlabDistributedFFT:
         self.obs = obs if obs is not None else NULL_OBS
         self.fft_backend = fft_backend
         self._lf = resolve_fft(fft_backend)  # fails fast when unavailable
+        #: Per rank, the physical fields of :meth:`product_spectra` and the
+        #: product being formed, claimed on first use.
+        self._fields: list[np.ndarray] = []
 
     @property
     def _fused(self) -> bool:
@@ -170,3 +173,38 @@ class SlabDistributedFFT:
             _KZ_AXIS, _Y_AXIS,
             out, self.decomp.local_spectral_shape, self.grid.cdtype,
         )
+
+    def product_spectra(
+        self,
+        coeffs: Sequence[np.ndarray],
+        pairs: Sequence[tuple[int, int]],
+        out=None,
+    ) -> list[np.ndarray]:
+        """Field spectra in, product spectra out — the contract of
+        :meth:`repro.dist.outofcore.OutOfCoreSlabFFT.product_spectra`, here
+        one whole-slab transform (and all-to-all) per field and per product.
+
+        ``coeffs[r]`` holds rank ``r``'s fields ``[field, kz, y, x]``;
+        ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
+        = (i, j)`` and may share memory with ``coeffs``.
+        """
+        d, nfields = self.decomp, coeffs[0].shape[0]
+        self.decomp.check_locals(
+            coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))
+        if out is None:
+            out = [np.empty((len(pairs), *d.local_spectral_shape(r)),
+                            self.grid.cdtype) for r in range(self.comm.size)]
+        if not self._fields or self._fields[0].shape[0] < nfields + 1:
+            self._fields = [
+                np.empty((nfields + 1, *d.local_physical_shape(r)), self.grid.dtype)
+                for r in range(self.comm.size)
+            ]
+        fields = self._fields
+        for f in range(nfields):
+            self.inverse([c[f] for c in coeffs], out=[u[f] for u in fields])
+        for p, (i, j) in enumerate(pairs):
+            with self.obs.spans.span("nl.products", category="nonlinear"):
+                for u in fields:
+                    np.multiply(u[i], u[j], out=u[-1])
+            self.forward([u[-1] for u in fields], out=[o[p] for o in out])
+        return out

@@ -9,8 +9,9 @@ compute stage of :class:`~repro.dist.outofcore.OutOfCoreSlabFFT` — so the
 operations, their order and the normalization exist in one place and the
 engines stay bit-equal by construction.
 
-A kernel is ``fn(a, n, lf, out=None)``: ``a`` a ``[kz, y, x]`` block holding
-complete lines along the transformed axes, ``n`` the grid size, ``lf`` a
+A kernel is ``fn(a, n, lf, out=None)``: ``a`` a ``[..., kz, y, x]`` block
+holding complete lines along the transformed axes (leading axes, if any,
+index fields and are batched into the same calls), ``n`` the grid size, ``lf`` a
 :func:`~repro.spectral.workspace.resolve_fft` provider.  With ``out`` the
 result lands there (``out`` may be ``a`` when the stage keeps shape and
 dtype), and no kernel allocates a block-sized temporary: the normalization
@@ -18,6 +19,11 @@ rides inside the transforms — every forward axis carries its own ``1/N``
 and every inverse axis is unscaled (``norm="forward"`` on both sides) — so
 no scaling pass sits between them.  The out-of-core engine's ring slots
 are the only pencil storage it has.
+
+:func:`products` is the middle of the paper's RK substage (Sec. 3.3): on a
+y-slab block of the velocity it runs ``inv_zx``, forms the pairwise
+products in physical space and runs ``fwd_xz`` on each, so the physical
+field never leaves the block it was formed in.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["STAGES", "Stage"]
+__all__ = ["STAGES", "Stage", "products"]
 
-_KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
+_KZ_AXIS, _Y_AXIS, _X_AXIS = -3, -2, -1
 
 
 def _inv_y(a, n, lf, out=None):
@@ -69,14 +75,14 @@ class Stage:
     real_in: bool = False
     real_out: bool = False
 
-    def out_shape(self, shape, n: int) -> tuple[int, int, int]:
-        """Shape ``fn`` returns for a ``[kz, y, x]`` input of ``shape``."""
-        kz, y, x = shape
+    def out_shape(self, shape, n: int) -> tuple[int, ...]:
+        """Shape ``fn`` returns for a ``[..., kz, y, x]`` input of ``shape``."""
+        *lead, x = shape
         if self.real_in:
             x = x // 2 + 1
         elif self.real_out:
             x = n
-        return (kz, y, x)
+        return (*lead, x)
 
     def out_dtype(self, dtype) -> np.dtype:
         """Dtype ``fn`` returns for an input of ``dtype`` (same precision)."""
@@ -86,6 +92,23 @@ class Stage:
         if self.real_out:
             return np.finfo(dtype).dtype
         return dtype
+
+
+def products(a, n, lf, out, work, pairs):
+    """Product spectra of ``pairs`` from the fields' y-transformed spectra.
+
+    ``a`` is ``[field, kz, y, x]`` after the y stage of the inverse;
+    ``work`` holds one real block per field plus one for the product being
+    formed; ``out[p]`` receives ``fwd_xz(a_i a_j)`` for ``pairs[p] = (i,
+    j)``.  ``a`` is overwritten, and ``out`` may share its memory: every
+    field is in physical space before the first product lands.
+    """
+    fields, prod = work[:-1], work[-1]
+    _inv_zx(a, n, lf, out=fields)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(fields[i], fields[j], out=prod)
+        _fwd_xz(prod, n, lf, out=out[p])
+    return out
 
 
 STAGES: dict[str, Stage] = {

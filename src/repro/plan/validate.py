@@ -35,6 +35,7 @@ from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import Observability
 from repro.spectral.grid import SpectralGrid
+from repro.spectral.pointwise import PRODUCT_PAIRS
 
 __all__ = ["ParityReport", "RunCapture", "capture_run", "validate_parity"]
 
@@ -111,10 +112,11 @@ def capture_run(
     pipeline: str = "sync",
     policy: "PayloadPolicy | str" = PayloadPolicy.PAYLOAD,
 ) -> RunCapture:
-    """Run forward+inverse through the out-of-core pipeline, capture all
+    """Run forward+inverse and one velocity substage (three fields into the
+    six product spectra) through the out-of-core pipeline, capture all
     parity observables.
 
-    The payload path runs on a zero field (values are irrelevant to
+    The payload path runs on zero fields (values are irrelevant to
     accounting); the metadata path runs on descriptors of the same
     per-rank slabs.
     """
@@ -136,6 +138,13 @@ def capture_run(
         if not policy.moves_bytes:
             locals_ = [ArrayDescriptor.of(x) for x in locals_]
         outputs = ooc.inverse(ooc.forward(locals_))
+        fields = [(3, *ooc.decomp.local_spectral_shape(r)) for r in range(ranks)]
+        fields = [
+            np.zeros(shape, grid.cdtype) if policy.moves_bytes
+            else ArrayDescriptor.empty(shape, grid.cdtype)
+            for shape in fields
+        ]
+        outputs += ooc.product_spectra(fields, PRODUCT_PAIRS)
         if not policy.moves_bytes and not all(
             is_descriptor(o) for o in outputs
         ):

@@ -200,8 +200,9 @@ class TestOutOfCoreStepAllocatesNoSlab:
 
 class TestCommunicationCounts:
     def test_alltoalls_per_rk2_step(self, grid24, rng):
-        """Conservative form: 3 inverse + 6 forward transforms per substage,
-        1 all-to-all each, 2 substages: 18 exchanges per RK2 step."""
+        """Whole slabs, conservative form: 3 inverse + 6 forward transforms
+        per substage, 1 all-to-all each, 2 substages: 18 exchanges per RK2
+        step."""
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
         _, dist = pair(grid24, u0, ranks=4)
         before = dist.comm.stats.count("alltoall")
@@ -214,6 +215,40 @@ class TestCommunicationCounts:
         before = dist.comm.stats.count("alltoall")
         dist.step(0.005)
         assert dist.comm.stats.count("alltoall") - before == 36
+
+    @pytest.mark.parametrize("scalars", [0, 1])
+    @pytest.mark.parametrize("scheme,substages", [("rk2", 2), ("rk4", 4)])
+    def test_out_of_core_substage_is_three_pipelines_and_two_exchanges(
+        self, grid24, rng, monkeypatch, scalars, scheme, substages
+    ):
+        """Out of core, a substage is three drained pipelines behind two
+        exchanges whatever the field count — 6 and 4 per RK2 step where a
+        transform at a time takes 36 and 18 — and the exchanges carry the
+        bytes of every field's transform."""
+        from repro.exec.pipeline import PencilPipeline
+
+        runs = []
+        run = PencilPipeline.run
+        monkeypatch.setattr(PencilPipeline, "run",
+                            lambda self, n: (runs.append(n), run(self, n)))
+        u0 = random_isotropic_field(grid24, rng, energy=0.5)
+        config = SolverConfig(nu=0.02, scheme=scheme, seed=11,
+                              diagnostics_every=0)
+        with DistributedNavierStokesSolver(
+            grid24, VirtualComm(2), u0, config, npencils=4
+        ) as dist:
+            for _ in range(scalars):
+                dist.add_scalar(u0[0], mean_gradient=0.5)
+            dist.step(0.005)
+            runs.clear()
+            before = len(dist.comm.stats.records)
+            dist.step(0.005)
+            records = dist.comm.stats.records[before:]
+        fields = 9 + 4 * scalars  # inverse + forward transforms per substage
+        assert len(runs) == 3 * substages
+        assert [r.kind for r in records] == ["ialltoall"] * 2 * substages * 4
+        assert sum(r.total_bytes for r in records) == (
+            substages * fields * 24 * 24 * 13 * 16)
 
     def test_exchange_volume_matches_costmodel(self, grid24, rng):
         """The functional layer's measured P2P bytes equal the analytic

@@ -16,6 +16,7 @@ from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.obs import Observability
 from repro.spectral import random_isotropic_field
 from repro.spectral.grid import SpectralGrid
+from repro.spectral.pointwise import PRODUCT_PAIRS
 from repro.spectral.solver import SolverConfig
 from repro.spectral.transforms import fft3d
 from repro.spectral.workspace import NumpyFFT
@@ -357,3 +358,116 @@ class TestCallerOwnedResults:
         second = fft.inverse(_spectral_locals(fft, rng))
         assert not any(np.shares_memory(a, b) for a in first for b in second)
         assert all(np.array_equal(a, k) for a, k in zip(first, kept))
+
+
+def _fields(fft, nfields, rng):
+    """Per rank, ``nfields`` random spectral slabs ``[field, kz, y, x]``."""
+    per_field = [_spectral_locals(fft, rng) for _ in range(nfields)]
+    return [np.stack(f) for f in zip(*per_field)]
+
+
+#: The velocity products and one scalar's fluxes (field 3).
+SCALAR_PAIRS = PRODUCT_PAIRS + ((0, 3), (1, 3), (2, 3))
+
+
+class TestProductSpectra:
+    """The paper's substage: field spectra in, product spectra out, in three
+    pipelines and two exchanges whatever the field count."""
+
+    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
+    @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
+    def test_bit_equal_to_field_by_field_transforms(
+        self, P, heights, pipeline, rng
+    ):
+        grid = SpectralGrid(24)
+        slab = SlabDistributedFFT(grid, VirtualComm(P), heights=heights)
+        coeffs = _fields(slab, 4, rng)
+        phys = [slab.inverse([c[f] for c in coeffs]) for f in range(4)]
+        want = [
+            np.stack(p) for p in zip(*(
+                slab.forward([u * v for u, v in zip(phys[i], phys[j])])
+                for i, j in SCALAR_PAIRS))
+        ]
+        got_slab = slab.product_spectra(coeffs, SCALAR_PAIRS)
+        with OutOfCoreSlabFFT(grid, VirtualComm(P), 4, heights=heights,
+                              pipeline=pipeline) as fft:
+            # out shares memory with coeffs, as the solver's shifted fields do
+            spectra = [np.empty((len(SCALAR_PAIRS), *c.shape[1:]), c.dtype)
+                       for c in coeffs]
+            for s, c in zip(spectra, coeffs):
+                s[:4] = c
+            got = fft.product_spectra([s[:4] for s in spectra], SCALAR_PAIRS,
+                                      out=spectra)
+            assert fft.arena.in_use == 0
+        assert all(g is s for g, s in zip(got, spectra))
+        for w, g, gs in zip(want, got, got_slab):
+            assert np.array_equal(g, w) and np.array_equal(gs, w)
+
+    @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
+    def test_three_pipelines_two_exchanges_and_the_bytes_they_move(
+        self, P, heights, rng
+    ):
+        """Per substage of C fields into M products: C + M fields cross the
+        exchanges (what C inverse and M forward transforms move), but the
+        host sees (2C + M) complex fields in and (C + 2M) out, and no real
+        field: the physical-space products never leave the device."""
+        n, npencils, nxh, C = 24, 4, 13, 4
+        M = len(SCALAR_PAIRS)
+        grid, comm, obs = SpectralGrid(n), VirtualComm(P), Observability.create()
+        cpx = n * n * nxh * 16
+        counter = lambda name: obs.metrics.counter(name).value  # noqa: E731
+        names = ("arena.h2d_bytes", "arena.d2h_bytes", "transpose.bytes_moved",
+                 "transpose.count")
+        with OutOfCoreSlabFFT(grid, comm, npencils, obs=obs,
+                              heights=heights) as fft:
+            coeffs = _fields(fft, C, rng)
+            runs = []
+            run = fft._run
+            fft._run = lambda stages, nitems: (runs.append(nitems),
+                                               run(stages, nitems))
+            fft.product_spectra(coeffs, SCALAR_PAIRS)
+        assert [counter(c) for c in names] == [
+            (2 * C + M) * cpx, (C + 2 * M) * cpx, (C + M) * cpx, 2]
+        assert len(runs) == 3
+        records = comm.stats.records
+        assert [r.kind for r in records] == ["ialltoall"] * 2 * npencils
+        assert all(r.messages == P * P for r in records)
+        assert sum(r.total_bytes for r in records) == (C + M) * cpx
+
+    def test_the_send_ring_is_a_fraction_of_the_slab(self, rng):
+        """Pencil ip's send blocks reuse those of ip - k once the window has
+        retired that exchange: one pencil's worth per rank when sync, two
+        of four when three items are in flight over two ranks."""
+        grid = SpectralGrid(24)
+        slab = 12 * 24 * 13 * 6  # one rank's six product fields, elements
+        for pipeline, share in (("sync", 1 / 4), ("threads", 2 / 4)):
+            with OutOfCoreSlabFFT(grid, VirtualComm(2), 4,
+                                  pipeline=pipeline) as fft:
+                fft.product_spectra(_fields(fft, 3, rng), PRODUCT_PAIRS)
+                assert [r.shape[0] for r in fft._send] == [slab * share] * 2
+
+    def test_a_sized_arena_grows_to_the_quote(self, rng):
+        """Without a budget the arena fits the largest call served, which
+        for the velocity substage is what admission control quotes."""
+        from repro.plan.admission import job_device_bytes
+
+        with OutOfCoreSlabFFT(SpectralGrid(16), VirtualComm(2), 4,
+                              pipeline="threads", inflight=2) as fft:
+            single = fft.arena.capacity
+            fft.product_spectra(_fields(fft, 3, rng), PRODUCT_PAIRS)
+            quote = job_device_bytes(16, ranks=2, npencils=4,
+                                     pipeline="threads", inflight=2)
+            assert single < fft.arena.capacity == pytest.approx(quote)
+            assert fft.arena.high_water <= quote
+
+    def test_a_quoted_budget_runs_the_step(self, rng):
+        from repro.plan.admission import job_device_bytes
+
+        grid = SpectralGrid(16)
+        quote = job_device_bytes(16, ranks=2, npencils=4)
+        with DistributedNavierStokesSolver(
+            grid, VirtualComm(2), random_isotropic_field(grid, rng),
+            SolverConfig(nu=0.02), npencils=4, device_bytes=quote,
+        ) as solver:
+            solver.step(1e-3)
+            assert 0 < solver.fft.arena.high_water <= quote
