@@ -16,7 +16,10 @@ the paper's three pencil pipelines and two all-to-alls per substage.
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
 :class:`~repro.spectral.pointwise.PointwiseKernel`, one bound to each rank's
-kz-slab, writing into buffers the driver allocates once.
+kz-slab, writing into buffers the solver allocates once.  Each rank's share
+runs through the engine's ``each_rank``: out of core on the rank's own
+compute lane, so under ``pipeline="threads"`` the ranks' pointwise work runs
+side by side as on the paper's one-GPU-per-rank nodes (Fig. 5).
 
 Given identical seeds the distributed solver reproduces the single-process
 solver bit-for-bit up to floating-point reassociation (tests assert
@@ -96,12 +99,13 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         fair share).  Mutually exclusive; both default to the balanced
         partition.
     dlb:
-        Out-of-core compute-lane policy: ``"off"`` (single compute
-        stream), ``"pinned"`` (one lane per rank) or ``"lend"``
-        (deterministic lend/reclaim of pencils between lanes); forwarded
-        to :class:`~repro.dist.outofcore.OutOfCoreSlabFFT`.
+        Out-of-core compute-lane policy.  Every rank computes on its own
+        lane; ``"off"`` and ``"pinned"`` keep each pencil there, ``"lend"``
+        lends and reclaims unstarted pencils between lanes
+        deterministically; forwarded to
+        :class:`~repro.dist.outofcore.OutOfCoreSlabFFT`.
     rank_weights:
-        Per-rank compute slowdown factors pricing the DLB lane clocks.
+        Per-rank compute slowdown factors pricing the ``"lend"`` lane clocks.
         Defaults to the ``fuzz`` profile's imbalance plan factors when an
         imbalance is injected, else all-1.
     """
@@ -290,24 +294,30 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         coeffs = state  # what gets transformed: the state, shifted if asked
         if cfg.phase_shift:
             shift = random_shift(self.grid, self._rng)
-            bases = [k.shift_bases(shift) for k in self._kernels]
-            coeffs = [
-                k.shifted(u, b, w[:nfields]) for k, u, b, w in
-                zip(self._kernels, state, bases, spectra)
-            ]
+
+            def shift_rank(r: int) -> None:
+                kernel = self._kernels[r]
+                bases[r] = kernel.shift_bases(shift)
+                kernel.shifted(state[r], bases[r], spectra[r][:nfields])
+
+            self.fft.each_rank(shift_rank)
+            coeffs = [w[:nfields] for w in spectra]
         self.fft.product_spectra(coeffs, pairs, out=spectra)
 
-        for r, kernel in enumerate(self._kernels):
+        def assemble(r: int) -> None:
+            kernel, rhs = self._kernels[r], out[r]
             with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
-                kernel.rhs(spectra[r][:6], bases[r], out[r][:3])
+                kernel.rhs(spectra[r][:6], bases[r], rhs[:3])
                 for s, scalar in enumerate(self.scalars, start=3):
                     flux = spectra[r][3 * s - 3:3 * s]
-                    kernel.scalar_rhs(flux, bases[r], out[r][s])
+                    kernel.scalar_rhs(flux, bases[r], rhs[s])
                     if scalar.mean_gradient:
                         # out -= G u_y, the unshifted u_y (tau = 0: no decay).
-                        kernel.combine(out[r][s], 0.0, [(0.0, [
+                        kernel.combine(rhs[s], 0.0, [(0.0, [
                             (-scalar.mean_gradient, state[r][1]),
-                            (1.0, out[r][s])])])
+                            (1.0, rhs[s])])])
+
+        self.fft.each_rank(assemble)
         return out
 
     # -- time stepping ------------------------------------------------------------
@@ -315,12 +325,15 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
     def _combine(self, out: Sequence[np.ndarray], groups) -> Sequence[np.ndarray]:
         """``kernel.combine`` on every rank; each term names a per-rank list."""
         components = self._components()
-        for r, kernel in enumerate(self._kernels):
+
+        def combine(r: int) -> None:
             for c, kappa in components:
-                kernel.combine(out[r][c], kappa, [
+                self._kernels[r].combine(out[r][c], kappa, [
                     (tau, [(coef, a[r][c]) for coef, a in terms])
                     for tau, terms in groups
                 ])
+
+        self.fft.each_rank(combine)
         return out
 
     def step(self, dt: float) -> StepResult:
@@ -367,13 +380,17 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     def _energy_and_dissipation(self) -> tuple[float, float]:
         """Both diagnostics from one ``re^2 + im^2`` pass per rank."""
-        locals_ = []
-        for u, v in zip(self.u_hat, self.views):
-            weighted = v.hermitian_weights * mode_square(u)
-            locals_.append(np.array([
-                0.5 * np.sum(weighted),
-                self.config.nu * np.sum(v.k_squared * weighted),
-            ]))
+        locals_ = [None] * self.comm.size
+
+        def partials(r: int) -> None:
+            v = self.views[r]
+            weighted = mode_square(self._state[r][:3])
+            weighted *= v.hermitian_weights
+            energy = 0.5 * np.sum(weighted)
+            weighted *= v.k_squared
+            locals_[r] = np.array([energy, self.config.nu * np.sum(weighted)])
+
+        self.fft.each_rank(partials)
         energy, dissipation = self.comm.allreduce(locals_)[0]
         return float(energy), float(dissipation)
 
@@ -393,8 +410,12 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     def scalar_variance(self, index: int) -> float:
         """<theta^2>/2 of scalar ``index`` (allreduce over ranks)."""
-        locals_ = [
-            float(0.5 * np.sum(v.hermitian_weights * np.abs(t) ** 2))
-            for v, t in zip(self.views, self.scalars[index].theta_hat)
-        ]
+        locals_ = [None] * self.comm.size
+        theta = self.scalars[index].theta_hat
+
+        def partial(r: int) -> None:
+            locals_[r] = float(0.5 * np.sum(
+                self.views[r].hermitian_weights * np.abs(theta[r]) ** 2))
+
+        self.fft.each_rank(partial)
         return self.comm.allreduce(locals_)[0]

@@ -8,11 +8,12 @@ z/x stages — and the arena enforces that no more than the planner's buffer
 allowance is ever resident.
 
 Each phase — one pass over the pencils — is a
-:class:`repro.exec.PencilPipeline` over four streams:
+:class:`repro.exec.PencilPipeline` over four kinds of stream:
 
 =========  ==================================================================
 ``h2d``    copy the pencil's strided host view into a ring slot
-``compute``  the stage kernel, device-resident in and out
+``compute``  the stage kernel, device-resident in and out, on the owning
+           rank's lane ``compute[r]``: each virtual rank is one device
 ``d2h``    copy the transformed pencil back to host memory — before an
            exchange, one strided copy per peer straight into that peer's
            send block: the D2H *is* the pack (paper Sec. 3.3, Figs. 7-8)
@@ -49,8 +50,11 @@ Backends are interchangeable: ``pipeline="sync"`` executes every operation
 inline in submission order (the bit-exact reference oracle),
 ``pipeline="threads"`` runs the same operations on worker threads where
 NumPy's FFTs and copies release the GIL, so the copy-in of pencil ``ip+1``,
-the transform of ``ip``, and the exchange of ``ip-2`` genuinely overlap.
-The two produce bit-identical results (asserted by the determinism suite).
+the transform of ``ip``, and the exchange of ``ip-2`` genuinely overlap,
+and the ranks' compute lanes run side by side.  The solver's pointwise
+work between transforms rides the same lanes
+(:meth:`OutOfCoreSlabFFT.each_rank`).  The two produce bit-identical
+results (asserted by the determinism suite).
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import math
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -353,7 +357,8 @@ class OutOfCoreSlabFFT:
     pipeline:
         ``"sync"`` — every stream operation executes inline in submission
         order (the bit-exact reference); ``"threads"`` — one worker thread
-        per stream, the Fig. 4 overlap on real data.
+        per stream (a compute lane per rank), the Fig. 4 overlap on real
+        data.
     inflight:
         Bounded in-flight window (ring slots per role).  3 is the paper's
         triple buffering; forced to 1 under ``pipeline="sync"`` where
@@ -407,15 +412,16 @@ class OutOfCoreSlabFFT:
         ``i = ip * P + r`` — and with it the collective cadence — is
         unchanged.
     dlb:
-        ``"off"`` (default) — the legacy single compute stream;
-        ``"pinned"`` — one compute lane per rank, every pencil pinned to
-        its owner; ``"lend"`` — per-rank lanes with the deterministic
-        :class:`~repro.exec.DlbPolicy` lend/reclaim assignment, so idle
-        peers' compute lanes claim a slow rank's unstarted pencils.  All
-        three produce bit-identical results.
+        Every rank is one device: its pencils' compute runs on its own
+        lane ``compute[r]``, as does its pointwise work (:meth:`each_rank`).
+        ``"off"`` (default) and ``"pinned"`` name that schedule;
+        ``"lend"`` adds the deterministic :class:`~repro.exec.DlbPolicy`
+        lend/reclaim assignment, so idle peers' compute lanes claim a slow
+        rank's unstarted pencils.  All produce bit-identical results.
     rank_weights:
         Relative per-rank compute slowdown factors pricing the DLB lane
-        clocks (e.g. an imbalance plan's factors); default all-1.
+        clocks under ``dlb="lend"`` (e.g. an imbalance plan's factors);
+        default all-1.
     """
 
     def __init__(
@@ -513,18 +519,15 @@ class OutOfCoreSlabFFT:
         )
         if configure_imbalance is not None:
             configure_imbalance(comm.size)
-        if self.dlb == "off":
-            self._dlb_policy = None
-        else:
+        self._dlb_policy = None
+        if self.dlb == "lend":
             from repro.exec.dlb import DlbPolicy
 
             if rank_weights is not None and len(rank_weights) != comm.size:
                 raise ValueError(
                     f"expected {comm.size} rank weights, got {len(rank_weights)}"
                 )
-            self._dlb_policy = DlbPolicy(
-                comm.size, mode=self.dlb, costs=rank_weights
-            )
+            self._dlb_policy = DlbPolicy(comm.size, costs=rank_weights)
         self._dlb_synced = [0, 0]
         # Metric instruments are pre-created on the constructing thread so
         # stream workers only ever mutate existing counters.
@@ -742,23 +745,35 @@ class OutOfCoreSlabFFT:
             self._m_xpose.inc(nbytes)
             self._m_chunks.inc()
 
-    def _compute_stage(self, name: str, fn, volume) -> PipelineStage:
-        """The compute stage: single stream (legacy) or per-rank DLB lanes.
+    def each_rank(self, fn: Callable[[int], object]) -> None:
+        """Run ``fn(r)`` for every rank ``r`` on its compute lane
+        ``compute[r]`` and wait for those lanes — the rank's pointwise work
+        on the device that runs its pencils (paper Fig. 5).
 
-        With DLB enabled the stage is *owned*: item ``i`` belongs to rank
-        ``i % P`` and the pipeline's :class:`~repro.exec.DlbPolicy` picks
-        the lane from model-priced costs (``volume(i)`` element counts), so
-        the assignment — and the lent/reclaimed counters — are deterministic
-        on every backend.
+        The wait is each lane's ``synchronize``, never the backend's: the
+        one wait that also completes an op a fuzzing backend holds back for
+        reordering or a replay backend records.  Inline execution runs the
+        ranks in order.  Each op carries no
+        ``item``, so no window, ring or imbalance check takes it for a
+        pencil.  A failing ``fn`` raises its own exception here, after
+        every lane has stopped, and the backend is reset for the next call.
         """
-        if self._dlb_policy is None:
-            return PipelineStage(name, "compute", "fft", fn=fn)
-        P = self.comm.size
-        return PipelineStage(
-            name, "compute", "fft", fn=fn,
-            owner=lambda i: i % P,
-            cost=lambda i: float(volume(i)),
-        )
+        lanes = [self._backend.stream(f"compute[{r}]")
+                 for r in range(self.comm.size)]
+        errors = []
+        try:
+            for r, lane in enumerate(lanes):
+                lane.submit("rank", "pointwise", functools.partial(fn, r))
+        except BaseException as exc:  # noqa: BLE001 - raised inline
+            errors.append(exc)
+        for lane in lanes:
+            try:
+                lane.synchronize()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+        if errors:
+            self._backend.reset()
+            raise errors[0]
 
     # -- full transforms -----------------------------------------------------
 
@@ -862,16 +877,20 @@ class OutOfCoreSlabFFT:
         def comm_op(i: int) -> None:
             self._exchange_pencil(send[i // P], windows[i // P])
 
-        def volume(i: int) -> int:
+        def volume(i: int) -> float:
             """Item i's element count, on the real side for the r2c / c2r
-            stages (the DLB lanes' cost unit)."""
+            stages: its weight on the DLB lane clocks."""
             ip, r = divmod(i, P)
             sl = cuts[r][ip]
-            return fin * (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start)
+            return float(
+                fin * (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start))
 
+        # Item i is rank i % P's and computes on that rank's lane, or where
+        # the DLB policy lends it.
         stages = [
             PipelineStage("h2d", "h2d", "h2d", fn=h2d),
-            self._compute_stage(stage.span, fft, volume),
+            PipelineStage(stage.span, "compute", "fft", fn=fft,
+                          owner=lambda i: i % P, cost=volume),
             PipelineStage("d2h", "d2h", "d2h", fn=d2h),
         ]
         if dst is None:

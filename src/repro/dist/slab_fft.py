@@ -21,7 +21,7 @@ bit-equal.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class SlabDistributedFFT:
         #: Per rank, the physical fields of :meth:`product_spectra` and the
         #: product being formed, claimed on first use.
         self._fields: list[np.ndarray] = []
+
+    def each_rank(self, fn: Callable[[int], object]) -> None:
+        """Run ``fn(r)`` for every rank, in rank order, on the calling
+        thread (the out-of-core engine's contract, without lanes)."""
+        for r in range(self.comm.size):
+            fn(r)
 
     @property
     def _fused(self) -> bool:

@@ -204,9 +204,10 @@ class JobSpec:
         metavar="X")
     dlb: str = _f(
         "off", str,
-        "with --npencils: per-rank compute lanes — off (single stream), "
-        "pinned (one lane per rank), or lend (DLB lend/reclaim of "
-        "unstarted pencils; bit-identical results either way)",
+        "with --npencils: each rank computes on its own lane; off and "
+        "pinned keep every pencil on its owner's lane, lend adds DLB "
+        "lend/reclaim of unstarted pencils (bit-identical results either "
+        "way)",
         choices=("off", "pinned", "lend"))
     fuzz_seed: Optional[int] = _f(
         None, int,

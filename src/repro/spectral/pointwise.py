@@ -78,6 +78,11 @@ class PointwiseKernel:
         self.block = max(1, min(self.mz, _BLOCK_BYTES // plane_bytes))
         self._scratch = np.empty((_NSCRATCH, self.block, *plane), dtype=real)
         self._unit = np.ones((self.mz, 1, 1), dtype=grid.cdtype)
+        # Plane-sized factors, claimed once: the shift's (ky, kx) plane, the
+        # folded factor's, and one decay plane per group of a combination.
+        self._shift_plane = np.empty((n, nxh), dtype=grid.cdtype)
+        self._fold_plane = np.empty((n, nxh), dtype=grid.cdtype)
+        self._decay_planes = np.empty((_NSCRATCH - 3, *plane), dtype=real)
 
     def _blocks(self) -> Iterator[slice]:
         for z0 in range(0, self.mz, self.block):
@@ -102,14 +107,18 @@ class PointwiseKernel:
 
     def shift_bases(self, shift: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The factors of ``exp(i k.d)`` on this slab: a kz column and one
-        (ky, kx) plane.  Pass the result to :meth:`shifted` and :meth:`rhs`."""
+        (ky, kx) plane.  Pass the result to :meth:`shifted` and :meth:`rhs`;
+        the plane is the kernel's own and holds until the next call."""
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (3,):
             raise ValueError("shift must be a 3-vector (dx, dy, dz)")
         kx, ky, kz = self._k1d
         c = self.grid.cdtype
         bx, by, bz = (np.exp(1j * k * d).astype(c) for k, d in zip((kx, ky, kz), shift))
-        return bz.reshape(-1, 1, 1), by[:, None] * bx[None, :]
+        plane = self._shift_plane
+        plane[...] = by[:, None]
+        plane *= bx
+        return bz.reshape(-1, 1, 1), plane
 
     def shifted(self, u: np.ndarray, bases, out: np.ndarray) -> np.ndarray:
         """``out = u * exp(i k.d)``: the coefficients of ``u`` evaluated on
@@ -143,10 +152,12 @@ class PointwiseKernel:
 
     def _fold(self, lead: complex, bases) -> tuple[np.ndarray, np.ndarray]:
         """``lead * conj(shift)`` as a kz column and a (ky, kx) plane."""
+        plane = self._fold_plane
         if bases is None:
-            n = self.grid.n
-            return self._unit, np.full((n, n // 2 + 1), lead, self.grid.cdtype)
-        return np.conj(bases[0]), lead * np.conj(bases[1])
+            plane[...] = lead
+            return self._unit, plane
+        np.conjugate(bases[1], out=plane)
+        return np.conj(bases[0]), np.multiply(lead, plane, out=plane)
 
     def scalar_rhs(self, flux: Sequence[np.ndarray], bases, out: np.ndarray) -> np.ndarray:
         """``out = G (k . flux)``: minus the divergence of a scalar's flux
@@ -237,13 +248,15 @@ class PointwiseKernel:
         real = self.grid.dtype
         kx, ky, kz = self._k1d
         decays = []
-        for tau, _ in groups:
+        for (tau, _), plane in zip(groups, self._decay_planes):
             if tau == 0:
                 decays.append(None)
                 continue
             ex, ey, ez = (np.exp(-nu * tau * k.astype(float) ** 2).astype(real)
                           for k in (kx, ky, kz))
-            decays.append((ez.reshape(-1, 1, 1), ey[:, None] * np.repeat(ex, 2)[None, :]))
+            plane[...] = ey[:, None]
+            plane *= np.repeat(ex, 2)
+            decays.append((ez.reshape(-1, 1, 1), plane))
         terms = [[(c, self._slab(a)) for c, a in ts] for _, ts in groups]
         outf = self._slab(out)
         acc, part, tmp = self._scratch[:3]

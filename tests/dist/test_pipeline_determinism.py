@@ -143,6 +143,170 @@ class TestBitIdenticalSolverStep:
             assert np.array_equal(theta, states["slab-virtual"][1]), name
 
 
+class TestEachRankIsADevice:
+    """Every rank computes on its own lane ``compute[r]``: its pencils and,
+    through ``each_rank``, its shift, assembly, RK combination and
+    diagnostics partials.  Lanes run side by side on threads and must give
+    the inline reference's bits."""
+
+    HEIGHTS = (10, 0, 14)  # rank 1 holds no planes: an empty kernel
+
+    @pytest.mark.parametrize("phase_shift", [True, False], ids=["shift", "noshift"])
+    @pytest.mark.parametrize("scalars", [0, 1])
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    def test_threads_match_sync(self, scheme, scalars, phase_shift):
+        n, P = 24, 3
+        grid = SpectralGrid(n)
+        rng = np.random.default_rng(5)
+        shape = (3, *grid.spectral_shape)
+        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            grid.cdtype
+        )
+        cfg = SolverConfig(nu=0.02, scheme=scheme, phase_shift=phase_shift,
+                           seed=11, diagnostics_every=1)
+        runs = {
+            "sync": {"pipeline": "sync"},
+            "threads": {"pipeline": "threads"},
+            "threads-lend": {"pipeline": "threads", "dlb": "lend",
+                             "rank_weights": (2.0, 1.0, 1.0)},
+        }
+        results = {}
+        for name, kwargs in runs.items():
+            with DistributedNavierStokesSolver(
+                grid, VirtualComm(P), u0, cfg, npencils=4, inflight=3,
+                heights=self.HEIGHTS, **kwargs,
+            ) as solver:
+                for _ in range(scalars):
+                    solver.add_scalar(u0[1], schmidt=2.0, mean_gradient=0.5)
+                energies = [solver.step(1e-3).energy for _ in range(2)]
+                variances = [solver.scalar_variance(s) for s in range(scalars)]
+                results[name] = (solver.gather_state(), energies, variances,
+                                 [solver.gather_scalar(s) for s in range(scalars)])
+                if "dlb" in kwargs:
+                    assert solver.fft._dlb_policy.pencils_lent > 0
+        ref_state, ref_energies, ref_variances, ref_scalars = results["sync"]
+        for name, (state, energies, variances, thetas) in results.items():
+            assert np.array_equal(state, ref_state), name
+            assert energies == ref_energies, name
+            assert variances == ref_variances, name
+            for theta, ref in zip(thetas, ref_scalars):
+                assert np.array_equal(theta, ref), name
+
+    def test_more_lanes_than_cores_under_fast_switching(self):
+        """Eight rank lanes with the interpreter switching threads every
+        microsecond: a rank op writing another rank's slot, or a wait that
+        returns before its lane is done, would change the bits."""
+        import sys
+
+        n, P = 16, 8
+        grid = SpectralGrid(n)
+        rng = np.random.default_rng(9)
+        shape = (3, *grid.spectral_shape)
+        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            grid.cdtype
+        )
+        cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True, seed=4,
+                           diagnostics_every=1)
+        results = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for pipeline in ("sync", "threads"):
+                with DistributedNavierStokesSolver(
+                    grid, VirtualComm(P), u0, cfg, npencils=2,
+                    pipeline=pipeline, inflight=3,
+                ) as solver:
+                    energies = [solver.step(1e-3).energy for _ in range(3)]
+                    results[pipeline] = (solver.gather_state(), energies)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(results["threads"][0], results["sync"][0])
+        assert results["threads"][1] == results["sync"][1]
+
+
+class RankFault(Exception):
+    """Raised by a deliberately broken pointwise op."""
+
+
+class TestRankOpFailure:
+    """An exception inside one rank's pointwise op surfaces from ``step()``
+    as itself — not as a ``DependencyFailed`` of some later wait — and the
+    engine serves the next step, on the same bits as the inline engine."""
+
+    @staticmethod
+    def _run(make_solver):
+        n, P = 16, 2
+        grid = SpectralGrid(n)
+        rng = np.random.default_rng(3)
+        shape = (3, *grid.spectral_shape)
+        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            grid.cdtype
+        )
+        cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True, seed=11)
+        with make_solver(grid, VirtualComm(P), u0, cfg) as solver:
+            solver.step(1e-3)
+            # The last rank: every lane order then agrees with the inline
+            # one that the ranks before it have finished their combination.
+            broken = solver._kernels[P - 1]
+
+            def combine(*args, **kwargs):
+                raise RankFault("rank combine failed")
+
+            broken.combine = combine
+            with pytest.raises(RankFault):
+                solver.step(1e-3)
+            del broken.combine
+            solver.step(1e-3)
+            assert solver.fft.arena.in_use == 0
+            return solver, solver.gather_state()
+
+    def _reference(self):
+        def make(grid, comm, u0, cfg):
+            return DistributedNavierStokesSolver(
+                grid, comm, u0, cfg, npencils=4, pipeline="sync")
+        return self._run(make)[1]
+
+    def test_threads(self):
+        def make(grid, comm, u0, cfg):
+            return DistributedNavierStokesSolver(
+                grid, comm, u0, cfg, npencils=4, pipeline="threads")
+        assert np.array_equal(self._run(make)[1], self._reference())
+
+    def test_fuzz_backend(self):
+        from repro.verify import InvariantMonitor
+        from repro.verify.fuzz import fuzz_profile
+
+        monitor = InvariantMonitor()
+
+        def make(grid, comm, u0, cfg):
+            return DistributedNavierStokesSolver(
+                grid, comm, u0, cfg, npencils=4, pipeline="threads",
+                fuzz=fuzz_profile("chaos", 3), monitor=monitor)
+        solver, state = self._run(make)
+        assert np.array_equal(state, self._reference())
+        monitor.assert_quiescent()
+        assert monitor.ok and solver.fft._backend.stats["reordered"] > 0
+
+    def test_replay_backend(self):
+        """Recorded and replayed in submission order; every epoch's window
+        gates hold, and no rank op passes for a pencil item."""
+        from repro.verify import ReplayBackend
+
+        backend = ReplayBackend(order="submission")
+
+        def make(grid, comm, u0, cfg):
+            solver = DistributedNavierStokesSolver(
+                grid, comm, u0, cfg, npencils=4, pipeline="threads", inflight=3)
+            solver.fft._backend = backend
+            return solver
+        assert np.array_equal(self._run(make)[1], self._reference())
+        ranks = [op for graph in backend.graphs for op in graph.ops
+                 if op.category == "pointwise"]
+        assert ranks and all(op.item is None for op in ranks)
+        for graph in backend.graphs:
+            graph.verify_window(3)
+
+
 class TestArenaAccountingUnderFailure:
     def test_lease_returns_bytes_on_exception(self):
         arena = DeviceArena(1000)

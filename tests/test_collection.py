@@ -27,6 +27,11 @@ attribute would crash every traced run — so it must fail here first.
 The seventh ties the ``fft_backend`` vocabulary of the job description to
 the transform providers that exist: a name the spec accepts but no
 provider serves would parse and then fail only at run time.
+
+The eighth keeps the distributed engines' concurrency in one place: a rank's
+work runs on its lanes of a ``repro.exec`` backend, which the sync, fuzz and
+replay backends can serialise, perturb and record.  A thread pool or a bare
+thread under ``src/repro/dist/`` would escape all three.
 """
 
 import ast
@@ -190,6 +195,24 @@ def test_every_entry_point_the_benchmark_rebinds_exists():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
     assert missing == []
+
+
+def test_dist_runs_no_threads_of_its_own():
+    """No ``concurrent.futures`` import and no ``threading.Thread`` under
+    ``src/repro/dist/`` (a ``threading.Lock`` guards state, and may stay)."""
+    found = []
+    for path in sorted((SRC / "repro" / "dist").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for base, name in _imports(tree):
+            if base.split(".")[0] == "concurrent" or (
+                    base == "threading" and name == "Thread"):
+                found.append(f"{path.name}: imports {base}.{name or ''}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "threading"):
+                found.append(f"{path.name}:{node.lineno}: threading.Thread")
+    assert found == [], "run rank work on repro.exec lanes instead"
 
 
 def test_fft_backend_vocabulary_is_the_provider_registry():
