@@ -16,10 +16,12 @@ the paper's three pencil pipelines and two all-to-alls per substage.
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
 :class:`~repro.spectral.pointwise.PointwiseKernel`, one bound to each rank's
-kz-slab, writing into buffers the solver allocates once.  Each rank's share
-runs through the engine's ``each_rank``: out of core on the rank's own
-compute lane, so under ``pipeline="threads"`` the ranks' pointwise work runs
-side by side as on the paper's one-GPU-per-rank nodes (Fig. 5).
+kz-slab, writing into buffers the solver claims once from the engine
+(``resident``).  Each rank's share is a module-level function run through
+the engine's ``each_rank``: out of core on the rank's own compute lane, so
+under ``pipeline="threads"`` the ranks' pointwise work runs side by side as
+on the paper's one-GPU-per-rank nodes (Fig. 5); over ``comm="procs"`` in
+the rank's worker process, on state that lives in its shared memory.
 
 Given identical seeds the distributed solver reproduces the single-process
 solver bit-for-bit up to floating-point reassociation (tests assert
@@ -49,6 +51,60 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = ["DistributedNavierStokesSolver"]
+
+
+# -- per-rank work --------------------------------------------------------------
+#
+# Module-level, so that every engine runs the one body wherever the rank
+# lives: inline, on the rank's compute lane, or in its worker process.
+
+
+def _project(kernel: PointwiseKernel, local: np.ndarray) -> None:
+    kernel.project(local, out=local)
+
+
+def _shift(kernel: PointwiseKernel, shift, state: np.ndarray,
+           out: np.ndarray) -> None:
+    """The state's coefficients on the grid displaced by ``shift``."""
+    kernel.shifted(state, kernel.shift_bases(shift), out)
+
+
+def _assemble(kernel: PointwiseKernel, spectra: np.ndarray, shift,
+              state: np.ndarray, rhs: np.ndarray, gradients) -> None:
+    """The rank's right-hand side from its product spectra: the momentum
+    term in ``rhs[:3]``, then each scalar's ``-div(u theta) - G u_y``."""
+    bases = None if shift is None else kernel.shift_bases(shift)
+    kernel.rhs(spectra[:6], bases, rhs[:3])
+    for s, gradient in enumerate(gradients, start=3):
+        kernel.scalar_rhs(spectra[3 * s - 3:3 * s], bases, rhs[s])
+        if gradient:
+            # out -= G u_y, the unshifted u_y (tau = 0: no decay).
+            kernel.combine(rhs[s], 0.0, [(0.0, [
+                (-gradient, state[1]), (1.0, rhs[s])])])
+
+
+def _combine(kernel: PointwiseKernel, out: np.ndarray, components,
+             groups) -> None:
+    """``kernel.combine`` per component; each term names a state-shaped slab."""
+    for c, kappa in components:
+        kernel.combine(out[c], kappa, [
+            (tau, [(coef, a[c]) for coef, a in terms]) for tau, terms in groups
+        ])
+
+
+def _energy_partials(kernel: PointwiseKernel, state: np.ndarray,
+                     nu: float) -> np.ndarray:
+    """The rank's energy and dissipation sums, from one ``re^2 + im^2`` pass."""
+    weighted = mode_square(state[:3])
+    weighted *= kernel.grid.hermitian_weights[kernel.zslice]
+    energy = 0.5 * np.sum(weighted)
+    weighted *= kernel.grid.k_squared[kernel.zslice]
+    return np.array([energy, nu * np.sum(weighted)])
+
+
+def _variance_partial(kernel: PointwiseKernel, theta: np.ndarray) -> float:
+    return float(0.5 * np.sum(
+        kernel.grid.hermitian_weights[kernel.zslice] * np.abs(theta) ** 2))
 
 
 class DistributedNavierStokesSolver(IntegratingFactorRK):
@@ -198,18 +254,18 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         mask = sharp_truncation_mask(grid, self.config.dealias)
         self._mask_locals = [v.slice_spectral(mask) for v in self.views]
         self._kernels = [
-            PointwiseKernel(grid, mask, self.decomp.spectral_slice(r))
+            PointwiseKernel.for_slab(grid, self.config.dealias,
+                                     self.decomp.spectral_slice(r))
             for r in range(comm.size)
         ]
         self._buffers: dict[str, list[np.ndarray]] = {}
 
-        # State: per rank, (3 + S, mz, N, nxh) complex.
-        self._state: list[np.ndarray] = []
-        for r, kernel in enumerate(self._kernels):
-            sl = self.decomp.spectral_slice(r)
-            local = np.array(u_hat_global[:, sl], dtype=grid.cdtype, copy=True)
+        # State: per rank, (3 + S, mz, N, nxh) complex, where the rank lives.
+        self._state = self._claim(3)
+        for r, local in enumerate(self._state):
+            local[...] = u_hat_global[:, self.decomp.spectral_slice(r)]
             local *= self._mask_locals[r]
-            self._state.append(kernel.project(local, out=local))
+        self.fft.each_rank(_project, self._kernels, self._state)
         self.scalars: list[PassiveScalar] = []
         self.time = 0.0
         self.step_count = 0
@@ -232,11 +288,11 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
                 f"scalar must have spectral shape {self.grid.spectral_shape}"
             )
         self.scalars.append(PassiveScalar(theta_hat_global, schmidt, mean_gradient))
+        state = self._claim(self._state[0].shape[0] + 1)
         for r, (view, mask) in enumerate(zip(self.views, self._mask_locals)):
-            theta = view.slice_spectral(theta_hat_global) * mask
-            self._state[r] = np.concatenate(
-                [self._state[r], theta.astype(self.grid.cdtype)[None]]
-            )
+            state[r][:-1] = self._state[r]
+            state[r][-1] = view.slice_spectral(theta_hat_global) * mask
+        self._state = state
         for s, scalar in enumerate(self.scalars, start=3):
             scalar.theta_hat = [state[s] for state in self._state]
         self._buffers.clear()  # stage buffers are state-shaped
@@ -256,11 +312,17 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     # -- per-rank scratch ----------------------------------------------------
 
+    def _claim(self, fields: int) -> list[np.ndarray]:
+        """Per rank, ``fields`` spectral slabs where the rank's work runs."""
+        return self.fft.resident(
+            [(fields, *self.decomp.local_spectral_shape(r))
+             for r in range(self.comm.size)], self.grid.cdtype)
+
     def _stage(self, key: str) -> list[np.ndarray]:
         """Named per-rank state-shaped slabs, created on first use and reused."""
         bufs = self._buffers.get(key)
         if bufs is None:
-            bufs = self._buffers[key] = [np.empty_like(u) for u in self._state]
+            bufs = self._buffers[key] = self._claim(self._state[0].shape[0])
         return bufs
 
     # -- the distributed nonlinear term -----------------------------------------
@@ -285,55 +347,36 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             (c, s) for s in range(3, nfields) for c in range(3))
         # The product spectra, claimed once; the shifted coefficients are
         # dead once transformed, so they share the slabs.
+        P = self.comm.size
         spectra = self._buffers.get("spectra")
         if spectra is None:
-            spectra = self._buffers["spectra"] = [
-                np.empty((len(pairs), *u.shape[1:]), u.dtype) for u in state
-            ]
-        bases = [None] * self.comm.size
+            spectra = self._buffers["spectra"] = self._claim(len(pairs))
+        shifts = [None] * P
         coeffs = state  # what gets transformed: the state, shifted if asked
         if cfg.phase_shift:
-            shift = random_shift(self.grid, self._rng)
-
-            def shift_rank(r: int) -> None:
-                kernel = self._kernels[r]
-                bases[r] = kernel.shift_bases(shift)
-                kernel.shifted(state[r], bases[r], spectra[r][:nfields])
-
-            self.fft.each_rank(shift_rank)
+            shifts = [tuple(map(float, random_shift(self.grid, self._rng)))] * P
             coeffs = [w[:nfields] for w in spectra]
-        self.fft.product_spectra(coeffs, pairs, out=spectra)
-
-        def assemble(r: int) -> None:
-            kernel, rhs = self._kernels[r], out[r]
-            with self._rank_spans[r].span("nl.assemble", category="nonlinear"):
-                kernel.rhs(spectra[r][:6], bases[r], rhs[:3])
-                for s, scalar in enumerate(self.scalars, start=3):
-                    flux = spectra[r][3 * s - 3:3 * s]
-                    kernel.scalar_rhs(flux, bases[r], rhs[s])
-                    if scalar.mean_gradient:
-                        # out -= G u_y, the unshifted u_y (tau = 0: no decay).
-                        kernel.combine(rhs[s], 0.0, [(0.0, [
-                            (-scalar.mean_gradient, state[r][1]),
-                            (1.0, rhs[s])])])
-
-        self.fft.each_rank(assemble)
+            self.fft.each_rank(_shift, self._kernels, shifts, state, coeffs,
+                               spans=self._rank_spans, wait=False)
+        # Every caller combines the right-hand side next: a process pool
+        # sends the last unpack, the assembly and the combination as one
+        # message.
+        self.fft.product_spectra(coeffs, pairs, out=spectra, wait=False)
+        gradients = [tuple(s.mean_gradient for s in self.scalars)] * P
+        self.fft.each_rank(_assemble, self._kernels, spectra, shifts, state,
+                           out, gradients, spans=self._rank_spans, wait=False)
         return out
 
     # -- time stepping ------------------------------------------------------------
 
     def _combine(self, out: Sequence[np.ndarray], groups) -> Sequence[np.ndarray]:
         """``kernel.combine`` on every rank; each term names a per-rank list."""
-        components = self._components()
-
-        def combine(r: int) -> None:
-            for c, kappa in components:
-                self._kernels[r].combine(out[r][c], kappa, [
-                    (tau, [(coef, a[r][c]) for coef, a in terms])
-                    for tau, terms in groups
-                ])
-
-        self.fft.each_rank(combine)
+        P = self.comm.size
+        per_rank = [[(tau, [(coef, a[r]) for coef, a in terms])
+                     for tau, terms in groups] for r in range(P)]
+        self.fft.each_rank(_combine, self._kernels, out,
+                           [self._components()] * P, per_rank,
+                           spans=self._rank_spans)
         return out
 
     def step(self, dt: float) -> StepResult:
@@ -380,17 +423,9 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     def _energy_and_dissipation(self) -> tuple[float, float]:
         """Both diagnostics from one ``re^2 + im^2`` pass per rank."""
-        locals_ = [None] * self.comm.size
-
-        def partials(r: int) -> None:
-            v = self.views[r]
-            weighted = mode_square(self._state[r][:3])
-            weighted *= v.hermitian_weights
-            energy = 0.5 * np.sum(weighted)
-            weighted *= v.k_squared
-            locals_[r] = np.array([energy, self.config.nu * np.sum(weighted)])
-
-        self.fft.each_rank(partials)
+        locals_ = self.fft.each_rank(
+            _energy_partials, self._kernels, self._state,
+            [self.config.nu] * self.comm.size, spans=self._rank_spans)
         energy, dissipation = self.comm.allreduce(locals_)[0]
         return float(energy), float(dissipation)
 
@@ -410,12 +445,7 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     def scalar_variance(self, index: int) -> float:
         """<theta^2>/2 of scalar ``index`` (allreduce over ranks)."""
-        locals_ = [None] * self.comm.size
-        theta = self.scalars[index].theta_hat
-
-        def partial(r: int) -> None:
-            locals_[r] = float(0.5 * np.sum(
-                self.views[r].hermitian_weights * np.abs(theta[r]) ** 2))
-
-        self.fft.each_rank(partial)
+        locals_ = self.fft.each_rank(
+            _variance_partial, self._kernels, self.scalars[index].theta_hat,
+            spans=self._rank_spans)
         return self.comm.allreduce(locals_)[0]

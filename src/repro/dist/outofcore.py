@@ -73,7 +73,7 @@ from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.stages import STAGES, Stage, products
 from repro.dist.transpose import chunk_exchange_layout, complete_chunk_exchange
-from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
+from repro.dist.virtual_mpi import TransientCommFault, VirtualComm, call_rank
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
@@ -745,10 +745,19 @@ class OutOfCoreSlabFFT:
             self._m_xpose.inc(nbytes)
             self._m_chunks.inc()
 
-    def each_rank(self, fn: Callable[[int], object]) -> None:
-        """Run ``fn(r)`` for every rank ``r`` on its compute lane
-        ``compute[r]`` and wait for those lanes — the rank's pointwise work
-        on the device that runs its pencils (paper Fig. 5).
+    def resident(self, shapes: Sequence[Sequence[int]], dtype) -> list[np.ndarray]:
+        """Per-rank host arrays: a rank's pencils and pointwise work run on
+        its lanes in this process, whatever the comm."""
+        return [np.empty(tuple(shape), dtype) for shape in shapes]
+
+    def each_rank(self, fn: Callable, *per_rank_args: Sequence, spans=None,
+                  wait: bool = True) -> list:
+        """Run ``fn(*(a[r] for a in per_rank_args))`` for every rank ``r``
+        on its compute lane ``compute[r]``, wait for those lanes and return
+        the per-rank results — the rank's pointwise work on the device that
+        runs its pencils (paper Fig. 5).  ``spans[r]`` times rank ``r``'s
+        call, on its lane's thread; the lanes are waited for whatever
+        ``wait`` says.
 
         The wait is each lane's ``synchronize``, never the backend's: the
         one wait that also completes an op a fuzzing backend holds back for
@@ -760,10 +769,15 @@ class OutOfCoreSlabFFT:
         """
         lanes = [self._backend.stream(f"compute[{r}]")
                  for r in range(self.comm.size)]
+        results: list = [None] * len(lanes)
+
+        def run(r: int) -> None:
+            results[r] = call_rank(fn, per_rank_args, r, spans)
+
         errors = []
         try:
             for r, lane in enumerate(lanes):
-                lane.submit("rank", "pointwise", functools.partial(fn, r))
+                lane.submit("rank", "pointwise", functools.partial(run, r))
         except BaseException as exc:  # noqa: BLE001 - raised inline
             errors.append(exc)
         for lane in lanes:
@@ -774,6 +788,7 @@ class OutOfCoreSlabFFT:
         if errors:
             self._backend.reset()
             raise errors[0]
+        return results
 
     # -- full transforms -----------------------------------------------------
 
@@ -967,8 +982,11 @@ class OutOfCoreSlabFFT:
         coeffs: Sequence[np.ndarray],
         pairs: Sequence[tuple[int, int]],
         out=None,
+        wait: bool = True,
     ) -> list[np.ndarray]:
         """The paper's RK substage: field spectra in, product spectra out.
+        (``out`` is complete on return whatever ``wait`` says: the
+        pipelines drain here.)
 
         ``coeffs[r]`` holds rank ``r``'s ``F`` fields ``[field, kz, y, x]``;
         ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]

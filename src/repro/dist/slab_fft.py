@@ -12,11 +12,11 @@ decomposition that lets the paper send fewer, larger messages.
 The 1-D line transforms go through the pluggable providers of
 :func:`repro.spectral.workspace.resolve_fft`; when the communicator is
 a process-pool backend (:class:`repro.mpi.procs.ProcsComm`) the whole
-stage sequence is *fused* into the workers' pack/unpack dispatches via
+stage sequence is *fused* into the workers' packing and unpacking rounds via
 ``comm.rank_transpose`` — FFTs run in the process that owns the slab, on a
-provider resolved there.  Both paths
-index the same :data:`repro.dist.stages.STAGES` kernels, so results are
-bit-equal.
+provider resolved there, and a substage's fields cross in one exchange per
+direction.  Both paths index the same :data:`repro.dist.stages.STAGES`
+kernels, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -84,15 +84,25 @@ class SlabDistributedFFT:
         self.obs = obs if obs is not None else NULL_OBS
         self.fft_backend = fft_backend
         self._lf = resolve_fft(fft_backend)  # fails fast when unavailable
-        #: Per rank, the physical fields of :meth:`product_spectra` and the
-        #: product being formed, claimed on first use.
+        #: Per rank, what :meth:`product_spectra` claims on first use: in
+        #: process the physical fields and the product being formed, over a
+        #: process pool the product spectra between the two exchanges.
         self._fields: list[np.ndarray] = []
 
-    def each_rank(self, fn: Callable[[int], object]) -> None:
-        """Run ``fn(r)`` for every rank, in rank order, on the calling
-        thread (the out-of-core engine's contract, without lanes)."""
-        for r in range(self.comm.size):
-            fn(r)
+    def resident(self, shapes: Sequence[Sequence[int]], dtype) -> list[np.ndarray]:
+        """Per-rank arrays where rank ``r``'s work addresses them: in its
+        worker's shared memory over a process pool, plain arrays in process."""
+        return self.comm.resident(shapes, dtype)
+
+    def each_rank(self, fn: Callable, *per_rank_args: Sequence, spans=None,
+                  wait: bool = True) -> "list | None":
+        """``fn(*(a[r] for a in per_rank_args))`` for every rank where the
+        rank lives — in rank order on the calling thread in process, in the
+        rank's worker over a process pool (``fn`` then module-level, its
+        arrays :meth:`resident`); returns the per-rank results.
+        ``wait=False``: the results are not wanted, and a process pool may
+        send the calls with its next message."""
+        return self.comm.each_rank(fn, *per_rank_args, spans=spans, wait=wait)
 
     @property
     def _fused(self) -> bool:
@@ -185,21 +195,34 @@ class SlabDistributedFFT:
         coeffs: Sequence[np.ndarray],
         pairs: Sequence[tuple[int, int]],
         out=None,
+        wait: bool = True,
     ) -> list[np.ndarray]:
         """Field spectra in, product spectra out — the contract of
-        :meth:`repro.dist.outofcore.OutOfCoreSlabFFT.product_spectra`, here
-        one whole-slab transform (and all-to-all) per field and per product.
+        :meth:`repro.dist.outofcore.OutOfCoreSlabFFT.product_spectra`.
 
         ``coeffs[r]`` holds rank ``r``'s fields ``[field, kz, y, x]``;
         ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
         = (i, j)`` and may share memory with ``coeffs``.
+
+        Over a process pool every field of one direction crosses in one
+        exchange: the y-FFTs of all fields and their all-to-all, then in
+        each worker the z/x transforms, the products and their x/z
+        transforms into resident spectra; then those spectra's all-to-all
+        and y-FFTs into ``out``.  In process it is one whole-slab transform
+        (and all-to-all) per field and per product — the bit-equal reference.
+
+        ``wait=False`` lets a process pool send the last unpack with its
+        next message: ``out`` is then complete only once the next rank call
+        or exchange has run (in process it is complete on return).
         """
         d, nfields = self.decomp, coeffs[0].shape[0]
         self.decomp.check_locals(
             coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))
         if out is None:
-            out = [np.empty((len(pairs), *d.local_spectral_shape(r)),
-                            self.grid.cdtype) for r in range(self.comm.size)]
+            out = self.resident([(len(pairs), *d.local_spectral_shape(r))
+                                 for r in range(self.comm.size)], self.grid.cdtype)
+        if self._fused:
+            return self._worker_products(coeffs, pairs, out, wait)
         if not self._fields or self._fields[0].shape[0] < nfields + 1:
             self._fields = [
                 np.empty((nfields + 1, *d.local_physical_shape(r)), self.grid.dtype)
@@ -213,4 +236,28 @@ class SlabDistributedFFT:
                 for u in fields:
                     np.multiply(u[i], u[j], out=u[-1])
             self.forward([u[-1] for u in fields], out=[o[p] for o in out])
+        return out
+
+    def _worker_products(self, coeffs, pairs, out, wait) -> list[np.ndarray]:
+        """:meth:`product_spectra` as two batched ``rank_transpose`` calls,
+        in three rounds: the first exchange's unpack (and products) rides
+        with the second exchange's pack."""
+        d, npairs = self.decomp, len(pairs)
+        shapes = [(npairs, self.grid.n, d.height(r), self.grid.n // 2 + 1)
+                  for r in range(self.comm.size)]
+        if not self._fields or self._fields[0].shape[0] < npairs:
+            self._fields = self.resident(shapes, self.grid.cdtype)
+        spectra = [f[:npairs] for f in self._fields]
+        kwargs = dict(n=self.grid.n, fft=self.fft_backend, obs=self.obs)
+        if self._heights is not None:
+            kwargs["pack_sizes"] = self._heights
+        self.comm.rank_transpose(
+            coeffs, pack_axis=1 + _Y_AXIS, unpack_axis=1 + _KZ_AXIS,
+            pre="inv_y", post="inv_zx", pairs=tuple(pairs), out=spectra,
+            wait=False, **kwargs)
+        self.comm.rank_transpose(
+            spectra, pack_axis=1 + _KZ_AXIS, unpack_axis=1 + _Y_AXIS,
+            post="fwd_y", out=out, wait=wait, **kwargs)
+        if self.obs.enabled:
+            self.obs.metrics.counter("fft.calls").inc(2)
         return out

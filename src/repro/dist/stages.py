@@ -3,8 +3,8 @@
 The paper's 3-D transform (Sec. 3.3) is y, transpose, z, x going to
 physical space and x, z, transpose, y coming back: two stages either side
 of the one all-to-all.  Every engine indexes :data:`STAGES` — the inline
-path of :class:`~repro.dist.slab_fft.SlabDistributedFFT`, the ``stage1`` /
-``stage2`` ops of the :class:`~repro.mpi.procs.ProcsComm` workers and the
+path of :class:`~repro.dist.slab_fft.SlabDistributedFFT`, the packing and
+unpacking rounds of the :class:`~repro.mpi.procs.ProcsComm` workers and the
 compute stage of :class:`~repro.dist.outofcore.OutOfCoreSlabFFT` — so the
 operations, their order and the normalization exist in one place and the
 engines stay bit-equal by construction.
@@ -47,7 +47,7 @@ def _inv_zx(a, n, lf, out=None):
     """Inverse stage 2: z, then complex-to-real x, on the y-slab.
 
     Overwrites ``a`` with the z-transformed intermediate; callers hand it
-    a buffer they own (a ring slot, the worker's gathered concatenation,
+    a buffer they own (a ring slot, the worker's transposed slab,
     the post-transpose work list).
     """
     lf.ifft(a, _KZ_AXIS, out=a, norm="forward")

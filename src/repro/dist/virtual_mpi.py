@@ -35,9 +35,21 @@ __all__ = [
     "PendingAlltoall",
     "TransientCommFault",
     "VirtualComm",
+    "call_rank",
 ]
 
 T = TypeVar("T")
+
+
+def call_rank(fn: Callable, per_rank_args: Sequence[Sequence], r: int, spans=None):
+    """Rank ``r``'s share of an ``each_rank`` call, in this process: ``fn``
+    on the ``r``-th entry of every argument, inside one ``pointwise`` span
+    on ``spans[r]`` when tracers are given."""
+    args = [a[r] for a in per_rank_args]
+    if spans is None:
+        return fn(*args)
+    with spans[r].span(fn.__name__.lstrip("_"), category="pointwise"):
+        return fn(*args)
 
 
 class TransientCommFault(RuntimeError):
@@ -182,6 +194,26 @@ class VirtualComm:
             raise ValueError(
                 f"{self.name}: expected {self.size} per-rank entries, got {len(data)}"
             )
+
+    # -- rank-resident work ------------------------------------------------------
+
+    def resident(self, shapes: Sequence[Sequence[int]], dtype) -> list[np.ndarray]:
+        """Per-rank arrays ``shapes[r]`` that rank ``r``'s work addresses in
+        place.  In process that is any array; a process pool puts each in its
+        worker's shared memory (:meth:`repro.mpi.procs.ProcsComm.resident`)."""
+        self._check_per_rank(shapes)
+        return [np.empty(tuple(shape), dtype) for shape in shapes]
+
+    def each_rank(self, fn: Callable, *per_rank_args: Sequence, spans=None,
+                  wait: bool = True) -> list:
+        """``fn(*(a[r] for a in per_rank_args))`` for every rank, in rank
+        order, on the calling thread; returns the per-rank results.
+        ``spans[r]``, when given, times rank ``r``'s call.  ``wait=False``
+        only allows a process pool to send the calls later; here they run
+        now."""
+        for args in per_rank_args:
+            self._check_per_rank(args)
+        return [call_rank(fn, per_rank_args, r, spans) for r in range(self.size)]
 
     # -- collectives -----------------------------------------------------------
 

@@ -163,6 +163,21 @@ class SpanTracer:
             category = name.split(".", 1)[0]
         return _Span(self, name, category, lane or self.lane, meta)
 
+    def record(self, name: str, category: str, start: float, end: float,
+               lane: Optional[str] = None) -> None:
+        """One interval timed elsewhere on this tracer's clock (a worker
+        process's ``perf_counter`` — the same monotonic base on Linux)."""
+        if not self.enabled:
+            return
+        self.ensure_epoch()
+        t0, t1 = start - self._epoch[0], end - self._epoch[0]
+        lane = lane or self.lane
+        self.tracer.record(category, lane, name, t0, t1, exclusive=t1 - t0)
+        if self.flight is not None:
+            # Past _Span.__exit__, so the flight ring is fed here: a
+            # post-mortem of a hung exchange needs the worker lanes too.
+            self.flight.record_span(lane, name, category, t0, t1)
+
     def ensure_epoch(self) -> None:
         """Pin t=0 to *now* if no span has set it yet.
 

@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
 from repro.spectral.grid import SpectralGrid
 
 __all__ = ["PRODUCT_PAIRS", "PointwiseKernel"]
@@ -54,9 +55,14 @@ class PointwiseKernel:
     ``(..., mz, N, N//2+1)`` of ``grid.cdtype``, C-contiguous along x.
     """
 
+    #: ``(n, length, dtype, dealias, z0, z1)`` of a kernel built by
+    #: :meth:`for_slab`: enough to rebuild it in another process.
+    recipe: Optional[tuple] = None
+
     def __init__(self, grid: SpectralGrid, mask: np.ndarray,
                  zslice: slice = slice(None)):
         self.grid = grid
+        self.zslice = zslice
         n, nxh = grid.n, grid.n // 2 + 1
         real = grid.dtype
         kx, ky, kz = (k.ravel() for k in grid.k_vectors)
@@ -83,6 +89,25 @@ class PointwiseKernel:
         self._shift_plane = np.empty((n, nxh), dtype=grid.cdtype)
         self._fold_plane = np.empty((n, nxh), dtype=grid.cdtype)
         self._decay_planes = np.empty((_NSCRATCH - 3, *plane), dtype=real)
+
+    @classmethod
+    def for_slab(cls, grid: SpectralGrid, dealias: DealiasRule,
+                 zslice: slice) -> "PointwiseKernel":
+        """The kernel of the sharp-truncation mask of ``dealias`` on the
+        slab ``zslice``, with the :attr:`recipe` that :meth:`from_recipe`
+        rebuilds it from in another process (a rank's worker,
+        :mod:`repro.mpi.procs`)."""
+        kernel = cls(grid, sharp_truncation_mask(grid, dealias), zslice)
+        z0, z1, _ = zslice.indices(grid.n)
+        kernel.recipe = (grid.n, grid.length, grid.dtype.str,
+                         DealiasRule(dealias).value, z0, z1)
+        return kernel
+
+    @classmethod
+    def from_recipe(cls, recipe: tuple) -> "PointwiseKernel":
+        n, length, dtype, dealias, z0, z1 = recipe
+        return cls.for_slab(SpectralGrid(n, length, dtype), DealiasRule(dealias),
+                            slice(z0, z1))
 
     def _blocks(self) -> Iterator[slice]:
         for z0 in range(0, self.mz, self.block):
