@@ -53,8 +53,9 @@ class RunConfig:
         products) sweeps; 3 and 6 for the conservative-form DNS.
     gpu_direct:
         Model CUDA-aware MPI/GPU-direct: skip the staging D2H/H2D around the
-        all-to-all (paper Sec. 3.3 found no noticeable benefit — the
-        ablation bench reproduces that).
+        all-to-all (paper Sec. 3.3 found no noticeable benefit —
+        ``tests/core/test_executor.py::test_gpu_direct_no_significant_benefit``
+        reproduces that).
     zero_copy_unpack:
         Use the zero-copy kernel for post-exchange unpacks (the production
         choice) instead of cudaMemcpy2DAsync chains.

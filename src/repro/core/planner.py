@@ -107,14 +107,20 @@ class MemoryPlanner:
         Load balancing requires an integer number of grid planes per rank
         for every candidate rank layout, i.e. ``N % (M * tpn) == 0`` for
         each tasks-per-node option (paper: for N=18432 on <=4608 nodes this
-        leaves exactly M in {1536, 3072}).
+        leaves exactly M in {1536, 3072}).  ``M * tpn`` divides N for every
+        option exactly when ``M`` divides ``N / lcm(options)``, so only
+        those divisors are enumerated.
         """
-        lo = self.min_nodes(n)
-        out = []
-        for m in range(lo, self.machine.total_nodes + 1):
-            if all(n % (m * tpn) == 0 for tpn in tasks_per_node_options):
-                out.append(m)
-        return out
+        lo, hi = self.min_nodes(n), self.machine.total_nodes
+        if not tasks_per_node_options:
+            return list(range(lo, hi + 1))
+        lcm = math.lcm(*tasks_per_node_options)
+        if n % lcm:
+            return []
+        k = n // lcm
+        divisors = {d for q in range(1, math.isqrt(k) + 1) if k % q == 0
+                    for d in (q, k // q)}
+        return sorted(m for m in divisors if lo <= m <= hi)
 
     # -- GPU memory ------------------------------------------------------------
 

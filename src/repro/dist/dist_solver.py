@@ -40,12 +40,13 @@ from repro.dist.decomp import SlabDecomposition, SlabGridView
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import random_shift, sharp_truncation_mask
+from repro.spectral.dealias import random_shift
 from repro.spectral.diagnostics import mode_square
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
 from repro.spectral.scalar import PassiveScalar
-from repro.spectral.solver import IntegratingFactorRK, SolverConfig, StepResult
+from repro.spectral.solver import (IntegratingFactorRK, SolverConfig,
+                                   StepResult, combine_components)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -59,7 +60,8 @@ __all__ = ["DistributedNavierStokesSolver"]
 # lives: inline, on the rank's compute lane, or in its worker process.
 
 
-def _project(kernel: PointwiseKernel, local: np.ndarray) -> None:
+def _dealias(kernel: PointwiseKernel, local: np.ndarray) -> None:
+    kernel.truncate(local)
     kernel.project(local, out=local)
 
 
@@ -71,25 +73,16 @@ def _shift(kernel: PointwiseKernel, shift, state: np.ndarray,
 
 def _assemble(kernel: PointwiseKernel, spectra: np.ndarray, shift,
               state: np.ndarray, rhs: np.ndarray, gradients) -> None:
-    """The rank's right-hand side from its product spectra: the momentum
-    term in ``rhs[:3]``, then each scalar's ``-div(u theta) - G u_y``."""
+    """The rank's right-hand side from its product spectra: each scalar's
+    ``-div(u theta) - G u_y``, then the momentum term.  Scalars first:
+    ``rhs`` may be ``state`` (the last RK stage), and ``u_y`` is read."""
     bases = None if shift is None else kernel.shift_bases(shift)
-    kernel.rhs(spectra[:6], bases, rhs[:3])
     for s, gradient in enumerate(gradients, start=3):
-        kernel.scalar_rhs(spectra[3 * s - 3:3 * s], bases, rhs[s])
-        if gradient:
-            # out -= G u_y, the unshifted u_y (tau = 0: no decay).
-            kernel.combine(rhs[s], 0.0, [(0.0, [
-                (-gradient, state[1]), (1.0, rhs[s])])])
-
-
-def _combine(kernel: PointwiseKernel, out: np.ndarray, components,
-             groups) -> None:
-    """``kernel.combine`` per component; each term names a state-shaped slab."""
-    for c, kappa in components:
-        kernel.combine(out[c], kappa, [
-            (tau, [(coef, a[c]) for coef, a in terms]) for tau, terms in groups
-        ])
+        kernel.accumulate(rhs, [(c, s) for c in range(3)],
+                          spectra[3 * s - 3:3 * s])
+        kernel.scalar_rhs(rhs[s], bases, rhs[s], gradient, state[1])
+    kernel.accumulate(rhs, PRODUCT_PAIRS, spectra[:6])
+    kernel.rhs(rhs[:3], bases, rhs[:3])
 
 
 def _energy_partials(kernel: PointwiseKernel, state: np.ndarray,
@@ -225,19 +218,10 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             from repro.dist.outofcore import OutOfCoreSlabFFT
 
             self.fft = OutOfCoreSlabFFT(
-                grid,
-                comm,
-                npencils,
-                device_bytes=device_bytes,
-                obs=self.obs,
-                pipeline=pipeline,
-                inflight=inflight,
-                fuzz=fuzz,
-                monitor=monitor,
-                copy_strategy=copy_strategy,
-                heights=heights,
-                dlb=dlb,
-                rank_weights=rank_weights,
+                grid, comm, npencils, device_bytes=device_bytes, obs=self.obs,
+                pipeline=pipeline, inflight=inflight, fuzz=fuzz,
+                monitor=monitor, copy_strategy=copy_strategy, heights=heights,
+                dlb=dlb, rank_weights=rank_weights,
                 fft_backend=self.config.fft_backend,
             )
         self.decomp: SlabDecomposition = self.fft.decomp
@@ -251,8 +235,6 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             raise ValueError(
                 f"initial condition must have shape {(3, *grid.spectral_shape)}"
             )
-        mask = sharp_truncation_mask(grid, self.config.dealias)
-        self._mask_locals = [v.slice_spectral(mask) for v in self.views]
         self._kernels = [
             PointwiseKernel.for_slab(grid, self.config.dealias,
                                      self.decomp.spectral_slice(r))
@@ -264,8 +246,7 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         self._state = self._claim(3)
         for r, local in enumerate(self._state):
             local[...] = u_hat_global[:, self.decomp.spectral_slice(r)]
-            local *= self._mask_locals[r]
-        self.fft.each_rank(_project, self._kernels, self._state)
+        self.fft.each_rank(_dealias, self._kernels, self._state)
         self.scalars: list[PassiveScalar] = []
         self.time = 0.0
         self.step_count = 0
@@ -289,9 +270,10 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             )
         self.scalars.append(PassiveScalar(theta_hat_global, schmidt, mean_gradient))
         state = self._claim(self._state[0].shape[0] + 1)
-        for r, (view, mask) in enumerate(zip(self.views, self._mask_locals)):
+        for r, (view, kernel) in enumerate(zip(self.views, self._kernels)):
             state[r][:-1] = self._state[r]
-            state[r][-1] = view.slice_spectral(theta_hat_global) * mask
+            state[r][-1] = view.slice_spectral(theta_hat_global)
+            kernel.truncate(state[r][-1])
         self._state = state
         for s, scalar in enumerate(self.scalars, start=3):
             scalar.theta_hat = [state[s] for state in self._state]
@@ -374,7 +356,7 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         P = self.comm.size
         per_rank = [[(tau, [(coef, a[r]) for coef, a in terms])
                      for tau, terms in groups] for r in range(P)]
-        self.fft.each_rank(_combine, self._kernels, out,
+        self.fft.each_rank(combine_components, self._kernels, out,
                            [self._components()] * P, per_rank,
                            spans=self._rank_spans)
         return out

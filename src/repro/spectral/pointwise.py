@@ -3,13 +3,13 @@
 Between the transforms a pseudo-spectral step only multiplies and adds:
 shift the coefficients onto the displaced grid, turn the product transforms
 into the projected, dealiased right-hand side (a scalar's flux transforms
-into its divergence), and combine stages with the integrating factor.  :class:`PointwiseKernel` does those three things
-for a slab ``[z0:z1]`` of the spectral cube — the serial solver is the slab
-of height ``N``, a distributed rank binds its own ``kz`` range — so both
-solvers run the same arithmetic.
+into its divergence), and combine stages with the integrating factor.
+:class:`PointwiseKernel` does those three things for a slab ``[z0:z1]`` of
+the spectral cube — the serial solver is the slab of height ``N``, a
+distributed rank binds its own ``kz`` range — so both solvers run the same
+arithmetic.
 
-Three ideas keep it close to memory speed (DESIGN.md, "The pointwise
-kernel"):
+Four ideas keep it close to memory speed and small (DESIGN.md §8):
 
 * **One factor.**  Projection commutes with a per-mode scalar,
   ``P(G a) = G P(a)``, so ``-i``, the dealias mask and the conjugate phase
@@ -18,10 +18,13 @@ kernel"):
 * **1-D bases.**  ``exp(i k.d)`` and ``exp(-nu k^2 t)`` are products of three
   1-D arrays; a block of either is rebuilt from a cached plane and a ``kz``
   column while it is needed, so no full-grid factor is ever stored or read.
-* **Float views and blocks.**  Wavenumbers, mask and decay are real, so every
+* **Float views and blocks.**  Wavenumbers and decay are real, so every
   multiply by them runs on the ``float`` view of the complex data (half the
   flops of a complex multiply, and a same-dtype ufunc), a few ``z`` planes at
   a time so that the temporaries of one sweep stay in L2.
+* **Streaming.**  Each product transform is added into the right-hand side
+  as it arrives, which is then projected in place: no store of product
+  transforms, and the mask is one byte per mode that zeroes ``G``.
 """
 
 from __future__ import annotations
@@ -35,24 +38,25 @@ from repro.spectral.grid import SpectralGrid
 
 __all__ = ["PRODUCT_PAIRS", "PointwiseKernel"]
 
-#: The six distinct products u_i u_j, in the order :meth:`PointwiseKernel.rhs`
-#: takes their transforms.
+#: The six distinct products u_i u_j, in the order
+#: :meth:`PointwiseKernel.accumulate` takes their transforms.
 PRODUCT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
-#: Bytes of one block-sized temporary.  A sweep keeps six or seven alive, so
+#: Bytes of one block-sized temporary.  A sweep keeps up to six alive, so
 #: this holds them in a 2 MiB L2; a whole 32^3 slab (272 KiB) is one block.
 _BLOCK_BYTES = 320 * 1024
-#: Block-sized scratch arrays: the sweep names seven; a combination uses
+#: Block-sized scratch arrays: the sweep names four; a combination uses
 #: three and one per decay group (at most three).
-_NSCRATCH = 7
+_NSCRATCH = 6
 
 
 class PointwiseKernel:
     """Shift, right-hand side and RK combination on the kz-slab ``zslice``.
 
-    ``mask`` is the full-grid dealias mask (0/1, real); the kernel keeps its
-    slab slice.  Arrays handed to the methods are spectral slabs
-    ``(..., mz, N, N//2+1)`` of ``grid.cdtype``, C-contiguous along x.
+    ``mask`` is the full-grid dealias mask (0/1); the kernel keeps which
+    modes of its slab it removes, one byte each.  Arrays handed to the
+    methods are spectral slabs ``(..., mz, N, N//2+1)`` of ``grid.cdtype``,
+    C-contiguous along x.
     """
 
     #: ``(n, length, dtype, dealias, z0, z1)`` of a kernel built by
@@ -78,7 +82,7 @@ class PointwiseKernel:
         self._kz = kz.reshape(-1, 1, 1)
         self._k2_plane = self._kx**2 + self._ky**2
         self._kz2 = self._kz**2
-        self._mask = np.repeat(mask[zslice], 2, axis=-1)
+        self._cut = mask[zslice] == 0
         self._owns_mean_mode = self.mz > 0 and zslice.indices(n)[0] == 0
         plane_bytes = n * nxh * grid.cdtype.itemsize
         self.block = max(1, min(self.mz, _BLOCK_BYTES // plane_bytes))
@@ -92,7 +96,7 @@ class PointwiseKernel:
 
     @classmethod
     def for_slab(cls, grid: SpectralGrid, dealias: DealiasRule,
-                 zslice: slice) -> "PointwiseKernel":
+                 zslice: slice = slice(None)) -> "PointwiseKernel":
         """The kernel of the sharp-truncation mask of ``dealias`` on the
         slab ``zslice``, with the :attr:`recipe` that :meth:`from_recipe`
         rebuilds it from in another process (a rank's worker,
@@ -159,21 +163,35 @@ class PointwiseKernel:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs(self, terms: Sequence[np.ndarray], bases, out: np.ndarray) -> np.ndarray:
-        """Projected, dealiased nonlinear term from its transforms.
+    def accumulate(self, out: np.ndarray, pairs, transforms) -> np.ndarray:
+        """Add product transforms into the state-shaped ``out``: that of
+        ``u_i u_j`` adds ``k_j T`` to ``out[i]`` and ``k_i T`` to ``out[j]``
+        (once if ``i == j``), a flux ``u_c theta_s`` (pair ``(c, s)``,
+        ``s >= 3``) ``k_c T`` to ``out[s]``.  A ``k_x`` term starts its sum,
+        so pass them in :data:`PRODUCT_PAIRS` (flux: ``c``) order, all at once
+        or one per call: each sum adds x, y, z in that order."""
+        outf = self._slab(out)
+        adds = [(outf[a], b, t.view(outf.dtype))
+                for (i, j), t in zip(pairs, transforms)
+                for a, b in ((i, j), (j, i))[: 1 + (i != j)] if b < 3]
+        for sl in self._blocks():
+            k = (self._kx, self._ky, self._kz[sl])
+            t = self._scratch[0][: sl.stop - sl.start]
+            for acc, b, f in adds:
+                if b:
+                    np.add(acc[sl], np.multiply(f[sl], k[b], out=t), out=acc[sl])
+                else:
+                    np.multiply(f[sl], k[0], out=acc[sl])
+        return out
 
-        ``terms`` holds either the six product transforms ``(u_i u_j)_hat``
-        in the order 00, 01, 02, 11, 12, 22 (conservative form,
-        ``a_i = sum_j k_j P_ij``) or the three components of ``(u x omega)_hat``
-        (rotational form, ``a = terms``).  ``out_i = G (a_i - k_i (k.a)/k^2)``
-        with ``G = c mask conj(shift)``, ``c = -i`` for the divergence of the
-        conservative form and 1 otherwise; ``bases`` is what the products
-        were shifted by (:meth:`shift_bases`) or None.
-        """
-        real = self.grid.dtype
-        lead = -1j if len(terms) == 6 else 1.0
-        return self._sweep([t.view(real) for t in terms], out,
-                           self._fold(lead, bases))
+    def rhs(self, a: np.ndarray, bases, out: np.ndarray,
+            conservative: bool = True) -> np.ndarray:
+        """``out_i = G (a_i - k_i (k.a)/k^2)``, ``G = c mask conj(shift)``,
+        from :meth:`accumulate`'s ``a_i = sum_j k_j (u_i u_j)_hat`` (``c =
+        -i``) or, not ``conservative``, ``a = (u x omega)_hat`` (``c = 1``);
+        ``bases`` as the products were shifted or None.  ``out`` may be ``a``."""
+        return self._sweep(list(self._slab(a)), out,
+                           self._fold(-1j if conservative else 1.0, bases))
 
     def _fold(self, lead: complex, bases) -> tuple[np.ndarray, np.ndarray]:
         """``lead * conj(shift)`` as a kz column and a (ky, kx) plane."""
@@ -184,24 +202,27 @@ class PointwiseKernel:
         np.conjugate(bases[1], out=plane)
         return np.conj(bases[0]), np.multiply(lead, plane, out=plane)
 
-    def scalar_rhs(self, flux: Sequence[np.ndarray], bases, out: np.ndarray) -> np.ndarray:
-        """``out = G (k . flux)``: minus the divergence of a scalar's flux
-        transforms ``(u_i theta)_hat``, with the ``G = -i mask conj(shift)``
-        of :meth:`rhs`; ``out`` is one component ``(mz, N, N//2+1)``."""
-        gz, gyx = self._fold(-1j, bases)
-        real = self.grid.dtype
-        f = [t.view(real) for t in flux]
-        acc, tmp, gf = self._scratch[:3]
-        g = gf.view(self.grid.cdtype)
+    def scalar_rhs(self, a: np.ndarray, bases, out: np.ndarray,
+                   gradient: float = 0.0, u_y=None) -> np.ndarray:
+        """``out = G a - gradient u_y``, ``G = -i mask conj(shift)``: a
+        scalar's right-hand side from its accumulated ``k . flux`` and the
+        mean-gradient production by the unshifted ``u_y``; one component,
+        ``out`` may be ``a``."""
+        fold = self._fold(-1j, bases)
+        g, t = self._scratch[0].view(self.grid.cdtype), self._scratch[1]
         for sl in self._blocks():
-            b = sl.stop - sl.start
-            kdf = np.multiply(f[0][sl], self._kx, out=acc[:b])
-            kdf += np.multiply(f[1][sl], self._ky, out=tmp[:b])
-            kdf += np.multiply(f[2][sl], self._kz[sl], out=tmp[:b])
-            gb = self._outer(gz[sl], gyx, g[:b])
-            gf[:b] *= self._mask[sl]
-            np.multiply(kdf.view(gb.dtype), gb, out=out[sl])
+            gb = self._outer(fold[0][sl], fold[1], g[: sl.stop - sl.start])
+            np.copyto(gb, 0, where=self._cut[sl])  # G carries the mask
+            np.multiply(a[sl], gb, out=out[sl])
+            if gradient:
+                o = out[sl].view(self.grid.dtype)
+                np.add(np.multiply(u_y[sl].view(o.dtype), -gradient,
+                                   out=t[: len(o)]), o, out=o)
         return out
+
+    def truncate(self, a: np.ndarray) -> np.ndarray:
+        """Zero, in place, the modes of the slab ``a`` that the mask removes."""
+        return np.multiply(a, 0, out=a, where=self._cut)
 
     def project(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``v - k (k.v)/k^2`` on the slab (``out`` may be ``v``)."""
@@ -209,41 +230,34 @@ class PointwiseKernel:
             out = np.empty_like(v)
         return self._sweep(list(self._slab(v)), out, None)
 
-    def _sweep(self, terms, out, factor) -> np.ndarray:
+    def _sweep(self, a, out, fold) -> np.ndarray:
         kx, ky = self._kx, self._ky
-        a0, a1, a2, q, tmp, k2, gf = self._scratch[:7]
+        q, tmp, k2, gf = self._scratch[:4]
         g = gf.view(self.grid.cdtype)
         outf = self._slab(out)
         for sl in self._blocks():
             b = sl.stop - sl.start
             k = (kx, ky, self._kz[sl])
             t = tmp[:b]
-            if len(terms) == 6:
-                a = (a0[:b], a1[:b], a2[:b])
-                for ai, (p, r, s) in zip(a, ((0, 1, 2), (1, 3, 4), (2, 4, 5))):
-                    np.multiply(terms[p][sl], k[0], out=ai)
-                    ai += np.multiply(terms[r][sl], k[1], out=t)
-                    ai += np.multiply(terms[s][sl], k[2], out=t)
-            else:
-                a = tuple(term[sl] for term in terms)
-            kda = np.multiply(a[0], k[0], out=q[:b])
-            kda += np.multiply(a[1], k[1], out=t)
-            kda += np.multiply(a[2], k[2], out=t)
+            ab = [ai[sl] for ai in a]
+            kda = np.multiply(ab[0], k[0], out=q[:b])
+            kda += np.multiply(ab[1], k[1], out=t)
+            kda += np.multiply(ab[2], k[2], out=t)
             k2b = k2[:b]
             k2b[...] = self._k2_plane
             k2b += self._kz2[sl]
             if self._owns_mean_mode and sl.start == 0:
                 k2b[0, 0, :2] = 1.0  # k = 0: k.a is 0 there, keep it finite
             kda /= k2b
-            if factor is not None:
-                gb = self._outer(factor[0][sl], factor[1], g[:b])
-                gf[:b] *= self._mask[sl]
-            for i in range(3):
+            if fold is not None:
+                gb = self._outer(fold[0][sl], fold[1], g[:b])
+                np.copyto(gb, 0, where=self._cut[sl])
+            for i in range(3):  # after k.a: ``out`` may be ``a``
                 np.multiply(kda, k[i], out=t)
-                if factor is None:
-                    np.subtract(a[i], t, out=outf[i, sl])
+                if fold is None:
+                    np.subtract(ab[i], t, out=outf[i, sl])
                 else:
-                    np.subtract(a[i], t, out=t)
+                    np.subtract(ab[i], t, out=t)
                     np.multiply(t.view(gb.dtype), gb, out=out[i, sl])
         return out
 
@@ -300,14 +314,10 @@ class PointwiseKernel:
                         dst += (a[c, sl] if coef == 1.0 else
                                 np.multiply(a[c, sl], coef, out=tmp[:b]))
                     # Whichever operation comes last writes the block out.
-                    if last == 0:
-                        if e is None:
-                            np.copyto(outf[c, sl], dst)
-                        else:
-                            np.multiply(dst, e, out=outf[c, sl])
-                        continue
                     if e is not None:
-                        dst *= e
+                        np.multiply(dst, e, out=outf[c, sl] if last == 0 else dst)
+                    elif last == 0:
+                        np.copyto(outf[c, sl], dst)
                     if gi:
                         np.add(acc[:b], dst,
                                out=outf[c, sl] if gi == last else acc[:b])

@@ -8,7 +8,8 @@ The stiff viscous term is removed exactly with the integrating factor
 ``exp(nu k^2 t)``; the remaining nonlinearity is advanced with explicit
 second- or fourth-order Runge-Kutta (RK2/RK4 — the paper reports RK2
 timings; RK4 "approximately doubles" the per-step cost, which the
-performance layer's ablation bench verifies).
+performance layer's
+``tests/core/test_executor.py::test_rk4_roughly_doubles_rk2`` verifies).
 
 Passive scalars (:meth:`NavierStokesSolver.add_scalar`) are further
 components of the one marched state ``(3 + S, N, N, N//2+1)``: the same stage
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Literal, Optional
 import numpy as np
 
 from repro.obs import NULL_OBS, NULL_SPAN
-from repro.spectral.dealias import DealiasRule, random_shift, sharp_truncation_mask
+from repro.spectral.dealias import DealiasRule, random_shift
 from repro.spectral.diagnostics import (
     cfl_number,
     dissipation_rate,
@@ -51,6 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = ["IntegratingFactorRK", "NavierStokesSolver", "SolverConfig", "StepResult"]
+
+
+def combine_components(kernel: PointwiseKernel, out: np.ndarray, components,
+                       groups) -> None:
+    """``kernel.combine`` per ``(index, diffusivity)`` of ``components``;
+    terms name state-shaped arrays.  Module-level: a rank's worker runs it."""
+    for c, kappa in components:
+        kernel.combine(out[c], kappa, [
+            (tau, [(coef, a[c]) for coef, a in terms]) for tau, terms in groups
+        ])
 
 
 @dataclass
@@ -130,6 +141,8 @@ class IntegratingFactorRK:
     (:meth:`PointwiseKernel.combine` on its storage) and ``_stage(key)`` (a
     reusable state-shaped buffer).  The serial solver hands arrays around,
     the distributed one per-rank lists of them; the schemes never look inside.
+    The last stage's right-hand side overwrites its stage state, so
+    ``_nonlinear`` must read each part of ``state`` before writing ``out``.
     """
 
     def _components(self) -> list[tuple[slice | int, float]]:
@@ -160,7 +173,8 @@ class IntegratingFactorRK:
                 self._stage("rk_stage"), [(dt, [(dt, r1), (1.0, u)])]
             )
         with spans.span("rk2.stage2", category="stage"):
-            r2 = self._nonlinear(u_star, out=self._stage("rk_r2"))
+            # u* is dead once read: its right-hand side overwrites it.
+            r2 = self._nonlinear(u_star, out=u_star)
             self._combine(u, [(dt, [(h, r1), (1.0, u)]), (0.0, [(h, r2)])])
 
     def _step_rk4(self, dt: float) -> None:
@@ -186,7 +200,7 @@ class IntegratingFactorRK:
             k3 = self._nonlinear(u_s, out=self._stage("rk_k3"))
             self._combine(u_s, [(dt, [(1.0, u0)]), (h, [(dt, k3)])])
         with spans.span("rk4.stage4", category="stage"):
-            k4 = self._nonlinear(u_s, out=self._stage("rk_k4"))
+            k4 = self._nonlinear(u_s, out=u_s)  # overwrites the dead stage
             self._combine(u0, [
                 (dt, [(dt / 6.0, k1), (1.0, u0)]),
                 (h, [(dt / 3.0, k2), (dt / 3.0, k3)]),
@@ -258,7 +272,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         self.time = 0.0
         self.step_count = 0
         self._rng = np.random.default_rng(self.config.seed)
-        self._mask = sharp_truncation_mask(grid, self.config.dealias)
         self._nl_evals = 0
         self.workspace = workspace or SpectralWorkspace(
             grid, backend=self.config.fft_backend, obs=self.obs
@@ -267,9 +280,9 @@ class NavierStokesSolver(IntegratingFactorRK):
             # A caller-shared workspace reports into this solver's obs.
             self.workspace.obs = self.obs
             self.workspace.pool.obs = self.obs
-        self._pointwise = PointwiseKernel(grid, self._mask)
+        self._pointwise = PointwiseKernel.for_slab(grid, self.config.dealias)
         # Dealias the initial condition so invariants hold from step 0.
-        self._state *= self._mask
+        self._pointwise.truncate(self._state)
         self._pointwise.project(self._state, out=self._state)
 
     @property
@@ -297,8 +310,10 @@ class NavierStokesSolver(IntegratingFactorRK):
                 f"scalar must have spectral shape {self.grid.spectral_shape}"
             )
         self.scalars.append(PassiveScalar(theta_hat, schmidt, mean_gradient))
-        theta = np.asarray(theta_hat * self._mask, dtype=self.grid.cdtype)
-        self._state = np.concatenate([self._state, theta[None]])
+        self.workspace.release("rk_", len(self._state))  # state-shaped
+        self._state = np.concatenate([self._state, theta_hat[None]],
+                                     dtype=self.grid.cdtype)
+        self._pointwise.truncate(self._state[-1])
         for s, scalar in enumerate(self.scalars, start=3):
             scalar.theta_hat = self._state[s]
         return len(self.scalars) - 1
@@ -324,9 +339,10 @@ class NavierStokesSolver(IntegratingFactorRK):
         """Right-hand side of the whole state, written into ``out``: the
         projected, dealiased momentum term (+ forcing) in ``[:3]``, then
         ``-div(u theta) - G u_y`` per scalar from the same physical-space
-        velocity (on the same shifted grid)."""
+        velocity (on the same shifted grid).  Product transforms land in
+        ``ifft_work`` and go straight into ``out``, which may be ``state``:
+        the forcing and the scalars read it first."""
         u_hat = state[:3]
-        cfg = self.config
         ws = self.workspace
         kernel = self._pointwise
         obs = self.obs
@@ -334,22 +350,17 @@ class NavierStokesSolver(IntegratingFactorRK):
         self._nl_evals += 1
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        # The "nonlinear" span brackets transforms + products; the transforms
+        conservative = self.config.convective_form == "conservative"
+        bases = (kernel.shift_bases(random_shift(self.grid, self._rng))
+                 if self.config.phase_shift else None)
+        u, prod, work = ws.physical("nl_u", 3), ws.physical("nl_prod"), ws.ifft_work
+        # The "nonlinear" spans bracket transforms + products; the transforms
         # record their own nested "fft" spans, so this category's *exclusive*
         # time is pure shift/product work.
         with spans.span("rhs.nonlinear", category="nonlinear"):
-            bases = None
-            if cfg.phase_shift:
-                bases = kernel.shift_bases(random_shift(self.grid, self._rng))
-            u = ws.physical("nl_u", 3)
-            prod = ws.physical("nl_prod")
-            if cfg.convective_form == "conservative":
+            if conservative:
                 for i in range(3):
                     self._to_physical(u_hat[i], bases, u[i])
-                terms = ws.spectral("nl_terms", 6)
-                for term, (i, j) in zip(terms, PRODUCT_PAIRS):
-                    np.multiply(u[i], u[j], out=prod)
-                    ws.fft3d(prod, out=term)
             else:
                 # u x omega on the shifted grid: the vorticity needs all three
                 # shifted components at once.
@@ -361,41 +372,38 @@ class NavierStokesSolver(IntegratingFactorRK):
                 for i in range(3):
                     ws.ifft3d(src[i], out=u[i])
                     ws.ifft3d(omega_hat[i], out=w[i])
-                terms = ws.spectral("nl_terms", 3)
-                tmp = ws.physical("nl_tmp")
-                for term, (a, b) in zip(terms, ((1, 2), (2, 0), (0, 1))):
-                    np.multiply(u[a], w[b], out=prod)
-                    prod -= np.multiply(u[b], w[a], out=tmp)
-                    ws.fft3d(prod, out=term)
-        with spans.span("rhs.projection", category="projection"):
-            kernel.rhs(terms, bases, out[:3])
+        with spans.span("rhs.forcing", category="forcing"):
+            f = self.forcing.rhs(u_hat, self.grid)
         for s, scalar in enumerate(self.scalars, start=3):
             with spans.span("rhs.scalar", category="nonlinear"):
                 theta = ws.physical("nl_theta")
                 self._to_physical(state[s], bases, theta)
-                flux = terms[:3]  # rhs has read the product transforms
-                for i in range(3):
-                    np.multiply(u[i], theta, out=prod)
-                    ws.fft3d(prod, out=flux[i])
-                kernel.scalar_rhs(flux, bases, out[s])
-                if scalar.mean_gradient:
-                    # out[s] -= G u_y, the unshifted u_y (tau = 0: no decay).
-                    kernel.combine(out[s], 0.0, [(0.0, [
-                        (-scalar.mean_gradient, u_hat[1]), (1.0, out[s])])])
-        with spans.span("rhs.forcing", category="forcing"):
-            f = self.forcing.rhs(u_hat, self.grid)
-            if f is not None:
-                out[:3] += f
+                for c in range(3):
+                    np.multiply(u[c], theta, out=prod)
+                    kernel.accumulate(out, [(c, s)], [ws.fft3d(prod, out=work)])
+                kernel.scalar_rhs(out[s], bases, out[s], scalar.mean_gradient,
+                                  u_hat[1])
+        with spans.span("rhs.nonlinear", category="nonlinear"):
+            if conservative:
+                for i, j in PRODUCT_PAIRS:
+                    np.multiply(u[i], u[j], out=prod)
+                    kernel.accumulate(out, [(i, j)], [ws.fft3d(prod, out=work)])
+            else:
+                tmp = ws.physical("nl_tmp")
+                for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+                    np.multiply(u[a], w[b], out=prod)
+                    prod -= np.multiply(u[b], w[a], out=tmp)
+                    ws.fft3d(prod, out=out[i])
+        with spans.span("rhs.projection", category="projection"):
+            kernel.rhs(out[:3], bases, out[:3], conservative)
+        if f is not None:
+            out[:3] += f
         return out
 
     def _combine(self, out: np.ndarray, groups) -> np.ndarray:
         """One RK stage combination, see :meth:`PointwiseKernel.combine`."""
         with self.obs.spans.span("rk.combine", category="integrating"):
-            for c, kappa in self._components():
-                self._pointwise.combine(out[c], kappa, [
-                    (tau, [(coef, a[c]) for coef, a in terms])
-                    for tau, terms in groups
-                ])
+            combine_components(self._pointwise, out, self._components(), groups)
         return out
 
     def _stage(self, key: str) -> np.ndarray:

@@ -349,6 +349,13 @@ class SpectralWorkspace:
                 self.obs.metrics.gauge("workspace.bytes_peak").set_max(self.nbytes)
         return buf
 
+    def release(self, prefix: str, ncomp: Optional[int]) -> None:
+        """Drop the named buffers whose key starts with ``prefix`` and that
+        have ``ncomp`` components; the next request makes them anew."""
+        for key in [k for k in self._buffers
+                    if k[1].startswith(prefix) and k[2] == ncomp]:
+            del self._buffers[key]
+
     @property
     def buffer_count(self) -> int:
         return len(self._buffers)

@@ -93,6 +93,26 @@ class TestMechanics:
         # And divisibility for both rank layouts.
         assert all(12288 % (c * 6) == 0 for c in counts)
 
+    @pytest.mark.parametrize("options", [(2, 6), (6,), (2,)])
+    def test_valid_node_counts_equal_the_scan(self, options):
+        """The divisors of N / lcm(options) in [min_nodes, total_nodes] are
+        exactly the node counts a scan of every M accepts."""
+        from repro.plan.capacity import MACHINES
+
+        for name, build in MACHINES.items():
+            planner = MemoryPlanner(build())
+            for n in (3072, 6144, 12288, 18432, 1000):
+                scan = [m for m in range(planner.min_nodes(n),
+                                         planner.machine.total_nodes + 1)
+                        if all(n % (m * t) == 0 for t in options)]
+                assert planner.valid_node_counts(n, options) == scan, (name, n)
+
+    def test_titan_has_no_balanced_count_at_12288(self):
+        from repro.plan.capacity import CapacityPlanner
+
+        with pytest.raises(ValueError, match="no load-balanced node count"):
+            CapacityPlanner("titan").default_nodes(12288)
+
     def test_custom_assumptions_change_results(self, machine):
         tight = MemoryPlanner(
             machine, PlannerAssumptions(gpu_overhead=2.5)

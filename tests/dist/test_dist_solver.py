@@ -113,6 +113,28 @@ class TestDiagnosticsEvery:
         assert dist.kinetic_energy() > 0  # still there on demand
 
 
+class TestRankFootprint:
+    """Each rank's last RK stage writes its right-hand side over the stage
+    state it is evaluated at, so a rank holds one state-shaped stage buffer
+    fewer than its stages: RK2 keeps ``r1`` and ``u*``, RK4 ``k1``-``k3``
+    and the stage state.  Beside them: the state and the product spectra."""
+
+    @pytest.mark.parametrize("scheme,stages", [("rk2", 2), ("rk4", 4)])
+    @pytest.mark.parametrize("npencils", [None, 4], ids=["slab", "ooc"])
+    def test_stage_buffers_per_rank(self, grid24, rng, scheme, stages, npencils):
+        u0 = random_isotropic_field(grid24, rng, energy=0.5)
+        with DistributedNavierStokesSolver(
+            grid24, VirtualComm(2), u0, SolverConfig(nu=0.02, scheme=scheme),
+            npencils=npencils,
+        ) as dist:
+            dist.step(1e-3)
+            held = {key: sum(b.nbytes for b in bufs)
+                    for key, bufs in dist._buffers.items() if key != "spectra"}
+            state = sum(s.nbytes for s in dist._state)
+        assert len(held) == stages
+        assert sum(held.values()) == stages * state
+
+
 class TestDriverAllocatesNoSlabs:
     @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
     def test_steady_state_driver_allocates_no_slab(self, rng, scheme):

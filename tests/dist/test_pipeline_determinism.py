@@ -143,6 +143,56 @@ class TestBitIdenticalSolverStep:
             assert np.array_equal(theta, states["slab-virtual"][1]), name
 
 
+class TestLastStageOverwritesItsState:
+    """The last RK stage's right-hand side lands in the stage state it is
+    evaluated at.  Without phase shift the engines transform the state
+    itself, and a scalar's ``-G u_y`` reads its velocity: both must finish
+    before the assembly writes.  Every engine gives one set of bits, and
+    those are the serial solver's up to reassociation."""
+
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    def test_scalar_gradient_on_every_engine(self, scheme):
+        from repro.mpi.procs import make_comm
+        from repro.spectral.initial import random_isotropic_field
+        from repro.spectral.solver import NavierStokesSolver
+
+        grid = SpectralGrid(24)
+        rng = np.random.default_rng(8)
+        u0 = random_isotropic_field(grid, rng, energy=0.5)
+        theta0 = random_isotropic_field(grid, rng, energy=0.5)[0]
+        cfg = SolverConfig(nu=0.02, scheme=scheme, phase_shift=False)
+        engines = {
+            "slab-virtual": ("virtual", {}),
+            "slab-procs": ("procs", {}),
+            "ooc-sync": ("virtual", {"npencils": 4, "pipeline": "sync"}),
+            "ooc-threads": ("virtual", {"npencils": 4, "pipeline": "threads"}),
+        }
+        states = {}
+        for name, (kind, kwargs) in engines.items():
+            comm = make_comm(kind, 2)
+            try:
+                with DistributedNavierStokesSolver(
+                    grid, comm, u0, cfg, **kwargs
+                ) as solver:
+                    solver.add_scalar(theta0, schmidt=0.7, mean_gradient=0.8)
+                    for _ in range(3):
+                        solver.step(5e-3)
+                    states[name] = (solver.gather_state(), solver.gather_scalar(0))
+            finally:
+                getattr(comm, "close", lambda: None)()
+        for name, (u, theta) in states.items():
+            assert np.array_equal(u, states["slab-virtual"][0]), name
+            assert np.array_equal(theta, states["slab-virtual"][1]), name
+        serial = NavierStokesSolver(grid, u0, cfg)
+        serial.add_scalar(theta0, schmidt=0.7, mean_gradient=0.8)
+        for _ in range(3):
+            serial.step(5e-3)
+        u, theta = states["slab-virtual"]
+        np.testing.assert_allclose(u, serial.u_hat, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(theta, serial.scalars[0].theta_hat,
+                                   rtol=0, atol=1e-13)
+
+
 class TestEachRankIsADevice:
     """Every rank computes on its own lane ``compute[r]``: its pencils and,
     through ``each_rank``, its shift, assembly, RK combination and

@@ -559,13 +559,22 @@ class TestWallClockFloor:
         # the first step warms FFT plans and buffers on both backends
         return (stamps[-1] - stamps[0]) / (steps - 1), result.energies
 
-    def _floor(self, ranks, steps, ratio):
-        virtual, reference = self._per_step("virtual", ranks, steps)
-        procs, energies = self._per_step("procs", ranks, steps)
-        assert energies == reference
+    def _floor(self, ranks, steps, ratio, runs=3):
+        """Medians of ``runs`` timings per side, the sides taking turns to
+        go first, as ``bench.compare`` pairs its runs: one run per side is
+        at the mercy of whatever else the machine does at that moment."""
+        times = {"virtual": [], "procs": []}
+        energies = []
+        for k in range(runs):
+            for comm in sorted(times, reverse=k % 2 == 0):
+                per_step, energy = self._per_step(comm, ranks, steps)
+                times[comm].append(per_step)
+                energies.append(energy)
+        assert all(e == energies[0] for e in energies)
+        virtual, procs = (float(np.median(times[c])) for c in ("virtual", "procs"))
         assert virtual / procs >= ratio, (
-            f"procs {procs:.3f} s/step vs virtual {virtual:.3f} s/step on "
-            f"{os.cpu_count()} cores")
+            f"procs {procs:.3f} s/step vs virtual {virtual:.3f} s/step "
+            f"(medians of {runs}) on {os.cpu_count()} cores")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="two workers cannot beat one driver on one core")

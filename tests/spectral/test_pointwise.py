@@ -59,6 +59,23 @@ def transforms_of_terms(u_hat, grid, shift, form):
     return [fft3d(c, grid) for c in np.cross(u, w, axis=0)]
 
 
+def kernel_rhs(kernel, terms, bases, out):
+    """What the solvers do with the transforms: accumulate the six product
+    transforms into ``out`` and project there, or project u x omega."""
+    if len(terms) == 6:
+        kernel.accumulate(out, PRODUCT_PAIRS, terms)
+        return kernel.rhs(out, bases, out)
+    return kernel.rhs(np.stack(terms), bases, out, conservative=False)
+
+
+def kernel_scalar_rhs(kernel, flux, bases):
+    """The flux transforms accumulated into scalar 3 of a state-shaped
+    right-hand side, then folded in place."""
+    out = np.empty((4, *flux[0].shape), dtype=flux[0].dtype)
+    kernel.accumulate(out, [(c, 3) for c in range(3)], flux)
+    return kernel.scalar_rhs(out[3], bases, out[3])
+
+
 @pytest.fixture(scope="module", params=[np.float64, np.float32],
                 ids=["float64", "float32"])
 def field(request):
@@ -86,7 +103,7 @@ class TestRhsMatchesReference:
         terms = [np.ascontiguousarray(t[zs])
                  for t in transforms_of_terms(u_hat, grid, shift, form)]
         bases = kernel.shift_bases(SHIFT) if shifted else None
-        got = kernel.rhs(terms, bases, np.empty_like(u_hat[:, zs]))
+        got = kernel_rhs(kernel, terms, bases, np.empty_like(u_hat[:, zs]))
 
         assert got.dtype == grid.cdtype
         assert np.abs(got - want[:, zs]).max() <= tol * np.abs(want).max()
@@ -110,9 +127,8 @@ class TestRhsMatchesReference:
 
         kernel = PointwiseKernel(grid, mask, zs)
         bases = kernel.shift_bases(SHIFT) if shifted else None
-        got = kernel.scalar_rhs(
-            [np.ascontiguousarray(f[zs]) for f in (f0, f1, f2)], bases,
-            np.empty_like(f0[zs]))
+        got = kernel_scalar_rhs(
+            kernel, [np.ascontiguousarray(f[zs]) for f in (f0, f1, f2)], bases)
 
         assert got.dtype == grid.cdtype
         assert np.abs(got - want[zs]).max() <= tol * np.abs(want).max()
@@ -125,7 +141,8 @@ class TestRhsMatchesReference:
         rng = np.random.default_rng(3)
         terms = rng.standard_normal((3, *grid.spectral_shape)) + 0j
         mask = sharp_truncation_mask(grid, DealiasRule.SQRT2_THIRDS)
-        got = PointwiseKernel(grid, mask).rhs(list(terms), None, np.empty_like(terms))
+        got = PointwiseKernel(grid, mask).rhs(terms, None, np.empty_like(terms),
+                                              conservative=False)
         np.testing.assert_array_equal(got[:, 0, 0, 0], terms[:, 0, 0, 0])
         np.testing.assert_allclose(got, project(terms * mask, grid), atol=1e-13)
 
@@ -150,11 +167,11 @@ class TestBlocking:
             kernel = PointwiseKernel(grid, mask, zs)
             assert kernel.block == min(block_planes, 11)
             bases = kernel.shift_bases(SHIFT)
-            r = kernel.rhs(terms, bases, np.empty_like(u))
+            r = kernel_rhs(kernel, terms, bases, np.empty_like(u))
             return (
                 kernel.shifted(u, bases, np.empty_like(u)), r,
                 kernel.project(u),
-                kernel.scalar_rhs(terms[:3], bases, np.empty_like(u[0])),
+                kernel_scalar_rhs(kernel, terms[:3], bases),
                 kernel.combine(np.empty_like(u), 0.02, [
                     (1e-2, [(5e-3, r), (1.0, u)]), (0.0, [(5e-3, u)])]),
             )
@@ -177,6 +194,50 @@ class TestBlocking:
         empty = np.empty((3, 0, 16, 9), dtype=complex)
         assert kernel.project(empty).shape == empty.shape
         assert kernel.combine(empty, 0.02, [(1e-3, [(1.0, empty)])]) is empty
+
+
+class TestStreaming:
+    def test_one_transform_per_call_is_all_six_at_once(self, field):
+        """The serial step streams one product transform at a time into the
+        right-hand side, the distributed assembly passes all six (and the
+        fluxes) in one call: the sums add x, y, z in the same order."""
+        grid, u_hat, _ = field
+        kernel = PointwiseKernel(grid, sharp_truncation_mask(
+            grid, DealiasRule.SQRT2_THIRDS), slice(5, 16))
+        terms = [np.ascontiguousarray(t[5:16]) for t in
+                 transforms_of_terms(u_hat, grid, None, "conservative")]
+        pairs = PRODUCT_PAIRS + tuple((c, 3) for c in range(3))
+        batched = np.empty((4, *terms[0].shape), dtype=grid.cdtype)
+        streamed = np.empty_like(batched)
+        kernel.accumulate(batched, pairs, terms + terms[:3])
+        for pair, t in zip(pairs, terms + terms[:3]):
+            kernel.accumulate(streamed, [pair], [t])
+        np.testing.assert_array_equal(streamed, batched)
+
+    @pytest.mark.parametrize("rule", list(DealiasRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("n,length", [(24, 2 * np.pi), (30, 1.0)])
+    def test_byte_mask_is_the_sharp_truncation_mask(self, rule, n, length):
+        grid = SpectralGrid(n, length)
+        mask = sharp_truncation_mask(grid, rule)
+        for zs in (slice(None), slice(5, 16)):
+            kernel = PointwiseKernel.for_slab(grid, rule, zs)
+            assert kernel._cut.dtype == np.bool_
+            ones = np.ones((3, *mask[zs].shape), dtype=grid.cdtype)
+            kernel.truncate(ones)
+            np.testing.assert_array_equal(ones.real, np.broadcast_to(
+                mask[zs], ones.shape))
+            assert not ones.imag.any()
+
+    def test_scalar_gradient_production(self, field):
+        """``scalar_rhs`` with a mean gradient adds ``-G u_y`` to ``G a``."""
+        grid, u_hat, tol = field
+        kernel = PointwiseKernel(grid, sharp_truncation_mask(
+            grid, DealiasRule.SQRT2_THIRDS))
+        bases = kernel.shift_bases(SHIFT)
+        a = u_hat[0] + 0.5j * u_hat[2]
+        want = kernel.scalar_rhs(a, bases, np.empty_like(a)) - 0.8 * u_hat[1]
+        got = kernel.scalar_rhs(a.copy(), bases, np.empty_like(a), 0.8, u_hat[1])
+        assert relative_error(got, want) <= tol
 
 
 class TestOtherOperations:

@@ -47,17 +47,29 @@ from repro.spectral.workspace import (
 
 class LegacySolver:
     """The allocating integrator: every term one NumPy expression over the
-    reference operators, drawing the same phase-shift stream as the solver."""
+    reference operators, drawing the same phase-shift stream as the solver.
+    ``scalars`` holds ``(theta_hat, schmidt, mean_gradient)`` per passive
+    scalar, marched after the velocity in one state."""
 
-    def __init__(self, grid, u0, config, forcing=None):
+    def __init__(self, grid, u0, config, forcing=None, scalars=()):
         self.grid, self.config = grid, config
         self.forcing = forcing if forcing is not None else NoForcing()
         self.mask = sharp_truncation_mask(grid, config.dealias)
         self.rng = np.random.default_rng(config.seed)
-        self.u_hat = project(np.array(u0, dtype=grid.cdtype) * self.mask, grid)
+        u_hat = project(np.array(u0, dtype=grid.cdtype) * self.mask, grid)
+        thetas = [np.asarray(t * self.mask, dtype=grid.cdtype)[None]
+                  for t, _, _ in scalars]
+        self.state = np.concatenate([u_hat, *thetas])
+        self.kappas = [config.nu] * 3 + [config.nu / sc for _, sc, _ in scalars]
+        self.gradients = [g for _, _, g in scalars]
 
-    def rhs(self, u_hat):
+    @property
+    def u_hat(self):
+        return self.state[:3]
+
+    def rhs(self, state):
         cfg, grid = self.config, self.grid
+        u_hat = state[:3]
         shift = None
         if cfg.phase_shift:
             shift = phase_shift_factor(grid, random_shift(grid, self.rng))
@@ -65,38 +77,51 @@ class LegacySolver:
                 else nonlinear_rotational)
         rhs = project(form(u_hat, grid, mask=self.mask, shift=shift), grid)
         f = self.forcing.rhs(u_hat, grid)
-        return rhs if f is None else rhs + f
+        parts = [rhs if f is None else rhs + f]
+        s = 1.0 if shift is None else shift
+        u = [ifft3d(u_hat[i] * s, grid) for i in range(3)] if self.gradients else []
+        for theta_hat, gradient in zip(state[3:], self.gradients):
+            theta = ifft3d(theta_hat * s, grid)
+            div = sum(k * fft3d(ui * theta, grid)
+                      for k, ui in zip(grid.k_vectors, u))
+            parts.append((-1j * self.mask * np.conj(s) * div
+                          - gradient * u_hat[1])[None])
+        return np.concatenate(parts)
 
     def step(self, dt):
-        u0, nu, k2 = self.u_hat, self.config.nu, self.grid.k_squared
-        e_half = np.exp(-nu * k2 * 0.5 * dt)
-        e_full = np.exp(-nu * k2 * dt)
+        u0, k2 = self.state, self.grid.k_squared
+        e_half = np.stack([np.exp(-nu * k2 * 0.5 * dt) for nu in self.kappas])
+        e_full = np.stack([np.exp(-nu * k2 * dt) for nu in self.kappas])
         if self.config.scheme == "rk2":
             r1 = self.rhs(u0)
             r2 = self.rhs(e_full * (u0 + dt * r1))
-            self.u_hat = e_full * (u0 + (0.5 * dt) * r1) + (0.5 * dt) * r2
+            self.state = e_full * (u0 + (0.5 * dt) * r1) + (0.5 * dt) * r2
         else:
             k1 = self.rhs(u0)
             k2_ = self.rhs(e_half * (u0 + (0.5 * dt) * k1))
             k3 = self.rhs(e_half * u0 + (0.5 * dt) * k2_)
             k4 = self.rhs(e_full * u0 + dt * (e_half * k3))
-            self.u_hat = e_full * u0 + (dt / 6.0) * (
+            self.state = e_full * u0 + (dt / 6.0) * (
                 e_full * k1 + 2.0 * e_half * (k2_ + k3) + k4
             )
         self.forcing.post_step(self.u_hat, self.grid, dt)
 
 
-def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, **cfg_kw):
+def run_pair(grid, u0, steps=4, dt=5e-3, forcing_factory=None, scalars=(),
+             **cfg_kw):
     """Advance identical initial conditions through the reference integrator
     and the solver; returns (legacy, solver)."""
-    solvers = []
-    for cls in (LegacySolver, NavierStokesSolver):
-        forcing = forcing_factory() if forcing_factory else None
-        s = cls(grid, u0, SolverConfig(nu=0.02, **cfg_kw), forcing=forcing)
+    legacy = LegacySolver(grid, u0, SolverConfig(nu=0.02, **cfg_kw),
+                          forcing=forcing_factory() if forcing_factory else None,
+                          scalars=scalars)
+    solver = NavierStokesSolver(grid, u0, SolverConfig(nu=0.02, **cfg_kw),
+                                forcing=forcing_factory() if forcing_factory else None)
+    for theta_hat, schmidt, gradient in scalars:
+        solver.add_scalar(theta_hat, schmidt, gradient)
+    for s in (legacy, solver):
         for _ in range(steps):
             s.step(dt)
-        solvers.append(s)
-    return solvers
+    return legacy, solver
 
 
 class TestWorkspaceEquivalence:
@@ -145,6 +170,88 @@ class TestWorkspaceEquivalence:
         rb = [b.step(0.01) for _ in range(3)]
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
         assert ra[-1].energy == rb[-1].energy
+
+
+class TestLastStageOverwritesItsState:
+    """The last RK stage writes its right-hand side over the stage state it
+    is evaluated at (RK2's ``u*``, RK4's fourth stage), so every read of
+    that state must come before the write: the forcing's, and a scalar's
+    ``-G u_y``.  Reading either after would march the right-hand side."""
+
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    def test_band_forcing_reads_the_stage_velocity(self, grid24, rng, scheme):
+        u0 = random_isotropic_field(grid24, rng, energy=0.5)
+        legacy, ws = run_pair(
+            grid24, u0, scheme=scheme, phase_shift=True, seed=5,
+            forcing_factory=lambda: BandForcing(k_force=2.5, eps_inj=1.0),
+        )
+        np.testing.assert_allclose(ws.u_hat, legacy.u_hat, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    def test_scalar_gradient_reads_the_stage_velocity(self, grid24, rng, scheme):
+        u0 = random_isotropic_field(grid24, rng, energy=0.5)
+        theta0 = random_isotropic_field(grid24, rng, energy=0.5)[0]
+        legacy, ws = run_pair(grid24, u0, scheme=scheme, phase_shift=True,
+                              seed=5, scalars=[(theta0, 0.7, 0.8)])
+        np.testing.assert_allclose(ws._state, legacy.state, rtol=0, atol=1e-14)
+
+
+def retained_bytes(*owners):
+    """Bytes of the distinct arrays the owners' attributes hold (looking
+    one level into tuples, lists and dicts); a view counts as its base."""
+    arrays = {}
+
+    def visit(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            arrays[id(x)] = x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                visit(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                visit(y)
+
+    for owner in owners:
+        for value in vars(owner).values():
+            visit(value)
+    return sum(a.nbytes for a in arrays.values())
+
+
+class TestFootprint:
+    """What a warmed serial step keeps alive, in words (8 bytes per grid
+    point).  The paper plans D ~ 25 four-byte words per point (Table 1).
+    Here the state, two RK2 stage buffers, three physical velocity fields,
+    one product and the transform scratch come to about 14.3: product
+    transforms stream into the right-hand side, the last stage's RHS
+    overwrites its stage state, and the dealias mask is one byte per mode."""
+
+    @pytest.mark.parametrize("scheme,words", [("rk2", 15.0), ("rk4", 21.0)])
+    def test_warmed_step_words_per_point(self, scheme, words):
+        grid = SpectralGrid(96)
+        u0 = taylor_green_field(grid)
+        solver = NavierStokesSolver(grid, u0, SolverConfig(
+            nu=0.02, scheme=scheme, fft_backend="numpy", diagnostics_every=0))
+        solver.step(1e-3)
+        held = retained_bytes(solver, solver.workspace, solver._pointwise)
+        assert held / (grid.n**3 * 8) <= words
+
+    def test_add_scalar_after_a_step_releases_stage_buffers(self, grid16):
+        """A solver that steps, adds a scalar and steps again holds what one
+        that added the scalar first holds: no stage buffers of the old
+        component count."""
+        u0 = taylor_green_field(grid16)
+        theta0 = u0[0]
+        late = NavierStokesSolver(grid16, u0, SolverConfig(nu=0.05))
+        late.step(0.01)
+        late.add_scalar(theta0, mean_gradient=1.0)
+        late.step(0.01)
+        early = NavierStokesSolver(grid16, u0, SolverConfig(nu=0.05))
+        early.add_scalar(theta0, mean_gradient=1.0)
+        early.step(0.01)
+        assert late.workspace.nbytes == early.workspace.nbytes
+        assert late.workspace.buffer_count == early.workspace.buffer_count
 
 
 class TestZeroAllocation:
