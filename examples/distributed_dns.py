@@ -4,12 +4,14 @@
 Runs the same decaying-turbulence problem twice — once with the serial
 solver and once slab-decomposed over virtual MPI ranks exactly as the
 production code distributes it (kz-slabs in Fourier space, y-slabs in
-physical space, one all-to-all per 3-D transform) — and shows:
+physical space, the whole slab as one pencil of the paper's batched
+pipeline) — and shows:
 
 * the two trajectories agree to round-off;
-* the communication ledger: 18 all-to-alls per RK2 step (3 velocities in,
-  6 products back, twice per step), with the per-peer message size matching
-  the paper's Sec. 4.1 formula.
+* the communication ledger: 4 all-to-alls per RK2 step (the 3 velocities
+  in, the 6 products back, twice per step, every field of a direction in
+  one exchange), with the per-peer message size matching the paper's
+  Sec. 4.1 formula.
 
 Run:  python examples/distributed_dns.py [N] [ranks]
 """
@@ -49,17 +51,18 @@ def main(n: int = 32, ranks: int = 4) -> None:
         print(f"{step:5d} {rs.energy:12.8f} {rd.energy:14.8f} {diff:12.3e}")
 
     stats = comm.stats
-    a2a = stats.count("alltoall")
+    a2a = stats.count("ialltoall")
     steps = 5
     print(f"\ncommunication ledger after {steps} RK2 steps:")
     print(f"  all-to-alls        : {a2a}  ({a2a // steps} per step: "
-          "2 substages x (3 inverse + 6 forward transforms))")
+          "2 substages x (3 velocities in, 6 products back))")
     print(f"  total bytes moved  : {stats.total_bytes / 1e6:.1f} MB")
 
-    rec = next(r for r in stats.records if r.kind == "alltoall")
+    # The first exchange carries the three velocity components.
+    rec = next(r for r in stats.records if r.kind == "ialltoall")
     # Functional layer moves complex128 (16 B); the paper's formula counts
     # 4-byte words, so scale to compare shapes.
-    formula = alltoall_p2p_bytes(n, ranks, npencils=1, nv=1, wordsize=16)
+    formula = alltoall_p2p_bytes(n, ranks, npencils=1, nv=3, wordsize=16)
     # The functional exchange splits (N/2+1)/N of x, not the formula's N/2:
     formula *= (n // 2 + 1) / n
     print(f"  P2P message size   : {rec.p2p_bytes} B "

@@ -545,10 +545,11 @@ def _cmd_dns(args) -> int:
         solver, comm = opened.solver, opened.comm
 
         if ranks is not None:
+            fft = solver.fft
             engine = (
-                f"out-of-core np={spec.npencils} pipeline={spec.pipeline} "
-                f"inflight={spec.inflight} copy={spec.copy_strategy}"
-                if spec.npencils else "whole-slab"
+                f"out-of-core np={fft.npencils} pipeline={fft.pipeline} "
+                f"inflight={fft.inflight} copy={fft.copy_strategy}"
+                if hasattr(fft, "npencils") else "worker-fused whole-slab"
             )
             if spec.fuzz_seed is not None:
                 engine += f" fuzz={spec.fuzz_profile}@{spec.fuzz_seed}"

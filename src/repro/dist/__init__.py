@@ -12,12 +12,16 @@ Contents:
   per-rank NumPy arrays (all-to-all, allreduce, ...);
 * :mod:`repro.dist.decomp` — slab (1-D) index maps, scatter/gather between
   global arrays and rank-local pieces (paper Fig. 1);
-* :mod:`repro.dist.transpose` — the pack / all-to-all / unpack global
-  transposes at the heart of every distributed FFT (paper Figs. 2-4);
+* :mod:`repro.dist.transpose` — the chunked all-to-all layout of every
+  distributed FFT, and the monolithic pack / all-to-all / unpack reference
+  it is checked against (paper Figs. 2-4);
 * :mod:`repro.dist.stages` — the four 1-D stage kernels of the slab
   transform, declared once for every engine;
-* :mod:`repro.dist.slab_fft` — distributed 3-D FFT with the paper's slab
-  decomposition (one all-to-all per transform);
+* :mod:`repro.dist.outofcore` — the in-process transform engine: the
+  paper's batched pencil pipeline (Fig. 4), the whole slab being its
+  one-pencil case;
+* :mod:`repro.dist.slab_fft` — the whole-slab transform fused into the
+  worker processes of :class:`repro.mpi.procs.ProcsComm`;
 * :mod:`repro.dist.dist_solver` — the full pseudo-spectral RK2/RK4 step
   (velocity and passive scalars, one state) distributed over virtual ranks.
 """

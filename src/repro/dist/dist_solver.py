@@ -9,9 +9,10 @@ y) — 3 inverse + 6 forward distributed 3-D FFTs in conservative form.  Each
 passive scalar (:meth:`DistributedNavierStokesSolver.add_scalar`) is one
 more component of the per-rank state and adds 1 inverse + 3 forward
 transforms per substage.  The solver asks its engine for all of them in one
-``product_spectra`` call: the whole-slab engine runs one all-to-all per
-transform (9 per substage), the out-of-core engine batches every field into
-the paper's three pencil pipelines and two all-to-alls per substage.
+``product_spectra`` call, which batches every field into two all-to-alls
+per substage: in process the out-of-core engine's three pencil pipelines
+(the whole slab is its one-pencil case), over ``comm="procs"`` without
+pencils two exchanges fused into the workers' rounds.
 
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.dist.decomp import SlabDecomposition, SlabGridView
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS, NULL_SPAN
@@ -124,12 +126,14 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         out-of-core engine each pipeline stream additionally records on a
         ``stream.<name>`` lane (h2d / compute / d2h / comm).
     npencils:
-        When set, the distributed transforms run through the out-of-core
-        pencil engine (:class:`~repro.dist.outofcore.OutOfCoreSlabFFT`)
-        with this many pencils per slab, under a byte-budgeted device
-        arena; ``pipeline``/``inflight``/``device_bytes`` are forwarded.
-        ``None`` (default) keeps the whole-slab
-        :class:`~repro.dist.slab_fft.SlabDistributedFFT`.
+        Pencils per slab of the out-of-core pencil engine
+        (:class:`~repro.dist.outofcore.OutOfCoreSlabFFT`), which runs
+        under a byte-budgeted device arena; ``pipeline``/``inflight``/
+        ``device_bytes`` are forwarded.  ``None`` (default) is the whole
+        slab: one pencil in process, and over a comm that offers
+        ``rank_transpose`` (``comm="procs"``) the worker-fused
+        :class:`~repro.dist.slab_fft.SlabDistributedFFT`, which takes no
+        ``fuzz``, ``monitor`` or ``dlb``.
     pipeline:
         Out-of-core execution backend: ``"sync"`` (inline, bit-exact
         reference) or ``"threads"`` (Fig. 4 overlap on worker threads).
@@ -200,26 +204,20 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             plan = ImbalancePlan.from_profile(fuzz, comm.size)
             if plan is not None:
                 rank_weights = [plan.factor(r) for r in range(comm.size)]
-        if npencils is None:
-            if fuzz is not None or monitor is not None:
+        if npencils is None and getattr(comm, "rank_transpose", None) is not None:
+            if fuzz is not None or monitor is not None or dlb != "off":
                 raise ValueError(
-                    "fuzz/monitor verification hooks require the "
-                    "out-of-core engine (set npencils)"
-                )
-            if dlb != "off":
-                raise ValueError(
-                    "dlb lanes require the out-of-core engine (set npencils)"
+                    "fuzz, monitor and dlb need pencils over worker "
+                    "processes (set npencils with comm='procs')"
                 )
             self.fft = SlabDistributedFFT(
                 grid, comm, obs=self.obs, fft_backend=self.config.fft_backend,
                 heights=heights,
             )
         else:
-            from repro.dist.outofcore import OutOfCoreSlabFFT
-
             self.fft = OutOfCoreSlabFFT(
-                grid, comm, npencils, device_bytes=device_bytes, obs=self.obs,
-                pipeline=pipeline, inflight=inflight, fuzz=fuzz,
+                grid, comm, npencils or 1, device_bytes=device_bytes,
+                obs=self.obs, pipeline=pipeline, inflight=inflight, fuzz=fuzz,
                 monitor=monitor, copy_strategy=copy_strategy, heights=heights,
                 dlb=dlb, rank_weights=rank_weights,
                 fft_backend=self.config.fft_backend,

@@ -362,7 +362,8 @@ class OutOfCoreSlabFFT:
     inflight:
         Bounded in-flight window (ring slots per role).  3 is the paper's
         triple buffering; forced to 1 under ``pipeline="sync"`` where
-        deeper windows cannot overlap anyway.
+        deeper windows cannot overlap anyway, and capped at a phase's
+        ``npencils * P`` items.
     backend:
         Explicit :class:`~repro.exec.ExecBackend` overriding ``pipeline``
         (verification hook: the schedule explorer injects a
@@ -383,9 +384,8 @@ class OutOfCoreSlabFFT:
         poisoning the pipeline.
     fft_backend:
         The transform provider of the stage kernels (``numpy`` /
-        ``scipy`` / ``auto``), resolved at construction like
-        :class:`~repro.dist.slab_fft.SlabDistributedFFT` does — an
-        unavailable backend is the same ``ValueError``.
+        ``scipy`` / ``auto``), resolved at construction, so an
+        unavailable backend is a ``ValueError`` before any transform.
     copy_strategy:
         How pencils move between strided host views and ring slots
         (paper Sec. 4.2, Fig. 7): ``"per_chunk"`` (one virtual
@@ -468,8 +468,11 @@ class OutOfCoreSlabFFT:
         self.dlb = dlb
         self.npencils = npencils
         self.pipeline = pipeline if backend is None else backend.kind
+        # A phase has npencils * P items: a deeper window claims ring
+        # slots that no item ever views.
         self.inflight = (
-            1 if (backend is None and pipeline == "sync") else int(inflight)
+            1 if (backend is None and pipeline == "sync")
+            else min(int(inflight), npencils * comm.size)
         )
         self.monitor = monitor
         self.comm_retries = int(comm_retries)
@@ -788,6 +791,7 @@ class OutOfCoreSlabFFT:
         if errors:
             self._backend.reset()
             raise errors[0]
+        self._backend.drain_obs()  # the calls' spans belong to this step
         return results
 
     # -- full transforms -----------------------------------------------------

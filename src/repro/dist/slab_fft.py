@@ -1,4 +1,5 @@
-"""Distributed 3-D FFT with the paper's 1-D slab decomposition.
+"""Distributed 3-D FFT with the paper's 1-D slab decomposition, fused into
+the workers of a process pool.
 
 Transform order matches the production code (paper Sec. 3.3): going from
 Fourier to physical space the order is **y, z, x** — 1-D complex FFTs in y
@@ -9,14 +10,15 @@ reverses this (x, z, transpose, y).
 One all-to-all per 3-D transform — the defining property of the slab
 decomposition that lets the paper send fewer, larger messages.
 
-The 1-D line transforms go through the pluggable providers of
-:func:`repro.spectral.workspace.resolve_fft`; when the communicator is
-a process-pool backend (:class:`repro.mpi.procs.ProcsComm`) the whole
-stage sequence is *fused* into the workers' packing and unpacking rounds via
-``comm.rank_transpose`` — FFTs run in the process that owns the slab, on a
-provider resolved there, and a substage's fields cross in one exchange per
-direction.  Both paths index the same :data:`repro.dist.stages.STAGES`
-kernels, so results are bit-equal.
+This engine runs only over a communicator that offers
+``comm.rank_transpose`` (:class:`repro.mpi.procs.ProcsComm`): the whole
+stage sequence is *fused* into the workers' packing and unpacking rounds —
+FFTs run in the process that owns the slab, on a provider resolved there,
+and a substage's fields cross in one exchange per direction.  In process,
+the whole slab is the out-of-core engine's one-pencil case
+(:class:`repro.dist.outofcore.OutOfCoreSlabFFT` with ``npencils=1``).  Both
+index the same :data:`repro.dist.stages.STAGES` kernels, so results are
+bit-equal.
 """
 
 from __future__ import annotations
@@ -26,17 +28,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.dist.decomp import SlabDecomposition
-from repro.dist.stages import STAGES
-from repro.dist.transpose import (
-    slab_transpose_physical_to_spectral,
-    slab_transpose_spectral_to_physical,
-)
-from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.workspace import resolve_fft
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.procs import ProcsComm
     from repro.obs import Observability
 
 __all__ = ["SlabDistributedFFT"]
@@ -45,26 +42,28 @@ _KZ_AXIS, _Y_AXIS = 0, 1
 
 
 class SlabDistributedFFT:
-    """Forward/inverse 3-D transforms over slab-decomposed virtual ranks.
+    """Forward/inverse 3-D transforms over the slabs of worker-process ranks.
 
     Normalization matches :mod:`repro.spectral.transforms`: forward carries
     1/N^3; a forward/inverse round trip is the identity.
 
-    ``fft_backend`` selects the 1-D line-transform provider (``numpy`` /
-    ``scipy`` / ``auto``) used on both the inline and the fused
-    process-pool path.
+    ``comm`` must offer ``rank_transpose`` (a
+    :class:`~repro.mpi.procs.ProcsComm`); any other communicator is a
+    ``ValueError`` naming the in-process engine.  ``fft_backend`` selects
+    the 1-D line-transform provider (``numpy`` / ``scipy`` / ``auto``) the
+    workers resolve.
 
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.dist import VirtualComm
+    >>> from repro.mpi.procs import ProcsComm
     >>> from repro.spectral import SpectralGrid
-    >>> g = SpectralGrid(16); comm = VirtualComm(4)
-    >>> fft = SlabDistributedFFT(g, comm)
-    >>> u = np.random.default_rng(0).standard_normal(g.physical_shape)
-    >>> locs = fft.decomp.scatter_physical(u)
-    >>> hat_locs = fft.forward(locs)
-    >>> back = fft.decomp.gather_physical(fft.inverse(hat_locs))
+    >>> g = SpectralGrid(16)
+    >>> with ProcsComm(2) as comm:
+    ...     fft = SlabDistributedFFT(g, comm)
+    ...     u = np.random.default_rng(0).standard_normal(g.physical_shape)
+    ...     hat_locs = fft.forward(fft.decomp.scatter_physical(u))
+    ...     back = fft.decomp.gather_physical(fft.inverse(hat_locs))
     >>> bool(np.allclose(back, u))
     True
     """
@@ -72,93 +71,61 @@ class SlabDistributedFFT:
     def __init__(
         self,
         grid: SpectralGrid,
-        comm: VirtualComm,
+        comm: "ProcsComm",
         obs: "Observability | None" = None,
         fft_backend: str = "numpy",
         heights: "Sequence[int] | None" = None,
     ):
+        if getattr(comm, "rank_transpose", None) is None:
+            raise ValueError(
+                f"SlabDistributedFFT fuses its stages into worker processes "
+                f"and needs a comm with rank_transpose (comm='procs'), not "
+                f"{type(comm).__name__}; in process the whole slab is "
+                f"OutOfCoreSlabFFT(npencils=1)"
+            )
         self.grid = grid
         self.comm = comm
         hs = tuple(int(h) for h in heights) if heights is not None else None
         self.decomp = SlabDecomposition(grid.n, comm.size, heights=hs)
         self.obs = obs if obs is not None else NULL_OBS
         self.fft_backend = fft_backend
-        self._lf = resolve_fft(fft_backend)  # fails fast when unavailable
-        #: Per rank, what :meth:`product_spectra` claims on first use: in
-        #: process the physical fields and the product being formed, over a
-        #: process pool the product spectra between the two exchanges.
+        resolve_fft(fft_backend)  # fails fast when unavailable
+        #: Per rank, the product spectra between :meth:`product_spectra`'s
+        #: two exchanges, in the worker's shared memory; claimed on first use.
         self._fields: list[np.ndarray] = []
 
     def resident(self, shapes: Sequence[Sequence[int]], dtype) -> list[np.ndarray]:
-        """Per-rank arrays where rank ``r``'s work addresses them: in its
-        worker's shared memory over a process pool, plain arrays in process."""
+        """Per-rank arrays in each rank's worker's shared memory."""
         return self.comm.resident(shapes, dtype)
 
     def each_rank(self, fn: Callable, *per_rank_args: Sequence, spans=None,
                   wait: bool = True) -> "list | None":
-        """``fn(*(a[r] for a in per_rank_args))`` for every rank where the
-        rank lives — in rank order on the calling thread in process, in the
-        rank's worker over a process pool (``fn`` then module-level, its
-        arrays :meth:`resident`); returns the per-rank results.
-        ``wait=False``: the results are not wanted, and a process pool may
-        send the calls with its next message."""
+        """``fn(*(a[r] for a in per_rank_args))`` in every rank's worker
+        (``fn`` module-level, its arrays :meth:`resident`); returns the
+        per-rank results.  ``wait=False``: the results are not wanted, and
+        the calls may go with the pool's next message."""
         return self.comm.each_rank(fn, *per_rank_args, spans=spans, wait=wait)
 
-    @property
-    def _fused(self) -> bool:
-        """Whether the comm offers the fused worker-side transpose."""
-        return getattr(self.comm, "rank_transpose", None) is not None
-
-    @property
-    def _heights(self) -> "tuple[int, ...] | None":
-        """Per-rank slab extents to thread through exchanges (None = even)."""
-        return None if self.decomp.heights is None else self.decomp.rank_heights
-
-    def _stage(
-        self, name: str, locals_: Sequence[np.ndarray], out=None
-    ) -> list[np.ndarray]:
-        """One :data:`~repro.dist.stages.STAGES` kernel over every rank's
-        block, into ``out[r]`` when the caller owns the results."""
-        stage = STAGES[name]
-        outs = out if out is not None else [None] * len(locals_)
-        with self.obs.spans.span(stage.span, category="fft"):
-            return [
-                stage.fn(loc, self.grid.n, self._lf, out=o)
-                for loc, o in zip(locals_, outs)
-            ]
+    def _kwargs(self) -> dict:
+        """What every ``rank_transpose`` call carries: grid, provider,
+        telemetry and the per-rank slab extents of an uneven split."""
+        kwargs = dict(n=self.grid.n, fft=self.fft_backend, obs=self.obs)
+        if self.decomp.heights is not None:
+            kwargs["pack_sizes"] = self.decomp.rank_heights
+        return kwargs
 
     def _transform(
-        self, locals_, shape_of, pre, post, transpose, pack_axis, unpack_axis,
+        self, locals_, shape_of, pre, post, pack_axis, unpack_axis,
         out, out_shape_of, out_dtype,
     ) -> list[np.ndarray]:
-        """``pre`` stage, the one global transpose, ``post`` stage."""
+        """``pre`` stage, the one global transpose, ``post`` stage — all in
+        the workers' packing and unpacking rounds."""
         self.decomp.check_locals(locals_, shape_of)
         if out is not None:
             self.decomp.check_locals(out, out_shape_of, out_dtype)
-        if self._fused:
-            kwargs = {} if self._heights is None else {"pack_sizes": self._heights}
-            out = self.comm.rank_transpose(
-                locals_,
-                pack_axis=pack_axis,
-                unpack_axis=unpack_axis,
-                pre=pre,
-                post=post,
-                n=self.grid.n,
-                out_dtype=out_dtype,
-                fft=self.fft_backend,
-                obs=self.obs,
-                out=out,
-                **kwargs,
-            )
-        else:
-            work = transpose(
-                self.comm, self._stage(pre, locals_), obs=self.obs,
-                heights=self._heights,
-            )
-            out = [
-                o.astype(out_dtype, copy=False)
-                for o in self._stage(post, work, out)
-            ]
+        out = self.comm.rank_transpose(
+            locals_, pack_axis=pack_axis, unpack_axis=unpack_axis, pre=pre,
+            post=post, out_dtype=out_dtype, out=out, **self._kwargs())
         if self.obs.enabled:
             self.obs.metrics.counter("fft.calls").inc()
         return out
@@ -173,8 +140,7 @@ class SlabDistributedFFT:
         shape- and dtype-checked); omitted, fresh ones are returned."""
         return self._transform(
             spectral_locals, self.decomp.local_spectral_shape,
-            "inv_y", "inv_zx", slab_transpose_spectral_to_physical,
-            _Y_AXIS, _KZ_AXIS,
+            "inv_y", "inv_zx", _Y_AXIS, _KZ_AXIS,
             out, self.decomp.local_physical_shape, self.grid.dtype,
         )
 
@@ -185,8 +151,7 @@ class SlabDistributedFFT:
         transpose, y — the reverse order).  ``out`` as for :meth:`inverse`."""
         return self._transform(
             physical_locals, self.decomp.local_physical_shape,
-            "fwd_xz", "fwd_y", slab_transpose_physical_to_spectral,
-            _KZ_AXIS, _Y_AXIS,
+            "fwd_xz", "fwd_y", _KZ_AXIS, _Y_AXIS,
             out, self.decomp.local_spectral_shape, self.grid.cdtype,
         )
 
@@ -204,53 +169,28 @@ class SlabDistributedFFT:
         ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
         = (i, j)`` and may share memory with ``coeffs``.
 
-        Over a process pool every field of one direction crosses in one
-        exchange: the y-FFTs of all fields and their all-to-all, then in
-        each worker the z/x transforms, the products and their x/z
-        transforms into resident spectra; then those spectra's all-to-all
-        and y-FFTs into ``out``.  In process it is one whole-slab transform
-        (and all-to-all) per field and per product — the bit-equal reference.
+        Two batched ``rank_transpose`` calls in three rounds: the y-FFTs of
+        all fields and their all-to-all, then in each worker the z/x
+        transforms, the products and their x/z transforms into resident
+        spectra; then those spectra's all-to-all and y-FFTs into ``out``.
+        The first exchange's unpack (and products) rides with the second
+        exchange's pack.
 
-        ``wait=False`` lets a process pool send the last unpack with its
-        next message: ``out`` is then complete only once the next rank call
-        or exchange has run (in process it is complete on return).
+        ``wait=False`` lets the pool send the last unpack with its next
+        message: ``out`` is then complete only once the next rank call or
+        exchange has run.
         """
-        d, nfields = self.decomp, coeffs[0].shape[0]
-        self.decomp.check_locals(
-            coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))
+        d, nfields, npairs = self.decomp, coeffs[0].shape[0], len(pairs)
+        d.check_locals(coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))
         if out is None:
-            out = self.resident([(len(pairs), *d.local_spectral_shape(r))
+            out = self.resident([(npairs, *d.local_spectral_shape(r))
                                  for r in range(self.comm.size)], self.grid.cdtype)
-        if self._fused:
-            return self._worker_products(coeffs, pairs, out, wait)
-        if not self._fields or self._fields[0].shape[0] < nfields + 1:
-            self._fields = [
-                np.empty((nfields + 1, *d.local_physical_shape(r)), self.grid.dtype)
-                for r in range(self.comm.size)
-            ]
-        fields = self._fields
-        for f in range(nfields):
-            self.inverse([c[f] for c in coeffs], out=[u[f] for u in fields])
-        for p, (i, j) in enumerate(pairs):
-            with self.obs.spans.span("nl.products", category="nonlinear"):
-                for u in fields:
-                    np.multiply(u[i], u[j], out=u[-1])
-            self.forward([u[-1] for u in fields], out=[o[p] for o in out])
-        return out
-
-    def _worker_products(self, coeffs, pairs, out, wait) -> list[np.ndarray]:
-        """:meth:`product_spectra` as two batched ``rank_transpose`` calls,
-        in three rounds: the first exchange's unpack (and products) rides
-        with the second exchange's pack."""
-        d, npairs = self.decomp, len(pairs)
-        shapes = [(npairs, self.grid.n, d.height(r), self.grid.n // 2 + 1)
-                  for r in range(self.comm.size)]
         if not self._fields or self._fields[0].shape[0] < npairs:
-            self._fields = self.resident(shapes, self.grid.cdtype)
+            self._fields = self.resident(
+                [(npairs, self.grid.n, d.height(r), self.grid.n // 2 + 1)
+                 for r in range(self.comm.size)], self.grid.cdtype)
         spectra = [f[:npairs] for f in self._fields]
-        kwargs = dict(n=self.grid.n, fft=self.fft_backend, obs=self.obs)
-        if self._heights is not None:
-            kwargs["pack_sizes"] = self._heights
+        kwargs = self._kwargs()
         self.comm.rank_transpose(
             coeffs, pack_axis=1 + _Y_AXIS, unpack_axis=1 + _KZ_AXIS,
             pre="inv_y", post="inv_zx", pairs=tuple(pairs), out=spectra,

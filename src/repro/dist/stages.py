@@ -2,12 +2,14 @@
 
 The paper's 3-D transform (Sec. 3.3) is y, transpose, z, x going to
 physical space and x, z, transpose, y coming back: two stages either side
-of the one all-to-all.  Every engine indexes :data:`STAGES` — the inline
-path of :class:`~repro.dist.slab_fft.SlabDistributedFFT`, the packing and
-unpacking rounds of the :class:`~repro.mpi.procs.ProcsComm` workers and the
-compute stage of :class:`~repro.dist.outofcore.OutOfCoreSlabFFT` — so the
-operations, their order and the normalization exist in one place and the
-engines stay bit-equal by construction.
+of the one all-to-all.  Both engines index :data:`STAGES` — the compute
+stage of :class:`~repro.dist.outofcore.OutOfCoreSlabFFT` (in process, the
+whole slab is its one-pencil case) and the packing and unpacking rounds of
+the :class:`~repro.mpi.procs.ProcsComm` workers behind
+:class:`~repro.dist.slab_fft.SlabDistributedFFT` — so the operations, their
+order and the normalization exist in one place and the engines stay
+bit-equal by construction.  The independent oracle they are checked
+against is the serial :func:`~repro.spectral.transforms.fft3d`.
 
 A kernel is ``fn(a, n, lf, out=None)``: ``a`` a ``[..., kz, y, x]`` block
 holding complete lines along the transformed axes (leading axes, if any,

@@ -6,20 +6,24 @@ received blocks along another axis.  These three steps are exactly what the
 production code implements with strided GPU copies + ``MPI_(I)ALLTOALL`` —
 here they move real NumPy data so correctness can be asserted.
 
-Two execution shapes share the arithmetic:
+The in-process transform engine runs the chunked exchange of the
+out-of-core pipeline (Fig. 4, bottom), where there is no pack or unpack
+pass at all: :func:`chunk_exchange_layout` says, for one chunk of the
+slab, which planes of a source go to which peer, the shape of each send
+block, and the strided window of the destination's transposed slab each
+block lands in.
+The engine's D2H copies write the send blocks,
+``VirtualComm.ialltoall(send, recv=windows)`` moves them into place, and
+:func:`complete_chunk_exchange` waits the request.  Over a process pool
+``ProcsComm.rank_transpose`` packs and unpacks in the workers instead.
 
-* :func:`transpose_exchange` — one bulk-synchronous exchange of the whole
-  slab (the baseline of paper Fig. 4, top): :func:`pack_blocks` stages the
-  per-peer blocks in pooled buffers, the collective copies them, and
-  :func:`unpack_blocks` concatenates what arrived.
-* the chunked exchange of the out-of-core pipeline (Fig. 4, bottom), where
-  there is no pack or unpack pass at all: :func:`chunk_exchange_layout`
-  says, for one chunk of the slab, which planes of a source go to which
-  peer, the shape of each send block, and the strided window of the
-  destination's transposed slab each block lands in.  The engine's D2H
-  copies write the send blocks, ``VirtualComm.ialltoall(send, recv=windows)``
-  moves them into place, and :func:`complete_chunk_exchange` waits the
-  request.
+:func:`transpose_exchange` is the monolithic reference beside it: one
+bulk-synchronous exchange of the whole array (the baseline of paper
+Fig. 4, top) — :func:`pack_blocks` stages the per-peer blocks in pooled
+buffers, the collective copies them, and :func:`unpack_blocks`
+concatenates what arrived.  No engine calls it; it is the plain statement
+of a transpose that the chunked exchange and the process pool's fused one
+are checked against, block for block.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ __all__ = [
     "chunk_exchange_layout",
     "complete_chunk_exchange",
     "pack_blocks",
-    "slab_transpose_physical_to_spectral",
-    "slab_transpose_spectral_to_physical",
     "transpose_exchange",
     "unpack_blocks",
 ]
@@ -249,41 +251,3 @@ def complete_chunk_exchange(handle: PendingAlltoall) -> int:
     chunk already sits in every destination's transposed slab.
     """
     return sum(b.nbytes for blocks in handle.wait() for b in blocks)
-
-
-# -- the two slab transposes of the DNS step ---------------------------------
-
-_KZ_AXIS, _Y_AXIS = 0, 1
-
-
-def slab_transpose_spectral_to_physical(
-    comm: VirtualComm,
-    locals_: Sequence[np.ndarray],
-    obs: "Observability | None" = None,
-    heights: Optional[Sequence[int]] = None,
-) -> list[np.ndarray]:
-    """kz-slabs (h_r, N, nxh) -> y-slabs (N, h_r, nxh).
-
-    Used mid-way through the inverse transform: after the local y-FFTs the
-    data must be re-divided so every rank holds complete z lines
-    (paper Fig. 2: "transpose these partially-transformed quantities into
-    slabs of x-z planes").  ``heights`` carries the per-rank slab extents
-    for uneven decompositions (the same vector serves kz and y).
-    """
-    return transpose_exchange(
-        comm, locals_, pack_axis=_Y_AXIS, unpack_axis=_KZ_AXIS, obs=obs,
-        pack_sizes=heights,
-    )
-
-
-def slab_transpose_physical_to_spectral(
-    comm: VirtualComm,
-    locals_: Sequence[np.ndarray],
-    obs: "Observability | None" = None,
-    heights: Optional[Sequence[int]] = None,
-) -> list[np.ndarray]:
-    """y-slabs (N, h_r, nxh) -> kz-slabs (h_r, N, nxh); the reverse exchange."""
-    return transpose_exchange(
-        comm, locals_, pack_axis=_KZ_AXIS, unpack_axis=_Y_AXIS, obs=obs,
-        pack_sizes=heights,
-    )

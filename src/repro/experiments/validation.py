@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.slab_fft import SlabDistributedFFT
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.diagnostics import kinetic_energy, max_divergence
 from repro.spectral.grid import SpectralGrid
@@ -74,11 +74,11 @@ def run(n: int = 24, seed: int = 7) -> ValidationReport:
 
     # 1. Distributed slab FFT vs numpy ground truth.
     u = rng.standard_normal(grid.physical_shape)
-    fft = SlabDistributedFFT(grid, VirtualComm(4))
-    err = np.abs(
-        fft.decomp.gather_spectral(fft.forward(fft.decomp.scatter_physical(u)))
-        - fft3d(u, grid)
-    ).max()
+    with OutOfCoreSlabFFT(grid, VirtualComm(4), npencils=1) as fft:
+        err = np.abs(
+            fft.decomp.gather_spectral(fft.forward(fft.decomp.scatter_physical(u)))
+            - fft3d(u, grid)
+        ).max()
     checks.append(
         ValidationCheck("distributed slab FFT vs numpy.fft", "max |diff|", float(err), 1e-12)
     )

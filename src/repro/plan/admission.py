@@ -79,25 +79,26 @@ def job_device_bytes(
 ) -> float:
     """Device-byte demand of one job on the shared arena.
 
-    For out-of-core jobs this is ``OutOfCoreSlabFFT``'s default arena
+    For distributed jobs this is ``OutOfCoreSlabFFT``'s default arena
     capacity (:func:`repro.dist.outofcore.ring_bytes`, the function the
     engine itself sizes its rings with), so quoting and enforcement
-    cannot drift.  Whole-slab and serial jobs don't construct an arena;
-    they are charged their resident three-component spectral state as a
+    cannot drift.  A job without ``npencils`` is the whole slab, the
+    engine's one-pencil case (over ``comm="procs"`` its fused twin is
+    priced the same).  Serial jobs don't construct an arena; they are
+    charged their resident three-component spectral state as a
     host-memory stand-in.
     """
-    nxh = n // 2 + 1
-    # Any distributed job must have a feasible decomposition, out-of-core
-    # or not — an invalid heights vector is an admission-time rejection,
-    # never a mid-run traceback.
-    job_heights = (
-        _job_heights(n, ranks, heights, skew) if ranks is not None else None
-    )
-    if npencils is None or ranks is None:
-        return 3.0 * n * n * nxh * _COMPLEX_BYTES
+    if ranks is None:
+        return 3.0 * n * n * (n // 2 + 1) * _COMPLEX_BYTES
+    # A distributed job must have a feasible decomposition — an invalid
+    # heights vector is an admission-time rejection, never a mid-run
+    # traceback.
+    job_heights = _job_heights(n, ranks, heights, skew)
     from repro.dist.outofcore import ring_bytes
 
-    window = 1 if pipeline == "sync" else int(inflight)
+    npencils = npencils or 1
+    # The engine's window: 1 inline, else capped at a phase's items.
+    window = 1 if pipeline == "sync" else min(int(inflight), npencils * ranks)
     return ring_bytes(n, max(job_heights), npencils, window)[-1]
 
 

@@ -179,7 +179,7 @@ def open_solver(spec: JobSpec, obs=None, device_bytes: Optional[float] = None,
             inflight=spec.inflight, copy_strategy=spec.copy_strategy,
             heights=spec.heights, skew=spec.skew, dlb=spec.dlb,
             fuzz=fuzz, monitor=opened.monitor,
-            device_bytes=device_bytes if spec.npencils is not None else None,
+            device_bytes=device_bytes,
         )
         stack.callback(opened.solver.close)
         yield opened

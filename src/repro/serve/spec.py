@@ -117,8 +117,10 @@ class JobSpec:
     ranks, comm, npencils, pipeline, inflight, copy_strategy:
         Engine placement: ``ranks=None`` runs the serial solver;
         otherwise the slab-distributed solver over the chosen comm
-        backend, optionally out-of-core (``npencils``) with the Fig. 4
-        pipeline and a strided-copy strategy.
+        backend, through the out-of-core engine's Fig. 4 pipeline with
+        ``npencils`` pencils per slab (unset: one) and a strided-copy
+        strategy.  Over ``procs`` without ``npencils`` the transforms are
+        fused into the workers instead, with no DLB or fuzzing.
     heights, skew, dlb:
         Uneven decomposition and DLB lanes (PR 9); ``heights`` and
         ``skew`` are mutually exclusive.
@@ -177,7 +179,8 @@ class JobSpec:
     npencils: Optional[int] = _f(
         None, int,
         "with --ranks: pencils per slab for the out-of-core engine "
-        "(unset: whole-slab transforms)",
+        "(unset: the whole slab, one pencil; over procs the worker-fused "
+        "transforms)",
         ok=_positive, must="must be a positive int")
     pipeline: str = _f(
         "sync", str,
@@ -189,7 +192,7 @@ class JobSpec:
         ok=_positive, must="must be an int >= 1")
     copy_strategy: str = _f(
         "memcpy2d", str,
-        "with --npencils: host<->device strided-copy strategy (Sec. 4.2 / "
+        "with --ranks: host<->device strided-copy strategy (Sec. 4.2 / "
         "Fig. 7); auto probes all three on the first pencil of each layout",
         choices=("auto", "per_chunk", "memcpy2d", "zero_copy"))
     heights: Optional[tuple[int, ...]] = _f(
@@ -204,14 +207,14 @@ class JobSpec:
         metavar="X")
     dlb: str = _f(
         "off", str,
-        "with --npencils: each rank computes on its own lane; off and "
+        "with --ranks: each rank computes on its own lane; off and "
         "pinned keep every pencil on its owner's lane, lend adds DLB "
         "lend/reclaim of unstarted pencils (bit-identical results either "
         "way)",
         choices=("off", "pinned", "lend"))
     fuzz_seed: Optional[int] = _f(
         None, int,
-        "with --ranks/--npencils: run under the fuzzing backend with this "
+        "with --ranks: run under the fuzzing backend with this "
         "seed (adversarial delays/faults; the result must be bit-identical "
         "regardless)",
         flag="--fuzz", metavar="SEED")
@@ -269,10 +272,15 @@ class JobSpec:
             problems.append("pass either heights or skew, not both")
         if (self.heights is not None or self.skew is not None) and self.ranks is None:
             problems.append("heights/skew require ranks")
-        if self.dlb != "off" and self.npencils is None:
-            problems.append("dlb lanes require npencils (out-of-core engine)")
-        if self.fuzz_seed is not None and self.npencils is None:
-            problems.append("fuzz_seed requires npencils (out-of-core engine)")
+        # Over procs an unset npencils is the worker-fused engine, which
+        # has no lanes to lend or fuzz; every other distributed run does.
+        fused = self.comm == "procs" and self.npencils is None
+        if self.dlb != "off" and (self.ranks is None or fused):
+            problems.append("dlb lanes require ranks, and npencils when comm "
+                            "is procs (the pencil engine)")
+        if self.fuzz_seed is not None and (self.ranks is None or fused):
+            problems.append("fuzz_seed requires ranks, and npencils when comm "
+                            "is procs (the pencil engine)")
         if problems:
             raise ValueError("; ".join(problems))
         return self

@@ -83,9 +83,10 @@ class TestMechanics:
         assert dist.scalar_variance(0) > 0
 
     def test_extra_alltoalls_per_scalar(self, grid16):
-        """One scalar adds 1 inverse + 3 forward transforms per substage, one
-        all-to-all each, to the 3 + 6 of the velocity: 18 -> 26 per RK2 step,
-        36 -> 52 per RK4 step.  The RHS still runs once per substage."""
+        """One scalar adds 1 inverse + 3 forward transforms per substage to
+        the 3 + 6 of the velocity, and they ride the same two exchanges:
+        4 per RK2 step, 8 per RK4 step, carrying 9 -> 13 fields' bytes per
+        substage.  The RHS still runs once per substage."""
         rng = np.random.default_rng(0)
         u0 = random_isotropic_field(grid16, rng, energy=0.5)
         for scheme, substages in (("rk2", 2), ("rk4", 4)):
@@ -95,8 +96,10 @@ class TestMechanics:
                 for _ in range(nscalars):
                     dist.add_scalar(grid16.zeros_spectral(), mean_gradient=1.0)
                 result = dist.step(0.005)
-                assert dist.comm.stats.count("alltoall") == (
-                    substages * (9 + 4 * nscalars))
+                assert dist.comm.stats.count("ialltoall") == 2 * substages
+                assert sum(r.total_bytes for r in dist.comm.stats.records
+                           if r.kind == "ialltoall") == (
+                    substages * (9 + 4 * nscalars) * 16 * 16 * 9 * 16)
                 assert result.nonlinear_evals == substages
 
     @pytest.mark.parametrize("scheme", ["rk2", "rk4"])

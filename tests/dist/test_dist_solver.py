@@ -135,53 +135,32 @@ class TestRankFootprint:
         assert sum(held.values()) == stages * state
 
 
-class TestDriverAllocatesNoSlabs:
-    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
-    def test_steady_state_driver_allocates_no_slab(self, rng, scheme):
-        """Between transform calls (the whole-slab engine's stage and
-        transpose temporaries are its own) the driver writes into buffers
-        it already owns.  48^3 so
-        that a slab (432 KiB) stands clear of the fixed-size buffers NumPy's
-        ufunc iterator allocates for a broadcasting operand (<= 128 KiB)."""
-        grid = SpectralGrid(48)
-        u0 = random_isotropic_field(grid, rng, energy=1.0)
-        _, dist = pair(grid, u0, ranks=2, scheme=scheme, phase_shift=True,
-                       diagnostics_every=0)
-        for _ in range(2):  # warm-up: buffers created
+def _steady_step_growth(grid, rng, scheme, scalars, **engine):
+    """tracemalloc peak growth of one RK step after two warm-up steps, and
+    the bound it must stay under: one ring slot of the engine's pencils,
+    and never a whole real slab."""
+    from repro.dist.outofcore import ring_bytes
+
+    u0 = random_isotropic_field(grid, rng, energy=1.0)
+    config = SolverConfig(nu=0.02, scheme=scheme, seed=11, diagnostics_every=0)
+    with DistributedNavierStokesSolver(
+        grid, VirtualComm(2), u0, config, **engine,
+    ) as dist:
+        for _ in range(scalars):
+            dist.add_scalar(u0[0], schmidt=1.0, mean_gradient=0.5)
+        for _ in range(2):  # warm-up: every buffer claimed
             dist.step(1e-3)
-
-        growth = []  # tracemalloc growth of each stretch of driver code
-        mark = [0]
-
-        def close_stretch():
-            growth.append(tracemalloc.get_traced_memory()[1] - mark[0])
-
-        def outside_the_count(transform):
-            def call(locals_, out):
-                close_stretch()
-                out = transform(locals_, out=out)
-                tracemalloc.reset_peak()
-                mark[0] = tracemalloc.get_traced_memory()[0]
-                return out
-            return call
-
-        dist.fft.forward = outside_the_count(dist.fft.forward)
-        dist.fft.inverse = outside_the_count(dist.fft.inverse)
         tracemalloc.start()
         try:
-            mark[0] = tracemalloc.get_traced_memory()[0]
-            for _ in range(2):
-                dist.step(1e-3)
-            close_stretch()
+            before = tracemalloc.get_traced_memory()[0]
+            dist.step(1e-3)
+            growth = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-
-        slab_bytes = grid.n**3 // 2 * np.dtype(grid.dtype).itemsize
-        assert len(growth) > 18
-        assert max(growth) < slab_bytes, (
-            f"driver allocated {max(growth)} B in one stretch >= one slab "
-            f"({slab_bytes} B)"
-        )
+        fft = dist.fft
+    pencil = max(ring_bytes(grid.n, grid.n // 2, fft.npencils, fft.inflight)[:3])
+    slab = grid.n**3 // 2 * np.dtype(grid.dtype).itemsize
+    return growth, min(pencil, slab)
 
 
 class TestOutOfCoreStepAllocatesNoSlab:
@@ -194,49 +173,72 @@ class TestOutOfCoreStepAllocatesNoSlab:
         into its ring slot.  What is left is interpreter small change; 64^3
         so that one pencil (288 KiB) stands clear of it and well under one
         slab (1056 KiB; the engine used to claim six per transform)."""
-        from repro.dist.outofcore import ring_bytes
-
-        grid = SpectralGrid(64)
-        u0 = random_isotropic_field(grid, rng, energy=1.0)
-        config = SolverConfig(nu=0.02, scheme="rk2", seed=11, diagnostics_every=0)
-        with DistributedNavierStokesSolver(
-            grid, VirtualComm(2), u0, config, npencils=4, pipeline=pipeline,
-        ) as dist:
-            for _ in range(scalars):
-                dist.add_scalar(u0[0], schmidt=1.0, mean_gradient=0.5)
-            for _ in range(2):  # warm-up: every buffer claimed
-                dist.step(1e-3)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                dist.step(1e-3)
-                growth = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-        pencil = max(ring_bytes(grid.n, grid.n // 2, 4, dist.fft.inflight)[:3])
+        growth, pencil = _steady_step_growth(
+            SpectralGrid(64), rng, "rk2", scalars, npencils=4,
+            pipeline=pipeline)
         assert growth < pencil, (
             f"a steady out-of-core step allocated {growth} B at its peak, "
             f">= one pencil ({pencil} B)"
         )
 
+    @pytest.mark.parametrize("npencils,scheme", [
+        (None, "rk2"), (None, "rk4"), (4, "rk4")])
+    def test_whole_slab_and_rk4(self, rng, npencils, scheme):
+        """The same for the whole slab (``npencils`` unset: one pencil),
+        where a pencil is a slab, and for RK4's four stages."""
+        growth, bound = _steady_step_growth(
+            SpectralGrid(64), rng, scheme, 0, npencils=npencils)
+        assert growth < bound, (
+            f"a steady {scheme} step allocated {growth} B at its peak, "
+            f">= {bound} B"
+        )
+
+
+class TestWholeSlabFootprint:
+    """What ``npencils`` unset costs in process, in words (8 bytes per grid
+    point): the tracemalloc peak over construction and two RK2 steps at
+    P = 2, 48^3.  One pencil holds the state and its stage buffers, the
+    product spectra, and the engine's send region (6 fields), transposed
+    slab (3 fields) and ring: 35.2 words inline and 40.4 on threads, where
+    the window is capped at the phase's two items (a third slot, never
+    viewed, would make it 45.5)."""
+
+    @pytest.mark.parametrize("pipeline,words", [("sync", 36.0),
+                                                ("threads", 41.0)])
+    def test_step_peak_words_per_point(self, rng, pipeline, words):
+        grid = SpectralGrid(48)
+        u0 = random_isotropic_field(grid, rng, energy=1.0)
+        config = SolverConfig(nu=0.02, diagnostics_every=0)
+        tracemalloc.start()
+        try:
+            with DistributedNavierStokesSolver(
+                grid, VirtualComm(2), u0, config, pipeline=pipeline,
+            ) as dist:
+                for _ in range(2):
+                    dist.step(1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid.n**3 * 8) <= words
+
 
 class TestCommunicationCounts:
     def test_alltoalls_per_rk2_step(self, grid24, rng):
-        """Whole slabs, conservative form: 3 inverse + 6 forward transforms
-        per substage, 1 all-to-all each, 2 substages: 18 exchanges per RK2
-        step."""
+        """The whole slab is one pencil: the 3 inverse + 6 forward
+        transforms of a substage cross in one exchange per direction, 2
+        substages: 4 exchanges per RK2 step."""
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
         _, dist = pair(grid24, u0, ranks=4)
-        before = dist.comm.stats.count("alltoall")
+        before = dist.comm.stats.count("ialltoall")
         dist.step(0.005)
-        assert dist.comm.stats.count("alltoall") - before == 18
+        assert dist.comm.stats.count("ialltoall") - before == 4
 
     def test_alltoalls_per_rk4_step(self, grid24, rng):
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
         _, dist = pair(grid24, u0, ranks=2, scheme="rk4")
-        before = dist.comm.stats.count("alltoall")
+        before = dist.comm.stats.count("ialltoall")
         dist.step(0.005)
-        assert dist.comm.stats.count("alltoall") - before == 36
+        assert dist.comm.stats.count("ialltoall") - before == 8
 
     @pytest.mark.parametrize("scalars", [0, 1])
     @pytest.mark.parametrize("scheme,substages", [("rk2", 2), ("rk4", 4)])
@@ -281,13 +283,13 @@ class TestCommunicationCounts:
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
         _, dist = pair(grid24, u0, ranks=4)
         dist.step(0.005)
-        rec = [r for r in dist.comm.stats.records if r.kind == "alltoall"][-1]
-        # Whole-slab exchange of 1 variable in complex128: the analytic
-        # formula counts 4-byte words, one transform = (N/P) * N * (N/2+1)
-        # complex per... compare bytes directly:
+        rec = [r for r in dist.comm.stats.records if r.kind == "ialltoall"][-1]
+        # The step's last exchange carries the six product spectra of one
+        # pencil (the whole slab) in complex128; per peer and per variable
+        # one transform moves (N/P) * (N/P) * (N/2+1) complex:
         n = 24
         expected = (n // 4) * (n // 4) * (n // 2 + 1) * 16  # (mz, my, nxh) c128
-        assert rec.p2p_bytes == expected
+        assert rec.p2p_bytes == 6 * expected
 
     def test_validation_of_initial_condition(self, grid16):
         with pytest.raises(ValueError):

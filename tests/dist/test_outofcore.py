@@ -11,7 +11,6 @@ from repro.dist.outofcore import (
     OutOfCoreSlabFFT,
     PencilRings,
 )
-from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.obs import Observability
 from repro.spectral import random_isotropic_field
@@ -66,7 +65,7 @@ class TestOutOfCoreFFT:
     def test_matches_in_core_forward(self, rng):
         grid = SpectralGrid(24)
         u = rng.standard_normal(grid.physical_shape)
-        in_core = SlabDistributedFFT(grid, VirtualComm(4))
+        in_core = OutOfCoreSlabFFT(grid, VirtualComm(4), npencils=1)
         ooc = OutOfCoreSlabFFT(grid, VirtualComm(4), npencils=3)
         ref = in_core.decomp.gather_spectral(
             in_core.forward(in_core.decomp.scatter_physical(u))
@@ -79,7 +78,7 @@ class TestOutOfCoreFFT:
     def test_matches_in_core_inverse(self, rng):
         grid = SpectralGrid(24)
         u_hat = fft3d(rng.standard_normal(grid.physical_shape), grid)
-        in_core = SlabDistributedFFT(grid, VirtualComm(2))
+        in_core = OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=1)
         ooc = OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=4)
         ref = in_core.decomp.gather_physical(
             in_core.inverse(in_core.decomp.scatter_spectral(u_hat))
@@ -307,14 +306,14 @@ class TestCopiesArePricedOnlyForARecordedSpan:
 
 
 class TestCallerOwnedResults:
-    """``inverse(locals, out=)`` / ``forward(locals, out=)`` on both engines."""
+    """``inverse(locals, out=)`` / ``forward(locals, out=)`` in pencils
+    and on the whole slab (one pencil)."""
 
     @staticmethod
     def _engine(kind, P, heights):
-        grid, comm = SpectralGrid(24), VirtualComm(P)
-        if kind == "ooc":
-            return OutOfCoreSlabFFT(grid, comm, 4, heights=heights)
-        return SlabDistributedFFT(grid, comm, heights=heights)
+        npencils = 4 if kind == "ooc" else 1
+        return OutOfCoreSlabFFT(SpectralGrid(24), VirtualComm(P), npencils,
+                                heights=heights)
 
     @pytest.mark.parametrize("kind", ["ooc", "slab"])
     @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
@@ -380,7 +379,8 @@ class TestProductSpectra:
         self, P, heights, pipeline, rng
     ):
         grid = SpectralGrid(24)
-        slab = SlabDistributedFFT(grid, VirtualComm(P), heights=heights)
+        # The whole slab, one pencil inline: the bit-exact reference.
+        slab = OutOfCoreSlabFFT(grid, VirtualComm(P), 1, heights=heights)
         coeffs = _fields(slab, 4, rng)
         phys = [slab.inverse([c[f] for c in coeffs]) for f in range(4)]
         want = [
@@ -471,3 +471,44 @@ class TestProductSpectra:
         ) as solver:
             solver.step(1e-3)
             assert 0 < solver.fft.arena.high_water <= quote
+
+    def test_the_whole_slab_is_priced_as_one_pencil(self, rng):
+        """A distributed job without ``npencils`` runs one pencil in
+        process, and its quote is that engine's arena, with the window
+        capped at a phase's two items."""
+        from repro.plan.admission import job_device_bytes
+
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, rng)
+        for pipeline in ("sync", "threads"):
+            quote = job_device_bytes(16, ranks=2, pipeline=pipeline, inflight=3)
+            with DistributedNavierStokesSolver(
+                grid, VirtualComm(2), u0, SolverConfig(nu=0.02),
+                pipeline=pipeline, inflight=3,
+            ) as solver:
+                solver.step(1e-3)
+                assert solver.fft.arena.capacity == pytest.approx(quote)
+        assert job_device_bytes(16, 2, pipeline="threads", inflight=3) == (
+            job_device_bytes(16, 2, npencils=1, pipeline="threads", inflight=2))
+
+    def test_the_window_is_capped_at_a_phases_items(self, rng):
+        """One pencil over two ranks is two items a phase, so a third ring
+        slot would never be viewed: ``inflight=3`` claims the arena of
+        ``inflight=2`` and gives the same bits."""
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, rng)
+        cfg = SolverConfig(nu=0.02, seed=11)
+        runs = {}
+        for inflight in (2, 3):
+            with DistributedNavierStokesSolver(
+                grid, VirtualComm(2), u0, cfg, pipeline="threads",
+                inflight=inflight,
+            ) as solver:
+                for _ in range(2):
+                    solver.step(1e-3)
+                fft = solver.fft
+                runs[inflight] = (fft.inflight, fft.arena.capacity,
+                                  solver.gather_state())
+        assert runs[3][0] == runs[2][0] == 2
+        assert runs[3][1] == runs[2][1]
+        assert np.array_equal(runs[3][2], runs[2][2])

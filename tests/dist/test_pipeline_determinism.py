@@ -99,10 +99,11 @@ class TestBitIdenticalSolverStep:
     )
     @pytest.mark.parametrize("fft_backend", ["numpy", "scipy"])
     def test_every_engine_agrees(self, fft_backend, heights):
-        """Whole-slab inline, whole-slab on worker processes and the
-        out-of-core engine (sync and threads) index one stage table, so
-        driver-side and worker-side kernels give the same bits — for the
-        velocity and for a passive scalar marched in the same state."""
+        """The whole slab in process (one pencil, inline and on threads),
+        the whole slab on worker processes and four pencils (sync and
+        threads) index one stage table, so driver-side and worker-side
+        kernels give the same bits — for the velocity and for a passive
+        scalar marched in the same state."""
         from repro.mpi.procs import make_comm
 
         n, P = 24, 3
@@ -119,6 +120,7 @@ class TestBitIdenticalSolverStep:
         )
         engines = {
             "slab-virtual": ("virtual", {}),
+            "slab-threads": ("virtual", {"pipeline": "threads", "inflight": 3}),
             "slab-procs": ("procs", {}),
             "ooc-sync": ("virtual", {"npencils": 4, "pipeline": "sync"}),
             "ooc-threads": (
@@ -141,6 +143,52 @@ class TestBitIdenticalSolverStep:
         for name, (u, theta) in states.items():
             assert np.array_equal(u, states["slab-virtual"][0]), name
             assert np.array_equal(theta, states["slab-virtual"][1]), name
+
+
+class TestWholeSlabTakesEveryHook:
+    """In process an unset ``npencils`` is the out-of-core engine at one
+    pencil, so the hooks that engine offers — fuzzing, the invariant
+    monitor, DLB lanes — run on the whole slab too, and move no bit."""
+
+    @staticmethod
+    def _run(**hooks):
+        from repro.spectral.initial import random_isotropic_field
+
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, np.random.default_rng(4), energy=1.0)
+        cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True, seed=11)
+        with DistributedNavierStokesSolver(
+            grid, VirtualComm(2), u0, cfg, **hooks
+        ) as solver:
+            assert solver.fft.npencils == 1
+            energies = [solver.step(1e-3).energy for _ in range(3)]
+            return solver, solver.gather_state(), energies
+
+    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
+    @pytest.mark.parametrize("hook", ["fuzz", "monitor", "dlb"])
+    def test_bit_identical_to_the_plain_run(self, hook, pipeline):
+        from repro.verify import InvariantMonitor
+        from repro.verify.fuzz import FuzzProfile
+
+        monitor = InvariantMonitor()
+        hooks = {
+            "fuzz": dict(fuzz=FuzzProfile(
+                seed=3, delay_max=2e-4, delay_prob=0.5, fault_rate=0.3,
+                reorder_window=3), monitor=monitor),
+            "monitor": dict(monitor=monitor),
+            "dlb": dict(dlb="lend", rank_weights=(3.0, 1.0)),
+        }[hook]
+        _, want, want_e = self._run()
+        solver, got, got_e = self._run(pipeline=pipeline, **hooks)
+        assert np.array_equal(got, want) and got_e == want_e
+        if hook != "dlb":
+            monitor.assert_quiescent()
+            assert monitor.ok
+        if hook == "fuzz":
+            stats = solver.fft._backend.stats
+            assert stats["injected"] > 0 and stats["recovered"] > 0
+        if hook == "dlb":
+            assert solver.fft._dlb_policy.pencils_lent > 0
 
 
 class TestLastStageOverwritesItsState:

@@ -1,10 +1,16 @@
-"""Tests for the slab-decomposed distributed 3-D FFT."""
+"""Tests for the slab-decomposed distributed 3-D FFT.
+
+In process the whole slab is the out-of-core engine's one-pencil case; the
+worker-fused :class:`SlabDistributedFFT` runs only over a process pool
+(``tests/mpi/test_procs.py``) and refuses any other communicator.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.stages import STAGES
 from repro.dist.virtual_mpi import VirtualComm
@@ -16,7 +22,7 @@ from repro.spectral.workspace import resolve_fft
 def build(n, ranks):
     grid = SpectralGrid(n)
     comm = VirtualComm(ranks)
-    return grid, comm, SlabDistributedFFT(grid, comm)
+    return grid, comm, OutOfCoreSlabFFT(grid, comm, npencils=1)
 
 
 class TestAgainstGroundTruth:
@@ -71,9 +77,9 @@ class TestCommunicationPattern:
         grid, comm, fft = build(16, 4)
         u = rng.standard_normal(grid.physical_shape)
         fft.forward(fft.decomp.scatter_physical(u))
-        assert comm.stats.count("alltoall") == 1
+        assert comm.stats.count("ialltoall") == 1
         fft.inverse(fft.decomp.scatter_spectral(fft3d(u, grid)))
-        assert comm.stats.count("alltoall") == 2
+        assert comm.stats.count("ialltoall") == 2
 
     def test_shape_validation(self):
         grid, comm, fft = build(16, 4)
@@ -81,6 +87,13 @@ class TestCommunicationPattern:
             fft.forward([np.zeros((4, 4, 4))] * 4)
         with pytest.raises(ValueError):
             fft.inverse([np.zeros((2, 2, 2), dtype=complex)] * 4)
+
+
+class TestWorkerFusedEngineNeedsWorkers:
+    def test_in_process_comm_is_a_reasoned_error(self):
+        with pytest.raises(ValueError, match=r"rank_transpose.*"
+                           r"OutOfCoreSlabFFT\(npencils=1\)"):
+            SlabDistributedFFT(SpectralGrid(16), VirtualComm(2))
 
 
 class TestStageTable:

@@ -6,12 +6,14 @@ import pytest
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.transpose import (
     pack_blocks,
-    slab_transpose_physical_to_spectral,
-    slab_transpose_spectral_to_physical,
     transpose_exchange,
     unpack_blocks,
 )
 from repro.dist.virtual_mpi import VirtualComm
+
+#: The DNS step's two slab transposes: kz-slabs -> y-slabs and back.
+TO_Y = dict(pack_axis=1, unpack_axis=0)
+TO_KZ = dict(pack_axis=0, unpack_axis=1)
 
 
 class TestPackUnpack:
@@ -36,9 +38,9 @@ class TestSlabTransposes:
             rng.standard_normal(d.local_spectral_shape()).astype(complex)
             for _ in range(4)
         ]
-        there = slab_transpose_spectral_to_physical(comm, locals_)
+        there = transpose_exchange(comm, locals_, **TO_Y)
         assert all(t.shape == (16, 4, 9) for t in there)
-        back = slab_transpose_physical_to_spectral(comm, there)
+        back = transpose_exchange(comm, there, **TO_KZ)
         for r in range(4):
             assert np.array_equal(back[r], locals_[r])
 
@@ -48,7 +50,7 @@ class TestSlabTransposes:
         d = SlabDecomposition(n=4, ranks=2)
         full = np.arange(4 * 4 * 3, dtype=float).reshape(4, 4, 3)
         locals_ = d.scatter_spectral(full)
-        moved = slab_transpose_spectral_to_physical(comm, locals_)
+        moved = transpose_exchange(comm, locals_, **TO_Y)
         # After the transpose rank r owns y-slab r with full kz extent.
         for r in range(2):
             ys = d.physical_slice(r)
@@ -58,14 +60,14 @@ class TestSlabTransposes:
         comm = VirtualComm(1)
         d = SlabDecomposition(n=8, ranks=1)
         loc = rng.standard_normal(d.local_spectral_shape())
-        out = slab_transpose_spectral_to_physical(comm, [loc])
+        out = transpose_exchange(comm, [loc], **TO_Y)
         assert np.array_equal(out[0], loc)
 
     def test_exchange_records_traffic(self, rng):
         comm = VirtualComm(4)
         d = SlabDecomposition(n=16, ranks=4)
         locals_ = [np.zeros(d.local_spectral_shape(), dtype=np.complex128)] * 4
-        slab_transpose_spectral_to_physical(comm, locals_)
+        transpose_exchange(comm, locals_, **TO_Y)
         rec = comm.stats.records[-1]
         assert rec.kind == "alltoall"
         # Each peer block: (mz, my, nxh) complex128.

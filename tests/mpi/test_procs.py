@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.dist.dist_solver import DistributedNavierStokesSolver
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.transpose import transpose_exchange
 from repro.dist.virtual_mpi import VirtualComm
@@ -152,7 +153,8 @@ class TestFusedSlabFFT:
     def test_bit_equal_to_inline(self, n, P):
         grid = SpectralGrid(n)
         spec = _spectral_field(grid, P)
-        ref_fft = SlabDistributedFFT(grid, VirtualComm(P))
+        # The in-process reference: the whole slab as one pencil, inline.
+        ref_fft = OutOfCoreSlabFFT(grid, VirtualComm(P), npencils=1)
         ref_phys = ref_fft.inverse(spec)
         ref_back = ref_fft.forward(ref_phys)
         comm = ProcsComm(P)
@@ -280,6 +282,60 @@ class TestCrossBackendSolverDeterminism:
         assert e == ref_e and v == ref_v
         assert all(np.array_equal(a, b) for a, b in zip(t, ref_t))
 
+    @pytest.mark.parametrize("scalars", [0, 1])
+    @pytest.mark.parametrize("phase_shift", [True, False], ids=["shift", "noshift"])
+    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
+    @pytest.mark.parametrize("P,heights", [
+        (1, None), (2, None), (2, (11, 5)), (3, (6, 5, 5)), (4, None),
+        (4, (7, 0, 5, 4)),
+    ], ids=["P1", "P2", "P2-uneven", "P3-uneven", "P4", "P4-zero"])
+    def test_whole_slab_is_one_pencil(self, P, heights, scheme, phase_shift,
+                                      scalars):
+        """``npencils`` unset: the whole slab fused into worker processes
+        and, in process, the out-of-core engine at one pencil.  Over 16^3
+        and four RK steps the two give the same states, scalars and
+        energies on every decomposition."""
+        grid = SpectralGrid(16)
+        rng = np.random.default_rng(P)
+        shape = (3, *grid.spectral_shape)
+        u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cfg = SolverConfig(nu=0.02, scheme=scheme, phase_shift=phase_shift,
+                           seed=11)
+        runs = {}
+        for kind in COMM_KINDS:
+            comm = make_comm(kind, P)
+            try:
+                with DistributedNavierStokesSolver(
+                    grid, comm, u0, cfg, heights=heights
+                ) as solver:
+                    for _ in range(scalars):
+                        solver.add_scalar(u0[2], schmidt=0.7, mean_gradient=0.5)
+                    energies = [solver.step(2e-3).energy for _ in range(4)]
+                    runs[kind] = (solver.gather_state(), energies,
+                                  [solver.gather_scalar(s) for s in range(scalars)])
+            finally:
+                getattr(comm, "close", lambda: None)()
+        (ref, ref_e, ref_t), (got, e, t) = runs["virtual"], runs["procs"]
+        assert np.array_equal(got, ref) and e == ref_e
+        assert all(np.array_equal(a, b) for a, b in zip(t, ref_t))
+
+    def test_hooks_need_pencils_over_workers(self):
+        """The worker-fused whole slab has no lanes to fuzz, monitor or
+        lend: a reasoned refusal, and with pencils the hooks run."""
+        from repro.verify import InvariantMonitor
+        from repro.verify.fuzz import FuzzProfile
+
+        grid = SpectralGrid(16)
+        u0 = np.zeros((3, *grid.spectral_shape), grid.cdtype)
+        with ProcsComm(2) as comm:
+            for hook in ({"fuzz": FuzzProfile(seed=1)},
+                         {"monitor": InvariantMonitor()}, {"dlb": "lend"}):
+                with pytest.raises(ValueError, match="need pencils over worker"):
+                    DistributedNavierStokesSolver(grid, comm, u0, **hook)
+            with DistributedNavierStokesSolver(grid, comm, u0, npencils=2,
+                                               dlb="lend") as solver:
+                solver.step(1e-3)
+
     def test_bit_identical_under_fault_plan(self):
         """One seeded CommFaultPlan profile on both backends.
 
@@ -338,8 +394,7 @@ class TestCrossBackendSolverDeterminism:
         u0 = random_isotropic_field(grid, np.random.default_rng(13), energy=1.0)
         cfg = SolverConfig(nu=0.02, scheme="rk2")
 
-        def run(comm):
-            fft = SlabDistributedFFT(grid, comm)
+        def run(comm, fft):
             coeffs = fft.resident([f.shape for f in fields], grid.cdtype)
             for c, f in zip(coeffs, fields):
                 c[...] = f
@@ -353,13 +408,14 @@ class TestCrossBackendSolverDeterminism:
                             for _ in range(2)]
             return legs
 
-        ref = run(VirtualComm(2))
+        with OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=1) as inline:
+            ref = run(inline.comm, inline)
         comm = ProcsComm(2)
         comm.fault_injector = CommFaultPlan(
             seed=3, drop_rate=0.4, late_rate=0.3, kinds=("alltoall",)
         )
         try:
-            got = run(comm)
+            got = run(comm, SlabDistributedFFT(grid, comm))
         finally:
             comm.close()
         for leg, runs in ref.items():

@@ -65,12 +65,21 @@ class TestValidation:
             JobSpec(name="x", ranks=2, heights=(10, 14), skew=0.5).validate()
 
     def test_dlb_requires_npencils(self):
+        """Over procs only: in process an unset npencils is one pencil."""
         with pytest.raises(ValueError, match="dlb lanes require"):
-            JobSpec(name="x", ranks=2, dlb="lend").validate()
+            JobSpec(name="x", ranks=2, comm="procs", dlb="lend").validate()
+        with pytest.raises(ValueError, match="dlb lanes require ranks"):
+            JobSpec(name="x", dlb="lend").validate()
+        JobSpec(name="x", ranks=2, dlb="lend").validate()
+        JobSpec(name="x", ranks=2, comm="procs", npencils=2,
+                dlb="lend").validate()
 
     def test_fuzz_requires_npencils(self):
         with pytest.raises(ValueError, match="fuzz_seed requires"):
-            JobSpec(name="x", ranks=2, fuzz_seed=1).validate()
+            JobSpec(name="x", ranks=2, comm="procs", fuzz_seed=1).validate()
+        with pytest.raises(ValueError, match="fuzz_seed requires ranks"):
+            JobSpec(name="x", fuzz_seed=1).validate()
+        JobSpec(name="x", ranks=2, fuzz_seed=1).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("nu", "0.02"), ("dt", "0.1"), ("inflight", "3"), ("steps", "2"),

@@ -139,7 +139,7 @@ class TestDnsDistributed:
     def test_ranks_whole_slab(self, capsys):
         assert main(["dns", "--n", "16", "--steps", "2", "--ranks", "2"]) == 0
         out = capsys.readouterr().out
-        assert "P=2 ranks, comm=virtual, whole-slab" in out
+        assert "P=2 ranks, comm=virtual, out-of-core np=1" in out
         assert "Re_lambda" in out
 
     def test_ranks_out_of_core_threads(self, capsys):
@@ -208,9 +208,12 @@ class TestUnevenHeightsCli:
         assert "not both" in capsys.readouterr().err
 
     def test_dns_dlb_requires_npencils(self, capsys):
+        """Over worker processes; in process --ranks alone is one pencil."""
         assert main(["dns", "--n", "24", "--steps", "1", "--ranks", "3",
-                     "--dlb", "lend"]) == 2
+                     "--comm", "procs", "--dlb", "lend"]) == 2
         assert "--npencils" in capsys.readouterr().err
+        assert main(["dns", "--n", "24", "--steps", "1", "--ranks", "3",
+                     "--dlb", "lend"]) == 0
 
     def test_verify_bad_heights_quotes_feasible_partition(self, capsys):
         assert main(["verify", "--n", "8", "--ranks", "2", "--npencils", "2",

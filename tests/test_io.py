@@ -118,3 +118,66 @@ class TestValidation:
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
+
+
+def _rewrite(path, edit):
+    """Re-save checkpoint ``path`` after ``edit(arrays, header)``."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    header = json.loads(arrays["header"].tobytes())
+    edit(arrays, header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    return path
+
+
+class TestCorruptFiles:
+    """A damaged checkpoint is a :class:`CheckpointError` naming the
+    problem, never the zip layer's, NumPy's or the solver's exception."""
+
+    def test_truncated_file(self, solver, tmp_path):
+        path = save_checkpoint(tmp_path / "ck.npz", solver)
+        path.write_bytes(path.read_bytes()[:-64])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError, match="empty"):
+            load_checkpoint(path)
+
+    def test_garbage_is_not_unpickled(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        path.write_bytes(b"not a checkpoint at all " * 8)
+        with pytest.raises(CheckpointError, match="not a readable checkpoint"):
+            load_checkpoint(path)
+
+    def test_bare_array_file(self, tmp_path):
+        path = tmp_path / "ck.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(CheckpointError, match="bare array"):
+            load_checkpoint(path)
+
+    def test_missing_scalar_array(self, grid16, tmp_path):
+        mix = NavierStokesSolver(grid16, random_isotropic_field(
+            grid16, np.random.default_rng(1), energy=0.5))
+        mix.add_scalar(grid16.zeros_spectral(), schmidt=2.0)
+        path = _rewrite(save_checkpoint(tmp_path / "ck.npz", mix),
+                        lambda arrays, header: arrays.pop("theta_hat_0"))
+        with pytest.raises(CheckpointError, match="lacks array 'theta_hat_0'"):
+            load_checkpoint(path)
+
+    def test_missing_header_key(self, solver, tmp_path):
+        path = _rewrite(save_checkpoint(tmp_path / "ck.npz", solver),
+                        lambda arrays, header: header.pop("step_count"))
+        with pytest.raises(CheckpointError, match="lacks \\['step_count'\\]"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_velocity(self, solver, tmp_path):
+        def shrink(arrays, header):
+            arrays["u_hat"] = arrays["u_hat"][:, :8]
+
+        path = _rewrite(save_checkpoint(tmp_path / "ck.npz", solver), shrink)
+        with pytest.raises(CheckpointError, match="'u_hat' has shape"):
+            load_checkpoint(path)

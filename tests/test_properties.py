@@ -88,14 +88,14 @@ class TestDistEquivalenceProperties:
         seed=st.integers(0, 10_000),
     )
     def test_distributed_fft_matches_numpy(self, n, ranks, seed):
-        from repro.dist.slab_fft import SlabDistributedFFT
+        from repro.dist.outofcore import OutOfCoreSlabFFT
         from repro.dist.virtual_mpi import VirtualComm
         from repro.spectral.grid import SpectralGrid
         from repro.spectral.transforms import fft3d
 
         grid = SpectralGrid(n)
         u = np.random.default_rng(seed).standard_normal(grid.physical_shape)
-        fft = SlabDistributedFFT(grid, VirtualComm(ranks))
+        fft = OutOfCoreSlabFFT(grid, VirtualComm(ranks), npencils=1)
         got = fft.decomp.gather_spectral(
             fft.forward(fft.decomp.scatter_physical(u))
         )
@@ -112,16 +112,15 @@ class TestDistEquivalenceProperties:
     )
     def test_out_of_core_matches_in_core(self, npencils, seed):
         from repro.dist.outofcore import OutOfCoreSlabFFT
-        from repro.dist.slab_fft import SlabDistributedFFT
         from repro.dist.virtual_mpi import VirtualComm
         from repro.spectral.grid import SpectralGrid
+        from repro.spectral.transforms import fft3d
 
         grid = SpectralGrid(16)
         u = np.random.default_rng(seed).standard_normal(grid.physical_shape)
-        ref = SlabDistributedFFT(grid, VirtualComm(2))
         ooc = OutOfCoreSlabFFT(grid, VirtualComm(2), npencils=npencils,
                                device_bytes=1e9)
-        a = ref.decomp.gather_spectral(ref.forward(ref.decomp.scatter_physical(u)))
+        a = fft3d(u, grid)
         b = ooc.decomp.gather_spectral(ooc.forward(ooc.decomp.scatter_physical(u)))
         assert np.allclose(a, b, atol=1e-12)
         assert ooc.arena.in_use == 0
