@@ -720,12 +720,15 @@ def _run_tune(args, run) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """``repro verify``: the fuzz matrix + schedule exploration (CI job).
+    """``repro verify``: the fuzz matrix, one engine pair per seed and the
+    schedule exploration (CI job).
 
     Every line of the report names the (seed, profile) pair that produced
     it, so a CI failure reproduces locally with
     ``repro verify --seeds SEED --profiles NAME`` or interactively with
-    ``repro dns --ranks P --npencils NP --pipeline threads --fuzz SEED``.
+    ``repro dns --ranks P --npencils NP --pipeline threads --fuzz SEED``;
+    an engine pair's line names its seed and both configurations.  The
+    engine flags go through :meth:`JobSpec.validate`, as ``dns``'s do.
     """
     from repro.verify import DEFAULT_SEEDS, PROFILES, run_verification
 
@@ -746,13 +749,21 @@ def _cmd_verify(args) -> int:
             return 2
     else:
         profiles = None
-    heights = None
-    if args.heights is not None:
-        from repro.dist.decomp import normalize_heights
-        from repro.serve.spec import parse_heights
+    from repro.dist.decomp import normalize_heights
+    from repro.serve.spec import in_flags, spec_from_args
 
+    try:
+        spec = spec_from_args(args)
+    except ValueError as exc:  # --heights is not a list of integers
+        return _report_bad_heights(exc, args.n, args.ranks or 1)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        print(f"error: {in_flags(str(exc))}", file=sys.stderr)
+        return 2
+    heights = spec.heights
+    if heights is not None:
         try:
-            heights = parse_heights(args.heights)
             normalize_heights(args.n, args.ranks, heights)
         except ValueError as exc:
             return _report_bad_heights(exc, args.n, args.ranks)

@@ -153,9 +153,9 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         partition.
     dlb:
         Out-of-core compute-lane policy.  Every rank computes on its own
-        lane; ``"off"`` and ``"pinned"`` keep each pencil there, ``"lend"``
-        lends and reclaims unstarted pencils between lanes
-        deterministically; forwarded to
+        lane; ``"off"`` keeps each pencil there, ``"lend"`` lends and
+        reclaims unstarted pencils between lanes deterministically;
+        forwarded to
         :class:`~repro.dist.outofcore.OutOfCoreSlabFFT`.
     rank_weights:
         Per-rank compute slowdown factors pricing the ``"lend"`` lane clocks.

@@ -414,10 +414,10 @@ class OutOfCoreSlabFFT:
     dlb:
         Every rank is one device: its pencils' compute runs on its own
         lane ``compute[r]``, as does its pointwise work (:meth:`each_rank`).
-        ``"off"`` (default) and ``"pinned"`` name that schedule;
-        ``"lend"`` adds the deterministic :class:`~repro.exec.DlbPolicy`
-        lend/reclaim assignment, so idle peers' compute lanes claim a slow
-        rank's unstarted pencils.  All produce bit-identical results.
+        ``"off"`` (default) names that schedule; ``"lend"`` adds the
+        deterministic :class:`~repro.exec.DlbPolicy` lend/reclaim
+        assignment, so idle peers' compute lanes claim a slow rank's
+        unstarted pencils.  Both produce bit-identical results.
     rank_weights:
         Relative per-rank compute slowdown factors pricing the DLB lane
         clocks under ``dlb="lend"`` (e.g. an imbalance plan's factors);
@@ -463,8 +463,8 @@ class OutOfCoreSlabFFT:
             raise ValueError(f"inflight={inflight} must be >= 1")
         if comm_retries < 0:
             raise ValueError(f"comm_retries={comm_retries} must be >= 0")
-        if dlb not in ("off", "pinned", "lend"):
-            raise ValueError(f"dlb={dlb!r} must be 'off', 'pinned' or 'lend'")
+        if dlb not in ("off", "lend"):
+            raise ValueError(f"dlb={dlb!r} must be 'off' or 'lend'")
         self.dlb = dlb
         self.npencils = npencils
         self.pipeline = pipeline if backend is None else backend.kind

@@ -116,12 +116,12 @@ def open_solver(spec: JobSpec, obs=None, device_bytes: Optional[float] = None,
     """Turn a validated spec into a live solver; the only place that does.
 
     Owns everything between parameters and a steppable solver — grid,
-    initial condition, :class:`SolverConfig`, communicator, fuzz profile
-    with its :class:`InvariantMonitor` and :class:`CommFaultPlan`, uneven
-    heights / skew / DLB — and releases it in order (solver, then comm) on
-    exit.  ``device_bytes`` caps the out-of-core arena at an admission
-    quote; ``forcing`` is a serial-solver forcing object (not nameable in
-    a spec, so passed in).
+    initial condition, :class:`SolverConfig`, then (:func:`_open`)
+    communicator, fuzz profile with its :class:`InvariantMonitor` and
+    :class:`CommFaultPlan`, uneven heights / skew / DLB — and releases it
+    in order (solver, then comm) on exit.  ``device_bytes`` caps the
+    out-of-core arena at an admission quote; ``forcing`` is a
+    serial-solver forcing object (not nameable in a spec, so passed in).
     """
     import numpy as np
 
@@ -144,6 +144,18 @@ def open_solver(spec: JobSpec, obs=None, device_bytes: Optional[float] = None,
         fft_backend=spec.fft_backend,
         diagnostics_every=spec.diagnostics_every,
     )
+    with _open(spec, grid, u0, config, obs, device_bytes,
+               forcing=forcing) as opened:
+        yield opened
+
+
+@contextmanager
+def _open(spec: JobSpec, grid, u0, config, obs=None,
+          device_bytes: Optional[float] = None, forcing=None):
+    """What :func:`open_solver` builds after the :class:`SolverConfig`: the
+    comm, the fuzz profile with its monitor and fault plan, and the solver.
+    :mod:`repro.verify.invariance` opens its drawn pairs here too, with a
+    config a spec cannot name (phase shift off)."""
     opened = OpenSolver(spec, grid, None,
                         spec.dt if spec.dt is not None else 0.25 * grid.dx)
     if spec.ranks is None:

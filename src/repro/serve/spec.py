@@ -76,17 +76,22 @@ def _fuzz_profiles() -> tuple:
 
 
 def _f(default, type_, help_, *, choices=None, ok=None, must=None,
-       flag=None, metavar=None, service=False):
+       flag=None, metavar=None, service=False, answer=None):
     """One row of the job-description table.
 
     ``type``/``choices``/``ok``+``must`` drive :meth:`JobSpec.validate`;
     ``type``/``choices``/``help``/``flag``/``metavar`` drive
     :func:`add_spec_flags`.  ``choices`` may be a callable returning the
-    vocabulary (resolved on use).
+    vocabulary (resolved on use).  ``answer`` says whether changing the
+    row may change the run's answer — ``"never"`` (it reorders execution
+    only: the state stays bit-identical), ``"roundoff"`` (it may
+    reassociate floating point) or ``"physics"`` — and drives the
+    engine-invariance property (:mod:`repro.verify.invariance`); service
+    rows have none.
     """
     meta = {"type": type_, "help": help_, "choices": choices, "ok": ok,
             "must": must or _TYPE_MUST.get(type_), "flag": flag,
-            "metavar": metavar, "service": service}
+            "metavar": metavar, "service": service, "answer": answer}
     return field(default=default, metadata=meta)
 
 
@@ -99,9 +104,10 @@ class JobSpec:
     """One DNS job: physics + engine + service parameters.
 
     The field declarations below are the repo's single job description:
-    each carries its type, vocabulary, range rule, flag spelling and help
-    text, from which :meth:`validate`, ``repro dns`` and ``repro serve
-    submit`` are all derived.
+    each carries its type, vocabulary, range rule, flag spelling, help
+    text and whether it may change the answer, from which
+    :meth:`validate`, ``repro dns``, ``repro serve submit`` and the
+    engine-invariance property are all derived.
 
     Attributes
     ----------
@@ -140,86 +146,90 @@ class JobSpec:
         ok=lambda v: -8 <= v <= 8, must="must be an int in [-8, 8]")
     n: int = _f(
         24, int, "grid size N (N^3 points)",
-        ok=lambda v: v >= 4 and v % 2 == 0, must="must be an even int >= 4")
+        ok=lambda v: v >= 4 and v % 2 == 0, must="must be an even int >= 4",
+        answer="physics")
     steps: int = _f(
         2, int, "time steps to run",
-        ok=_positive, must="must be a positive int")
+        ok=_positive, must="must be a positive int", answer="physics")
     dt: Optional[float] = _f(
         None, float, "fixed time step (unset: 0.25*dx)",
-        ok=_positive, must="must be a positive number (or null)")
+        ok=_positive, must="must be a positive number (or null)",
+        answer="physics")
     nu: float = _f(
         0.02, float, "kinematic viscosity",
-        ok=_positive, must="must be a positive number")
+        ok=_positive, must="must be a positive number", answer="physics")
     scheme: str = _f(
-        "rk2", str, "Runge-Kutta scheme", choices=("rk2", "rk4"))
+        "rk2", str, "Runge-Kutta scheme", choices=("rk2", "rk4"),
+        answer="physics")
     ic: str = _f(
         "taylor-green", str, "initial condition",
-        choices=("taylor-green", "random"))
+        choices=("taylor-green", "random"), answer="physics")
     ic_seed: int = _f(
         0, int, "seed of the random initial condition",
-        ok=lambda v: v >= 0, must="must be an int >= 0")
+        ok=lambda v: v >= 0, must="must be an int >= 0", answer="physics")
     diagnostics_every: int = _f(
         1, int, "compute energy/dissipation every K steps (0: never)",
-        ok=lambda v: v >= 0, must="must be an int >= 0")
+        ok=lambda v: v >= 0, must="must be an int >= 0", answer="physics")
     fft_backend: str = _f(
         "numpy", str,
         "transform backend (auto: $REPRO_FFT_BACKEND or numpy)",
-        choices=("auto", "numpy", "scipy"))
+        choices=("auto", "numpy", "scipy"), answer="roundoff")
     ranks: Optional[int] = _f(
         None, int,
         "run the slab-distributed solver over this many ranks instead of "
         "the serial one",
-        ok=_positive, must="must be a positive int")
+        ok=_positive, must="must be a positive int", answer="roundoff")
     comm: str = _f(
         "virtual", str,
         "with --ranks: communicator backend — in-process virtual ranks "
         "(bit-exact reference) or one worker process per rank over shared "
         "memory",
-        choices=("virtual", "procs"))
+        choices=("virtual", "procs"), answer="never")
     npencils: Optional[int] = _f(
         None, int,
         "with --ranks: pencils per slab for the out-of-core engine "
         "(unset: the whole slab, one pencil; over procs the worker-fused "
         "transforms)",
-        ok=_positive, must="must be a positive int")
+        ok=_positive, must="must be a positive int", answer="never")
     pipeline: str = _f(
         "sync", str,
         "out-of-core execution backend: inline reference or worker-thread "
         "streams with Fig. 4 overlap",
-        choices=("sync", "threads"))
+        choices=("sync", "threads"), answer="never")
     inflight: int = _f(
         3, int, "bounded in-flight pencil window (threads pipeline)",
-        ok=_positive, must="must be an int >= 1")
+        ok=_positive, must="must be an int >= 1", answer="never")
     copy_strategy: str = _f(
         "memcpy2d", str,
         "with --ranks: host<->device strided-copy strategy (Sec. 4.2 / "
         "Fig. 7); auto probes all three on the first pencil of each layout",
-        choices=("auto", "per_chunk", "memcpy2d", "zero_copy"))
+        choices=("auto", "per_chunk", "memcpy2d", "zero_copy"),
+        answer="never")
     heights: Optional[tuple[int, ...]] = _f(
         None, tuple,
         "with --ranks: explicit per-rank slab heights (uneven "
         "decomposition; must sum to N)",
-        metavar="H0,H1,...")
+        metavar="H0,H1,...", answer="never")
     skew: Optional[float] = _f(
         None, float,
         "with --ranks: give rank 0 ~X times the fair slab share "
         "(deterministic uneven partition)",
-        metavar="X")
+        metavar="X", answer="never")
     dlb: str = _f(
         "off", str,
-        "with --ranks: each rank computes on its own lane; off and "
-        "pinned keep every pencil on its owner's lane, lend adds DLB "
-        "lend/reclaim of unstarted pencils (bit-identical results either "
-        "way)",
-        choices=("off", "pinned", "lend"))
+        "with --ranks: each rank computes on its own lane; off keeps every "
+        "pencil on its owner's lane, lend adds DLB lend/reclaim of "
+        "unstarted pencils (bit-identical results either way)",
+        choices=("off", "lend"), answer="never")
     fuzz_seed: Optional[int] = _f(
         None, int,
         "with --ranks: run under the fuzzing backend with this "
         "seed (adversarial delays/faults; the result must be bit-identical "
         "regardless)",
-        flag="--fuzz", metavar="SEED")
+        flag="--fuzz", metavar="SEED", answer="never")
     fuzz_profile: str = _f(
-        "calm", str, "fuzz profile name for --fuzz", choices=_fuzz_profiles)
+        "calm", str, "fuzz profile name for --fuzz", choices=_fuzz_profiles,
+        answer="never")
 
     def __post_init__(self):
         if self.heights is not None:

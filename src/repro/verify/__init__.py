@@ -21,6 +21,10 @@ This package stress-tests that claim from three directions:
 * :mod:`repro.verify.invariants` — :class:`InvariantMonitor` asserts the
   device-buffer discipline (no double lease, rings never recycled under
   in-flight operations, in-flight window respected) *inside* fuzzed runs;
+* :mod:`repro.verify.invariance` — engine invariance as one generated
+  property: a seed draws a physics point and two engine configurations,
+  which must agree to the bits (or the bound) their ``JobSpec`` rows
+  declare;
 * :mod:`repro.verify.harness` — :func:`run_verification`, the whole matrix
   behind ``repro verify`` and the CI ``verify`` job.
 """

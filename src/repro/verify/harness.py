@@ -14,7 +14,12 @@ problem, computes the sync-backend reference trajectory once, then:
    reference **bit-for-bit**, hold every invariant, and leave the arena
    empty.
 
-2. **Schedule exploration** — replays the out-of-core transform's recorded
+2. **Engine pairs** — for every seed, the engine-invariance property's
+   draw (:mod:`repro.verify.invariance`): one physics point run on two
+   engine configurations, compared under the bound their differing
+   ``JobSpec`` rows declare.
+
+3. **Schedule exploration** — replays the out-of-core transform's recorded
    event graph through :class:`ReplayBackend` in sampled legal linear
    extensions (plus the submission order), asserting schedulability
    (deadlock-freedom), the structural window gates, and bit-exact results
@@ -22,7 +27,9 @@ problem, computes the sync-backend reference trajectory once, then:
 
 The report carries enough to reproduce any failure: the case's seed and
 profile name map 1:1 onto ``repro verify --seeds SEED --profiles NAME``
-(or ``dns --fuzz SEED --fuzz-profile NAME``).
+(or ``dns --fuzz SEED --fuzz-profile NAME``), and a pair's line names its
+seed, physics point and both configurations (``--seeds SEED`` replays
+it).
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from repro.spectral.solver import SolverConfig
 from repro.verify.explorer import ReplayBackend
 from repro.verify.faults import CommFaultPlan
 from repro.verify.fuzz import FuzzProfile, fuzz_profile
+from repro.verify.invariance import PairOutcome, draw_pair, run_pair
 from repro.verify.invariants import InvariantMonitor
 from repro.verify.watchdog import DeadlockTimeout, watchdog
 
@@ -113,6 +121,7 @@ class VerificationReport:
     """Everything ``repro verify`` prints / exports."""
 
     cases: list[FuzzCase] = field(default_factory=list)
+    pairs: list[PairOutcome] = field(default_factory=list)
     explorer_orders: int = 0
     explorer_ops: int = 0
     explorer_ok: bool = False
@@ -126,6 +135,7 @@ class VerificationReport:
         return (
             bool(self.cases)
             and all(c.ok for c in self.cases)
+            and all(p.ok for p in self.pairs)
             and self.explorer_ok
             and not self.violations
         )
@@ -138,6 +148,8 @@ class VerificationReport:
         lines = ["verification report", "-" * 19]
         for c in self.cases:
             lines.append("  " + c.describe())
+        for p in self.pairs:
+            lines.append("  " + p.describe())
         lines.append(
             f"  explorer: {self.explorer_orders} order(s), "
             f"{self.explorer_ops} op(s) replayed — "
@@ -152,6 +164,7 @@ class VerificationReport:
         lines.append(
             f"  verdict: {'PASS' if self.passed else 'FAIL'} "
             f"({len(self.cases)} fuzz case(s), "
+            f"{len(self.pairs)} engine pair(s), "
             f"{self.total_faults} fault(s) injected)"
         )
         perturbed = self.total_faults > 0 or any(
@@ -213,18 +226,19 @@ def run_verification(
     heights: Optional[Sequence[int]] = None,
     dlb: str = "off",
 ) -> VerificationReport:
-    """Run the full fuzz matrix plus schedule exploration; see module doc.
+    """Run the fuzz matrix, one engine pair per seed and the schedule
+    exploration; see module doc.
 
     ``heights`` (uneven per-rank slab extents) and ``dlb`` (``off`` /
-    ``pinned`` / ``lend``) extend the matrix to the load-imbalance tier:
-    the unfuzzed sync reference runs on the same decomposition (DLB off —
+    ``lend``) extend the matrix to the load-imbalance tier: the unfuzzed
+    sync reference runs on the same decomposition (DLB off —
     lanes never change bytes, which is exactly what the comparison
     proves), and every fuzzed case must still match it bit-for-bit.
 
     ``copy_strategy`` selects the strided host<->device copy engine for
     both the reference and every fuzzed run (all strategies are
-    bit-identical, so the matrix passes regardless of the choice — that
-    is precisely what the copy-strategy determinism tests assert).
+    bit-identical, so the matrix passes regardless of the choice — a
+    ``never`` row of the engine-invariance property).
 
     A :class:`~repro.obs.flight.FlightRecorder` is installed for the whole
     matrix: a case that deadlocks (watchdog expiry) or fails leaves a
@@ -257,6 +271,16 @@ def run_verification(
                 report.cases.append(case)
                 if verbose:
                     print(case.describe())
+            pair = draw_pair(seed)
+            try:
+                with watchdog(watchdog_seconds,
+                              label=f"engine pair seed={seed}"):
+                    outcome = run_pair(pair)
+            except DeadlockTimeout as exc:
+                outcome = PairOutcome(pair, error=f"DeadlockTimeout: {exc}")
+            report.pairs.append(outcome)
+            if verbose:
+                print(outcome.describe())
 
         _run_explorer(
             grid, ranks, npencils, inflight, orders, watchdog_seconds, report

@@ -23,49 +23,6 @@ def pair(grid, u0, ranks, **cfg_kw):
     return serial, dist
 
 
-class TestEquivalenceWithSerial:
-    def test_single_rk2_step_bitwise_close(self, grid24, rng):
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        serial, dist = pair(grid24, u0, ranks=4)
-        serial.step(0.005)
-        dist.step(0.005)
-        assert np.allclose(serial.u_hat, dist.gather_state(), atol=1e-14)
-
-    def test_multi_step_trajectory_with_phase_shift(self, grid24, rng):
-        """Same seed -> same random shifts -> identical trajectories."""
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        serial, dist = pair(grid24, u0, ranks=3, phase_shift=True)
-        for _ in range(4):
-            rs = serial.step(0.004)
-            rd = dist.step(0.004)
-        assert np.allclose(serial.u_hat, dist.gather_state(), atol=1e-13)
-        assert rs.energy == pytest.approx(rd.energy, rel=1e-12)
-
-    def test_rk4_step_matches(self, grid24, rng):
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        serial, dist = pair(grid24, u0, ranks=2, scheme="rk4")
-        serial.step(0.005)
-        dist.step(0.005)
-        assert np.allclose(serial.u_hat, dist.gather_state(), atol=1e-14)
-
-    def test_single_rank_degenerate_case(self, grid16):
-        u0 = taylor_green_field(grid16)
-        serial, dist = pair(grid16, u0, ranks=1)
-        serial.step(0.01)
-        dist.step(0.01)
-        assert np.allclose(serial.u_hat, dist.gather_state(), atol=1e-14)
-
-    def test_result_independent_of_rank_count(self, grid24, rng):
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        states = []
-        for ranks in (1, 2, 4):
-            _, dist = pair(grid24, u0, ranks=ranks)
-            dist.step(0.005)
-            states.append(dist.gather_state())
-        for other in states[1:]:
-            assert np.allclose(states[0], other, atol=1e-13)
-
-
 class TestDistributedDiagnostics:
     def test_energy_matches_serial(self, grid24, rng):
         u0 = random_isotropic_field(grid24, rng, energy=0.5)

@@ -71,224 +71,11 @@ class TestBitIdenticalTransforms:
                     assert np.array_equal(a, b)
 
 
-class TestBitIdenticalSolverStep:
-    def test_full_step_threads_vs_sync(self):
-        n, P = 16, 2
-        grid = SpectralGrid(n)
-        rng = np.random.default_rng(3)
-        shape = (3, *grid.spectral_shape)
-        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
-            grid.cdtype
-        )
-        cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True, seed=11)
-
-        states = {}
-        for pipeline in ("sync", "threads"):
-            with DistributedNavierStokesSolver(
-                grid, VirtualComm(P), u0, cfg,
-                npencils=4, pipeline=pipeline, inflight=3,
-            ) as solver:
-                r1 = solver.step(1e-3)
-                r2 = solver.step(1e-3)
-                states[pipeline] = solver.gather_state()
-                assert r2.time > r1.time
-        assert np.array_equal(states["sync"], states["threads"])
-
-    @pytest.mark.parametrize(
-        "heights", [None, (5, 11, 8)], ids=["even", "uneven"]
-    )
-    @pytest.mark.parametrize("fft_backend", ["numpy", "scipy"])
-    def test_every_engine_agrees(self, fft_backend, heights):
-        """The whole slab in process (one pencil, inline and on threads),
-        the whole slab on worker processes and four pencils (sync and
-        threads) index one stage table, so driver-side and worker-side
-        kernels give the same bits — for the velocity and for a passive
-        scalar marched in the same state."""
-        from repro.mpi.procs import make_comm
-
-        n, P = 24, 3
-        grid = SpectralGrid(n)
-        rng = np.random.default_rng(3)
-        shape = (3, *grid.spectral_shape)
-        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
-            grid.cdtype
-        )
-        theta0 = u0[0] + 0.5 * u0[2]
-        cfg = SolverConfig(
-            nu=0.02, scheme="rk2", phase_shift=True, seed=11,
-            fft_backend=fft_backend,
-        )
-        engines = {
-            "slab-virtual": ("virtual", {}),
-            "slab-threads": ("virtual", {"pipeline": "threads", "inflight": 3}),
-            "slab-procs": ("procs", {}),
-            "ooc-sync": ("virtual", {"npencils": 4, "pipeline": "sync"}),
-            "ooc-threads": (
-                "virtual", {"npencils": 4, "pipeline": "threads", "inflight": 3}
-            ),
-        }
-        states = {}
-        for name, (kind, kwargs) in engines.items():
-            comm = make_comm(kind, P, fft_backend=fft_backend)
-            try:
-                with DistributedNavierStokesSolver(
-                    grid, comm, u0, cfg, heights=heights, **kwargs
-                ) as solver:
-                    solver.add_scalar(theta0, schmidt=4.0, mean_gradient=1.0)
-                    for _ in range(3):
-                        solver.step(1e-3)
-                    states[name] = (solver.gather_state(), solver.gather_scalar(0))
-            finally:
-                getattr(comm, "close", lambda: None)()
-        for name, (u, theta) in states.items():
-            assert np.array_equal(u, states["slab-virtual"][0]), name
-            assert np.array_equal(theta, states["slab-virtual"][1]), name
-
-
-class TestWholeSlabTakesEveryHook:
-    """In process an unset ``npencils`` is the out-of-core engine at one
-    pencil, so the hooks that engine offers — fuzzing, the invariant
-    monitor, DLB lanes — run on the whole slab too, and move no bit."""
-
-    @staticmethod
-    def _run(**hooks):
-        from repro.spectral.initial import random_isotropic_field
-
-        grid = SpectralGrid(16)
-        u0 = random_isotropic_field(grid, np.random.default_rng(4), energy=1.0)
-        cfg = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True, seed=11)
-        with DistributedNavierStokesSolver(
-            grid, VirtualComm(2), u0, cfg, **hooks
-        ) as solver:
-            assert solver.fft.npencils == 1
-            energies = [solver.step(1e-3).energy for _ in range(3)]
-            return solver, solver.gather_state(), energies
-
-    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
-    @pytest.mark.parametrize("hook", ["fuzz", "monitor", "dlb"])
-    def test_bit_identical_to_the_plain_run(self, hook, pipeline):
-        from repro.verify import InvariantMonitor
-        from repro.verify.fuzz import FuzzProfile
-
-        monitor = InvariantMonitor()
-        hooks = {
-            "fuzz": dict(fuzz=FuzzProfile(
-                seed=3, delay_max=2e-4, delay_prob=0.5, fault_rate=0.3,
-                reorder_window=3), monitor=monitor),
-            "monitor": dict(monitor=monitor),
-            "dlb": dict(dlb="lend", rank_weights=(3.0, 1.0)),
-        }[hook]
-        _, want, want_e = self._run()
-        solver, got, got_e = self._run(pipeline=pipeline, **hooks)
-        assert np.array_equal(got, want) and got_e == want_e
-        if hook != "dlb":
-            monitor.assert_quiescent()
-            assert monitor.ok
-        if hook == "fuzz":
-            stats = solver.fft._backend.stats
-            assert stats["injected"] > 0 and stats["recovered"] > 0
-        if hook == "dlb":
-            assert solver.fft._dlb_policy.pencils_lent > 0
-
-
-class TestLastStageOverwritesItsState:
-    """The last RK stage's right-hand side lands in the stage state it is
-    evaluated at.  Without phase shift the engines transform the state
-    itself, and a scalar's ``-G u_y`` reads its velocity: both must finish
-    before the assembly writes.  Every engine gives one set of bits, and
-    those are the serial solver's up to reassociation."""
-
-    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
-    def test_scalar_gradient_on_every_engine(self, scheme):
-        from repro.mpi.procs import make_comm
-        from repro.spectral.initial import random_isotropic_field
-        from repro.spectral.solver import NavierStokesSolver
-
-        grid = SpectralGrid(24)
-        rng = np.random.default_rng(8)
-        u0 = random_isotropic_field(grid, rng, energy=0.5)
-        theta0 = random_isotropic_field(grid, rng, energy=0.5)[0]
-        cfg = SolverConfig(nu=0.02, scheme=scheme, phase_shift=False)
-        engines = {
-            "slab-virtual": ("virtual", {}),
-            "slab-procs": ("procs", {}),
-            "ooc-sync": ("virtual", {"npencils": 4, "pipeline": "sync"}),
-            "ooc-threads": ("virtual", {"npencils": 4, "pipeline": "threads"}),
-        }
-        states = {}
-        for name, (kind, kwargs) in engines.items():
-            comm = make_comm(kind, 2)
-            try:
-                with DistributedNavierStokesSolver(
-                    grid, comm, u0, cfg, **kwargs
-                ) as solver:
-                    solver.add_scalar(theta0, schmidt=0.7, mean_gradient=0.8)
-                    for _ in range(3):
-                        solver.step(5e-3)
-                    states[name] = (solver.gather_state(), solver.gather_scalar(0))
-            finally:
-                getattr(comm, "close", lambda: None)()
-        for name, (u, theta) in states.items():
-            assert np.array_equal(u, states["slab-virtual"][0]), name
-            assert np.array_equal(theta, states["slab-virtual"][1]), name
-        serial = NavierStokesSolver(grid, u0, cfg)
-        serial.add_scalar(theta0, schmidt=0.7, mean_gradient=0.8)
-        for _ in range(3):
-            serial.step(5e-3)
-        u, theta = states["slab-virtual"]
-        np.testing.assert_allclose(u, serial.u_hat, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(theta, serial.scalars[0].theta_hat,
-                                   rtol=0, atol=1e-13)
-
-
 class TestEachRankIsADevice:
-    """Every rank computes on its own lane ``compute[r]``: its pencils and,
-    through ``each_rank``, its shift, assembly, RK combination and
-    diagnostics partials.  Lanes run side by side on threads and must give
-    the inline reference's bits."""
-
-    HEIGHTS = (10, 0, 14)  # rank 1 holds no planes: an empty kernel
-
-    @pytest.mark.parametrize("phase_shift", [True, False], ids=["shift", "noshift"])
-    @pytest.mark.parametrize("scalars", [0, 1])
-    @pytest.mark.parametrize("scheme", ["rk2", "rk4"])
-    def test_threads_match_sync(self, scheme, scalars, phase_shift):
-        n, P = 24, 3
-        grid = SpectralGrid(n)
-        rng = np.random.default_rng(5)
-        shape = (3, *grid.spectral_shape)
-        u0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
-            grid.cdtype
-        )
-        cfg = SolverConfig(nu=0.02, scheme=scheme, phase_shift=phase_shift,
-                           seed=11, diagnostics_every=1)
-        runs = {
-            "sync": {"pipeline": "sync"},
-            "threads": {"pipeline": "threads"},
-            "threads-lend": {"pipeline": "threads", "dlb": "lend",
-                             "rank_weights": (2.0, 1.0, 1.0)},
-        }
-        results = {}
-        for name, kwargs in runs.items():
-            with DistributedNavierStokesSolver(
-                grid, VirtualComm(P), u0, cfg, npencils=4, inflight=3,
-                heights=self.HEIGHTS, **kwargs,
-            ) as solver:
-                for _ in range(scalars):
-                    solver.add_scalar(u0[1], schmidt=2.0, mean_gradient=0.5)
-                energies = [solver.step(1e-3).energy for _ in range(2)]
-                variances = [solver.scalar_variance(s) for s in range(scalars)]
-                results[name] = (solver.gather_state(), energies, variances,
-                                 [solver.gather_scalar(s) for s in range(scalars)])
-                if "dlb" in kwargs:
-                    assert solver.fft._dlb_policy.pencils_lent > 0
-        ref_state, ref_energies, ref_variances, ref_scalars = results["sync"]
-        for name, (state, energies, variances, thetas) in results.items():
-            assert np.array_equal(state, ref_state), name
-            assert energies == ref_energies, name
-            assert variances == ref_variances, name
-            for theta, ref in zip(thetas, ref_scalars):
-                assert np.array_equal(theta, ref), name
+    """Every rank computes on its own lane ``compute[r]``.  That lanes give
+    the inline bits is the engine-invariance property's
+    (``tests/verify/test_invariance.py``); what it cannot do is make the
+    interpreter switch threads every microsecond."""
 
     def test_more_lanes_than_cores_under_fast_switching(self):
         """Eight rank lanes with the interpreter switching threads every

@@ -44,12 +44,13 @@ class TestValidation:
         assert spec.validate() is spec
 
     def test_all_problems_reported_at_once(self):
-        spec = JobSpec(name="", n=7, steps=0, scheme="euler", priority=99)
+        spec = JobSpec(name="", n=7, steps=0, scheme="euler", priority=99,
+                       dlb="pinned")
         with pytest.raises(ValueError) as exc:
             spec.validate()
         message = str(exc.value)
         for fragment in ("name", "n=7", "steps=0", "scheme='euler'",
-                         "priority=99"):
+                         "priority=99", "dlb='pinned' not in ('off', 'lend')"):
             assert fragment in message
 
     def test_npencils_requires_ranks(self):

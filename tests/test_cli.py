@@ -223,6 +223,17 @@ class TestUnevenHeightsCli:
         assert "INFEASIBLE" in err
         assert "--heights 4,4" in err
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--npencils", "3"], "--npencils=3 must divide N=16"),
+        (["--ranks", "0"], "--ranks=0 must be a positive int"),
+        (["--n", "7"], "--n=7 must be an even int >= 4"),
+    ], ids=["npencils", "ranks", "n"])
+    def test_verify_bad_engine_flag_is_one_reasoned_line(self, capsys, flags,
+                                                         reason):
+        assert main(["verify", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {reason}\n"
+
     def test_verify_imbalance_profile_with_dlb(self, capsys):
         assert main(["verify", "--n", "8", "--ranks", "2", "--npencils", "2",
                      "--steps", "1", "--seeds", "7", "--orders", "0",

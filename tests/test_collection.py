@@ -32,6 +32,11 @@ The eighth keeps the distributed engines' concurrency in one place: a rank's
 work runs on its lanes of a ``repro.exec`` backend, which the sync, fuzz and
 replay backends can serialise, perturb and record.  A thread pool or a bare
 thread under ``src/repro/dist/`` would escape all three.
+
+The ninth keeps the engine-invariance property whole: every run row of the
+job description says whether it may change the answer, and each row that
+may not (or only at round-off) is one the property's tier-1 pairs differ
+in.  A new row cannot skip its class, nor join a class and go untested.
 """
 
 import ast
@@ -225,3 +230,19 @@ def test_fft_backend_vocabulary_is_the_provider_registry():
     assert set(meta["choices"]) == {"auto", *FFT_PROVIDERS}
     for name in FFT_PROVIDERS:
         assert resolve_fft(name).name == name
+
+
+def test_every_run_row_declares_whether_it_may_change_the_answer():
+    from dataclasses import fields
+
+    from repro.serve.spec import JobSpec
+    from repro.verify.invariance import draw_pair
+    from tests.verify.test_invariance import TIER1_SEEDS
+
+    rows = {f.name: f.metadata["answer"] for f in fields(JobSpec)
+            if not f.metadata["service"]}
+    assert not [name for name, answer in rows.items()
+                if answer not in ("never", "roundoff", "physics")]
+    varied = set().union(*(draw_pair(seed).differs() for seed in TIER1_SEEDS))
+    assert not [name for name, answer in rows.items()
+                if answer != "physics" and name not in varied]

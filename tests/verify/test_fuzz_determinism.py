@@ -124,58 +124,6 @@ class TestCommFaultRecovery:
         assert snap["comm.faults.recovered"] > 0
 
 
-class TestCopyStrategyDeterminism:
-    """The out-of-core FFT is bit-identical for every copy strategy.
-
-    Strategy choice only changes *how* bytes move between host and the
-    device arena, never their values — including when the autotuner picks
-    the engine at runtime and when seeded fuzz reorders the workers.
-    """
-
-    STRATEGIES = ("per_chunk", "memcpy2d", "zero_copy", "auto")
-
-    @staticmethod
-    def _roundtrip(pipeline, copy_strategy, fuzz=None):
-        from repro.dist.decomp import SlabDecomposition
-        from repro.dist.outofcore import OutOfCoreSlabFFT
-
-        grid = SpectralGrid(16)
-        P = 2
-        d = SlabDecomposition(grid.n, P)
-        rng = np.random.default_rng(42)
-        shape = d.local_spectral_shape()
-        spec = [
-            (rng.standard_normal(shape)
-             + 1j * rng.standard_normal(shape)).astype(grid.cdtype)
-            for _ in range(P)
-        ]
-        with OutOfCoreSlabFFT(
-            grid, VirtualComm(P), 4, pipeline=pipeline, inflight=3,
-            fuzz=fuzz, copy_strategy=copy_strategy,
-        ) as fft:
-            out = fft.forward(fft.inverse(spec))
-            assert fft.arena.in_use == 0
-        return out
-
-    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
-    def test_all_strategies_bit_identical(self, pipeline):
-        reference = self._roundtrip("sync", "memcpy2d")
-        for strategy in self.STRATEGIES:
-            out = self._roundtrip(pipeline, strategy)
-            for got, want in zip(out, reference):
-                assert np.array_equal(got, want), (pipeline, strategy)
-
-    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_fuzzed_threads_match_sync_for_every_strategy(self, seed):
-        reference = self._roundtrip("sync", "memcpy2d")
-        for strategy in self.STRATEGIES:
-            out = self._roundtrip(
-                "threads", strategy, fuzz=fuzz_profile("jittery", seed)
-            )
-            for got, want in zip(out, reference):
-                assert np.array_equal(got, want), (seed, strategy)
-
-
 @pytest.mark.fuzz
 class TestExtendedMatrix:
     @pytest.mark.parametrize("seed", DEFAULT_SEEDS)

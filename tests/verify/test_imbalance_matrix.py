@@ -105,35 +105,6 @@ class TestImbalanceMatrix:
 
 
 class TestDlbWithoutFuzz:
-    def test_lend_is_bit_identical_on_clean_runs(self):
-        """DLB must be a pure scheduling change even with no fuzz shim."""
-        from repro.dist.dist_solver import DistributedNavierStokesSolver
-        from repro.dist.virtual_mpi import VirtualComm
-        from repro.spectral.grid import SpectralGrid
-        from repro.spectral.initial import random_isotropic_field
-        from repro.spectral.solver import SolverConfig
-
-        grid = SpectralGrid(16)
-        rng = np.random.default_rng(3)
-        u0 = random_isotropic_field(grid, rng, energy=0.5)
-        cfg = SolverConfig(nu=0.02, phase_shift=False, seed=11)
-        states = {}
-        for dlb in ("off", "pinned", "lend"):
-            solver = DistributedNavierStokesSolver(
-                grid, VirtualComm(2), u0, cfg,
-                npencils=2, pipeline="threads", heights=(9, 7), dlb=dlb,
-                rank_weights=(2.0, 1.0),
-            )
-            for _ in range(2):
-                solver.step(0.004)
-            states[dlb] = solver.gather_state()
-            if dlb == "lend":
-                policy = solver.fft._dlb_policy
-                assert policy.pencils_lent > 0
-            solver.close()
-        assert np.array_equal(states["off"], states["pinned"])
-        assert np.array_equal(states["off"], states["lend"])
-
     def test_fuzz_profile_derives_lane_weights(self):
         """Solver prices DLB lanes from the profile's ImbalancePlan."""
         from repro.dist.dist_solver import DistributedNavierStokesSolver
