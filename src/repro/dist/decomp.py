@@ -30,11 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.spectral.grid import SpectralGrid
-
 __all__ = [
     "SlabDecomposition",
-    "SlabGridView",
     "normalize_heights",
     "skewed_heights",
 ]
@@ -240,53 +237,3 @@ class SlabDecomposition:
                     f"rank {r}: expected dtype {np.dtype(dtype)}, got {piece.dtype}"
                 )
 
-
-class SlabGridView:
-    """Rank-local view of a :class:`SpectralGrid`'s wavenumber arrays.
-
-    Slices every broadcastable spectral-space array along kz so the
-    distributed solver can apply masks, projections and integrating factors
-    locally to its kz-slab.
-    """
-
-    def __init__(self, grid: SpectralGrid, decomp: SlabDecomposition, rank: int):
-        if grid.n != decomp.n:
-            raise ValueError("grid and decomposition sizes differ")
-        self.grid = grid
-        self.decomp = decomp
-        self.rank = rank
-        self._zslice = decomp.spectral_slice(rank)
-
-    @property
-    def kx(self) -> np.ndarray:
-        return self.grid.kx
-
-    @property
-    def ky(self) -> np.ndarray:
-        return self.grid.ky
-
-    @property
-    def kz(self) -> np.ndarray:
-        return self.grid.kz[self._zslice]
-
-    @property
-    def k_squared(self) -> np.ndarray:
-        return self.grid.k_squared[self._zslice]
-
-    @property
-    def k_squared_nonzero(self) -> np.ndarray:
-        k2 = self.grid.k_squared_nonzero
-        return k2[self._zslice]
-
-    @property
-    def hermitian_weights(self) -> np.ndarray:
-        return self.grid.hermitian_weights[self._zslice]
-
-    def slice_spectral(self, arr: np.ndarray) -> np.ndarray:
-        """Slice any full-spectral-shape array down to this rank's slab."""
-        return arr[self._zslice]
-
-    @property
-    def owns_mean_mode(self) -> bool:
-        """True iff this rank's (non-empty) kz-slab contains the kz=0 plane."""
-        return self._zslice.start == 0 and self._zslice.stop > 0

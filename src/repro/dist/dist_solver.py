@@ -37,18 +37,18 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.dist.decomp import SlabDecomposition, SlabGridView
+from repro.dist.decomp import SlabDecomposition
 from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs import NULL_OBS, NULL_SPAN
 from repro.spectral.dealias import random_shift
-from repro.spectral.diagnostics import mode_square
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
 from repro.spectral.scalar import PassiveScalar
 from repro.spectral.solver import (IntegratingFactorRK, SolverConfig,
-                                   StepResult, combine_components)
+                                   StepResult, combine_components, energy_sums,
+                                   variance_sum)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -85,21 +85,6 @@ def _assemble(kernel: PointwiseKernel, spectra: np.ndarray, shift,
         kernel.scalar_rhs(rhs[s], bases, rhs[s], gradient, state[1])
     kernel.accumulate(rhs, PRODUCT_PAIRS, spectra[:6])
     kernel.rhs(rhs[:3], bases, rhs[:3])
-
-
-def _energy_partials(kernel: PointwiseKernel, state: np.ndarray,
-                     nu: float) -> np.ndarray:
-    """The rank's energy and dissipation sums, from one ``re^2 + im^2`` pass."""
-    weighted = mode_square(state[:3])
-    weighted *= kernel.grid.hermitian_weights[kernel.zslice]
-    energy = 0.5 * np.sum(weighted)
-    weighted *= kernel.grid.k_squared[kernel.zslice]
-    return np.array([energy, nu * np.sum(weighted)])
-
-
-def _variance_partial(kernel: PointwiseKernel, theta: np.ndarray) -> float:
-    return float(0.5 * np.sum(
-        kernel.grid.hermitian_weights[kernel.zslice] * np.abs(theta) ** 2))
 
 
 class DistributedNavierStokesSolver(IntegratingFactorRK):
@@ -223,7 +208,6 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
                 fft_backend=self.config.fft_backend,
             )
         self.decomp: SlabDecomposition = self.fft.decomp
-        self.views = [SlabGridView(grid, self.decomp, r) for r in range(comm.size)]
         self._rank_spans = [
             self.obs.spans.child("local") for _ in range(comm.size)
         ]
@@ -234,8 +218,8 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
                 f"initial condition must have shape {(3, *grid.spectral_shape)}"
             )
         self._kernels = [
-            PointwiseKernel.for_slab(grid, self.config.dealias,
-                                     self.decomp.spectral_slice(r))
+            PointwiseKernel(grid, self.config.dealias,
+                            self.decomp.spectral_slice(r))
             for r in range(comm.size)
         ]
         self._buffers: dict[str, list[np.ndarray]] = {}
@@ -268,9 +252,9 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             )
         self.scalars.append(PassiveScalar(theta_hat_global, schmidt, mean_gradient))
         state = self._claim(self._state[0].shape[0] + 1)
-        for r, (view, kernel) in enumerate(zip(self.views, self._kernels)):
+        for r, kernel in enumerate(self._kernels):
             state[r][:-1] = self._state[r]
-            state[r][-1] = view.slice_spectral(theta_hat_global)
+            state[r][-1] = theta_hat_global[self.decomp.spectral_slice(r)]
             kernel.truncate(state[r][-1])
         self._state = state
         for s, scalar in enumerate(self.scalars, start=3):
@@ -349,15 +333,16 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
 
     # -- time stepping ------------------------------------------------------------
 
-    def _combine(self, out: Sequence[np.ndarray], groups) -> Sequence[np.ndarray]:
-        """``kernel.combine`` on every rank; each term names a per-rank list."""
+    def _combine(self, jobs) -> None:
+        """``kernel.combine`` on every rank; each output and term names a
+        per-rank list."""
         P = self.comm.size
-        per_rank = [[(tau, [(coef, a[r]) for coef, a in terms])
-                     for tau, terms in groups] for r in range(P)]
-        self.fft.each_rank(combine_components, self._kernels, out,
+        per_rank = [[(out[r], [(tau, [(coef, a[r]) for coef, a in terms])
+                               for tau, terms in groups])
+                     for out, groups in jobs] for r in range(P)]
+        self.fft.each_rank(combine_components, self._kernels,
                            [self._components()] * P, per_rank,
                            spans=self._rank_spans)
-        return out
 
     def step(self, dt: float) -> StepResult:
         """Advance one RK2 or RK4 step (the serial solver's schemes)."""
@@ -402,9 +387,9 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
     # -- global diagnostics (allreduce over ranks) -----------------------------
 
     def _energy_and_dissipation(self) -> tuple[float, float]:
-        """Both diagnostics from one ``re^2 + im^2`` pass per rank."""
+        """Both diagnostics from one sweep per rank."""
         locals_ = self.fft.each_rank(
-            _energy_partials, self._kernels, self._state,
+            energy_sums, self._kernels, self._state,
             [self.config.nu] * self.comm.size, spans=self._rank_spans)
         energy, dissipation = self.comm.allreduce(locals_)[0]
         return float(energy), float(dissipation)
@@ -426,6 +411,6 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
     def scalar_variance(self, index: int) -> float:
         """<theta^2>/2 of scalar ``index`` (allreduce over ranks)."""
         locals_ = self.fft.each_rank(
-            _variance_partial, self._kernels, self.scalars[index].theta_hat,
+            variance_sum, self._kernels, self.scalars[index].theta_hat,
             spans=self._rank_spans)
         return self.comm.allreduce(locals_)[0]

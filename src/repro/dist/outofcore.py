@@ -64,7 +64,7 @@ import math
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -503,6 +503,7 @@ class OutOfCoreSlabFFT:
         self._send: list[np.ndarray] = []
         self._transposed: list[np.ndarray] = []
         self._views: dict[tuple, tuple] = {}
+        self._layouts: dict[tuple, tuple] = {}
         if monitor is not None:
             self.arena.monitor = monitor
             self.arena.pool.monitor = monitor
@@ -609,16 +610,20 @@ class OutOfCoreSlabFFT:
         return PencilRings(
             self.arena, self.inflight, roles, engine=self._copy_engine)
 
-    def _claim(self, held: list, sizes: Sequence[int]) -> bool:
+    def _claim(self, held: list, sizes: Sequence[int],
+               stale: Optional[dict] = None) -> None:
         """Make ``held`` flat complex arrays of at least ``sizes``, growing
-        (never shrinking) each rank's when one is short; returns whether it
-        did, since views of the old arrays are then stale."""
+        (never shrinking) each rank's when one is short.  The old arrays,
+        and the views of them cached in ``stale``, go before the new ones
+        are claimed, so a regrowth never holds both."""
         if held and all(h.shape[0] >= s for h, s in zip(held, sizes)):
-            return False
+            return
         if held:
             sizes = [max(h.shape[0], s) for h, s in zip(held, sizes)]
-        held[:] = [self._empty((s,), self.grid.cdtype) for s in sizes]
-        return True
+        if stale is not None:
+            stale.clear()
+        held.clear()
+        held.extend(self._empty((s,), self.grid.cdtype) for s in sizes)
 
     def _transposed_slabs(self, fields: int) -> list[np.ndarray]:
         """Every rank's transposed slab: ``fields`` y-slabs ``[field, kz, y, x]``."""
@@ -628,7 +633,55 @@ class OutOfCoreSlabFFT:
         return [flat[:size].reshape(shape) for flat, size, shape
                 in zip(self._transposed, sizes, shapes)]
 
-    def _exchange_views(self, by: str, cuts, fields: int):
+    def _cuts(self, by: str) -> list[list[slice]]:
+        """Per rank, the pencils of a ``by``-split phase (see :meth:`_phase`)."""
+        d, P = self.decomp, self.comm.size
+        if by == "x":
+            return [self._splits(self.grid.n // 2 + 1)] * P
+        if d.heights is None:
+            return [self._splits(d.my)] * P
+        return [self._splits(d.height(r), keep_empty=True) for r in range(P)]
+
+    def _send_layout(self, by: str, fields: int):
+        """``(layouts, k, slot)`` of the ``by``-split exchange of ``fields``
+        fields: each pencil's chunk layout, the depth ``k`` of the send
+        region's pencil ring (see :meth:`_exchange_views`) and each rank's
+        slot size."""
+        found = self._layouts.get((by, fields))
+        if found is not None:
+            return found
+        P = self.comm.size
+        src_shape, dst_shape = self.decomp.local_spectral_shape, self._y_shape
+        if by == "y":
+            src_shape, dst_shape = dst_shape, src_shape
+        shapes = [src_shape(r) for r in range(P)]
+        cuts = self._cuts(by)
+        layouts = [
+            chunk_exchange_layout(
+                shapes, *_EXCHANGE_AXES[by], [cut[ip] for cut in cuts],
+                self.decomp.rank_heights,
+            )
+            for ip in range(len(cuts[0]))
+        ]
+        k = min(len(layouts), -(-(self.inflight + P - 1) // P))
+        slot = [
+            max(fields * sum(map(math.prod, blocks[r]))
+                for _, blocks, _ in layouts)
+            for r in range(P)
+        ]
+        found = self._layouts[by, fields] = (layouts, k, slot)
+        return found
+
+    def _reserve_send(self, *exchanges: tuple[str, int]) -> None:
+        """Size every rank's send region for the largest of ``exchanges``
+        (``(by, fields)`` each) at once: a substage's products regrowing the
+        region its fields claimed would hold both on the first step."""
+        rings = [self._send_layout(by, fields) for by, fields in exchanges]
+        self._claim(self._send, [
+            max(k * slot[r] for _, k, slot in rings)
+            for r in range(self.comm.size)], stale=self._views)
+
+    def _exchange_views(self, by: str, fields: int):
         """Send blocks of the ``by``-split exchange of ``fields`` fields.
 
         Returns ``(pack, send, where)``, built on first use and kept:
@@ -648,26 +701,8 @@ class OutOfCoreSlabFFT:
         views = self._views.get((by, fields))
         if views is not None:
             return views
-        P = self.comm.size
-        src_shape, dst_shape = self.decomp.local_spectral_shape, self._y_shape
-        if by == "y":
-            src_shape, dst_shape = dst_shape, src_shape
-        shapes = [src_shape(r) for r in range(P)]
-        layouts = [
-            chunk_exchange_layout(
-                shapes, *_EXCHANGE_AXES[by], [cut[ip] for cut in cuts],
-                self.decomp.rank_heights,
-            )
-            for ip in range(len(cuts[0]))
-        ]
-        k = min(len(layouts), -(-(self.inflight + P - 1) // P))
-        slot = [
-            max(fields * sum(map(math.prod, blocks[r]))
-                for _, blocks, _ in layouts)
-            for r in range(P)
-        ]
-        if self._claim(self._send, [k * s for s in slot]):
-            self._views.clear()  # views of the old regions
+        self._reserve_send((by, fields))
+        layouts, k, slot = self._send_layout(by, fields)
         every = (slice(None),)
         send = []
         for ip, (_, blocks, _) in enumerate(layouts):
@@ -829,18 +864,13 @@ class OutOfCoreSlabFFT:
         """
         d, n, P = self.decomp, self.grid.n, self.comm.size
         axis = 1 + _EXCHANGE_AXES[by][2]  # past the field axis
-        if by == "x":
-            cuts = [self._splits(n // 2 + 1)] * P
-        elif d.heights is None:
-            cuts = [self._splits(d.my)] * P
-        else:
-            cuts = [self._splits(d.height(r), keep_empty=True) for r in range(P)]
+        cuts = self._cuts(by)
         fin, fout = fields
         real, cpx = self.grid.dtype, self.grid.cdtype
         in_role, in_dtype = ("real", real) if stage.real_in else ("cpx", cpx)
         out_role, out_dtype = ("real", real) if stage.real_out else ("cpx", cpx)
         if dst is None:
-            pack, send, where = self._exchange_views(by, cuts, fout)
+            pack, send, where = self._exchange_views(by, fout)
             windows = [[[slab[w] for w in row] for slab in land] for row in where]
 
         def pencil(i: int):
@@ -1014,6 +1044,7 @@ class OutOfCoreSlabFFT:
             out, lambda r: (nout, *d.local_spectral_shape(r)), self.grid.cdtype,
         )
         middle = Stage(functools.partial(products, pairs=pairs), "fft.products")
+        self._reserve_send(("x", nfields), ("y", nout))
         with self._rings(nfields, nout) as rings:
             land = self._transposed_slabs(nfields)
             self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],

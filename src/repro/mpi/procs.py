@@ -547,7 +547,7 @@ class ProcsComm(VirtualComm):
         if x is None or isinstance(x, (bool, int, float, complex, str, slice,
                                        np.generic, enum.Enum)):
             return x
-        if isinstance(x, PointwiseKernel) and x.recipe is not None:
+        if isinstance(x, PointwiseKernel):
             return _Kernel(x.recipe)
         qualname = getattr(x, "__qualname__", None)
         if callable(x) and isinstance(qualname, str):

@@ -28,6 +28,7 @@ __all__ = [
     "phase_shift_factor",
     "random_shift",
     "sharp_truncation_mask",
+    "truncated_modes",
 ]
 
 
@@ -51,13 +52,35 @@ class DealiasRule(enum.Enum):
         return np.inf
 
 
+def _beyond(k_magnitude: np.ndarray, cutoff: float, out=None) -> np.ndarray:
+    """``|k| > cutoff``, with a relative tolerance so that integer shells at
+    the cutoff are kept."""
+    return np.greater(k_magnitude, cutoff * (1.0 + 1e-12), out=out)
+
+
 def sharp_truncation_mask(grid: SpectralGrid, rule: DealiasRule) -> np.ndarray:
     """Boolean-as-real mask: 1 where |k| <= cutoff, else 0."""
     cutoff = rule.cutoff(grid)
     if not np.isfinite(cutoff):
         return np.ones(grid.spectral_shape, dtype=grid.dtype)
-    # Use a half-cell tolerance so integer shells at the cutoff are kept.
-    return (grid.k_magnitude <= cutoff * (1.0 + 1e-12)).astype(grid.dtype)
+    return (~_beyond(grid.k_magnitude, cutoff)).astype(grid.dtype)
+
+
+def truncated_modes(grid: SpectralGrid, rule: DealiasRule,
+                    zslice: slice = slice(None)) -> np.ndarray:
+    """The modes of the kz-slab ``zslice`` that ``rule`` removes, one bool
+    each: the complement of :func:`sharp_truncation_mask` on that slab,
+    formed a ``z`` plane at a time from the 1-D wavenumbers, so no
+    full-grid table is made."""
+    kx, ky, kz = grid.k_vectors
+    kz = kz[zslice]
+    cut = np.zeros((kz.shape[0], *grid.spectral_shape[1:]), dtype=bool)
+    cutoff = rule.cutoff(grid)
+    if np.isfinite(cutoff):
+        plane = (kx**2 + ky**2)[0]
+        for z, kz2 in enumerate(kz**2):
+            _beyond(np.sqrt(plane + kz2), cutoff, out=cut[z])
+    return cut
 
 
 def random_shift(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:

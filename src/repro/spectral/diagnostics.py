@@ -35,27 +35,19 @@ def mode_square(u_hat: np.ndarray) -> np.ndarray:
     return np.einsum("i...r,i...r->...", parts, parts)
 
 
-def kinetic_energy(
-    u_hat: np.ndarray, grid: SpectralGrid, mode_sq: np.ndarray | None = None
-) -> float:
+def kinetic_energy(u_hat: np.ndarray, grid: SpectralGrid) -> float:
     """Total kinetic energy per unit volume: E = 1/2 <u.u>.
 
-    ``mode_sq`` is ``mode_square(u_hat)`` when the caller already has it
-    (one pass then serves this and :func:`dissipation_rate`).
+    The reference form; the solvers sum the same quantity block by block
+    (:meth:`~repro.spectral.pointwise.PointwiseKernel.mode_sums`).
     """
-    if mode_sq is None:
-        mode_sq = mode_square(u_hat)
-    return float(0.5 * np.sum(grid.hermitian_weights * mode_sq))
+    return float(0.5 * np.sum(grid.hermitian_weights * mode_square(u_hat)))
 
 
-def dissipation_rate(
-    u_hat: np.ndarray, grid: SpectralGrid, nu: float,
-    mode_sq: np.ndarray | None = None,
-) -> float:
+def dissipation_rate(u_hat: np.ndarray, grid: SpectralGrid, nu: float) -> float:
     """Dissipation rate eps = 2 nu sum k^2 E(k) = nu <|grad u|^2>."""
-    if mode_sq is None:
-        mode_sq = mode_square(u_hat)
-    return float(nu * np.sum(grid.hermitian_weights * grid.k_squared * mode_sq))
+    return float(nu * np.sum(
+        grid.hermitian_weights * grid.k_squared * mode_square(u_hat)))
 
 
 def enstrophy(u_hat: np.ndarray, grid: SpectralGrid) -> float:

@@ -106,19 +106,24 @@ class SpectralGrid:
         """``(kx, ky, kz)`` broadcastable over the spectral shape."""
         return (self.kx, self.ky, self.kz)
 
-    @cached_property
+    # The tables below are computed when asked and not kept: each is a full
+    # grid, and every caller (initial conditions, forcing set-up, spectra,
+    # the reference operators) uses it once.  The solvers never ask; their
+    # kernels rebuild what they need from the 1-D wavenumbers above.
+
+    @property
     def k_squared(self) -> np.ndarray:
         """|k|^2, full spectral shape."""
         return (self.kx**2 + self.ky**2 + self.kz**2).astype(self.dtype)
 
-    @cached_property
+    @property
     def k_squared_nonzero(self) -> np.ndarray:
         """|k|^2 with the k=0 entry set to 1 (safe division)."""
-        k2 = self.k_squared.copy()
+        k2 = self.k_squared
         k2[0, 0, 0] = 1.0
         return k2
 
-    @cached_property
+    @property
     def k_magnitude(self) -> np.ndarray:
         return np.sqrt(self.k_squared)
 
@@ -135,22 +140,23 @@ class SpectralGrid:
 
         In the half-complex layout, modes with ``0 < kx < N/2`` represent
         both ``+kx`` and ``-kx`` and carry weight 2; the ``kx = 0`` and
-        ``kx = N/2`` planes are self-conjugate and carry weight 1.
+        ``kx = N/2`` planes are self-conjugate and carry weight 1.  A
+        read-only view of the spectral shape over those ``N//2+1`` values.
         """
-        w = np.full(self.spectral_shape, 2.0, dtype=self.dtype)
-        w[:, :, 0] = 1.0
-        if self.n % 2 == 0:
-            w[:, :, -1] = 1.0
-        return w
+        w = np.full(self.n // 2 + 1, 2.0, dtype=self.dtype)
+        w[0] = w[-1] = 1.0
+        return np.broadcast_to(w, self.spectral_shape)
 
-    @cached_property
+    @property
     def shell_index(self) -> np.ndarray:
         """Integer spherical-shell index round(|k| / k_fundamental)."""
         return np.rint(self.k_magnitude / self.k_fundamental).astype(np.int64)
 
     @property
     def num_shells(self) -> int:
-        return int(self.shell_index.max()) + 1
+        # |k| peaks where every |k_i| does: the grid's corner.
+        corner = sum((k**2).max() for k in self.k_vectors)
+        return int(np.rint(np.sqrt(corner) / self.k_fundamental)) + 1
 
     # -- dtype helpers ---------------------------------------------------------
 

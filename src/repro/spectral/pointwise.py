@@ -4,10 +4,10 @@ Between the transforms a pseudo-spectral step only multiplies and adds:
 shift the coefficients onto the displaced grid, turn the product transforms
 into the projected, dealiased right-hand side (a scalar's flux transforms
 into its divergence), and combine stages with the integrating factor.
-:class:`PointwiseKernel` does those three things for a slab ``[z0:z1]`` of
-the spectral cube — the serial solver is the slab of height ``N``, a
-distributed rank binds its own ``kz`` range — so both solvers run the same
-arithmetic.
+:class:`PointwiseKernel` does those three things, and the energy and
+dissipation sums, for a slab ``[z0:z1]`` of the spectral cube — the serial
+solver is the slab of height ``N``, a distributed rank binds its own ``kz``
+range — so both solvers run the same arithmetic.
 
 Four ideas keep it close to memory speed and small (DESIGN.md §8):
 
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.spectral.dealias import DealiasRule, sharp_truncation_mask
+from repro.spectral.dealias import DealiasRule, truncated_modes
 from repro.spectral.grid import SpectralGrid
 
 __all__ = ["PRODUCT_PAIRS", "PointwiseKernel"]
@@ -45,28 +45,34 @@ PRODUCT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 #: Bytes of one block-sized temporary.  A sweep keeps up to six alive, so
 #: this holds them in a 2 MiB L2; a whole 32^3 slab (272 KiB) is one block.
 _BLOCK_BYTES = 320 * 1024
-#: Block-sized scratch arrays: the sweep names four; a combination uses
-#: three and one per decay group (at most three).
+#: Block-sized scratch arrays: the sweep names four; a combination uses one
+#: per output and per decay factor, plus two.  No RK stage combines more
+#: than two outputs under two decays, which is six.
 _NSCRATCH = 6
+#: Plane-sized decay factors a combination may hold: two.
+_NDECAYS = 2
 
 
 class PointwiseKernel:
-    """Shift, right-hand side and RK combination on the kz-slab ``zslice``.
+    """Shift, right-hand side, RK combination and diagnostic sums on the
+    kz-slab ``zslice``.
 
-    ``mask`` is the full-grid dealias mask (0/1); the kernel keeps which
-    modes of its slab it removes, one byte each.  Arrays handed to the
+    ``dealias`` is the :class:`~repro.spectral.dealias.DealiasRule` whose
+    sharp truncation the kernel keeps for its own slab, one byte per mode
+    (:func:`~repro.spectral.dealias.truncated_modes`).  Arrays handed to the
     methods are spectral slabs ``(..., mz, N, N//2+1)`` of ``grid.cdtype``,
     C-contiguous along x.
     """
 
-    #: ``(n, length, dtype, dealias, z0, z1)`` of a kernel built by
-    #: :meth:`for_slab`: enough to rebuild it in another process.
-    recipe: Optional[tuple] = None
-
-    def __init__(self, grid: SpectralGrid, mask: np.ndarray,
+    def __init__(self, grid: SpectralGrid, dealias: DealiasRule,
                  zslice: slice = slice(None)):
         self.grid = grid
         self.zslice = zslice
+        dealias = DealiasRule(dealias)
+        z0, z1, _ = zslice.indices(grid.n)
+        #: ``(n, length, dtype, dealias, z0, z1)``: enough to rebuild the
+        #: kernel in another process (a rank's worker, :mod:`repro.mpi.procs`).
+        self.recipe = (grid.n, grid.length, grid.dtype.str, dealias.value, z0, z1)
         n, nxh = grid.n, grid.n // 2 + 1
         real = grid.dtype
         kx, ky, kz = (k.ravel() for k in grid.k_vectors)
@@ -82,8 +88,10 @@ class PointwiseKernel:
         self._kz = kz.reshape(-1, 1, 1)
         self._k2_plane = self._kx**2 + self._ky**2
         self._kz2 = self._kz**2
-        self._cut = mask[zslice] == 0
-        self._owns_mean_mode = self.mz > 0 and zslice.indices(n)[0] == 0
+        self._cut = truncated_modes(grid, dealias, zslice)
+        # The Hermitian multiplicities along x, in float-view layout.
+        self._weights = np.repeat(grid.hermitian_weights[0, 0], 2)
+        self._owns_mean_mode = self.mz > 0 and z0 == 0
         plane_bytes = n * nxh * grid.cdtype.itemsize
         self.block = max(1, min(self.mz, _BLOCK_BYTES // plane_bytes))
         self._scratch = np.empty((_NSCRATCH, self.block, *plane), dtype=real)
@@ -92,26 +100,13 @@ class PointwiseKernel:
         # folded factor's, and one decay plane per group of a combination.
         self._shift_plane = np.empty((n, nxh), dtype=grid.cdtype)
         self._fold_plane = np.empty((n, nxh), dtype=grid.cdtype)
-        self._decay_planes = np.empty((_NSCRATCH - 3, *plane), dtype=real)
-
-    @classmethod
-    def for_slab(cls, grid: SpectralGrid, dealias: DealiasRule,
-                 zslice: slice = slice(None)) -> "PointwiseKernel":
-        """The kernel of the sharp-truncation mask of ``dealias`` on the
-        slab ``zslice``, with the :attr:`recipe` that :meth:`from_recipe`
-        rebuilds it from in another process (a rank's worker,
-        :mod:`repro.mpi.procs`)."""
-        kernel = cls(grid, sharp_truncation_mask(grid, dealias), zslice)
-        z0, z1, _ = zslice.indices(grid.n)
-        kernel.recipe = (grid.n, grid.length, grid.dtype.str,
-                         DealiasRule(dealias).value, z0, z1)
-        return kernel
+        self._decay_planes = np.empty((_NDECAYS, *plane), dtype=real)
 
     @classmethod
     def from_recipe(cls, recipe: tuple) -> "PointwiseKernel":
         n, length, dtype, dealias, z0, z1 = recipe
-        return cls.for_slab(SpectralGrid(n, length, dtype), DealiasRule(dealias),
-                            slice(z0, z1))
+        return cls(SpectralGrid(n, length, dtype), DealiasRule(dealias),
+                   slice(z0, z1))
 
     def _blocks(self) -> Iterator[slice]:
         for z0 in range(0, self.mz, self.block):
@@ -275,50 +270,104 @@ class PointwiseKernel:
                 np.multiply(w.view(out.dtype), 1j, out=out[i, sl])
         return out
 
+    # -- diagnostics ---------------------------------------------------------
+
+    def mode_sums(self, a: np.ndarray) -> tuple[float, float]:
+        """``sum w |a|^2`` and ``sum w k^2 |a|^2`` over the slab's modes and
+        ``a``'s components, ``w`` the Hermitian multiplicities: energy (or a
+        scalar's variance) and dissipation up to their factors, in one sweep
+        over 1-D bases."""
+        af = self._slab(a)
+        q, t, k2 = self._scratch[:3]
+        energy = dissipation = 0.0
+        for sl in self._blocks():
+            b = sl.stop - sl.start
+            sq = np.multiply(af[0, sl], af[0, sl], out=q[:b])
+            for f in af[1:]:
+                sq += np.multiply(f[sl], f[sl], out=t[:b])
+            sq *= self._weights
+            energy += float(sq.sum())
+            k2b = k2[:b]
+            k2b[...] = self._k2_plane
+            k2b += self._kz2[sl]
+            sq *= k2b
+            dissipation += float(sq.sum())
+        return energy, dissipation
+
     # -- integrating-factor RK combination -----------------------------------
 
-    def combine(self, out: np.ndarray, nu: float, groups) -> np.ndarray:
-        """``out = sum_g exp(-nu k^2 tau_g) * sum_t c_t a_t``.
+    def combine(self, nu: float, jobs) -> list[np.ndarray]:
+        """``out = sum_g exp(-nu k^2 tau_g) * sum_t c_t a_t`` for every
+        ``(out, groups)`` of ``jobs``, in one sweep.
 
         ``groups`` is a sequence of ``(tau, [(c, a), ...])``; ``tau = 0``
         means no decay.  Every stage of the integrating-factor RK2 and RK4
-        schemes is one such expression.  ``out`` may be any of the ``a``.
+        schemes is one such call.  Each block of every output is formed
+        before any is written, so an output may be any job's input; the
+        outputs share one shape.  At most two outputs under two decays, as
+        the RK stages need (the scratch is sized for that).  Returns them.
         """
+        taus = list(dict.fromkeys(
+            tau for _, groups in jobs for tau, _ in groups if tau != 0))
+        njobs, ndecays = len(jobs), len(taus)
+        if njobs + 2 + ndecays > _NSCRATCH or ndecays > _NDECAYS:
+            raise ValueError(
+                f"{njobs} outputs under {ndecays} decays exceed the kernel's "
+                f"scratch ({_NSCRATCH} blocks, {_NDECAYS} decay planes)")
+        scratch, planes = self._scratch, self._decay_planes
         real = self.grid.dtype
         kx, ky, kz = self._k1d
-        decays = []
-        for (tau, _), plane in zip(groups, self._decay_planes):
-            if tau == 0:
-                decays.append(None)
-                continue
+        columns = []
+        for tau, plane in zip(taus, planes):
             ex, ey, ez = (np.exp(-nu * tau * k.astype(float) ** 2).astype(real)
                           for k in (kx, ky, kz))
             plane[...] = ey[:, None]
             plane *= np.repeat(ex, 2)
-            decays.append((ez.reshape(-1, 1, 1), plane))
-        terms = [[(c, self._slab(a)) for c, a in ts] for _, ts in groups]
-        outf = self._slab(out)
-        acc, part, tmp = self._scratch[:3]
-        last = len(terms) - 1
+            columns.append(ez.reshape(-1, 1, 1))
+        work = [(self._slab(out), [
+            (taus.index(tau) if tau != 0 else None,
+             [(c, self._slab(a)) for c, a in terms]) for tau, terms in groups])
+            for out, groups in jobs]
+        held, (part, tmp) = scratch[:njobs], scratch[njobs:njobs + 2]
         for sl in self._blocks():
             b = sl.stop - sl.start
-            eb = [None if d is None else self._outer(d[0][sl], d[1], e[:b])
-                  for d, e in zip(decays, self._scratch[3:])]
-            for c in range(outf.shape[0]):
-                for gi, (e, ts) in enumerate(zip(eb, terms)):
-                    dst = part[:b] if gi else acc[:b]
-                    coef, a = ts[0]
-                    np.multiply(a[c, sl], coef, out=dst)
-                    for coef, a in ts[1:]:
-                        # A unit coefficient adds straight from the source.
-                        dst += (a[c, sl] if coef == 1.0 else
-                                np.multiply(a[c, sl], coef, out=tmp[:b]))
-                    # Whichever operation comes last writes the block out.
-                    if e is not None:
-                        np.multiply(dst, e, out=outf[c, sl] if last == 0 else dst)
-                    elif last == 0:
-                        np.copyto(outf[c, sl], dst)
-                    if gi:
-                        np.add(acc[:b], dst,
-                               out=outf[c, sl] if gi == last else acc[:b])
-        return out
+            eb = [self._outer(column[sl], plane, e[:b]) for column, plane, e
+                  in zip(columns, planes, scratch[njobs + 2:])]
+            for c in range(work[0][0].shape[0]):
+                # The last job writes its output block; the others wait in
+                # their scratch until every job has read its inputs.
+                for j, (outf, groups) in enumerate(work):
+                    acc = held[j][:b]
+                    dst = outf[c, sl] if j == njobs - 1 else acc
+                    self._form(groups, c, sl, eb, acc, part[:b], tmp[:b], dst)
+                for j, (outf, _) in enumerate(work[:-1]):
+                    np.copyto(outf[c, sl], held[j][:b])
+        return [out for out, _ in jobs]
+
+    @staticmethod
+    def _form(groups, c, sl, eb, acc, part, tmp, dst) -> None:
+        """Component ``c`` of one job's block ``sl`` into ``dst``, which may
+        be ``acc``: whichever operation comes last writes it.  A unit
+        coefficient multiplies exactly, so a group of one unit term is read
+        from its source instead of a scaled copy of it."""
+        last = len(groups) - 1
+        for gi, (d, terms) in enumerate(groups):
+            into = dst if last == 0 else (part if gi else acc)
+            coef, a = terms[0]
+            if len(terms) == 1 and coef == 1.0:
+                value = a[c, sl]
+                if d is not None:
+                    value = np.multiply(value, eb[d], out=into)
+            else:
+                value = part if gi else acc
+                np.multiply(a[c, sl], coef, out=value)
+                for coef, a in terms[1:]:
+                    # A unit coefficient adds straight from the source.
+                    value += (a[c, sl] if coef == 1.0 else
+                              np.multiply(a[c, sl], coef, out=tmp))
+                if d is not None:
+                    value = np.multiply(value, eb[d], out=into)
+            total = value if gi == 0 else np.add(
+                total, value, out=dst if gi == last else acc)
+        if total is not dst:
+            np.copyto(dst, total)

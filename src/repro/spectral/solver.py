@@ -36,16 +36,15 @@ import numpy as np
 
 from repro.obs import NULL_OBS, NULL_SPAN
 from repro.spectral.dealias import DealiasRule, random_shift
-from repro.spectral.diagnostics import (
-    cfl_number,
-    dissipation_rate,
-    kinetic_energy,
-    mode_square,
-)
+from repro.spectral.diagnostics import cfl_number
+# The reference forms, still bound here because the benchmark's tracer
+# (bench/trace.py, "spectral.diag") rebinds these two names in this module;
+# the step itself sums with ``energy_sums``.
+from repro.spectral.diagnostics import dissipation_rate, kinetic_energy  # noqa: F401
 from repro.spectral.forcing import Forcing, NoForcing
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
-from repro.spectral.scalar import PassiveScalar, scalar_variance
+from repro.spectral.scalar import PassiveScalar
 from repro.spectral.workspace import SpectralWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,14 +53,29 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["IntegratingFactorRK", "NavierStokesSolver", "SolverConfig", "StepResult"]
 
 
-def combine_components(kernel: PointwiseKernel, out: np.ndarray, components,
-                       groups) -> None:
+def combine_components(kernel: PointwiseKernel, components, jobs) -> None:
     """``kernel.combine`` per ``(index, diffusivity)`` of ``components``;
-    terms name state-shaped arrays.  Module-level: a rank's worker runs it."""
+    each job's output and terms name state-shaped arrays.  Module-level: a
+    rank's worker runs it."""
     for c, kappa in components:
-        kernel.combine(out[c], kappa, [
-            (tau, [(coef, a[c]) for coef, a in terms]) for tau, terms in groups
+        kernel.combine(kappa, [
+            (out[c], [(tau, [(coef, a[c]) for coef, a in terms])
+                      for tau, terms in groups])
+            for out, groups in jobs
         ])
+
+
+def energy_sums(kernel: PointwiseKernel, state: np.ndarray,
+                nu: float) -> np.ndarray:
+    """Energy and dissipation of the velocity ``state[:3]`` on the kernel's
+    slab, from one sweep.  Module-level: a rank's worker runs it."""
+    squares, gradients = kernel.mode_sums(state[:3])
+    return np.array([0.5 * squares, nu * gradients])
+
+
+def variance_sum(kernel: PointwiseKernel, theta: np.ndarray) -> float:
+    """A scalar's ``<theta^2>/2`` on the kernel's slab."""
+    return 0.5 * kernel.mode_sums(theta)[0]
 
 
 @dataclass
@@ -91,8 +105,8 @@ class SolverConfig:
         Transform provider name (``"auto"``, ``"numpy"``, ``"scipy"``);
         ``"auto"`` consults ``REPRO_FFT_BACKEND``.
     diagnostics_every:
-        Compute the energy/dissipation diagnostics (one full-grid pass,
-        two reductions) every this many steps; other steps report NaN.  The
+        Compute the energy/dissipation diagnostics (one blockwise sweep of
+        the state, two sums) every this many steps; other steps report NaN.  The
         default 1 preserves the historical per-step behavior; benchmark
         runs set it large (or 0 to disable entirely).
     """
@@ -137,12 +151,18 @@ class IntegratingFactorRK:
 
     A host supplies ``_state`` (velocity in ``[:3]``, scalar ``s`` in
     ``[3 + s]``, updated in place), ``scalars``, ``obs``, ``_nonlinear(state,
-    out)`` (the right-hand side), ``_combine(out, groups)``
+    out)`` (the right-hand side), ``_combine(jobs)``
     (:meth:`PointwiseKernel.combine` on its storage) and ``_stage(key)`` (a
     reusable state-shaped buffer).  The serial solver hands arrays around,
     the distributed one per-rank lists of them; the schemes never look inside.
-    The last stage's right-hand side overwrites its stage state, so
-    ``_nonlinear`` must read each part of ``state`` before writing ``out``.
+
+    Each stage writes every value the scheme still needs and nothing else
+    (DESIGN.md §8): a right-hand side may overwrite the stage state it is
+    evaluated at, so ``_nonlinear`` must read each part of ``state`` before
+    writing ``out``; a combination forms all its outputs before writing
+    any, so they may overwrite its inputs.  RK2 keeps one stage buffer
+    beside the state, RK4 three.  Mid-step the state holds a stage value,
+    so a step that raises leaves the solver unusable.
     """
 
     def _components(self) -> list[tuple[slice | int, float]]:
@@ -156,26 +176,26 @@ class IntegratingFactorRK:
     def _step_rk2(self, dt: float) -> None:
         """Heun's method on the integrating-factor-transformed variable.
 
-        With ``E = exp(-nu k^2 dt)``::
+        With ``E = exp(-nu k^2 dt)``, ``h = dt/2``::
 
             u*      = E (u^n + dt R(u^n))
-            u^{n+1} = E (u^n + dt/2 R(u^n)) + dt/2 R(u*)
+            u^{n+1} = E (u^n + h R(u^n)) + h R(u*)
 
-        Each step starts and ends in Fourier space, exactly as the paper
-        describes its RK substages.
+        ``R(u^n)`` lands in ``rk_r1``; one combination writes ``u*`` over the
+        state and ``E (u^n + h R(u^n))`` over ``rk_r1``; ``R(u*)`` overwrites
+        ``u*``.  Each step starts and ends in Fourier space, exactly as the
+        paper describes its RK substages.
         """
         spans = self.obs.spans
         u = self._state
         h = 0.5 * dt
         with spans.span("rk2.stage1", category="stage"):
             r1 = self._nonlinear(u, out=self._stage("rk_r1"))
-            u_star = self._combine(
-                self._stage("rk_stage"), [(dt, [(dt, r1), (1.0, u)])]
-            )
+            self._combine([(u, [(dt, [(dt, r1), (1.0, u)])]),
+                           (r1, [(dt, [(h, r1), (1.0, u)])])])
         with spans.span("rk2.stage2", category="stage"):
-            # u* is dead once read: its right-hand side overwrites it.
-            r2 = self._nonlinear(u_star, out=u_star)
-            self._combine(u, [(dt, [(h, r1), (1.0, u)]), (0.0, [(h, r2)])])
+            r2 = self._nonlinear(u, out=u)  # u* is dead once read
+            self._combine([(u, [(0.0, [(1.0, r1)]), (0.0, [(h, r2)])])])
 
     def _step_rk4(self, dt: float) -> None:
         """Classic RK4 with the exact viscous integrating factor.
@@ -185,6 +205,12 @@ class IntegratingFactorRK:
             u2 = Eh (u0 + dt/2 k1)      u3 = Eh u0 + dt/2 k2
             u4 = E u0 + dt Eh k3
             u^{n+1} = E (u0 + dt/6 k1) + dt/3 Eh (k2 + k3) + dt/6 k4
+
+        The sums are kept as they form: ``rk_k1`` turns into
+        ``E (u0 + dt/6 k1)`` and ``rk_k2`` into ``dt/3 (k2 + k3)`` once
+        their stages are read, and ``k3``, ``k4`` overwrite their stage
+        states in ``rk_stage``.  ``u0`` is untouched until the last
+        combination.
         """
         spans = self.obs.spans
         u0 = self._state
@@ -192,20 +218,20 @@ class IntegratingFactorRK:
         h = 0.5 * dt
         with spans.span("rk4.stage1", category="stage"):
             k1 = self._nonlinear(u0, out=self._stage("rk_k1"))
-            self._combine(u_s, [(h, [(h, k1), (1.0, u0)])])
+            self._combine([(u_s, [(h, [(h, k1), (1.0, u0)])]),
+                           (k1, [(dt, [(dt / 6.0, k1), (1.0, u0)])])])
         with spans.span("rk4.stage2", category="stage"):
             k2 = self._nonlinear(u_s, out=self._stage("rk_k2"))
-            self._combine(u_s, [(h, [(1.0, u0)]), (0.0, [(h, k2)])])
+            self._combine([(u_s, [(h, [(1.0, u0)]), (0.0, [(h, k2)])]),
+                           (k2, [(0.0, [(dt / 3.0, k2)])])])
         with spans.span("rk4.stage3", category="stage"):
-            k3 = self._nonlinear(u_s, out=self._stage("rk_k3"))
-            self._combine(u_s, [(dt, [(1.0, u0)]), (h, [(dt, k3)])])
+            k3 = self._nonlinear(u_s, out=u_s)
+            self._combine([(u_s, [(dt, [(1.0, u0)]), (h, [(dt, k3)])]),
+                           (k2, [(0.0, [(1.0, k2), (dt / 3.0, k3)])])])
         with spans.span("rk4.stage4", category="stage"):
-            k4 = self._nonlinear(u_s, out=u_s)  # overwrites the dead stage
-            self._combine(u0, [
-                (dt, [(dt / 6.0, k1), (1.0, u0)]),
-                (h, [(dt / 3.0, k2), (dt / 3.0, k3)]),
-                (0.0, [(dt / 6.0, k4)]),
-            ])
+            k4 = self._nonlinear(u_s, out=u_s)
+            self._combine([(u0, [(0.0, [(1.0, k1)]), (h, [(1.0, k2)]),
+                                 (0.0, [(dt / 6.0, k4)])])])
 
 
 class NavierStokesSolver(IntegratingFactorRK):
@@ -280,7 +306,7 @@ class NavierStokesSolver(IntegratingFactorRK):
             # A caller-shared workspace reports into this solver's obs.
             self.workspace.obs = self.obs
             self.workspace.pool.obs = self.obs
-        self._pointwise = PointwiseKernel.for_slab(grid, self.config.dealias)
+        self._pointwise = PointwiseKernel(grid, self.config.dealias)
         # Dealias the initial condition so invariants hold from step 0.
         self._pointwise.truncate(self._state)
         self._pointwise.project(self._state, out=self._state)
@@ -324,7 +350,7 @@ class NavierStokesSolver(IntegratingFactorRK):
 
     def scalar_variance(self, index: int) -> float:
         """<theta^2>/2 of scalar ``index``."""
-        return scalar_variance(self.scalars[index].theta_hat, self.grid)
+        return variance_sum(self._pointwise, self.scalars[index].theta_hat)
 
     # -- right-hand side -----------------------------------------------------
 
@@ -400,11 +426,10 @@ class NavierStokesSolver(IntegratingFactorRK):
             out[:3] += f
         return out
 
-    def _combine(self, out: np.ndarray, groups) -> np.ndarray:
+    def _combine(self, jobs) -> None:
         """One RK stage combination, see :meth:`PointwiseKernel.combine`."""
         with self.obs.spans.span("rk.combine", category="integrating"):
-            combine_components(self._pointwise, out, self._components(), groups)
-        return out
+            combine_components(self._pointwise, self._components(), jobs)
 
     def _stage(self, key: str) -> np.ndarray:
         return self.workspace.spectral(key, len(self._state))
@@ -432,11 +457,7 @@ class NavierStokesSolver(IntegratingFactorRK):
             every = self.config.diagnostics_every
             if every > 0 and self.step_count % every == 0:
                 with spans.span("diagnostics.energy", category="diagnostics"):
-                    sq = mode_square(self.u_hat)
-                    energy = kinetic_energy(self.u_hat, self.grid, sq)
-                    dissipation = dissipation_rate(
-                        self.u_hat, self.grid, self.config.nu, sq
-                    )
+                    energy, dissipation = self._energy_and_dissipation()
             else:
                 energy = math.nan
                 dissipation = math.nan
@@ -452,6 +473,16 @@ class NavierStokesSolver(IntegratingFactorRK):
             dissipation=dissipation,
             nonlinear_evals=self._nl_evals - evals_before,
         )
+
+    def _energy_and_dissipation(self) -> tuple[float, float]:
+        """Both diagnostics from one sweep of the kernel."""
+        energy, dissipation = energy_sums(
+            self._pointwise, self._state, self.config.nu)
+        return float(energy), float(dissipation)
+
+    def kinetic_energy(self) -> float:
+        """E = 1/2 <u.u>, summed as a diagnostics step sums it."""
+        return self._energy_and_dissipation()[0]
 
     def run(self, nsteps: int, dt: float) -> list[StepResult]:
         """Advance ``nsteps`` steps; returns the per-step records."""

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.decomp import SlabDecomposition, SlabGridView
-from repro.spectral.grid import SpectralGrid
+from repro.dist.decomp import SlabDecomposition
 
 
 class TestSlabDecomposition:
@@ -63,33 +62,3 @@ class TestSlabDecomposition:
         u = rng.standard_normal((n, n, n))
         assert np.array_equal(d.gather_physical(d.scatter_physical(u)), u)
 
-
-class TestSlabGridView:
-    def test_local_wavenumbers_match_slices(self):
-        grid = SpectralGrid(16)
-        d = SlabDecomposition(n=16, ranks=4)
-        for r in range(4):
-            v = SlabGridView(grid, d, r)
-            sl = d.spectral_slice(r)
-            assert np.array_equal(v.kz, grid.kz[sl])
-            assert np.array_equal(v.k_squared, grid.k_squared[sl])
-            assert np.array_equal(v.hermitian_weights, grid.hermitian_weights[sl])
-            assert v.kx is grid.kx and v.ky is grid.ky
-
-    def test_only_rank0_owns_mean_mode(self):
-        grid = SpectralGrid(16)
-        d = SlabDecomposition(n=16, ranks=4)
-        owners = [SlabGridView(grid, d, r).owns_mean_mode for r in range(4)]
-        assert owners == [True, False, False, False]
-
-    def test_views_tile_k_squared(self):
-        grid = SpectralGrid(16)
-        d = SlabDecomposition(n=16, ranks=4)
-        tiled = np.concatenate(
-            [SlabGridView(grid, d, r).k_squared for r in range(4)], axis=0
-        )
-        assert np.array_equal(tiled, grid.k_squared)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SlabGridView(SpectralGrid(16), SlabDecomposition(n=32, ranks=4), 0)

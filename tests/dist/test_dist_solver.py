@@ -40,11 +40,10 @@ class TestDistributedDiagnostics:
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
         _, dist = pair(grid24, u0, ranks=4)
         dist.step(0.005)
-        for r, view in enumerate(dist.views):
-            u = dist.u_hat[r]
-            div = 1j * (
-                view.kx * u[0] + view.ky * u[1] + view.kz * u[2]
-            )
+        kx, ky, kz = grid24.k_vectors
+        for r, u in enumerate(dist.u_hat):
+            kz_r = kz[dist.decomp.spectral_slice(r)]
+            div = 1j * (kx * u[0] + ky * u[1] + kz_r * u[2])
             assert np.abs(div).max() < 1e-10
 
 
@@ -71,12 +70,15 @@ class TestDiagnosticsEvery:
 
 
 class TestRankFootprint:
-    """Each rank's last RK stage writes its right-hand side over the stage
-    state it is evaluated at, so a rank holds one state-shaped stage buffer
-    fewer than its stages: RK2 keeps ``r1`` and ``u*``, RK4 ``k1``-``k3``
-    and the stage state.  Beside them: the state and the product spectra."""
+    """Each rank's stages write every value the scheme still needs and
+    nothing else: a right-hand side overwrites the stage state it is
+    evaluated at, and a combination writes its sums over the inputs it has
+    read.  RK2 keeps one state-shaped stage buffer (``r1``, then ``E (u +
+    dt/2 r1)``) beside the state, which holds ``u*`` and then ``r2``; RK4
+    keeps three (the stage state, ``k1`` and ``k2``, which turn into the
+    running sums).  Beside them: the state and the product spectra."""
 
-    @pytest.mark.parametrize("scheme,stages", [("rk2", 2), ("rk4", 4)])
+    @pytest.mark.parametrize("scheme,stages", [("rk2", 1), ("rk4", 3)])
     @pytest.mark.parametrize("npencils", [None, 4], ids=["slab", "ooc"])
     def test_stage_buffers_per_rank(self, grid24, rng, scheme, stages, npencils):
         u0 = random_isotropic_field(grid24, rng, energy=0.5)
@@ -92,14 +94,15 @@ class TestRankFootprint:
         assert sum(held.values()) == stages * state
 
 
-def _steady_step_growth(grid, rng, scheme, scalars, **engine):
-    """tracemalloc peak growth of one RK step after two warm-up steps, and
-    the bound it must stay under: one ring slot of the engine's pencils,
-    and never a whole real slab."""
+def _steady_step_growth(grid, rng, scheme, scalars, every=0, **engine):
+    """tracemalloc peak growth of one RK step (a diagnostics step if
+    ``every``) after two warm-up steps, and the bound it must stay under:
+    one ring slot of the engine's pencils, and never a whole real slab."""
     from repro.dist.outofcore import ring_bytes
 
     u0 = random_isotropic_field(grid, rng, energy=1.0)
-    config = SolverConfig(nu=0.02, scheme=scheme, seed=11, diagnostics_every=0)
+    config = SolverConfig(nu=0.02, scheme=scheme, seed=11,
+                          diagnostics_every=every)
     with DistributedNavierStokesSolver(
         grid, VirtualComm(2), u0, config, **engine,
     ) as dist:
@@ -121,30 +124,40 @@ def _steady_step_growth(grid, rng, scheme, scalars, **engine):
 
 
 class TestOutOfCoreStepAllocatesNoSlab:
-    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
-    @pytest.mark.parametrize("scalars", [0, 1])
-    def test_whole_step_transforms_included(self, rng, pipeline, scalars):
-        """After warm-up a whole out-of-core RK2 step — transforms included —
-        claims no slab: results land in the solver's arrays, the exchange in
-        the engine's send region and transposed slab, every stage kernel's
-        into its ring slot.  What is left is interpreter small change; 64^3
-        so that one pencil (288 KiB) stands clear of it and well under one
-        slab (1056 KiB; the engine used to claim six per transform)."""
+    @pytest.mark.parametrize("scalars,pipeline,every", [
+        pytest.param(scalars, pipeline, every, id=f"{scalars}-{pipeline}"
+                     + ("-diagnostics" if every else ""))
+        for scalars in (0, 1) for pipeline in ("sync", "threads")
+        for every in (0, 1)
+    ])
+    def test_whole_step_transforms_included(self, rng, pipeline, scalars,
+                                            every):
+        """After warm-up a whole out-of-core RK2 step — transforms and the
+        energy and dissipation sums included — claims no slab: results land
+        in the solver's arrays, the exchange in the engine's send region and
+        transposed slab, every stage kernel's into its ring slot, and the
+        diagnostics sum block by block.  What is left is interpreter small
+        change; 64^3 so that one pencil (288 KiB) stands clear of it and
+        well under one slab (1056 KiB; the engine used to claim six per
+        transform)."""
         growth, pencil = _steady_step_growth(
-            SpectralGrid(64), rng, "rk2", scalars, npencils=4,
+            SpectralGrid(64), rng, "rk2", scalars, every, npencils=4,
             pipeline=pipeline)
         assert growth < pencil, (
             f"a steady out-of-core step allocated {growth} B at its peak, "
             f">= one pencil ({pencil} B)"
         )
 
-    @pytest.mark.parametrize("npencils,scheme", [
-        (None, "rk2"), (None, "rk4"), (4, "rk4")])
-    def test_whole_slab_and_rk4(self, rng, npencils, scheme):
+    @pytest.mark.parametrize("npencils,scheme,every", [
+        pytest.param(None, "rk2", 0, id="None-rk2"),
+        pytest.param(None, "rk4", 0, id="None-rk4"),
+        pytest.param(4, "rk4", 0, id="4-rk4"),
+        pytest.param(None, "rk2", 1, id="None-rk2-diagnostics")])
+    def test_whole_slab_and_rk4(self, rng, npencils, scheme, every):
         """The same for the whole slab (``npencils`` unset: one pencil),
         where a pencil is a slab, and for RK4's four stages."""
         growth, bound = _steady_step_growth(
-            SpectralGrid(64), rng, scheme, 0, npencils=npencils)
+            SpectralGrid(64), rng, scheme, 0, every, npencils=npencils)
         assert growth < bound, (
             f"a steady {scheme} step allocated {growth} B at its peak, "
             f">= {bound} B"
@@ -154,15 +167,18 @@ class TestOutOfCoreStepAllocatesNoSlab:
 class TestWholeSlabFootprint:
     """What ``npencils`` unset costs in process, in words (8 bytes per grid
     point): the tracemalloc peak over construction and two RK2 steps at
-    P = 2, 48^3.  One pencil holds the state and its stage buffers, the
-    product spectra, and the engine's send region (6 fields), transposed
-    slab (3 fields) and ring: 35.2 words inline and 40.4 on threads, where
-    the window is capped at the phase's two items (a third slot, never
-    viewed, would make it 45.5)."""
+    P = 2, 48^3.  One pencil holds the state and its stage buffer, the
+    product spectra, and the engine's send region (6 fields, claimed once
+    at the larger of a substage's two exchanges), transposed slab (3
+    fields) and ring: 32.0 words inline and 37.3 on threads, where the
+    window is capped at the phase's two items.  Four pencils, inline, hold
+    23.6."""
 
-    @pytest.mark.parametrize("pipeline,words", [("sync", 36.0),
-                                                ("threads", 41.0)])
-    def test_step_peak_words_per_point(self, rng, pipeline, words):
+    @pytest.mark.parametrize("pipeline,npencils,words", [
+        pytest.param("sync", None, 34.0, id="sync-34.0"),
+        pytest.param("threads", None, 40.0, id="threads-40.0"),
+        pytest.param("sync", 4, 25.0, id="sync-4pencils-25.0")])
+    def test_step_peak_words_per_point(self, rng, pipeline, npencils, words):
         grid = SpectralGrid(48)
         u0 = random_isotropic_field(grid, rng, energy=1.0)
         config = SolverConfig(nu=0.02, diagnostics_every=0)
@@ -170,6 +186,7 @@ class TestWholeSlabFootprint:
         try:
             with DistributedNavierStokesSolver(
                 grid, VirtualComm(2), u0, config, pipeline=pipeline,
+                npencils=npencils,
             ) as dist:
                 for _ in range(2):
                     dist.step(1e-3)

@@ -116,7 +116,13 @@ class RankFault(Exception):
 class TestRankOpFailure:
     """An exception inside one rank's pointwise op surfaces from ``step()``
     as itself — not as a ``DependencyFailed`` of some later wait — and the
-    engine serves the next step, on the same bits as the inline engine."""
+    engine serves the next step, on the same bits as the inline engine.
+
+    The state after the fault is not physical: RK2's first combination
+    writes ``u*`` over the state, and the ranks before the broken one have
+    done so when it raises.  The step after it checks the engine (its
+    lanes, arena and pipeline), not the flow; a caller treats a raised
+    step as the end of the run (DESIGN.md §8)."""
 
     @staticmethod
     def _run(make_solver):

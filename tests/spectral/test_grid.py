@@ -99,6 +99,46 @@ class TestWeightsAndShells:
         assert g.hermitian_weights.sum() == pytest.approx(n**3)
 
 
+class TestNoGridTablesKept:
+    """The grid caches its 1-D wavenumbers and nothing grid-sized: the
+    full tables are computed when asked, for the one caller that asks."""
+
+    def test_nothing_grid_sized_after_an_initial_condition_and_a_step(self):
+        from numpy.lib.array_utils import byte_bounds
+
+        from repro.spectral import NavierStokesSolver, SolverConfig
+        from repro.spectral.diagnostics import energy_spectrum
+        from repro.spectral.forcing import BandForcing
+        from repro.spectral.initial import random_isotropic_field
+
+        grid = SpectralGrid(16)
+        u0 = random_isotropic_field(grid, np.random.default_rng(0), energy=1.0)
+        solver = NavierStokesSolver(
+            grid, u0, SolverConfig(nu=0.05, diagnostics_every=1),
+            forcing=BandForcing())
+        assert np.isfinite(solver.step(1e-3).energy)
+        energy_spectrum(solver.u_hat, grid)
+        held = [a for value in vars(grid).values()
+                for a in (value if isinstance(value, tuple) else (value,))
+                if isinstance(a, np.ndarray)]
+        assert any(a.shape == grid.spectral_shape for a in held)  # weights
+        for a in held:
+            low, high = byte_bounds(a)
+            assert high - low <= grid.n * a.itemsize, a.shape
+
+    def test_weights_are_a_read_only_view(self, grid16):
+        w = grid16.hermitian_weights
+        assert not w.flags.writeable
+        assert w.strides[:2] == (0, 0)
+
+    @pytest.mark.parametrize("n,length,dtype", [
+        (8, 2 * np.pi, np.float64), (30, 1.0, np.float64),
+        (24, 3.0, np.float32)])
+    def test_num_shells_from_the_corner(self, n, length, dtype):
+        g = SpectralGrid(n, length, dtype)
+        assert g.num_shells == int(g.shell_index.max()) + 1
+
+
 class TestAllocators:
     def test_empty_physical_shapes(self, grid16):
         assert grid16.empty_physical().shape == (16, 16, 16)

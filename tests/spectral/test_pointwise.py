@@ -15,6 +15,7 @@ from repro.spectral.dealias import (
     phase_shift_factor,
     sharp_truncation_mask,
 )
+from repro.spectral.diagnostics import dissipation_rate, kinetic_energy
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field
 from repro.spectral.operators import (
@@ -99,7 +100,7 @@ class TestRhsMatchesReference:
             else nonlinear_rotational
         want = project(reference(u_hat, grid, mask=mask, shift=shift), grid)
 
-        kernel = PointwiseKernel(grid, mask, zs)
+        kernel = PointwiseKernel(grid, rule, zs)
         terms = [np.ascontiguousarray(t[zs])
                  for t in transforms_of_terms(u_hat, grid, shift, form)]
         bases = kernel.shift_bases(SHIFT) if shifted else None
@@ -125,7 +126,7 @@ class TestRhsMatchesReference:
         kx, ky, kz = grid.k_vectors
         want = -1j * mask * (kx * f0 + ky * f1 + kz * f2) * np.conj(shift)
 
-        kernel = PointwiseKernel(grid, mask, zs)
+        kernel = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS, zs)
         bases = kernel.shift_bases(SHIFT) if shifted else None
         got = kernel_scalar_rhs(
             kernel, [np.ascontiguousarray(f[zs]) for f in (f0, f1, f2)], bases)
@@ -141,8 +142,8 @@ class TestRhsMatchesReference:
         rng = np.random.default_rng(3)
         terms = rng.standard_normal((3, *grid.spectral_shape)) + 0j
         mask = sharp_truncation_mask(grid, DealiasRule.SQRT2_THIRDS)
-        got = PointwiseKernel(grid, mask).rhs(terms, None, np.empty_like(terms),
-                                              conservative=False)
+        got = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS).rhs(
+            terms, None, np.empty_like(terms), conservative=False)
         np.testing.assert_array_equal(got[:, 0, 0, 0], terms[:, 0, 0, 0])
         np.testing.assert_allclose(got, project(terms * mask, grid), atol=1e-13)
 
@@ -154,7 +155,6 @@ class TestBlocking:
         grid = SpectralGrid(N)
         zs = slice(5, 16)  # mz = 11
         u_hat = random_isotropic_field(grid, np.random.default_rng(1), energy=1.0)
-        mask = sharp_truncation_mask(grid, DealiasRule.SQRT2_THIRDS)
         shift = phase_shift_factor(grid, SHIFT)
         terms = [np.ascontiguousarray(t[zs]) for t in
                  transforms_of_terms(u_hat, grid, shift, "conservative")]
@@ -164,7 +164,7 @@ class TestBlocking:
             plane_bytes = N * (N // 2 + 1) * grid.cdtype.itemsize
             monkeypatch.setattr(pointwise, "_BLOCK_BYTES",
                                 block_planes * plane_bytes)
-            kernel = PointwiseKernel(grid, mask, zs)
+            kernel = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS, zs)
             assert kernel.block == min(block_planes, 11)
             bases = kernel.shift_bases(SHIFT)
             r = kernel_rhs(kernel, terms, bases, np.empty_like(u))
@@ -172,28 +172,28 @@ class TestBlocking:
                 kernel.shifted(u, bases, np.empty_like(u)), r,
                 kernel.project(u),
                 kernel_scalar_rhs(kernel, terms[:3], bases),
-                kernel.combine(np.empty_like(u), 0.02, [
-                    (1e-2, [(5e-3, r), (1.0, u)]), (0.0, [(5e-3, u)])]),
+                kernel.combine(0.02, [(np.empty_like(u), [
+                    (1e-2, [(5e-3, r), (1.0, u)]), (0.0, [(5e-3, u)])])])[0],
             )
 
         for got, want in zip(run(planes), run(11)):
             np.testing.assert_array_equal(got, want)
 
     def test_block_height_follows_plane_bytes(self):
-        small = PointwiseKernel(SpectralGrid(32), np.ones((32, 32, 17)))
+        small = PointwiseKernel(SpectralGrid(32), DealiasRule.NONE)
         assert small.block == 32  # a 32^3 slab is one block
-        big = PointwiseKernel(SpectralGrid(96), np.ones((96, 96, 49)))
+        big = PointwiseKernel(SpectralGrid(96), DealiasRule.NONE)
         assert 1 <= big.block < 8
-        half = PointwiseKernel(SpectralGrid(32), np.ones((32, 32, 17)),
-                               slice(16, 32))
+        half = PointwiseKernel(SpectralGrid(32), DealiasRule.NONE, slice(16, 32))
         assert half.block == half.mz == 16
 
     def test_empty_slab_is_a_no_op(self):
         grid = SpectralGrid(16)
-        kernel = PointwiseKernel(grid, np.ones(grid.spectral_shape), slice(16, 16))
+        kernel = PointwiseKernel(grid, DealiasRule.NONE, slice(16, 16))
         empty = np.empty((3, 0, 16, 9), dtype=complex)
         assert kernel.project(empty).shape == empty.shape
-        assert kernel.combine(empty, 0.02, [(1e-3, [(1.0, empty)])]) is empty
+        [out] = kernel.combine(0.02, [(empty, [(1e-3, [(1.0, empty)])])])
+        assert out is empty
 
 
 class TestStreaming:
@@ -202,8 +202,7 @@ class TestStreaming:
         right-hand side, the distributed assembly passes all six (and the
         fluxes) in one call: the sums add x, y, z in the same order."""
         grid, u_hat, _ = field
-        kernel = PointwiseKernel(grid, sharp_truncation_mask(
-            grid, DealiasRule.SQRT2_THIRDS), slice(5, 16))
+        kernel = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS, slice(5, 16))
         terms = [np.ascontiguousarray(t[5:16]) for t in
                  transforms_of_terms(u_hat, grid, None, "conservative")]
         pairs = PRODUCT_PAIRS + tuple((c, 3) for c in range(3))
@@ -220,7 +219,7 @@ class TestStreaming:
         grid = SpectralGrid(n, length)
         mask = sharp_truncation_mask(grid, rule)
         for zs in (slice(None), slice(5, 16)):
-            kernel = PointwiseKernel.for_slab(grid, rule, zs)
+            kernel = PointwiseKernel(grid, rule, zs)
             assert kernel._cut.dtype == np.bool_
             ones = np.ones((3, *mask[zs].shape), dtype=grid.cdtype)
             kernel.truncate(ones)
@@ -231,8 +230,7 @@ class TestStreaming:
     def test_scalar_gradient_production(self, field):
         """``scalar_rhs`` with a mean gradient adds ``-G u_y`` to ``G a``."""
         grid, u_hat, tol = field
-        kernel = PointwiseKernel(grid, sharp_truncation_mask(
-            grid, DealiasRule.SQRT2_THIRDS))
+        kernel = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS)
         bases = kernel.shift_bases(SHIFT)
         a = u_hat[0] + 0.5j * u_hat[2]
         want = kernel.scalar_rhs(a, bases, np.empty_like(a)) - 0.8 * u_hat[1]
@@ -245,7 +243,7 @@ class TestOtherOperations:
     def test_shift_curl_project(self, field, zs):
         grid, u_hat, tol = field
         zs = slice(*zs)
-        kernel = PointwiseKernel(grid, np.ones(grid.spectral_shape, grid.dtype), zs)
+        kernel = PointwiseKernel(grid, DealiasRule.NONE, zs)
         u = np.ascontiguousarray(u_hat[:, zs])
         bases = kernel.shift_bases(SHIFT)
         want = (u_hat * phase_shift_factor(grid, SHIFT))[:, zs]
@@ -267,28 +265,83 @@ class TestOtherOperations:
         grid, u_hat, tol = field
         zs = slice(*zs)
         nu, dt = 0.02, 5e-3
-        kernel = PointwiseKernel(grid, np.ones(grid.spectral_shape, grid.dtype), zs)
+        kernel = PointwiseKernel(grid, DealiasRule.NONE, zs)
         a, b, c = (np.ascontiguousarray(f * u_hat[:, zs]) for f in (1.0, 0.5j, -2.0))
         e_half = np.exp(-nu * grid.k_squared * 0.5 * dt)[zs]
         e_full = np.exp(-nu * grid.k_squared * dt)[zs]
         want = e_full * (a + dt / 6 * b) + dt / 3 * e_half * (b + c) + dt / 6 * c
-        got = kernel.combine(np.empty_like(a), nu, [
+        [got] = kernel.combine(nu, [(np.empty_like(a), [
             (dt, [(dt / 6, b), (1.0, a)]),
             (0.5 * dt, [(dt / 3, b), (dt / 3, c)]),
             (0.0, [(dt / 6, c)]),
-        ])
+        ])])
         assert relative_error(got, want) <= 10 * tol
         # Writing over an input, and a scalar (one-component) field.
         assert relative_error(
-            kernel.combine(a, nu, [(dt, [(dt, b), (1.0, a)])]),
+            kernel.combine(nu, [(a, [(dt, [(dt, b), (1.0, a)])])])[0],
             e_full * (u_hat[:, zs] + dt * b)) <= 10 * tol
         theta = np.ascontiguousarray(u_hat[0, zs])
         assert relative_error(
-            kernel.combine(np.empty_like(theta), nu, [(dt, [(1.0, theta)])]),
+            kernel.combine(nu, [(np.empty_like(theta), [(dt, [(1.0, theta)])])])[0],
             e_full * theta) <= 10 * tol
+
+    @pytest.mark.parametrize("heights", [[24], [6] * 4, [5, 11, 8]],
+                             ids=["P1", "P4", "uneven"])
+    def test_mode_sums_are_energy_and_dissipation(self, field, heights):
+        """Summed over the slabs of a partition, the blockwise sums are the
+        reference diagnostics."""
+        grid, u_hat, tol = field
+        nu = 0.02
+        sums = np.sum([
+            PointwiseKernel(grid, DealiasRule.NONE, zs)
+            .mode_sums(np.ascontiguousarray(u_hat[:, zs]))
+            for zs in slabs(heights)], axis=0)
+        assert 0.5 * sums[0] == pytest.approx(kinetic_energy(u_hat, grid),
+                                              rel=tol)
+        assert nu * sums[1] == pytest.approx(
+            dissipation_rate(u_hat, grid, nu), rel=tol)
+
+    @pytest.mark.parametrize("planes", [1, 5, 24])
+    def test_combine_forms_every_output_before_writing_any(
+            self, field, monkeypatch, planes):
+        """Two outputs in one sweep, each over an input the other reads,
+        are bit for bit the same combinations made one by one into fresh
+        arrays: RK4's first and third stages, each with two decays."""
+        grid, u_hat, _ = field
+        monkeypatch.setattr(pointwise, "_BLOCK_BYTES",
+                            planes * N * (N // 2 + 1) * grid.cdtype.itemsize)
+        nu, dt, h = 0.02, 5e-3, 2.5e-3
+        kernel = PointwiseKernel(grid, DealiasRule.NONE)
+        u0, k1, k3 = (np.ascontiguousarray(f * u_hat)
+                      for f in (1.0, 0.5j, -2.0 + 1j))
+        k2 = u_hat[::-1].copy()
+        stage1 = lambda u_s, k1: [  # noqa: E731
+            (u_s, [(h, [(h, k1), (1.0, u0)])]),
+            (k1, [(dt, [(dt / 6.0, k1), (1.0, u0)])]),
+        ]
+        stage3 = lambda k3, k2: [  # noqa: E731
+            (k3, [(dt, [(1.0, u0)]), (h, [(dt, k3)])]),
+            (k2, [(0.0, [(1.0, k2), (dt / 3.0, k3)])]),
+        ]
+        for stage, inputs in ((stage1, (np.empty_like(u0), k1)),
+                              (stage3, (k3, k2))):
+            want = [kernel.combine(nu, [(np.empty_like(u0), groups)])[0]
+                    for _, groups in stage(*inputs)]
+            outs = kernel.combine(nu, stage(*inputs))
+            assert outs[0] is inputs[0] and outs[1] is inputs[1]
+            for got, w in zip(outs, want):
+                np.testing.assert_array_equal(got, w)
+
+    def test_combine_refuses_more_than_its_scratch(self, field):
+        grid, u_hat, _ = field
+        kernel = PointwiseKernel(grid, DealiasRule.NONE)
+        jobs = [(np.empty_like(u_hat), [(tau, [(1.0, u_hat)])])
+                for tau in (1e-3, 2e-3, 3e-3)]
+        with pytest.raises(ValueError, match="scratch"):
+            kernel.combine(0.02, jobs)
 
     def test_shift_bases_rejects_bad_shape(self):
         grid = SpectralGrid(16)
-        kernel = PointwiseKernel(grid, np.ones(grid.spectral_shape))
+        kernel = PointwiseKernel(grid, DealiasRule.NONE)
         with pytest.raises(ValueError, match="3-vector"):
             kernel.shift_bases(np.zeros(2))

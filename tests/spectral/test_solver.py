@@ -221,6 +221,18 @@ class TestDiagnosticsEvery:
         b.run(3, 0.01)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
 
+    def test_on_demand_diagnostics_are_the_steps_bits(self, grid24, rng):
+        """``kinetic_energy()`` sums as a diagnostics step sums, so a series
+        mixing the two never rises on round-off alone; the step's energy and
+        dissipation agree with the reference forms."""
+        s = make_solver(grid24, random_isotropic_field(grid24, rng, energy=1.0))
+        r = s.step(0.01)
+        assert s.kinetic_energy() == r.energy
+        assert r.energy == pytest.approx(kinetic_energy(s.u_hat, grid24),
+                                         rel=1e-13)
+        assert r.dissipation == pytest.approx(
+            dissipation_rate(s.u_hat, grid24, 0.05), rel=1e-13)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SolverConfig(diagnostics_every=-1)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.spectral.dealias import (
+    DealiasRule,
     phase_shift_factor,
     random_shift,
     sharp_truncation_mask,
@@ -221,13 +222,14 @@ def retained_bytes(*owners):
 
 class TestFootprint:
     """What a warmed serial step keeps alive, in words (8 bytes per grid
-    point).  The paper plans D ~ 25 four-byte words per point (Table 1).
-    Here the state, two RK2 stage buffers, three physical velocity fields,
-    one product and the transform scratch come to about 14.3: product
-    transforms stream into the right-hand side, the last stage's RHS
-    overwrites its stage state, and the dealias mask is one byte per mode."""
+    point).  The paper plans D ~ 25 four-byte words per point (Table 1),
+    12.5 eight-byte ones.  Here the state, one RK2 stage buffer, three
+    physical velocity fields, one product and the transform scratch come to
+    about 11.6 (RK4: two more stage buffers, 17.7): product transforms
+    stream into the right-hand side, every stage writes its sums over what
+    it has read, and the dealias mask is one byte per mode."""
 
-    @pytest.mark.parametrize("scheme,words", [("rk2", 15.0), ("rk4", 21.0)])
+    @pytest.mark.parametrize("scheme,words", [("rk2", 12.0), ("rk4", 18.0)])
     def test_warmed_step_words_per_point(self, scheme, words):
         grid = SpectralGrid(96)
         u0 = taylor_green_field(grid)
@@ -236,6 +238,18 @@ class TestFootprint:
         solver.step(1e-3)
         held = retained_bytes(solver, solver.workspace, solver._pointwise)
         assert held / (grid.n**3 * 8) <= words
+
+    @pytest.mark.parametrize("scheme,stages", [
+        pytest.param("rk2", {"rk_r1"}, id="rk2"),
+        pytest.param("rk4", {"rk_stage", "rk_k1", "rk_k2"}, id="rk4")])
+    def test_stage_buffers_a_step_claims(self, grid16, scheme, stages):
+        """RK2 claims no ``rk_stage`` and RK4 no ``rk_k3``: each stage
+        writes its sums over what it has read."""
+        solver = NavierStokesSolver(grid16, taylor_green_field(grid16),
+                                    SolverConfig(nu=0.05, scheme=scheme))
+        solver.step(0.01)
+        claimed = {name for _, name, _ in solver.workspace._buffers}
+        assert {name for name in claimed if name.startswith("rk_")} == stages
 
     def test_add_scalar_after_a_step_releases_stage_buffers(self, grid16):
         """A solver that steps, adds a scalar and steps again holds what one
@@ -255,23 +269,26 @@ class TestFootprint:
 
 
 class TestZeroAllocation:
-    """The headline invariant: steady-state steps allocate no full grids."""
+    """The headline invariant: steady-state steps allocate no full grids,
+    and neither do the energy and dissipation of a diagnostics step."""
 
-    @pytest.mark.parametrize("scheme,nscalars,dtype", [
-        pytest.param(scheme, nscalars, dtype, id=scheme + tag + suffix)
+    @pytest.mark.parametrize("scheme,nscalars,dtype,every", [
+        pytest.param(scheme, nscalars, dtype, every,
+                     id=scheme + tag + suffix + ("-diagnostics" if every else ""))
         for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
         for scheme in ("rk2", "rk4")
         for nscalars, tag in ((0, ""), (1, "-scalar"))
+        for every in (0, 1)
     ])
     def test_steady_state_step_allocates_no_full_grid(
-        self, rng, scheme, nscalars, dtype
+        self, rng, scheme, nscalars, dtype, every
     ):
         grid = SpectralGrid(32, dtype=dtype)
         solver = NavierStokesSolver(
             grid,
             random_isotropic_field(grid, rng, energy=1.0),
             SolverConfig(nu=0.02, scheme=scheme, phase_shift=True,
-                         diagnostics_every=0),
+                         diagnostics_every=every),
         )
         for _ in range(nscalars):
             solver.add_scalar(random_isotropic_field(grid, rng)[0],
@@ -325,7 +342,7 @@ class TestWorkspaceUnits:
         """The shifted coefficients land in the inverse transform's own work
         buffer, which is then transformed in place."""
         ws = SpectralWorkspace(grid16)
-        kernel = PointwiseKernel(grid16, np.ones(grid16.spectral_shape))
+        kernel = PointwiseKernel(grid16, DealiasRule.NONE)
         shift = rng.uniform(0, 2 * np.pi / grid16.n, size=3)
         u_hat = random_isotropic_field(grid16, rng, energy=1.0)[0]
         expected = u_hat * phase_shift_factor(grid16, shift)
@@ -337,7 +354,7 @@ class TestWorkspaceUnits:
         )
 
     def test_phase_shift_rejects_bad_shape(self, grid16):
-        kernel = PointwiseKernel(grid16, np.ones(grid16.spectral_shape))
+        kernel = PointwiseKernel(grid16, DealiasRule.NONE)
         with pytest.raises(ValueError):
             kernel.shift_bases(np.zeros(2))
 
