@@ -125,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p, {"n": 16, "ranks": 2, "npencils": 4, "steps": 1},
                    ("n", "steps", "ranks", "npencils", "inflight",
                     "copy_strategy", "heights", "dlb"))
+    # The physics no flag names: a random field, one fixed RK2 step size.
+    p.set_defaults(dt=1e-3, ic="random")
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="comma-separated fuzz seeds (default 101,202,303)")
     p.add_argument("--seed-base", type=int, default=None, metavar="B",
@@ -719,36 +721,73 @@ def _run_tune(args, run) -> int:
     return 0
 
 
+def _verify_list(text: Optional[str], flag: str, item: type = int):
+    """A comma-separated ``--seeds``/``--profiles`` value (None if unset),
+    or ValueError with the reason."""
+    if text is None:
+        return None
+    words = text.split(",")
+    if item is int and not all(w.isdigit() for w in words):
+        raise ValueError(f"{flag} {text!r} must be a comma-separated list of "
+                         "ints >= 0")
+    if not all(words):
+        raise ValueError(f"{flag} {text!r} has an empty name")
+    return [item(w) for w in words]
+
+
+def _verify_inputs(args) -> tuple:
+    """``(seeds, profiles)`` from the verify flags, each None when unset;
+    ValueError with the first malformed flag's reason, before any run."""
+    from repro.verify import PROFILES
+
+    bounds = (
+        (args.seed_base is None or args.seed_base >= 0,
+         f"--seed-base={args.seed_base} must be an int >= 0"),
+        (args.orders >= 0, f"--orders={args.orders} must be an int >= 0"),
+        (args.workloads >= 1,
+         f"--workloads={args.workloads} must be an int >= 1"),
+        (args.watchdog > 0,
+         f"--watchdog={args.watchdog} must be a positive number of seconds"),
+    )
+    for ok, reason in bounds:
+        if not ok:
+            raise ValueError(reason)
+    seeds = _verify_list(args.seeds, "--seeds")
+    profiles = _verify_list(args.profiles, "--profiles", str)
+    unknown = [p for p in profiles or () if p not in PROFILES]
+    if unknown:
+        raise ValueError(f"unknown profile(s) {unknown}; "
+                         f"choose from {sorted(PROFILES)}")
+    return seeds, profiles
+
+
 def _cmd_verify(args) -> int:
     """``repro verify``: the fuzz matrix, one engine pair per seed and the
     schedule exploration (CI job).
 
-    Every line of the report names the (seed, profile) pair that produced
-    it, so a CI failure reproduces locally with
-    ``repro verify --seeds SEED --profiles NAME`` or interactively with
-    ``repro dns --ranks P --npencils NP --pipeline threads --fuzz SEED``;
-    an engine pair's line names its seed and both configurations.  The
-    engine flags go through :meth:`JobSpec.validate`, as ``dns``'s do.
+    The flags name one :class:`JobSpec` (validated as ``dns``'s are).  Each
+    fuzz case ``(SEED, NAME)`` is an engine pair of it: the spec fuzzed on
+    the threaded pipeline against the spec on the sync one.  Its report
+    line names the seed and profile, so a CI failure reproduces locally
+    with ``repro verify --seeds SEED --profiles NAME`` (or one side alone
+    with ``repro dns --ranks P --npencils NP --pipeline threads --fuzz
+    SEED --fuzz-profile NAME``); a drawn engine pair's line names its seed
+    and both configurations.  A malformed list or bound is one ``error:``
+    line and exit 2, before anything runs.
     """
-    from repro.verify import DEFAULT_SEEDS, PROFILES, run_verification
+    from repro.verify import DEFAULT_PROFILES, DEFAULT_SEEDS, run_verification
 
+    try:
+        seeds, profiles = _verify_inputs(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.scheduler:
-        return _cmd_verify_scheduler(args)
-    if args.seeds is not None:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-    elif args.seed_base is not None:
-        seeds = (args.seed_base, args.seed_base + 1, args.seed_base + 2)
-    else:
-        seeds = DEFAULT_SEEDS
-    if args.profiles is not None:
-        profiles = tuple(p for p in args.profiles.split(",") if p)
-        unknown = [p for p in profiles if p not in PROFILES]
-        if unknown:
-            print(f"error: unknown profile(s) {unknown}; "
-                  f"choose from {sorted(PROFILES)}", file=sys.stderr)
-            return 2
-    else:
-        profiles = None
+        return _cmd_verify_scheduler(args, seeds)
+    if seeds is None:
+        seeds = (DEFAULT_SEEDS if args.seed_base is None
+                 else [args.seed_base + k for k in range(3)])
+    profiles = profiles or DEFAULT_PROFILES
     from repro.dist.decomp import normalize_heights
     from repro.serve.spec import in_flags, spec_from_args
 
@@ -767,35 +806,22 @@ def _cmd_verify(args) -> int:
             normalize_heights(args.n, args.ranks, heights)
         except ValueError as exc:
             return _report_bad_heights(exc, args.n, args.ranks)
-    kwargs = {} if profiles is None else {"profiles": profiles}
     print(f"verify: n={args.n} P={args.ranks} np={args.npencils} "
           f"inflight={args.inflight} seeds={list(seeds)}"
           + (f" heights={list(heights)}" if heights else "")
           + (f" dlb={args.dlb}" if args.dlb != "off" else ""))
-    config = {
-        "n": args.n, "ranks": args.ranks, "npencils": args.npencils,
-        "inflight": args.inflight, "steps": args.steps,
-        "profiles": list(profiles) if profiles else list(PROFILES),
-        "orders": args.orders, "copy_strategy": args.copy_strategy,
-        "heights": list(heights) if heights else None, "dlb": args.dlb,
-    }
+    config = {**spec.to_dict(), "orders": args.orders,
+              "profiles": list(profiles)}
     with _registered_run("verify", config, seeds=seeds) as run:
         report = run_verification(
-            n=args.n,
-            ranks=args.ranks,
-            npencils=args.npencils,
-            inflight=args.inflight,
-            steps=args.steps,
+            spec,
             seeds=seeds,
+            profiles=profiles,
             orders=args.orders,
             watchdog_seconds=args.watchdog,
             verbose=True,
-            copy_strategy=args.copy_strategy,
             artifact_dir=str(run.dir),
             run_id=run.run_id,
-            heights=heights,
-            dlb=args.dlb,
-            **kwargs,
         )
         print()
         print(report.render())
@@ -811,7 +837,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_verify_scheduler(args) -> int:
+def _cmd_verify_scheduler(args, seeds: Optional[list]) -> int:
     """``repro verify --scheduler``: conformance-fuzz the serve scheduler.
 
     Plans each seeded workload twice in fresh stores and checks trace
@@ -820,12 +846,9 @@ def _cmd_verify_scheduler(args) -> int:
     """
     from repro.verify import run_scheduler_fuzz
 
-    if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    elif args.seed_base is not None:
-        seeds = list(range(args.seed_base, args.seed_base + args.workloads))
-    else:
-        seeds = list(range(args.workloads))
+    if seeds is None:
+        base = args.seed_base or 0
+        seeds = list(range(base, base + args.workloads))
     print(f"verify --scheduler: {len(seeds)} seeded workloads")
     config = {"scheduler": True, "workloads": len(seeds)}
     with _registered_run("verify", config, seeds=seeds) as run:

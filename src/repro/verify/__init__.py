@@ -26,7 +26,10 @@ This package stress-tests that claim from three directions:
   which must agree to the bits (or the bound) their ``JobSpec`` rows
   declare;
 * :mod:`repro.verify.harness` — :func:`run_verification`, the whole matrix
-  behind ``repro verify`` and the CI ``verify`` job.
+  behind ``repro verify`` and the CI ``verify`` job: each fuzz case
+  ``(seed, profile)`` is an engine pair, the spec fuzzed on the threaded
+  pipeline against the spec on the sync one, and ``repro verify --seeds
+  SEED --profiles NAME`` replays it.
 """
 
 from repro.verify.explorer import (
@@ -47,8 +50,8 @@ from repro.verify.fuzz import (
 from repro.verify.harness import (
     DEFAULT_PROFILES,
     DEFAULT_SEEDS,
+    DEFAULT_SPEC,
     IMBALANCE_PROFILES,
-    FuzzCase,
     VerificationReport,
     run_verification,
 )
@@ -66,9 +69,9 @@ __all__ = [
     "CommFaultPlan",
     "DEFAULT_PROFILES",
     "DEFAULT_SEEDS",
+    "DEFAULT_SPEC",
     "DeadlockTimeout",
     "FuzzBackend",
-    "FuzzCase",
     "FuzzProfile",
     "IMBALANCE_PROFILES",
     "ImbalancePlan",

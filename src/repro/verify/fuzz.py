@@ -299,7 +299,9 @@ class FuzzStream(Stream):
                 backend._count("retried")
                 time.sleep(profile.backoff * (attempt + 1))
             if nfaults:
-                backend._count("recovered")
+                # Every fault this op took is now recovered, so a run whose
+                # budget held ends with injected == recovered.
+                backend._count("recovered", nfaults)
             if monitor is not None and item is not None:
                 monitor.on_op_begin(stream_name, name, item)
                 try:
@@ -414,11 +416,11 @@ class FuzzBackend(ExecBackend):
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _count(self, key: str) -> None:
+    def _count(self, key: str, amount: int = 1) -> None:
         with self._lock:
-            self.stats[key] += 1
+            self.stats[key] += amount
         if self._counters is not None and key in self._counters:
-            self._counters[key].inc()
+            self._counters[key].inc(amount)
 
     def _note_delay(self, seconds: float) -> None:
         with self._lock:

@@ -24,7 +24,10 @@ compare with ``==`` only when both sides share ``ranks`` and
 :data:`DIAG_RTOL`.
 
 A pair's :meth:`EnginePair.describe` names the seed, the physics point
-and both configurations; ``repro verify --seeds SEED`` replays it.
+and both configurations; ``repro verify --seeds SEED`` replays it.  The
+fuzz cases of ``repro verify`` are pairs too, of the spec its flags name
+(side A fuzzed, side B sync); ``--seeds SEED --profiles NAME`` replays
+one.
 """
 
 from __future__ import annotations
@@ -183,24 +186,39 @@ class PairOutcome:
     faults_injected: int = 0
     faults_recovered: int = 0
     comm_faults: int = 0
+    invariant_checks: int = 0
     pencils_lent: int = 0
+    pencils_reclaimed: int = 0
+    imbalance_seconds: float = 0.0
     wall_seconds: float = 0.0
+    flight_dump: Optional[str] = None
 
     def describe(self) -> str:
         status = "ok" if self.ok else f"FAIL ({self.error})"
         engaged = (f" op-faults={self.faults_injected}/"
                    f"{self.faults_recovered}rec comm-faults="
-                   f"{self.comm_faults} lent={self.pencils_lent}")
+                   f"{self.comm_faults} checks={self.invariant_checks} "
+                   f"lent={self.pencils_lent} "
+                   f"reclaimed={self.pencils_reclaimed}")
+        if self.imbalance_seconds > 0.0:
+            engaged += f" imb={self.imbalance_seconds:.3f}s"
         return (f"pair {self.pair.describe()} {status}{engaged} "
                 f"{self.wall_seconds:.2f}s")
 
 
-def run_pair(pair: EnginePair) -> PairOutcome:
-    """Run both sides and compare them; a failure is reported, not raised."""
+def run_pair(pair: EnginePair, obs=None, reference=None) -> PairOutcome:
+    """Run both sides and compare them; a failure is reported, not raised.
+
+    ``obs`` instruments side A's run.  ``reference`` is side B's result
+    from an earlier :func:`_run`, for callers that compare many A sides
+    with one B (``repro verify``'s fuzz matrix); B is then not rerun.
+    """
     outcome = PairOutcome(pair)
     start = time.perf_counter()
     try:
-        a, b = (_run(pair, spec, outcome) for spec in (pair.a, pair.b))
+        a = _run(pair, pair.a, outcome, obs)
+        b = reference if reference is not None else _run(pair, pair.b,
+                                                         outcome)
         _compare(pair, a, b)
         outcome.ok = True
     except Exception as exc:  # noqa: BLE001 - reported with the seed
@@ -209,7 +227,7 @@ def run_pair(pair: EnginePair) -> PairOutcome:
     return outcome
 
 
-def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome):
+def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome, obs=None):
     """One side's fields (state, scalars) and ``allreduce``d sums."""
     grid = SpectralGrid(spec.n)
     u0, theta0 = (random_isotropic_field(
@@ -219,21 +237,17 @@ def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome):
                           fft_backend=spec.fft_backend,
                           diagnostics_every=spec.diagnostics_every,
                           phase_shift=pair.phase_shift)
-    with _open(spec, grid, u0, config) as opened:
+    with _open(spec, grid, u0, config, obs) as opened:
         solver, scalars = opened.solver, range(pair.scalars)
         for _ in scalars:
             solver.add_scalar(theta0[0], schmidt=0.7, mean_gradient=0.5)
-        result = opened.run()  # a fuzzed run must end quiescent
+        try:
+            result = opened.run()  # a fuzzed run must end quiescent
+        finally:  # a failed run still reports what it engaged
+            _tally(opened, outcome)
         fft = getattr(solver, "fft", None)
         if getattr(getattr(fft, "arena", None), "in_use", 0):
             raise AssertionError(f"arena holds {fft.arena.in_use} B")
-        stats = getattr(getattr(fft, "_backend", None), "stats", {})
-        outcome.faults_injected += stats.get("injected", 0)
-        outcome.faults_recovered += stats.get("recovered", 0)
-        if opened.fault_plan is not None:
-            outcome.comm_faults += opened.fault_plan.injected
-        outcome.pencils_lent += getattr(getattr(fft, "_dlb_policy", None),
-                                        "pencils_lent", 0)
         fields_ = {"state": solver.u_hat if spec.ranks is None
                    else solver.gather_state()}
         fields_.update({f"scalar {s}": solver.gather_scalar(s)
@@ -242,6 +256,21 @@ def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome):
                 "dissipations": result.dissipations,
                 "variances": [solver.scalar_variance(s) for s in scalars]}
         return fields_, sums
+
+
+def _tally(opened, outcome: PairOutcome) -> None:
+    fft = getattr(opened.solver, "fft", None)
+    stats = getattr(getattr(fft, "_backend", None), "stats", {})
+    outcome.faults_injected += stats.get("injected", 0)
+    outcome.faults_recovered += stats.get("recovered", 0)
+    outcome.imbalance_seconds += stats.get("imbalance_seconds", 0.0)
+    if opened.fault_plan is not None:
+        outcome.comm_faults += opened.fault_plan.injected
+    if opened.monitor is not None:
+        outcome.invariant_checks += opened.monitor.checks
+    policy = getattr(fft, "_dlb_policy", None)
+    outcome.pencils_lent += getattr(policy, "pencils_lent", 0)
+    outcome.pencils_reclaimed += getattr(policy, "pencils_reclaimed", 0)
 
 
 def _compare(pair: EnginePair, a, b) -> None:

@@ -37,7 +37,11 @@ def watchdog(seconds: float, label: str = "fuzzed run"):
     """Interrupt the main thread if the block runs longer than ``seconds``.
 
     Must be used from the main thread (``interrupt_main`` targets it).
+    ``seconds`` must be positive: a timer that fires as it starts leaves
+    nothing to bound.
     """
+    if not seconds > 0:
+        raise ValueError(f"watchdog seconds must be positive, got {seconds!r}")
     state = {"expired": False, "done": False}
     lock = threading.Lock()
 
@@ -50,8 +54,10 @@ def watchdog(seconds: float, label: str = "fuzzed run"):
 
     timer = threading.Timer(seconds, fire)
     timer.daemon = True
-    timer.start()
     try:
+        # Inside the try: a timer that fires while its thread starts must
+        # still surface as DeadlockTimeout.
+        timer.start()
         yield
     except KeyboardInterrupt:
         if state["expired"]:

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestPlan:
@@ -227,7 +231,25 @@ class TestUnevenHeightsCli:
         (["--npencils", "3"], "--npencils=3 must divide N=16"),
         (["--ranks", "0"], "--ranks=0 must be a positive int"),
         (["--n", "7"], "--n=7 must be an even int >= 4"),
-    ], ids=["npencils", "ranks", "n"])
+        (["--seeds", "abc"],
+         "--seeds 'abc' must be a comma-separated list of ints >= 0"),
+        (["--seeds", "1,,x"],
+         "--seeds '1,,x' must be a comma-separated list of ints >= 0"),
+        (["--scheduler", "--seeds", "1,,x"],
+         "--seeds '1,,x' must be a comma-separated list of ints >= 0"),
+        (["--profiles", ","], "--profiles ',' has an empty name"),
+        (["--orders", "-1"], "--orders=-1 must be an int >= 0"),
+        (["--watchdog", "0"],
+         "--watchdog=0.0 must be a positive number of seconds"),
+        (["--watchdog", "-2"],
+         "--watchdog=-2.0 must be a positive number of seconds"),
+        (["--seed-base", "-1"], "--seed-base=-1 must be an int >= 0"),
+        (["--scheduler", "--workloads", "0"],
+         "--workloads=0 must be an int >= 1"),
+    ], ids=["npencils", "ranks", "n", "seeds-word", "seeds-empty",
+            "scheduler-seeds", "profiles-empty", "orders-negative",
+            "watchdog-zero", "watchdog-negative", "seed-base-negative",
+            "workloads-zero"])
     def test_verify_bad_engine_flag_is_one_reasoned_line(self, capsys, flags,
                                                          reason):
         assert main(["verify", *flags]) == 2
@@ -242,6 +264,58 @@ class TestUnevenHeightsCli:
         out = capsys.readouterr().out
         assert "heights=[5, 3]" in out
         assert "PASS" in out
+
+
+CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+def _ci_verify_argvs() -> list:
+    """Every ``python -m repro verify`` line of the CI workflow, with each
+    shell variable set to every value its ``for`` loop gives it (else 1)."""
+    text = CI.read_text(encoding="utf-8").replace("\\\n", " ")
+    loops = {var: values.split()
+             for var, values in re.findall(r"for (\w+) in ([^;\n]+);", text)}
+    argvs = []
+    for line in text.splitlines():
+        if "python -m repro verify" not in line:
+            continue
+        command = line.split("python -m repro", 1)[1]
+        names = sorted(set(re.findall(r"\$(\w+)", command)))
+        for values in itertools.product(*(loops.get(n, ["1"])
+                                          for n in names)):
+            sample = dict(zip(names, values))
+            argvs.append(shlex.split(re.sub(
+                r"\$(\w+)", lambda m: sample[m.group(1)], command)))
+    return argvs
+
+
+class TestVerifyCiLines:
+    """A verify flag CI passes must survive a change to the command; the
+    workflow is only run by CI, so its lines are parsed here."""
+
+    ARGVS = _ci_verify_argvs()
+
+    def test_every_ci_job_line_is_found(self):
+        assert len(self.ARGVS) >= 7  # 3 seeds, 1 pencil, date, 2 dlb, sched
+        assert any("--scheduler" in argv for argv in self.ARGVS)
+        assert any("--heights" in argv for argv in self.ARGVS)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_ci_line_parses_and_validates(self, argv):
+        from repro.cli import _verify_inputs
+        from repro.serve.spec import spec_from_args
+
+        args = build_parser().parse_args(argv)
+        assert args.command == "verify"
+        spec_from_args(args).validate()
+        _verify_inputs(args)
+
+    def test_flag_defaults_are_the_harness_default_spec(self):
+        from repro.serve.spec import spec_from_args
+        from repro.verify import DEFAULT_SPEC
+
+        args = build_parser().parse_args(["verify"])
+        assert spec_from_args(args) == DEFAULT_SPEC
 
 
 class TestStudies:

@@ -164,7 +164,18 @@ class TestWatchdog:
         gate = threading.Event()  # never set: a deliberate lost wakeup
         with pytest.raises(DeadlockTimeout):
             with watchdog(0.2, label="lost-wakeup test"):
-                gate.wait(30.0)
+                # Timeout-sliced like the backends' waits: one long wait
+                # would only see the interrupt when it times out.
+                while not gate.wait(0.05):
+                    pass
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_non_positive_limit_is_refused(self, seconds):
+        """A zero timer fired while its thread started, outside the guard,
+        and surfaced as a bare KeyboardInterrupt."""
+        with pytest.raises(ValueError, match="must be positive"):
+            with watchdog(seconds):
+                pass
 
     def test_user_interrupt_passes_through(self):
         with pytest.raises(KeyboardInterrupt):

@@ -4,8 +4,8 @@ The acceptance contract for the flight recorder is narrow but hard: an
 *injected* hang — a comm fault plan that wedges instead of raising — must
 leave a timeline on disk even though the run never returns.  These tests
 wedge a real distributed FFT under the deadlock watchdog and check the
-dump; they also pin the harness-side bookkeeping (a diverged fuzz case
-records its own dump, a clean run records none).
+dump; they also pin the harness-side bookkeeping (a fuzz case whose
+fuzzed side diverges records its own dump, a clean run records none).
 """
 
 import json
@@ -18,15 +18,9 @@ from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.obs.flight import FlightRecorder, install_flight, uninstall_flight
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.solver import SolverConfig
+from repro.verify import invariance
 from repro.verify.faults import CommFaultPlan
-from repro.verify.harness import (
-    VerificationReport,
-    _initial_condition,
-    _run_fuzz_case,
-    run_verification,
-)
-from repro.verify.fuzz import fuzz_profile
+from repro.verify.harness import DEFAULT_SPEC, run_verification
 from repro.verify.watchdog import DeadlockTimeout, watchdog
 
 
@@ -115,23 +109,31 @@ class TestWatchdogDump:
 
 
 class TestHarnessDumps:
-    def test_diverged_fuzz_case_records_dump(self, tmp_path):
-        grid = SpectralGrid(16)
-        config = SolverConfig(nu=0.02, scheme="rk2", phase_shift=True,
-                              seed=11)
-        u0 = _initial_condition(grid)
-        report = VerificationReport()
-        flight = FlightRecorder(run_id="diverge-test",
-                                artifact_dir=tmp_path)
-        profile = fuzz_profile("calm", 3)
-        case = _run_fuzz_case(
-            grid, u0, config, np.zeros_like(u0), ranks=2, npencils=4,
-            inflight=2, steps=1, dt=1e-3, profile=profile,
-            watchdog_seconds=60.0, report=report, flight=flight,
+    def test_diverged_fuzz_case_records_dump(self, tmp_path, monkeypatch):
+        """One ulp added to the fuzzed side's state fails its pair as not
+        bit-identical, and leaves a dump named after seed and profile."""
+        real = invariance._run
+
+        def nudged(pair, spec, outcome, obs=None):
+            fields, sums = real(pair, spec, outcome, obs)
+            if spec.fuzz_seed is not None:
+                state = fields["state"]
+                state.flat[0] = complex(np.nextafter(state.flat[0].real,
+                                                     np.inf),
+                                        state.flat[0].imag)
+            return fields, sums
+
+        monkeypatch.setattr(invariance, "_run", nudged)
+        report = run_verification(
+            DEFAULT_SPEC.with_(inflight=2), seeds=(3,), profiles=("calm",),
+            orders=0, artifact_dir=str(tmp_path), run_id="diverge-test",
         )
-        assert not case.ok
-        assert "diverged" in case.error
-        assert case.flight_dump is not None
+        (case,) = report.cases
+        assert not case.ok and not report.passed
+        assert case.describe().startswith("pair seed=3 ")
+        assert "fuzz_profile=calm" in case.describe()
+        assert "not bit-identical" in case.error
+        assert report.flight_dumps == [case.flight_dump]
         with open(case.flight_dump) as fh:
             doc = json.load(fh)
         assert doc["reason"] == "fuzz-fail-seed3-calm"
@@ -139,12 +141,26 @@ class TestHarnessDumps:
 
     def test_clean_verification_records_no_dumps(self, tmp_path):
         report = run_verification(
-            n=16, ranks=2, seeds=[101], profiles=["calm"], steps=1,
-            orders=0, artifact_dir=str(tmp_path), run_id="clean-run",
+            DEFAULT_SPEC, seeds=[101], profiles=["calm"], orders=0,
+            artifact_dir=str(tmp_path), run_id="clean-run",
         )
         assert report.passed
         assert report.flight_dumps == []
         # The harness restored the global recorder slot on the way out.
         from repro.obs.flight import current_flight
 
+        assert current_flight() is None
+
+    def test_user_interrupt_in_the_explorer_propagates(self, monkeypatch):
+        """A Ctrl-C is the user's, not a verification failure."""
+        from repro.obs.flight import current_flight
+        from repro.verify import harness
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+            yield  # a generator, like replay_orders
+
+        monkeypatch.setattr(harness, "replay_orders", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_verification(DEFAULT_SPEC, seeds=(), orders=1)
         assert current_flight() is None

@@ -10,10 +10,16 @@ produce the same bytes as the unfuzzed static reference — with lending
 import numpy as np
 import pytest
 
-from repro.verify import IMBALANCE_PROFILES, ImbalancePlan, run_verification
+from repro.verify import (
+    DEFAULT_SPEC,
+    IMBALANCE_PROFILES,
+    ImbalancePlan,
+    run_verification,
+)
 from repro.verify.fuzz import PROFILES, fuzz_profile
 
 SEEDS = (7, 19, 23)
+SMALL = DEFAULT_SPEC.with_(n=8, npencils=2)
 HEIGHTS = (5, 3)  # uneven slabs on 2 ranks over N=8
 
 
@@ -72,9 +78,8 @@ class TestImbalanceMatrix:
     @pytest.mark.parametrize("dlb", ["lend", "off"])
     def test_three_seeds_bit_identical_under_skew(self, dlb):
         report = run_verification(
-            n=8, ranks=2, npencils=2, inflight=3, steps=1,
+            SMALL.with_(heights=HEIGHTS, dlb=dlb),
             seeds=SEEDS, profiles=IMBALANCE_PROFILES, orders=0,
-            heights=HEIGHTS, dlb=dlb,
         )
         assert len(report.cases) == len(SEEDS) * len(IMBALANCE_PROFILES)
         failures = [c.describe() for c in report.cases if not c.ok]
@@ -94,9 +99,8 @@ class TestImbalanceMatrix:
 
     def test_report_mentions_imbalance_not_faults(self):
         report = run_verification(
-            n=8, ranks=2, npencils=2, steps=1,
+            SMALL.with_(dlb="lend"),
             seeds=(7,), profiles=("imbalance_compute",), orders=0,
-            dlb="lend",
         )
         assert report.passed
         text = report.render()
