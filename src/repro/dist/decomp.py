@@ -25,6 +25,7 @@ The 2-D pencil decomposition of the paper's CPU baseline (Yeung et al. PNAS
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -187,6 +188,16 @@ class SlabDecomposition:
     def local_physical_shape(self, rank: Optional[int] = None) -> tuple[int, int, int]:
         h = self._uniform_height("local slab") if rank is None else self.height(rank)
         return (self.n, h, self.n)
+
+    def y_slabs(self, land, fields: int, dtype) -> list[np.ndarray]:
+        """Per rank, ``fields`` spectral y-slabs ``[field, kz, y, x]`` at the
+        head of the contiguous buffer ``land[r]``: a transpose's landing
+        lent by its caller (a kz-slab holds as many elements)."""
+        if not all(a.flags.c_contiguous and a.dtype == dtype for a in land):
+            raise ValueError(f"land must be contiguous {np.dtype(dtype)}")
+        shapes = [(fields, self.n, h, self.nx_half) for h in self.rank_heights]
+        return [a.reshape(-1)[:math.prod(s)].reshape(s)
+                for a, s in zip(land, shapes, strict=True)]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.ranks:

@@ -322,10 +322,16 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
             coeffs = [w[:nfields] for w in spectra]
             self.fft.each_rank(_shift, self._kernels, shifts, state, coeffs,
                                spans=self._rank_spans, wait=False)
+        # The transposed slab lands in ``out``, dead until the assembly —
+        # unless it is the state (on any rank: one may hold no planes)
+        # and that is still read: unshifted, or u_y for a mean gradient.
+        read = not cfg.phase_shift or any(s.mean_gradient for s in self.scalars)
+        shared = any(map(np.may_share_memory, out, state))
+        land = None if read and shared else out
         # Every caller combines the right-hand side next: a process pool
         # sends the last unpack, the assembly and the combination as one
         # message.
-        self.fft.product_spectra(coeffs, pairs, out=spectra, wait=False)
+        self.fft.product_spectra(coeffs, pairs, out=spectra, wait=False, land=land)
         gradients = [tuple(s.mean_gradient for s in self.scalars)] * P
         self.fft.each_rank(_assemble, self._kernels, spectra, shifts, state,
                            out, gradients, spans=self._rank_spans, wait=False)

@@ -34,9 +34,9 @@ single-field transforms of two phases each.
 
 The host side is claimed on first use and kept, like the paper's pinned
 buffers (Sec. 3.5): per rank a *send region*, a ring of pencils' blocks in
-all-to-all order, and the inverse's *transposed slab*; everything else
-lands in arrays the caller hands in (``out=``).  Nothing on the pencil path
-allocates.
+all-to-all order, and a *transposed slab* for calls that lend none
+(``land=``); everything else lands in arrays the caller hands in
+(``out=``).  Nothing on the pencil path allocates.
 
 Events enforce the Fig. 4 cross-stream edges (compute waits its pencil's
 H2D; D2H waits its compute; the exchange waits its D2H) and a bounded
@@ -498,8 +498,8 @@ class OutOfCoreSlabFFT:
         )
         # The host side, claimed on first use and kept (the paper's pinned
         # buffers, Sec. 3.5): per rank a send region that _exchange_views
-        # carves into per-pencil blocks, and a transposed slab per field
-        # count (the inverse's y-slabs).  Both grow when a call needs more.
+        # carves into per-pencil blocks, and the y-slabs of a call whose
+        # caller lends no landing buffer.  Both grow when a call needs more.
         self._send: list[np.ndarray] = []
         self._transposed: list[np.ndarray] = []
         self._views: dict[tuple, tuple] = {}
@@ -1017,6 +1017,7 @@ class OutOfCoreSlabFFT:
         pairs: Sequence[tuple[int, int]],
         out=None,
         wait: bool = True,
+        land=None,
     ) -> list[np.ndarray]:
         """The paper's RK substage: field spectra in, product spectra out.
         (``out`` is complete on return whatever ``wait`` says: the
@@ -1035,8 +1036,11 @@ class OutOfCoreSlabFFT:
         3. y-FFTs of every product in place on ``out``'s x-split pencils.
 
         ``out`` may share memory with ``coeffs`` (phase 1 has read them
-        before phase 2 writes); omitted, it is allocated.  Bit-equal to
-        one inverse per field, the products and one forward per pair.
+        before phase 2 writes); omitted, it is allocated.  ``land[r]``
+        (contiguous, room for ``F`` fields, read by nothing until the call
+        returns) takes phase 1's y-slabs in place of the engine's own slab.
+        Bit-equal to one inverse per field, the products and one forward
+        per pair.
         """
         d, nfields, nout = self.decomp, coeffs[0].shape[0], len(pairs)
         out = self._results(
@@ -1046,7 +1050,8 @@ class OutOfCoreSlabFFT:
         middle = Stage(functools.partial(products, pairs=pairs), "fft.products")
         self._reserve_send(("x", nfields), ("y", nout))
         with self._rings(nfields, nout) as rings:
-            land = self._transposed_slabs(nfields)
+            land = (self._transposed_slabs(nfields) if land is None
+                    else d.y_slabs(land, nfields, self.grid.cdtype))
             self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],
                         rings, land=land)
             self._phase("y", land, (nfields, nout), middle, rings, land=out,

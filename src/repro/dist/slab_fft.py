@@ -161,13 +161,15 @@ class SlabDistributedFFT:
         pairs: Sequence[tuple[int, int]],
         out=None,
         wait: bool = True,
+        land=None,
     ) -> list[np.ndarray]:
         """Field spectra in, product spectra out — the contract of
         :meth:`repro.dist.outofcore.OutOfCoreSlabFFT.product_spectra`.
 
         ``coeffs[r]`` holds rank ``r``'s fields ``[field, kz, y, x]``;
         ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
-        = (i, j)`` and may share memory with ``coeffs``.
+        = (i, j)`` and may share memory with ``coeffs``; the first
+        exchange lands in ``land[r]`` (resident) when given.
 
         Two batched ``rank_transpose`` calls in three rounds: the y-FFTs of
         all fields and their all-to-all, then in each worker the z/x
@@ -190,11 +192,13 @@ class SlabDistributedFFT:
                 [(npairs, self.grid.n, d.height(r), self.grid.n // 2 + 1)
                  for r in range(self.comm.size)], self.grid.cdtype)
         spectra = [f[:npairs] for f in self._fields]
+        if land is not None:
+            land = d.y_slabs(land, nfields, self.grid.cdtype)
         kwargs = self._kwargs()
         self.comm.rank_transpose(
             coeffs, pack_axis=1 + _Y_AXIS, unpack_axis=1 + _KZ_AXIS,
             pre="inv_y", post="inv_zx", pairs=tuple(pairs), out=spectra,
-            wait=False, **kwargs)
+            wait=False, land=land, **kwargs)
         self.comm.rank_transpose(
             spectra, pack_axis=1 + _KZ_AXIS, unpack_axis=1 + _Y_AXIS,
             post="fwd_y", out=out, wait=wait, **kwargs)

@@ -191,14 +191,17 @@ class _Worker:
 
     def unpack(self, msg: dict, lf, spans: list) -> None:
         """Slot ``rank`` of every peer's ring into its window of the
-        transposed slab (claimed once; ``out`` itself without a post
-        stage), then the post stage — or the products — into ``out``."""
+        transposed slab (``land``, else claimed once; ``out`` itself
+        without a post stage), then the post stage — or the products —
+        into ``out``."""
         out = self.array(msg["out"])
         post, n, axis = msg["post"], msg["n"], msg["axis"]
         block, dtype = list(msg["block"]), msg["dtype"]
         t0, edge, shape = time.perf_counter(), 0, list(block)
         shape[axis] = sum(msg["exts"])
-        dst = out if post is None else self.claim("transposed", shape, dtype)
+        dst = out if post is None else (
+            self.claim("transposed", shape, dtype) if msg["land"] is None
+            else self.array(msg["land"]))
         for src, ext in enumerate(msg["exts"]):
             block[axis] = ext
             np.copyto(dst[_window(dst.ndim, axis, edge, ext)],
@@ -613,6 +616,7 @@ class ProcsComm(VirtualComm):
         pack_sizes: Optional[Sequence[int]] = None,
         out: Optional[Sequence[np.ndarray]] = None,
         pairs: Optional[Sequence[tuple[int, int]]] = None, wait: bool = True,
+        land: Optional[Sequence[np.ndarray]] = None,
     ) -> list[np.ndarray]:
         """Pre stage + pack -> all-to-all -> unpack + post stage, in the
         workers; bit-identical to :func:`repro.dist.transpose.pack_blocks`,
@@ -625,9 +629,10 @@ class ProcsComm(VirtualComm):
         field pairs' products and their ``fwd_xz``
         (:func:`repro.dist.stages.products`): one spectrum per pair.
         Resident ``locals_``/``out`` are used in place, others through
-        resident stand-ins.  ``wait=False`` (resident ``out``) queues the
-        unpack to run first in the next message; consecutive exchanges use
-        alternate ring halves, so it never meets the next pack's bytes.
+        resident stand-ins; a post stage's input lands in ``land[s]`` when
+        given.  ``wait=False`` (resident ``out``) queues the unpack to run
+        first in the next message; consecutive exchanges use alternate ring
+        halves, so it never meets the next pack's bytes.
         """
         if not self._workers:
             raise RuntimeError(f"{self.name}: communicator is closed")
@@ -701,6 +706,7 @@ class ProcsComm(VirtualComm):
             staged.append((stand_in, target))
             unpacks.append(
                 {"op": "unpack", "out": d, "post": post, "pairs": pairs,
+                 "land": None if land is None else self._encode(land[s], "land"),
                  "block": tuple(block), "dtype": mid_dtype.str,
                  "axis": unpack_axis, "exts": unpack_exts, **common})
 

@@ -22,7 +22,9 @@ linear extensions for small graphs and direct structural checks (e.g.
 gated on item ``i - window``'s final operation).
 
 :func:`replay_orders` is the explorer stage of ``repro verify``: the
-out-of-core round trip replayed in sampled orders against the sync engine.
+out-of-core engine of the verified spec — its partition and copy strategy
+included — replayed in sampled orders against the sync engine, over a
+round trip and the solver's substage.
 """
 
 from __future__ import annotations
@@ -334,42 +336,48 @@ class ReplayBackend(ExecBackend):
             s._pending_deps = []
 
 
-def replay_orders(n: int, ranks: int, npencils: int, inflight: int,
-                  orders: int) -> Iterator[int]:
-    """Replay one seeded field's out-of-core round trip (inverse, then
-    forward) in ``orders`` linear extensions, the submission order first,
-    and yield each order's op count.
+def replay_orders(spec, orders: int) -> Iterator[int]:
+    """Replay the out-of-core engine of ``spec`` (a
+    :class:`~repro.serve.spec.JobSpec`: ranks, pencils, window, copy
+    strategy, partition) in ``orders`` linear extensions, the submission
+    order first, and yield each order's op count.  An order runs a seeded
+    field's round trip and the solver's substage, landing in a lent buffer.
 
-    Raises when an order's transform is not bit-identical to the sync
-    engine's or a recorded graph breaks the in-flight window gate.
+    Raises when an order's results are not bit-identical to the sync
+    engine's (which lands in its own slab) or a recorded graph breaks the
+    in-flight window gate.
     """
-    from repro.dist.decomp import SlabDecomposition
+    from repro.dist.decomp import SlabDecomposition, skewed_heights
     from repro.dist.outofcore import OutOfCoreSlabFFT
     from repro.dist.virtual_mpi import VirtualComm
     from repro.spectral.grid import SpectralGrid
+    from repro.spectral.pointwise import PRODUCT_PAIRS
 
-    grid = SpectralGrid(n)
-    rng = np.random.default_rng(99)
-    shape = SlabDecomposition(n, ranks).local_spectral_shape()
-    spec = [(rng.standard_normal(shape)
-             + 1j * rng.standard_normal(shape)).astype(grid.cdtype)
-            for _ in range(ranks)]
-    with OutOfCoreSlabFFT(grid, VirtualComm(ranks), npencils,
-                          pipeline="sync") as ref:
-        ref_phys = ref.inverse(spec)
-        ref_spec = ref.forward(ref_phys)
+    grid, P = SpectralGrid(spec.n), spec.ranks
+    heights = spec.heights if spec.skew is None else skewed_heights(
+        spec.n, P, spec.skew)
+    d, rng = SlabDecomposition(spec.n, P, heights), np.random.default_rng(99)
+    coeffs = [(rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(
+        grid.cdtype) for s in [(3, *d.local_spectral_shape(r)) for r in range(P)]]
+
+    def run(land, **kw) -> tuple:
+        with OutOfCoreSlabFFT(grid, VirtualComm(P), spec.npencils or 1,
+                              copy_strategy=spec.copy_strategy,
+                              heights=heights, **kw) as fft:
+            phys = fft.inverse([c[0] for c in coeffs])
+            return fft, (phys, fft.forward(phys), fft.product_spectra(
+                coeffs, PRODUCT_PAIRS, land=land))
+
+    _, want = run(None, pipeline="sync")
     for k in range(orders):
         backend = ReplayBackend(order="submission" if k == 0 else "random",
                                 seed=k)
-        with OutOfCoreSlabFFT(grid, VirtualComm(ranks), npencils,
-                              backend=backend, inflight=inflight) as fft:
-            phys = fft.inverse(spec)
-            back = fft.forward(phys)
-        for name, got, want in (("inverse", phys, ref_phys),
-                                ("forward", back, ref_spec)):
-            if not all(map(np.array_equal, got, want)):
-                raise AssertionError(
-                    f"replay order {k} diverged in {name} transform")
+        fft, got = run([np.empty_like(c) for c in coeffs], backend=backend,
+                       inflight=spec.inflight)
+        for name, a, b in zip(("inverse", "forward", "product_spectra"),
+                              got, want):
+            if not all(map(np.array_equal, a, b)):
+                raise AssertionError(f"replay order {k} diverged in {name}")
         for graph in backend.graphs:
             graph.verify_window(fft.inflight)
         yield backend.ops_run

@@ -19,10 +19,11 @@ reorders execution and never data, in three stages:
    draw: one physics point run on two engine configurations, compared
    under the bound their differing ``JobSpec`` rows declare.
 
-3. **Schedule exploration** — replays the out-of-core transform's recorded
-   event graph in sampled legal linear extensions (plus the submission
-   order), asserting schedulability (deadlock-freedom), the structural
-   window gates, and bit-exact results in every order
+3. **Schedule exploration** — replays the recorded event graph of the
+   spec's out-of-core engine (a round trip and the solver's substage) in
+   sampled legal linear extensions (plus the submission order), asserting
+   schedulability (deadlock-freedom), the structural window gates, and
+   bit-exact results in every order
    (:func:`~repro.verify.explorer.replay_orders`).
 
 Every side of every pair opens through the runner's construction path, so
@@ -232,8 +233,7 @@ def _run_explorer(spec: JobSpec, orders: int, watchdog_seconds: float,
                   report: VerificationReport) -> None:
     try:
         with watchdog(watchdog_seconds, label="schedule exploration"):
-            for ops in replay_orders(spec.n, spec.ranks, spec.npencils or 1,
-                                     spec.inflight, orders):
+            for ops in replay_orders(spec, orders):
                 report.explorer_orders += 1
                 report.explorer_ops += ops
         report.explorer_ok = True

@@ -403,6 +403,45 @@ class TestProductSpectra:
         for w, g, gs in zip(want, got, got_slab):
             assert np.array_equal(g, w) and np.array_equal(gs, w)
 
+    @pytest.mark.parametrize("fields", [3, 4], ids=["S0", "S1"])
+    @pytest.mark.parametrize("heights", [None, (17, 7)],
+                             ids=["even", "uneven"])
+    @pytest.mark.parametrize("npencils", [1, 4])
+    @pytest.mark.parametrize("pipeline", ["sync", "threads"])
+    def test_a_lent_landing_is_bit_equal_to_the_engines_slab(
+        self, pipeline, npencils, heights, fields, rng
+    ):
+        """Phase 1's y-slabs land at the head of a caller's buffer shaped
+        like the coefficients (a kz-slab holds as many elements as a
+        y-slab): the same bits, and the engine claims no slab of its own."""
+        grid = SpectralGrid(24)
+        pairs = SCALAR_PAIRS[:3 * fields - 3]
+
+        def engine():
+            return OutOfCoreSlabFFT(grid, VirtualComm(2), npencils,
+                                    heights=heights, pipeline=pipeline)
+
+        with engine() as fft:
+            coeffs = _fields(fft, fields, rng)
+            want = fft.product_spectra(coeffs, pairs)
+            assert fft._transposed
+        land = [np.full_like(c, np.nan) for c in coeffs]
+        with engine() as fft:
+            got = fft.product_spectra(coeffs, pairs, land=land)
+            assert fft._transposed == []
+        assert all(map(np.array_equal, got, want))
+        assert not any(np.isnan(a).any() for a in land)  # it landed there
+
+    def test_a_landing_without_room_is_refused(self, rng):
+        with OutOfCoreSlabFFT(SpectralGrid(16), VirtualComm(2), 4) as fft:
+            coeffs = _fields(fft, 3, rng)
+            for land, match in (
+                ([c[:2] for c in coeffs], "cannot reshape"),  # two fields
+                ([c[:, :, ::2] for c in _fields(fft, 6, rng)], "contiguous"),
+                ([c.real.copy() for c in coeffs], "contiguous complex128")):
+                with pytest.raises(ValueError, match=match):
+                    fft.product_spectra(coeffs, PRODUCT_PAIRS, land=land)
+
     @pytest.mark.parametrize("P,heights", DECOMPOSITIONS)
     def test_three_pipelines_two_exchanges_and_the_bytes_they_move(
         self, P, heights, rng

@@ -198,6 +198,41 @@ class TestFusedSlabFFT:
         finally:
             comm.close()
 
+    @pytest.mark.parametrize("fields", [3, 4], ids=["S0", "S1"])
+    @pytest.mark.parametrize("heights", [None, (17, 7)],
+                             ids=["even", "uneven"])
+    def test_a_lent_landing_is_bit_equal_and_claims_no_slab(
+        self, heights, fields
+    ):
+        """The substage's first exchange unpacks into a resident buffer
+        of the caller's: the in-process bits, and no ``transposed`` claim
+        in the workers."""
+        from repro.spectral.pointwise import PRODUCT_PAIRS
+
+        grid, P = SpectralGrid(24), 2
+        pairs = PRODUCT_PAIRS + ((0, 3), (1, 3), (2, 3))[:3 * fields - 9]
+        with OutOfCoreSlabFFT(grid, VirtualComm(P), 1, heights=heights) as ref:
+            d, rng = ref.decomp, np.random.default_rng(7)
+            shapes = [(fields, *d.local_spectral_shape(r)) for r in range(P)]
+            values = [rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                      for s in shapes]
+            want = ref.product_spectra(values, pairs)
+        with ProcsComm(P) as comm:
+            fft = SlabDistributedFFT(grid, comm, heights=heights)
+            coeffs = fft.resident(shapes, grid.cdtype)
+            land = fft.resident(shapes, grid.cdtype)
+            for c, v in zip(coeffs, values):
+                c[...] = v
+            lent = [g.copy() for g in fft.product_spectra(coeffs, pairs,
+                                                          land=land)]
+            claims = [w["buffers"] for w in comm.worker_claims()]
+            own = fft.product_spectra(coeffs, pairs)
+            more = [w["buffers"] - b
+                    for w, b in zip(comm.worker_claims(), claims)]
+        assert more == [1] * P  # the worker's transposed slab, unlent
+        for w, a, b in zip(want, lent, own):
+            assert np.array_equal(w, a) and np.array_equal(w, b)
+
     def test_worker_spans_land_in_rank_lanes(self):
         from repro.obs import Observability
 

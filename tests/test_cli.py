@@ -296,9 +296,13 @@ class TestVerifyCiLines:
     ARGVS = _ci_verify_argvs()
 
     def test_every_ci_job_line_is_found(self):
-        assert len(self.ARGVS) >= 7  # 3 seeds, 1 pencil, date, 2 dlb, sched
+        # 3 seeds, 1 pencil, date, 2 dlb, uneven explorer, sched
+        assert len(self.ARGVS) >= 8
         assert any("--scheduler" in argv for argv in self.ARGVS)
         assert any("--heights" in argv for argv in self.ARGVS)
+        assert any("--heights" in argv and "--orders" in argv
+                   and argv[argv.index("--orders") + 1] != "0"
+                   for argv in self.ARGVS)
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_ci_line_parses_and_validates(self, argv):

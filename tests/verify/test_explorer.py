@@ -154,6 +154,37 @@ class TestOutOfCoreReplay:
         assert backend.ops_run > 0
 
 
+class TestReplayOrders:
+    """``repro verify``'s explorer stage replays the engine of the spec it
+    verifies, partition and copy strategy included."""
+
+    @pytest.mark.parametrize("partition,heights", [
+        pytest.param(dict(heights=(5, 3, 4)), (5, 3, 4), id="heights"),
+        pytest.param(dict(skew=2.0), None, id="skew")])
+    def test_the_engine_carries_the_specs_partition(
+        self, monkeypatch, partition, heights
+    ):
+        from repro.dist.decomp import skewed_heights
+        from repro.serve.spec import JobSpec
+        from repro.verify.explorer import replay_orders
+
+        spec = JobSpec(n=12, ranks=3, npencils=2, inflight=3,
+                       copy_strategy="zero_copy", **partition)
+        built = []
+        init = OutOfCoreSlabFFT.__init__
+
+        def spy(self, *args, **kw):
+            init(self, *args, **kw)
+            built.append((self.decomp.rank_heights, self.copy_strategy,
+                          self.npencils))
+
+        monkeypatch.setattr(OutOfCoreSlabFFT, "__init__", spy)
+        ops = list(replay_orders(spec, 3))
+        want = heights or skewed_heights(12, 3, 2.0)
+        assert built == [(want, "zero_copy", 2)] * 4  # sync, then each order
+        assert len(ops) == 3 and len(set(ops)) == 1 and ops[0] > 0
+
+
 class TestWatchdog:
     def test_fast_block_passes(self):
         with watchdog(5.0):
