@@ -35,6 +35,20 @@ from typing import Optional, Sequence
 __all__ = ["build_parser", "main"]
 
 
+def _pencils_per_alltoall(value: str):
+    """``plan --q``: ``slab`` (case C) or a pencil count of at least 1."""
+    if value == "slab":
+        return value
+    try:
+        q = int(value)
+    except ValueError:
+        q = 0
+    if q < 1:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is neither 'slab' nor an integer >= 1")
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
     from repro.serve.spec import DNS_DEFAULTS, RUN_FIELDS, add_spec_flags
@@ -58,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", default="summit",
                    choices=("summit", "titan", "sierra", "exascale"))
     p.add_argument("--tasks-per-node", type=int, default=6)
-    p.add_argument("--q", default="1",
+    p.add_argument("--q", type=_pencils_per_alltoall, default=1,
                    help="pencils per all-to-all, or 'slab' (case C)")
     p.add_argument("--copy-strategy", default="memcpy2d",
                    choices=("per_chunk", "memcpy2d", "zero_copy", "auto"))
@@ -72,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep copy strategies (default: memcpy2d)")
     p.add_argument("--out", default="BENCH_capacity.json",
                    help="sweep output path")
-    p.add_argument("--validate", action="store_true",
-                   help="payload-vs-metadata parity matrix (exit 1 on drift)")
 
     p = sub.add_parser("autotune", help="rank MPI configurations")
     p.add_argument("n", type=int)
@@ -282,15 +294,7 @@ def _cmd_plan(args) -> int:
     import json
 
     from repro.obs.runs import write_bench_json
-    from repro.plan import CapacityPlanner, bench_payload, validate_matrix
-
-    if args.validate:
-        reports = validate_matrix()
-        for report in reports:
-            print(report.report())
-        failed = [r for r in reports if not r.matched]
-        print(f"parity: {len(reports) - len(failed)}/{len(reports)} matched")
-        return 1 if failed else 0
+    from repro.plan import CapacityPlanner, bench_payload
 
     planner = CapacityPlanner(args.machine)
     try:
@@ -300,7 +304,7 @@ def _cmd_plan(args) -> int:
                 node_counts=(args.nodes,) if args.nodes else None,
                 copy_strategies=tuple(args.strategies or ("memcpy2d",)),
                 tasks_per_node=args.tasks_per_node,
-                q=args.q if args.q == "slab" else int(args.q),
+                q=args.q,
             )
             write_bench_json(bench_payload(quotes, machine=args.machine),
                              args.out)
@@ -323,7 +327,7 @@ def _cmd_plan(args) -> int:
                             n=args.n, nodes=args.nodes)
                 quote = planner.quote(
                     args.n, args.nodes, tasks_per_node=args.tasks_per_node,
-                    q=args.q if args.q == "slab" else int(args.q),
+                    q=args.q,
                     copy_strategy=args.copy_strategy,
                 )
                 quote_path = run.dir / "quote.json"
@@ -337,7 +341,7 @@ def _cmd_plan(args) -> int:
             return 0 if quote.feasible else 1
 
         if args.n is None:
-            print("error: give a problem size N (or --sweep/--validate)",
+            print("error: give a problem size N (or --sweep)",
                   file=sys.stderr)
             return 2
         mem = planner.planner

@@ -16,12 +16,6 @@
 
 from repro.core.autotuner import AutotuneResult, autotune
 from repro.core.config import Algorithm, RunConfig
-from repro.core.payload import (
-    ArrayDescriptor,
-    PayloadPolicy,
-    empty_array,
-    is_descriptor,
-)
 from repro.core.planner import MemoryPlanner, PlanRow, PlannerAssumptions
 from repro.core.executor import StepSimulation, StepTiming, simulate_step
 from repro.core.timeline import render_timeline, timeline_rows
@@ -29,18 +23,14 @@ from repro.core.trace_export import to_chrome_trace, write_chrome_trace
 
 __all__ = [
     "Algorithm",
-    "ArrayDescriptor",
     "AutotuneResult",
     "MemoryPlanner",
-    "PayloadPolicy",
     "PlanRow",
     "PlannerAssumptions",
     "RunConfig",
     "StepSimulation",
     "StepTiming",
     "autotune",
-    "empty_array",
-    "is_descriptor",
     "render_timeline",
     "simulate_step",
     "timeline_rows",

@@ -231,15 +231,7 @@ class CopyEngine:
             model_cost=self.price(layout),
         )
         with span:
-            # Metadata-mode operands (shape/dtype descriptors, see
-            # repro.core.payload) have no bytes to move; the span, the
-            # priced cost and every counter below are still emitted, which
-            # is the whole point of the payload/metadata seam.
-            if not (
-                getattr(dst, "__array_descriptor__", False)
-                or getattr(src, "__array_descriptor__", False)
-            ):
-                self._execute(dst, src, layout)
+            self._execute(dst, src, layout)
         if self._m_calls is not None:
             self._m_calls.inc()
             self._m_chunks.inc(layout.nchunks)
@@ -455,12 +447,8 @@ class CopyAutotuner:
                 # Nothing to move: any engine works; don't pollute results.
                 self.cache[key] = self._default
                 return self._default
-            if kind == "sim" or (
-                getattr(dst, "__array_descriptor__", False)
-                or getattr(src, "__array_descriptor__", False)
-            ):
-                # No wall clock to measure (model-priced mode) or no
-                # bytes to probe (metadata-mode descriptors): the Fig. 7
+            if kind == "sim":
+                # No wall clock to measure (model-priced mode): the Fig. 7
                 # models decide, deterministically.
                 winner = self._choose_model(key, layout)
             else:

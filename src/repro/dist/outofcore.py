@@ -68,7 +68,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.payload import ArrayDescriptor, PayloadPolicy, is_descriptor
 from repro.cuda.copyengine import CopyEngine, make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.stages import STAGES, Stage, products
@@ -168,11 +167,9 @@ class DeviceArena:
         capacity_bytes: float,
         pool: BufferPool | None = None,
         obs: "Observability | None" = None,
-        payload_policy: "PayloadPolicy | str" = PayloadPolicy.PAYLOAD,
     ):
         if capacity_bytes <= 0:
             raise ValueError("device capacity must be positive")
-        self.payload_policy = PayloadPolicy.coerce(payload_policy)
         self.capacity = float(capacity_bytes)
         self.in_use = 0.0
         self.high_water = 0.0
@@ -195,13 +192,7 @@ class DeviceArena:
                 )
             self.in_use += nbytes
             self.high_water = max(self.high_water, self.in_use)
-        # Metadata mode leases a descriptor instead of pool storage; every
-        # accounting step above and below (budget check, high-water mark,
-        # live map, monitor hooks, metrics) is byte-for-byte identical.
-        if self.payload_policy.moves_bytes:
-            buf = self.pool.take(tuple(shape), dtype)
-        else:
-            buf = ArrayDescriptor.empty(tuple(shape), dtype)
+        buf = self.pool.take(tuple(shape), dtype)
         with self._lock:
             self._live[id(buf)] = nbytes
             # Under the lock: the monitor must observe allocate/free in
@@ -226,8 +217,7 @@ class DeviceArena:
             self.in_use -= nbytes
             if self.monitor is not None:
                 self.monitor.on_arena_free(buf, in_use=self.in_use)
-        if not is_descriptor(buf):
-            self.pool.give(buf)
+        self.pool.give(buf)
         if self.obs.enabled:
             self.obs.metrics.counter("arena.releases").inc()
 
@@ -396,15 +386,6 @@ class OutOfCoreSlabFFT:
         probes every engine on the first pencil of each layout and caches
         the winner).  All strategies move identical bytes, so results are
         bit-identical regardless of the choice.
-    payload_policy:
-        ``"payload"`` (default) moves real NumPy data; ``"metadata"`` runs
-        the identical Fig. 4 schedule over
-        :class:`~repro.core.payload.ArrayDescriptor` geometry — no FFT
-        math, no byte movement — while emitting the same spans, byte
-        counters, arena accounting, collective records and model-priced
-        copy costs (the capacity planner's validation seam; parity with
-        the payload path is asserted by ``tests/plan``).  Inputs must then
-        be descriptors of the per-rank slab shapes.
     heights:
         Optional per-rank slab extents (uneven decomposition); every
         rank still contributes ``npencils`` pencil slots per phase (empty
@@ -439,7 +420,6 @@ class OutOfCoreSlabFFT:
         comm_retries: int = 3,
         retry_backoff: float = 0.002,
         copy_strategy: str = "memcpy2d",
-        payload_policy: "PayloadPolicy | str" = PayloadPolicy.PAYLOAD,
         heights: Sequence[int] | None = None,
         dlb: str = "off",
         rank_weights: Sequence[float] | None = None,
@@ -448,8 +428,6 @@ class OutOfCoreSlabFFT:
         self.grid = grid
         self.comm = comm
         self._lf = resolve_fft(fft_backend)
-        self.payload_policy = PayloadPolicy.coerce(payload_policy)
-        self._payload = self.payload_policy.moves_bytes
         self.obs = obs if obs is not None else NULL_OBS
         hs = tuple(int(h) for h in heights) if heights is not None else None
         self.decomp = SlabDecomposition(grid.n, comm.size, heights=hs)
@@ -494,7 +472,6 @@ class OutOfCoreSlabFFT:
             device_bytes if device_bytes is not None else self._arena_bytes(
                 _roles(self._pencil_bytes, 1, 0)),
             obs=self.obs,
-            payload_policy=self.payload_policy,
         )
         # The host side, claimed on first use and kept (the paper's pinned
         # buffers, Sec. 3.5): per rank a send region that _exchange_views
@@ -588,12 +565,6 @@ class OutOfCoreSlabFFT:
         return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])
                 if keep_empty or b > a]
 
-    def _empty(self, shape: tuple[int, ...], dtype):
-        """A host array (payload) or its descriptor (metadata)."""
-        if self._payload:
-            return np.empty(shape, dtype=dtype)
-        return ArrayDescriptor.empty(shape, dtype)
-
     def _y_shape(self, r: int) -> tuple[int, int, int]:
         return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
 
@@ -623,7 +594,7 @@ class OutOfCoreSlabFFT:
         if stale is not None:
             stale.clear()
         held.clear()
-        held.extend(self._empty((s,), self.grid.cdtype) for s in sizes)
+        held.extend(np.empty(s, dtype=self.grid.cdtype) for s in sizes)
 
     def _transposed_slabs(self, fields: int) -> list[np.ndarray]:
         """Every rank's transposed slab: ``fields`` y-slabs ``[field, kz, y, x]``."""
@@ -689,7 +660,7 @@ class OutOfCoreSlabFFT:
         ``send[ip][r][s]`` is the contiguous ``r -> s`` block of pencil
         ``ip``, carved from rank ``r``'s send region; ``where[ip][r]``
         indexes where that block lands in a destination's ``[field, kz, y,
-        x]`` slab.  Metadata mode carves descriptors the same way.
+        x]`` slab.
 
         The send region is a ring of ``k`` pencils: pencil ``ip`` writes
         the blocks pencil ``ip - k`` sent.  The first copy of item ``i``
@@ -901,7 +872,7 @@ class OutOfCoreSlabFFT:
 
         def fft(i: int) -> None:
             _, _, shape = pencil(i)
-            if 0 in shape or not self._payload:
+            if 0 in shape:
                 return
             a = rings.view(in_role, i, (fin, *shape), in_dtype)
             kw = {}
@@ -959,7 +930,7 @@ class OutOfCoreSlabFFT:
         self.decomp.check_locals(locals_, in_shape)
         if out is None:
             return [
-                self._empty(out_shape(r), out_dtype)
+                np.empty(out_shape(r), dtype=out_dtype)
                 for r in range(self.comm.size)
             ]
         self.decomp.check_locals(out, out_shape, out_dtype)
@@ -1063,5 +1034,4 @@ class OutOfCoreSlabFFT:
 
 def _one_field(locals_: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per-rank arrays viewed with a leading field axis of one."""
-    return [a.reshape((1, *a.shape)) if is_descriptor(a) else a[None]
-            for a in locals_]
+    return [a[None] for a in locals_]

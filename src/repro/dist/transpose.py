@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.core.payload import ArrayDescriptor, is_descriptor
 from repro.dist.virtual_mpi import PendingAlltoall, VirtualComm
 from repro.obs import NULL_OBS
 from repro.spectral.workspace import BufferPool
@@ -88,20 +87,6 @@ def pack_blocks(
             )
     elif extent % parts != 0:
         raise ValueError(f"axis extent {extent} not divisible by {parts}")
-    if is_descriptor(local):
-        # Metadata mode: the "packed" block is a contiguous descriptor of
-        # the split view — same shape, dtype and nbytes as the staged
-        # ndarray block, but no pool storage is drawn (there are no bytes
-        # to stage).
-        sl = [slice(None)] * local.ndim
-        out = []
-        off = 0
-        for p in range(parts):
-            step = sizes[p] if sizes is not None else extent // parts
-            sl[axis] = slice(off, off + step)
-            off += step
-            out.append(local[tuple(sl)].copy())
-        return out
     if sizes is not None:
         views = np.split(local, np.cumsum(sizes[:-1]), axis=axis)
     else:
@@ -118,11 +103,6 @@ def pack_blocks(
 
 def unpack_blocks(blocks: Sequence[np.ndarray], axis: int) -> np.ndarray:
     """Concatenate per-peer blocks along ``axis`` (the "unpack" step)."""
-    blocks = list(blocks)
-    if blocks and is_descriptor(blocks[0]):
-        shape = list(blocks[0].shape)
-        shape[axis] = sum(b.shape[axis] for b in blocks)
-        return ArrayDescriptor.empty(tuple(shape), blocks[0].dtype)
     return np.concatenate(blocks, axis=axis)
 
 
@@ -172,8 +152,7 @@ def transpose_exchange(
         recv = comm.alltoall(send)
     for bufs in send:  # the collective copied them; recycle the staging
         for buf in bufs:
-            if not is_descriptor(buf):
-                pool.give(buf)
+            pool.give(buf)
     with spans.span("transpose.unpack", category="pack"):
         out = [unpack_blocks(blocks, unpack_axis) for blocks in recv]
     if obs.enabled:

@@ -108,16 +108,12 @@ class CollectiveRecord:
 def _copy_result(value: T) -> T:
     """An independent copy of one rank's collective result.
 
-    ndarrays are copied with NumPy (cheap, exact); metadata-mode
-    descriptors (:mod:`repro.core.payload`) produce a fresh contiguous
-    descriptor — same shape, dtype and ``nbytes``, no payload; other
-    objects take a ``deepcopy``, mirroring what a real MPI's pickle round
-    trip would produce.  Immutable builtins round-trip to themselves.
+    ndarrays are copied with NumPy (cheap, exact); other objects take a
+    ``deepcopy``, mirroring what a real MPI's pickle round trip would
+    produce.  Immutable builtins round-trip to themselves.
     """
     if isinstance(value, np.ndarray):
         return np.array(value, copy=True)  # type: ignore[return-value]
-    if getattr(value, "__array_descriptor__", False):
-        return value.copy()  # type: ignore[union-attr]
     return _copy.deepcopy(value)
 
 
@@ -232,7 +228,7 @@ class VirtualComm:
                     )
         if recv is None:
             return
-        sent = [b for bufs in send for b in bufs if isinstance(b, np.ndarray)]
+        sent = [b for bufs in send for b in bufs]
         for s, windows in enumerate(recv):
             for r, window in enumerate(windows):
                 block = send[r][s]
@@ -242,9 +238,7 @@ class VirtualComm:
                         f"is {window.shape}/{window.dtype} but rank {r} sends "
                         f"{block.shape}/{block.dtype}"
                     )
-                if isinstance(window, np.ndarray) and any(
-                    np.shares_memory(window, b) for b in sent
-                ):
+                if any(np.shares_memory(window, b) for b in sent):
                     raise ValueError(
                         f"{self.name}: rank {s}'s receive window for rank {r} "
                         "overlaps a send block (MPI forbids aliased buffers)"
@@ -269,8 +263,7 @@ class VirtualComm:
         else:
             for s, windows in enumerate(recv):
                 for r, window in enumerate(windows):
-                    if isinstance(window, np.ndarray):  # descriptors: no bytes
-                        np.copyto(window, send[r][s])
+                    np.copyto(window, send[r][s])
         # True per-peer sizes over every (src, dst) message — uneven slab
         # decompositions make these differ, so min/max (not send[0][0])
         # must be recorded for the cost-model cross-check to hold.

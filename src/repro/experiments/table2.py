@@ -58,8 +58,8 @@ def planner_cells(
     """Derive A/B/C cells for arbitrary (grid, node count) points.
 
     Message sizes come from the memory planner's pencil count and
-    :func:`~repro.mpi.costmodel.alltoall_p2p_bytes` — the metadata cost
-    plane, no exchange is run to size them.
+    :func:`~repro.mpi.costmodel.alltoall_p2p_bytes` — the cost plane, no
+    exchange is run to size them.
     """
     machine = machine or summit()
     planner = MemoryPlanner(machine)

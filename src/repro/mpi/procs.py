@@ -191,17 +191,24 @@ class _Worker:
 
     def unpack(self, msg: dict, lf, spans: list) -> None:
         """Slot ``rank`` of every peer's ring into its window of the
-        transposed slab (``land``, else claimed once; ``out`` itself
-        without a post stage), then the post stage — or the products —
-        into ``out``."""
+        transposed slab — ``out`` without a post stage, else ``land`` when
+        lent, else ``out`` for a post stage that keeps shape and dtype and
+        forms no products (the y FFTs, run in place), else a slab claimed
+        once — then the post stage, or the products, into ``out``."""
         out = self.array(msg["out"])
         post, n, axis = msg["post"], msg["n"], msg["axis"]
         block, dtype = list(msg["block"]), msg["dtype"]
         t0, edge, shape = time.perf_counter(), 0, list(block)
         shape[axis] = sum(msg["exts"])
-        dst = out if post is None else (
-            self.claim("transposed", shape, dtype) if msg["land"] is None
-            else self.array(msg["land"]))
+        stage = None if post is None else STAGES[post]
+        if stage is None:
+            dst = out
+        elif msg["land"] is not None:
+            dst = self.array(msg["land"])
+        elif msg["pairs"] is None and not (stage.real_in or stage.real_out):
+            dst = out
+        else:
+            dst = self.claim("transposed", shape, dtype)
         for src, ext in enumerate(msg["exts"]):
             block[axis] = ext
             np.copyto(dst[_window(dst.ndim, axis, edge, ext)],
@@ -209,9 +216,8 @@ class _Worker:
             edge += ext
         t1 = time.perf_counter()
         spans.append(("proc.unpack", "pack", t0, t1))
-        if post is None:
+        if stage is None:
             return
-        stage = STAGES[post]
         if msg["pairs"] is None:
             stage.fn(dst, n, lf, out=out)
         else:

@@ -1,13 +1,12 @@
-"""Capacity planning: the cost plane of the payload/metadata seam.
+"""Capacity planning: the cost plane at any scale.
 
 :mod:`repro.plan.capacity` prices arbitrary (grid, node count, copy
 strategy) configurations on registered machine models — including the
 paper's production 18432^3 / 3072-node Summit run — in milliseconds,
-because the metadata payload policy never allocates or moves grid data.
-:mod:`repro.plan.validate` is the trust anchor: it runs the real
-out-of-core pipeline under both payload policies at small sizes and
-asserts every observable (spans, priced costs, byte counters, collective
-records, arena high-water) is identical.
+because a quote is a model (the step simulator, the memory planner and
+the copy engines' prices), never a run of the data plane.
+:mod:`repro.plan.admission` prices one service job (device bytes,
+virtual seconds) from the same models.
 """
 
 from repro.plan.admission import (
@@ -23,13 +22,6 @@ from repro.plan.capacity import (
     bench_payload,
     machine_by_name,
 )
-from repro.plan.validate import (
-    ParityReport,
-    RunCapture,
-    capture_run,
-    validate_matrix,
-    validate_parity,
-)
 
 __all__ = [
     "COPY_STRATEGIES",
@@ -39,11 +31,6 @@ __all__ = [
     "CapacityPlanner",
     "CostQuote",
     "job_device_bytes",
-    "ParityReport",
-    "RunCapture",
     "bench_payload",
-    "capture_run",
     "machine_by_name",
-    "validate_matrix",
-    "validate_parity",
 ]

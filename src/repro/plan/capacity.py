@@ -1,8 +1,8 @@
 """Capacity planner: Summit-scale cost quotes without moving a byte.
 
-The metadata payload policy (:mod:`repro.core.payload`) splits the *data
-plane* (real NumPy payloads) from the *cost plane* (shapes, byte counts,
-model-priced spans).  This module is the cost plane's front end: it combines
+The *data plane* (the out-of-core engine moving real NumPy payloads) runs
+at laptop scale; the *cost plane* prices the same schedule at any scale.
+This module is the cost plane's front end: it combines
 
 * the memory planner (paper Sec. 3.5 / Table 1) — does the problem fit, and
   into how many pencils must each slab be cut;
@@ -15,9 +15,7 @@ model-priced spans).  This module is the cost plane's front end: it combines
 into :class:`CostQuote` records for arbitrary (grid, node count, copy
 strategy) points on any registered machine model.  An 18432^3 / 3072-node
 Summit quote — the paper's production configuration — prices in milliseconds
-because nothing is allocated; the executable metadata path
-(:mod:`repro.plan.validate`) proves at small sizes that the cost plane's
-accounting is *bit-identical* to the payload path's.
+because nothing is allocated.
 """
 
 from __future__ import annotations
@@ -171,7 +169,7 @@ class CostQuote:
 
 
 class CapacityPlanner:
-    """Prices configurations on a machine model via the metadata cost plane.
+    """Prices configurations on a machine model via the cost plane's models.
 
     Parameters
     ----------

@@ -305,7 +305,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         if workspace is not None and obs is not None:
             # A caller-shared workspace reports into this solver's obs.
             self.workspace.obs = self.obs
-            self.workspace.pool.obs = self.obs
         self._pointwise = PointwiseKernel(grid, self.config.dealias)
         # Dealias the initial condition so invariants hold from step 0.
         self._pointwise.truncate(self._state)

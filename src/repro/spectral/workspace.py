@@ -322,7 +322,6 @@ class SpectralWorkspace:
         self.grid = grid
         self.backend = resolve_fft(backend)
         self.obs = obs if obs is not None else NULL_OBS
-        self.pool = BufferPool(obs=self.obs)
         self._buffers: dict[tuple[str, str, Optional[int]], np.ndarray] = {}
 
     # -- named scratch buffers ---------------------------------------------

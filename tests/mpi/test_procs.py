@@ -229,6 +229,9 @@ class TestFusedSlabFFT:
             own = fft.product_spectra(coeffs, pairs)
             more = [w["buffers"] - b
                     for w, b in zip(comm.worker_claims(), claims)]
+        # The y-FFTs' output and the products' work block; the second
+        # exchange unpacks into ``out`` and transforms it in place.
+        assert claims == [2] * P
         assert more == [1] * P  # the worker's transposed slab, unlent
         for w, a, b in zip(want, lent, own):
             assert np.array_equal(w, a) and np.array_equal(w, b)

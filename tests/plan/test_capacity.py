@@ -1,4 +1,5 @@
-"""Capacity planner: Summit-scale quotes from the metadata cost plane."""
+"""Capacity planner: Summit-scale quotes from the step simulator, the
+memory planner and the copy engines' prices."""
 
 import time
 

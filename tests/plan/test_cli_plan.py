@@ -1,4 +1,4 @@
-"""CLI surface of the capacity planner: quote, sweep, validate, registry."""
+"""CLI surface of the capacity planner: quote, sweep, registry."""
 
 import json
 import os
@@ -69,11 +69,36 @@ class TestPlanSweep:
         assert main(["obs", "diff", str(a), str(b), "--tolerance", "0.05"]) == 0
 
 
-class TestPlanValidate:
-    def test_validate_exits_zero_on_parity(self, capsys):
-        assert main(["plan", "--validate"]) == 0
-        out = capsys.readouterr().out
-        assert "12/12 matched" in out
+class TestPlanPencilsArgument:
+    @pytest.mark.parametrize("mode", [["--quote"], ["--sweep"]])
+    @pytest.mark.parametrize("q", ["abc", "0", "-2", "1.5"])
+    def test_bad_q_is_one_error_line(self, tmp_path, capsys, mode, q):
+        """A pencil count that is not ``slab`` or an integer >= 1 is a
+        usage error (exit 2), never a traceback or a silent Q = 1."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "18432", "--nodes", "3072", "--q", q,
+                  "--out", str(tmp_path / "b.json"), *mode])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--q" in errors[0]
+        assert "Traceback" not in err
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("q,npencils", [("slab", 1), ("2", 2)])
+    def test_good_q_is_priced(self, capsys, q, npencils):
+        assert main(["plan", "18432", "--nodes", "3072", "--q", q,
+                     "--quote"]) == 0
+        root = pathlib.Path(os.environ["REPRO_RUNS_DIR"])
+        (manifest,) = root.glob("*/manifest.json")
+        quote = json.loads((manifest.parent / "quote.json").read_text())
+        assert quote["q"] == (quote["npencils"] if q == "slab" else npencils)
+
+    def test_validate_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--validate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --validate" in capsys.readouterr().err
 
 
 class TestPlanLegacy:
