@@ -14,7 +14,10 @@ semantics and costs on the discrete-event engine:
   (Fig. 8), pack/unpack and pointwise kernels;
 * :mod:`repro.cuda.cufft` — batched 1-D FFT cost model (c2c and r2c/c2r);
 * :mod:`repro.cuda.copyengine` — *executable* versions of the three copy
-  strategies plus the runtime autotuner that picks between them.
+  strategies plus the runtime autotuner that picks between them;
+* :mod:`repro.cuda.arena` — the data plane's device: the byte-budgeted
+  arena, its pencil rings, their buffer pool and their sizing rule, which
+  the out-of-core engine runs on and admission control quotes.
 """
 
 from repro.cuda.copyengine import (

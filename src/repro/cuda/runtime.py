@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Callable, Generator, Iterable, Optional
 
 from repro.machine.spec import GpuSpec
-from repro.sim.engine import Engine, Signal, SimulationError, Timeout
+from repro.sim.engine import Engine, Signal, Timeout
 from repro.sim.resources import FairShareLink, LinkSet
 from repro.sim.trace import Tracer
 
-__all__ = ["CudaDevice", "CudaEvent", "CudaStream", "DeviceMemoryError"]
+__all__ = ["CudaDevice", "CudaEvent", "CudaStream"]
 
 #: Host-side cost of issuing one asynchronous CUDA API call (seconds).
 API_CALL_HOST_TIME = 1.5e-6
@@ -33,10 +33,6 @@ API_CALL_HOST_TIME = 1.5e-6
 #: DMA reads hog the memory controller; concurrent NIC traffic is squeezed
 #: to a small share (paper Sec. 5.2).
 DMA_WEIGHT = 6.0
-
-
-class DeviceMemoryError(RuntimeError):
-    """Raised when a simulated allocation exceeds device HBM capacity."""
 
 
 class CudaEvent:
@@ -163,7 +159,7 @@ def _noop_factory() -> Generator:
 
 
 class CudaDevice:
-    """One simulated GPU: NVLink links, HBM accounting and streams.
+    """One simulated GPU: NVLink links and streams.
 
     Parameters
     ----------
@@ -189,36 +185,7 @@ class CudaDevice:
         self.dram_link = dram_link
         self.nvlink_h2d = links.link(f"{name}.nvlink.h2d", spec.nvlink_bw)
         self.nvlink_d2h = links.link(f"{name}.nvlink.d2h", spec.nvlink_bw)
-        self._allocated = 0.0
         self._streams: dict[str, CudaStream] = {}
-
-    # -- memory ---------------------------------------------------------------
-
-    @property
-    def allocated_bytes(self) -> float:
-        return self._allocated
-
-    @property
-    def free_bytes(self) -> float:
-        return self.spec.hbm_bytes - self._allocated
-
-    def malloc(self, nbytes: float) -> float:
-        """Account a device allocation; raises if HBM would overflow."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if self._allocated + nbytes > self.spec.hbm_bytes:
-            raise DeviceMemoryError(
-                f"{self.name}: allocating {nbytes:.3g} B exceeds "
-                f"{self.spec.hbm_bytes:.3g} B HBM "
-                f"({self._allocated:.3g} B already allocated)"
-            )
-        self._allocated += nbytes
-        return nbytes
-
-    def free(self, nbytes: float) -> None:
-        if nbytes < 0 or nbytes > self._allocated:
-            raise DeviceMemoryError(f"{self.name}: invalid free of {nbytes} B")
-        self._allocated -= nbytes
 
     # -- streams ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ Contents:
   transform, declared once for every engine;
 * :mod:`repro.dist.outofcore` — the in-process transform engine: the
   paper's batched pencil pipeline (Fig. 4), the whole slab being its
-  one-pencil case;
+  one-pencil case, on the device of :mod:`repro.cuda.arena`;
 * :mod:`repro.dist.slab_fft` — the whole-slab transform fused into the
   worker processes of :class:`repro.mpi.procs.ProcsComm`;
 * :mod:`repro.dist.dist_solver` — the full pseudo-spectral RK2/RK4 step
@@ -30,10 +30,9 @@ from repro.dist.virtual_mpi import VirtualComm
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.dist_solver import DistributedNavierStokesSolver
-from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT
+from repro.dist.outofcore import OutOfCoreSlabFFT
 
 __all__ = [
-    "DeviceArena",
     "DistributedNavierStokesSolver",
     "OutOfCoreSlabFFT",
     "SlabDecomposition",

@@ -122,6 +122,24 @@ class SlabDecomposition:
             hs = normalize_heights(self.n, self.ranks, self.heights)
             object.__setattr__(self, "heights", hs)
 
+    @classmethod
+    def partition(
+        cls,
+        n: int,
+        ranks: int,
+        heights: Optional[Sequence[int]] = None,
+        skew: Optional[float] = None,
+    ) -> "SlabDecomposition":
+        """The decomposition a run's ``heights`` / ``skew`` pair names:
+        explicit per-rank heights, :func:`skewed_heights` of ``skew``, or
+        (neither) the balanced partition.  Every infeasible pair is a
+        reasoned :class:`ValueError`."""
+        if heights is not None and skew is not None:
+            raise ValueError("pass either heights or skew, not both")
+        if skew is not None:
+            heights = skewed_heights(n, ranks, skew)
+        return cls(n, ranks, None if heights is None else tuple(heights))
+
     # -- per-rank geometry ----------------------------------------------------
 
     @property

@@ -141,11 +141,8 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         lane; ``"off"`` keeps each pencil there, ``"lend"`` lends and
         reclaims unstarted pencils between lanes deterministically;
         forwarded to
-        :class:`~repro.dist.outofcore.OutOfCoreSlabFFT`.
-    rank_weights:
-        Per-rank compute slowdown factors pricing the ``"lend"`` lane clocks.
-        Defaults to the ``fuzz`` profile's imbalance plan factors when an
-        imbalance is injected, else all-1.
+        :class:`~repro.dist.outofcore.OutOfCoreSlabFFT`, which prices the
+        ``"lend"`` lane clocks with the ``fuzz`` profile's imbalance.
     """
 
     def __init__(
@@ -165,30 +162,13 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         heights: Optional[Sequence[int]] = None,
         skew: Optional[float] = None,
         dlb: str = "off",
-        rank_weights: Optional[Sequence[float]] = None,
     ):
         self.grid = grid
         self.comm = comm
         self.config = config or SolverConfig()
         self.obs = obs if obs is not None else NULL_OBS
-        if self.config.convective_form != "conservative":
-            raise ValueError(
-                f"convective_form={self.config.convective_form!r} is "
-                "serial-only: the distributed solver forms the six "
-                "conservative products"
-            )
-        if heights is not None and skew is not None:
-            raise ValueError("pass either heights or skew, not both")
-        if skew is not None:
-            from repro.dist.decomp import skewed_heights
-
-            heights = skewed_heights(grid.n, comm.size, skew)
-        if rank_weights is None and fuzz is not None:
-            from repro.verify.imbalance import ImbalancePlan
-
-            plan = ImbalancePlan.from_profile(fuzz, comm.size)
-            if plan is not None:
-                rank_weights = [plan.factor(r) for r in range(comm.size)]
+        heights = SlabDecomposition.partition(
+            grid.n, comm.size, heights, skew).heights
         if npencils is None and getattr(comm, "rank_transpose", None) is not None:
             if fuzz is not None or monitor is not None or dlb != "off":
                 raise ValueError(
@@ -204,8 +184,7 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
                 grid, comm, npencils or 1, device_bytes=device_bytes,
                 obs=self.obs, pipeline=pipeline, inflight=inflight, fuzz=fuzz,
                 monitor=monitor, copy_strategy=copy_strategy, heights=heights,
-                dlb=dlb, rank_weights=rank_weights,
-                fft_backend=self.config.fft_backend,
+                dlb=dlb, fft_backend=self.config.fft_backend,
             )
         self.decomp: SlabDecomposition = self.fft.decomp
         self._rank_spans = [

@@ -61,14 +61,14 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import time
-from contextlib import ExitStack, contextmanager
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.cuda.copyengine import CopyEngine, make_engine
+from repro.cuda.arena import (DeviceArena, PencilRings, _roles, arena_bytes,
+                              ring_bytes, ring_window)
+from repro.cuda.copyengine import make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.stages import STAGES, Stage, products
 from repro.dist.transpose import chunk_exchange_layout, complete_chunk_exchange
@@ -76,19 +76,17 @@ from repro.dist.virtual_mpi import TransientCommFault, VirtualComm, call_rank
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
-from repro.spectral.pointwise import PRODUCT_PAIRS
-from repro.spectral.workspace import BufferPool, resolve_fft
+from repro.spectral.workspace import resolve_fft
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
-__all__ = [
-    "DeviceArena",
-    "DeviceMemoryExceeded",
-    "OutOfCoreSlabFFT",
-    "PencilRings",
-    "ring_bytes",
-]
+__all__ = ["OutOfCoreSlabFFT"]
+
+#: Transient-comm-fault budget of one pencil exchange: retries, and the
+#: first backoff in seconds (doubled per retry).
+_COMM_RETRIES = 3
+_RETRY_BACKOFF = 0.002
 
 _KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
 #: Pencil split axis -> (pack, unpack, chunk) axes of the exchange behind
@@ -97,238 +95,6 @@ _EXCHANGE_AXES = {
     "x": (_Y_AXIS, _KZ_AXIS, _X_AXIS),
     "y": (_KZ_AXIS, _Y_AXIS, _Y_AXIS),
 }
-
-
-def ring_bytes(
-    n: int, hmax: int, npencils: int, window: int,
-    complex_itemsize: int = 16, real_itemsize: int = 8,
-) -> tuple[int, int, int, float]:
-    """Ring-slot sizes and the arena of the out-of-core engine's DNS call.
-
-    Returns ``(x-pencil, y-stage complex, y-stage real, arena)`` bytes for
-    an ``n``-cubed grid whose tallest rank slab is ``hmax`` planes, cut in
-    ``npencils`` pencils with ``window`` of them in flight.  ``arena`` holds
-    the rings of the velocity substage (:meth:`OutOfCoreSlabFFT.product_spectra`
-    of three fields into six products), the largest call a DNS step makes.
-    The engine sizes every call's rings with :func:`_roles` and admission
-    control quotes with this, so the priced bytes are the enforced bytes.
-    """
-    nxh = n // 2 + 1
-    # Largest pencil of each stage family (the split is uneven and its
-    # last slice always carries the ceil: 49 -> 12, 12, 12, 13).  Ring
-    # slots are sized for the tallest rank's slab so one ring serves
-    # every (pencil, rank) item.
-    cx = math.ceil(nxh / npencils)  # x-split width (y-FFT stages)
-    wy = math.ceil(hmax / npencils)  # y-split width (z/x-FFT stages)
-    xpencil = hmax * n * cx * complex_itemsize
-    ycpx = n * wy * nxh * complex_itemsize
-    yreal = n * wy * n * real_itemsize
-    roles = _roles((xpencil, ycpx, yreal), 3, len(PRODUCT_PAIRS))
-    return xpencil, ycpx, yreal, _ARENA_MARGIN * window * sum(roles.values())
-
-
-#: Headroom of a sized arena over the ring slots it must hold.
-_ARENA_MARGIN = 1.05
-
-
-def _roles(pencils: tuple[int, int, int], fields: int, products: int) -> dict:
-    """Bytes of one item's ring slots per role, for a call that brings
-    ``fields`` complex fields in and hands ``products`` out: one complex
-    pencil per field of either side (results overwrite their inputs), and
-    on the y stages one real pencil per field in flight — with a product
-    being formed, one more.  A single transform is ``(1, 0)``."""
-    xpencil, ycpx, yreal = pencils
-    return {
-        "cpx": max(fields, products) * max(xpencil, ycpx),
-        "real": (fields + (products > 0)) * yreal,
-    }
-
-
-class DeviceMemoryExceeded(RuntimeError):
-    """Raised when a pencil buffer would not fit in the simulated device."""
-
-
-class DeviceArena:
-    """A byte-budgeted allocator standing in for GPU HBM.
-
-    Tracks live allocations and the high-water mark; ``allocate`` raises
-    :class:`DeviceMemoryExceeded` when the budget would be exceeded —
-    making "this slab does not fit, batch it" an *enforced* invariant
-    rather than a comment.  Accounting is thread-safe.
-
-    Buffer storage is drawn from a
-    :class:`~repro.spectral.workspace.BufferPool` (the same abstraction the
-    solver workspace uses), so repeated claims recycle the same arrays
-    instead of allocating — like the paper's 27 persistent GPU buffers.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: float,
-        pool: BufferPool | None = None,
-        obs: "Observability | None" = None,
-    ):
-        if capacity_bytes <= 0:
-            raise ValueError("device capacity must be positive")
-        self.capacity = float(capacity_bytes)
-        self.in_use = 0.0
-        self.high_water = 0.0
-        self._live: dict[int, int] = {}
-        self._lock = threading.Lock()
-        self.obs = obs if obs is not None else NULL_OBS
-        self.pool = pool if pool is not None else BufferPool(obs=self.obs)
-        #: Optional invariant monitor (repro.verify.invariants): notified on
-        #: every allocate/free so fuzzed runs can assert no double-lease and
-        #: that in_use returns to zero.
-        self.monitor = None
-
-    def allocate(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        with self._lock:
-            if self.in_use + nbytes > self.capacity:
-                raise DeviceMemoryExceeded(
-                    f"allocation of {nbytes} B exceeds device budget "
-                    f"({self.in_use:.0f}/{self.capacity:.0f} B in use)"
-                )
-            self.in_use += nbytes
-            self.high_water = max(self.high_water, self.in_use)
-        buf = self.pool.take(tuple(shape), dtype)
-        with self._lock:
-            self._live[id(buf)] = nbytes
-            # Under the lock: the monitor must observe allocate/free in
-            # their true order, or a recycled buffer's next lease could
-            # race ahead of this one's free notification.
-            if self.monitor is not None:
-                self.monitor.on_arena_allocate(
-                    buf, nbytes, in_use=self.in_use, capacity=self.capacity
-                )
-        if self.obs.enabled:
-            self.obs.metrics.counter("arena.acquires").inc()
-            self.obs.metrics.gauge("arena.high_water_bytes").set_max(
-                self.high_water
-            )
-        return buf
-
-    def free(self, buf: np.ndarray) -> None:
-        with self._lock:
-            nbytes = self._live.pop(id(buf), None)
-            if nbytes is None:
-                raise KeyError("buffer was not allocated from this arena")
-            self.in_use -= nbytes
-            if self.monitor is not None:
-                self.monitor.on_arena_free(buf, in_use=self.in_use)
-        self.pool.give(buf)
-        if self.obs.enabled:
-            self.obs.metrics.counter("arena.releases").inc()
-
-    @contextmanager
-    def lease(self, shape: tuple[int, ...], dtype):
-        """Context-managed allocate/free: accounting survives exceptions.
-
-        ``with arena.lease(shape, dtype) as buf:`` guarantees the bytes are
-        returned even if the transform inside raises mid-pencil — the bug
-        the bare allocate/free pairs used to have.
-        """
-        buf = self.allocate(shape, dtype)
-        try:
-            yield buf
-        finally:
-            self.free(buf)
-
-
-class PencilRings:
-    """Persistent per-stage device rings: ``window`` flat slots per role.
-
-    The paper claims its GPU buffers once and reuses them for every pencil
-    of every stage; this is that discipline under arena accounting.  Each
-    *role* ("cpx", "real") gets ``window`` flat byte buffers leased from
-    the arena (``arena.lease`` via an :class:`~contextlib.ExitStack`, so
-    accounting survives any failure); :meth:`view` re-views slot
-    ``item % window`` as the pencil's exact shape/dtype — no allocate/free
-    ever sits between H2D, compute, and D2H.
-    """
-
-    def __init__(
-        self,
-        arena: DeviceArena,
-        window: int,
-        roles: dict[str, int],
-        monitor=None,
-        engine: "CopyEngine | None" = None,
-    ):
-        self.window = int(window)
-        self.monitor = monitor if monitor is not None else arena.monitor
-        #: Strided-copy strategy for :meth:`load` / :meth:`store`
-        #: (view-only rings need none).
-        self.engine = engine
-        self._stack = ExitStack()
-        self._slots: dict[str, list[np.ndarray]] = {}
-        try:
-            for role, max_nbytes in roles.items():
-                padded = -(-int(max_nbytes) // 16) * 16  # align for any dtype
-                self._slots[role] = [
-                    self._stack.enter_context(
-                        arena.lease((padded,), np.uint8)
-                    )
-                    for _ in range(self.window)
-                ]
-        except BaseException:
-            self._stack.close()
-            raise
-
-    def view(
-        self, role: str, item: int, shape: tuple[int, ...], dtype
-    ) -> np.ndarray:
-        """Slot ``item % window`` of ``role``, viewed as (shape, dtype)."""
-        slot = item % self.window
-        if self.monitor is not None:
-            self.monitor.on_ring_view(role, slot, item)
-        flat = self._slots[role][slot]
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        return flat[:nbytes].view(dtype).reshape(shape)
-
-    def load(
-        self,
-        role: str,
-        item: int,
-        shape: tuple[int, ...],
-        dtype,
-        src: np.ndarray,
-        spans=None,
-    ) -> np.ndarray:
-        """H2D: fill slot ``item % window`` from a (strided) host view.
-
-        The configured copy engine moves the bytes and records the
-        ``arena.h2d`` span on ``spans`` (pass the owning stream's tracer
-        when calling from a pipeline stage).  Returns the filled view.
-        """
-        slot = self.view(role, item, shape, dtype)
-        self.engine.h2d(slot, src, spans=spans)
-        return slot
-
-    def store(
-        self,
-        role: str,
-        item: int,
-        shape: tuple[int, ...],
-        dtype,
-        dst: np.ndarray,
-        spans=None,
-    ) -> np.ndarray:
-        """D2H: copy slot ``item % window`` into a (strided) host view."""
-        slot = self.view(role, item, shape, dtype)
-        self.engine.d2h(dst, slot, spans=spans)
-        return slot
-
-    def close(self) -> None:
-        """Return every slot's bytes to the arena."""
-        self._stack.close()
-
-    def __enter__(self) -> "PencilRings":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class OutOfCoreSlabFFT:
@@ -366,12 +132,6 @@ class OutOfCoreSlabFFT:
     monitor:
         Optional :class:`repro.verify.invariants.InvariantMonitor`
         registered on the arena, its pool, and every pencil ring.
-    comm_retries, retry_backoff:
-        Transient-comm-fault budget: each pencil exchange retries up to
-        ``comm_retries`` times on :class:`TransientCommFault` with
-        exponential backoff starting at ``retry_backoff`` seconds — so
-        injected dropped/late chunks degrade gracefully instead of
-        poisoning the pipeline.
     fft_backend:
         The transform provider of the stage kernels (``numpy`` /
         ``scipy`` / ``auto``), resolved at construction, so an
@@ -398,11 +158,9 @@ class OutOfCoreSlabFFT:
         ``"off"`` (default) names that schedule; ``"lend"`` adds the
         deterministic :class:`~repro.exec.DlbPolicy` lend/reclaim
         assignment, so idle peers' compute lanes claim a slow rank's
-        unstarted pencils.  Both produce bit-identical results.
-    rank_weights:
-        Relative per-rank compute slowdown factors pricing the DLB lane
-        clocks under ``dlb="lend"`` (e.g. an imbalance plan's factors);
-        default all-1.
+        unstarted pencils.  Both produce bit-identical results.  The lane
+        clocks are priced with the ``fuzz`` profile's per-rank imbalance
+        factors when it injects one, else all-1.
     """
 
     def __init__(
@@ -417,12 +175,9 @@ class OutOfCoreSlabFFT:
         backend=None,
         fuzz=None,
         monitor=None,
-        comm_retries: int = 3,
-        retry_backoff: float = 0.002,
         copy_strategy: str = "memcpy2d",
         heights: Sequence[int] | None = None,
         dlb: str = "off",
-        rank_weights: Sequence[float] | None = None,
         fft_backend: str = "numpy",
     ):
         self.grid = grid
@@ -439,22 +194,14 @@ class OutOfCoreSlabFFT:
             )
         if inflight < 1:
             raise ValueError(f"inflight={inflight} must be >= 1")
-        if comm_retries < 0:
-            raise ValueError(f"comm_retries={comm_retries} must be >= 0")
         if dlb not in ("off", "lend"):
             raise ValueError(f"dlb={dlb!r} must be 'off' or 'lend'")
         self.dlb = dlb
         self.npencils = npencils
         self.pipeline = pipeline if backend is None else backend.kind
-        # A phase has npencils * P items: a deeper window claims ring
-        # slots that no item ever views.
-        self.inflight = (
-            1 if (backend is None and pipeline == "sync")
-            else min(int(inflight), npencils * comm.size)
-        )
+        self.inflight = ring_window(backend is None and pipeline == "sync",
+                                    inflight, npencils, comm.size)
         self.monitor = monitor
-        self.comm_retries = int(comm_retries)
-        self.retry_backoff = float(retry_backoff)
         self.copy_strategy = copy_strategy
         self._copy_engine = make_engine(
             copy_strategy, obs=self.obs, kind=self.pipeline
@@ -469,8 +216,8 @@ class OutOfCoreSlabFFT:
         #: call served so far (a single transform until a substage runs).
         self._sized_arena = device_bytes is None
         self.arena = DeviceArena(
-            device_bytes if device_bytes is not None else self._arena_bytes(
-                _roles(self._pencil_bytes, 1, 0)),
+            device_bytes if device_bytes is not None else arena_bytes(
+                self.inflight, _roles(self._pencil_bytes, 1, 0)),
             obs=self.obs,
         )
         # The host side, claimed on first use and kept (the paper's pinned
@@ -503,12 +250,11 @@ class OutOfCoreSlabFFT:
         self._dlb_policy = None
         if self.dlb == "lend":
             from repro.exec.dlb import DlbPolicy
+            from repro.verify.imbalance import ImbalancePlan
 
-            if rank_weights is not None and len(rank_weights) != comm.size:
-                raise ValueError(
-                    f"expected {comm.size} rank weights, got {len(rank_weights)}"
-                )
-            self._dlb_policy = DlbPolicy(comm.size, costs=rank_weights)
+            plan = ImbalancePlan.from_profile(fuzz, comm.size)
+            self._dlb_policy = DlbPolicy(
+                comm.size, costs=None if plan is None else plan.factors)
         self._dlb_synced = [0, 0]
         # Metric instruments are pre-created on the constructing thread so
         # stream workers only ever mutate existing counters.
@@ -568,16 +314,13 @@ class OutOfCoreSlabFFT:
     def _y_shape(self, r: int) -> tuple[int, int, int]:
         return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
 
-    def _arena_bytes(self, roles: dict) -> float:
-        return _ARENA_MARGIN * self.inflight * sum(roles.values())
-
     def _rings(self, fields: int, products: int = 0) -> PencilRings:
         """One call's ring slots, shared by its phases (each drains before
         the next starts); a sized arena grows to hold them."""
         roles = _roles(self._pencil_bytes, fields, products)
         if self._sized_arena:
             self.arena.capacity = max(
-                self.arena.capacity, self._arena_bytes(roles))
+                self.arena.capacity, arena_bytes(self.inflight, roles))
         return PencilRings(
             self.arena, self.inflight, roles, engine=self._copy_engine)
 
@@ -715,7 +458,7 @@ class OutOfCoreSlabFFT:
 
         Transient comm faults (:class:`TransientCommFault`, injected by the
         verification subsystem's fault-capable comm shim) are retried with
-        exponential backoff up to ``comm_retries`` times: a *late* chunk
+        exponential backoff up to ``_COMM_RETRIES`` times: a *late* chunk
         re-waits the same posted handle, a *dropped* chunk is re-posted.
         A pencil's send blocks are its own and stay untouched until the
         next transform, and faults are injected before any byte moves, so
@@ -724,7 +467,7 @@ class OutOfCoreSlabFFT:
         """
         spans = self._stream_spans("comm")
         attempt = 0
-        delay = self.retry_backoff
+        delay = _RETRY_BACKOFF
         handle = None
         while True:
             try:
@@ -735,7 +478,7 @@ class OutOfCoreSlabFFT:
             except TransientCommFault as fault:
                 if self._m_comm_faults is not None:
                     self._m_comm_faults.inc()
-                if attempt >= self.comm_retries:
+                if attempt >= _COMM_RETRIES:
                     raise
                 attempt += 1
                 if fault.dropped:

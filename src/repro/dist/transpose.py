@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.cuda.arena import BufferPool
 from repro.dist.virtual_mpi import PendingAlltoall, VirtualComm
 from repro.obs import NULL_OBS
-from repro.spectral.workspace import BufferPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability

@@ -191,26 +191,6 @@ class VirtualComm:
                 f"{self.name}: expected {self.size} per-rank entries, got {len(data)}"
             )
 
-    # -- rank-resident work ------------------------------------------------------
-
-    def resident(self, shapes: Sequence[Sequence[int]], dtype) -> list[np.ndarray]:
-        """Per-rank arrays ``shapes[r]`` that rank ``r``'s work addresses in
-        place.  In process that is any array; a process pool puts each in its
-        worker's shared memory (:meth:`repro.mpi.procs.ProcsComm.resident`)."""
-        self._check_per_rank(shapes)
-        return [np.empty(tuple(shape), dtype) for shape in shapes]
-
-    def each_rank(self, fn: Callable, *per_rank_args: Sequence, spans=None,
-                  wait: bool = True) -> list:
-        """``fn(*(a[r] for a in per_rank_args))`` for every rank, in rank
-        order, on the calling thread; returns the per-rank results.
-        ``spans[r]``, when given, times rank ``r``'s call.  ``wait=False``
-        only allows a process pool to send the calls later; here they run
-        now."""
-        for args in per_rank_args:
-            self._check_per_rank(args)
-        return [call_rank(fn, per_rank_args, r, spans) for r in range(self.size)]
-
     # -- collectives -----------------------------------------------------------
 
     def _check_alltoall(

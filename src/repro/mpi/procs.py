@@ -52,6 +52,12 @@ class WorkerStallError(RuntimeError):
     timeout) while the driver was waiting on the barrier for its reply."""
 
 _ALIGN = 64
+#: Initial per-worker exchange-ring bytes, grown on demand.
+_INITIAL_RING_BYTES = 1 << 20
+#: Attempts per exchange when a driver-side fault injector raises
+#: :class:`~repro.dist.virtual_mpi.TransientCommFault`; must exceed the
+#: plan's ``max_consecutive`` for recovery to be guaranteed.
+_FAULT_RETRY_BUDGET = 4
 
 
 def _aligned(nbytes: int) -> int:
@@ -298,16 +304,10 @@ class ProcsComm(VirtualComm):
     fft_backend:
         Default line-transform provider of the workers' stages (``numpy`` /
         ``scipy`` / ``auto``); per-call overrides ride on the messages.
-    arena_bytes:
-        Initial per-worker exchange-ring size, grown on demand.
     start_method:
         ``multiprocessing`` start method; default ``$REPRO_PROCS_START``,
         else ``fork`` (cheap, inherits the imported interpreter) where
         available, else ``spawn``.
-    fault_retry_budget:
-        Attempts per exchange when a driver-side fault injector raises
-        :class:`~repro.dist.virtual_mpi.TransientCommFault`; must exceed
-        the plan's ``max_consecutive`` for recovery to be guaranteed.
     heartbeat_interval:
         Worker heartbeat period in seconds (see :mod:`repro.obs.heartbeat`);
         ``None`` disables the telemetry channel entirely.
@@ -323,13 +323,12 @@ class ProcsComm(VirtualComm):
 
     def __init__(
         self, size: int, name: str = "world", fft_backend: str = "numpy",
-        arena_bytes: int = 1 << 20, start_method: Optional[str] = None,
-        fault_retry_budget: int = 4, heartbeat_interval: Optional[float] = 0.2,
+        start_method: Optional[str] = None,
+        heartbeat_interval: Optional[float] = 0.2,
         stall_timeout: Optional[float] = None,
     ):
         super().__init__(size, name=name)
         self.fft_backend = fft_backend
-        self.fault_retry_budget = int(fault_retry_budget)
         self.fault_retries = 0
         self.worker_cpu_seconds: list[float] = []
         if stall_timeout is None:
@@ -377,7 +376,7 @@ class ProcsComm(VirtualComm):
         if flight is not None and self.heartbeat_board is not None:
             flight.add_heartbeat_provider(self.heartbeats)
         self.worker_pids = [reply["pid"] for reply in self.worker_claims()]
-        self._ensure_capacity(arena_bytes)
+        self._ensure_capacity(_INITIAL_RING_BYTES)
 
     # -- worker plumbing ----------------------------------------------------
 
@@ -721,14 +720,14 @@ class ProcsComm(VirtualComm):
         # "happens": consult the fault injector here, exactly where the
         # in-process comm does.  A dropped exchange re-dispatches the pack
         # alone — the re-pack/re-post recovery real MPI retry loops perform.
-        for attempt in range(self.fault_retry_budget):
+        for attempt in range(_FAULT_RETRY_BUDGET):
             if self.fault_injector is None:
                 break
             try:
                 self.fault_injector.check(kind, self)
                 break
             except TransientCommFault as fault:
-                if attempt == self.fault_retry_budget - 1:
+                if attempt == _FAULT_RETRY_BUDGET - 1:
                     raise
                 self.fault_retries += 1
                 if fault.dropped:
@@ -766,8 +765,8 @@ class ProcsComm(VirtualComm):
 COMM_KINDS = ("virtual", "procs")
 
 #: ``make_comm`` kwargs that only the process pool understands.
-_PROCS_ONLY = ("fft_backend", "arena_bytes", "start_method",
-               "heartbeat_interval", "stall_timeout")
+_PROCS_ONLY = ("fft_backend", "start_method", "heartbeat_interval",
+               "stall_timeout")
 
 
 def make_comm(kind: str, size: int, name: str = "world", **kwargs) -> VirtualComm:
@@ -775,7 +774,7 @@ def make_comm(kind: str, size: int, name: str = "world", **kwargs) -> VirtualCom
     :class:`~repro.dist.virtual_mpi.VirtualComm` (bit-exact reference; the
     process-pool kwargs are accepted and ignored, so one call site serves
     both kinds) — or ``procs`` — :class:`ProcsComm`, one worker process per
-    rank (extra kwargs: ``fft_backend``, ``arena_bytes``, ``start_method``,
+    rank (extra kwargs: ``fft_backend``, ``start_method``,
     ``heartbeat_interval``, ``stall_timeout``)."""
     if kind == "virtual":
         extra = {k: v for k, v in kwargs.items() if k not in _PROCS_ONLY}

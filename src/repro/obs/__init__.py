@@ -75,7 +75,7 @@ class Observability:
 
     Instrumented constructors (:class:`repro.spectral.NavierStokesSolver`,
     :class:`repro.dist.DistributedNavierStokesSolver`,
-    :class:`repro.dist.outofcore.DeviceArena`, ...) take an optional
+    :class:`repro.cuda.arena.DeviceArena`, ...) take an optional
     ``obs``; ``None`` means the shared :data:`NULL_OBS` and turns every
     instrumentation point into a no-op.
     """

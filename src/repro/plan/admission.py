@@ -6,12 +6,14 @@ lesson applied to control: no synchronous global probe, just the
 ROADMAP-item-4 cost plane.  This module maps a job-shaped configuration
 onto two currencies:
 
-* **device bytes** — the share of the shared :class:`DeviceArena` budget
-  the job will be capped to.  For out-of-core jobs this is the engine's
-  own ring-sizing arithmetic (``OutOfCoreSlabFFT``'s default arena
-  capacity, one shared function), so the admitted sum is also the enforced
-  sum: the runner passes the quoted bytes back as ``device_bytes=`` and
-  the arena raises if the model lied.  Whole-slab and serial jobs are
+* **device bytes** — the share of the shared
+  :class:`~repro.cuda.arena.DeviceArena` budget the job will be capped to.
+  For out-of-core jobs this is the engine's own sizing rule
+  (:func:`repro.cuda.arena.ring_window` and
+  :func:`~repro.cuda.arena.ring_bytes`, which ``OutOfCoreSlabFFT`` sizes
+  its default arena with), so the admitted sum is also the enforced sum:
+  the runner passes the quoted bytes back as ``device_bytes=`` and the
+  arena raises if the model lied.  Whole-slab and serial jobs are
   priced at their resident spectral state (three complex components).
 
 * **virtual seconds** — the machine-model cost of the whole job
@@ -43,31 +45,6 @@ __all__ = [
 _COMPLEX_BYTES = 16  # complex128, the grids' cdtype
 
 
-def _job_heights(
-    n: int,
-    ranks: int,
-    heights: Optional[Sequence[int]],
-    skew: Optional[float],
-) -> tuple[int, ...]:
-    """The per-rank slab heights a job will actually run with.
-
-    Raises :class:`ValueError` with the decomposition's own reasoned
-    message when the partition is infeasible.
-    """
-    from repro.dist.decomp import normalize_heights, skewed_heights
-
-    if heights is not None:
-        return normalize_heights(n, ranks, heights)
-    if skew is not None:
-        return skewed_heights(n, ranks, skew)
-    if n % ranks != 0:
-        raise ValueError(
-            f"N={n} does not divide over {ranks} ranks; pass explicit "
-            f"heights (any non-negative per-rank extents summing to {n})"
-        )
-    return tuple(n // ranks for _ in range(ranks))
-
-
 def job_device_bytes(
     n: int,
     ranks: Optional[int] = None,
@@ -80,11 +57,11 @@ def job_device_bytes(
     """Device-byte demand of one job on the shared arena.
 
     For distributed jobs this is ``OutOfCoreSlabFFT``'s default arena
-    capacity (:func:`repro.dist.outofcore.ring_bytes`, the function the
-    engine itself sizes its rings with), so quoting and enforcement
-    cannot drift.  A job without ``npencils`` is the whole slab, the
-    engine's one-pencil case (over ``comm="procs"`` its fused twin is
-    priced the same).  Serial jobs don't construct an arena; they are
+    capacity (:func:`repro.cuda.arena.ring_window` and
+    :func:`~repro.cuda.arena.ring_bytes`, the functions the engine itself
+    sizes its rings with), so quoting and enforcement cannot drift.  A job
+    without ``npencils`` is the whole slab, the engine's one-pencil case
+    (over ``comm="procs"`` its fused twin is priced the same).  Serial jobs don't construct an arena; they are
     charged their resident three-component spectral state as a
     host-memory stand-in.
     """
@@ -93,13 +70,13 @@ def job_device_bytes(
     # A distributed job must have a feasible decomposition — an invalid
     # heights vector is an admission-time rejection, never a mid-run
     # traceback.
-    job_heights = _job_heights(n, ranks, heights, skew)
-    from repro.dist.outofcore import ring_bytes
+    from repro.cuda.arena import ring_bytes, ring_window
+    from repro.dist.decomp import SlabDecomposition
 
+    hmax = SlabDecomposition.partition(n, ranks, heights, skew).max_height
     npencils = npencils or 1
-    # The engine's window: 1 inline, else capped at a phase's items.
-    window = 1 if pipeline == "sync" else min(int(inflight), npencils * ranks)
-    return ring_bytes(n, max(job_heights), npencils, window)[-1]
+    window = ring_window(pipeline == "sync", inflight, npencils, ranks)
+    return ring_bytes(n, hmax, npencils, window)[-1]
 
 
 @dataclass(frozen=True)

@@ -179,23 +179,20 @@ class PointwiseKernel:
                     np.multiply(f[sl], k[0], out=acc[sl])
         return out
 
-    def rhs(self, a: np.ndarray, bases, out: np.ndarray,
-            conservative: bool = True) -> np.ndarray:
-        """``out_i = G (a_i - k_i (k.a)/k^2)``, ``G = c mask conj(shift)``,
-        from :meth:`accumulate`'s ``a_i = sum_j k_j (u_i u_j)_hat`` (``c =
-        -i``) or, not ``conservative``, ``a = (u x omega)_hat`` (``c = 1``);
+    def rhs(self, a: np.ndarray, bases, out: np.ndarray) -> np.ndarray:
+        """``out_i = G (a_i - k_i (k.a)/k^2)``, ``G = -i mask conj(shift)``,
+        from :meth:`accumulate`'s ``a_i = sum_j k_j (u_i u_j)_hat``;
         ``bases`` as the products were shifted or None.  ``out`` may be ``a``."""
-        return self._sweep(list(self._slab(a)), out,
-                           self._fold(-1j if conservative else 1.0, bases))
+        return self._sweep(list(self._slab(a)), out, self._fold(bases))
 
-    def _fold(self, lead: complex, bases) -> tuple[np.ndarray, np.ndarray]:
-        """``lead * conj(shift)`` as a kz column and a (ky, kx) plane."""
+    def _fold(self, bases) -> tuple[np.ndarray, np.ndarray]:
+        """``-i conj(shift)`` as a kz column and a (ky, kx) plane."""
         plane = self._fold_plane
         if bases is None:
-            plane[...] = lead
+            plane[...] = -1j
             return self._unit, plane
         np.conjugate(bases[1], out=plane)
-        return np.conj(bases[0]), np.multiply(lead, plane, out=plane)
+        return np.conj(bases[0]), np.multiply(-1j, plane, out=plane)
 
     def scalar_rhs(self, a: np.ndarray, bases, out: np.ndarray,
                    gradient: float = 0.0, u_y=None) -> np.ndarray:
@@ -203,7 +200,7 @@ class PointwiseKernel:
         scalar's right-hand side from its accumulated ``k . flux`` and the
         mean-gradient production by the unshifted ``u_y``; one component,
         ``out`` may be ``a``."""
-        fold = self._fold(-1j, bases)
+        fold = self._fold(bases)
         g, t = self._scratch[0].view(self.grid.cdtype), self._scratch[1]
         for sl in self._blocks():
             gb = self._outer(fold[0][sl], fold[1], g[: sl.stop - sl.start])
@@ -254,20 +251,6 @@ class PointwiseKernel:
                 else:
                     np.subtract(ab[i], t, out=t)
                     np.multiply(t.view(gb.dtype), gb, out=out[i, sl])
-        return out
-
-    def curl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = i k x v`` (vorticity of a velocity slab)."""
-        kx, ky = self._kx, self._ky
-        t0, t1 = self._scratch[:2]
-        vf = self._slab(v)
-        for sl in self._blocks():
-            b = sl.stop - sl.start
-            k = (kx, ky, self._kz[sl])
-            for i, (p, r) in enumerate(((1, 2), (2, 0), (0, 1))):
-                w = np.multiply(vf[r, sl], k[p], out=t0[:b])
-                w -= np.multiply(vf[p, sl], k[r], out=t1[:b])
-                np.multiply(w.view(out.dtype), 1j, out=out[i, sl])
         return out
 
     # -- diagnostics ---------------------------------------------------------

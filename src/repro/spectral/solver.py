@@ -95,10 +95,6 @@ class SolverConfig:
     phase_shift:
         Evaluate the nonlinear term on a randomly shifted grid each stage
         pair, turning residual aliases into zero-mean noise (Rogallo 1981).
-    convective_form:
-        ``"conservative"`` (six products, as the production DNS forms
-        ``u_i u_j``) or ``"rotational"`` (u x omega, three products; the
-        distributed solver refuses it).
     seed:
         Seed for the random shifts.
     fft_backend:
@@ -115,7 +111,6 @@ class SolverConfig:
     scheme: Literal["rk2", "rk4"] = "rk2"
     dealias: DealiasRule = DealiasRule.SQRT2_THIRDS
     phase_shift: bool = True
-    convective_form: Literal["conservative", "rotational"] = "conservative"
     seed: int = 2019
     fft_backend: str = "auto"
     diagnostics_every: int = 1
@@ -125,8 +120,6 @@ class SolverConfig:
             raise ValueError("viscosity must be positive")
         if self.scheme not in ("rk2", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.convective_form not in ("conservative", "rotational"):
-            raise ValueError(f"unknown convective form {self.convective_form!r}")
         if self.diagnostics_every < 0:
             raise ValueError("diagnostics_every must be >= 0 (0 disables)")
 
@@ -248,10 +241,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         Numerical options.
     forcing:
         Energy injection scheme (default: none, i.e. decaying turbulence).
-    workspace:
-        A :class:`SpectralWorkspace` to draw scratch buffers from; created
-        on demand when omitted.  Solvers on the same grid that step in turn
-        may share one.
     obs:
         An :class:`~repro.obs.Observability` bundle.  When given, every
         step records per-RK-stage and per-phase wall-clock spans (fft,
@@ -282,7 +271,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         u_hat: np.ndarray,
         config: Optional[SolverConfig] = None,
         forcing: Optional[Forcing] = None,
-        workspace: Optional[SpectralWorkspace] = None,
         obs: "Observability | None" = None,
     ):
         self.grid = grid
@@ -299,12 +287,9 @@ class NavierStokesSolver(IntegratingFactorRK):
         self.step_count = 0
         self._rng = np.random.default_rng(self.config.seed)
         self._nl_evals = 0
-        self.workspace = workspace or SpectralWorkspace(
+        self.workspace = SpectralWorkspace(
             grid, backend=self.config.fft_backend, obs=self.obs
         )
-        if workspace is not None and obs is not None:
-            # A caller-shared workspace reports into this solver's obs.
-            self.workspace.obs = self.obs
         self._pointwise = PointwiseKernel(grid, self.config.dealias)
         # Dealias the initial condition so invariants hold from step 0.
         self._pointwise.truncate(self._state)
@@ -375,7 +360,6 @@ class NavierStokesSolver(IntegratingFactorRK):
         self._nl_evals += 1
         if obs.enabled:
             obs.metrics.counter("solver.rhs.calls").inc()
-        conservative = self.config.convective_form == "conservative"
         bases = (kernel.shift_bases(random_shift(self.grid, self._rng))
                  if self.config.phase_shift else None)
         u, prod, work = ws.physical("nl_u", 3), ws.physical("nl_prod"), ws.ifft_work
@@ -383,20 +367,8 @@ class NavierStokesSolver(IntegratingFactorRK):
         # record their own nested "fft" spans, so this category's *exclusive*
         # time is pure shift/product work.
         with spans.span("rhs.nonlinear", category="nonlinear"):
-            if conservative:
-                for i in range(3):
-                    self._to_physical(u_hat[i], bases, u[i])
-            else:
-                # u x omega on the shifted grid: the vorticity needs all three
-                # shifted components at once.
-                src = u_hat
-                if bases is not None:
-                    src = kernel.shifted(u_hat, bases, ws.spectral("nl_shifted", 3))
-                omega_hat = kernel.curl(src, ws.spectral("nl_omega", 3))
-                w = ws.physical("nl_w", 3)
-                for i in range(3):
-                    ws.ifft3d(src[i], out=u[i])
-                    ws.ifft3d(omega_hat[i], out=w[i])
+            for i in range(3):
+                self._to_physical(u_hat[i], bases, u[i])
         with spans.span("rhs.forcing", category="forcing"):
             f = self.forcing.rhs(u_hat, self.grid)
         for s, scalar in enumerate(self.scalars, start=3):
@@ -409,18 +381,11 @@ class NavierStokesSolver(IntegratingFactorRK):
                 kernel.scalar_rhs(out[s], bases, out[s], scalar.mean_gradient,
                                   u_hat[1])
         with spans.span("rhs.nonlinear", category="nonlinear"):
-            if conservative:
-                for i, j in PRODUCT_PAIRS:
-                    np.multiply(u[i], u[j], out=prod)
-                    kernel.accumulate(out, [(i, j)], [ws.fft3d(prod, out=work)])
-            else:
-                tmp = ws.physical("nl_tmp")
-                for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-                    np.multiply(u[a], w[b], out=prod)
-                    prod -= np.multiply(u[b], w[a], out=tmp)
-                    ws.fft3d(prod, out=out[i])
+            for i, j in PRODUCT_PAIRS:
+                np.multiply(u[i], u[j], out=prod)
+                kernel.accumulate(out, [(i, j)], [ws.fft3d(prod, out=work)])
         with spans.span("rhs.projection", category="projection"):
-            kernel.rhs(out[:3], bases, out[:3], conservative)
+            kernel.rhs(out[:3], bases, out[:3])
         if f is not None:
             out[:3] += f
         return out

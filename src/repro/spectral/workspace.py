@@ -30,7 +30,6 @@ is ``"auto"``).
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -43,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "FFT_PROVIDERS",
-    "BufferPool",
     "NumpyFFT",
     "ScipyFFT",
     "SpectralWorkspace",
@@ -52,67 +50,6 @@ __all__ = [
 ]
 
 _Z_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
-
-
-class BufferPool:
-    """Free-list of reusable ndarrays keyed by ``(shape, dtype)``.
-
-    ``take`` returns a previously released buffer of the exact shape/dtype
-    when one is available (contents are undefined), else allocates.  This is
-    the allocation discipline of the paper's fixed GPU buffer arena: after a
-    warmup pass every request is served from the pool.
-    """
-
-    def __init__(self, max_per_key: int = 8, obs: "Observability | None" = None):
-        self._free: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
-        self.max_per_key = max_per_key
-        self.hits = 0
-        self.misses = 0
-        self.obs = obs if obs is not None else NULL_OBS
-        # take/give are called from exec-stream worker threads (pack staging,
-        # arena rings), so the free-list mutations must be atomic.
-        self._lock = threading.Lock()
-        #: Optional invariant monitor (repro.verify.invariants): notified on
-        #: every take/give so fuzzed runs can assert no double-release.
-        self.monitor = None
-
-    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype))
-        with self._lock:
-            stack = self._free.get(key)
-            if stack:
-                self.hits += 1
-                hit = True
-                buf = stack.pop()
-            else:
-                self.misses += 1
-                hit = False
-                buf = None
-            # Monitor hooks run under the pool lock so the monitor observes
-            # take/give in their true serialization (calling them outside
-            # would let a delayed give notification race a concurrent take).
-            if buf is not None and self.monitor is not None:
-                self.monitor.on_pool_take(buf, fresh=False)
-        if self.obs.enabled:
-            name = "pool.take.hits" if hit else "pool.take.misses"
-            self.obs.metrics.counter(name).inc()
-        if buf is None:
-            buf = np.empty(key[0], dtype=key[1])
-            if self.monitor is not None:
-                self.monitor.on_pool_take(buf, fresh=True)
-        return buf
-
-    def give(self, buf: np.ndarray) -> None:
-        key = (buf.shape, buf.dtype)
-        with self._lock:
-            stack = self._free.setdefault(key, [])
-            stored = len(stack) < self.max_per_key
-            if stored:
-                stack.append(buf)
-            if self.monitor is not None:
-                self.monitor.on_pool_give(buf, stored=stored)
-        if self.obs.enabled:
-            self.obs.metrics.counter("pool.releases").inc()
 
 
 # -- transform providers ------------------------------------------------------

@@ -347,23 +347,22 @@ def replay_orders(spec, orders: int) -> Iterator[int]:
     engine's (which lands in its own slab) or a recorded graph breaks the
     in-flight window gate.
     """
-    from repro.dist.decomp import SlabDecomposition, skewed_heights
+    from repro.dist.decomp import SlabDecomposition
     from repro.dist.outofcore import OutOfCoreSlabFFT
     from repro.dist.virtual_mpi import VirtualComm
     from repro.spectral.grid import SpectralGrid
     from repro.spectral.pointwise import PRODUCT_PAIRS
 
     grid, P = SpectralGrid(spec.n), spec.ranks
-    heights = spec.heights if spec.skew is None else skewed_heights(
-        spec.n, P, spec.skew)
-    d, rng = SlabDecomposition(spec.n, P, heights), np.random.default_rng(99)
+    d = SlabDecomposition.partition(spec.n, P, spec.heights, spec.skew)
+    rng = np.random.default_rng(99)
     coeffs = [(rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(
         grid.cdtype) for s in [(3, *d.local_spectral_shape(r)) for r in range(P)]]
 
     def run(land, **kw) -> tuple:
         with OutOfCoreSlabFFT(grid, VirtualComm(P), spec.npencils or 1,
                               copy_strategy=spec.copy_strategy,
-                              heights=heights, **kw) as fft:
+                              heights=d.heights, **kw) as fft:
             phys = fft.inverse([c[0] for c in coeffs])
             return fft, (phys, fft.forward(phys), fft.product_spectra(
                 coeffs, PRODUCT_PAIRS, land=land))

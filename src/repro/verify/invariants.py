@@ -5,9 +5,9 @@ graph is supposed to enforce: the 27 persistent device buffers are recycled
 across batches, and a ring slot must never be rewritten while an earlier
 batch's operations on it are still in flight.  :class:`InvariantMonitor`
 turns those rules into assertions evaluated *during* fuzzed runs, via hooks
-on :class:`repro.dist.outofcore.DeviceArena`,
-:class:`repro.spectral.workspace.BufferPool`,
-:class:`repro.dist.outofcore.PencilRings`, and (through
+on :class:`repro.cuda.arena.DeviceArena`,
+:class:`repro.cuda.arena.BufferPool`,
+:class:`repro.cuda.arena.PencilRings`, and (through
 :class:`repro.verify.fuzz.FuzzBackend`) every stream operation:
 
 * a buffer is never leased twice concurrently from the arena;

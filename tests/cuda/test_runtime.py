@@ -1,8 +1,8 @@
-"""Tests for simulated CUDA streams, events and device memory accounting."""
+"""Tests for simulated CUDA streams and events."""
 
 import pytest
 
-from repro.cuda.runtime import CudaDevice, DeviceMemoryError
+from repro.cuda.runtime import CudaDevice
 from repro.machine.summit import summit_gpu
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import LinkSet
@@ -109,36 +109,6 @@ class TestStreams:
         s.record_event("e")
         eng.run()
         assert len(dev.tracer) == 0
-
-
-class TestDeviceMemory:
-    def test_malloc_free_accounting(self, device):
-        _, dev = device
-        dev.malloc(4e9)
-        assert dev.allocated_bytes == 4e9
-        dev.free(4e9)
-        assert dev.allocated_bytes == 0
-
-    def test_malloc_over_capacity_raises(self, device):
-        _, dev = device
-        with pytest.raises(DeviceMemoryError):
-            dev.malloc(17 * 1024**3)
-
-    def test_cumulative_overflow_detected(self, device):
-        _, dev = device
-        dev.malloc(10 * 1024**3)
-        with pytest.raises(DeviceMemoryError):
-            dev.malloc(10 * 1024**3)
-
-    def test_invalid_free_raises(self, device):
-        _, dev = device
-        with pytest.raises(DeviceMemoryError):
-            dev.free(1.0)
-
-    def test_free_bytes_property(self, device):
-        _, dev = device
-        dev.malloc(6 * 1024**3)
-        assert dev.free_bytes == pytest.approx(10 * 1024**3)
 
 
 class TestCrossStreamPipeline:

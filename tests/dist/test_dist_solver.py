@@ -98,7 +98,7 @@ def _steady_step_growth(grid, rng, scheme, scalars, every=0, **engine):
     """tracemalloc peak growth of one RK step (a diagnostics step if
     ``every``) after two warm-up steps, and the bound it must stay under:
     one ring slot of the engine's pencils, and never a whole real slab."""
-    from repro.dist.outofcore import ring_bytes
+    from repro.cuda.arena import ring_bytes
 
     u0 = random_isotropic_field(grid, rng, energy=1.0)
     config = SolverConfig(nu=0.02, scheme=scheme, seed=11,
@@ -332,12 +332,6 @@ class TestCommunicationCounts:
             DistributedNavierStokesSolver(
                 grid16, VirtualComm(2), np.zeros((3, 8, 8, 5), dtype=complex)
             )
-
-    def test_rotational_form_is_refused(self, grid16):
-        """It used to run the conservative form silently."""
-        with pytest.raises(ValueError, match="serial-only"):
-            pair(grid16, taylor_green_field(grid16), ranks=2,
-                 convective_form="rotational")
 
     def test_rejects_nonpositive_dt(self, grid16):
         _, dist = pair(grid16, taylor_green_field(grid16), ranks=2)

@@ -5,12 +5,8 @@ import pytest
 
 from repro.cuda.copyengine import Batched2DEngine
 from repro.dist.dist_solver import DistributedNavierStokesSolver
-from repro.dist.outofcore import (
-    DeviceArena,
-    DeviceMemoryExceeded,
-    OutOfCoreSlabFFT,
-    PencilRings,
-)
+from repro.cuda.arena import DeviceMemoryExceeded
+from repro.dist.outofcore import _COMM_RETRIES, OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
 from repro.obs import Observability
 from repro.spectral import random_isotropic_field
@@ -19,46 +15,6 @@ from repro.spectral.pointwise import PRODUCT_PAIRS
 from repro.spectral.solver import SolverConfig
 from repro.spectral.transforms import fft3d
 from repro.spectral.workspace import NumpyFFT
-
-
-class TestDeviceArena:
-    def test_allocation_accounting(self):
-        arena = DeviceArena(1000)
-        a = arena.allocate((10,), np.float64)  # 80 B
-        assert arena.in_use == 80
-        arena.free(a)
-        assert arena.in_use == 0
-        assert arena.high_water == 80
-
-    def test_budget_enforced(self):
-        arena = DeviceArena(100)
-        arena.allocate((10,), np.float64)
-        with pytest.raises(DeviceMemoryExceeded):
-            arena.allocate((10,), np.float64)
-
-    def test_upload_download_roundtrip(self):
-        arena = DeviceArena(10_000)
-        host = np.arange(24, dtype=float).reshape(4, 6)
-        view = host[:, 1:4]  # strided view
-        rings = PencilRings(
-            arena, 1, {"real": view.nbytes}, engine=Batched2DEngine()
-        )
-        slot = rings.load("real", 0, view.shape, view.dtype, view)
-        slot *= 2
-        rings.store("real", 0, view.shape, view.dtype, host[:, 1:4])
-        rings.close()
-        assert np.all(host[:, 1:4] == 2 * np.arange(24).reshape(4, 6)[:, 1:4])
-        assert np.all(host[:, 0] == np.arange(24).reshape(4, 6)[:, 0])
-        assert arena.in_use == 0
-
-    def test_foreign_free_rejected(self):
-        arena = DeviceArena(100)
-        with pytest.raises(KeyError):
-            arena.free(np.zeros(2))
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceArena(0)
 
 
 class TestOutOfCoreFFT:
@@ -266,13 +222,12 @@ class TestThreePasses:
         comm.fault_injector = CommFaultPlan(
             seed=0, drop_rate=1.0, max_consecutive=10
         )
-        with OutOfCoreSlabFFT(
-            SpectralGrid(16), comm, 4, comm_retries=1, retry_backoff=0.0
-        ) as fft:
+        with OutOfCoreSlabFFT(SpectralGrid(16), comm, 4) as fft:
             with pytest.raises(TransientCommFault):
                 fft.inverse(_spectral_locals(fft, rng))
             assert fft.arena.in_use == 0
-        assert comm.fault_injector.dropped == 2  # the post and one re-post
+        # The post and every re-post of the budget.
+        assert comm.fault_injector.dropped == 1 + _COMM_RETRIES
 
 
 class _CountingEngine(Batched2DEngine):

@@ -12,8 +12,9 @@ pencil counts.  Also covers arena accounting under mid-pipeline failures
 import numpy as np
 import pytest
 
+from repro.cuda.arena import DeviceArena, DeviceMemoryExceeded
 from repro.dist.dist_solver import DistributedNavierStokesSolver
-from repro.dist.outofcore import DeviceArena, DeviceMemoryExceeded, OutOfCoreSlabFFT
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import SolverConfig

@@ -419,8 +419,11 @@ class TestResidentState:
             assert np.all(arrays[0] == 1.5) and np.all(arrays[1] == 2.5j)
             assert comm.each_rank(_total, arrays) == [18.0, 50j]
 
-    def test_ring_growth_leaves_claimed_arrays_in_place(self):
-        with ProcsComm(2, arena_bytes=4096) as comm:
+    def test_ring_growth_leaves_claimed_arrays_in_place(self, monkeypatch):
+        import repro.mpi.procs
+
+        monkeypatch.setattr(repro.mpi.procs, "_INITIAL_RING_BYTES", 4096)
+        with ProcsComm(2) as comm:
             arrays = comm.resident([(8, 8)] * 2, np.float64)
             comm.each_rank(_fill, arrays, [3.0, 4.0])
             where = [a.__array_interface__["data"][0] for a in arrays]

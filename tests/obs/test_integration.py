@@ -8,9 +8,10 @@ and that leaving it off changes nothing.
 import numpy as np
 import pytest
 
-from repro.dist import DistributedNavierStokesSolver, VirtualComm
+from repro.cuda.arena import DeviceArena, PencilRings
 from repro.cuda.copyengine import Batched2DEngine
-from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT, PencilRings
+from repro.dist import DistributedNavierStokesSolver, VirtualComm
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.transpose import transpose_exchange
 from repro.obs import NULL_OBS, Observability
 from repro.spectral import (

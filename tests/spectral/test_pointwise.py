@@ -18,12 +18,7 @@ from repro.spectral.dealias import (
 from repro.spectral.diagnostics import dissipation_rate, kinetic_energy
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field
-from repro.spectral.operators import (
-    curl_hat,
-    nonlinear_conservative,
-    nonlinear_rotational,
-    project,
-)
+from repro.spectral.operators import curl_hat, nonlinear_conservative, project
 from repro.spectral.pointwise import PRODUCT_PAIRS, PointwiseKernel
 from repro.spectral.transforms import fft3d, ifft3d
 
@@ -48,25 +43,19 @@ def relative_error(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
-def transforms_of_terms(u_hat, grid, shift, form):
+def transforms_of_terms(u_hat, grid, shift):
     """What the solvers hand to ``rhs``: the full-grid transforms of the six
-    products (or of u x omega), formed on the shifted grid, not shifted back."""
+    products, formed on the shifted grid, not shifted back."""
     work = u_hat * shift if shift is not None else u_hat
     u = np.stack([ifft3d(work[i], grid) for i in range(3)])
-    if form == "conservative":
-        return [fft3d(u[i] * u[j], grid) for i, j in PRODUCT_PAIRS]
-    omega_hat = curl_hat(work, grid)
-    w = np.stack([ifft3d(omega_hat[i], grid) for i in range(3)])
-    return [fft3d(c, grid) for c in np.cross(u, w, axis=0)]
+    return [fft3d(u[i] * u[j], grid) for i, j in PRODUCT_PAIRS]
 
 
 def kernel_rhs(kernel, terms, bases, out):
     """What the solvers do with the transforms: accumulate the six product
-    transforms into ``out`` and project there, or project u x omega."""
-    if len(terms) == 6:
-        kernel.accumulate(out, PRODUCT_PAIRS, terms)
-        return kernel.rhs(out, bases, out)
-    return kernel.rhs(np.stack(terms), bases, out, conservative=False)
+    transforms into ``out`` and project there."""
+    kernel.accumulate(out, PRODUCT_PAIRS, terms)
+    return kernel.rhs(out, bases, out)
 
 
 def kernel_scalar_rhs(kernel, flux, bases):
@@ -90,19 +79,17 @@ class TestRhsMatchesReference:
     @pytest.mark.parametrize("zs", SLABS, ids=lambda s: f"z{s[0]}-{s[1]}")
     @pytest.mark.parametrize("rule", list(DealiasRule), ids=lambda r: r.value)
     @pytest.mark.parametrize("shifted", [True, False], ids=["shift", "noshift"])
-    @pytest.mark.parametrize("form", ["conservative", "rotational"])
-    def test_projected_dealiased_term(self, field, zs, rule, shifted, form):
+    def test_projected_dealiased_term(self, field, zs, rule, shifted):
         grid, u_hat, tol = field
         zs = slice(*zs)
         mask = sharp_truncation_mask(grid, rule)
         shift = phase_shift_factor(grid, SHIFT) if shifted else None
-        reference = nonlinear_conservative if form == "conservative" \
-            else nonlinear_rotational
-        want = project(reference(u_hat, grid, mask=mask, shift=shift), grid)
+        want = project(
+            nonlinear_conservative(u_hat, grid, mask=mask, shift=shift), grid)
 
         kernel = PointwiseKernel(grid, rule, zs)
         terms = [np.ascontiguousarray(t[zs])
-                 for t in transforms_of_terms(u_hat, grid, shift, form)]
+                 for t in transforms_of_terms(u_hat, grid, shift)]
         bases = kernel.shift_bases(SHIFT) if shifted else None
         got = kernel_rhs(kernel, terms, bases, np.empty_like(u_hat[:, zs]))
 
@@ -136,16 +123,17 @@ class TestRhsMatchesReference:
         assert not got[mask[zs] == 0].any()
 
     def test_projection_leaves_the_mean_mode_alone(self):
-        """k = 0 carries no pressure: whatever mean the three-term
-        (rotational) input has comes out unchanged, as ``project`` keeps it."""
+        """k = 0 carries no pressure: whatever mean the accumulated input
+        has comes out only folded by ``-i``, as ``project`` keeps it."""
         grid = SpectralGrid(N)
         rng = np.random.default_rng(3)
         terms = rng.standard_normal((3, *grid.spectral_shape)) + 0j
         mask = sharp_truncation_mask(grid, DealiasRule.SQRT2_THIRDS)
         got = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS).rhs(
-            terms, None, np.empty_like(terms), conservative=False)
-        np.testing.assert_array_equal(got[:, 0, 0, 0], terms[:, 0, 0, 0])
-        np.testing.assert_allclose(got, project(terms * mask, grid), atol=1e-13)
+            terms, None, np.empty_like(terms))
+        np.testing.assert_array_equal(got[:, 0, 0, 0], -1j * terms[:, 0, 0, 0])
+        np.testing.assert_allclose(
+            got, -1j * project(terms * mask, grid), atol=1e-13)
 
 
 class TestBlocking:
@@ -157,7 +145,7 @@ class TestBlocking:
         u_hat = random_isotropic_field(grid, np.random.default_rng(1), energy=1.0)
         shift = phase_shift_factor(grid, SHIFT)
         terms = [np.ascontiguousarray(t[zs]) for t in
-                 transforms_of_terms(u_hat, grid, shift, "conservative")]
+                 transforms_of_terms(u_hat, grid, shift)]
         u = np.ascontiguousarray(u_hat[:, zs])
 
         def run(block_planes):
@@ -204,7 +192,7 @@ class TestStreaming:
         grid, u_hat, _ = field
         kernel = PointwiseKernel(grid, DealiasRule.SQRT2_THIRDS, slice(5, 16))
         terms = [np.ascontiguousarray(t[5:16]) for t in
-                 transforms_of_terms(u_hat, grid, None, "conservative")]
+                 transforms_of_terms(u_hat, grid, None)]
         pairs = PRODUCT_PAIRS + tuple((c, 3) for c in range(3))
         batched = np.empty((4, *terms[0].shape), dtype=grid.cdtype)
         streamed = np.empty_like(batched)
@@ -251,8 +239,6 @@ class TestOtherOperations:
         # One component at a time, as the serial solver shifts.
         assert relative_error(
             kernel.shifted(u[1], bases, np.empty_like(u[1])), want[1]) <= tol
-        assert relative_error(
-            kernel.curl(u, np.empty_like(u)), curl_hat(u_hat, grid)[:, zs]) <= tol
         v_hat = u_hat + curl_hat(u_hat, grid) + 1.0  # not solenoidal
         v = np.ascontiguousarray(v_hat[:, zs])
         want = project(v_hat, grid)[:, zs]

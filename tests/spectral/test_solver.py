@@ -30,8 +30,6 @@ class TestConstruction:
             SolverConfig(nu=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(scheme="rk3")
-        with pytest.raises(ValueError):
-            SolverConfig(convective_form="skew")
 
     def test_initial_condition_is_dealiased_and_projected(self, grid16, rng):
         noisy = np.stack(
@@ -183,16 +181,6 @@ class TestStepResults:
         a.run(3, 0.01)
         b.run(3, 0.01)
         assert np.array_equal(a.u_hat, b.u_hat)
-
-    def test_rotational_form_close_to_conservative(self, grid24, rng):
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        a = make_solver(grid24, u0, convective_form="conservative",
-                        dealias=DealiasRule.TWO_THIRDS)
-        b = make_solver(grid24, u0, convective_form="rotational",
-                        dealias=DealiasRule.TWO_THIRDS)
-        a.step(0.005)
-        b.step(0.005)
-        assert np.allclose(a.u_hat, b.u_hat, atol=1e-12)
 
 
 class TestDiagnosticsEvery:

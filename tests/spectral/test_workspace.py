@@ -9,7 +9,7 @@ Three layers of guarantees:
   with phase shifting and forcing on;
 * **allocation** — after warmup, a solver step must not allocate any
   full-grid (>= N^3-element) array (tracemalloc);
-* **unit behaviour** — buffer pool reuse, provider resolution, the
+* **unit behaviour** — workspace buffers, provider resolution, the
   provider contract (``out=`` / ``norm=`` as ``np.fft`` means them) and
   cross-provider transform agreement.
 """
@@ -28,16 +28,11 @@ from repro.spectral.dealias import (
 from repro.spectral.forcing import BandForcing, NoForcing
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.initial import random_isotropic_field, taylor_green_field
-from repro.spectral.operators import (
-    nonlinear_conservative,
-    nonlinear_rotational,
-    project,
-)
+from repro.spectral.operators import nonlinear_conservative, project
 from repro.spectral.pointwise import PointwiseKernel
 from repro.spectral.solver import NavierStokesSolver, SolverConfig
 from repro.spectral.transforms import fft3d, ifft3d
 from repro.spectral.workspace import (
-    BufferPool,
     NumpyFFT,
     ScipyFFT,
     SpectralWorkspace,
@@ -74,9 +69,8 @@ class LegacySolver:
         shift = None
         if cfg.phase_shift:
             shift = phase_shift_factor(grid, random_shift(grid, self.rng))
-        form = (nonlinear_conservative if cfg.convective_form == "conservative"
-                else nonlinear_rotational)
-        rhs = project(form(u_hat, grid, mask=self.mask, shift=shift), grid)
+        rhs = project(nonlinear_conservative(u_hat, grid, mask=self.mask,
+                                             shift=shift), grid)
         f = self.forcing.rhs(u_hat, grid)
         parts = [rhs if f is None else rhs + f]
         s = 1.0 if shift is None else shift
@@ -150,27 +144,6 @@ class TestWorkspaceEquivalence:
             forcing_factory=lambda: BandForcing(k_force=2.5, eps_inj=1.0),
         )
         np.testing.assert_allclose(ws.u_hat, legacy.u_hat, rtol=0, atol=1e-14)
-
-    def test_matches_legacy_rotational_form(self, grid24, rng):
-        u0 = random_isotropic_field(grid24, rng, energy=0.5)
-        legacy, ws = run_pair(
-            grid24, u0, scheme="rk2", phase_shift=False,
-            convective_form="rotational",
-        )
-        np.testing.assert_allclose(ws.u_hat, legacy.u_hat, rtol=0, atol=1e-14)
-
-    def test_shared_workspace_between_solvers(self, grid16):
-        """Two solvers sharing one workspace run correctly in sequence."""
-        shared = SpectralWorkspace(grid16, backend="numpy")
-        u0 = taylor_green_field(grid16)
-        a = NavierStokesSolver(grid16, u0, SolverConfig(nu=0.05),
-                               workspace=shared)
-        b = NavierStokesSolver(grid16, u0, SolverConfig(nu=0.05),
-                               workspace=shared)
-        ra = [a.step(0.01) for _ in range(3)]
-        rb = [b.step(0.01) for _ in range(3)]
-        np.testing.assert_array_equal(a.u_hat, b.u_hat)
-        assert ra[-1].energy == rb[-1].energy
 
 
 class TestLastStageOverwritesItsState:
@@ -373,84 +346,6 @@ class TestWorkspaceUnits:
             ws.fft3d(np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):
             ws.ifft3d(np.zeros((4, 4, 3), dtype=complex))
-
-
-class TestBufferPool:
-    def test_take_give_reuses_exact_key(self):
-        pool = BufferPool()
-        a = pool.take((4, 4), np.float64)
-        pool.give(a)
-        assert pool.take((4, 4), np.float64) is a
-        assert pool.take((4, 4), np.float32) is not a
-        assert pool.hits == 1 and pool.misses == 2
-
-    def test_free_list_bounded(self):
-        pool = BufferPool(max_per_key=2)
-        bufs = [pool.take((8,), np.float64) for _ in range(4)]
-        for b in bufs:
-            pool.give(b)
-        # Only two retained; two more takes hit, the next misses.
-        pool.take((8,), np.float64)
-        pool.take((8,), np.float64)
-        misses_before = pool.misses
-        pool.take((8,), np.float64)
-        assert pool.misses == misses_before + 1
-
-    def test_concurrent_take_give_from_two_threads(self):
-        import threading
-
-        pool = BufferPool(max_per_key=8)
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def worker(tag):
-            try:
-                barrier.wait()
-                for _ in range(500):
-                    buf = pool.take((16,), np.float64)
-                    buf[:] = tag
-                    # The pool must never hand one buffer to both threads:
-                    # nobody else writes our value while we hold it.
-                    if not np.all(buf == tag):
-                        raise AssertionError("buffer shared between threads")
-                    pool.give(buf)
-            except BaseException as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in (1.0, 2.0)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-        assert pool.hits + pool.misses == 1000
-
-    def test_concurrent_monitor_sees_no_double_insert(self):
-        import threading
-
-        from repro.verify import InvariantMonitor
-
-        pool = BufferPool(max_per_key=4)
-        mon = InvariantMonitor()
-        pool.monitor = mon
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def worker():
-            try:
-                barrier.wait()
-                for _ in range(400):
-                    pool.give(pool.take((8,), np.float64))
-            except BaseException as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-        assert mon.ok and mon.checks >= 1600
 
 
 class TestBackends:

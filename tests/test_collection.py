@@ -37,6 +37,13 @@ The ninth keeps the engine-invariance property whole: every run row of the
 job description says whether it may change the answer, and each row that
 may not (or only at round-off) is one the property's tier-1 pairs differ
 in.  A new row cannot skip its class, nor join a class and go untested.
+
+The tenth guards the knobs of the solvers, the engine, its device and the
+process pool: ten constructor arguments that no door, workload or module
+ever set (a second convective form, retry budgets, a shared workspace, a
+caller's buffer pool, ...) each carried a branch that only tests ran.  A
+defaulted parameter stays only if some call under ``src/`` or ``bench/``
+passes it, or the allowlist names why it may not.
 """
 
 import ast
@@ -54,6 +61,29 @@ SRC = REPO / "src"
 #: Modules nothing consumes that stay anyway, each with the reason.
 ORPHANS_ALLOWED = {
     "repro.experiments.calibration": "ROADMAP item 10 decides",
+}
+
+#: Guarded constructors: ``module:Class``, and the calls that reach each
+#: (its own name, plus forwarding factories with the positional arguments
+#: they consume before forwarding).
+KNOB_CONSTRUCTORS = {
+    "repro.spectral.solver:NavierStokesSolver": {},
+    "repro.spectral.solver:SolverConfig": {},
+    "repro.dist.dist_solver:DistributedNavierStokesSolver": {},
+    "repro.dist.outofcore:OutOfCoreSlabFFT": {},
+    "repro.cuda.arena:DeviceArena": {},
+    "repro.cuda.arena:PencilRings": {},
+    "repro.mpi.procs:ProcsComm": {"make_comm": 1},
+}
+
+#: Defaulted constructor parameters no call under src/ or bench/ passes
+#: that stay anyway, each with the reason.
+KNOBS_ALLOWED = {
+    "ProcsComm.start_method": "deployment setting ($REPRO_PROCS_START)",
+    "ProcsComm.heartbeat_interval": "deployment setting: telemetry period",
+    "ProcsComm.stall_timeout": "deployment timeout ($REPRO_PROCS_STALL)",
+    "OutOfCoreSlabFFT.backend": "the schedule explorer's injection seam; "
+                                "it reaches the engine through run(**kw)",
 }
 
 
@@ -246,3 +276,42 @@ def test_every_run_row_declares_whether_it_may_change_the_answer():
     varied = set().union(*(draw_pair(seed).differs() for seed in TIER1_SEEDS))
     assert not [name for name, answer in rows.items()
                 if answer != "physics" and name not in varied]
+
+
+def test_every_constructor_knob_is_set_by_some_caller():
+    """Every defaulted parameter of the :data:`KNOB_CONSTRUCTORS` is passed,
+    by keyword or by position, in some call under ``src/`` or ``bench/``
+    (``**kwargs`` passes nothing that can be read), or is allowlisted."""
+    import inspect
+
+    classes = {}
+    for target, factories in KNOB_CONSTRUCTORS.items():
+        module, name = target.split(":")
+        cls = getattr(importlib.import_module(module), name)
+        params = [p for p in inspect.signature(cls).parameters.values()
+                  if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+        for callee, skip in {name: 0, **factories}.items():
+            classes[callee] = (name, params, skip)
+    passed = {name: set() for name, _, _ in classes.values()}
+    for path in [*SRC.rglob("*.py"), *(REPO / "bench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            if callee not in classes:
+                continue
+            name, params, skip = classes[callee]
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            passed[name] |= {p.name for p in params[:max(len(positional) - skip, 0)]}
+            passed[name] |= {k.arg for k in node.keywords if k.arg is not None}
+    unset = sorted(
+        f"{name}.{p.name}" for name, params, _ in classes.values()
+        for p in params if p.default is not p.empty and p.name not in passed[name])
+    unexpected = sorted(set(unset) - set(KNOBS_ALLOWED))
+    assert not unexpected, (
+        f"{unexpected} are never set outside the tests: make each a constant, "
+        f"or wire it to a door"
+    )
+    stale = sorted(set(KNOBS_ALLOWED) - set(unset))
+    assert not stale, f"{stale} are set now: drop them from the allowlist"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dist.outofcore import DeviceArena, OutOfCoreSlabFFT, PencilRings
+from repro.cuda.arena import DeviceArena, PencilRings
+from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
 from repro.spectral.grid import SpectralGrid
 from repro.verify import InvariantMonitor, InvariantViolation, fuzz_profile

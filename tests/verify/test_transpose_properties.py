@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cuda.arena import BufferPool
 from repro.dist.transpose import (
     chunk_exchange_layout,
     pack_blocks,
@@ -18,7 +19,6 @@ from repro.dist.transpose import (
     unpack_blocks,
 )
 from repro.dist.virtual_mpi import VirtualComm
-from repro.spectral.workspace import BufferPool
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
