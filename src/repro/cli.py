@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "overridden by --seeds")
     p.add_argument("--profiles", default=None, metavar="P1,P2,...",
                    help="comma-separated profile names "
-                        "(default calm,jittery,stormy,faulty,flaky-net)")
+                        "(default calm,jittery,stormy,flaky-net,chaos)")
     p.add_argument("--orders", type=int, default=8,
                    help="schedule-explorer replay orders to sample")
     p.add_argument("--watchdog", type=float, default=30.0,
@@ -605,12 +605,9 @@ def _cmd_dns(args) -> int:
                   f"{policy.pencils_reclaimed} reclaimed "
                   f"(lane weights {list(policy.costs)})")
         if opened.monitor is not None:
-            stats = getattr(solver.fft._backend, "stats", {})
             plan, monitor = opened.fault_plan, opened.monitor
-            print(f"fuzz: {stats.get('injected', 0)} op fault(s) injected "
-                  f"({stats.get('recovered', 0)} recovered), "
-                  f"{plan.injected if plan is not None else 0} comm fault(s), "
-                  f"{monitor.checks} invariant check(s), "
+            print(f"fuzz: {plan.injected if plan is not None else 0} comm "
+                  f"fault(s), {monitor.checks} invariant check(s), "
                   f"{len(monitor.violations)} violation(s)")
 
         label = f"dns n={spec.n}" + (f" P={ranks}" if ranks else "")
@@ -750,8 +747,10 @@ def _verify_inputs(args) -> tuple:
         (args.orders >= 0, f"--orders={args.orders} must be an int >= 0"),
         (args.workloads >= 1,
          f"--workloads={args.workloads} must be an int >= 1"),
-        (args.watchdog > 0,
-         f"--watchdog={args.watchdog} must be a positive number of seconds"),
+        # Finite too: a timer cannot wait forever, it raises in its thread.
+        (0 < args.watchdog < float("inf"),
+         f"--watchdog={args.watchdog} must be a finite positive number of "
+         f"seconds"),
     )
     for ok, reason in bounds:
         if not ok:

@@ -128,7 +128,8 @@ class OutOfCoreSlabFFT:
     fuzz:
         Optional :class:`repro.verify.fuzz.FuzzProfile`; wraps the backend
         in a :class:`~repro.verify.fuzz.FuzzBackend` injecting seeded
-        delays, dispatch reordering, and transient faults.
+        delays and the profile's rank imbalance; a profile's comm fault
+        rates are the communicator's, not this backend's.
     monitor:
         Optional :class:`repro.verify.invariants.InvariantMonitor`
         registered on the arena, its pool, and every pencil ring.
@@ -512,9 +513,8 @@ class OutOfCoreSlabFFT:
         ``wait`` says.
 
         The wait is each lane's ``synchronize``, never the backend's: the
-        one wait that also completes an op a fuzzing backend holds back for
-        reordering or a replay backend records.  Inline execution runs the
-        ranks in order.  Each op carries no
+        one wait that also completes an op a replay backend records.
+        Inline execution runs the ranks in order.  Each op carries no
         ``item``, so no window, ring or imbalance check takes it for a
         pencil.  A failing ``fn`` raises its own exception here, after
         every lane has stopped, and the backend is reset for the next call.

@@ -49,8 +49,8 @@ def make_backend(kind: str, obs=None, fuzz=None, monitor=None) -> ExecBackend:
 
     With ``fuzz`` (a :class:`repro.verify.fuzz.FuzzProfile`) the backend is
     wrapped in a :class:`~repro.verify.fuzz.FuzzBackend` that injects seeded
-    delays, reordered dispatch, and transient faults at stream-op
-    boundaries; ``monitor`` (a
+    delays (and a profile's rank imbalance) at stream-op boundaries;
+    ``monitor`` (a
     :class:`repro.verify.invariants.InvariantMonitor`) additionally makes
     every operation report begin/end so buffer-reuse invariants can be
     checked under adversarial timing.

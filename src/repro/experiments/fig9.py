@@ -54,8 +54,7 @@ def run(
 ) -> Fig9Result:
     """Time-per-step curves over any (n, nodes) cases (default: Table 3).
 
-    The capacity planner (:meth:`repro.plan.CapacityPlanner.fig9`) passes
-    planner-derived cases to regenerate the figure at scales or on machine
+    Planner-derived cases regenerate the figure at scales or on machine
     models the paper never ran.
     """
     machine = machine or summit()

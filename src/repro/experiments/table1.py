@@ -1,9 +1,9 @@
 """Table 1 reproduction: node counts, memory per node, pencils per slab.
 
 The case list is *not* hard-coded to the paper's four rows: ``run`` takes
-any sequence of (n, nodes) cases — the capacity planner
-(:class:`repro.plan.CapacityPlanner.table1`) passes sweeps at arbitrary
-machine scale — and defaults to the paper ladder.  Model-vs-paper
+any sequence of (n, nodes) cases — sweeps at arbitrary machine scale, on
+any :class:`~repro.machine.spec.MachineSpec` — and defaults to the paper
+ladder.  Model-vs-paper
 comparison rows are emitted only for cases the paper actually published.
 """
 

@@ -12,8 +12,8 @@ This driver exercises two independent implementations and checks they agree:
 The cell list is not hard-coded: ``run`` takes any sequence of cells, and
 :func:`planner_cells` derives fresh ones for arbitrary (grid, node count)
 points from the memory planner and the all-to-all message-size model —
-this is how the capacity planner regenerates the table at scales (or on
-machines) the paper never measured.  Cells without a published bandwidth
+this is how the table regenerates at scales (or on machines) the paper
+never measured.  Cells without a published bandwidth
 fill the analytic/simulated series but emit no model-vs-paper comparison.
 """
 

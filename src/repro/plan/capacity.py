@@ -367,26 +367,6 @@ class CapacityPlanner:
                         quotes.append(qt)
         return quotes
 
-    # -- experiment backends ---------------------------------------------------
-
-    def table1(self, cases: "Sequence[tuple[int, int]] | None" = None):
-        """Regenerate Table 1 on this planner's machine (see experiments)."""
-        from repro.experiments import table1
-
-        return table1.run(machine=self.machine, cases=cases)
-
-    def table2(self, cells=None):
-        """Regenerate Table 2 on this planner's machine (see experiments)."""
-        from repro.experiments import table2
-
-        return table2.run(machine=self.machine, cells=cells)
-
-    def fig9(self, cases: "Sequence[tuple[int, int]] | None" = None):
-        """Regenerate the Fig. 9 strong-scaling curves on this machine."""
-        from repro.experiments import fig9
-
-        return fig9.run(machine=self.machine, cases=cases)
-
     def close(self) -> None:
         for engine in self._engines.values():
             engine.close()

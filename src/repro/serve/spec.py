@@ -21,6 +21,7 @@ a priced, reasoned quote — never with a traceback mid-run.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -96,7 +97,9 @@ def _f(default, type_, help_, *, choices=None, ok=None, must=None,
 
 
 def _positive(v) -> bool:
-    return v > 0
+    # Finite too: an infinite dt or nu steps to NaN.  The comparison, not
+    # math.isfinite, so an int too large for a float stays an int.
+    return 0 < v < math.inf
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,9 @@ class JobSpec:
         backend, through the out-of-core engine's Fig. 4 pipeline with
         ``npencils`` pencils per slab (unset: one) and a strided-copy
         strategy.  Over ``procs`` without ``npencils`` the transforms are
-        fused into the workers instead, with no DLB or fuzzing.
+        fused into the workers instead, with no DLB or fuzzing; with
+        ``npencils`` the out-of-core engine and its exchanges run in the
+        driver, and the workers stay idle.
     heights, skew, dlb:
         Uneven decomposition and DLB lanes (PR 9); ``heights`` and
         ``skew`` are mutually exclusive.
@@ -153,11 +158,12 @@ class JobSpec:
         ok=_positive, must="must be a positive int", answer="physics")
     dt: Optional[float] = _f(
         None, float, "fixed time step (unset: 0.25*dx)",
-        ok=_positive, must="must be a positive number (or null)",
+        ok=_positive, must="must be a finite positive number (or null)",
         answer="physics")
     nu: float = _f(
         0.02, float, "kinematic viscosity",
-        ok=_positive, must="must be a positive number", answer="physics")
+        ok=_positive, must="must be a finite positive number",
+        answer="physics")
     scheme: str = _f(
         "rk2", str, "Runge-Kutta scheme", choices=("rk2", "rk4"),
         answer="physics")
@@ -183,13 +189,14 @@ class JobSpec:
         "virtual", str,
         "with --ranks: communicator backend — in-process virtual ranks "
         "(bit-exact reference) or one worker process per rank over shared "
-        "memory",
+        "memory (the worker-fused transforms, with --npencils unset)",
         choices=("virtual", "procs"), answer="never")
     npencils: Optional[int] = _f(
         None, int,
         "with --ranks: pencils per slab for the out-of-core engine "
         "(unset: the whole slab, one pencil; over procs the worker-fused "
-        "transforms)",
+        "transforms).  Set over procs, the engine and its exchanges run in "
+        "the driver and the workers stay idle",
         ok=_positive, must="must be a positive int", answer="never")
     pipeline: str = _f(
         "sync", str,
@@ -214,6 +221,7 @@ class JobSpec:
         None, float,
         "with --ranks: give rank 0 ~X times the fair slab share "
         "(deterministic uneven partition)",
+        ok=lambda v: 1.0 <= v < math.inf, must="must be a finite number >= 1.0",
         metavar="X", answer="never")
     dlb: str = _f(
         "off", str,

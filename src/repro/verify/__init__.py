@@ -3,14 +3,16 @@
 The async pipeline's whole claim is that its event graph makes asynchrony
 *invisible in the data*: any timing, any interleaving, any transient fault
 that retries cleanly must yield bytes identical to the inline reference.
-This package stress-tests that claim from three directions:
+This package stress-tests that claim from each of those directions, with
+one implementation per concept:
 
 * :mod:`repro.verify.fuzz` — :class:`FuzzBackend` decorates a real exec
-  backend with seeded delays, reordered dispatch, and retryable transient
-  faults at every stream-op boundary;
+  backend with seeded delays at every stream-op boundary (timing only:
+  every op runs once, in submission order);
 * :mod:`repro.verify.faults` — :class:`CommFaultPlan` makes the virtual
-  communicator drop or delay all-to-all chunks, exercising the out-of-core
-  engine's retry/backoff path;
+  communicator drop or delay all-to-all chunks, the transient faults the
+  out-of-core engine's and the procs transport's retry code recovers
+  from;
 * :mod:`repro.verify.imbalance` — :class:`ImbalancePlan` slows seeded
   victim ranks multiplicatively on chosen stage categories, the regime the
   DLB lend/reclaim schedule must absorb without changing a byte;
@@ -44,7 +46,6 @@ from repro.verify.fuzz import (
     PROFILES,
     FuzzBackend,
     FuzzProfile,
-    TransientFault,
     fuzz_profile,
 )
 from repro.verify.harness import (
@@ -85,7 +86,6 @@ __all__ = [
     "SchedFuzzReport",
     "ScheduleDeadlock",
     "ScheduleGraph",
-    "TransientFault",
     "VerificationReport",
     "fuzz_profile",
     "random_workload",

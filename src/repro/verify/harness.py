@@ -7,13 +7,12 @@ reorders execution and never data, in three stages:
 
 1. **Fuzz matrix** — every (seed, profile) is an engine pair of that spec
    (:mod:`repro.verify.invariance`).  Side A runs on the threaded pipeline
-   under the fuzz seed and profile: seeded delays, reordered dispatch,
-   transient op faults, dropped or late all-to-all chunks, slowed ranks,
-   and an :class:`InvariantMonitor` asserting the buffer discipline inside
-   the run.  Side B is the same spec under ``pipeline="sync"``,
-   ``dlb="off"``, run once and compared with every A.  Each A must finish
-   under a deadlock watchdog, match B bit for bit, hold every invariant
-   and leave the arena empty.
+   under the fuzz seed and profile: seeded delays, dropped or late
+   all-to-all chunks, slowed ranks, and an :class:`InvariantMonitor`
+   asserting the buffer discipline inside the run.  Side B is the same
+   spec under ``pipeline="sync"``, ``dlb="off"``, run once and compared
+   with every A.  Each A must finish under a deadlock watchdog, match B
+   bit for bit, hold every invariant and leave the arena empty.
 
 2. **Engine pairs** — for every seed, the engine-invariance property's
    draw: one physics point run on two engine configurations, compared
@@ -68,7 +67,7 @@ __all__ = [
 DEFAULT_SPEC = JobSpec(n=16, steps=1, dt=1e-3, ic="random", ranks=2,
                        npencils=4)
 DEFAULT_SEEDS = (101, 202, 303)
-DEFAULT_PROFILES = ("calm", "jittery", "stormy", "faulty", "flaky-net")
+DEFAULT_PROFILES = ("calm", "jittery", "stormy", "flaky-net", "chaos")
 #: The load-imbalance tier (`repro verify --profiles imbalance_...`): a
 #: seeded slow rank per run, one stage category per profile.  Typically
 #: combined with uneven ``heights`` and ``dlb="lend"``.
@@ -99,7 +98,7 @@ class VerificationReport:
 
     @property
     def total_faults(self) -> int:
-        return sum(c.faults_injected + c.comm_faults for c in self.cases)
+        return sum(c.comm_faults for c in self.cases)
 
     def render(self) -> str:
         lines = ["verification report", "-" * 19]
@@ -116,7 +115,7 @@ class VerificationReport:
             f"  verdict: {'PASS' if self.passed else 'FAIL'} "
             f"({len(self.cases)} fuzz case(s), "
             f"{len(self.pairs)} engine pair(s), "
-            f"{self.total_faults} fault(s) injected)"
+            f"{self.total_faults} comm fault(s) injected)"
         )
         perturbed = self.total_faults > 0 or any(
             c.imbalance_seconds > 0.0 for c in self.cases

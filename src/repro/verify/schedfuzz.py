@@ -69,7 +69,7 @@ def random_workload(seed: int, max_jobs: int = 8) -> list[JobSpec]:
             pipeline = rng.choice(("sync", "threads"))
             inflight = rng.randint(2, 4)
             if rng.random() < 0.25:
-                skew = round(rng.uniform(0.2, 1.5), 2)
+                skew = round(rng.uniform(1.0, 2.0), 2)
         jobs.append(JobSpec(
             name=f"fz{i}",
             tenant=rng.choice(_TENANTS),

@@ -187,7 +187,7 @@ class TestStreamBackendProperties:
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_fuzzed_backend_round_trip(self, name):
-        """Seeded delays/reordering cannot corrupt a stream-submitted copy."""
+        """Seeded delays cannot corrupt a stream-submitted copy."""
         from repro.exec import make_backend
         from repro.verify import fuzz_profile
         from repro.verify.fuzz import FuzzBackend

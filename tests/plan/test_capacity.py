@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core.config import Algorithm
+from repro.experiments import fig9, table1, table2
 from repro.machine.spec import GiB
 from repro.mpi.costmodel import alltoall_p2p_bytes
 from repro.plan import (
@@ -150,22 +151,21 @@ class TestExperimentBackends:
     """Satellite 2: experiments regenerate at planner-chosen scale."""
 
     def test_table1_custom_cases(self, summit_planner):
-        result = summit_planner.table1(cases=[(18432, 1536), (18432, 3072)])
+        result = table1.run(machine=summit_planner.machine,
+                            cases=[(18432, 1536), (18432, 3072)])
         assert len(result.rows) == 2
         # Only the (18432, 3072) case is a published Table 1 row.
         assert len(result.comparisons) == 3
 
     def test_table1_default_matches_paper(self, summit_planner):
-        result = summit_planner.table1()
+        result = table1.run(machine=summit_planner.machine)
         assert len(result.rows) == 4
         assert all(abs(c.error) < 0.05 for c in result.comparisons)
 
     def test_table2_planner_cells_at_scale(self, summit_planner):
-        from repro.experiments.table2 import planner_cells
-
-        cells = planner_cells(summit_planner.machine, n=18432)
+        cells = table2.planner_cells(summit_planner.machine, n=18432)
         assert {c.nodes for c in cells} == {1536, 3072}
-        result = summit_planner.table2(cells=cells)
+        result = table2.run(machine=summit_planner.machine, cells=cells)
         assert len(result.analytic_bw) == 6
         assert result.comparisons == []  # no published reference rows
         assert result.max_analytic_vs_simulated_gap() < 0.25
@@ -173,16 +173,15 @@ class TestExperimentBackends:
     def test_table2_planner_cells_match_paper_sizes(self, summit_planner):
         """The derived case-C cell at 3072 nodes reproduces the published
         per-peer message (1.90 MB) from pure geometry."""
-        from repro.experiments.table2 import planner_cells
-
-        cells = planner_cells(summit_planner.machine, n=18432,
-                              node_counts=(3072,))
+        cells = table2.planner_cells(summit_planner.machine, n=18432,
+                                     node_counts=(3072,))
         by_case = {c.case: c for c in cells}
         assert by_case["C"].p2p_mib == pytest.approx(1.90, rel=0.02)
         assert by_case["A"].p2p_mib == pytest.approx(0.053, rel=0.05)
 
     def test_fig9_custom_cases(self, summit_planner):
-        result = summit_planner.fig9(cases=[(3072, 16), (6144, 128)])
+        result = fig9.run(machine=summit_planner.machine,
+                          cases=[(3072, 16), (6144, 128)])
         assert result.node_counts == (16, 128)
         for series in result.times.values():
             assert set(series) == {16, 128}

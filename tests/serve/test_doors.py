@@ -103,3 +103,33 @@ def test_fuzzed_serve_job_injects_comm_faults_and_stays_bit_identical(tmp_path):
     retries = [r["value"] for r in records if r.get("name") == "comm.retries"]
     assert retries and retries[0] > 0
     assert result.energies == run_job(plain, registry_root=None).energies
+
+
+NON_FINITE = {
+    "dt-inf": (["--dt", "inf"],
+               "--dt=inf must be a finite positive number (or null)"),
+    "nu-inf": (["--nu", "inf"], "--nu=inf must be a finite positive number"),
+    "skew-nan": (["--ranks", "2", "--skew", "nan"],
+                 "--skew=nan must be a finite number >= 1.0"),
+    "skew-inf": (["--ranks", "2", "--skew", "inf"],
+                 "--skew=inf must be a finite number >= 1.0"),
+    "skew-below-one": (["--ranks", "2", "--skew", "0.5"],
+                       "--skew=0.5 must be a finite number >= 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_are_one_reasoned_line_at_the_argv_doors(
+        case, tmp_path, capsys):
+    """An infinite dt or nu steps to NaN and a NaN skew has no partition:
+    both argv doors refuse them before anything runs."""
+    argv, reason = NON_FINITE[case]
+    assert main(["dns", "--n", "8", "--steps", "2", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {reason}\n" and "E=" not in out
+    assert main(["serve", "submit", "--root", str(tmp_path), "--name", "x",
+                 "--n", "8", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert reason.replace("--", "", 1) in err
+    assert not list(tmp_path.glob("**/*.json"))

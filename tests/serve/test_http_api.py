@@ -81,6 +81,9 @@ def test_invalid_spec_is_400(api):
     {"nu": "0.02"}, {"inflight": "3"}, {"steps": "2"}, {"dt": "0.1"},
     {"fft_backend": "cufft"}, {"diagnostics_every": -1},
     {"fuzz_profile": "tornado", "fuzz_seed": 1, "ranks": 2, "npencils": 2},
+    # json.dumps writes these as Infinity / NaN, which json.loads accepts.
+    {"dt": float("inf")}, {"nu": float("nan")},
+    {"skew": float("-inf"), "ranks": 2},
 ])
 def test_mistyped_or_unknown_vocabulary_is_400_not_500_or_failed(api, bad):
     call, service = api

@@ -240,16 +240,18 @@ class TestUnevenHeightsCli:
         (["--profiles", ","], "--profiles ',' has an empty name"),
         (["--orders", "-1"], "--orders=-1 must be an int >= 0"),
         (["--watchdog", "0"],
-         "--watchdog=0.0 must be a positive number of seconds"),
+         "--watchdog=0.0 must be a finite positive number of seconds"),
         (["--watchdog", "-2"],
-         "--watchdog=-2.0 must be a positive number of seconds"),
+         "--watchdog=-2.0 must be a finite positive number of seconds"),
+        (["--watchdog", "inf"],
+         "--watchdog=inf must be a finite positive number of seconds"),
         (["--seed-base", "-1"], "--seed-base=-1 must be an int >= 0"),
         (["--scheduler", "--workloads", "0"],
          "--workloads=0 must be an int >= 1"),
     ], ids=["npencils", "ranks", "n", "seeds-word", "seeds-empty",
             "scheduler-seeds", "profiles-empty", "orders-negative",
-            "watchdog-zero", "watchdog-negative", "seed-base-negative",
-            "workloads-zero"])
+            "watchdog-zero", "watchdog-negative", "watchdog-inf",
+            "seed-base-negative", "workloads-zero"])
     def test_verify_bad_engine_flag_is_one_reasoned_line(self, capsys, flags,
                                                          reason):
         assert main(["verify", *flags]) == 2

@@ -90,10 +90,8 @@ class TestEngineInvariance:
     def test_tier1_pairs_agree(self):
         outcomes = [run_pair(draw_pair(seed)) for seed in TIER1_SEEDS]
         assert not _failures(outcomes), _failures(outcomes)
-        # ...and the hooks engaged: faults were injected and recovered, and
-        # some lend pair lent pencils.
-        assert any(o.faults_injected and o.faults_recovered
-                   for o in outcomes)
+        # ...and the hooks engaged: comm faults were injected (and, the
+        # pairs agreeing, recovered), and some lend pair lent pencils.
         assert any(o.comm_faults for o in outcomes)
         assert any(o.pencils_lent for o in outcomes)
 
