@@ -638,6 +638,13 @@ def _cmd_dns(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from repro.serve.spec import in_flags, spec_from_args
+
+    try:
+        spec_from_args(args).validate()
+    except ValueError as exc:
+        print(f"error: {in_flags(str(exc))}", file=sys.stderr)
+        return 2
     config = {"n": args.n, "ranks": args.ranks, "npencils": args.npencils,
               "pipeline": args.pipeline, "inflight": args.inflight,
               "model": args.model}

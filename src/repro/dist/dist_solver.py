@@ -12,7 +12,7 @@ transforms per substage.  The solver asks its engine for all of them in one
 ``product_spectra`` call, which batches every field into two all-to-alls
 per substage: in process the out-of-core engine's three pencil pipelines
 (the whole slab is its one-pencil case), over ``comm="procs"`` without
-pencils two exchanges fused into the workers' rounds.
+pencils two exchanges fused into the workers' packs and unpacks.
 
 Everything between the transforms — shift, assembly, projection, the RK
 combination — is the serial solver's
@@ -308,8 +308,8 @@ class DistributedNavierStokesSolver(IntegratingFactorRK):
         shared = any(map(np.may_share_memory, out, state))
         land = None if read and shared else out
         # Every caller combines the right-hand side next: a process pool
-        # sends the last unpack, the assembly and the combination as one
-        # message.
+        # sends the shift, both exchanges, the assembly and the combination
+        # as one message per worker.
         self.fft.product_spectra(coeffs, pairs, out=spectra, wait=False, land=land)
         gradients = [tuple(s.mean_gradient for s in self.scalars)] * P
         self.fft.each_rank(_assemble, self._kernels, spectra, shifts, state,

@@ -12,9 +12,9 @@ decomposition that lets the paper send fewer, larger messages.
 
 This engine runs only over a communicator that offers
 ``comm.rank_transpose`` (:class:`repro.mpi.procs.ProcsComm`): the whole
-stage sequence is *fused* into the workers' packing and unpacking rounds —
-FFTs run in the process that owns the slab, on a provider resolved there,
-and a substage's fields cross in one exchange per direction.  In process,
+stage sequence is *fused* into the workers' packs and unpacks — FFTs run
+in the process that owns the slab, on a provider resolved there, and a
+substage's fields cross in one exchange per direction.  In process,
 the whole slab is the out-of-core engine's one-pencil case
 (:class:`repro.dist.outofcore.OutOfCoreSlabFFT` with ``npencils=1``).  Both
 index the same :data:`repro.dist.stages.STAGES` kernels, so results are
@@ -119,7 +119,7 @@ class SlabDistributedFFT:
         out, out_shape_of, out_dtype,
     ) -> list[np.ndarray]:
         """``pre`` stage, the one global transpose, ``post`` stage — all in
-        the workers' packing and unpacking rounds."""
+        the workers' pack and unpack."""
         self.decomp.check_locals(locals_, shape_of)
         if out is not None:
             self.decomp.check_locals(out, out_shape_of, out_dtype)
@@ -171,16 +171,15 @@ class SlabDistributedFFT:
         = (i, j)`` and may share memory with ``coeffs``; the first
         exchange lands in ``land[r]`` (resident) when given.
 
-        Two batched ``rank_transpose`` calls in three rounds: the y-FFTs of
-        all fields and their all-to-all, then in each worker the z/x
-        transforms, the products and their x/z transforms into resident
-        spectra; then those spectra's all-to-all and y-FFTs into ``out``.
-        The first exchange's unpack (and products) rides with the second
-        exchange's pack.
+        Two batched ``rank_transpose`` calls, queued as one message per
+        worker: the y-FFTs of all fields and their all-to-all, then in each
+        worker the z/x transforms, the products and their x/z transforms
+        into resident spectra; then those spectra's all-to-all and y-FFTs
+        into ``out``.  The workers meet at a barrier per exchange.
 
-        ``wait=False`` lets the pool send the last unpack with its next
-        message: ``out`` is then complete only once the next rank call or
-        exchange has run.
+        ``wait=False`` leaves both exchanges queued for the pool's next
+        message: ``out`` is then complete only once a later call that
+        waits has returned.
         """
         d, nfields, npairs = self.decomp, coeffs[0].shape[0], len(pairs)
         d.check_locals(coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))

@@ -4,20 +4,19 @@
 collectives off the hot path are inherited unchanged, which keeps the
 ``virtual`` vs ``procs`` bit-equality suite meaningful) while each rank
 lives in a **worker process**, as in the paper: a rank keeps its slab on its
-own device and only the all-to-all crosses ranks.  The driver only conducts,
-one message per worker per round:
+own device and only the all-to-all crosses ranks.  The driver queues work
+and sends it, one message per worker, when it wants a result back:
 
 * **resident arrays** (:meth:`ProcsComm.resident`) are shared-memory
   segments, one per array, unmoved until :meth:`ProcsComm.close`; a message
   names one by a :class:`_Resident` descriptor, never by its bytes;
 * :meth:`ProcsComm.each_rank` runs a module-level function on every rank's
   resident arrays in the workers; only small results come back;
-* :meth:`ProcsComm.rank_transpose` is the all-to-all: a packing round fills
-  each rank's **exchange ring** (a per-worker segment that grows on
-  demand), the driver consults the fault injector, and an unpacking round
-  copies slot *s* of every peer's ring into rank *s*'s transposed slab.
-  The :data:`repro.dist.stages.STAGES` FFTs (and a substage's products)
-  ride in those rounds, into buffers each worker claims once.
+* :meth:`ProcsComm.rank_transpose` is the all-to-all: each worker packs
+  into its **exchange ring** (a per-worker segment that grows on demand),
+  meets its peers at a barrier, and copies slot *s* of every peer's ring
+  into rank *s*'s transposed slab; the :data:`repro.dist.stages.STAGES`
+  FFTs (and a substage's products) ride in the pack and the unpack.
 """
 
 from __future__ import annotations
@@ -28,8 +27,10 @@ import os
 import time
 import traceback
 import weakref
-from multiprocessing import get_all_start_methods, get_context
+from functools import partial
+from multiprocessing import get_all_start_methods, get_context, resource_tracker
 from multiprocessing import shared_memory as _shm
+from multiprocessing.connection import wait as _ready
 from multiprocessing.reduction import ForkingPickler as _ForkingPickler
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -49,7 +50,7 @@ __all__ = ["COMM_KINDS", "ProcsComm", "WorkerStallError", "make_comm"]
 
 class WorkerStallError(RuntimeError):
     """A rank worker went silent (dead, or heartbeat older than the stall
-    timeout) while the driver was waiting on the barrier for its reply."""
+    timeout) while the driver was waiting for the workers' replies."""
 
 _ALIGN = 64
 #: Initial per-worker exchange-ring bytes, grown on demand.
@@ -96,26 +97,16 @@ def _quietly(fn, *args) -> None:
 # -- the worker process --------------------------------------------------------
 
 
-def _attach_segment(name: str, start_method: str) -> _shm.SharedMemory:
-    seg = _shm.SharedMemory(name=name)
-    # Attaching registers the segment with a resource tracker.  Forked
-    # workers share the driver's (started before forking; a set, so the
-    # duplicate is harmless).  Spawned workers get private trackers that
-    # would unlink driver-owned memory at their exit: drop those.
-    if start_method != "fork":  # pragma: no cover - spawn/forkserver only
-        from multiprocessing import resource_tracker
-
-        _quietly(resource_tracker.unregister, seg._name, "shared_memory")
-    return seg
-
-
 class _Worker:
     """Rank ``rank``'s side: every rank's exchange ring, the resident
-    segments it has attached, and the buffers it claims once per role."""
+    segments it has attached, the buffers it claims once per role, and the
+    barrier it meets its peers at once per exchange.  Attaching registers a
+    segment with the driver's resource tracker, which every POSIX start
+    method hands the workers: never unregister, that drops the driver's."""
 
-    def __init__(self, rank: int, start_method: str):
+    def __init__(self, rank: int, barrier):
         self.rank = rank
-        self.start_method = start_method
+        self.barrier = barrier
         self.rings: list[_shm.SharedMemory] = []
         self.attached: dict[str, _shm.SharedMemory] = {}
         self.claimed: dict[tuple, np.ndarray] = {}
@@ -126,7 +117,7 @@ class _Worker:
             return np.empty(d.shape, d.dtype)
         seg = self.attached.get(d.name)
         if seg is None:
-            seg = self.attached[d.name] = _attach_segment(d.name, self.start_method)
+            seg = self.attached[d.name] = _shm.SharedMemory(d.name)
         return np.ndarray(d.shape, np.dtype(d.dtype), buffer=seg.buf,
                           offset=d.offset, strides=d.strides)
 
@@ -164,10 +155,13 @@ class _Worker:
             return result
         if op in ("pack", "unpack"):
             return getattr(self, op)(msg, resolve_fft(msg["fft"]), spans)
+        if op == "barrier":
+            self.barrier.wait()
+            return None
         if op == "attach":
             for seg in self.rings:
                 seg.close()
-            self.rings = [_attach_segment(nm, self.start_method) for nm in msg["names"]]
+            self.rings = [_shm.SharedMemory(nm) for nm in msg["names"]]
             return None
         if op == "ping":
             return {"pid": os.getpid(), "buffers": len(self.claimed),
@@ -234,25 +228,22 @@ class _Worker:
         spans.append((f"proc.{post}", "fft", t1, time.perf_counter()))
 
 
-def _worker_main(rank: int, size: int, conn, start_method: str,
-                 hb_name: Optional[str] = None,
+def _worker_main(rank: int, conn, barrier, hb_name: Optional[str] = None,
                  hb_interval: float = 0.2) -> None:
-    """Worker loop.  A message is the ops queued for this rank since the
-    last one, then its own; the reply carries the last op's result.  With a
-    heartbeat board, a thread beats this rank's slot every ``hb_interval``
-    seconds and every message marks progress (:mod:`repro.obs.heartbeat`)."""
+    """Worker loop.  A message is the ops queued for this rank; the reply
+    carries the last op's result and each traced op's spans, or the first
+    error, after which only the barriers run (aborting would break a peer
+    the last barrier released but had not yet woken).  A heartbeat thread
+    beats every ``hb_interval`` s; each message marks progress."""
     from repro.spectral.workspace import resolve_fft
 
     heartbeat: Optional[HeartbeatWriter] = None
     if hb_name is not None:
         try:
-            heartbeat = HeartbeatWriter(
-                hb_name, rank, interval=hb_interval,
-                unregister=start_method != "fork",
-            ).start()
+            heartbeat = HeartbeatWriter(hb_name, rank, interval=hb_interval).start()
         except Exception:  # pragma: no cover - board gone; run untelemetered
             heartbeat = None
-    worker = _Worker(rank, start_method)
+    worker = _Worker(rank, barrier)
     while True:
         msg = conn.recv()
         if msg == "exit":
@@ -260,15 +251,22 @@ def _worker_main(rank: int, size: int, conn, start_method: str,
                 heartbeat.stop()
             conn.send({"ok": True, "cpu_seconds": time.process_time()})
             break
+        spans, result, error = [], None, None
+        for op in msg:
+            spans.append([])
+            try:
+                if error is None or op["op"] == "barrier":
+                    result = worker.run(op, resolve_fft, spans[-1])
+            except Exception:  # a broken barrier too: the driver saw a stall
+                error = error or traceback.format_exc()
+            if not op.get("trace"):
+                spans[-1].clear()
+        if heartbeat is not None:
+            heartbeat.mark_progress()
         try:
-            spans, result = [], None
-            for op in msg["ops"]:
-                result = worker.run(op, resolve_fft, spans)
-            if heartbeat is not None:
-                heartbeat.mark_progress()
-            conn.send({"ok": True, "result": result,
-                       "spans": spans if msg["trace"] else []})
-        except Exception:
+            conn.send({"ok": True, "result": result, "spans": spans}
+                      if error is None else {"ok": False, "error": error})
+        except Exception:  # a result that does not pickle
             conn.send({"ok": False, "error": traceback.format_exc()})
 
 
@@ -312,11 +310,11 @@ class ProcsComm(VirtualComm):
         Worker heartbeat period in seconds (see :mod:`repro.obs.heartbeat`);
         ``None`` disables the telemetry channel entirely.
     stall_timeout:
-        Seconds of heartbeat silence (or a dead worker process) after
-        which a barrier wait raises :class:`WorkerStallError` — after
-        dumping the installed flight recorder — instead of blocking
-        forever.  Defaults to ``$REPRO_PROCS_STALL`` or 30 s; ``None``
-        restores the old wait-forever behaviour.
+        Seconds of heartbeat silence (since its start, before a worker's
+        first beat) after which waiting for replies raises
+        :class:`WorkerStallError` — after dumping the installed flight
+        recorder — as a dead worker does at once.  Defaults to
+        ``$REPRO_PROCS_STALL`` or 30 s; ``None`` waits on silence forever.
     """
 
     kind = "procs"
@@ -337,16 +335,15 @@ class ProcsComm(VirtualComm):
         self.stalls_detected = 0
         start_method = start_method or os.environ.get("REPRO_PROCS_START") or (
             "fork" if "fork" in get_all_start_methods() else "spawn")
-        self._start_method = start_method
         ctx = get_context(start_method)
-        if start_method == "fork":
-            # Every worker then inherits the one tracker (see _attach_segment).
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
+        resource_tracker.ensure_running()  # the one every worker shares
+        #: The workers, when each started (the age of a heartbeat not yet
+        #: beaten) and the barrier they meet at once per exchange.
         self._workers: list[tuple] = []
-        #: Per rank, ops sent with the next message (``wait=False``).
-        self._queued: list[list[dict]] = [[] for _ in range(size)]
+        self._started: list[float] = []
+        self._barrier = ctx.Barrier(size)
+        #: Per rank, the ops of the next message and where their spans go.
+        self._queued: list[list[tuple]] = [[] for _ in range(size)]
         #: The exchange rings, their size, and the half the next exchange
         #: packs into.
         self._segments: list[_shm.SharedMemory] = []
@@ -364,9 +361,10 @@ class ProcsComm(VirtualComm):
         for rank in range(size):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, name=f"{name}-rank{rank}",
-                               args=(rank, size, child_conn, start_method,
-                                     hb_name, heartbeat_interval), daemon=True)
+                               args=(rank, child_conn, self._barrier, hb_name,
+                                     heartbeat_interval), daemon=True)
             proc.start()
+            self._started.append(time.time())
             child_conn.close()
             self._workers.append((proc, parent_conn))
         self._finalizer = weakref.finalize(
@@ -398,63 +396,79 @@ class ProcsComm(VirtualComm):
                 self._broadcast_wait([{"op": "ping"}] * self.size)]
 
     def _stall_check(self, rank: int) -> None:
-        """Raise :class:`WorkerStallError` if the awaited worker is dead or
-        its heartbeat older than the stall timeout (a slow worker keeps
-        beating), after dumping the installed flight recorder."""
-        proc, _ = self._workers[rank]
+        """Raise :class:`WorkerStallError` if the worker is dead or its
+        heartbeat older than the stall timeout (a slow worker keeps beating),
+        after breaking the barrier for its peers and dumping the flight."""
         board = self.heartbeat_board
         age = board.read_all()[rank]["age_seconds"] if board is not None else None
-        dead = not proc.is_alive()
+        if age == float("inf"):  # still importing, or died before its first beat
+            age = time.time() - self._started[rank]
+        dead = not self._workers[rank][0].is_alive()
         if not dead and (age is None or self.stall_timeout is None
                          or age <= self.stall_timeout):
             return
         self.stalls_detected += 1
+        self._barrier.abort()
         ages = [f"{a:.1f}s" if a != float("inf") else "never"
                 for a in (board.ages() if board is not None else ())]
         reason = "died" if dead else f"heartbeat silent for {age:.1f}s"
         dump_current_flight(f"procs-stall-rank{rank}")
         raise WorkerStallError(
             f"{self.name}: rank {rank} worker {reason} while the driver "
-            f"waited on the barrier (per-rank heartbeat ages: {ages})")
+            f"waited for the workers' replies (per-rank heartbeat ages: {ages})")
 
-    def _reply(self, rank: int) -> dict:
-        proc, conn = self._workers[rank]
-        if self.stall_timeout is None:
-            reply = conn.recv()
-        else:
-            while True:
-                if conn.poll(min(0.2, self.stall_timeout)):
-                    try:
-                        reply = conn.recv()
-                    except EOFError:
-                        self._stall_check(rank)
-                        raise
-                    break
-                self._stall_check(rank)
-        if not reply.get("ok"):
-            raise RuntimeError(
-                f"{self.name}: rank {rank} worker failed:\n{reply.get('error')}")
-        return reply
+    def _replies(self) -> list[dict]:
+        """Every worker's reply, or the lowest failed rank's error.  While
+        waiting, every rank is checked: one may wait at the barrier for a
+        dead peer."""
+        pending = {conn: r for r, (_, conn) in enumerate(self._workers)}
+        replies: list[dict] = [{}] * self.size
+        poll = None if self.stall_timeout is None else min(0.2, self.stall_timeout)
+        while pending:
+            ready = _ready(list(pending), poll)
+            for conn in ready:
+                rank = pending.pop(conn)
+                try:
+                    replies[rank] = conn.recv()
+                except (EOFError, OSError):
+                    self._workers[rank][0].join(timeout=1.0)
+                    self._stall_check(rank)
+                    raise
+            if not ready:
+                for rank in range(self.size):
+                    self._stall_check(rank)
+        for rank, reply in enumerate(replies):
+            if not reply["ok"]:
+                raise RuntimeError(
+                    f"{self.name}: rank {rank} worker failed:\n{reply['error']}")
+        return replies
 
-    def _broadcast_wait(self, ops: Sequence[dict]) -> list[dict]:
-        """Send one op per worker, behind the ops queued for it, then
-        collect every reply (the workers run concurrently).  A broken pipe
-        means the worker is gone: surface it as the stall it is."""
+    def _queue(self, ops: Sequence[dict], sinks: Optional[Sequence] = None) -> None:
+        """One op per rank into the next message; ``sinks[r](*span)``."""
+        for r, (queue, op) in enumerate(zip(self._queued, ops)):
+            queue.append((op, None if sinks is None else sinks[r]))
+
+    def _broadcast_wait(self, ops: Sequence[dict], sinks=None) -> list[dict]:
+        """Send one op per worker, behind the ops queued for it, and collect
+        every reply.  A broken pipe is a gone worker: the stall it is."""
         if not self._workers:
             raise RuntimeError(f"{self.name}: communicator is closed")
+        self._queue(ops, sinks)
+        queued, self._queued = self._queued, [[] for _ in range(self.size)]
         # Pickled up front: the writes that wake the workers go back to back.
-        payloads = [
-            _ForkingPickler.dumps({"ops": [*queue, op], "trace": op.get("trace")})
-            for queue, op in zip(self._queued, ops)]
-        for queue in self._queued:
-            queue.clear()
+        payloads = [_ForkingPickler.dumps([op for op, _ in queue]) for queue in queued]
         for rank, ((_, conn), payload) in enumerate(zip(self._workers, payloads)):
             try:
                 conn.send_bytes(payload)
             except (BrokenPipeError, OSError):
                 self._stall_check(rank)
                 raise
-        return [self._reply(r) for r in range(self.size)]
+        replies = self._replies()
+        for queue, reply in zip(queued, replies):
+            for (_, sink), spans in zip(queue, reply["spans"]):
+                for span in spans if sink is not None else ():
+                    sink(*span)
+        return replies
 
     def _ensure_capacity(self, per_worker_bytes: int) -> None:
         """Grow every exchange ring to ``per_worker_bytes``; a queued unpack
@@ -475,25 +489,18 @@ class ProcsComm(VirtualComm):
         driver's views of resident arrays stay readable."""
         if not self._workers:
             return
-        self._queued = [[] for _ in range(self.size)]
         for _, conn in self._workers:
             _quietly(conn.send, "exit")
         for rank, (_, conn) in enumerate(self._workers):
-            try:
-                # Drain stale replies (of an aborted round) until the exit
-                # reply with the final cpu reading arrives.
+            try:  # past any stale reply (of a message a stall abandoned)
                 reply = conn.recv()
-                while reply.get("ok") and "cpu_seconds" not in reply:
+                while "cpu_seconds" not in reply:
                     reply = conn.recv()
-                if reply.get("ok"):
-                    self.worker_cpu_seconds.append(float(reply["cpu_seconds"]))
-            except (EOFError, OSError):
-                # The exit reply was lost with the worker; the heartbeat
-                # board still has its last streamed cpu reading.
+                self.worker_cpu_seconds.append(float(reply["cpu_seconds"]))
+            except (EOFError, OSError):  # gone: its last streamed reading
                 if self.heartbeat_board is not None:
                     self.worker_cpu_seconds.append(
                         self.heartbeat_board.read(rank)["cpu_seconds"])
-            self._workers[rank][0].join(timeout=2.0)
         self._finalizer.detach()
         _cleanup(self._workers, self._segments, self._boards, self._resident_segs)
         self._maps.clear()
@@ -573,8 +580,8 @@ class ProcsComm(VirtualComm):
         all ranks at once; returns the per-rank results (keep them small).
         ``fn`` must be module-level and every array :meth:`resident`.
         ``spans[r]`` (if enabled) gets the worker's timing of rank ``r``'s
-        call.  ``wait=False`` sends the calls with the next message: they
-        run before its op, their errors surface there, nothing is returned.
+        call.  ``wait=False`` queues the calls for the next message: they
+        run before its ops, their errors surface there, nothing is returned.
         """
         self._encode(fn, "the function")
         for args in per_rank_args:
@@ -586,16 +593,11 @@ class ProcsComm(VirtualComm):
                 for i, a in enumerate(per_rank_args)]}
             for r in range(self.size)
         ]
+        sinks = [tracer.record for tracer in spans] if trace else None
         if not wait:
-            for queue, msg in zip(self._queued, msgs):
-                queue.append(msg)
+            self._queue(msgs, sinks)
             return None
-        replies = self._broadcast_wait(msgs)
-        if trace:
-            for tracer, reply in zip(spans, replies):
-                for span in reply["spans"]:
-                    tracer.record(*span)
-        return [reply["result"] for reply in replies]
+        return [reply["result"] for reply in self._broadcast_wait(msgs, sinks)]
 
     def _addressable(self, role: str, r: int, a: np.ndarray, copy_in: bool):
         """``(descriptor, stand-in)``: ``a``'s own descriptor, or that of a
@@ -635,9 +637,11 @@ class ProcsComm(VirtualComm):
         (:func:`repro.dist.stages.products`): one spectrum per pair.
         Resident ``locals_``/``out`` are used in place, others through
         resident stand-ins; a post stage's input lands in ``land[s]`` when
-        given.  ``wait=False`` (resident ``out``) queues the unpack to run
-        first in the next message; consecutive exchanges use alternate ring
-        halves, so it never meets the next pack's bytes.
+        given.  ``wait=False`` queues the exchange for the next message
+        unless it goes through a stand-in (one per role and rank, so a
+        second queued call would overwrite it).  Exchanges alternate ring
+        halves; a worker packs exchange k + 2 only past exchange k + 1's
+        barrier, which every peer reaches after unpacking exchange k.
         """
         if not self._workers:
             raise RuntimeError(f"{self.name}: communicator is closed")
@@ -681,13 +685,15 @@ class ProcsComm(VirtualComm):
         base, self._half = self._half * self._seg_bytes // 2, 1 - self._half
 
         trace = obs is not None and obs.enabled
+        sinks = ([partial(obs.spans.record, lane=f"rank{r}.proc") for r in range(P)]
+                 if trace else None)
         common = {"n": int(n), "base": base, "stride": stride, "trace": trace,
                   "fft": fft if fft is not None else self.fft_backend}
+        sources = [self._addressable("in", r, a, True) for r, a in enumerate(locals_)]
         packs = [
-            {"op": "pack", "src": self._addressable("in", r, loc, True)[0],
-             "pre": pre, "axis": pack_axis, "exts": pack_exts, "repack": False,
-             **common}
-            for r, loc in enumerate(locals_)
+            {"op": "pack", "src": d, "pre": pre, "axis": pack_axis,
+             "exts": pack_exts, "repack": False, **common}
+            for d, _ in sources
         ]
         unpacks, staged = [], []
         for s in range(P):
@@ -708,21 +714,21 @@ class ProcsComm(VirtualComm):
                     f"{self.name}: out[{s}] is {target.shape}/{target.dtype}, "
                     f"the exchange yields {tuple(o_shape)}/{o_dt}")
             d, stand_in = self._addressable("out", s, target, copy_in=False)
-            staged.append((stand_in, target))
+            staged.append((target, stand_in))
             unpacks.append(
                 {"op": "unpack", "out": d, "post": post, "pairs": pairs,
                  "land": None if land is None else self._encode(land[s], "land"),
                  "block": tuple(block), "dtype": mid_dtype.str,
                  "axis": unpack_axis, "exts": unpack_exts, **common})
 
-        rounds = [self._broadcast_wait(packs)]
-        # The barrier between pack and unpack is where the collective
-        # "happens": consult the fault injector here, exactly where the
-        # in-process comm does.  A dropped exchange re-dispatches the pack
-        # alone — the re-pack/re-post recovery real MPI retry loops perform.
-        for attempt in range(_FAULT_RETRY_BUDGET):
-            if self.fault_injector is None:
-                break
+        barriers = [{"op": "barrier"}] * P
+        self._queue(packs, sinks)
+        self._queue(barriers)
+        # The barrier is where the collective "happens": draw the fault
+        # injector now, in the collective order the in-process comm draws
+        # it.  A dropped exchange queues the pack again, alone, and one more
+        # barrier — the re-pack/re-post recovery of real MPI retry loops.
+        for attempt in range(_FAULT_RETRY_BUDGET if self.fault_injector else 0):
             try:
                 self.fault_injector.check(kind, self)
                 break
@@ -731,8 +737,8 @@ class ProcsComm(VirtualComm):
                     raise
                 self.fault_retries += 1
                 if fault.dropped:
-                    rounds.append(self._broadcast_wait(
-                        [{**msg, "repack": True} for msg in packs]))
+                    self._queue([{**msg, "repack": True} for msg in packs], sinks)
+                    self._queue(barriers)
         sizes = [base_bytes * unpack_exts[r] * pack_exts[s]
                  for r in range(P) for s in range(P)]
         self.stats.records.append(CollectiveRecord(
@@ -740,24 +746,18 @@ class ProcsComm(VirtualComm):
             p2p_min_bytes=min(sizes), p2p_max_bytes=max(sizes),
             messages=len(sizes)))
 
-        if wait or any(stand_in is not None for stand_in, _ in staged):
-            rounds.append(self._broadcast_wait(unpacks))
+        if wait or any(stand_in is not None for _, stand_in in sources + staged):
+            self._broadcast_wait(unpacks, sinks)
         else:
-            for queue, msg in zip(self._queued, unpacks):
-                queue.append(msg)
-        for stand_in, target in staged:
+            self._queue(unpacks, sinks)
+        for target, stand_in in staged:
             if stand_in is not None:
                 np.copyto(target, stand_in)
-        if trace:
-            for replies in rounds:
-                for r, reply in enumerate(replies):
-                    for span in reply["spans"]:
-                        obs.spans.record(*span, lane=f"rank{r}.proc")
-            if self.heartbeat_board is not None:
-                # Live per-rank gauges (cpu seconds, heartbeat age, ops) —
-                # the cross-process view `repro obs tail` and --report render.
-                self.heartbeat_board.export_gauges(obs.metrics)
-        return [target for _, target in staged]
+        if trace and self.heartbeat_board is not None:
+            # Live per-rank gauges (cpu seconds, heartbeat age, ops) — the
+            # cross-process view `repro obs tail` and --report render.
+            self.heartbeat_board.export_gauges(obs.metrics)
+        return [target for target, _ in staged]
 
 
 # -- factory -------------------------------------------------------------------

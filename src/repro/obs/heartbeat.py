@@ -24,8 +24,8 @@ Each slot is six little float64 fields guarded by a seqlock::
   stage dispatch: distinguishes *alive but idle* from *making progress*.
 
 The board is driver-owned: the driver creates and unlinks the segment;
-workers attach with the same resource-tracker hygiene as the data rings
-(see :func:`repro.mpi.procs._attach_segment` for the full story).
+workers attach it as they attach the data rings, registering it with the
+driver's own resource tracker (see :class:`repro.mpi.procs._Worker`).
 """
 
 from __future__ import annotations
@@ -44,18 +44,6 @@ SLOT_FIELDS = ("seq", "wall_ts", "cpu_seconds", "ops_completed", "beats",
                "last_progress_ts")
 _SLOT_FLOATS = 8  # six fields + padding to one 64-byte cache line
 _SLOT_BYTES = _SLOT_FLOATS * 8
-
-
-def _attach(name: str, unregister: bool) -> _shm.SharedMemory:
-    seg = _shm.SharedMemory(name=name)
-    if unregister:  # pragma: no cover - spawn/forkserver workers only
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
-    return seg
 
 
 class HeartbeatBoard:
@@ -166,9 +154,6 @@ class HeartbeatWriter:
         Slot to write (never touches other ranks' cache lines).
     interval:
         Background beat period in seconds.
-    unregister:
-        Drop the attach-time resource-tracker registration (pass True in
-        spawn-started workers; see module doc).
     cpu_clock / wall_clock:
         Injectable time sources for deterministic tests.
     """
@@ -178,7 +163,6 @@ class HeartbeatWriter:
         name: str,
         rank: int,
         interval: float = 0.2,
-        unregister: bool = False,
         cpu_clock: Callable[[], float] = time.process_time,
         wall_clock: Callable[[], float] = time.time,
     ):
@@ -186,7 +170,7 @@ class HeartbeatWriter:
         self.interval = float(interval)
         self.cpu_clock = cpu_clock
         self.wall_clock = wall_clock
-        self._shm = _attach(name, unregister)
+        self._shm = _shm.SharedMemory(name=name)
         self._slot = np.ndarray(
             (_SLOT_FLOATS,), dtype=np.float64, buffer=self._shm.buf,
             offset=self.rank * _SLOT_BYTES,

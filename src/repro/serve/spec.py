@@ -370,12 +370,16 @@ def add_spec_flags(parser, defaults: Optional[dict] = None,
             continue
         meta = f.metadata
         default = defaults.get(f.name, f.default)
+        # Vocabularies are checked by JobSpec.validate, as ranges are, so a
+        # bad value is the door's one ``error:`` line, not argparse's usage.
+        choices = _choices(meta)
         parser.add_argument(
             _flag(f), dest=f.name, default=default,
             # heights stay text until spec_from_args, so a door can answer
             # a malformed list with its own reasoned message
             type=str if meta["type"] is tuple else meta["type"],
-            choices=_choices(meta), metavar=meta["metavar"],
+            metavar=meta["metavar"] or (
+                None if choices is None else "{%s}" % ",".join(choices)),
             help=meta["help"] + ("" if default is None
                                  else f" (default: {default})"),
         )

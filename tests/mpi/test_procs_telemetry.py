@@ -10,6 +10,8 @@ span lanes that survive a Chrome-trace export round-trip.
 
 import json
 import math
+import os
+import signal
 import time
 
 import numpy as np
@@ -34,6 +36,12 @@ def _spectral_field(grid, P, seed=0):
         )
         for _ in range(P)
     ]
+
+
+def _die_on(flag):
+    """Module-level, so a worker can import it: kill this worker."""
+    if flag:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestHeartbeats:
@@ -98,6 +106,23 @@ class TestStallDetection:
             with pytest.raises(WorkerStallError, match="rank 1"):
                 fft.inverse(spec)
             assert comm.stalls_detected >= 1
+        finally:
+            comm.close()
+
+    def test_a_rank_dying_between_exchanges_is_a_stall_not_a_hang(self):
+        """Rank 1 dies after the first of two queued exchanges; rank 0,
+        alive and beating, waits at the second one's barrier.  The driver
+        checks every rank while it waits, so it names rank 1."""
+        comm = ProcsComm(2, heartbeat_interval=0.05, stall_timeout=0.5)
+        try:
+            x = comm.resident([(4, 4)] * 2, np.float64)
+            y = comm.resident([(8, 2)] * 2, np.float64)
+            comm.rank_transpose(x, pack_axis=1, unpack_axis=0, out=y, wait=False)
+            comm.each_rank(_die_on, [False, True], wait=False)
+            start = time.monotonic()
+            with pytest.raises(WorkerStallError, match="rank 1"):
+                comm.rank_transpose(y, pack_axis=0, unpack_axis=1, out=x)
+            assert time.monotonic() - start < comm.stall_timeout + 1.0
         finally:
             comm.close()
 

@@ -338,6 +338,42 @@ class TestStudies:
         assert "Re_lambda" in capsys.readouterr().out
 
 
+class TestVocabularyErrors:
+    """A value outside a flag's vocabulary is the door's one ``error:``
+    line and exit 2, as a number out of range is, not argparse's usage
+    block."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--scheme", "euler"], "--scheme='euler' not in ('rk2', 'rk4')"),
+        (["--ranks", "2", "--npencils", "2", "--fuzz", "1",
+          "--fuzz-profile", "faulty"], "--fuzz-profile='faulty' not in ('calm', "),
+    ], ids=["scheme", "fuzz-profile"])
+    def test_dns_and_serve_submit(self, argv, reason, capsys, tmp_path):
+        assert main(["dns", "--n", "8", "--steps", "1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+        assert "usage:" not in out + err
+        assert main(["serve", "submit", "--root", str(tmp_path), "--name", "x",
+                     "--n", "8", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason.split("=", 1)[1] in err
+        assert not list(tmp_path.glob("**/*.json"))
+
+    def test_tune_checks_its_rows_before_probing(self, capsys):
+        assert main(["tune", "--pipeline", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --pipeline='bogus' not in ('sync', 'threads')\n")
+        assert main(["tune", "--inflight", "0"]) == 2
+        assert capsys.readouterr().err == "error: --inflight=0 must be an int >= 1\n"
+
+    def test_help_still_lists_each_vocabulary(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dns", "--help"])
+        usage = capsys.readouterr().out
+        assert "--scheme {rk2,rk4}" in usage and "--comm {virtual,procs}" in usage
+
+
 class TestTune:
     def test_tune_reports_measured_and_model_winners(self, capsys):
         assert main(["tune", "--n", "16", "--ranks", "2",
