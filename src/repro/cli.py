@@ -345,14 +345,14 @@ def _cmd_plan(args) -> int:
                   file=sys.stderr)
             return 2
         mem = planner.planner
-        print(f"minimum nodes (D=25): {mem.min_nodes(args.n)}")
-        valid = mem.valid_node_counts(args.n)
-        print(f"valid node counts   : {valid}")
-        nodes = args.nodes if args.nodes is not None else (valid[-1] if valid else None)
-        if nodes is None:
-            print("problem does not fit on this machine")
-            return 1
         try:
+            print(f"minimum nodes (D=25): {mem.min_nodes(args.n)}")
+            valid = mem.valid_node_counts(args.n)
+            print(f"valid node counts   : {valid}")
+            nodes = args.nodes if args.nodes is not None else (valid[-1] if valid else None)
+            if nodes is None:
+                print("problem does not fit on this machine")
+                return 1
             row = mem.plan(args.n, nodes)
         except ValueError as exc:
             return _infeasible(exc)
@@ -1120,6 +1120,25 @@ def _cmd_obs(args) -> int:
     )  # pragma: no cover
 
 
+def _cmd_study(args) -> int:
+    """A cost-plane or physics study at problem size ``--n``; a size the
+    study refuses is one ``error:`` line, exit 2."""
+    from repro.experiments import density_study, projection, validation
+
+    try:
+        if args.command == "projection":
+            print(projection.run(args.n).report())
+        elif args.command == "density":
+            print(density_study.report(args.n))
+        else:
+            report = validation.run(n=args.n)
+            print(report.format())
+            return 0 if report.all_passed else 1
+    except ValueError as exc:
+        return _infeasible(exc)
+    return 0
+
+
 def _cmd_report(module_name: str) -> int:
     import importlib
 
@@ -1150,22 +1169,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "projection":
-        from repro.experiments.projection import run
-
-        print(run(args.n).report())
-        return 0
-    if args.command == "validation":
-        from repro.experiments.validation import run
-
-        report = run(n=args.n)
-        print(report.format())
-        return 0 if report.all_passed else 1
-    if args.command == "density":
-        from repro.experiments.density_study import report
-
-        print(report(args.n))
-        return 0
+    if args.command in ("projection", "validation", "density"):
+        return _cmd_study(args)
     if args.command == "resolution":
         from repro.experiments.resolution_study import run
 

@@ -16,7 +16,7 @@ semantics and costs on the discrete-event engine:
 * :mod:`repro.cuda.copyengine` — *executable* versions of the three copy
   strategies plus the runtime autotuner that picks between them;
 * :mod:`repro.cuda.arena` — the data plane's device: the byte-budgeted
-  arena, its pencil rings, their buffer pool and their sizing rule, which
+  arena, the pencil rings claimed from it once, and their sizing rule, which
   the out-of-core engine runs on and admission control quotes.
 """
 

@@ -36,15 +36,17 @@ The host side is claimed on first use and kept, like the paper's pinned
 buffers (Sec. 3.5): per rank a *send region*, a ring of pencils' blocks in
 all-to-all order, and a *transposed slab* for calls that lend none
 (``land=``); everything else lands in arrays the caller hands in
-(``out=``).  Nothing on the pencil path allocates.
+(``out=``).  So is the device side: one :class:`PencilRings` of flat
+buffers claimed from the arena and re-viewed per pencil by every phase of
+every call, grown when a call needs bigger slots and returned at
+:meth:`~OutOfCoreSlabFFT.close` — the paper's persistent-buffer
+discipline (27 buffers claimed at startup, Sec. 3.5).  Nothing on the
+pencil path allocates.
 
 Events enforce the Fig. 4 cross-stream edges (compute waits its pencil's
 H2D; D2H waits its compute; the exchange waits its D2H) and a bounded
 in-flight window gates H2D of pencil ``ip`` on full retirement of
-``ip - window``.  Device storage is a ring of flat buffers pre-claimed from
-the arena **once per call** and re-viewed per pencil by each of its phases
-— the paper's persistent-buffer discipline (27 buffers claimed at startup,
-Sec. 3.5).
+``ip - window``, the ring slot it reuses.
 
 Backends are interchangeable: ``pipeline="sync"`` executes every operation
 inline in submission order (the bit-exact reference oracle),
@@ -132,7 +134,7 @@ class OutOfCoreSlabFFT:
         rates are the communicator's, not this backend's.
     monitor:
         Optional :class:`repro.verify.invariants.InvariantMonitor`
-        registered on the arena, its pool, and every pencil ring.
+        registered on the arena, which reports its pencil ring's views.
     fft_backend:
         The transform provider of the stage kernels (``numpy`` /
         ``scipy`` / ``auto``), resolved at construction, so an
@@ -229,9 +231,10 @@ class OutOfCoreSlabFFT:
         self._transposed: list[np.ndarray] = []
         self._views: dict[tuple, tuple] = {}
         self._layouts: dict[tuple, tuple] = {}
+        #: The device side, claimed on first use and kept until close().
+        self.rings = PencilRings(self.arena, self.inflight)
         if monitor is not None:
             self.arena.monitor = monitor
-            self.arena.pool.monitor = monitor
             configure = getattr(monitor, "configure", None)
             if configure is not None:
                 configure(window=self.inflight)
@@ -292,6 +295,7 @@ class OutOfCoreSlabFFT:
         for nothing afterwards — create a new one per run configuration."""
         self._backend.shutdown()
         self._copy_engine.close()
+        self.rings.close()
 
     def __enter__(self) -> "OutOfCoreSlabFFT":
         return self
@@ -315,15 +319,14 @@ class OutOfCoreSlabFFT:
     def _y_shape(self, r: int) -> tuple[int, int, int]:
         return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
 
-    def _rings(self, fields: int, products: int = 0) -> PencilRings:
-        """One call's ring slots, shared by its phases (each drains before
-        the next starts); a sized arena grows to hold them."""
-        roles = _roles(self._pencil_bytes, fields, products)
+    def _reserve_rings(self, fields: int, products: int = 0) -> None:
+        """Grow the ring to a call's slots, shared by its phases (each
+        drains before the next starts); a sized arena grows to hold them."""
+        roles = self.rings.grown(_roles(self._pencil_bytes, fields, products))
         if self._sized_arena:
             self.arena.capacity = max(
                 self.arena.capacity, arena_bytes(self.inflight, roles))
-        return PencilRings(
-            self.arena, self.inflight, roles, engine=self._copy_engine)
+        self.rings.reserve(roles)
 
     def _claim(self, held: list, sizes: Sequence[int],
                stale: Optional[dict] = None) -> None:
@@ -551,7 +554,6 @@ class OutOfCoreSlabFFT:
         src: Sequence[np.ndarray],
         fields: tuple[int, int],
         stage: Stage,
-        rings: PencilRings,
         dst: "Sequence[np.ndarray] | None" = None,
         land: "Sequence[np.ndarray] | None" = None,
         work: int = 0,
@@ -595,6 +597,8 @@ class OutOfCoreSlabFFT:
             shape[axis - 1] = sl.stop - sl.start
             return r, (slice(None),) * axis + (sl,), tuple(shape)
 
+        rings = self.rings
+
         def result(i: int, shape) -> np.ndarray:
             return rings.view(
                 out_role, i, (fout, *stage.out_shape(shape, n)), out_dtype)
@@ -607,9 +611,8 @@ class OutOfCoreSlabFFT:
             r, idx, shape = pencil(i)
             if 0 in shape:
                 return
-            slot = rings.load(
-                in_role, i, (fin, *shape), in_dtype, src[r][idx], spans=sp_h2d
-            )
+            slot = rings.view(in_role, i, (fin, *shape), in_dtype)
+            engine.h2d(slot, src[r][idx], spans=sp_h2d)
             if self._m_h2d is not None:
                 self._m_h2d.inc(slot.nbytes)
 
@@ -696,12 +699,11 @@ class OutOfCoreSlabFFT:
             spectral_locals, d.local_spectral_shape,
             out, d.local_physical_shape, self.grid.dtype,
         )
-        with self._rings(1) as rings:
-            land = self._transposed_slabs(1)
-            self._phase("x", _one_field(spectral_locals), (1, 1),
-                        STAGES["inv_y"], rings, land=land)
-            self._phase("y", land, (1, 1), STAGES["inv_zx"], rings,
-                        dst=_one_field(out))
+        self._reserve_rings(1)
+        land = self._transposed_slabs(1)
+        self._phase("x", _one_field(spectral_locals), (1, 1),
+                    STAGES["inv_y"], land=land)
+        self._phase("y", land, (1, 1), STAGES["inv_zx"], dst=_one_field(out))
         return out
 
     def forward(
@@ -718,11 +720,10 @@ class OutOfCoreSlabFFT:
             out, d.local_spectral_shape, self.grid.cdtype,
         )
         spectra = _one_field(out)
-        with self._rings(1) as rings:
-            self._phase("y", _one_field(physical_locals), (1, 1),
-                        STAGES["fwd_xz"], rings, land=spectra)
-            self._phase("x", spectra, (1, 1), STAGES["fwd_y"], rings,
-                        dst=spectra)
+        self._reserve_rings(1)
+        self._phase("y", _one_field(physical_locals), (1, 1),
+                    STAGES["fwd_xz"], land=spectra)
+        self._phase("x", spectra, (1, 1), STAGES["fwd_y"], dst=spectra)
         return out
 
     def product_spectra(
@@ -763,15 +764,14 @@ class OutOfCoreSlabFFT:
         )
         middle = Stage(functools.partial(products, pairs=pairs), "fft.products")
         self._reserve_send(("x", nfields), ("y", nout))
-        with self._rings(nfields, nout) as rings:
-            land = (self._transposed_slabs(nfields) if land is None
-                    else d.y_slabs(land, nfields, self.grid.cdtype))
-            self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],
-                        rings, land=land)
-            self._phase("y", land, (nfields, nout), middle, rings, land=out,
-                        work=nfields + 1)
-            self._phase("x", out, (nout, nout), STAGES["fwd_y"], rings,
-                        dst=out)
+        self._reserve_rings(nfields, nout)
+        land = (self._transposed_slabs(nfields) if land is None
+                else d.y_slabs(land, nfields, self.grid.cdtype))
+        self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],
+                    land=land)
+        self._phase("y", land, (nfields, nout), middle, land=out,
+                    work=nfields + 1)
+        self._phase("x", out, (nout, nout), STAGES["fwd_y"], dst=out)
         return out
 
 

@@ -19,8 +19,8 @@ The engine's D2H copies write the send blocks,
 
 :func:`transpose_exchange` is the monolithic reference beside it: one
 bulk-synchronous exchange of the whole array (the baseline of paper
-Fig. 4, top) — :func:`pack_blocks` stages the per-peer blocks in pooled
-buffers, the collective copies them, and :func:`unpack_blocks`
+Fig. 4, top) — :func:`pack_blocks` copies the per-peer blocks into
+contiguous staging, the collective copies them, and :func:`unpack_blocks`
 concatenates what arrived.  No engine calls it; it is the plain statement
 of a transpose that the chunked exchange and the process pool's fused one
 are checked against, block for block.
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.cuda.arena import BufferPool
 from repro.dist.virtual_mpi import PendingAlltoall, VirtualComm
 from repro.obs import NULL_OBS
 
@@ -47,15 +46,10 @@ __all__ = [
     "unpack_blocks",
 ]
 
-#: Shared staging pool for pack blocks (threads safely: BufferPool locks).
-_PACK_POOL = BufferPool(max_per_key=32)
-
-
 def pack_blocks(
     local: np.ndarray,
     axis: int,
     parts: int,
-    pool: Optional[BufferPool] = None,
     sizes: Optional[Sequence[int]] = None,
 ) -> list[np.ndarray]:
     """Split ``local`` into ``parts`` contiguous blocks along ``axis``.
@@ -63,10 +57,7 @@ def pack_blocks(
     This is the whole-slab "pack" of the paper's Sec. 3.3: the blocks are
     made contiguous in host staging.  (On the pencil path packing and the
     device-to-host move are a single operation — the out-of-core engine's
-    D2H writes the send blocks directly and never calls this.)  With
-    ``pool``, block storage is recycled across exchanges — return the
-    blocks via ``pool.give`` once the collective that consumed them
-    completed.
+    D2H writes the send blocks directly and never calls this.)
 
     By default the blocks are equal (``extent % parts`` must be 0); with
     ``sizes`` each block ``p`` gets ``sizes[p]`` planes — the alltoallv-style
@@ -91,14 +82,7 @@ def pack_blocks(
         views = np.split(local, np.cumsum(sizes[:-1]), axis=axis)
     else:
         views = np.split(local, parts, axis=axis)
-    if pool is None:
-        return [np.ascontiguousarray(b) for b in views]
-    out = []
-    for view in views:
-        buf = pool.take(view.shape, view.dtype)
-        np.copyto(buf, view)
-        out.append(buf)
-    return out
+    return [np.ascontiguousarray(b) for b in views]
 
 
 def unpack_blocks(blocks: Sequence[np.ndarray], axis: int) -> np.ndarray:
@@ -112,7 +96,6 @@ def transpose_exchange(
     pack_axis: int,
     unpack_axis: int,
     obs: "Observability | None" = None,
-    pool: Optional[BufferPool] = None,
     pack_sizes: Optional[Sequence[int]] = None,
 ) -> list[np.ndarray]:
     """One full distributed transpose over ``comm``.
@@ -126,7 +109,6 @@ def transpose_exchange(
     pack is the balanced even split.
     """
     obs = obs if obs is not None else NULL_OBS
-    pool = pool if pool is not None else _PACK_POOL
     rank_transpose = getattr(comm, "rank_transpose", None)
     if rank_transpose is not None:
         # Process-pool comms fuse pack -> exchange -> unpack worker-side
@@ -145,14 +127,11 @@ def transpose_exchange(
     spans = obs.spans
     with spans.span("transpose.pack", category="pack"):
         send = [
-            pack_blocks(loc, pack_axis, comm.size, pool=pool, sizes=pack_sizes)
+            pack_blocks(loc, pack_axis, comm.size, sizes=pack_sizes)
             for loc in locals_
         ]
     with spans.span("transpose.a2a", category="mpi"):
         recv = comm.alltoall(send)
-    for bufs in send:  # the collective copied them; recycle the staging
-        for buf in bufs:
-            pool.give(buf)
     with spans.span("transpose.unpack", category="pack"):
         out = [unpack_blocks(blocks, unpack_axis) for blocks in recv]
     if obs.enabled:

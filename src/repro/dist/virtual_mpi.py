@@ -277,8 +277,7 @@ class VirtualComm:
     ) -> PendingAlltoall:
         """Post a non-blocking all-to-all; complete it with ``.wait()``.
 
-        The send blocks must not be modified (or recycled into a buffer
-        pool) until :meth:`PendingAlltoall.wait` returns — the same aliasing
+        The send blocks must not be modified (or reused) until :meth:`PendingAlltoall.wait` returns — the same aliasing
         contract as a real ``MPI_IALLTOALL`` request.
 
         ``recv`` hands over the receive side, in NumPy's ``out=`` sense:

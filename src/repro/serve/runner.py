@@ -94,7 +94,6 @@ class OpenSolver:
 
         ``on_step(step, step_result)`` is called after each step;
         ``next_dt`` replaces the fixed ``dt`` with a per-step choice.
-        A fuzzed run must end quiescent (no live lease or operation).
         """
         result = JobResult(steps=self.spec.steps)
         for step in range(1, self.spec.steps + 1):
@@ -105,8 +104,6 @@ class OpenSolver:
             result.dissipations.append(step_result.dissipation)
             if on_step is not None:
                 on_step(step, step_result)
-        if self.monitor is not None:
-            self.monitor.assert_quiescent()
         return result
 
 
@@ -155,7 +152,9 @@ def _open(spec: JobSpec, grid, u0, config, obs=None,
     """What :func:`open_solver` builds after the :class:`SolverConfig`: the
     comm, the fuzz profile with its monitor and fault plan, and the solver.
     :mod:`repro.verify.invariance` opens its drawn pairs here too, with a
-    config a spec cannot name (phase shift off)."""
+    config a spec cannot name (phase shift off).  A fuzzed run that
+    returns must end quiescent once its solver has closed: no live lease
+    (the engine's ring goes back at close) and no live operation."""
     opened = OpenSolver(spec, grid, None,
                         spec.dt if spec.dt is not None else 0.25 * grid.dx)
     if spec.ranks is None:
@@ -195,6 +194,8 @@ def _open(spec: JobSpec, grid, u0, config, obs=None,
         )
         stack.callback(opened.solver.close)
         yield opened
+    if opened.monitor is not None:
+        opened.monitor.assert_quiescent()
 
 
 def run_job(

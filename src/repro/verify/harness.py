@@ -12,7 +12,8 @@ reorders execution and never data, in three stages:
    asserting the buffer discipline inside the run.  Side B is the same
    spec under ``pipeline="sync"``, ``dlb="off"``, run once and compared
    with every A.  Each A must finish under a deadlock watchdog, match B
-   bit for bit, hold every invariant and leave the arena empty.
+   bit for bit, hold every invariant, hold nothing in the arena beside
+   its engine's ring between steps, and nothing once closed.
 
 2. **Engine pairs** — for every seed, the engine-invariance property's
    draw: one physics point run on two engine configurations, compared

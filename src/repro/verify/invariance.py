@@ -246,12 +246,14 @@ def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome, obs=None):
         for _ in scalars:
             solver.add_scalar(theta0[0], schmidt=0.7, mean_gradient=0.5)
         try:
-            result = opened.run()  # a fuzzed run must end quiescent
+            result = opened.run()
         finally:  # a failed run still reports what it engaged
             _tally(opened, outcome)
         fft = getattr(solver, "fft", None)
-        if getattr(getattr(fft, "arena", None), "in_use", 0):
-            raise AssertionError(f"arena holds {fft.arena.in_use} B")
+        arena = getattr(fft, "arena", None)
+        if arena is not None and arena.in_use != fft.rings.nbytes:
+            raise AssertionError(f"arena holds {arena.in_use} B beside "
+                                 f"its {fft.rings.nbytes} B ring")
         fields_ = {"state": solver.u_hat if spec.ranks is None
                    else solver.gather_state()}
         fields_.update({f"scalar {s}": solver.gather_scalar(s)
@@ -259,7 +261,9 @@ def _run(pair: EnginePair, spec: JobSpec, outcome: PairOutcome, obs=None):
         sums = {"energies": result.energies,
                 "dissipations": result.dissipations,
                 "variances": [solver.scalar_variance(s) for s in scalars]}
-        return fields_, sums
+    if arena is not None and arena.in_use:
+        raise AssertionError(f"arena holds {arena.in_use} B after close")
+    return fields_, sums
 
 
 def _tally(opened, outcome: PairOutcome) -> None:

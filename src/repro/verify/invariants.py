@@ -1,24 +1,22 @@
 """Runtime invariant checking for the out-of-core buffer discipline.
 
 The paper's pipeline correctness rests on resource discipline the event
-graph is supposed to enforce: the 27 persistent device buffers are recycled
-across batches, and a ring slot must never be rewritten while an earlier
-batch's operations on it are still in flight.  :class:`InvariantMonitor`
-turns those rules into assertions evaluated *during* fuzzed runs, via hooks
-on :class:`repro.cuda.arena.DeviceArena`,
-:class:`repro.cuda.arena.BufferPool`,
-:class:`repro.cuda.arena.PencilRings`, and (through
+graph is supposed to enforce: the 27 persistent device buffers are claimed
+once and recycled across batches, and a ring slot must never be rewritten
+while an earlier batch's operations on it are still in flight.
+:class:`InvariantMonitor` turns those rules into assertions evaluated
+*during* fuzzed runs, via hooks on :class:`repro.cuda.arena.DeviceArena`,
+the views of its :class:`repro.cuda.arena.PencilRings`, and (through
 :class:`repro.verify.fuzz.FuzzBackend`) every stream operation:
 
 * a buffer is never leased twice concurrently from the arena;
-* arena ``in_use`` never exceeds capacity and returns to zero;
-* a freed buffer is never handed to the pool while still arena-live, and
-  never double-inserted into a pool free-list;
+* arena ``in_use`` never exceeds capacity, and nothing stays leased once
+  the engine holding the ring has closed;
 * a ring slot is never re-viewed for item *j* while operations of the
   previous occupant *i = j - window* are still live;
 * no two items further than the in-flight window apart run concurrently.
 
-The monitor keeps *strong references* to live and pooled buffers, so a
+The monitor keeps *strong references* to live buffers, so a
 recycled ``id()`` can never alias a dead buffer into a false positive.
 All hooks take one lock and append violations; with
 ``raise_on_violation=True`` (the default) the first violation raises
@@ -39,7 +37,7 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantMonitor:
-    """Assertion hooks shared by arena, pool, rings, and fuzzed streams."""
+    """Assertion hooks shared by arena, rings, and fuzzed streams."""
 
     def __init__(self, window: Optional[int] = None, raise_on_violation: bool = True):
         self.window = window
@@ -49,7 +47,6 @@ class InvariantMonitor:
         self._lock = threading.RLock()
         # id -> strong ref: prevents id() recycling from confusing the maps.
         self._arena_live: dict[int, object] = {}
-        self._pool_free: dict[int, object] = {}
         # (role, slot) -> (item, live-op count snapshot key)
         self._ring_slots: dict[tuple[str, int], int] = {}
         # item -> number of currently-running stream ops tagged with it
@@ -103,29 +100,6 @@ class InvariantMonitor:
                 del self._arena_live[key]
             if in_use < 0:
                 self._violate(f"arena in_use went negative ({in_use})")
-
-    # -- BufferPool hooks ----------------------------------------------------
-
-    def on_pool_take(self, buf, fresh: bool) -> None:
-        with self._lock:
-            self.checks += 1
-            self._pool_free.pop(id(buf), None)
-
-    def on_pool_give(self, buf, stored: bool) -> None:
-        with self._lock:
-            self.checks += 1
-            key = id(buf)
-            if key in self._arena_live:
-                self._violate(
-                    f"buffer 0x{key:x} returned to pool while still "
-                    "leased from the arena"
-                )
-            if stored:
-                if key in self._pool_free:
-                    self._violate(
-                        f"buffer 0x{key:x} double-inserted into pool free list"
-                    )
-                self._pool_free[key] = buf
 
     # -- PencilRings hooks ---------------------------------------------------
 
@@ -181,7 +155,8 @@ class InvariantMonitor:
     # -- end-of-run assertions -----------------------------------------------
 
     def assert_quiescent(self) -> None:
-        """After a run: every lease returned, every operation completed."""
+        """After a run's engine closed: every lease returned (the ring's
+        included), every operation completed."""
         with self._lock:
             if self._arena_live:
                 self._violate(

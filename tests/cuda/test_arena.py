@@ -1,23 +1,22 @@
-"""Tests for the data plane's device: the arena, its rings, their pool and
-their sizing rule, which admission control quotes with."""
+"""Tests for the data plane's device: the arena, the rings claimed from it
+once, and their sizing rule, which admission control quotes with."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.cuda.arena import (
-    BufferPool,
-    DeviceArena,
-    DeviceMemoryExceeded,
-    PencilRings,
-)
+from repro.cuda.arena import DeviceArena, DeviceMemoryExceeded, PencilRings
 from repro.cuda.copyengine import Batched2DEngine
+from repro.dist.dist_solver import DistributedNavierStokesSolver
 from repro.dist.outofcore import OutOfCoreSlabFFT
 from repro.dist.virtual_mpi import VirtualComm
+from repro.obs import Observability
 from repro.plan.admission import job_device_bytes
 from repro.spectral.grid import SpectralGrid
+from repro.spectral.initial import random_isotropic_field
 from repro.spectral.pointwise import PRODUCT_PAIRS
+from repro.spectral.solver import SolverConfig
 
 
 class TestDeviceArena:
@@ -39,12 +38,13 @@ class TestDeviceArena:
         arena = DeviceArena(10_000)
         host = np.arange(24, dtype=float).reshape(4, 6)
         view = host[:, 1:4]  # strided view
-        rings = PencilRings(
-            arena, 1, {"real": view.nbytes}, engine=Batched2DEngine()
-        )
-        slot = rings.load("real", 0, view.shape, view.dtype, view)
+        engine = Batched2DEngine()
+        rings = PencilRings(arena, 1)
+        rings.reserve({"real": view.nbytes})
+        slot = rings.view("real", 0, view.shape, view.dtype)
+        engine.h2d(slot, view)
         slot *= 2
-        rings.store("real", 0, view.shape, view.dtype, host[:, 1:4])
+        engine.d2h(host[:, 1:4], slot)
         rings.close()
         assert np.all(host[:, 1:4] == 2 * np.arange(24).reshape(4, 6)[:, 1:4])
         assert np.all(host[:, 0] == np.arange(24).reshape(4, 6)[:, 0])
@@ -60,82 +60,67 @@ class TestDeviceArena:
             DeviceArena(0)
 
 
-class TestBufferPool:
-    def test_take_give_reuses_exact_key(self):
-        pool = BufferPool()
-        a = pool.take((4, 4), np.float64)
-        pool.give(a)
-        assert pool.take((4, 4), np.float64) is a
-        assert pool.take((4, 4), np.float32) is not a
-        assert pool.hits == 1 and pool.misses == 2
+class TestClaimedOnce:
+    """The engine's ring is claimed once, grown when a call needs bigger
+    slots, and handed back at close (paper Sec. 3.5)."""
 
-    def test_free_list_bounded(self):
-        pool = BufferPool(max_per_key=2)
-        bufs = [pool.take((8,), np.float64) for _ in range(4)]
-        for b in bufs:
-            pool.give(b)
-        # Only two retained; two more takes hit, the next misses.
-        pool.take((8,), np.float64)
-        pool.take((8,), np.float64)
-        misses_before = pool.misses
-        pool.take((8,), np.float64)
-        assert pool.misses == misses_before + 1
+    def test_a_ring_grows_without_holding_both(self):
+        arena = DeviceArena(10_000)
+        rings = PencilRings(arena, 2)
+        rings.reserve({"cpx": 100, "real": 40})
+        assert arena.in_use == rings.nbytes == 2 * (112 + 48)
+        kept = rings._slots["cpx"][0]
+        rings.reserve({"cpx": 64})  # fits: nothing claimed
+        assert rings._slots["cpx"][0] is kept
+        rings.reserve({"real": 200})
+        assert rings.roles == {"cpx": 100, "real": 200}
+        assert arena.in_use == rings.nbytes == 2 * (112 + 208)
+        assert arena.high_water == rings.nbytes  # old slots went first
+        rings.close()
+        assert arena.in_use == rings.nbytes == 0
 
-    def test_concurrent_take_give_from_two_threads(self):
-        import threading
+    def test_a_claim_past_the_budget_holds_no_slot(self):
+        arena = DeviceArena(300)
+        rings = PencilRings(arena, 2)
+        rings.reserve({"cpx": 100})
+        with pytest.raises(DeviceMemoryExceeded):
+            rings.reserve({"cpx": 200})  # the second grown slot is over
+        assert arena.in_use == rings.nbytes == 0 and rings.roles == {}
+        rings.reserve({"cpx": 100})  # and the ring can be claimed again
+        assert arena.in_use == rings.nbytes == 224
 
-        pool = BufferPool(max_per_key=8)
-        errors = []
-        barrier = threading.Barrier(2)
+    def test_growing_to_a_substage_holds_only_its_slots(self):
+        grid, rng = SpectralGrid(16), np.random.default_rng(2)
+        with OutOfCoreSlabFFT(grid, VirtualComm(2), 4,
+                              pipeline="threads") as fft:
+            coeffs = [rng.standard_normal((3, *shape)) + 0j for shape in
+                      map(fft.decomp.local_spectral_shape, range(2))]
+            fft.inverse([c[0] for c in coeffs])
+            single = fft.rings.nbytes
+            assert fft.arena.in_use == single > 0
+            fft.product_spectra(coeffs, PRODUCT_PAIRS)
+            assert fft.arena.in_use == fft.rings.nbytes > single
+            assert fft.arena.high_water == fft.rings.nbytes
+            fft.inverse([c[0] for c in coeffs])
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
 
-        def worker(tag):
-            try:
-                barrier.wait()
-                for _ in range(500):
-                    buf = pool.take((16,), np.float64)
-                    buf[:] = tag
-                    # The pool must never hand one buffer to both threads:
-                    # nobody else writes our value while we hold it.
-                    if not np.all(buf == tag):
-                        raise AssertionError("buffer shared between threads")
-                    pool.give(buf)
-            except BaseException as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in (1.0, 2.0)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-        assert pool.hits + pool.misses == 1000
-
-    def test_concurrent_monitor_sees_no_double_insert(self):
-        import threading
-
-        from repro.verify import InvariantMonitor
-
-        pool = BufferPool(max_per_key=4)
-        mon = InvariantMonitor()
-        pool.monitor = mon
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def worker():
-            try:
-                barrier.wait()
-                for _ in range(400):
-                    pool.give(pool.take((8,), np.float64))
-            except BaseException as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-        assert mon.ok and mon.checks >= 1600
+    def test_a_run_claims_during_its_first_step_only(self):
+        grid = SpectralGrid(16)
+        obs = Observability.create()
+        acquires = obs.metrics.counter("arena.acquires")
+        u0 = random_isotropic_field(grid, np.random.default_rng(4))
+        counts = []
+        with DistributedNavierStokesSolver(
+            grid, VirtualComm(2), u0, SolverConfig(nu=0.02, scheme="rk2"),
+            npencils=4, pipeline="threads", obs=obs,
+        ) as solver:
+            for _ in range(3):
+                solver.step(1e-3)
+                counts.append(acquires.value)
+                assert solver.fft.arena.in_use == solver.fft.rings.nbytes
+        assert counts[0] > 0 and counts[2] == counts[1] == counts[0]
+        assert solver.fft.arena.in_use == 0
 
 
 class TestSizingRule:

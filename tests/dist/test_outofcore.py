@@ -66,7 +66,9 @@ class TestOutOfCoreFFT:
         # High-water <= 2 (uneven) pencils, strictly less than the slab.
         assert ooc.arena.high_water <= 2.5 * slab_bytes / 3
         assert ooc.arena.high_water < slab_bytes
-        assert ooc.arena.in_use == 0  # everything released
+        assert ooc.arena.in_use == ooc.rings.nbytes  # the ring stays claimed
+        ooc.close()
+        assert ooc.arena.in_use == 0
 
     def test_whole_slab_does_not_fit_without_batching(self, rng):
         """With np=1 the 'slab' pencil exceeds a pencil-sized arena: the
@@ -225,7 +227,8 @@ class TestThreePasses:
         with OutOfCoreSlabFFT(SpectralGrid(16), comm, 4) as fft:
             with pytest.raises(TransientCommFault):
                 fft.inverse(_spectral_locals(fft, rng))
-            assert fft.arena.in_use == 0
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
         # The post and every re-post of the budget.
         assert comm.fault_injector.dropped == 1 + _COMM_RETRIES
 
@@ -353,7 +356,8 @@ class TestProductSpectra:
                 s[:4] = c
             got = fft.product_spectra([s[:4] for s in spectra], SCALAR_PAIRS,
                                       out=spectra)
-            assert fft.arena.in_use == 0
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
         assert all(g is s for g, s in zip(got, spectra))
         for w, g, gs in zip(want, got, got_slab):
             assert np.array_equal(g, w) and np.array_equal(gs, w)

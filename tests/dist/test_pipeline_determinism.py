@@ -5,8 +5,8 @@ that asynchrony reorders *execution*, never *data*: every pencil's FFTs are
 independent and every chunked exchange moves the same bytes, so the
 worker-thread pipeline must produce arrays that are bit-for-bit equal to
 the inline reference — across worker interleavings, in-flight depths and
-pencil counts.  Also covers arena accounting under mid-pipeline failures
-(the ``lease`` context manager satellite).
+pencil counts.  Also covers arena accounting under mid-pipeline failures:
+a failed call leaves the engine's ring, and nothing else, in the arena.
 """
 
 import numpy as np
@@ -57,7 +57,8 @@ class TestBitIdenticalTransforms:
                 assert np.array_equal(a, b)  # bit-identical, not allclose
             for a, b in zip(back, ref_spec):
                 assert np.array_equal(a, b)
-            assert fft.arena.in_use == 0
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
 
     def test_repeated_threaded_runs_are_stable(self):
         grid = SpectralGrid(16)
@@ -149,7 +150,7 @@ class TestRankOpFailure:
                 solver.step(1e-3)
             del broken.combine
             solver.step(1e-3)
-            assert solver.fft.arena.in_use == 0
+            assert solver.fft.arena.in_use == solver.fft.rings.nbytes
             return solver, solver.gather_state()
 
     def _reference(self):
@@ -200,24 +201,6 @@ class TestRankOpFailure:
 
 
 class TestArenaAccountingUnderFailure:
-    def test_lease_returns_bytes_on_exception(self):
-        arena = DeviceArena(1000)
-        with pytest.raises(RuntimeError, match="boom"):
-            with arena.lease((10,), np.float64) as buf:
-                assert arena.in_use == 80
-                buf[:] = 1.0
-                raise RuntimeError("boom")
-        assert arena.in_use == 0
-        assert arena.high_water == 80
-
-    def test_lease_nested_budget(self):
-        arena = DeviceArena(200)
-        with arena.lease((10,), np.float64):
-            with pytest.raises(DeviceMemoryExceeded):
-                with arena.lease((20,), np.float64):
-                    pass  # pragma: no cover - never entered
-        assert arena.in_use == 0
-
     @pytest.mark.parametrize("pipeline", ["sync", "threads"])
     def test_mid_pipeline_failure_releases_all_bytes(self, pipeline):
         grid = SpectralGrid(16)
@@ -236,7 +219,7 @@ class TestArenaAccountingUnderFailure:
         fft._copy_engine.d2h = failing_d2h
         with pytest.raises(RuntimeError, match="injected d2h failure"):
             fft.inverse(spec)
-        assert fft.arena.in_use == 0  # every ring slot returned
+        assert fft.arena.in_use == fft.rings.nbytes  # the ring, nothing more
 
         # The engine stays usable: restore the copy and run clean.
         fft._copy_engine.d2h = real_d2h
@@ -247,8 +230,9 @@ class TestArenaAccountingUnderFailure:
         got = fft.inverse(spec)
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
-        assert fft.arena.in_use == 0
+        assert fft.arena.in_use == fft.rings.nbytes
         fft.close()
+        assert fft.arena.in_use == 0
 
     def test_concurrent_lease_release_from_two_threads(self):
         import threading
@@ -262,13 +246,15 @@ class TestArenaAccountingUnderFailure:
             try:
                 barrier.wait()
                 for _ in range(300):
-                    n = int(rng.integers(1, 50))
-                    with arena.lease((n,), np.float64) as buf:
+                    buf = arena.allocate((int(rng.integers(1, 50)),), np.float64)
+                    try:
                         buf[:] = seed  # touch the lease
                         if arena.in_use > arena.capacity:
                             raise AssertionError("in_use exceeded capacity")
                         if not np.all(buf == seed):
                             raise AssertionError("lease aliased across threads")
+                    finally:
+                        arena.free(buf)
             except BaseException as exc:  # noqa: BLE001 - collected
                 errors.append(exc)
 
@@ -289,7 +275,6 @@ class TestArenaAccountingUnderFailure:
         mon = InvariantMonitor()
         arena = DeviceArena(100_000)
         arena.monitor = mon
-        arena.pool.monitor = mon
         errors = []
         barrier = threading.Barrier(2)
 
@@ -298,8 +283,8 @@ class TestArenaAccountingUnderFailure:
             try:
                 barrier.wait()
                 for _ in range(200):
-                    with arena.lease((int(rng.integers(1, 40)),), np.float64):
-                        pass
+                    arena.free(arena.allocate(
+                        (int(rng.integers(1, 40)),), np.float64))
             except BaseException as exc:  # noqa: BLE001 - collected
                 errors.append(exc)
 

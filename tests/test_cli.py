@@ -70,6 +70,19 @@ class TestInfeasibleCostPlaneArguments:
         assert err.startswith("error: ") and reason in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["plan", "0"], "problem size must be positive"),
+        (["plan", "-8", "--nodes", "2"], "problem size must be positive"),
+        (["projection", "--n", "0"], "problem size must be positive"),
+        (["density", "--n", "0"], "problem size must be positive"),
+        (["validation", "--n", "0"], "grid size must be even and >= 4"),
+    ])
+    def test_non_positive_size_is_one_error_line(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

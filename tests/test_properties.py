@@ -123,6 +123,8 @@ class TestDistEquivalenceProperties:
         a = fft3d(u, grid)
         b = ooc.decomp.gather_spectral(ooc.forward(ooc.decomp.scatter_physical(u)))
         assert np.allclose(a, b, atol=1e-12)
+        assert ooc.arena.in_use == ooc.rings.nbytes
+        ooc.close()
         assert ooc.arena.in_use == 0
 
 

@@ -144,7 +144,8 @@ class TestOutOfCoreReplay:
         ) as fft:
             phys = fft.inverse(spec)
             back = fft.forward(phys)
-            assert fft.arena.in_use == 0
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
         for a, b in zip(phys, ref_phys):
             assert np.array_equal(a, b)
         for a, b in zip(back, ref_spec):

@@ -42,20 +42,6 @@ class TestUnitChecks:
         with pytest.raises(InvariantViolation, match="does not hold"):
             mon.on_arena_free(np.zeros(8), in_use=0)
 
-    def test_pool_give_while_arena_live_detected(self):
-        mon = InvariantMonitor()
-        buf = np.zeros(8)
-        mon.on_arena_allocate(buf, 64, in_use=64, capacity=1000)
-        with pytest.raises(InvariantViolation, match="still"):
-            mon.on_pool_give(buf, stored=True)
-
-    def test_pool_double_insert_detected(self):
-        mon = InvariantMonitor()
-        buf = np.zeros(8)
-        mon.on_pool_give(buf, stored=True)
-        with pytest.raises(InvariantViolation, match="double-inserted"):
-            mon.on_pool_give(buf, stored=True)
-
     def test_ring_overwrite_under_live_ops_detected(self):
         mon = InvariantMonitor(window=2)
         mon.on_op_begin("compute", "fft[0]", item=0)
@@ -107,11 +93,15 @@ class TestIntegration:
         mon = InvariantMonitor(window=2)
         arena = DeviceArena(10_000)
         arena.monitor = mon
-        arena.pool.monitor = mon
-        rings = PencilRings(arena, 2, {"cpx": 256})
+        rings = PencilRings(arena, 2)
+        rings.reserve({"cpx": 256})
         rings.view("cpx", 0, (4,), np.complex128)
+        with pytest.raises(InvariantViolation, match="still leased"):
+            mon.assert_quiescent()  # the live ring is two leases
+        mon.violations.clear()
         rings.close()
         assert arena.in_use == 0
+        mon.assert_quiescent()
         assert mon.ok and mon.checks > 0
 
     @pytest.mark.parametrize("pipeline", ["sync", "threads"])
@@ -126,7 +116,8 @@ class TestIntegration:
         ) as fft:
             spec = _field(grid, P)
             fft.forward(fft.inverse(spec))
-            assert fft.arena.in_use == 0
+            assert fft.arena.in_use == fft.rings.nbytes
+        assert fft.arena.in_use == 0
         mon.assert_quiescent()
         assert mon.ok
         assert mon.checks > 100

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cuda.arena import BufferPool
 from repro.dist.transpose import (
     chunk_exchange_layout,
     pack_blocks,
@@ -113,22 +112,6 @@ class TestPackUnpack:
         x = np.zeros((extent, 2, 2))
         with pytest.raises(ValueError, match="not divisible"):
             pack_blocks(x, 0, parts)
-
-    @given(
-        parts=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(**SETTINGS)
-    def test_pooled_pack_matches_plain(self, parts, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((parts * 2, 3, 2))
-        plain = pack_blocks(x, 0, parts)
-        pool = BufferPool()
-        pooled = pack_blocks(x, 0, parts, pool=pool)
-        for a, b in zip(plain, pooled):
-            assert np.array_equal(a, b)
-        for b in pooled:
-            pool.give(b)
 
 
 class TestExchangeRoundTrip:
