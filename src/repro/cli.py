@@ -299,13 +299,16 @@ def _cmd_plan(args) -> int:
     planner = CapacityPlanner(args.machine)
     try:
         if args.sweep:
-            quotes = planner.sweep(
-                grids=args.grids or (3072, 6144, 12288, 18432),
-                node_counts=(args.nodes,) if args.nodes else None,
-                copy_strategies=tuple(args.strategies or ("memcpy2d",)),
-                tasks_per_node=args.tasks_per_node,
-                q=args.q,
-            )
+            try:
+                quotes = planner.sweep(
+                    grids=args.grids or (3072, 6144, 12288, 18432),
+                    node_counts=(args.nodes,) if args.nodes else None,
+                    copy_strategies=tuple(args.strategies or ("memcpy2d",)),
+                    tasks_per_node=args.tasks_per_node,
+                    q=args.q,
+                )
+            except ValueError as exc:
+                return _infeasible(exc)
             write_bench_json(bench_payload(quotes, machine=args.machine),
                              args.out)
             for q in quotes:
@@ -894,19 +897,16 @@ def _cmd_serve(args) -> int:
               + extra)
 
     if args.serve_command == "submit":
-        if args.spec:
-            text = (sys.stdin.read() if args.spec == "-"
-                    else Path(args.spec).read_text(encoding="utf-8"))
-            spec = JobSpec.from_json(text)
-        elif args.name:
-            try:
-                spec = spec_from_args(args)
-            except ValueError as exc:
-                print(f"error: invalid spec: {exc}", file=sys.stderr)
-                return 2
-        else:
+        if not (args.spec or args.name):
             print("error: submit needs --spec FILE or --name (plus flags)",
                   file=sys.stderr)
+            return 2
+        try:  # a file that is missing, not JSON, or not one JobSpec object
+            spec = (JobSpec.from_json(sys.stdin.read() if args.spec == "-" else
+                                      Path(args.spec).read_text(encoding="utf-8"))
+                    if args.spec else spec_from_args(args))
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"error: invalid spec: {exc}", file=sys.stderr)
             return 2
         service = _service()
         try:

@@ -8,13 +8,15 @@ single-process ground truth of :mod:`repro.spectral`.
 
 Contents:
 
-* :mod:`repro.dist.virtual_mpi` — bulk-synchronous collectives over lists of
-  per-rank NumPy arrays (all-to-all, allreduce, ...);
+* :mod:`repro.dist.virtual_mpi` — the collectives an engine calls, over
+  lists of per-rank NumPy arrays (all-to-all blocking and not, allreduce),
+  and the one transient-fault retry loop every exchange runs;
 * :mod:`repro.dist.decomp` — slab (1-D) index maps, scatter/gather between
   global arrays and rank-local pieces (paper Fig. 1);
 * :mod:`repro.dist.transpose` — the chunked all-to-all layout of every
-  distributed FFT, and the monolithic pack / all-to-all / unpack reference
-  it is checked against (paper Figs. 2-4);
+  distributed FFT (the pencil exchange's chunks, the process pool's whole
+  slab as one chunk), and the in-process monolithic pack / all-to-all /
+  unpack reference they are checked against (paper Figs. 2-4);
 * :mod:`repro.dist.stages` — the four 1-D stage kernels of the slab
   transform, declared once for every engine;
 * :mod:`repro.dist.outofcore` — the in-process transform engine: the

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -74,7 +73,7 @@ from repro.cuda.copyengine import make_engine
 from repro.dist.decomp import SlabDecomposition
 from repro.dist.stages import STAGES, Stage, products
 from repro.dist.transpose import chunk_exchange_layout, complete_chunk_exchange
-from repro.dist.virtual_mpi import TransientCommFault, VirtualComm, call_rank
+from repro.dist.virtual_mpi import VirtualComm, call_rank, retry_transient
 from repro.exec import PencilPipeline, PipelineStage, make_backend
 from repro.obs import NULL_OBS
 from repro.spectral.grid import SpectralGrid
@@ -84,11 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 __all__ = ["OutOfCoreSlabFFT"]
-
-#: Transient-comm-fault budget of one pencil exchange: retries, and the
-#: first backoff in seconds (doubled per retry).
-_COMM_RETRIES = 3
-_RETRY_BACKOFF = 0.002
 
 _KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
 #: Pencil split axis -> (pack, unpack, chunk) axes of the exchange behind
@@ -269,17 +263,15 @@ class OutOfCoreSlabFFT:
             self._m_xpose = m.counter("transpose.bytes_moved")
             self._m_chunks = m.counter("transpose.chunks")
             self._m_xcount = m.counter("transpose.count")
-            self._m_comm_faults = m.counter("comm.faults.transient")
-            self._m_comm_retries = m.counter("comm.retries")
-            self._m_comm_recovered = m.counter("comm.faults.recovered")
+            for name in ("comm.faults.transient", "comm.retries",
+                         "comm.faults.recovered"):
+                m.counter(name)
             self._m_dlb_lent = m.counter("dlb.pencils_lent")
             self._m_dlb_reclaimed = m.counter("dlb.pencils_reclaimed")
             m.gauge("arena.high_water_bytes")
         else:
             self._m_h2d = self._m_d2h = None
             self._m_xpose = self._m_chunks = self._m_xcount = None
-            self._m_comm_faults = None
-            self._m_comm_retries = self._m_comm_recovered = None
             self._m_dlb_lent = self._m_dlb_reclaimed = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -460,43 +452,26 @@ class OutOfCoreSlabFFT:
     def _exchange_pencil(self, send, windows) -> None:
         """Post + complete one pencil's all-to-all (runs on the comm stream).
 
-        Transient comm faults (:class:`TransientCommFault`, injected by the
-        verification subsystem's fault-capable comm shim) are retried with
-        exponential backoff up to ``_COMM_RETRIES`` times: a *late* chunk
-        re-waits the same posted handle, a *dropped* chunk is re-posted.
-        A pencil's send blocks are its own and stay untouched until the
-        next transform, and faults are injected before any byte moves, so
-        a re-post sends the same bytes into clean windows and a recovered
-        exchange is bit-identical to a fault-free one.
+        Transient comm faults are :func:`retry_transient`'s: a *late* chunk
+        re-waits the same posted handle, a *dropped* one is re-posted.  A
+        pencil's send blocks are its own and stay untouched until the next
+        transform, so a re-post sends the same bytes.
         """
-        spans = self._stream_spans("comm")
-        attempt = 0
-        delay = _RETRY_BACKOFF
         handle = None
-        while True:
-            try:
-                if handle is None:
-                    handle = self.comm.ialltoall(send, recv=windows)
-                nbytes = complete_chunk_exchange(handle)
-                break
-            except TransientCommFault as fault:
-                if self._m_comm_faults is not None:
-                    self._m_comm_faults.inc()
-                if attempt >= _COMM_RETRIES:
-                    raise
-                attempt += 1
-                if fault.dropped:
-                    handle = None  # the posted request evaporated
-                with spans.span(
-                    "verify.retry", category="verify",
-                    attempt=attempt, dropped=fault.dropped,
-                ):
-                    time.sleep(delay)
-                delay *= 2.0
-                if self._m_comm_retries is not None:
-                    self._m_comm_retries.inc()
-        if attempt > 0 and self._m_comm_recovered is not None:
-            self._m_comm_recovered.inc()
+
+        def attempt() -> int:
+            nonlocal handle
+            if handle is None:
+                handle = self.comm.ialltoall(send, recv=windows)
+            return complete_chunk_exchange(handle)
+
+        def on_fault(fault) -> None:
+            nonlocal handle
+            if fault.dropped:
+                handle = None  # the posted request evaporated
+
+        nbytes = retry_transient(attempt, on_fault, self.obs.metrics,
+                                 self._stream_spans("comm"))
         if self._m_xpose is not None:
             self._m_xpose.inc(nbytes)
             self._m_chunks.inc()

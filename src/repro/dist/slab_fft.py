@@ -115,14 +115,11 @@ class SlabDistributedFFT:
         return kwargs
 
     def _transform(
-        self, locals_, shape_of, pre, post, pack_axis, unpack_axis,
-        out, out_shape_of, out_dtype,
+        self, locals_, shape_of, pre, post, pack_axis, unpack_axis, out, out_dtype,
     ) -> list[np.ndarray]:
         """``pre`` stage, the one global transpose, ``post`` stage — all in
-        the workers' pack and unpack."""
+        the workers' pack and unpack, which checks ``out`` per rank."""
         self.decomp.check_locals(locals_, shape_of)
-        if out is not None:
-            self.decomp.check_locals(out, out_shape_of, out_dtype)
         out = self.comm.rank_transpose(
             locals_, pack_axis=pack_axis, unpack_axis=unpack_axis, pre=pre,
             post=post, out_dtype=out_dtype, out=out, **self._kwargs())
@@ -137,11 +134,11 @@ class SlabDistributedFFT:
         inverse FFTs in y (kz-slabs hold complete y lines), the global
         transpose to y-slabs, then z and the complex-to-real x transform.
         ``out`` hands over the per-rank result arrays (NumPy's ``out=``,
-        shape- and dtype-checked); omitted, fresh ones are returned."""
+        shape- and dtype-checked, :meth:`resident`); omitted, resident ones
+        are claimed."""
         return self._transform(
             spectral_locals, self.decomp.local_spectral_shape,
-            "inv_y", "inv_zx", _Y_AXIS, _KZ_AXIS,
-            out, self.decomp.local_physical_shape, self.grid.dtype,
+            "inv_y", "inv_zx", _Y_AXIS, _KZ_AXIS, out, self.grid.dtype,
         )
 
     def forward(
@@ -151,8 +148,7 @@ class SlabDistributedFFT:
         transpose, y — the reverse order).  ``out`` as for :meth:`inverse`."""
         return self._transform(
             physical_locals, self.decomp.local_physical_shape,
-            "fwd_xz", "fwd_y", _KZ_AXIS, _Y_AXIS,
-            out, self.decomp.local_spectral_shape, self.grid.cdtype,
+            "fwd_xz", "fwd_y", _KZ_AXIS, _Y_AXIS, out, self.grid.cdtype,
         )
 
     def product_spectra(
@@ -168,8 +164,9 @@ class SlabDistributedFFT:
 
         ``coeffs[r]`` holds rank ``r``'s fields ``[field, kz, y, x]``;
         ``out[r][p]`` receives the transform of ``u_i u_j`` for ``pairs[p]
-        = (i, j)`` and may share memory with ``coeffs``; the first
-        exchange lands in ``land[r]`` (resident) when given.
+        = (i, j)`` and may share memory with ``coeffs`` (omitted, it is
+        claimed resident); the first exchange lands in ``land[r]`` when
+        given.  Every array is :meth:`resident`.
 
         Two batched ``rank_transpose`` calls, queued as one message per
         worker: the y-FFTs of all fields and their all-to-all, then in each
@@ -183,9 +180,6 @@ class SlabDistributedFFT:
         """
         d, nfields, npairs = self.decomp, coeffs[0].shape[0], len(pairs)
         d.check_locals(coeffs, lambda r: (nfields, *d.local_spectral_shape(r)))
-        if out is None:
-            out = self.resident([(npairs, *d.local_spectral_shape(r))
-                                 for r in range(self.comm.size)], self.grid.cdtype)
         if not self._fields or self._fields[0].shape[0] < npairs:
             self._fields = self.resident(
                 [(npairs, self.grid.n, d.height(r), self.grid.n // 2 + 1)
@@ -198,7 +192,7 @@ class SlabDistributedFFT:
             coeffs, pack_axis=1 + _Y_AXIS, unpack_axis=1 + _KZ_AXIS,
             pre="inv_y", post="inv_zx", pairs=tuple(pairs), out=spectra,
             wait=False, land=land, **kwargs)
-        self.comm.rank_transpose(
+        out = self.comm.rank_transpose(
             spectra, pack_axis=1 + _KZ_AXIS, unpack_axis=1 + _Y_AXIS,
             post="fwd_y", out=out, wait=wait, **kwargs)
         if self.obs.enabled:

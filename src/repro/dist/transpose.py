@@ -6,24 +6,23 @@ received blocks along another axis.  These three steps are exactly what the
 production code implements with strided GPU copies + ``MPI_(I)ALLTOALL`` —
 here they move real NumPy data so correctness can be asserted.
 
-The in-process transform engine runs the chunked exchange of the
-out-of-core pipeline (Fig. 4, bottom), where there is no pack or unpack
-pass at all: :func:`chunk_exchange_layout` says, for one chunk of the
-slab, which planes of a source go to which peer, the shape of each send
-block, and the strided window of the destination's transposed slab each
-block lands in.
-The engine's D2H copies write the send blocks,
+Every engine's exchange is stated by :func:`chunk_exchange_layout`: for one
+chunk of the slab, which planes of a source go to which peer, the shape of
+each send block, and the strided window of the destination's transposed
+slab each block lands in.  The in-process engine runs one chunk per pencil
+(Fig. 4, bottom): its D2H copies write the send blocks,
 ``VirtualComm.ialltoall(send, recv=windows)`` moves them into place, and
 :func:`complete_chunk_exchange` waits the request.  Over a process pool
-``ProcsComm.rank_transpose`` packs and unpacks in the workers instead.
+``ProcsComm.rank_transpose`` runs the whole slab as one chunk, its
+workers packing and unpacking by the same layout.
 
-:func:`transpose_exchange` is the monolithic reference beside it: one
-bulk-synchronous exchange of the whole array (the baseline of paper
-Fig. 4, top) — :func:`pack_blocks` copies the per-peer blocks into
-contiguous staging, the collective copies them, and :func:`unpack_blocks`
-concatenates what arrived.  No engine calls it; it is the plain statement
-of a transpose that the chunked exchange and the process pool's fused one
-are checked against, block for block.
+:func:`transpose_exchange` is the monolithic reference beside it, in
+process only: one bulk-synchronous exchange of the whole array (the
+baseline of paper Fig. 4, top) — :func:`pack_blocks` copies the per-peer
+blocks into contiguous staging, the collective copies them, and
+:func:`unpack_blocks` concatenates what arrived.  No engine calls it; it is
+the plain statement of a transpose that both engines' exchanges are checked
+against, block for block.
 """
 
 from __future__ import annotations
@@ -78,11 +77,8 @@ def pack_blocks(
             )
     elif extent % parts != 0:
         raise ValueError(f"axis extent {extent} not divisible by {parts}")
-    if sizes is not None:
-        views = np.split(local, np.cumsum(sizes[:-1]), axis=axis)
-    else:
-        views = np.split(local, parts, axis=axis)
-    return [np.ascontiguousarray(b) for b in views]
+    cuts = parts if sizes is None else np.cumsum(sizes[:-1])
+    return [np.ascontiguousarray(b) for b in np.split(local, cuts, axis=axis)]
 
 
 def unpack_blocks(blocks: Sequence[np.ndarray], axis: int) -> np.ndarray:
@@ -109,21 +105,6 @@ def transpose_exchange(
     pack is the balanced even split.
     """
     obs = obs if obs is not None else NULL_OBS
-    rank_transpose = getattr(comm, "rank_transpose", None)
-    if rank_transpose is not None:
-        # Process-pool comms fuse pack -> exchange -> unpack worker-side
-        # (shared-memory rings); pure data movement, bit-identical to the
-        # in-process path below.
-        kwargs = {} if pack_sizes is None else {"pack_sizes": tuple(pack_sizes)}
-        out = rank_transpose(
-            locals_, pack_axis=pack_axis, unpack_axis=unpack_axis, obs=obs,
-            **kwargs,
-        )
-        if obs.enabled:
-            rec = comm.stats.records[-1]
-            obs.metrics.counter("transpose.count").inc()
-            obs.metrics.counter("transpose.bytes_moved").inc(rec.total_bytes)
-        return out
     spans = obs.spans
     with spans.span("transpose.pack", category="pack"):
         send = [

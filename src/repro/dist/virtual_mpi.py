@@ -14,28 +14,33 @@ cost model's message-size bookkeeping (:mod:`repro.mpi.costmodel`) even for
 uneven decompositions.
 
 Aliasing contract: collectives return *independent* per-rank results.  An
-in-place edit on one rank's ``bcast`` / ``allreduce`` / ``allgather`` /
-``alltoall`` result never mutates another rank's — the semantics every real
-MPI has (each rank owns its receive buffer), and the contract the
-process-pool backend (:mod:`repro.mpi.procs`) enforces physically with
-separate address spaces.
+in-place edit on one rank's ``allreduce`` / ``alltoall`` result never
+mutates another rank's — the semantics every real MPI has (each rank owns
+its receive buffer), and the contract the process-pool backend
+(:mod:`repro.mpi.procs`) enforces physically with separate address spaces.
+
+Transient faults: both engines' exchanges recover through one loop,
+:func:`retry_transient`, with one budget, :data:`EXCHANGE_ATTEMPTS`.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = [
+    "EXCHANGE_ATTEMPTS",
     "CollectiveRecord",
     "CommFaultInjector",
     "PendingAlltoall",
     "TransientCommFault",
     "VirtualComm",
     "call_rank",
+    "retry_transient",
 ]
 
 T = TypeVar("T")
@@ -65,6 +70,46 @@ class TransientCommFault(RuntimeError):
     def __init__(self, message: str, dropped: bool = False):
         super().__init__(message)
         self.dropped = dropped
+
+
+#: Attempts of one exchange under transient faults: the first and three
+#: retries.  A :class:`repro.verify.faults.CommFaultPlan` fails at most
+#: ``max_consecutive`` (default 2) times in a row, so it always recovers.
+EXCHANGE_ATTEMPTS = 4
+#: The first backoff between attempts, in seconds, doubled per retry.
+_RETRY_BACKOFF = 0.002
+
+
+def retry_transient(attempt: Callable[[], T],
+                    on_fault: Callable[[TransientCommFault], None],
+                    metrics, spans) -> T:
+    """``attempt()`` until it returns, at most :data:`EXCHANGE_ATTEMPTS` times.
+
+    A :class:`TransientCommFault` counts ``comm.faults.transient`` on
+    ``metrics`` (the last attempt's propagates); ``on_fault(fault)`` then
+    re-posts what it lost (a dropped exchange is packed again, a late one
+    only waited again), a backoff doubled per retry sleeps in a
+    ``verify.retry`` span on ``spans``, and ``comm.retries`` counts the
+    retry.  A success after faults counts ``comm.faults.recovered``.
+    """
+    delay, tries = _RETRY_BACKOFF, 1
+    while True:
+        try:
+            result = attempt()
+        except TransientCommFault as fault:
+            metrics.counter("comm.faults.transient").inc()
+            if tries == EXCHANGE_ATTEMPTS:
+                raise
+            on_fault(fault)
+            with spans.span("verify.retry", category="verify",
+                            attempt=tries, dropped=fault.dropped):
+                time.sleep(delay)
+            delay, tries = delay * 2.0, tries + 1
+            metrics.counter("comm.retries").inc()
+            continue
+        if tries > 1:
+            metrics.counter("comm.faults.recovered").inc()
+        return result
 
 
 class CommFaultInjector:
@@ -120,10 +165,6 @@ def _copy_result(value: T) -> T:
 @dataclass
 class _CommStats:
     records: list[CollectiveRecord] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.total_bytes for r in self.records)
 
     def count(self, kind: str | None = None) -> int:
         if kind is None:
@@ -185,6 +226,15 @@ class VirtualComm:
         #: Optional :class:`CommFaultInjector`; consulted before exchanges.
         self.fault_injector: CommFaultInjector | None = None
 
+    def _record(self, kind: str, sizes: Sequence[int]) -> None:
+        """Log a collective from the bytes of its point-to-point messages:
+        their true min/max, not ``send[0][0]``'s (uneven slabs differ), so
+        the cost model's message-size bookkeeping can be cross-checked."""
+        self.stats.records.append(CollectiveRecord(
+            kind, total_bytes=sum(sizes), p2p_bytes=max(sizes), ranks=self.size,
+            p2p_min_bytes=min(sizes), p2p_max_bytes=max(sizes),
+            messages=len(sizes)))
+
     def _check_per_rank(self, data: Sequence) -> None:
         if len(data) != self.size:
             raise ValueError(
@@ -244,21 +294,7 @@ class VirtualComm:
             for s, windows in enumerate(recv):
                 for r, window in enumerate(windows):
                     np.copyto(window, send[r][s])
-        # True per-peer sizes over every (src, dst) message — uneven slab
-        # decompositions make these differ, so min/max (not send[0][0])
-        # must be recorded for the cost-model cross-check to hold.
-        sizes = [int(b.nbytes) for bufs in send for b in bufs]
-        self.stats.records.append(
-            CollectiveRecord(
-                kind,
-                total_bytes=sum(sizes),
-                p2p_bytes=max(sizes),
-                ranks=self.size,
-                p2p_min_bytes=min(sizes),
-                p2p_max_bytes=max(sizes),
-                messages=len(sizes),
-            )
-        )
+        self._record(kind, [int(b.nbytes) for bufs in send for b in bufs])
         return recv
 
     def alltoall(self, send: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
@@ -289,71 +325,16 @@ class VirtualComm:
         """
         return PendingAlltoall(self, send, recv)
 
-    def allreduce(
-        self, values: Sequence[T], op: Callable[[T, T], T] | None = None
-    ) -> list[T]:
-        """All-reduce with ``op`` (default: addition); all ranks get the result.
+    def allreduce(self, values: Sequence[T]) -> list[T]:
+        """All-reduce by addition; every rank gets the sum.
 
         Every rank receives an *independent copy* of the reduction — an
         in-place edit on one rank's result leaves the others (and the
         inputs) untouched, exactly as with per-process receive buffers.
         """
         self._check_per_rank(values)
-        if op is None:
-            op = lambda a, b: a + b  # noqa: E731
         acc = values[0]
         for v in values[1:]:
-            acc = op(acc, v)
-        sizes = [int(getattr(v, "nbytes", 0)) for v in values]
-        self.stats.records.append(
-            CollectiveRecord(
-                "allreduce",
-                total_bytes=sum(sizes),
-                p2p_bytes=max(sizes),
-                ranks=self.size,
-                p2p_min_bytes=min(sizes),
-                p2p_max_bytes=max(sizes),
-                messages=self.size,
-            )
-        )
+            acc = acc + v
+        self._record("allreduce", [int(getattr(v, "nbytes", 0)) for v in values])
         return [_copy_result(acc) for _ in range(self.size)]
-
-    def allgather(self, values: Sequence[T]) -> list[list[T]]:
-        """Every rank receives the full list of per-rank values.
-
-        Each rank's list holds independent copies — rank-local lists do not
-        share element objects across ranks (the aliasing bug real MPI
-        semantics forbid).
-        """
-        self._check_per_rank(values)
-        sizes = [int(getattr(v, "nbytes", 0)) for v in values]
-        self.stats.records.append(
-            CollectiveRecord(
-                "allgather",
-                total_bytes=sum(sizes),
-                p2p_bytes=max(sizes),
-                ranks=self.size,
-                p2p_min_bytes=min(sizes),
-                p2p_max_bytes=max(sizes),
-                messages=self.size * self.size,
-            )
-        )
-        return [[_copy_result(v) for v in values] for _ in range(self.size)]
-
-    def bcast(self, value: T, root: int = 0) -> list[T]:
-        """Root's value delivered to every rank, as independent copies."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"invalid root {root}")
-        nbytes = int(getattr(value, "nbytes", 0))
-        self.stats.records.append(
-            CollectiveRecord(
-                "bcast",
-                total_bytes=nbytes * (self.size - 1),
-                p2p_bytes=nbytes,
-                ranks=self.size,
-                p2p_min_bytes=nbytes,
-                p2p_max_bytes=nbytes,
-                messages=self.size - 1,
-            )
-        )
-        return [_copy_result(value) for _ in range(self.size)]

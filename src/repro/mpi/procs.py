@@ -12,16 +12,18 @@ and sends it, one message per worker, when it wants a result back:
   names one by a :class:`_Resident` descriptor, never by its bytes;
 * :meth:`ProcsComm.each_rank` runs a module-level function on every rank's
   resident arrays in the workers; only small results come back;
-* :meth:`ProcsComm.rank_transpose` is the all-to-all: each worker packs
-  into its **exchange ring** (a per-worker segment that grows on demand),
-  meets its peers at a barrier, and copies slot *s* of every peer's ring
-  into rank *s*'s transposed slab; the :data:`repro.dist.stages.STAGES`
+* :meth:`ProcsComm.rank_transpose` is the all-to-all, the whole slab as
+  one chunk of :func:`repro.dist.transpose.chunk_exchange_layout`: each
+  worker packs into its **exchange ring** (a per-worker segment that grows
+  on demand), meets its peers at a barrier, and copies its slot of every
+  peer's ring into its transposed slab; the :data:`repro.dist.stages.STAGES`
   FFTs (and a substage's products) ride in the pack and the unpack.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import mmap
 import os
 import time
@@ -37,7 +39,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.dist.stages import STAGES, products
-from repro.dist.virtual_mpi import CollectiveRecord, TransientCommFault, VirtualComm
+from repro.dist.transpose import chunk_exchange_layout
+from repro.dist.virtual_mpi import VirtualComm, retry_transient
+from repro.obs import NULL_OBS
 from repro.obs.flight import current_flight, dump_current_flight
 from repro.obs.heartbeat import HeartbeatBoard, HeartbeatWriter
 from repro.spectral.pointwise import PointwiseKernel
@@ -55,10 +59,6 @@ class WorkerStallError(RuntimeError):
 _ALIGN = 64
 #: Initial per-worker exchange-ring bytes, grown on demand.
 _INITIAL_RING_BYTES = 1 << 20
-#: Attempts per exchange when a driver-side fault injector raises
-#: :class:`~repro.dist.virtual_mpi.TransientCommFault`; must exceed the
-#: plan's ``max_consecutive`` for recovery to be guaranteed.
-_FAULT_RETRY_BUDGET = 4
 
 
 def _aligned(nbytes: int) -> int:
@@ -79,12 +79,6 @@ class _Kernel(NamedTuple):
     """How a message names a PointwiseKernel; a worker builds each once."""
 
     recipe: tuple
-
-
-def _window(ndim: int, axis: int, start: int, extent: int) -> tuple:
-    index = [slice(None)] * ndim
-    index[axis] = slice(start, start + extent)
-    return tuple(index)
 
 
 def _quietly(fn, *args) -> None:
@@ -170,8 +164,8 @@ class _Worker:
 
     def pack(self, msg: dict, lf, spans: list) -> None:
         """The pre stage into a claimed buffer (skipped on a re-pack, which
-        reads what the first dispatch left there), then one block per peer
-        into this rank's ring."""
+        reads what the first dispatch left there), then peer ``s``'s planes
+        ``pack[s]`` into slot ``s`` of this rank's ring."""
         mid = src = self.array(msg["src"])
         pre, t0 = msg["pre"], time.perf_counter()
         if pre is not None:
@@ -181,25 +175,21 @@ class _Worker:
             if not msg["repack"]:
                 stage.fn(src, msg["n"], lf, out=mid)
                 spans.append((f"proc.{pre}", "fft", t0, time.perf_counter()))
-        t1, edge = time.perf_counter(), 0
-        for dst, ext in enumerate(msg["exts"]):
-            block = mid[_window(mid.ndim, msg["axis"], edge, ext)]
-            edge += ext
-            np.copyto(self.slot(self.rank, dst, block.shape, block.dtype, msg),
-                      block)
+        t1 = time.perf_counter()
+        for s, index in enumerate(msg["pack"]):
+            block = mid[index]
+            np.copyto(self.slot(self.rank, s, block.shape, block.dtype, msg), block)
         spans.append(("proc.pack", "pack", t1, time.perf_counter()))
 
     def unpack(self, msg: dict, lf, spans: list) -> None:
-        """Slot ``rank`` of every peer's ring into its window of the
+        """Slot ``rank`` of peer ``r``'s ring into window ``r`` of the
         transposed slab — ``out`` without a post stage, else ``land`` when
         lent, else ``out`` for a post stage that keeps shape and dtype and
         forms no products (the y FFTs, run in place), else a slab claimed
         once — then the post stage, or the products, into ``out``."""
         out = self.array(msg["out"])
-        post, n, axis = msg["post"], msg["n"], msg["axis"]
-        block, dtype = list(msg["block"]), msg["dtype"]
-        t0, edge, shape = time.perf_counter(), 0, list(block)
-        shape[axis] = sum(msg["exts"])
+        post, n, dtype = msg["post"], msg["n"], msg["dtype"]
+        t0 = time.perf_counter()
         stage = None if post is None else STAGES[post]
         if stage is None:
             dst = out
@@ -208,12 +198,9 @@ class _Worker:
         elif msg["pairs"] is None and not (stage.real_in or stage.real_out):
             dst = out
         else:
-            dst = self.claim("transposed", shape, dtype)
-        for src, ext in enumerate(msg["exts"]):
-            block[axis] = ext
-            np.copyto(dst[_window(dst.ndim, axis, edge, ext)],
-                      self.slot(src, self.rank, block, dtype, msg))
-            edge += ext
+            dst = self.claim("transposed", msg["shape"], dtype)
+        for r, (window, block) in enumerate(zip(msg["windows"], msg["blocks"])):
+            np.copyto(dst[window], self.slot(r, self.rank, block, dtype, msg))
         t1 = time.perf_counter()
         spans.append(("proc.unpack", "pack", t0, t1))
         if stage is None:
@@ -352,8 +339,6 @@ class ProcsComm(VirtualComm):
         #: each, its name and base address.
         self._resident_segs: list[_shm.SharedMemory] = []
         self._maps: dict[int, tuple[str, int, mmap.mmap]] = {}
-        #: Resident stand-ins for caller arrays that are not resident.
-        self._staged: dict[tuple, np.ndarray] = {}
         beating = heartbeat_interval is not None and heartbeat_interval > 0
         self.heartbeat_board = HeartbeatBoard(size) if beating else None
         self._boards = [self.heartbeat_board] if beating else []
@@ -504,7 +489,6 @@ class ProcsComm(VirtualComm):
         self._finalizer.detach()
         _cleanup(self._workers, self._segments, self._boards, self._resident_segs)
         self._maps.clear()
-        self._staged.clear()
         self.heartbeat_board = None
 
     def __enter__(self) -> "ProcsComm":
@@ -599,53 +583,42 @@ class ProcsComm(VirtualComm):
             return None
         return [reply["result"] for reply in self._broadcast_wait(msgs, sinks)]
 
-    def _addressable(self, role: str, r: int, a: np.ndarray, copy_in: bool):
-        """``(descriptor, stand-in)``: ``a``'s own descriptor, or that of a
-        resident stand-in claimed once per role, rank, shape and dtype."""
-        d = self._descriptor(a)
-        if d is not None:
-            return d, None
-        key = (role, r, a.shape, a.dtype.str)
-        stand_in = self._staged.get(key)
-        if stand_in is None:
-            stand_in = self._staged[key] = self._segment_array(a.shape, a.dtype)
-        if copy_in:
-            np.copyto(stand_in, a)
-        return self._descriptor(stand_in), stand_in
-
     # -- the all-to-all ------------------------------------------------------
 
     def rank_transpose(
         self, locals_: Sequence[np.ndarray], pack_axis: int, unpack_axis: int,
         pre: Optional[str] = None, post: Optional[str] = None,
         n: Optional[int] = None, out_dtype=None, fft: Optional[str] = None,
-        kind: str = "alltoall", obs: "Observability | None" = None,
+        obs: "Observability | None" = None,
         pack_sizes: Optional[Sequence[int]] = None,
         out: Optional[Sequence[np.ndarray]] = None,
         pairs: Optional[Sequence[tuple[int, int]]] = None, wait: bool = True,
         land: Optional[Sequence[np.ndarray]] = None,
     ) -> list[np.ndarray]:
         """Pre stage + pack -> all-to-all -> unpack + post stage, in the
-        workers; bit-identical to :func:`repro.dist.transpose.pack_blocks`,
-        :meth:`VirtualComm.alltoall` and the inline stages.  Leading axes
-        (fields ``[field, kz, y, x]``) ride along: one exchange per direction.
+        workers: the whole slab as one chunk of
+        :func:`repro.dist.transpose.chunk_exchange_layout`, bit-identical to
+        :func:`repro.dist.transpose.transpose_exchange` and the inline
+        stages.  Leading axes (fields ``[field, kz, y, x]``) ride along: one
+        exchange per direction.
 
         ``pack_sizes``: rank r's input has ``pack_sizes[r]`` planes along
         ``unpack_axis``, and the pack splits ``pack_axis`` alike (uneven
         slabs).  ``pairs`` (``post="inv_zx"``) ends the unpack with those
         field pairs' products and their ``fwd_xz``
         (:func:`repro.dist.stages.products`): one spectrum per pair.
-        Resident ``locals_``/``out`` are used in place, others through
-        resident stand-ins; a post stage's input lands in ``land[s]`` when
-        given.  ``wait=False`` queues the exchange for the next message
-        unless it goes through a stand-in (one per role and rank, so a
-        second queued call would overwrite it).  Exchanges alternate ring
+        ``locals_``, ``out`` and ``land`` must be :meth:`resident`, as for
+        :meth:`each_rank`; an omitted ``out`` is claimed resident.  A post
+        stage's input lands in ``land[s]`` when given.  ``wait=False``
+        queues the exchange for the next message.  Exchanges alternate ring
         halves; a worker packs exchange k + 2 only past exchange k + 1's
         barrier, which every peer reaches after unpacking exchange k.
         """
         if not self._workers:
             raise RuntimeError(f"{self.name}: communicator is closed")
-        self._check_per_rank(locals_)
+        for arrays in (locals_, out, land):
+            if arrays is not None:
+                self._check_per_rank(arrays)
         first, P = locals_[0], self.size
         ps = None if pack_sizes is None else tuple(int(x) for x in pack_sizes)
         if ps is not None and (len(ps) != P or min(ps) < 0):
@@ -662,64 +635,64 @@ class ProcsComm(VirtualComm):
             raise ValueError("pairs need post='inv_zx' (the products follow it)")
         n = first.shape[pack_axis] if n is None else n
         # Block geometry between the stages follows from the stage table.
-        mid_shape, mid_dtype = tuple(first.shape), first.dtype
+        mids, mid_dtype = [tuple(loc.shape) for loc in locals_], first.dtype
         if pre is not None:
-            mid_shape = STAGES[pre].out_shape(mid_shape, n)
+            mids = [STAGES[pre].out_shape(shape, n) for shape in mids]
             mid_dtype = STAGES[pre].out_dtype(mid_dtype)
-        if ps is None:
-            if mid_shape[pack_axis] % P != 0:
-                raise ValueError(f"pack axis extent {mid_shape[pack_axis]} not "
-                                 f"divisible by {P}")
-            pack_exts = (mid_shape[pack_axis] // P,) * P
-            unpack_exts = (mid_shape[unpack_axis],) * P
-        elif sum(ps) != mid_shape[pack_axis]:
+        extent = mids[0][pack_axis]
+        if ps is None and extent % P != 0:
+            raise ValueError(f"pack axis extent {extent} not divisible by {P}")
+        if ps is not None and sum(ps) != extent:
             raise ValueError(f"pack_sizes {ps} sum to {sum(ps)} but the pack "
-                             f"axis extent is {mid_shape[pack_axis]}")
-        else:
-            pack_exts = unpack_exts = ps
-        # The r -> s block is base_bytes x s's pack x r's unpack extent.
-        base_bytes = mid_dtype.itemsize * int(np.prod(
-            [e for ax, e in enumerate(mid_shape) if ax not in (pack_axis, unpack_axis)]))
-        stride = _aligned(base_bytes * max(unpack_exts) * max(pack_exts))
-        self._ensure_capacity(2 * max(P * stride, 1))
-        base, self._half = self._half * self._seg_bytes // 2, 1 - self._half
-
-        trace = obs is not None and obs.enabled
-        sinks = ([partial(obs.spans.record, lane=f"rank{r}.proc") for r in range(P)]
-                 if trace else None)
-        common = {"n": int(n), "base": base, "stride": stride, "trace": trace,
-                  "fft": fft if fft is not None else self.fft_backend}
-        sources = [self._addressable("in", r, a, True) for r, a in enumerate(locals_)]
-        packs = [
-            {"op": "pack", "src": d, "pre": pre, "axis": pack_axis,
-             "exts": pack_exts, "repack": False, **common}
-            for d, _ in sources
-        ]
-        unpacks, staged = [], []
+                             f"axis extent is {extent}")
+        # The whole slab is one chunk: each rank's whole unpack extent.
+        pack, blocks, windows = chunk_exchange_layout(
+            mids, pack_axis, unpack_axis, unpack_axis,
+            [slice(0, shape[unpack_axis]) for shape in mids], ps)
+        total = sum(shape[unpack_axis] for shape in mids)
+        slabs, results = [], []
         for s in range(P):
-            block = list(mid_shape)
-            block[pack_axis] = pack_exts[s]
-            o_shape, o_dt = list(block), mid_dtype
-            o_shape[unpack_axis] = sum(unpack_exts)
+            slab = list(blocks[0][s])
+            slab[unpack_axis] = total
+            o_shape, o_dt = slab, mid_dtype
             for stage in (post, "fwd_xz" if pairs is not None else None):
                 if stage is not None:
                     o_shape = list(STAGES[stage].out_shape(o_shape, n))
                     o_dt = STAGES[stage].out_dtype(o_dt)
             if pairs is not None:
                 o_shape[0] = len(pairs)
-            o_dt = np.dtype(out_dtype or o_dt)
-            target = out[s] if out is not None else np.empty(o_shape, o_dt)
-            if target.shape != tuple(o_shape) or target.dtype != o_dt:
+            slabs.append(tuple(slab))
+            results.append((tuple(o_shape), np.dtype(out_dtype or o_dt)))
+        # Every array by its descriptor, before this exchange takes a half.
+        srcs = [self._encode(a, f"locals_ of rank {r}") for r, a in enumerate(locals_)]
+        lands = ([None] * P if land is None else
+                 [self._encode(a, f"land of rank {s}") for s, a in enumerate(land)])
+        if out is None:
+            out = [self._segment_array(*result) for result in results]
+        for s, (target, (o_shape, o_dt)) in enumerate(zip(out, results)):
+            if target.shape != o_shape or target.dtype != o_dt:
                 raise ValueError(
                     f"{self.name}: out[{s}] is {target.shape}/{target.dtype}, "
-                    f"the exchange yields {tuple(o_shape)}/{o_dt}")
-            d, stand_in = self._addressable("out", s, target, copy_in=False)
-            staged.append((target, stand_in))
-            unpacks.append(
-                {"op": "unpack", "out": d, "post": post, "pairs": pairs,
-                 "land": None if land is None else self._encode(land[s], "land"),
-                 "block": tuple(block), "dtype": mid_dtype.str,
-                 "axis": unpack_axis, "exts": unpack_exts, **common})
+                    f"the exchange yields {o_shape}/{o_dt}")
+        dsts = [self._encode(a, f"out of rank {s}") for s, a in enumerate(out)]
+
+        sizes = [mid_dtype.itemsize * math.prod(b) for row in blocks for b in row]
+        stride = _aligned(max(sizes))
+        self._ensure_capacity(2 * max(P * stride, 1))
+        base, self._half = self._half * self._seg_bytes // 2, 1 - self._half
+        obs = obs if obs is not None else NULL_OBS
+        sinks = ([partial(obs.spans.record, lane=f"rank{r}.proc") for r in range(P)]
+                 if obs.enabled else None)
+        common = {"n": int(n), "base": base, "stride": stride, "trace": obs.enabled,
+                  "fft": fft if fft is not None else self.fft_backend}
+        packs = [{"op": "pack", "src": src, "pre": pre, "pack": pack,
+                  "repack": False, **common} for src in srcs]
+        unpacks = [
+            {"op": "unpack", "out": dsts[s], "land": lands[s], "post": post,
+             "pairs": pairs, "shape": slabs[s], "dtype": mid_dtype.str,
+             "windows": windows, "blocks": [row[s] for row in blocks], **common}
+            for s in range(P)
+        ]
 
         barriers = [{"op": "barrier"}] * P
         self._queue(packs, sinks)
@@ -728,36 +701,26 @@ class ProcsComm(VirtualComm):
         # injector now, in the collective order the in-process comm draws
         # it.  A dropped exchange queues the pack again, alone, and one more
         # barrier — the re-pack/re-post recovery of real MPI retry loops.
-        for attempt in range(_FAULT_RETRY_BUDGET if self.fault_injector else 0):
-            try:
-                self.fault_injector.check(kind, self)
-                break
-            except TransientCommFault as fault:
-                if attempt == _FAULT_RETRY_BUDGET - 1:
-                    raise
+        if self.fault_injector is not None:
+            def repost(fault) -> None:
                 self.fault_retries += 1
                 if fault.dropped:
                     self._queue([{**msg, "repack": True} for msg in packs], sinks)
                     self._queue(barriers)
-        sizes = [base_bytes * unpack_exts[r] * pack_exts[s]
-                 for r in range(P) for s in range(P)]
-        self.stats.records.append(CollectiveRecord(
-            kind, total_bytes=sum(sizes), p2p_bytes=max(sizes), ranks=P,
-            p2p_min_bytes=min(sizes), p2p_max_bytes=max(sizes),
-            messages=len(sizes)))
 
-        if wait or any(stand_in is not None for _, stand_in in sources + staged):
+            retry_transient(partial(self.fault_injector.check, "alltoall", self),
+                            repost, obs.metrics, obs.spans)
+        self._record("alltoall", sizes)
+
+        if wait:
             self._broadcast_wait(unpacks, sinks)
         else:
             self._queue(unpacks, sinks)
-        for target, stand_in in staged:
-            if stand_in is not None:
-                np.copyto(target, stand_in)
-        if trace and self.heartbeat_board is not None:
+        if obs.enabled and self.heartbeat_board is not None:
             # Live per-rank gauges (cpu seconds, heartbeat age, ops) — the
             # cross-process view `repro obs tail` and --report render.
             self.heartbeat_board.export_gauges(obs.metrics)
-        return [target for target, _ in staged]
+        return list(out)
 
 
 # -- factory -------------------------------------------------------------------

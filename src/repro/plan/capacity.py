@@ -346,7 +346,10 @@ class CapacityPlanner:
         ``node_counts=None`` uses each grid's smallest load-balanced node
         count (the Table 1 policy); explicit node counts that don't fit a
         grid yield infeasible quotes, kept only with ``include_infeasible``.
+        A non-positive grid is no problem to quote: a ``ValueError``.
         """
+        if any(n <= 0 for n in grids):
+            raise ValueError(f"problem size must be positive, got grids {list(grids)}")
         quotes: list[CostQuote] = []
         for n in grids:
             counts: Iterable[int]

@@ -7,12 +7,13 @@ exchange must be re-packed and re-posted from the unchanged source pencils).
 :class:`CommFaultPlan` injects both, seeded, by raising
 :class:`~repro.dist.virtual_mpi.TransientCommFault` from
 ``VirtualComm._exchange`` *before any bytes move* — so a retry observes a
-pristine exchange, which is what makes the retry/backoff loop in
-:meth:`repro.dist.outofcore.OutOfCoreSlabFFT._exchange_pencil` sound.
+pristine exchange, which is what makes the one retry/backoff loop,
+:func:`repro.dist.virtual_mpi.retry_transient`, sound for both engines.
 
 ``max_consecutive`` bounds how many times in a row the plan will fail, so
-every injected fault is genuinely transient as long as the retry budget
-exceeds it (the out-of-core default budget is 3 > the default bound 2).
+every injected fault is genuinely transient as long as the retries exceed
+it (:data:`~repro.dist.virtual_mpi.EXCHANGE_ATTEMPTS` is 4: 3 retries > the
+default bound 2).
 """
 
 from __future__ import annotations

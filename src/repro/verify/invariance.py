@@ -125,26 +125,40 @@ def _partition(rng, n: int, ranks: int) -> dict:
     return {"heights": tuple(int(h) for h in heights)}
 
 
-def _side(rng, point: JobSpec, partition: dict,
-          profile: Optional[str] = None) -> JobSpec:
+#: Rows cycled through their vocabulary on the seed instead of drawn: the
+#: point's ``scheme`` and ``fft_backend``, and side A's engine rows (its
+#: ``fuzz_profile`` on even seeds only).  Row ``r`` of stride ``k`` takes
+#: value ``seed // k % len(vocabulary)``, so any ``k * len(vocabulary)``
+#: consecutive seeds draw every value; distinct strides keep the rows from
+#: moving in step.
+_STRATA = {"fuzz_profile": 2, "comm": 3, "pipeline": 5, "dlb": 7,
+           "copy_strategy": 9, "scheme": 11, "fft_backend": 13}
+
+
+def _stratum(row: str, seed: int):
+    values = _vocab(row)
+    return values[seed // _STRATA[row] % len(values)]
+
+
+def _side(rng, point: JobSpec, partition: dict, **held) -> JobSpec:
     """One engine configuration of ``point``, redrawn until it validates;
-    ``profile`` names a fuzz profile the side must run under."""
+    ``held`` rows keep their given values (a held ``fuzz_profile`` makes
+    the side fuzz)."""
     while True:
-        fuzz = profile is not None or rng.random() < 0.35
-        spec = point.with_(
-            comm=_pick(rng, "comm"),
+        fuzz = "fuzz_profile" in held or rng.random() < 0.35
+        spec = point.with_(**{
+            "comm": _pick(rng, "comm"),
             # Unset half the time: the default, and over procs its own path.
-            npencils=None if rng.random() < 0.5 else _pick(
+            "npencils": None if rng.random() < 0.5 else _pick(
                 rng, [d for d in (1, 2, 3, 4) if point.n % d == 0]),
-            pipeline=_pick(rng, "pipeline"),
-            inflight=int(rng.integers(1, 4)),
-            copy_strategy=_pick(rng, "copy_strategy"),
-            dlb=_pick(rng, "dlb") if rng.random() < 0.5 else "off",
-            fuzz_seed=int(rng.integers(1000)) if fuzz else None,
-            fuzz_profile=profile or (_pick(rng, "fuzz_profile") if fuzz
-                                     else "calm"),
-            **partition,
-        )
+            "pipeline": _pick(rng, "pipeline"),
+            "inflight": int(rng.integers(1, 4)),
+            "copy_strategy": _pick(rng, "copy_strategy"),
+            "dlb": _pick(rng, "dlb") if rng.random() < 0.5 else "off",
+            "fuzz_seed": int(rng.integers(1000)) if fuzz else None,
+            "fuzz_profile": _pick(rng, "fuzz_profile") if fuzz else "calm",
+            **partition, **held,
+        })
         try:
             return spec.validate()
         except ValueError:
@@ -154,22 +168,25 @@ def _side(rng, point: JobSpec, partition: dict,
 def draw_pair(seed: int) -> EnginePair:
     """The seed's physics point and two engine configurations of it.
 
-    Side A of an even seed is fuzzed, cycling through the profiles, so
-    every window of ``2 * len(PROFILES)`` seeds runs each one.  Side B
-    redraws the engine on the same or another partition; about one pair in
-    three gets a ``roundoff`` partner instead, the serial solver or the
-    other FFT backend.
+    The point's scheme and FFT backend and side A's comm, pipeline, copy
+    strategy and DLB cycle on the seed (:data:`_STRATA`), and side A of an
+    even seed is fuzzed, cycling through the profiles, so every window of
+    40 seeds draws each of their values.  Side B redraws the engine on the
+    same or another partition; about one pair in three gets a ``roundoff``
+    partner instead, the serial solver or the other FFT backend.
     """
     rng = np.random.default_rng(seed)
     n, ranks = _pick(rng, _GRIDS), int(rng.integers(1, 5))
-    point = JobSpec(n=n, steps=2, dt=2e-3, scheme=_pick(rng, "scheme"),
+    point = JobSpec(n=n, steps=2, dt=2e-3, scheme=_stratum("scheme", seed),
                     ic="random", ic_seed=seed, ranks=ranks,
-                    fft_backend=_pick(rng, "fft_backend"))
+                    fft_backend=_stratum("fft_backend", seed))
     phase_shift, scalars = bool(rng.integers(2)), int(rng.integers(2))
     partition = _partition(rng, n, ranks)
-    profiles = _vocab("fuzz_profile")
-    a = _side(rng, point, partition, None if seed % 2
-              else profiles[seed // 2 % len(profiles)])
+    held = {row: _stratum(row, seed)
+            for row in ("comm", "pipeline", "copy_strategy", "dlb")}
+    if seed % 2 == 0:
+        held["fuzz_profile"] = _stratum("fuzz_profile", seed)
+    a = _side(rng, point, partition, **held)
     roll = rng.random()
     if roll < 0.15:
         b = point.with_(ranks=None)

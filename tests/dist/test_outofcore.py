@@ -6,8 +6,8 @@ import pytest
 from repro.cuda.copyengine import Batched2DEngine
 from repro.dist.dist_solver import DistributedNavierStokesSolver
 from repro.cuda.arena import DeviceMemoryExceeded
-from repro.dist.outofcore import _COMM_RETRIES, OutOfCoreSlabFFT
-from repro.dist.virtual_mpi import TransientCommFault, VirtualComm
+from repro.dist.outofcore import OutOfCoreSlabFFT
+from repro.dist.virtual_mpi import EXCHANGE_ATTEMPTS, TransientCommFault, VirtualComm
 from repro.obs import Observability
 from repro.spectral import random_isotropic_field
 from repro.spectral.grid import SpectralGrid
@@ -230,7 +230,7 @@ class TestThreePasses:
             assert fft.arena.in_use == fft.rings.nbytes
         assert fft.arena.in_use == 0
         # The post and every re-post of the budget.
-        assert comm.fault_injector.dropped == 1 + _COMM_RETRIES
+        assert comm.fault_injector.dropped == EXCHANGE_ATTEMPTS
 
 
 class _CountingEngine(Batched2DEngine):

@@ -20,6 +20,7 @@ from repro.dist.slab_fft import SlabDistributedFFT
 from repro.dist.transpose import transpose_exchange
 from repro.dist.virtual_mpi import VirtualComm
 from repro.mpi.procs import COMM_KINDS, ProcsComm, WorkerStallError, make_comm
+from repro.obs import Observability
 from repro.spectral.grid import SpectralGrid
 from repro.spectral.solver import SolverConfig
 from repro.verify.faults import CommFaultPlan
@@ -44,6 +45,15 @@ def _spectral_field(grid, P, seed=0):
         )
         for _ in range(P)
     ]
+
+
+def _resident(engine, arrays):
+    """``arrays`` copied into per-rank arrays ``engine.resident`` claims (a
+    comm's or an FFT engine's): what a worker may address."""
+    held = engine.resident([a.shape for a in arrays], arrays[0].dtype)
+    for h, a in zip(held, arrays):
+        h[...] = a
+    return held
 
 
 class TestFactory:
@@ -91,13 +101,10 @@ class TestCollectiveConformance:
                 assert np.array_equal(g, r)
         assert procs4.allreduce([1.0, 2.0, 3.0, 4.0]) == [10.0] * 4
 
-    def test_bcast_allgather_no_alias(self, procs4):
-        out = procs4.bcast(np.zeros(3))
+    def test_allreduce_no_alias(self, procs4):
+        out = procs4.allreduce([np.zeros(3)] * 4)
         out[0][:] = 9.0
         assert np.all(out[1] == 0.0)
-        gathered = procs4.allgather([np.zeros(2)] * 4)
-        gathered[0][0][:] = 5.0
-        assert np.all(gathered[1][0] == 0.0)
 
 
 class TestRankTranspose:
@@ -105,12 +112,13 @@ class TestRankTranspose:
         rng = np.random.default_rng(3)
         locs = [rng.standard_normal((4, 16, 9)) for _ in range(4)]
         ref = transpose_exchange(VirtualComm(4), locs, pack_axis=1, unpack_axis=0)
-        got = transpose_exchange(procs4, locs, pack_axis=1, unpack_axis=0)
+        got = procs4.rank_transpose(_resident(procs4, locs), pack_axis=1,
+                                    unpack_axis=0)
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
 
     def test_records_alltoall_stats(self, procs4):
-        locs = [np.zeros((4, 16, 8)) for _ in range(4)]
+        locs = procs4.resident([(4, 16, 8)] * 4, np.float64)
         procs4.rank_transpose(locs, pack_axis=1, unpack_axis=0)
         rec = procs4.stats.records[-1]
         assert rec.kind == "alltoall"
@@ -129,7 +137,8 @@ class TestRankTranspose:
             ref = transpose_exchange(
                 VirtualComm(4), locs, pack_axis=2, unpack_axis=1
             )
-            got = transpose_exchange(procs4, locs, pack_axis=2, unpack_axis=1)
+            got = procs4.rank_transpose(_resident(procs4, locs), pack_axis=2,
+                                        unpack_axis=1)
             for a, b in zip(ref, got):
                 assert np.array_equal(a, b)
 
@@ -160,7 +169,7 @@ class TestFusedSlabFFT:
         comm = ProcsComm(P)
         try:
             fft = SlabDistributedFFT(grid, comm)
-            phys = fft.inverse(spec)
+            phys = fft.inverse(_resident(comm, spec))
             back = fft.forward(phys)
         finally:
             comm.close()
@@ -173,26 +182,27 @@ class TestFusedSlabFFT:
 
     @pytest.mark.parametrize("heights", [None, (17, 7)])
     def test_out_is_filled_bit_identically(self, heights):
-        """``out=`` reaches ``rank_transpose``, which copies each outbox
-        into the caller's array instead of a fresh one."""
+        """``out=`` reaches ``rank_transpose``, whose workers unpack into
+        the caller's resident arrays instead of ones it claims."""
         grid, P = SpectralGrid(24), 2
         comm = ProcsComm(P)
         try:
             fft = SlabDistributedFFT(grid, comm, heights=heights)
             d = fft.decomp
             rng = np.random.default_rng(3)
-            spec = [
+            spec = _resident(fft, [
                 rng.standard_normal(d.local_spectral_shape(r))
                 + 1j * rng.standard_normal(d.local_spectral_shape(r))
                 for r in range(P)
-            ]
+            ])
             phys = fft.inverse(spec)
-            into = [np.full(d.local_physical_shape(r), np.nan) for r in range(P)]
+            into = _resident(fft, [np.full(d.local_physical_shape(r), np.nan)
+                                   for r in range(P)])
             assert all(g is o for g, o in zip(fft.inverse(spec, out=into), into))
             assert all(np.array_equal(o, e) for o, e in zip(into, phys))
             back = fft.forward(phys)
-            into = [np.full(d.local_spectral_shape(r), np.nan, dtype=complex)
-                    for r in range(P)]
+            into = _resident(fft, [np.full(d.local_spectral_shape(r), np.nan,
+                                           dtype=complex) for r in range(P)])
             fft.forward(phys, out=into)
             assert all(np.array_equal(o, e) for o, e in zip(into, back))
         finally:
@@ -244,7 +254,7 @@ class TestFusedSlabFFT:
         comm = ProcsComm(2)
         try:
             fft = SlabDistributedFFT(grid, comm, obs=obs)
-            fft.inverse(_spectral_field(grid, 2))
+            fft.inverse(_resident(comm, _spectral_field(grid, 2)))
         finally:
             comm.close()
         lanes = {a.lane for a in obs.spans.to_tracer().activities}
@@ -334,15 +344,14 @@ class TestCrossBackendSolverDeterminism:
         cfg = SolverConfig(nu=0.02, scheme="rk2")
 
         def run(comm, fft):
-            coeffs = fft.resident([f.shape for f in fields], grid.cdtype)
-            for c, f in zip(coeffs, fields):
-                c[...] = f
+            coeffs, spectra = _resident(fft, fields), _resident(fft, spec)
             legs = {
-                "inverse": [fft.inverse(spec) for _ in range(3)],
+                "inverse": [fft.inverse(spectra) for _ in range(3)],
                 "products": [[p.copy() for p in fft.product_spectra(
                     coeffs, PRODUCT_PAIRS)] for _ in range(3)],
             }
-            solver = DistributedNavierStokesSolver(grid, comm, u0, cfg)
+            solver = DistributedNavierStokesSolver(grid, comm, u0, cfg,
+                                                   obs=fft.obs)
             legs["step"] = [[solver.step(1e-3).energy, solver.gather_state()]
                             for _ in range(2)]
             return legs
@@ -353,8 +362,9 @@ class TestCrossBackendSolverDeterminism:
         comm.fault_injector = CommFaultPlan(
             seed=3, drop_rate=0.4, late_rate=0.3, kinds=("alltoall",)
         )
+        obs = Observability(enabled=True)
         try:
-            got = run(comm, SlabDistributedFFT(grid, comm))
+            got = run(comm, SlabDistributedFFT(grid, comm, obs=obs))
         finally:
             comm.close()
         for leg, runs in ref.items():
@@ -363,6 +373,10 @@ class TestCrossBackendSolverDeterminism:
                     assert np.array_equal(a, b), leg
         assert comm.fault_injector.injected > 0
         assert comm.fault_retries == comm.fault_injector.injected
+        # The pencil exchange's counters, from the same recovery loop.
+        assert obs.metrics.counter("comm.retries").value == comm.fault_retries
+        assert (obs.metrics.counter("comm.faults.transient").value
+                == comm.fault_injector.injected)
 
 
 class TestFaultPlanPickles:
@@ -428,8 +442,8 @@ class TestResidentState:
             comm.each_rank(_fill, arrays, [3.0, 4.0])
             where = [a.__array_interface__["data"][0] for a in arrays]
             before = comm._seg_bytes
-            big = [np.ones((64, 64, 8)) for _ in range(2)]
-            transpose_exchange(comm, big, pack_axis=1, unpack_axis=0)
+            big = comm.resident([(64, 64, 8)] * 2, np.float64)
+            comm.rank_transpose(big, pack_axis=1, unpack_axis=0)
             assert comm._seg_bytes > before  # the rings grew
             assert [a.__array_interface__["data"][0] for a in arrays] == where
             assert np.all(arrays[0] == 3.0) and np.all(arrays[1] == 4.0)
@@ -624,6 +638,26 @@ class TestReasonedRefusal:
             with pytest.raises(TypeError,
                                match="argument 0 of rank 1 is not a resident"):
                 comm.each_rank(_fill, loose, [0.0, 1.0])
+
+    @pytest.mark.parametrize("role", ["locals_", "out", "land"])
+    def test_exchange_array_that_is_not_resident(self, role):
+        """``rank_transpose`` takes what ``each_rank`` takes: resident
+        arrays only, the loose one named before anything is queued."""
+        with ProcsComm(2) as comm:
+            x, y = _rows(comm)
+            args = {"locals_": comm.resident([(4, 4, 3)] * 2, complex),
+                    "out": comm.resident([(8, 2, 4)] * 2, float),
+                    "land": comm.resident([(8, 2, 3)] * 2, complex)}
+            args[role] = [args[role][0], np.zeros_like(args[role][1])]
+            with pytest.raises(TypeError,
+                               match=f"{role} of rank 1 is not a resident"):
+                comm.rank_transpose(args["locals_"], pack_axis=1,
+                                    unpack_axis=0, post="inv_zx", n=4,
+                                    out=args["out"], land=args["land"])
+            # Nothing was queued: the next exchange round-trips exactly.
+            comm.rank_transpose(x, pack_axis=1, unpack_axis=0, out=y)
+            assert np.array_equal(comm.rank_transpose(
+                y, pack_axis=0, unpack_axis=1)[1], x[1])
 
 
 class TestWallClockFloor:

@@ -24,18 +24,14 @@ from repro.obs.flight import FlightRecorder, install_flight, uninstall_flight
 from repro.spectral.grid import SpectralGrid
 
 
-def _spectral_field(grid, P, seed=0):
-    from repro.dist.decomp import SlabDecomposition
-
-    d = SlabDecomposition(grid.n, P)
+def _spectral_field(fft, seed=0):
+    """Random coefficients in the resident kz-slabs of ``fft``'s workers."""
+    shape = fft.decomp.local_spectral_shape()
     rng = np.random.default_rng(seed)
-    shape = d.local_spectral_shape()
-    return [
-        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
-            grid.cdtype
-        )
-        for _ in range(P)
-    ]
+    field = fft.resident([shape] * fft.comm.size, fft.grid.cdtype)
+    for a in field:
+        a[...] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return field
 
 
 def _die_on(flag):
@@ -65,7 +61,7 @@ class TestHeartbeats:
         comm = ProcsComm(2, heartbeat_interval=0.05)
         try:
             fft = SlabDistributedFFT(grid, comm)
-            fft.inverse(_spectral_field(grid, 2))
+            fft.inverse(_spectral_field(fft))
             live = comm.live_worker_cpu_seconds()
             assert len(live) == 2 and all(c >= 0.0 for c in live)
             # Each rank completed at least one dispatched stage op.
@@ -82,7 +78,7 @@ class TestHeartbeats:
         comm = ProcsComm(2, heartbeat_interval=0.05)
         try:
             fft = SlabDistributedFFT(grid, comm, obs=obs)
-            fft.inverse(_spectral_field(grid, 2))
+            fft.inverse(_spectral_field(fft))
         finally:
             comm.close()
         names = set(obs.metrics.names())
@@ -99,7 +95,7 @@ class TestStallDetection:
         comm = ProcsComm(2, heartbeat_interval=0.05, stall_timeout=0.5)
         try:
             fft = SlabDistributedFFT(grid, comm)
-            spec = _spectral_field(grid, 2)
+            spec = _spectral_field(fft)
             fft.inverse(spec)  # healthy exchange first
             comm._workers[1][0].kill()
             time.sleep(0.3)  # let the process die and is_alive() settle
@@ -135,7 +131,7 @@ class TestStallDetection:
             try:
                 obs = Observability.create(flight=flight)
                 fft = SlabDistributedFFT(grid, comm, obs=obs)
-                spec = _spectral_field(grid, 2)
+                spec = _spectral_field(fft)
                 fft.inverse(spec)
                 comm._workers[0][0].kill()
                 time.sleep(0.3)
@@ -180,7 +176,7 @@ class TestWorkerLaneTraceExport:
         comm = ProcsComm(2)
         try:
             fft = SlabDistributedFFT(grid, comm, obs=obs)
-            fft.inverse(_spectral_field(grid, 2))
+            fft.inverse(_spectral_field(fft))
         finally:
             comm.close()
         path = write_chrome_trace(obs.spans.to_tracer(),
@@ -208,7 +204,7 @@ class TestWorkerLaneTraceExport:
         comm = ProcsComm(2)
         try:
             fft = SlabDistributedFFT(grid, comm, obs=obs)
-            fft.inverse(_spectral_field(grid, 2))
+            fft.inverse(_spectral_field(fft))
         finally:
             comm.close()
         lanes = {s["lane"] for s in flight.recent_spans()}

@@ -133,3 +133,28 @@ def test_non_finite_numbers_are_one_reasoned_line_at_the_argv_doors(
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert reason.replace("--", "", 1) in err
     assert not list(tmp_path.glob("**/*.json"))
+
+
+#: ``serve submit --spec FILE`` bodies that are no JobSpec, and the reason.
+BAD_SPEC_FILES = {
+    "missing": (None, "No such file or directory"),
+    "not-json": ("{n: 16", "Expecting property name"),
+    "not-an-object": ("[16]", "JobSpec JSON must be an object"),
+    "unknown-field": ('{"grid": 16}', "unknown JobSpec field(s): ['grid']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_FILES))
+def test_a_spec_file_that_is_no_jobspec_is_one_reasoned_line(
+        case, tmp_path, capsys):
+    body, reason = BAD_SPEC_FILES[case]
+    path = tmp_path / "spec.json"
+    if body is not None:
+        path.write_text(body, encoding="utf-8")
+    root = tmp_path / "store"
+    assert main(["serve", "submit", "--root", str(root),
+                 "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: invalid spec: ")
+    assert reason in err
+    assert not list(root.glob("**/*.json"))

@@ -83,6 +83,16 @@ class TestInfeasibleCostPlaneArguments:
         assert err.startswith("error: ") and reason in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("grids", [["0"], ["3072", "-8"]])
+    def test_non_positive_sweep_grid_is_one_error_line_and_no_file(
+            self, capsys, tmp_path, grids):
+        out = tmp_path / "sweep.json"
+        assert main(["plan", "--sweep", "--grids", *grids, "--nodes", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "problem size must be positive" in err
+        assert err.count("\n") == 1 and not out.exists()
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
