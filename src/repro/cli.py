@@ -958,12 +958,19 @@ def _cmd_serve(args) -> int:
         print(f"cancelled {record.id} -> {record.state}")
         return 0
 
+    if args.serve_command in ("run-scheduler", "api"):
+        # Both doors refuse a capacity that holds no job before planning.
+        try:
+            capacity = ServeCapacity(
+                **({} if args.device_bytes is None
+                   else {"device_bytes": args.device_bytes}),
+                max_jobs=args.max_jobs,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
     if args.serve_command == "run-scheduler":
-        capacity = ServeCapacity(
-            **({} if args.device_bytes is None
-               else {"device_bytes": args.device_bytes}),
-            max_jobs=args.max_jobs,
-        )
         service = _service(capacity=capacity, seed=args.seed)
         if service.last_reconcile and service.last_reconcile.readmitted:
             print(service.last_reconcile.render())
@@ -976,11 +983,6 @@ def _cmd_serve(args) -> int:
     if args.serve_command == "api":
         from repro.serve.http_api import make_server, serve_forever
 
-        capacity = ServeCapacity(
-            **({} if args.device_bytes is None
-               else {"device_bytes": args.device_bytes}),
-            max_jobs=args.max_jobs,
-        )
         service = _service(capacity=capacity)
         server = make_server(service, host=args.host, port=args.port)
         host, port = server.server_address[:2]

@@ -53,27 +53,27 @@ def ring_window(inline: bool, inflight: int, npencils: int, ranks: int) -> int:
 def ring_bytes(
     n: int, hmax: int, npencils: int, window: int,
     complex_itemsize: int = 16, real_itemsize: int = 8,
-) -> tuple[int, int, int, float]:
+) -> tuple[int, int, float]:
     """Ring-slot sizes and the arena of the out-of-core engine's DNS call.
 
-    Returns ``(x-pencil, y-stage complex, y-stage real, arena)`` bytes for
-    an ``n``-cubed grid whose tallest rank slab is ``hmax`` planes, cut in
-    ``npencils`` pencils with ``window`` of them in flight.  ``arena`` holds
-    the rings of the velocity substage (``product_spectra`` of three fields
-    into six products), the largest call a DNS step makes.
+    Returns ``(complex pencil, real pencil, arena)`` bytes for an
+    ``n``-cubed grid whose tallest rank slab is ``hmax`` planes, cut in
+    ``npencils`` pencils with ``window`` of them in flight.  Every stage
+    cuts a rank's own slab extent (kz of a kz-slab for the y-FFTs, y of a
+    y-slab for the z/x-FFTs), so the complex pencil of either is
+    ``ceil(hmax / npencils) * n * nxh`` elements.  ``arena`` holds the rings
+    of the velocity substage (``product_spectra`` of three fields into six
+    products), the largest call a DNS step makes.
     """
     nxh = n // 2 + 1
-    # Largest pencil of each stage family (the split is uneven and its
-    # last slice always carries the ceil: 49 -> 12, 12, 12, 13).  Ring
-    # slots are sized for the tallest rank's slab so one ring serves
-    # every (pencil, rank) item.
-    cx = math.ceil(nxh / npencils)  # x-split width (y-FFT stages)
-    wy = math.ceil(hmax / npencils)  # y-split width (z/x-FFT stages)
-    xpencil = hmax * n * cx * complex_itemsize
-    ycpx = n * wy * nxh * complex_itemsize
-    yreal = n * wy * n * real_itemsize
-    roles = _roles((xpencil, ycpx, yreal), 3, len(PRODUCT_PAIRS))
-    return xpencil, ycpx, yreal, arena_bytes(window, roles)
+    # The split is uneven and its last slice always carries the ceil
+    # (49 -> 12, 12, 12, 13); slots are sized for the tallest rank's slab
+    # so one ring serves every (pencil, rank) item.
+    width = math.ceil(hmax / npencils)
+    cpx = width * n * nxh * complex_itemsize
+    real = width * n * n * real_itemsize
+    roles = _roles((cpx, real), 3, len(PRODUCT_PAIRS))
+    return cpx, real, arena_bytes(window, roles)
 
 
 def arena_bytes(window: int, roles: dict) -> float:
@@ -81,16 +81,16 @@ def arena_bytes(window: int, roles: dict) -> float:
     return _ARENA_MARGIN * window * sum(roles.values())
 
 
-def _roles(pencils: tuple[int, int, int], fields: int, products: int) -> dict:
+def _roles(pencils: tuple[int, int], fields: int, products: int) -> dict:
     """Bytes of one item's ring slots per role, for a call that brings
     ``fields`` complex fields in and hands ``products`` out: one complex
     pencil per field of either side (results overwrite their inputs), and
-    on the y stages one real pencil per field in flight — with a product
+    on the z/x stages one real pencil per field in flight — with a product
     being formed, one more.  A single transform is ``(1, 0)``."""
-    xpencil, ycpx, yreal = pencils
+    cpx, real = pencils
     return {
-        "cpx": max(fields, products) * max(xpencil, ycpx),
-        "real": (fields + (products > 0)) * yreal,
+        "cpx": max(fields, products) * cpx,
+        "real": (fields + (products > 0)) * real,
     }
 
 

@@ -2,10 +2,13 @@
 
 A rank's slab lives in "host" memory (a NumPy array) while transforms may
 only touch "device" buffers drawn from a byte-budgeted :class:`DeviceArena`
-sized like a GPU.  The slab is processed pencil-by-pencil exactly as
-Fig. 3 / Fig. 4 prescribe — split along x for the y-stage, along y for the
-z/x stages — and the arena enforces that no more than the planner's buffer
-allowance is ever resident.
+sized like a GPU.  The slab is processed pencil-by-pencil as Fig. 4
+prescribes, each pencil a slice of the rank's own slab extent — along kz
+for the y stages, along y for the z/x stages — and the arena enforces that
+no more than the planner's buffer allowance is ever resident.  (Fig. 3
+splits the y stages along x; here the "device" is host memory, where that
+split only buys 200-byte copy runs, so each pencil is one contiguous run
+per field — DESIGN §10.)
 
 Each phase — one pass over the pencils — is a
 :class:`repro.exec.PencilPipeline` over four kinds of stream:
@@ -84,11 +87,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["OutOfCoreSlabFFT"]
 
-_KZ_AXIS, _Y_AXIS, _X_AXIS = 0, 1, 2
+_KZ_AXIS, _Y_AXIS = 0, 1
 #: Pencil split axis -> (pack, unpack, chunk) axes of the exchange behind
-#: it: the chunk is the pencil, so its axis is the split axis.
+#: it: the chunk is the pencil, so its axis is the split axis, which is
+#: also the axis the exchange unpacks along.
 _EXCHANGE_AXES = {
-    "x": (_Y_AXIS, _KZ_AXIS, _X_AXIS),
+    "kz": (_Y_AXIS, _KZ_AXIS, _KZ_AXIS),
     "y": (_KZ_AXIS, _Y_AXIS, _Y_AXIS),
 }
 
@@ -145,10 +149,10 @@ class OutOfCoreSlabFFT:
         bit-identical regardless of the choice.
     heights:
         Optional per-rank slab extents (uneven decomposition); every
-        rank still contributes ``npencils`` pencil slots per phase (empty
+        rank still contributes the same pencil slots per phase (empty
         ones for height-0 ranks), so the Fig. 4 item structure
-        ``i = ip * P + r`` — and with it the collective cadence — is
-        unchanged.
+        ``i = ip * P + r`` holds: one collective per pencil index that
+        is non-empty on some rank (:meth:`_cuts`).
     dlb:
         Every rank is one device: its pencils' compute runs on its own
         lane ``compute[r]``, as does its pointwise work (:meth:`each_rank`).
@@ -204,11 +208,11 @@ class OutOfCoreSlabFFT:
             copy_strategy, obs=self.obs, kind=self.pipeline
         )
 
-        #: Largest (x-pencil, y-stage complex, y-stage real) bytes.
+        #: Largest (complex, real) pencil bytes.
         self._pencil_bytes = ring_bytes(
             grid.n, self.decomp.max_height, npencils, self.inflight,
             np.dtype(grid.cdtype).itemsize, np.dtype(grid.dtype).itemsize,
-        )[:3]
+        )[:2]
         #: Without a budget the arena is sized to one ring of the largest
         #: call served so far (a single transform until a substage runs).
         self._sized_arena = device_bytes is None
@@ -297,16 +301,21 @@ class OutOfCoreSlabFFT:
 
     # -- shared pieces -------------------------------------------------------
 
-    def _splits(self, extent: int, keep_empty: bool = False) -> list[slice]:
-        """``extent`` cut at the floored ``linspace(0, extent, npencils + 1)``
-        edges: widths are floor or ceil of ``extent / npencils`` and the
-        last slice is always a widest one.  Empty slices are dropped unless
-        ``keep_empty`` — uneven slabs (including height-0 ranks) keep them
-        so every rank has ``npencils`` entries and the ``i = ip * P + r``
-        item structure holds."""
-        edges = np.linspace(0, extent, self.npencils + 1).astype(int)
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])
-                if keep_empty or b > a]
+    def _cuts(self) -> list[list[slice]]:
+        """Per rank, its pencils: the rank's own slab extent (kz of a
+        kz-slab, y of a y-slab) cut at the floored ``linspace(0, h,
+        npencils + 1)`` edges.  Widths are floor or ceil of ``h /
+        npencils`` and the last slice is always a widest one.  A pencil
+        index empty on every rank (``npencils > h`` on even slabs) is
+        dropped; one empty on some ranks only (uneven slabs, height-0
+        ranks) is kept, so every rank has the same number of entries and
+        the ``i = ip * P + r`` item structure holds."""
+        cuts = []
+        for h in self.decomp.rank_heights:
+            edges = np.linspace(0, h, self.npencils + 1).astype(int)
+            cuts.append([slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
+        cols = [c for c in zip(*cuts) if any(s.stop > s.start for s in c)]
+        return [list(c) for c in zip(*cols)]
 
     def _y_shape(self, r: int) -> tuple[int, int, int]:
         return (self.grid.n, self.decomp.height(r), self.grid.n // 2 + 1)
@@ -343,15 +352,6 @@ class OutOfCoreSlabFFT:
         return [flat[:size].reshape(shape) for flat, size, shape
                 in zip(self._transposed, sizes, shapes)]
 
-    def _cuts(self, by: str) -> list[list[slice]]:
-        """Per rank, the pencils of a ``by``-split phase (see :meth:`_phase`)."""
-        d, P = self.decomp, self.comm.size
-        if by == "x":
-            return [self._splits(self.grid.n // 2 + 1)] * P
-        if d.heights is None:
-            return [self._splits(d.my)] * P
-        return [self._splits(d.height(r), keep_empty=True) for r in range(P)]
-
     def _send_layout(self, by: str, fields: int):
         """``(layouts, k, slot)`` of the ``by``-split exchange of ``fields``
         fields: each pencil's chunk layout, the depth ``k`` of the send
@@ -365,7 +365,7 @@ class OutOfCoreSlabFFT:
         if by == "y":
             src_shape, dst_shape = dst_shape, src_shape
         shapes = [src_shape(r) for r in range(P)]
-        cuts = self._cuts(by)
+        cuts = self._cuts()
         layouts = [
             chunk_exchange_layout(
                 shapes, *_EXCHANGE_AXES[by], [cut[ip] for cut in cuts],
@@ -542,9 +542,9 @@ class OutOfCoreSlabFFT:
         (the result overwrites the input when both are complex; ``work``
         real pencils are handed over as ``work=``), D2H out of the slot.
         ``by`` names the split axis — never a transformed one, so every
-        pencil holds complete lines: ``"x"`` for the y stages on kz-slabs,
-        ``"y"`` for the z/x stages on y-slabs, where uneven slabs cut each
-        rank's own y extent into ``npencils`` (possibly empty) slices.
+        pencil holds complete lines: ``"kz"`` for the y stages on kz-slabs,
+        ``"y"`` for the z/x stages on y-slabs, each rank cutting its own
+        extent (:meth:`_cuts`), so a pencil is one contiguous run per field.
 
         With ``dst`` the D2H writes the same view of ``dst[r]``.  Without,
         the phase ends in the transpose into ``land``: the D2H of an item
@@ -553,9 +553,9 @@ class OutOfCoreSlabFFT:
         is out the comm stream exchanges its blocks into ``land``,
         pipelined behind the following pencils.
         """
-        d, n, P = self.decomp, self.grid.n, self.comm.size
+        n, P = self.grid.n, self.comm.size
         axis = 1 + _EXCHANGE_AXES[by][2]  # past the field axis
-        cuts = self._cuts(by)
+        cuts = self._cuts()
         fin, fout = fields
         real, cpx = self.grid.dtype, self.grid.cdtype
         in_role, in_dtype = ("real", real) if stage.real_in else ("cpx", cpx)
@@ -619,12 +619,11 @@ class OutOfCoreSlabFFT:
             self._exchange_pencil(send[i // P], windows[i // P])
 
         def volume(i: int) -> float:
-            """Item i's element count, on the real side for the r2c / c2r
-            stages: its weight on the DLB lane clocks."""
+            """Item i's points on the real grid (fields x planes x n²): its
+            weight on the DLB lane clocks."""
             ip, r = divmod(i, P)
             sl = cuts[r][ip]
-            return float(
-                fin * (d.height(r) if by == "x" else n) * n * (sl.stop - sl.start))
+            return float(fin * n * n * (sl.stop - sl.start))
 
         # Item i is rank i % P's and computes on that rank's lane, or where
         # the DLB policy lends it.
@@ -662,12 +661,11 @@ class OutOfCoreSlabFFT:
     ) -> list[np.ndarray]:
         """kz-slabs -> y-slabs of the real field, never exceeding the arena.
 
-        Stage order and pencil split axes follow the paper: y-FFTs on
-        x-split pencils (with the per-pencil s2p exchange pipelined behind
-        them), then z and the c2r x transform fused on y-split pencils
-        (one H2D/D2H round trip per pencil).  ``out`` hands over the
-        per-rank result arrays (NumPy's ``out=``); omitted, fresh ones are
-        allocated.
+        Stage order follows the paper: y-FFTs on kz-split pencils (with
+        the per-pencil s2p exchange pipelined behind them), then z and the
+        c2r x transform fused on y-split pencils (one H2D/D2H round trip
+        per pencil).  ``out`` hands over the per-rank result arrays
+        (NumPy's ``out=``); omitted, fresh ones are allocated.
         """
         d = self.decomp
         out = self._results(
@@ -676,7 +674,7 @@ class OutOfCoreSlabFFT:
         )
         self._reserve_rings(1)
         land = self._transposed_slabs(1)
-        self._phase("x", _one_field(spectral_locals), (1, 1),
+        self._phase("kz", _one_field(spectral_locals), (1, 1),
                     STAGES["inv_y"], land=land)
         self._phase("y", land, (1, 1), STAGES["inv_zx"], dst=_one_field(out))
         return out
@@ -687,7 +685,7 @@ class OutOfCoreSlabFFT:
         """y-slabs of the real field -> kz-slabs of coefficients: fused
         r2c-x + c2c-z FFTs on y-split pencils with the per-pencil p2s
         exchange (a y-sub-range of every peer's contribution) landing in
-        ``out``, then the final y-FFT + normalization in place on x-split
+        ``out``, then the final y-FFT + normalization in place on kz-split
         pencils.  ``out`` as for :meth:`inverse`."""
         d = self.decomp
         out = self._results(
@@ -698,7 +696,7 @@ class OutOfCoreSlabFFT:
         self._reserve_rings(1)
         self._phase("y", _one_field(physical_locals), (1, 1),
                     STAGES["fwd_xz"], land=spectra)
-        self._phase("x", spectra, (1, 1), STAGES["fwd_y"], dst=spectra)
+        self._phase("kz", spectra, (1, 1), STAGES["fwd_y"], dst=spectra)
         return out
 
     def product_spectra(
@@ -718,12 +716,12 @@ class OutOfCoreSlabFFT:
         = (i, j)``.  Three drained pipelines and two exchanges, whatever
         ``F`` and ``len(pairs)``:
 
-        1. y-FFTs of every field on x-split pencils, exchanged into
-           y-slabs;
+        1. y-FFTs of every field on kz-split pencils, exchanged into
+           contiguous kz windows of the y-slabs;
         2. on y-split pencils, :func:`repro.dist.stages.products`: z and
            c2r-x of every field, the products formed device-resident, r2c-x
            and z of each, exchanged straight into ``out``;
-        3. y-FFTs of every product in place on ``out``'s x-split pencils.
+        3. y-FFTs of every product in place on ``out``'s kz-split pencils.
 
         ``out`` may share memory with ``coeffs`` (phase 1 has read them
         before phase 2 writes); omitted, it is allocated.  ``land[r]``
@@ -738,15 +736,15 @@ class OutOfCoreSlabFFT:
             out, lambda r: (nout, *d.local_spectral_shape(r)), self.grid.cdtype,
         )
         middle = Stage(functools.partial(products, pairs=pairs), "fft.products")
-        self._reserve_send(("x", nfields), ("y", nout))
+        self._reserve_send(("kz", nfields), ("y", nout))
         self._reserve_rings(nfields, nout)
         land = (self._transposed_slabs(nfields) if land is None
                 else d.y_slabs(land, nfields, self.grid.cdtype))
-        self._phase("x", coeffs, (nfields, nfields), STAGES["inv_y"],
+        self._phase("kz", coeffs, (nfields, nfields), STAGES["inv_y"],
                     land=land)
         self._phase("y", land, (nfields, nout), middle, land=out,
                     work=nfields + 1)
-        self._phase("x", out, (nout, nout), STAGES["fwd_y"], dst=out)
+        self._phase("kz", out, (nout, nout), STAGES["fwd_y"], dst=out)
         return out
 
 

@@ -339,6 +339,9 @@ class ProcsComm(VirtualComm):
         #: each, its name and base address.
         self._resident_segs: list[_shm.SharedMemory] = []
         self._maps: dict[int, tuple[str, int, mmap.mmap]] = {}
+        #: By (shape, dtype), the maps of results of out-less exchanges
+        #: whose arrays the caller dropped: the next such result reuses one.
+        self._spare: dict[tuple, list[mmap.mmap]] = {}
         beating = heartbeat_interval is not None and heartbeat_interval > 0
         self.heartbeat_board = HeartbeatBoard(size) if beating else None
         self._boards = [self.heartbeat_board] if beating else []
@@ -489,6 +492,7 @@ class ProcsComm(VirtualComm):
         self._finalizer.detach()
         _cleanup(self._workers, self._segments, self._boards, self._resident_segs)
         self._maps.clear()
+        self._spare.clear()
         self.heartbeat_board = None
 
     def __enter__(self) -> "ProcsComm":
@@ -519,6 +523,17 @@ class ProcsComm(VirtualComm):
         self._resident_segs.append(seg)
         array = np.ndarray(shape, dtype, buffer=mm)
         self._maps[id(mm)] = (seg.name, array.__array_interface__["data"][0], mm)
+        return array
+
+    def _result_array(self, shape, dtype) -> np.ndarray:
+        """A resident array for an omitted ``out``: the segment of a dropped
+        result of this shape when there is one, else a new segment; spare
+        again once the caller drops the array (and every view of it)."""
+        key = (tuple(shape), np.dtype(dtype))
+        spare = self._spare.setdefault(key, [])
+        array = (np.ndarray(*key, buffer=spare.pop()) if spare
+                 else self._segment_array(*key))
+        weakref.finalize(array, spare.append, array.base).atexit = False
         return array
 
     def _descriptor(self, a: np.ndarray) -> Optional[_Resident]:
@@ -608,7 +623,8 @@ class ProcsComm(VirtualComm):
         field pairs' products and their ``fwd_xz``
         (:func:`repro.dist.stages.products`): one spectrum per pair.
         ``locals_``, ``out`` and ``land`` must be :meth:`resident`, as for
-        :meth:`each_rank`; an omitted ``out`` is claimed resident.  A post
+        :meth:`each_rank`; an omitted ``out`` is claimed resident, reusing
+        the segments of dropped results of its shape.  A post
         stage's input lands in ``land[s]`` when given.  ``wait=False``
         queues the exchange for the next message.  Exchanges alternate ring
         halves; a worker packs exchange k + 2 only past exchange k + 1's
@@ -668,7 +684,7 @@ class ProcsComm(VirtualComm):
         lands = ([None] * P if land is None else
                  [self._encode(a, f"land of rank {s}") for s, a in enumerate(land)])
         if out is None:
-            out = [self._segment_array(*result) for result in results]
+            out = [self._result_array(*result) for result in results]
         for s, (target, (o_shape, o_dt)) in enumerate(zip(out, results)):
             if target.shape != o_shape or target.dtype != o_dt:
                 raise ValueError(

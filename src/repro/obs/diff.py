@@ -23,10 +23,11 @@ Every numeric measure is classified by *direction*: ``lower`` is better
 for times and bytes, ``higher`` for rates and speedups, and measures with
 no known direction are reported but never gate.  A comparison fails when a
 directed measure moved the wrong way by more than ``tolerance`` (relative,
-default 10%).  Identity for matching comes from the record's non-measure
-fields (n, scheme, backend, ranks, labels, ...), so a baseline sweep and a
-rerun pair up cell by cell; cells present on only one side are reported as
-``missing`` and do not gate (sweeps legitimately grow).
+default 10%) or is not finite on either side.  Identity for matching comes
+from the record's non-measure fields (n, scheme, backend, ranks, labels,
+...), so a baseline sweep and a rerun pair up cell by cell; cells present
+on only one side are reported as ``missing`` and do not gate (sweeps
+legitimately grow).
 
 Tolerances are per-artifact business: the capacity quotes and the
 imbalance model rows are deterministic model outputs, so CI gates them at
@@ -245,8 +246,8 @@ def compare_artifacts(
     ``only`` restricts gating *and* reporting to keys containing any of the
     given substrings (e.g. ``["seconds_per_step"]``).
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
     def _selected(key: str) -> bool:
         return only is None or any(s in key for s in only)
@@ -274,6 +275,8 @@ def compare_artifacts(
         )
         if direction is None:
             status = "info"
+        elif not (math.isfinite(base_v) and math.isfinite(cur_v)):
+            status = "regression"  # NaN compares false to any bound
         elif direction == "lower":
             status = ("regression" if rel > tolerance
                       else "improved" if rel < -tolerance else "ok")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,10 +76,11 @@ class ServeCapacity:
     max_jobs: int = 4
 
     def __post_init__(self):
-        if self.device_bytes <= 0:
-            raise ValueError("device_bytes must be positive")
+        if not (math.isfinite(self.device_bytes) and self.device_bytes > 0):
+            raise ValueError(f"device bytes must be finite and positive, "
+                             f"got {self.device_bytes}")
         if self.max_jobs < 1:
-            raise ValueError("max_jobs must be >= 1")
+            raise ValueError(f"max jobs must be >= 1, got {self.max_jobs}")
 
     def to_dict(self) -> dict:
         return {"device_bytes": float(self.device_bytes),

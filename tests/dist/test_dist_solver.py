@@ -118,7 +118,7 @@ def _steady_step_growth(grid, rng, scheme, scalars, every=0, **engine):
         finally:
             tracemalloc.stop()
         fft = dist.fft
-    pencil = max(ring_bytes(grid.n, grid.n // 2, fft.npencils, fft.inflight)[:3])
+    pencil = max(ring_bytes(grid.n, grid.n // 2, fft.npencils, fft.inflight)[:2])
     slab = grid.n**3 // 2 * np.dtype(grid.dtype).itemsize
     return growth, min(pencil, slab)
 

@@ -176,12 +176,13 @@ class TestThreePasses:
             edges = np.linspace(0, extent, npencils + 1).astype(int)
             return list(np.diff(edges))
 
-        # Block r -> s of pencil ip: the inverse splits x, the forward
-        # splits each source rank's own y extent.
+        # Block r -> s of pencil ip: the inverse splits each source rank's
+        # own kz extent, the forward its own y extent.
         expected = {
             "inverse": (2 * cpx, cpx + real, [
-                [hs[r] * hs[s] * cx * 16 for r in range(P) for s in range(P)]
-                for cx in cut(nxh)]),
+                [cut(hs[r])[ip] * hs[s] * nxh * 16
+                 for r in range(P) for s in range(P)]
+                for ip in range(npencils)]),
             "forward": (real + cpx, 2 * cpx, [
                 [hs[s] * cut(hs[r])[ip] * nxh * 16
                  for r in range(P) for s in range(P)]
@@ -216,6 +217,72 @@ class TestThreePasses:
                 assert sum(a.meta["nbytes"] for a in spans
                            if a.name == "arena.d2h") == d2h
                 assert not [a for a in spans if a.category == "pack"]
+
+    @pytest.mark.parametrize("heights", [None, (13, 11)],
+                             ids=["even", "uneven"])
+    def test_y_stage_pencils_copy_whole_runs(self, heights, rng, monkeypatch):
+        """The y stages cut each rank's own kz extent: phases 1 and 3 of a
+        substage load and store a pencil as one run per field, and the
+        pack's runs are one peer's ``h_s * nxh`` y-planes."""
+        from repro.cuda.copyengine import ChunkLayout, _drop_unit_lead
+
+        n, P, npencils, nxh = 24, 2, 4, 13
+        with OutOfCoreSlabFFT(SpectralGrid(n), VirtualComm(P), npencils,
+                              heights=heights) as fft:
+            hs, engine = fft.decomp.rank_heights, fft._copy_engine
+            phases, copies = [], []
+
+            def record(direction):
+                copy = getattr(engine, direction)
+
+                def recorded(dst, src, spans=None):
+                    layout = ChunkLayout.of(*_drop_unit_lead(dst, src))
+                    copies.append((len(phases), direction, layout))
+                    copy(dst, src, spans=spans)
+                return recorded
+
+            def phase(*args, **kwargs):
+                phases.append(args[0])
+                run_phase(*args, **kwargs)
+
+            for direction in ("h2d", "d2h"):
+                monkeypatch.setattr(engine, direction, record(direction))
+            run_phase = fft._phase
+            monkeypatch.setattr(fft, "_phase", phase)
+            coeffs = [np.stack([a] * 3) for a in _spectral_locals(fft, rng)]
+            fft.product_spectra(coeffs, PRODUCT_PAIRS)
+        assert phases == ["kz", "y", "kz"]
+        for number, fields in ((1, 3), (3, len(PRODUCT_PAIRS))):
+            loads = [c for p, d, c in copies if p == number and d == "h2d"]
+            stores = [c for p, d, c in copies if p == number and d == "d2h"]
+            assert len(loads) == npencils * P
+            assert all(c.nchunks <= fields for c in loads)
+            if number == 3:
+                assert len(stores) == npencils * P
+                assert all(c.nchunks <= fields for c in stores)
+            else:  # the pack: one copy per (item, peer)
+                assert len(stores) == npencils * P * P
+                assert {c.chunk_elems for c in stores} == {h * nxh for h in hs}
+
+    @pytest.mark.parametrize("heights,columns", [(None, 4), ((5, 3), 7)],
+                             ids=["even", "uneven"])
+    def test_a_pencil_empty_on_every_rank_posts_no_collective(
+        self, heights, columns, rng
+    ):
+        """Eight pencils of 4-plane slabs: half the cuts are empty on every
+        rank and are dropped, one collective per remaining pencil column.
+        Heights (5, 3) keep the columns empty on one rank only (7 of 8)."""
+        grid, comm = SpectralGrid(8), VirtualComm(2)
+        u = rng.standard_normal(grid.physical_shape)
+        with OutOfCoreSlabFFT(grid, comm, 8, heights=heights) as fft:
+            d = fft.decomp
+            back = d.gather_physical(
+                fft.inverse(fft.forward(d.scatter_physical(u))))
+        assert np.allclose(back, u, atol=1e-12)
+        records = comm.stats.records
+        assert len(records) == 2 * columns
+        assert all(r.kind == "ialltoall" and r.total_bytes > 0
+                   for r in records)
 
     def test_exhausted_retries_still_raise(self, rng):
         from repro.verify.faults import CommFaultPlan

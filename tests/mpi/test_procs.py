@@ -504,6 +504,24 @@ class TestResidentState:
             assert (a["buffers"], a["segments"]) == (b["buffers"], b["segments"])
             assert b["buffers"] > 0
 
+    def test_out_less_transforms_reuse_the_segments_of_dropped_results(self):
+        grid = SpectralGrid(16)
+        with ProcsComm(2) as comm:
+            fft = SlabDistributedFFT(grid, comm)
+            spec = _resident(comm, _spectral_field(grid, 2))
+            kept = fft.inverse(spec)
+            counts = []
+            for _ in range(4):
+                phys = fft.inverse(spec)
+                assert all(np.array_equal(a, b) for a, b in zip(phys, kept))
+                del phys
+                counts.append((len(comm._resident_segs), [
+                    c["segments"] for c in comm.worker_claims()]))
+            # The result still held is never handed out again.
+            again = fft.inverse(spec)
+            assert not any(np.shares_memory(a, b) for a, b in zip(again, kept))
+        assert counts == counts[:1] * 4
+
     def test_a_step_is_four_exchanges_in_at_most_two_messages(self, monkeypatch):
         """Per RK2 substage the shift, both exchanges (each worker packs,
         meets its peers at the barrier, unpacks), the assembly and the

@@ -67,6 +67,23 @@ class TestServeCli:
         assert "1 admitted" in out and "0 done" in out
         assert "PENDING" in out  # plan-only leaves the queue untouched
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--device-bytes", "nan"), ("--device-bytes", "0"),
+        ("--device-bytes", "-1"), ("--max-jobs", "0"), ("--max-jobs", "-1"),
+    ])
+    def test_run_scheduler_refuses_a_capacity_that_holds_no_job(
+            self, serve_root, capsys, flag, value):
+        main(["serve", "submit", "--name", "a", "--n", "8", "--steps", "1"])
+        capsys.readouterr()
+        assert main(["serve", "run-scheduler", "--plan-only",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert value in captured.err
+        assert not (serve_root / "traces").exists()  # nothing was planned
+
 
 class TestVerifySchedulerCli:
     def test_verify_scheduler_green(self, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -429,9 +430,9 @@ class TestTune:
         assert {"per_chunk", "zero_copy", "memcpy2d"} <= strategies
         assert any(r["winner"] for r in doc["results"])
         # The per-peer send blocks the D2H packs into are probed layouts:
-        # (h_r, h_s, x-pencil) before the s2p exchange, (h_s, y-pencil, nxh)
-        # before the p2s one.
-        assert {(8, 8, 2), (8, 2, 9)} <= {tuple(r["shape"]) for r in doc["results"]}
+        # (kz-pencil, h_s, nxh) before the s2p exchange, (h_s, y-pencil,
+        # nxh) before the p2s one.
+        assert {(2, 8, 9), (8, 2, 9)} <= {tuple(r["shape"]) for r in doc["results"]}
         assert doc["provenance"]["git_sha"]
         # bench-shaped like every other artifact: obs diff reads it
         capsys.readouterr()
@@ -535,3 +536,28 @@ class TestObs:
     def test_obs_diff_missing_file_exits_2(self, capsys):
         assert main(["obs", "diff", "/nonexistent/a.json",
                      "/nonexistent/b.json"]) == 2
+
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    def test_obs_diff_nan_measure_is_a_regression(self, capsys, tmp_path,
+                                                  side):
+        base = self._baseline(tmp_path)
+        doc = json.loads(Path(base).read_text())
+        doc["results"][1]["seconds_per_step"] = math.nan
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(doc))
+        pair = [base, str(nan)] if side == "current" else [str(nan), base]
+        assert main(["obs", "diff", *pair]) == 1
+        out = capsys.readouterr().out
+        assert "seconds_per_step: " in out and "REGRESSION" in out
+        assert "verdict: FAIL (1 regression(s)" in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-0.1", "inf"])
+    def test_obs_diff_bad_tolerance_is_one_error_line(self, capsys, tmp_path,
+                                                      tolerance):
+        base = self._baseline(tmp_path)
+        assert main(["obs", "diff", base, base,
+                     "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be finite")
+        assert captured.err.count("\n") == 1
