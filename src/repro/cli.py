@@ -49,6 +49,17 @@ def _pencils_per_alltoall(value: str):
     return q
 
 
+def _positive_int(value: str) -> int:
+    """``plan --tasks-per-node``: an integer of at least 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
     from repro.serve.spec import DNS_DEFAULTS, RUN_FIELDS, add_spec_flags
@@ -71,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--machine", default="summit",
                    choices=("summit", "titan", "sierra", "exascale"))
-    p.add_argument("--tasks-per-node", type=int, default=6)
+    p.add_argument("--tasks-per-node", type=_positive_int, default=6)
     p.add_argument("--q", type=_pencils_per_alltoall, default=1,
                    help="pencils per all-to-all, or 'slab' (case C)")
     p.add_argument("--copy-strategy", default="memcpy2d",
@@ -890,6 +901,8 @@ def _cmd_serve(args) -> int:
             extra += f" bytes={quote.get('device_bytes', 0):.0f}"
         if placement.get("final_energy") is not None:
             extra += f" E={placement['final_energy']:.6g}"
+        if placement.get("peak_rss_mb") is not None:
+            extra += f" rss={placement['peak_rss_mb']:.0f}MiB"
         if record.error:
             extra += f"  ({record.error})"
         print(f"  {record.id:<28} {record.state:<9} "

@@ -18,13 +18,17 @@ Two phases:
    emits the placement trace: admit/finish events with virtual times and
    the free-capacity ledger.
 
-2. **Execute** — real job runs on a thread pool, *following the trace*:
-   an admission only fires once every job the DES finished before it has
-   actually completed, so the live byte ledger can never exceed the
-   planned one (and therefore never the capacity).  Results are
-   bit-identical to standalone runs because each job runs the exact same
-   :func:`~repro.serve.runner.run_job` code path with its own solver,
-   RNGs, and observability bundle.
+2. **Execute** — each admission, in the trace's admit order, runs in a
+   child forked from the scheduler once fewer than ``max_jobs`` jobs are
+   live and its quoted bytes fit the capacity minus the live jobs' bytes;
+   else it waits for a live job to end.  The plan's finish edges are not
+   replayed: its virtual seconds are modelled Summit seconds, 1.5–8× off
+   this machine's and not in one ratio (DESIGN §17), so replaying them
+   idles slots.  Processes, not threads, because jobs on threads
+   serialise on the GIL.  The parent is the store's only writer; a child
+   writes its run directory and sends ``(summary, run_dir, error)`` home.
+   Results are bit-identical to standalone runs: each job runs the same
+   :func:`~repro.serve.runner.run_job` code path.
 
 Determinism argument (DESIGN §17): every quantity entering an ordering
 decision — quotes, weights, tags, the seeded tie-break — is a pure
@@ -35,11 +39,17 @@ trace.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import json
 import math
+import os
+import pickle
 import random
+import signal
+import sys
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -59,8 +69,10 @@ class SchedulerCrash(RuntimeError):
     """Deliberate mid-run abort (the crash-recovery tests' kill switch).
 
     Raised out of a job hook, it propagates through the scheduler without
-    any state cleanup — exactly like ``kill -9`` from the store's point
-    of view: ``RUNNING`` rows stay ``RUNNING`` for the reconciler.
+    any store cleanup — exactly like ``kill -9`` from the store's point
+    of view: ``RUNNING`` rows stay ``RUNNING`` for the reconciler.  Live
+    job processes are killed and reaped first, so none writes on into a
+    run directory the reconciler will reuse.
     """
 
 
@@ -72,7 +84,7 @@ class ServeCapacity:
     #: DeviceArena stand-in; each job's engine arena is capped to its
     #: quoted share, so the sum is enforced, not advisory).
     device_bytes: float = 2.0 * 1024**3
-    #: Maximum concurrently running jobs (thread-pool width).
+    #: Maximum concurrently running jobs (live job processes).
     max_jobs: int = 4
 
     def __post_init__(self):
@@ -200,6 +212,17 @@ class PlacementTrace:
 
 
 @dataclass
+class _Child:
+    """One live job process and what it has sent home so far."""
+
+    rec: JobRecord
+    pid: int
+    fd: int
+    device_bytes: float
+    out: bytearray = field(default_factory=bytearray)
+
+
+@dataclass
 class ScheduleResult:
     """What one ``run-scheduler`` invocation did."""
 
@@ -226,7 +249,7 @@ class ScheduleResult:
 
 
 class FairShareScheduler:
-    """Plans deterministically, executes concurrently, persists every step.
+    """Plans deterministically, runs jobs in processes, persists every step.
 
     Parameters
     ----------
@@ -240,13 +263,14 @@ class FairShareScheduler:
     machine:
         Machine model backing admission quotes.
     runner:
-        ``runner(record, store) -> dict`` executing one job (defaults to
+        ``runner(record, store) -> dict`` executing one job in its forked
+        process; the dict must pickle (defaults to
         :func:`repro.serve.runner.make_store_runner`); injectable so the
         conformance tier can schedule thousands of virtual jobs without
         integrating Navier-Stokes.
     on_job_start:
-        Optional hook called with the record just after it turns
-        ``RUNNING`` — the crash-recovery tests raise
+        Optional hook called in the scheduler with the record just after
+        it turns ``RUNNING``, before it forks — the crash-recovery tests raise
         :class:`SchedulerCrash` from here.
     """
 
@@ -415,61 +439,33 @@ class FairShareScheduler:
             result.admitted = trace.admitted_ids()
             return result
 
-        from concurrent.futures import ThreadPoolExecutor
-
-        futures: dict[str, object] = {}
-        crash: Optional[BaseException] = None
-        pool = ThreadPoolExecutor(
-            max_workers=self.capacity.max_jobs,
-            thread_name_prefix="serve-job",
-        )
+        admits = [ev for ev in trace.events if ev["event"] == "admit"]
+        live: dict[int, _Child] = {}  # by the read end of its pipe
         try:
-            for ev in trace.events:
-                if ev["event"] == "finish":
-                    # The DES retired this job before the next admission;
-                    # real execution honors the same edge, so live demand
-                    # is always <= the planned ledger.
-                    fut = futures.get(ev["job"])
-                    if fut is not None:
-                        try:
-                            fut.result()
-                        except SchedulerCrash as exc:
-                            crash = exc
-                            break
-                        except Exception:
-                            pass  # recorded as FAILED by the worker
-                elif ev["event"] == "admit":
-                    rec = records[ev["job"]]
-                    j = trace.jobs[rec.id]
-                    rec.quote = {
-                        "feasible": True,
-                        "device_bytes": j["device_bytes"],
-                        "virtual_seconds": j["virtual_seconds"],
-                    }
-                    rec.placement = {
-                        "vstart": ev["vtime"],
-                        "finish_tag": j["finish_tag"],
-                        "schedule_seed": self.seed,
-                    }
-                    self.store.save(rec)
-                    self.store.transition(rec, JobState.ADMITTED)
-                    result.admitted.append(rec.id)
-                    futures[rec.id] = pool.submit(self._run_one, rec)
-            if crash is None:
-                for jid, fut in futures.items():
-                    try:
-                        fut.result()
-                    except SchedulerCrash as exc:
-                        crash = exc
-                        break
-                    except Exception:
-                        pass
-        finally:
-            # On a crash, abandon (not wait for) unfinished work — the
-            # store must keep its RUNNING rows, like a killed process.
-            pool.shutdown(wait=crash is None, cancel_futures=crash is not None)
-        if crash is not None:
-            raise crash
+            while admits or live:
+                # The next admission fires once a slot and its bytes are
+                # free; every admitted job fits alone, so this progresses.
+                jid = admits[0]["job"] if admits else None
+                if jid is not None and len(live) < self.capacity.max_jobs and (
+                        trace.jobs[jid]["device_bytes"]
+                        <= self.capacity.device_bytes
+                        - sum(c.device_bytes for c in live.values())):
+                    child = self._dispatch(records[jid], admits.pop(0),
+                                           trace.jobs[jid])
+                    live[child.fd] = child
+                    result.admitted.append(jid)
+                    continue
+                for fd in wait(list(live)):
+                    chunk = os.read(fd, 1 << 16)
+                    if chunk:
+                        live[fd].out += chunk
+                    else:
+                        self._reap(live.pop(fd))
+        finally:  # a crash: no orphan may write on into a reused run dir
+            for child in live.values():
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+                os.close(child.fd)
         for jid in result.admitted:
             state = self.store.get(jid).state
             if state == JobState.DONE:
@@ -478,22 +474,61 @@ class FairShareScheduler:
                 result.failed.append(jid)
         return result
 
-    def _run_one(self, rec: JobRecord) -> dict:
+    def _dispatch(self, rec: JobRecord, ev: dict, j: dict) -> "_Child":
+        """Admit and start ``rec``: the hook runs here, then its process."""
+        rec.quote = {"feasible": True, "device_bytes": j["device_bytes"],
+                     "virtual_seconds": j["virtual_seconds"]}
+        rec.placement = {"vstart": ev["vtime"], "finish_tag": j["finish_tag"],
+                         "schedule_seed": self.seed}
+        self.store.transition(rec, JobState.ADMITTED)
         self.store.transition(rec, JobState.RUNNING)
         if self.on_job_start is not None:
             self.on_job_start(rec)  # may raise SchedulerCrash
-        try:
-            summary = self.runner(rec, self.store)
-        except SchedulerCrash:
-            raise
-        except Exception as exc:
-            self.store.transition(
-                rec, JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
-            )
-            raise
-        rec.placement = {**rec.placement, **(summary or {})}
-        self.store.transition(rec, JobState.DONE)
-        return summary
+        read, write = os.pipe()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:  # the job: never returns
+            os.close(read)
+            code = 1
+            try:
+                if sys.platform == "linux":  # die with the scheduler: no
+                    # orphan writes on into a run dir the reconciler reuses
+                    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # DEATHSIG
+                    if os.getppid() != parent:  # it died before that call
+                        os._exit(1)
+                try:
+                    msg = pickle.dumps(
+                        (self.runner(rec, self.store), rec.run_dir, None))
+                except BaseException as exc:
+                    msg = pickle.dumps(
+                        (None, None, f"{type(exc).__name__}: {exc}"))
+                with open(write, "wb") as out:
+                    out.write(msg)
+                code = 0
+            finally:  # no inherited finaliser or atexit handler runs
+                os._exit(code)
+        os.close(write)
+        return _Child(rec, pid, read, j["device_bytes"])
+
+    def _reap(self, child: "_Child") -> None:
+        """Record how ``child``'s job ended, with its peak RSS."""
+        _, status, usage = os.wait4(child.pid, 0)
+        os.close(child.fd)
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0 and child.out:
+            summary, run_dir, error = pickle.loads(child.out)
+        else:  # died before it sent a result
+            summary = run_dir = None
+            error = (f"job process killed by {signal.Signals(-code).name}"
+                     if code < 0 else f"job process exited with code {code}")
+        rec = child.rec
+        rec.placement = {**rec.placement, **(summary or {}),
+                         "peak_rss_mb": usage.ru_maxrss / 1024.0}
+        if error is not None:
+            self.store.transition(rec, JobState.FAILED, error=error)
+        else:
+            rec.run_dir = run_dir
+            self.store.transition(rec, JobState.DONE)
 
     def _write_trace(self, trace: PlacementTrace) -> Path:
         self.store.traces_dir.mkdir(parents=True, exist_ok=True)

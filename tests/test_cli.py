@@ -84,6 +84,23 @@ class TestInfeasibleCostPlaneArguments:
         assert err.startswith("error: ") and reason in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["plan", "512", "--nodes", "16", "--tasks-per-node", "0"],
+        ["plan", "512", "--nodes", "16", "--tasks-per-node", "-2"],
+        ["plan", "--sweep", "--grids", "512", "--nodes", "16",
+         "--tasks-per-node", "0"],
+    ])
+    def test_non_positive_tasks_per_node_is_one_error_line(
+            self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(tmp_path / "sweep.json")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro plan: error: argument --tasks-per-node: "
+            f"{argv[-1]!r} is not an integer >= 1"]
+        assert not (tmp_path / "sweep.json").exists()
+
     @pytest.mark.parametrize("grids", [["0"], ["3072", "-8"]])
     def test_non_positive_sweep_grid_is_one_error_line_and_no_file(
             self, capsys, tmp_path, grids):
